@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt check race bench bench-smoke serve-smoke cluster-smoke exp-smoke bench-cache bench-multigrid bench-serve bench-scale scale-smoke bce
+.PHONY: build test vet fmt check bench-check race bench bench-smoke serve-smoke cluster-smoke exp-smoke bench-cache bench-multigrid bench-serve bench-scale scale-smoke bce
 
 build:
 	$(GO) build ./...
@@ -16,8 +16,17 @@ fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # check is the pre-commit gate: formatting, static analysis, full tests,
-# and the bounds-check pin on the hot kernels.
-check: fmt vet test bce
+# the bounds-check pin on the hot kernels, and the benchmark module's own
+# vet + smoke test.
+check: fmt vet test bce bench-check
+
+# bench-check reaches the module the root gate cannot: bench/ has its own
+# go.mod, so `./...` stops at its door. The smoke test runs all five
+# workloads at toy size (~12 s) and compiles every call the benchmark
+# makes into serve, qio, perf, core and the facade.
+bench-check:
+	$(GO) vet -C bench .
+	$(GO) test -C bench .
 
 # bce asserts the SIMD-shaped kernels compile with zero bounds checks in
 # their inner loops: `ssa/check_bce` prints one "Found IsInBounds" line
@@ -85,8 +94,11 @@ bench-smoke: build
 
 # bench-fft runs the FFT/Hamiltonian hot-path benchmarks with allocation
 # reporting and records the machine-readable results in BENCH_fft.json.
+# 3DBatchPruned/3DBatchDense and ApplyAllPruned/ApplyAllDense (g12, g10)
+# are the sphere-pruning pairs: like vectorized/Ref, their ratio is the
+# machine-independent record.
 bench-fft:
-	$(GO) test -run '^$$' -bench 'Benchmark(3DBatch|R3Batch|Plan3|RPlan3|Forward|HartreeFFT|ApplyAll$$|ApplyAllSeparate|ApplyAllBLAS)' -benchtime 2s ./internal/fft/ ./internal/pw/ | $(GO) run ./cmd/benchjson > BENCH_fft.json
+	$(GO) test -run '^$$' -bench 'Benchmark(3DBatch|R3Batch|Plan3|RPlan3|Forward|HartreeFFT|ApplyAll$$|ApplyAllSeparate|ApplyAllBLAS|ApplyAllPruned|ApplyAllDense)' -benchtime 2s ./internal/fft/ ./internal/pw/ | $(GO) run ./cmd/benchjson > BENCH_fft.json
 	@cat BENCH_fft.json
 
 # bench-multigrid runs the multigrid stencil kernels (vectorized vs the

@@ -84,6 +84,44 @@ func Benchmark3DBatch(b *testing.B) {
 	b.ReportMetric(gflop/b.Elapsed().Seconds(), "GFLOP/s")
 }
 
+// Benchmark3DBatchPruned vs Benchmark3DBatchDense is the sphere-pruning
+// win at the two LDC domain shapes of the end-to-end benchmark: 14 bands
+// of a 57-wave sphere on 12³ (qmd-sic8) and of a 33-wave sphere on 10³
+// (qmd-27dom), one inverse + forward batch per iteration — an HΨ's worth
+// of transforms. Same line kernels, same data; the ratio is the share of
+// lines skipped and does not depend on the machine.
+var domainShapes = []struct {
+	name  string
+	n, r2 int
+}{{"g12", 12, 5}, {"g10", 10, 4}}
+
+func Benchmark3DBatchPruned(b *testing.B) { bench3DBatchDomain(b, true) }
+func Benchmark3DBatchDense(b *testing.B)  { bench3DBatchDomain(b, false) }
+
+func bench3DBatchDomain(b *testing.B, pruned bool) {
+	const nb = 14
+	for _, sh := range domainShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			p := Cached3(sh.n, sh.n, sh.n)
+			s := &p.full
+			if pruned {
+				s = p.NewSupport(sphereSupport(p, sh.r2))
+			}
+			x := benchVec(nb * p.Size())
+			s.ForwardBatch(x, nb) // warm the arena pool
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.InverseBatch(x, nb)
+				s.ForwardBatch(x, nb)
+			}
+			b.StopTimer()
+			gflop := float64(nb*(s.InverseFlops()+s.ForwardFlops())) * float64(b.N) / 1e9
+			b.ReportMetric(gflop/b.Elapsed().Seconds(), "GFLOP/s")
+		})
+	}
+}
+
 func BenchmarkPlan3Pow2_32(b *testing.B) {
 	p := NewPlan3(32, 32, 32)
 	x := benchVec(p.Size())

@@ -29,7 +29,7 @@ const tileB = 16
 type Plan3 struct {
 	Nx, Ny, Nz int
 	px, py, pz *Plan
-	flops      int64     // modelled operation count of one full 3-D transform
+	full       Support3  // every line of every pass: the dense transform
 	arenas     sync.Pool // *arena3
 }
 
@@ -59,7 +59,8 @@ func NewPlan3(nx, ny, nz int) *Plan3 {
 	default:
 		p.px = NewPlan(nx)
 	}
-	p.flops = int64(nx*ny)*flops(nz) + int64(nx*nz)*flops(ny) + int64(ny*nz)*flops(nx)
+	all := p.newSchedule(filled(nx*ny), filled(nx), filled(nz), filled(ny*nz))
+	p.full = Support3{p: p, inv: all, fwd: all}
 	tileLen := tileB * max(nx, ny)
 	scrLen := max(p.px.scratchLen(), max(p.py.scratchLen(), p.pz.scratchLen()))
 	p.arenas.New = func() any {
@@ -76,14 +77,14 @@ func (p *Plan3) Size() int { return p.Nx * p.Ny * p.Nz }
 
 // Flops returns the modelled operation count (5 n log2 n per line) of one
 // full 3-D transform.
-func (p *Plan3) Flops() int64 { return p.flops }
+func (p *Plan3) Flops() int64 { return p.full.fwd.flops }
 
 // Forward computes the in-place 3-D forward DFT.
-func (p *Plan3) Forward(x []complex128) { p.apply(x, passFwd) }
+func (p *Plan3) Forward(x []complex128) { p.full.Forward(x) }
 
 // Inverse computes the in-place 3-D inverse DFT including the 1/(NxNyNz)
 // normalization.
-func (p *Plan3) Inverse(x []complex128) { p.apply(x, passInv) }
+func (p *Plan3) Inverse(x []complex128) { p.full.Inverse(x) }
 
 // ForwardBatch computes the forward DFT of nb independent grids packed
 // contiguously in x (grid g occupies x[g*Size():(g+1)*Size()]). Grids are
@@ -91,80 +92,23 @@ func (p *Plan3) Inverse(x []complex128) { p.apply(x, passInv) }
 // one worker's arena — for nb ≥ GOMAXPROCS this replaces per-line
 // fan-out with per-grid fan-out and runs allocation-free in the steady
 // state.
-func (p *Plan3) ForwardBatch(x []complex128, nb int) { p.applyBatch(x, nb, passFwd) }
+func (p *Plan3) ForwardBatch(x []complex128, nb int) { p.full.ForwardBatch(x, nb) }
 
 // InverseBatch is ForwardBatch's inverse, including the 1/(NxNyNz)
 // normalization of each grid.
-func (p *Plan3) InverseBatch(x []complex128, nb int) { p.applyBatch(x, nb, passInv) }
-
-func (p *Plan3) apply(x []complex128, mode int8) {
-	if len(x) != p.Size() {
-		panic("fft: data length does not match 3-D plan")
-	}
-	defer ph3D.Start().StopFlops(p.flops)
-	runUnits(fftJob{p: p, x: x, kind: jobZ, mode: mode}, p.Nx*p.Ny)
-	runUnits(fftJob{p: p, x: x, kind: jobY, mode: mode}, p.Nx*zBlocks(p.Nz))
-	runUnits(fftJob{p: p, x: x, kind: jobX, mode: mode}, (p.Ny*p.Nz+tileB-1)/tileB)
-	perf.Global.AddVector(p.flops)
-}
+func (p *Plan3) InverseBatch(x []complex128, nb int) { p.full.InverseBatch(x, nb) }
 
 // InverseRawMulReal computes the UNNORMALIZED in-place 3-D inverse DFT
 // multiplied pointwise by the real field vr (len Size). In the
 // plane-wave convention ψ̃(r) = N³·Inverse, the raw inverse is exactly
 // ψ̃, so this one call replaces Inverse + ×N³ rescale + ×V_loc — three
 // grid traversals fused into the transform's own passes.
-func (p *Plan3) InverseRawMulReal(x []complex128, vr []float64) {
-	if len(x) != p.Size() || len(vr) != p.Size() {
-		panic("fft: data length does not match 3-D plan")
-	}
-	fl := p.flops + 6*int64(p.Size())
-	defer ph3D.Start().StopFlops(fl)
-	runUnits(fftJob{p: p, x: x, kind: jobZ, mode: passInvRaw}, p.Nx*p.Ny)
-	runUnits(fftJob{p: p, x: x, kind: jobY, mode: passInvRaw}, p.Nx*zBlocks(p.Nz))
-	runUnits(fftJob{p: p, x: x, rx: vr, kind: jobXMulV, mode: passInvRaw}, (p.Ny*p.Nz+tileB-1)/tileB)
-	perf.Global.AddVector(fl)
-}
+func (p *Plan3) InverseRawMulReal(x []complex128, vr []float64) { p.full.InverseRawMulReal(x, vr) }
 
 // InverseRawMulRealBatch applies InverseRawMulReal to nb packed grids,
 // each multiplied by the same real field vr.
 func (p *Plan3) InverseRawMulRealBatch(x []complex128, nb int, vr []float64) {
-	if nb < 0 || len(x) != nb*p.Size() || len(vr) != p.Size() {
-		panic("fft: batch length does not match 3-D plan")
-	}
-	if nb == 0 {
-		return
-	}
-	fl := (p.flops + 6*int64(p.Size())) * int64(nb)
-	defer ph3D.Start().StopFlops(fl)
-	runUnits(fftJob{p: p, x: x, rx: vr, kind: jobGridsMulV, mode: passInvRaw}, nb)
-	perf.Global.AddVector(fl)
-}
-
-func (p *Plan3) applyBatch(x []complex128, nb int, mode int8) {
-	if nb < 0 || len(x) != nb*p.Size() {
-		panic("fft: batch length does not match 3-D plan")
-	}
-	if nb == 0 {
-		return
-	}
-	defer ph3D.Start().StopFlops(p.flops * int64(nb))
-	runUnits(fftJob{p: p, x: x, kind: jobGrids, mode: mode}, nb)
-	perf.Global.AddVector(p.flops * int64(nb))
-}
-
-// applySerial runs one full 3-D transform on a single goroutine with the
-// given arena. This is the batch worker body and the GOMAXPROCS=1 path.
-func (p *Plan3) applySerial(x []complex128, mode int8, a *arena3) {
-	p.zLines(x, mode, 0, p.Nx*p.Ny, a)
-	p.yTiles(x, mode, 0, p.Nx*zBlocks(p.Nz), a)
-	p.xTiles(x, mode, 0, (p.Ny*p.Nz+tileB-1)/tileB, a, nil)
-}
-
-// applySerialMulReal is applySerial for the fused raw-inverse ×vr path.
-func (p *Plan3) applySerialMulReal(x []complex128, vr []float64, a *arena3) {
-	p.zLines(x, passInvRaw, 0, p.Nx*p.Ny, a)
-	p.yTiles(x, passInvRaw, 0, p.Nx*zBlocks(p.Nz), a)
-	p.xTiles(x, passInvRaw, 0, (p.Ny*p.Nz+tileB-1)/tileB, a, vr)
+	p.full.InverseRawMulRealBatch(x, nb, vr)
 }
 
 // Pass modes for the axis kernels. passInvRaw is the inverse without
@@ -176,13 +120,10 @@ const (
 	passInvRaw
 )
 
-// zBlocks is the number of tileB-wide iz blocks in one y-pass row.
-func zBlocks(nz int) int { return (nz + tileB - 1) / tileB }
-
-// zLines transforms the contiguous z-lines [lo, hi).
-func (p *Plan3) zLines(x []complex128, mode int8, lo, hi int, a *arena3) {
+// zLines transforms the contiguous z-lines s.zLines[lo:hi].
+func (p *Plan3) zLines(x []complex128, s *schedule, mode int8, lo, hi int, a *arena3) {
 	nz := p.Nz
-	for l := lo; l < hi; l++ {
+	for _, l := range s.zLines[lo:hi] {
 		line := x[l*nz : (l+1)*nz]
 		switch mode {
 		case passFwd:
@@ -196,19 +137,25 @@ func (p *Plan3) zLines(x []complex128, mode int8, lo, hi int, a *arena3) {
 }
 
 // yTiles transforms y-lines (stride Nz) for tile units [lo, hi). Unit u
-// covers plane ix = u/zBlocks, iz block (u%zBlocks)*tileB: a block of up
-// to tileB adjacent z-columns is gathered into the arena (contiguous
-// tileB-element reads per y), transformed, and scattered back.
-func (p *Plan3) yTiles(x []complex128, mode int8, lo, hi int, a *arena3) {
+// covers plane s.planes[u/nblk], iz block s.yBlocks[u%nblk]: a block of
+// up to tileB adjacent z-columns is gathered into the arena (contiguous
+// reads per y), transformed, and scattered back. Only the plane's
+// s.yRows are read; the other rows enter the transform as zeros, so a
+// pruned inverse never looks at grid points outside the sticks.
+func (p *Plan3) yTiles(x []complex128, s *schedule, mode int8, lo, hi int, a *arena3) {
 	ny, nz := p.Ny, p.Nz
-	bz := zBlocks(nz)
+	nblk := len(s.yBlocks)
 	for u := lo; u < hi; u++ {
-		ix := u / bz
-		iz0 := (u % bz) * tileB
-		w := min(tileB, nz-iz0)
-		base := ix*ny*nz + iz0
-		buf := a.tile
-		for iy := 0; iy < ny; iy++ {
+		k := u / nblk
+		b := s.yBlocks[u%nblk]
+		w := b.w
+		base := s.planes[k]*ny*nz + b.off
+		buf := a.tile[:w*ny]
+		rows := s.yRows[k]
+		if len(rows) < ny {
+			clear(buf)
+		}
+		for _, iy := range rows {
 			src := x[base+iy*nz : base+iy*nz+w]
 			for t, v := range src {
 				buf[t*ny+iy] = v
@@ -235,18 +182,22 @@ func (p *Plan3) yTiles(x []complex128, mode int8, lo, hi int, a *arena3) {
 }
 
 // xTiles transforms x-lines (stride Ny*Nz) for tile units [lo, hi). Unit
-// u covers the yz-plane offsets [u*tileB, u*tileB+w). When vr is
-// non-nil, each output point is multiplied by the real field vr during
-// the scatter-back — the fused ×V_loc of the real-space Hamiltonian
-// application, which removes one full grid traversal per band.
-func (p *Plan3) xTiles(x []complex128, mode int8, lo, hi int, a *arena3, vr []float64) {
+// u covers the yz-plane offsets of block s.xBlocks[u]. Only the planes
+// s.planes are read; the others enter the transform as zeros. When vr
+// is non-nil, each output point is multiplied by the real field vr
+// during the scatter-back — the fused ×V_loc of the real-space
+// Hamiltonian application, which removes one full grid traversal per
+// band.
+func (p *Plan3) xTiles(x []complex128, s *schedule, mode int8, lo, hi int, a *arena3, vr []float64) {
 	nx := p.Nx
 	plane := p.Ny * p.Nz
-	for u := lo; u < hi; u++ {
-		l0 := u * tileB
-		w := min(tileB, plane-l0)
-		buf := a.tile
-		for ix := 0; ix < nx; ix++ {
+	for _, b := range s.xBlocks[lo:hi] {
+		l0, w := b.off, b.w
+		buf := a.tile[:w*nx]
+		if len(s.planes) < nx {
+			clear(buf)
+		}
+		for _, ix := range s.planes {
 			src := x[ix*plane+l0 : ix*plane+l0+w]
 			for t, v := range src {
 				buf[t*nx+ix] = v
@@ -289,9 +240,10 @@ func (p *Plan3) putArena(a *arena3) { p.arenas.Put(a) }
 // side of the data in rx.
 type fftJob struct {
 	p      *Plan3
+	s      *schedule // the lines p's passes run (complex passes only)
 	rp     *RPlan3
 	x      []complex128
-	rx     []float64 // real data (jobRZ/jobRGrids) or the fused real multiplier (jobXMulV/jobGridsMulV)
+	rx     []float64 // real data (jobRZ/jobRGrids) or, when non-nil, the fused real multiplier (jobX/jobGrids)
 	kind   int8
 	mode   int8 // passFwd/passInv/passInvRaw; jobR* read it as fwd-vs-inverse
 	lo, hi int
@@ -303,10 +255,8 @@ const (
 	jobY
 	jobX
 	jobGrids
-	jobRZ        // r2c/c2r z-lines between rx and the packed half grid x
-	jobRGrids    // whole real↔half-spectrum grids of a batch
-	jobXMulV     // x-pass with the fused ×vr scatter-back (vr in rx)
-	jobGridsMulV // whole-grid raw inverse ×vr of a batch
+	jobRZ     // r2c/c2r z-lines between rx and the packed half grid x
+	jobRGrids // whole real↔half-spectrum grids of a batch
 )
 
 func (j fftJob) run() {
@@ -334,22 +284,15 @@ func (j fftJob) run() {
 	a := j.p.getArena()
 	switch j.kind {
 	case jobZ:
-		j.p.zLines(j.x, j.mode, j.lo, j.hi, a)
+		j.p.zLines(j.x, j.s, j.mode, j.lo, j.hi, a)
 	case jobY:
-		j.p.yTiles(j.x, j.mode, j.lo, j.hi, a)
+		j.p.yTiles(j.x, j.s, j.mode, j.lo, j.hi, a)
 	case jobX:
-		j.p.xTiles(j.x, j.mode, j.lo, j.hi, a, nil)
-	case jobXMulV:
-		j.p.xTiles(j.x, j.mode, j.lo, j.hi, a, j.rx)
+		j.p.xTiles(j.x, j.s, j.mode, j.lo, j.hi, a, j.rx)
 	case jobGrids:
 		size := j.p.Size()
 		for g := j.lo; g < j.hi; g++ {
-			j.p.applySerial(j.x[g*size:(g+1)*size], j.mode, a)
-		}
-	case jobGridsMulV:
-		size := j.p.Size()
-		for g := j.lo; g < j.hi; g++ {
-			j.p.applySerialMulReal(j.x[g*size:(g+1)*size], j.rx, a)
+			j.p.applySerial(j.x[g*size:(g+1)*size], j.s, j.mode, a, j.rx)
 		}
 	}
 	j.p.putArena(a)

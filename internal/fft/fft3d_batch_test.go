@@ -45,7 +45,9 @@ func TestBatchMatchesSingle(t *testing.T) {
 
 // TestCached3 checks the process-wide plan cache returns the same plan
 // for the same shape, distinct plans for distinct shapes, and stays
-// correct under concurrent lookup and use (run under -race).
+// correct under concurrent lookup and use (run under -race) — dense
+// round trips and pruned batches on one shared Support3 interleaved on
+// the same plan, arenas and worker pool.
 func TestCached3(t *testing.T) {
 	a := Cached3(18, 18, 18)
 	if b := Cached3(18, 18, 18); a != b {
@@ -54,6 +56,9 @@ func TestCached3(t *testing.T) {
 	if c := Cached3(18, 18, 12); c == a {
 		t.Fatal("Cached3 returned the same plan for distinct shapes")
 	}
+	shared := Cached3(12, 10, 6)
+	idx := sphereSupport(shared, 5)
+	sup := shared.NewSupport(idx)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -61,6 +66,26 @@ func TestCached3(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			p := Cached3(12, 10, 6)
+			const nb = 3
+			dense, pruned := sparseGrids(rng, sup, idx, nb)
+			p.InverseBatch(dense, nb)
+			sup.InverseBatch(pruned, nb)
+			for i := range dense {
+				if !bitwiseEq(pruned[i], dense[i]) {
+					t.Errorf("concurrent pruned InverseBatch differs from dense at %d", i)
+					break
+				}
+			}
+			p.ForwardBatch(dense, nb)
+			sup.ForwardBatch(pruned, nb)
+			for g := 0; g < nb; g++ {
+				for _, i := range idx {
+					if k := g*p.Size() + i; !bitwiseEq(pruned[k], dense[k]) {
+						t.Errorf("concurrent pruned ForwardBatch differs from dense at %d", k)
+						return
+					}
+				}
+			}
 			x := randVec(rng, p.Size())
 			orig := make([]complex128, len(x))
 			copy(orig, x)

@@ -13,6 +13,7 @@ type mixedFFT struct {
 	n   int
 	fwd []complex128 // fwd[k] = e^{-2πik/n}
 	inv []complex128 // conjugate table
+	spf []int        // spf[l] = smallest prime factor of every length l the recursion visits
 }
 
 // maxMixedFactor bounds the direct-DFT base case of the recursion.
@@ -37,8 +38,26 @@ func newMixedFFT(n int) *mixedFFT {
 		m.fwd[k] = complex(math.Cos(ang), math.Sin(ang))
 		m.inv[k] = complex(math.Cos(ang), -math.Sin(ang))
 	}
+	// Every branch of rec at one depth sees the same length, so the
+	// factor schedule is a single chain from n down; trial division runs
+	// here once instead of at every level of every line.
+	m.spf = make([]int, n+1)
+	for l := n; l > 1; {
+		r := smallestPrimeFactor(l)
+		m.spf[l] = r
+		if fusedRadix4(r, l) {
+			r = 4
+		}
+		l /= r
+	}
 	return m
 }
+
+// fusedRadix4 reports whether rec collapses two radix-2 levels of a
+// length-n transform into one decimation by 4 (n = 4 is excluded: its
+// length-2 halves go through the prime base case, whose table-root
+// multiplies a fused combine would not replay exactly).
+func fusedRadix4(r, n int) bool { return r == 2 && n%4 == 0 && n > 4 }
 
 // transformS computes the DFT of x in place using caller scratch of at
 // least 2n elements.
@@ -61,7 +80,7 @@ func (m *mixedFFT) rec(src []complex128, s int, dst, scratch []complex128, n int
 		dst[0] = src[0]
 		return
 	}
-	r := smallestPrimeFactor(n)
+	r := m.spf[n]
 	N := m.n
 	if r == n {
 		// Prime base case: direct DFT with incremental index arithmetic.
@@ -81,12 +100,9 @@ func (m *mixedFFT) rec(src []complex128, s int, dst, scratch []complex128, n int
 		}
 		return
 	}
-	if r == 2 && n%4 == 0 && n > 4 {
+	if fusedRadix4(r, n) {
 		// Fused radix-4 branch: two radix-2 recursion levels collapsed
-		// into one decimation-by-4 plus a single combine pass (n = 4
-		// is excluded: its length-2 halves go through the prime base
-		// case, whose table-root multiplies a fused combine would not
-		// replay exactly). The
+		// into one decimation-by-4 plus a single combine pass. The
 		// floating-point schedule is op-for-op the radix-2 recursion's
 		// (pinned bitwise against recRef in butterfly_test.go); fusing
 		// halves the combine passes over dst and needs no scratch copy.

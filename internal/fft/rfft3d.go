@@ -73,8 +73,9 @@ func (p *RPlan3) Forward(src []float64, dst []complex128) {
 	p.checkLens(src, dst)
 	defer ph3DReal.Start().StopFlops(p.flops)
 	runUnits(fftJob{rp: p, rx: src, x: dst, kind: jobRZ}, p.Nx*p.Ny)
-	runUnits(fftJob{p: p.half, x: dst, kind: jobY}, p.Nx*zBlocks(p.Nzh))
-	runUnits(fftJob{p: p.half, x: dst, kind: jobX}, (p.Ny*p.Nzh+tileB-1)/tileB)
+	sc := p.half.full.fwd
+	runUnits(fftJob{p: p.half, s: sc, x: dst, kind: jobY}, sc.yUnits())
+	runUnits(fftJob{p: p.half, s: sc, x: dst, kind: jobX}, len(sc.xBlocks))
 	perf.Global.AddVector(p.flops)
 }
 
@@ -84,8 +85,9 @@ func (p *RPlan3) Forward(src []float64, dst []complex128) {
 func (p *RPlan3) Inverse(src []complex128, dst []float64) {
 	p.checkLens(dst, src)
 	defer ph3DReal.Start().StopFlops(p.flops)
-	runUnits(fftJob{p: p.half, x: src, kind: jobX, mode: passInv}, (p.Ny*p.Nzh+tileB-1)/tileB)
-	runUnits(fftJob{p: p.half, x: src, kind: jobY, mode: passInv}, p.Nx*zBlocks(p.Nzh))
+	sc := p.half.full.inv
+	runUnits(fftJob{p: p.half, s: sc, x: src, kind: jobX, mode: passInv}, len(sc.xBlocks))
+	runUnits(fftJob{p: p.half, s: sc, x: src, kind: jobY, mode: passInv}, sc.yUnits())
 	runUnits(fftJob{rp: p, rx: dst, x: src, kind: jobRZ, mode: passInv}, p.Nx*p.Ny)
 	perf.Global.AddVector(p.flops)
 }
@@ -134,17 +136,18 @@ func (p *RPlan3) checkBatch(re []float64, half []complex128, nb int) {
 // with the given scratch and (half-grid) arena. This is the batch
 // worker body.
 func (p *RPlan3) applySerial(re []float64, half []complex128, inverse bool, s []complex128, a *arena3) {
-	yUnits := p.Nx * zBlocks(p.Nzh)
-	xUnits := (p.Ny*p.Nzh + tileB - 1) / tileB
+	sc := p.half.full.fwd
+	yUnits := sc.yUnits()
+	xUnits := len(sc.xBlocks)
 	if inverse {
-		p.half.xTiles(half, passInv, 0, xUnits, a, nil)
-		p.half.yTiles(half, passInv, 0, yUnits, a)
+		p.half.xTiles(half, sc, passInv, 0, xUnits, a, nil)
+		p.half.yTiles(half, sc, passInv, 0, yUnits, a)
 		p.c2rLines(half, re, 0, p.Nx*p.Ny, s)
 		return
 	}
 	p.r2cLines(re, half, 0, p.Nx*p.Ny, s)
-	p.half.yTiles(half, passFwd, 0, yUnits, a)
-	p.half.xTiles(half, passFwd, 0, xUnits, a, nil)
+	p.half.yTiles(half, sc, passFwd, 0, yUnits, a)
+	p.half.xTiles(half, sc, passFwd, 0, xUnits, a, nil)
 }
 
 // r2cLines transforms the contiguous real z-lines [lo, hi) of src into

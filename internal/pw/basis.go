@@ -32,6 +32,12 @@ type Basis struct {
 
 	plan  *fft.Plan3
 	rplan *fft.RPlan3
+	// The sphere fills a small corner of the grid (57 of 12³ points in an
+	// LDC domain), so every wave-function transform goes through the
+	// plan's pruned form for the support FFTi: it skips the line
+	// transforms that see only zeros or feed no coefficient, bit-for-bit
+	// equal to the dense plan (fft.Support3).
+	sphere *fft.Support3
 
 	// Folded reciprocal-space lookups shared by every grid-space kernel
 	// (kinetic via G2, Hartree 4π/G², pseudopotential form factors,
@@ -110,6 +116,7 @@ func NewBasis(g grid.Grid, ecut float64) (*Basis, error) {
 	if len(b.G) == 0 {
 		return nil, fmt.Errorf("pw: empty basis for cutoff %g", ecut)
 	}
+	b.sphere = b.plan.NewSupport(b.FFTi)
 	b.gridPool.New = func() any {
 		s := make([]complex128, g.Size())
 		return &s
@@ -223,33 +230,24 @@ func (b *Basis) PutBatch(buf []complex128) {
 	b.batchPool.Put(&buf)
 }
 
-// Scatter places coefficient vector c (len Np) onto a zeroed FFT grid
-// array (len N³).
+// Scatter places coefficient vector c (len Np) onto the FFT grid array
+// (len N³) as input for the inverse transforms below. Only the z-sticks
+// through the sphere — all those transforms read — are zeroed first; the
+// rest of gridArr keeps whatever it held.
 func (b *Basis) Scatter(c []complex128, gridArr []complex128) {
-	for i := range gridArr {
-		gridArr[i] = 0
-	}
+	b.sphere.ClearSticks(gridArr)
 	for i, fi := range b.FFTi {
 		gridArr[fi] = c[i]
 	}
 }
 
-// scatterColumn places column n of psi onto the (zeroed here) grid
-// buffer dst without materializing the column.
+// scatterColumn is Scatter for column n of psi, without materializing
+// the column.
 func (b *Basis) scatterColumn(psi *linalg.CMatrix, n int, dst []complex128) {
-	for i := range dst {
-		dst[i] = 0
-	}
+	b.sphere.ClearSticks(dst)
 	nc := psi.Cols
 	for gi, fi := range b.FFTi {
 		dst[fi] = psi.Data[gi*nc+n]
-	}
-}
-
-// Gather extracts the sphere coefficients from an FFT grid array.
-func (b *Basis) Gather(gridArr []complex128, c []complex128) {
-	for i, fi := range b.FFTi {
-		c[i] = gridArr[fi]
 	}
 }
 
@@ -260,7 +258,7 @@ func (b *Basis) ToRealSpace(c []complex128, work []complex128) {
 	b.Scatter(c, work)
 	// Inverse DFT includes 1/N³; our target is Σ c e^{+2πi m·j/N}, which
 	// is N³ × Inverse. Rescale in place.
-	b.plan.Inverse(work)
+	b.sphere.Inverse(work)
 	n3 := complex(float64(b.Grid.Size()), 0)
 	for i := range work {
 		work[i] *= n3
@@ -280,7 +278,7 @@ func (b *Basis) ToRealSpaceBatch(psi *linalg.CMatrix, batch []complex128) {
 	for n := 0; n < nb; n++ {
 		b.scatterColumn(psi, n, batch[n*size:(n+1)*size])
 	}
-	b.plan.InverseBatch(batch, nb)
+	b.sphere.InverseBatch(batch, nb)
 	n3 := complex(float64(size), 0)
 	for i := range batch {
 		batch[i] *= n3
@@ -290,12 +288,11 @@ func (b *Basis) ToRealSpaceBatch(psi *linalg.CMatrix, batch []complex128) {
 // FromRealSpace projects grid values f(r_j) onto sphere coefficients:
 // c_G = (1/N³) Σ_j f(r_j) e^{−iG·r_j}. The input buffer is destroyed.
 func (b *Basis) FromRealSpace(work []complex128, c []complex128) {
-	b.plan.Forward(work)
+	b.sphere.Forward(work)
 	inv := complex(1/float64(b.Grid.Size()), 0)
-	for i := range work {
-		work[i] *= inv
+	for i, fi := range b.FFTi {
+		c[i] = work[fi] * inv
 	}
-	b.Gather(work, c)
 }
 
 // FromRealSpaceBatch projects nb packed grids back onto sphere
@@ -308,7 +305,7 @@ func (b *Basis) FromRealSpaceBatch(batch []complex128, psi *linalg.CMatrix) {
 	if len(batch) < nb*size {
 		panic("pw: batch buffer too small")
 	}
-	b.plan.ForwardBatch(batch[:nb*size], nb)
+	b.sphere.ForwardBatch(batch[:nb*size], nb)
 	inv := complex(1/float64(size), 0)
 	nc := psi.Cols
 	for n := 0; n < nb; n++ {
@@ -319,5 +316,5 @@ func (b *Basis) FromRealSpaceBatch(batch []complex128, psi *linalg.CMatrix) {
 	}
 }
 
-// Plan exposes the 3-D FFT plan (used by the Hartree solver).
+// Plan exposes the dense 3-D FFT plan of the grid.
 func (b *Basis) Plan() *fft.Plan3 { return b.plan }

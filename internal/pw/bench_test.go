@@ -57,6 +57,42 @@ func BenchmarkApplyAll(b *testing.B) {
 	}
 }
 
+// BenchmarkApplyAllPruned vs BenchmarkApplyAllDense is the sphere-pruning
+// win on the whole HΨ at the two LDC domain shapes of the end-to-end
+// benchmark (a qmd-sic8 domain: 12³ points, 57 waves; a qmd-27dom one:
+// 10³, 33 waves; 14 bands each). Pruned is the production ApplyAllInto;
+// Dense is the retained full-grid reference of pruned_test.go. The ratio
+// is the share of line transforms and zero-fill skipped, and does not
+// depend on the machine.
+func BenchmarkApplyAllPruned(b *testing.B) { benchApplyAllDomain(b, true) }
+func BenchmarkApplyAllDense(b *testing.B)  { benchApplyAllDomain(b, false) }
+
+func benchApplyAllDomain(b *testing.B, pruned bool) {
+	const nb = 14
+	for _, sh := range []domainShape{domainG12, domainG10} {
+		b.Run(sh.name, func(b *testing.B) {
+			h := sh.hamiltonian(b)
+			basis := h.Basis
+			psi, err := RandomOrbitals(basis, nb, rand.New(rand.NewSource(1)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			out := linalg.NewCMatrix(psi.Rows, psi.Cols)
+			batch := make([]complex128, nb*basis.Grid.Size())
+			apply := func() { denseApplyAllInto(h, psi, out, batch) }
+			if pruned {
+				apply = func() { h.ApplyAllInto(psi, out) }
+			}
+			apply() // warm the basis and arena pools
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				apply()
+			}
+		})
+	}
+}
+
 // BenchmarkApplyAllSeparate is BenchmarkApplyAll with the fused ×V_loc
 // path disabled: separate inverse FFT, N³ rescale, and V_loc multiply
 // passes. The delta against BenchmarkApplyAll is the fusion win.

@@ -32,7 +32,7 @@ func Density(b *Basis, psi *linalg.CMatrix, occ []float64) []float64 {
 	for k, n := range bands {
 		b.scatterColumn(psi, n, batch[k*size:(k+1)*size])
 	}
-	b.plan.InverseBatch(batch[:len(bands)*size], len(bands))
+	b.sphere.InverseBatch(batch[:len(bands)*size], len(bands))
 	// The raw inverse omits ToRealSpace's ×N³; fold (N³)² into the
 	// |ψ̃|²/Ω prefactor instead of rescaling the whole batch.
 	n3 := float64(size)

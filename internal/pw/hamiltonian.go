@@ -78,7 +78,7 @@ func (h *Hamiltonian) Apply(psi, out []complex128, ws *ApplyWorkspace) {
 	// Local potential part via FFT.
 	if fuseVloc {
 		b.Scatter(psi, ws.grid)
-		b.plan.InverseRawMulReal(ws.grid, h.Vloc)
+		b.sphere.InverseRawMulReal(ws.grid, h.Vloc)
 	} else {
 		b.ToRealSpace(psi, ws.grid)
 		for i, v := range h.Vloc {
@@ -124,7 +124,7 @@ func (h *Hamiltonian) ApplyAllInto(psi, out *linalg.CMatrix) {
 		for n := 0; n < nb; n++ {
 			b.scatterColumn(psi, n, batch[n*size:(n+1)*size])
 		}
-		b.plan.InverseRawMulRealBatch(batch[:nb*size], nb, h.Vloc)
+		b.sphere.InverseRawMulRealBatch(batch[:nb*size], nb, h.Vloc)
 	} else {
 		b.ToRealSpaceBatch(psi, batch)
 		parallelRange(nb, func(lo, hi int) {
@@ -136,7 +136,7 @@ func (h *Hamiltonian) ApplyAllInto(psi, out *linalg.CMatrix) {
 			}
 		})
 	}
-	b.plan.ForwardBatch(batch[:nb*size], nb)
+	b.sphere.ForwardBatch(batch[:nb*size], nb)
 	// out(G,n) = ½G² ψ(G,n) + (1/N³)·(VlocψR)(G,n), assembled row-wise so
 	// the matrix accesses stay contiguous.
 	invN3 := complex(1/float64(size), 0)

@@ -12,11 +12,12 @@ var (
 	phOrtho  = perf.GetPhase("pw/orthonormalize")
 )
 
-// applyAllFlops models HΨ over nb bands: two 3-D FFTs, the Vloc multiply
-// and kinetic scale per band, plus the nonlocal projector GEMMs.
+// applyAllFlops models HΨ over nb bands: the lines the two sphere-pruned
+// 3-D FFTs run, the Vloc multiply and kinetic scale per band, plus the
+// nonlocal projector GEMMs.
 func (h *Hamiltonian) applyAllFlops(nb int) int64 {
 	b := h.Basis
-	fl := int64(nb) * (2*b.plan.Flops() + 8*int64(b.Grid.Size()) + 8*int64(b.Np()))
+	fl := int64(nb) * (b.sphere.InverseFlops() + b.sphere.ForwardFlops() + 8*int64(b.Grid.Size()) + 8*int64(b.Np()))
 	if h.Proj != nil && h.Proj.NumProjectors() > 0 {
 		fl += 16 * int64(b.Np()) * int64(h.Proj.NumProjectors()) * int64(nb)
 	}
