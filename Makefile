@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt check bench-check race bench bench-smoke serve-smoke cluster-smoke exp-smoke bench-cache bench-multigrid bench-serve bench-scale scale-smoke bce
+.PHONY: build test vet fmt check bench-check race bench bench-smoke serve-smoke cluster-smoke exp-smoke bench-cache bench-multigrid bench-scale scale-smoke bce
 
 build:
 	$(GO) build ./...
@@ -43,8 +43,8 @@ bce:
 # scratch arenas, goroutine pool, collective I/O, parallel SCF assembly,
 # atomic perf counters, pooled pw/pseudo scratch, checkpoint writes:
 # concurrent collective checkpoint I/O during a trajectory, in both
-# internal/qio and the root package, plus the job manager's worker
-# pool / queue / SSE fan-out in internal/serve). -short skips the full
+# internal/qio and the root package, plus the job manager's lease
+# table / in-process slots / queue / SSE fan-out in internal/serve). -short skips the full
 # SCF-convergence solves (minutes each under the race detector) while
 # keeping every concurrency path: pool error/panic ordering, parallel
 # SCFStep, collective and checkpoint writes, registry hammering,
@@ -133,11 +133,3 @@ bench-scale:
 # lazily-collected garbage cannot hide under the ceiling.
 scale-smoke:
 	GOMEMLIMIT=400MiB LDC_SCALE_RSS_MAX_MB=512 $(GO) test -run TestScaleSmoke512 -count=1 -v ./internal/core/
-
-# bench-serve benchmarks the coordinator's scheduling hot paths — the
-# cost-aware queue pick, the submit→acquire→complete lease cycle, and
-# renewal heartbeats under fleet-scale contention — and records the
-# results in BENCH_serve.json.
-bench-serve:
-	$(GO) test -run '^$$' -bench 'Benchmark(QueueCostPick|LeaseAcquireComplete|LeaseRenew)' -benchtime 2s ./internal/serve/ | $(GO) run ./cmd/benchjson > BENCH_serve.json
-	@cat BENCH_serve.json

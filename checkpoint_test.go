@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -22,64 +24,79 @@ func ckTestConfig() LDCConfig {
 	}
 }
 
+// atProcessorCounts runs body at GOMAXPROCS 1, 2 and 4 (restored after
+// each): the resume guarantees below are claims about bit patterns, and
+// a requeued job may resume on a node with a different core count, so
+// they must hold whatever the processor count is.
+func atProcessorCounts(t *testing.T, body func(t *testing.T)) {
+	for _, procs := range []int{1, 2, 4} {
+		t.Run("procs="+strconv.Itoa(procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			body(t)
+		})
+	}
+}
+
 // TestResumeMatchesUninterrupted is the checkpoint/restart acceptance
 // test: a 1-step run + checkpoint + resume must reproduce the
-// uninterrupted 2-step trajectory — same final energy (≤1e-8 Ha, in
-// fact bitwise) and bitwise-identical positions and velocities, because
-// the resumed integrator is re-primed with the checkpointed forces and
-// the SCF warm-starts from the checkpointed density.
+// uninterrupted 2-step trajectory — bitwise-identical final energy,
+// positions and velocities, because the resumed integrator is re-primed
+// with the checkpointed forces and the SCF warm-starts from the
+// checkpointed density.
 func TestResumeMatchesUninterrupted(t *testing.T) {
 	if testing.Short() {
 		t.Skip("QMD is expensive")
 	}
-	sys := BuildSiC(1)
-	sys.InitVelocities(300, rand.New(rand.NewSource(2)))
-	cfg := ckTestConfig()
+	atProcessorCounts(t, func(t *testing.T) {
+		sys := BuildSiC(1)
+		sys.InitVelocities(300, rand.New(rand.NewSource(2)))
+		cfg := ckTestConfig()
 
-	full, err := RunQMD(sys, cfg, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	path := filepath.Join(t.TempDir(), "ck.qmd")
-	opts := QMDOptions{CheckpointEvery: 1, CheckpointPath: path}
-	bytes0 := perf.GetPhase("qio/checkpoint-write").Bytes()
-	part, err := RunQMDOpts(sys, cfg, 1, 0, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if part.Steps != 1 {
-		t.Fatalf("partial run did %d steps", part.Steps)
-	}
-	if perf.GetPhase("qio/checkpoint-write").Bytes() <= bytes0 {
-		t.Fatal("checkpoint write recorded no bytes in the qio/checkpoint-write phase")
-	}
-
-	res, err := ResumeQMD(path, cfg, 2, 0, QMDOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Steps != 2 || len(res.Energies) != 2 {
-		t.Fatalf("resumed trajectory: %d steps, %d energies", res.Steps, len(res.Energies))
-	}
-	if d := math.Abs(res.Energies[1] - full.Energies[1]); d > 1e-8 {
-		t.Fatalf("final energy differs by %g Ha (resumed %.12f vs uninterrupted %.12f)",
-			d, res.Energies[1], full.Energies[1])
-	}
-	if res.SCFIterations != full.SCFIterations {
-		t.Errorf("SCF iteration counts differ: resumed %d vs uninterrupted %d",
-			res.SCFIterations, full.SCFIterations)
-	}
-	for i := range full.FinalSystem.Atoms {
-		a, b := full.FinalSystem.Atoms[i], res.FinalSystem.Atoms[i]
-		if a.Position != b.Position || a.Velocity != b.Velocity {
-			t.Fatalf("atom %d state not bitwise equal after resume", i)
+		full, err := RunQMD(sys, cfg, 2, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// The first energy is carried over from the checkpointed record.
-	if res.Energies[0] != part.Energies[0] {
-		t.Fatal("resumed trajectory lost the checkpointed step record")
-	}
+
+		path := filepath.Join(t.TempDir(), "ck.qmd")
+		opts := QMDOptions{CheckpointEvery: 1, CheckpointPath: path}
+		bytes0 := perf.GetPhase("qio/checkpoint-write").Bytes()
+		part, err := RunQMDOpts(sys, cfg, 1, 0, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if part.Steps != 1 {
+			t.Fatalf("partial run did %d steps", part.Steps)
+		}
+		if perf.GetPhase("qio/checkpoint-write").Bytes() <= bytes0 {
+			t.Fatal("checkpoint write recorded no bytes in the qio/checkpoint-write phase")
+		}
+
+		res, err := ResumeQMD(path, cfg, 2, 0, QMDOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Steps != 2 || len(res.Energies) != 2 {
+			t.Fatalf("resumed trajectory: %d steps, %d energies", res.Steps, len(res.Energies))
+		}
+		if math.Float64bits(res.Energies[1]) != math.Float64bits(full.Energies[1]) {
+			t.Fatalf("final energy differs: resumed %.17g vs uninterrupted %.17g",
+				res.Energies[1], full.Energies[1])
+		}
+		if res.SCFIterations != full.SCFIterations {
+			t.Errorf("SCF iteration counts differ: resumed %d vs uninterrupted %d",
+				res.SCFIterations, full.SCFIterations)
+		}
+		for i := range full.FinalSystem.Atoms {
+			a, b := full.FinalSystem.Atoms[i], res.FinalSystem.Atoms[i]
+			if a.Position != b.Position || a.Velocity != b.Velocity {
+				t.Fatalf("atom %d state not bitwise equal after resume", i)
+			}
+		}
+		// The first energy is carried over from the checkpointed record.
+		if res.Energies[0] != part.Energies[0] {
+			t.Fatal("resumed trajectory lost the checkpointed step record")
+		}
+	})
 }
 
 // TestResumePastEndRunsNoSteps: resuming a checkpoint already at the

@@ -66,11 +66,16 @@ func TestClusterSmoke(t *testing.T) {
 		t.Fatalf("no listen line in coordinator output:\n%s", coordLogs.String())
 	}
 
-	startNode := func(name string) (*exec.Cmd, *syncBuffer) {
+	// The nodes run at different processor counts: whichever of them is
+	// killed, the victim resumes under another GOMAXPROCS than it started
+	// with, and the bitwise comparison below holds only if the engine's
+	// numbers do not depend on it.
+	startNode := func(name string, procs int) (*exec.Cmd, *syncBuffer) {
 		t.Helper()
 		logs := &syncBuffer{}
 		cmd := exec.Command(qmdd, "-mode", "worker", "-coordinator", base, "-name", name,
 			"-slots", "1", "-data", filepath.Join(dir, name), "-cache-bytes", "0")
+		cmd.Env = append(os.Environ(), fmt.Sprintf("GOMAXPROCS=%d", procs))
 		cmd.Stderr = logs
 		if err := cmd.Start(); err != nil {
 			t.Fatal(err)
@@ -82,9 +87,9 @@ func TestClusterSmoke(t *testing.T) {
 		}
 		return cmd, logs
 	}
-	node1, _ := startNode("node1")
+	node1, _ := startNode("node1", 1)
 	defer node1.Process.Kill()
-	node2, _ := startNode("node2")
+	node2, _ := startNode("node2", 2)
 	defer node2.Process.Kill()
 	nodes := map[string]*exec.Cmd{"node1": node1, "node2": node2}
 

@@ -1,11 +1,13 @@
 // Command qmdd is the QMD job-serving daemon. It runs in one of three
 // modes:
 //
-//   - standalone (default): the single-node daemon — the internal/serve
-//     HTTP API (submit, status, cancel, SSE event streams, health,
-//     Prometheus metrics) over a durable job store, trajectories on a
-//     bounded in-process worker pool with admission control.
-//   - coordinator: the same public API, but no local trajectory pool —
+//   - standalone (default): the internal/serve HTTP API (submit,
+//     status, cancel, SSE event streams, health, Prometheus metrics)
+//     over a durable job store with admission control, every job run
+//     under a lease from the daemon's own lease table by one of
+//     -workers in-process slots. The /v1/lease API is served too, so
+//     worker nodes may attach and share the queue.
+//   - coordinator: the same daemon with no in-process slots — only
 //     worker nodes lease jobs over the /v1/lease API, heartbeat them,
 //     upload checkpoints at step boundaries, and report completion.
 //     A worker that crashes or partitions loses its lease after
@@ -56,7 +58,7 @@ func main() {
 	mode := flag.String("mode", "standalone", "standalone | coordinator | worker")
 	addr := flag.String("addr", "127.0.0.1:8432", "listen address (host:port; port 0 picks a free port)")
 	data := flag.String("data", "qmdd-data", "durable job store directory (worker mode: local scratch root)")
-	workers := flag.Int("workers", 2, "concurrent trajectory workers (standalone mode)")
+	workers := flag.Int("workers", 2, "in-process trajectory slots (standalone mode)")
 	queueCap := flag.Int("queue-cap", 16, "pending-queue capacity (excess submissions get 429)")
 	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "graceful-shutdown budget for checkpointing running jobs")
 	cacheDir := flag.String("cache-dir", "", "SCF warm-start cache directory (default <data>/cache)")
@@ -65,7 +67,7 @@ func main() {
 	coordinator := flag.String("coordinator", "http://127.0.0.1:8432", "coordinator base URL (worker mode)")
 	name := flag.String("name", "", "worker node name (worker mode; default host:pid)")
 	slots := flag.Int("slots", 2, "concurrent leased trajectories (worker mode)")
-	leaseTTL := flag.Duration("lease-ttl", 15*time.Second, "job lease TTL: a worker silent this long loses its jobs (coordinator mode)")
+	leaseTTL := flag.Duration("lease-ttl", 15*time.Second, "job lease TTL: a worker node silent this long loses its jobs")
 	retainAge := flag.Duration("retain-age", 0, "prune terminal jobs finished longer ago than this (0 keeps forever)")
 	retainMax := flag.Int("retain-max-jobs", 0, "keep at most this many terminal jobs, oldest pruned first (0 keeps all)")
 	flag.Parse()
@@ -152,8 +154,8 @@ func runServe(distributed bool, addr, data string, workers, queueCap int,
 		log.Printf("listening on %s (coordinator, data %s, queue capacity %d, lease TTL %s)",
 			ln.Addr(), data, queueCap, leaseTTL)
 	} else {
-		log.Printf("listening on %s (data %s, %d workers, queue capacity %d)",
-			ln.Addr(), data, workers, queueCap)
+		log.Printf("listening on %s (data %s, %d in-process slots, queue capacity %d, lease TTL %s)",
+			ln.Addr(), data, workers, queueCap, leaseTTL)
 	}
 
 	srv := &http.Server{Handler: mgr.Handler()}

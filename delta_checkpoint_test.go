@@ -151,49 +151,51 @@ func TestDeltaResumeMatchesUninterrupted(t *testing.T) {
 	if testing.Short() {
 		t.Skip("QMD is expensive")
 	}
-	sys := BuildSiC(1)
-	sys.InitVelocities(300, rand.New(rand.NewSource(2)))
-	cfg := ckTestConfig()
+	atProcessorCounts(t, func(t *testing.T) {
+		sys := BuildSiC(1)
+		sys.InitVelocities(300, rand.New(rand.NewSource(2)))
+		cfg := ckTestConfig()
 
-	full, err := RunQMD(sys, cfg, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	path := filepath.Join(t.TempDir(), "ck.qmd")
-	opts := QMDOptions{CheckpointEvery: 1, CheckpointPath: path, DeltaCheckpoints: true}
-	if _, err := RunQMDOpts(sys, cfg, 1, 0, opts); err != nil {
-		t.Fatal(err)
-	}
-	res, err := ResumeQMD(path, cfg, 2, 0, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Steps != 2 || len(res.Energies) != 2 {
-		t.Fatalf("resumed trajectory: %d steps, %d energies", res.Steps, len(res.Energies))
-	}
-	if res.Energies[1] != full.Energies[1] {
-		t.Fatalf("final energy differs: resumed %.15f vs uninterrupted %.15f",
-			res.Energies[1], full.Energies[1])
-	}
-	for i := range full.FinalSystem.Atoms {
-		a, b := full.FinalSystem.Atoms[i], res.FinalSystem.Atoms[i]
-		if a.Position != b.Position || a.Velocity != b.Velocity {
-			t.Fatalf("atom %d state not bitwise equal after delta resume", i)
+		full, err := RunQMD(sys, cfg, 2, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// The resumed trajectory itself checkpointed incrementally: the
-	// state on disk (base, plus delta if one survived rotation) restores
-	// the final step.
-	base, err := qio.LoadCheckpointBase(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	last, err := qio.ApplyDeltaIfPresent(base, path+".delta")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if last.Step != 2 {
-		t.Fatalf("on-disk delta checkpoint state at step %d, want 2", last.Step)
-	}
+
+		path := filepath.Join(t.TempDir(), "ck.qmd")
+		opts := QMDOptions{CheckpointEvery: 1, CheckpointPath: path, DeltaCheckpoints: true}
+		if _, err := RunQMDOpts(sys, cfg, 1, 0, opts); err != nil {
+			t.Fatal(err)
+		}
+		res, err := ResumeQMD(path, cfg, 2, 0, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Steps != 2 || len(res.Energies) != 2 {
+			t.Fatalf("resumed trajectory: %d steps, %d energies", res.Steps, len(res.Energies))
+		}
+		if math.Float64bits(res.Energies[1]) != math.Float64bits(full.Energies[1]) {
+			t.Fatalf("final energy differs: resumed %.17g vs uninterrupted %.17g",
+				res.Energies[1], full.Energies[1])
+		}
+		for i := range full.FinalSystem.Atoms {
+			a, b := full.FinalSystem.Atoms[i], res.FinalSystem.Atoms[i]
+			if a.Position != b.Position || a.Velocity != b.Velocity {
+				t.Fatalf("atom %d state not bitwise equal after delta resume", i)
+			}
+		}
+		// The resumed trajectory itself checkpointed incrementally: the
+		// state on disk (base, plus delta if one survived rotation)
+		// restores the final step.
+		base, err := qio.LoadCheckpointBase(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last, err := qio.ApplyDeltaIfPresent(base, path+".delta")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if last.Step != 2 {
+			t.Fatalf("on-disk delta checkpoint state at step %d, want 2", last.Step)
+		}
+	})
 }

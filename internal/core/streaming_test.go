@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -79,9 +80,12 @@ var streamingGoldens = []struct {
 }
 
 // TestStreamingMatchesResidentGoldens: full SCF solves + forces on the
-// reference configurations must reproduce the resident-solver goldens —
-// including the exact SCF iteration count, which only matches if the
-// streamed wave functions persist bit-exactly across iterations.
+// reference configurations must reproduce the resident-solver goldens
+// bit for bit — including the exact SCF iteration count, which only
+// matches if the streamed wave functions persist bit-exactly across
+// iterations — and must do so at every processor count: a job requeued
+// from an 8-core node to a 2-core one resumes the same trajectory only
+// if no reduction's shape depends on GOMAXPROCS.
 func TestStreamingMatchesResidentGoldens(t *testing.T) {
 	for _, g := range streamingGoldens {
 		g := g
@@ -89,40 +93,44 @@ func TestStreamingMatchesResidentGoldens(t *testing.T) {
 			if testing.Short() && g.nd > 2 {
 				t.Skip("short mode: skipping the 27-domain reference solve")
 			}
-			sys := atoms.BuildSiC(1)
-			e, err := NewEngine(sys, goldenConfig(g.gridN, g.nd, 2))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer e.Close()
-			res, err := e.Solve()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Converged {
-				t.Fatal("reference solve did not converge")
-			}
-			const tol = 1e-10
-			if d := math.Abs(res.Energy - g.energy); d > tol {
-				t.Errorf("energy %.17g differs from resident golden %.17g by %g", res.Energy, g.energy, d)
-			}
-			if d := math.Abs(res.Mu - g.mu); d > tol {
-				t.Errorf("mu %.17g differs from resident golden %.17g by %g", res.Mu, g.mu, d)
-			}
-			if res.Iterations != g.iters {
-				t.Errorf("SCF took %d iterations, resident reference took %d", res.Iterations, g.iters)
-			}
-			forces, err := e.Forces()
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, want := range g.forces {
-				f := forces[i]
-				for c, got := range []float64{f.X, f.Y, f.Z} {
-					if d := math.Abs(got - want[c]); d > tol {
-						t.Errorf("F[%d][%d] = %.17g differs from golden %.17g by %g", i, c, got, want[c], d)
+			for _, procs := range []int{1, 2, 4} {
+				t.Run("procs="+strconv.Itoa(procs), func(t *testing.T) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					sys := atoms.BuildSiC(1)
+					e, err := NewEngine(sys, goldenConfig(g.gridN, g.nd, 2))
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
+					defer e.Close()
+					res, err := e.Solve()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !res.Converged {
+						t.Fatal("reference solve did not converge")
+					}
+					if math.Float64bits(res.Energy) != math.Float64bits(g.energy) {
+						t.Errorf("energy %.17g is not the resident golden %.17g", res.Energy, g.energy)
+					}
+					if math.Float64bits(res.Mu) != math.Float64bits(g.mu) {
+						t.Errorf("mu %.17g is not the resident golden %.17g", res.Mu, g.mu)
+					}
+					if res.Iterations != g.iters {
+						t.Errorf("SCF took %d iterations, resident reference took %d", res.Iterations, g.iters)
+					}
+					forces, err := e.Forces()
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, want := range g.forces {
+						f := forces[i]
+						for c, got := range []float64{f.X, f.Y, f.Z} {
+							if math.Float64bits(got) != math.Float64bits(want[c]) {
+								t.Errorf("F[%d][%d] = %.17g is not the golden %.17g", i, c, got, want[c])
+							}
+						}
+					}
+				})
 			}
 		})
 	}

@@ -163,7 +163,12 @@ func CGemmCT(a, b *CMatrix) *CMatrix {
 
 // CGemmCTInto computes C = A† * B into the caller's c (zeroed here),
 // avoiding the result allocation of CGemmCT — the form used by pooled
-// hot paths. With a single worker no partial matrices are allocated.
+// hot paths. The sum over rows is one in-order pass on the calling
+// goroutine: it is a reduction, so splitting it across workers would
+// make the rounding depend on where the chunks begin — and trajectories
+// must be bit-identical on nodes with different processor counts
+// (resume after a requeue). Callers already run one domain per worker,
+// and rows is the plane-wave count (tens), so there is nothing to win.
 func CGemmCTInto(a, b, c *CMatrix) {
 	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols {
 		panic(ErrDimension)
@@ -171,55 +176,18 @@ func CGemmCTInto(a, b, c *CMatrix) {
 	for i := range c.Data {
 		c.Data[i] = 0
 	}
-	rows := a.Rows
-	workers := runtime.GOMAXPROCS(0)
-	if workers > rows {
-		workers = rows
-	}
-	if workers <= 1 {
-		cgemmCTRange(a, b, c, 0, rows)
-		perf.Global.AddVector(8 * int64(a.Cols) * int64(b.Cols) * int64(rows))
-		return
-	}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	chunk := (rows + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		k0 := w * chunk
-		k1 := min(k0+chunk, rows)
-		if k0 >= k1 {
-			break
-		}
-		wg.Add(1)
-		go func(k0, k1 int) {
-			defer wg.Done()
-			local := NewCMatrix(a.Cols, b.Cols)
-			cgemmCTRange(a, b, local, k0, k1)
-			mu.Lock()
-			for i, v := range local.Data {
-				c.Data[i] += v
-			}
-			mu.Unlock()
-		}(k0, k1)
-	}
-	wg.Wait()
-	perf.Global.AddVector(8 * int64(a.Cols) * int64(b.Cols) * int64(rows))
-}
-
-// cgemmCTRange accumulates rows [k0, k1) of the A†B sum into dst, which
-// must start zeroed (or hold a running partial).
-func cgemmCTRange(a, b, dst *CMatrix, k0, k1 int) {
-	for k := k0; k < k1; k++ {
+	for k := 0; k < a.Rows; k++ {
 		arow := a.Row(k)
 		brow := b.Row(k)
 		for i, av := range arow {
 			ca := cmplx.Conj(av)
-			drow := dst.Row(i)
+			crow := c.Row(i)
 			for j, bv := range brow {
-				drow[j] += ca * bv
+				crow[j] += ca * bv
 			}
 		}
 	}
+	perf.Global.AddVector(8 * int64(a.Cols) * int64(b.Cols) * int64(a.Rows))
 }
 
 // ErrNotHermitianPD is returned by CholeskyHermitian for non-positive-

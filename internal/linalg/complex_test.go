@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -100,6 +101,38 @@ func TestCGemmCTOverlapHermitian(t *testing.T) {
 		for j := 0; j < 6; j++ {
 			if cmplx.Abs(s.At(i, j)-cmplx.Conj(s.At(j, i))) > 1e-10 {
 				t.Fatal("overlap not Hermitian")
+			}
+		}
+	}
+}
+
+// TestCGemmCTBitIdenticalAcrossProcessorCounts: the A†B sum is a
+// reduction over rows, so its rounding depends on the order of the
+// additions — which must therefore not depend on GOMAXPROCS or on
+// goroutine scheduling. rows 24–57 are the plane-wave counts the engine
+// reaches; 1000 is far past any threshold a parallel split would use.
+func TestCGemmCTBitIdenticalAcrossProcessorCounts(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(34))
+	for _, rows := range []int{24, 33, 57, 1000} {
+		a := randCMatrix(rng, rows, 8)
+		b := randCMatrix(rng, rows, 8)
+		var want *CMatrix
+		for _, procs := range []int{1, 2, 3, 8} {
+			runtime.GOMAXPROCS(procs)
+			for rep := 0; rep < 20; rep++ {
+				got := CGemmCT(a, b)
+				if want == nil {
+					want = got
+					continue
+				}
+				for i, v := range got.Data {
+					if math.Float64bits(real(v)) != math.Float64bits(real(want.Data[i])) ||
+						math.Float64bits(imag(v)) != math.Float64bits(imag(want.Data[i])) {
+						t.Fatalf("rows=%d GOMAXPROCS=%d rep %d: element %d is %v, first run gave %v",
+							rows, procs, rep, i, v, want.Data[i])
+					}
+				}
 			}
 		}
 	}

@@ -10,7 +10,8 @@ import (
 
 // Benchmarks for the coordinator's scheduling hot paths: the cost-aware
 // queue pick, the acquire→complete lease cycle, and renewal heartbeats
-// under contention. `make bench-serve` records them in BENCH_serve.json.
+// under contention. `make bench-smoke` runs each once; the numbers on
+// record are bench/'s lease.acquire_complete_s and lease.renew_s probes.
 
 // benchSpec varies grid size and step count so the cost-aware heap has
 // real work to order.
@@ -25,7 +26,7 @@ func benchSpec(i int) JobSpec {
 // cost-ordered queue of 1024 jobs — the coordinator's per-acquire
 // scheduling work.
 func BenchmarkQueueCostPick(b *testing.B) {
-	q := jobQueue{byCost: true}
+	q := jobQueue{}
 	for i := 0; i < 1024; i++ {
 		spec := benchSpec(i)
 		q.push(&job{seq: int64(i), spec: spec, queueIdx: -1,

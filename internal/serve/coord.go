@@ -7,23 +7,22 @@ import (
 	"io"
 	"os"
 	"time"
-
-	"ldcdft/internal/serve/lease"
 )
 
-// ErrNotCoordinator rejects lease-API calls on a manager that was not
-// created with Config.Distributed.
-var ErrNotCoordinator = errors.New("serve: lease API requires coordinator mode")
+// errEpochNotPersisted refuses a grant (503 over HTTP) whose epoch could
+// not be written to state.json: after a restart the store would hand
+// the same epoch out again and a pre-crash zombie would pass the fence.
+var errEpochNotPersisted = errors.New("serve: lease epoch not persisted")
 
 // ErrNoCheckpoint marks a checkpoint download for a job that has not
 // uploaded one yet (fresh job: the worker starts the trajectory from
 // the spec instead).
 var ErrNoCheckpoint = errors.New("serve: job has no checkpoint")
 
-// LeaseGrant is the coordinator's answer to a successful acquire: the
-// job, the fencing epoch every subsequent call must present, the TTL
-// the worker has to renew within, and whether a checkpoint exists to
-// resume from (downloaded separately via the checkpoint endpoint).
+// LeaseGrant is the manager's answer to a successful acquire: the job,
+// the fencing epoch every subsequent call must present, the TTL the
+// worker has to renew within, and whether a checkpoint exists to resume
+// from (downloaded separately via the checkpoint endpoint).
 type LeaseGrant struct {
 	JobID         string        `json:"job_id"`
 	Spec          JobSpec       `json:"spec"`
@@ -38,9 +37,10 @@ type CompleteRequest struct {
 	Worker string `json:"worker,omitempty"`
 	Epoch  int64  `json:"epoch"`
 	// Status is the outcome: "completed" (Report carries the full
-	// trajectory record), "failed" (Error explains), or "released"
-	// (worker drain — the job goes back in the queue and is resumed
-	// from its last uploaded checkpoint by the next worker).
+	// trajectory record), "failed" (Error explains), "cancelled" (the
+	// holder stopped on a client cancel; Report is the interrupted
+	// run's record), or "released" (drain — the job goes back in the
+	// queue and the next holder resumes it from its last checkpoint).
 	Status string    `json:"status"`
 	Error  string    `json:"error,omitempty"`
 	Report RunReport `json:"report"`
@@ -48,16 +48,22 @@ type CompleteRequest struct {
 
 // Acquire leases the best pending job to worker, long-polling up to
 // wait when the queue is empty: (nil, nil) means no work arrived in
-// time — the worker just polls again. The pick is cost-aware: highest
-// priority first, then largest estimated remaining cost (see
-// JobSpec.EstimatedCost), so the fleet's makespan is not at the mercy
-// of FIFO arrival order. The grant increments and persists the job's
-// lease epoch before returning — the fence against the previous
-// holder.
+// time — the worker just polls again. The pick is jobQueue's: highest
+// priority, then largest estimated remaining cost, so the makespan is
+// not at the mercy of arrival order. The grant increments and persists
+// the job's lease epoch before returning — the fence against the
+// previous holder.
 func (m *Manager) Acquire(ctx context.Context, worker string, wait time.Duration) (*LeaseGrant, error) {
-	if m.leases == nil {
-		return nil, ErrNotCoordinator
-	}
+	return m.acquire(ctx, worker, wait, nil)
+}
+
+// acquire serves both kinds of holder. A worker node passes a nil
+// cancel; an in-process slot passes the cancel func of the context it
+// will run the job under, which the grant registers on the job (what
+// Cancel and Shutdown interrupt) and takes as the sign to hold the
+// lease without expiry.
+func (m *Manager) acquire(ctx context.Context, worker string, wait time.Duration,
+	cancel context.CancelCauseFunc) (*LeaseGrant, error) {
 	if worker == "" {
 		return nil, fmt.Errorf("serve: lease acquire requires a worker name")
 	}
@@ -78,7 +84,7 @@ func (m *Manager) Acquire(ctx context.Context, worker string, wait time.Duration
 			return nil, ErrShuttingDown
 		}
 		if m.queue.Len() > 0 {
-			return m.grantLocked(m.queue.pop(), worker), nil
+			return m.grantLocked(m.queue.pop(), worker, cancel)
 		}
 		if ctx.Err() != nil || !time.Now().Before(deadline) {
 			return nil, nil
@@ -88,8 +94,11 @@ func (m *Manager) Acquire(ctx context.Context, worker string, wait time.Duration
 }
 
 // grantLocked marks j leased to worker under the next epoch and builds
-// the grant. Callers hold the manager lock.
-func (m *Manager) grantLocked(j *job, worker string) *LeaseGrant {
+// the grant. The epoch is durable before anyone learns it: if state.json
+// cannot be written the job goes back in the queue as it was and the
+// grant is refused. Callers hold the manager lock.
+func (m *Manager) grantLocked(j *job, worker string, cancel context.CancelCauseFunc) (*LeaseGrant, error) {
+	before := j.state
 	j.state.LeaseEpoch++
 	j.state.Worker = worker
 	j.state.Status = StatusRunning
@@ -97,23 +106,29 @@ func (m *Manager) grantLocked(j *job, worker string) *LeaseGrant {
 		j.state.StartedAt = time.Now().UTC()
 	}
 	if err := m.persistState(j); err != nil {
-		m.cfg.Logf("serve: persist %s: %v", j.id, err)
+		j.state = before
+		m.queue.push(j)
+		return nil, fmt.Errorf("%w: job %s: %v", errEpochNotPersisted, j.id, err)
 	}
-	l := m.leases.Grant(j.id, worker, j.state.LeaseEpoch, time.Now())
+	j.cancel = cancel
+	if cancel != nil {
+		m.leases.Hold(j.id, worker, j.state.LeaseEpoch)
+	} else {
+		m.leases.Grant(j.id, worker, j.state.LeaseEpoch, time.Now())
+	}
 	m.leasesGranted++
-	m.running++
 	m.broadcast(j, Event{Type: "status", Status: StatusRunning, Step: j.state.StepsDone})
 	_, ckErr := os.Stat(m.root.CheckpointPath(j.id))
 	m.cfg.Logf("serve: job %s leased to %s (epoch %d, %d/%d steps done)",
-		j.id, worker, l.Epoch, j.state.StepsDone, j.spec.Steps)
+		j.id, worker, j.state.LeaseEpoch, j.state.StepsDone, j.spec.Steps)
 	return &LeaseGrant{
 		JobID:         j.id,
 		Spec:          j.spec,
-		Epoch:         l.Epoch,
+		Epoch:         j.state.LeaseEpoch,
 		TTL:           m.leases.TTL(),
 		StepsDone:     j.state.StepsDone,
 		HasCheckpoint: ckErr == nil,
-	}
+	}, nil
 }
 
 // leasedLocked resolves id to its job iff it is actively leased under
@@ -135,9 +150,6 @@ func (m *Manager) leasedLocked(id string, epoch int64) (*job, error) {
 // ErrStale, both 409 over HTTP) that tells the worker its claim is
 // gone and the trajectory must be abandoned.
 func (m *Manager) RenewLease(id string, epoch int64) (time.Duration, error) {
-	if m.leases == nil {
-		return 0, ErrNotCoordinator
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, err := m.leasedLocked(id, epoch); err != nil {
@@ -151,12 +163,8 @@ func (m *Manager) RenewLease(id string, epoch int64) (time.Duration, error) {
 }
 
 // LeaseProgress records a completed MD step reported by the lease
-// holder and streams it to the job's subscribers — the distributed
-// analogue of the in-process onStep hook.
+// holder and streams it to the job's subscribers.
 func (m *Manager) LeaseProgress(id string, epoch int64, step int, energyHa, tempK float64) error {
-	if m.leases == nil {
-		return ErrNotCoordinator
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	j, err := m.leasedLocked(id, epoch)
@@ -176,9 +184,6 @@ func (m *Manager) LeaseProgress(id string, epoch int64, step int, energyHa, temp
 // before the atomic rename, so a zombie whose lease lapsed while its
 // upload was in flight can never clobber the new holder's checkpoint.
 func (m *Manager) PutLeaseCheckpoint(id string, epoch int64, r io.Reader) error {
-	if m.leases == nil {
-		return ErrNotCoordinator
-	}
 	m.mu.Lock()
 	j, err := m.leasedLocked(id, epoch)
 	if err != nil {
@@ -222,9 +227,6 @@ func (m *Manager) PutLeaseCheckpoint(id string, epoch int64, r io.Reader) error 
 // OpenLeaseCheckpoint opens the job's stored checkpoint for download by
 // the lease holder (the resume path after a requeue).
 func (m *Manager) OpenLeaseCheckpoint(id string, epoch int64) (io.ReadCloser, error) {
-	if m.leases == nil {
-		return nil, ErrNotCoordinator
-	}
 	m.mu.Lock()
 	_, err := m.leasedLocked(id, epoch)
 	m.mu.Unlock()
@@ -238,15 +240,12 @@ func (m *Manager) OpenLeaseCheckpoint(id string, epoch int64) (io.ReadCloser, er
 	return f, err
 }
 
-// CompleteLease resolves a lease with the worker's terminal report:
-// "completed" and "failed" end the job, "released" (worker drain)
-// requeues it for the next worker to resume from the last uploaded
-// checkpoint. The epoch fence applies here too — a zombie cannot
-// complete a job that has been reassigned.
+// CompleteLease resolves a lease with the holder's terminal report:
+// "completed", "failed" and "cancelled" end the job, "released" (drain)
+// requeues it for the next holder to resume from the last checkpoint.
+// The epoch fence applies here too — a zombie cannot complete a job
+// that has been reassigned, nor one the client cancelled under it.
 func (m *Manager) CompleteLease(id string, req CompleteRequest) (*JobState, error) {
-	if m.leases == nil {
-		return nil, ErrNotCoordinator
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	j, err := m.leasedLocked(id, req.Epoch)
@@ -254,46 +253,42 @@ func (m *Manager) CompleteLease(id string, req CompleteRequest) (*JobState, erro
 		return nil, err
 	}
 	m.leases.Drop(j.id)
+	j.cancel = nil
+	// The report is authoritative: on resumed runs it includes the
+	// checkpoint-restored prefix the in-memory record may lack.
 	if rep := req.Report; rep.Steps > 0 {
 		j.state.StepsDone = rep.Steps
 		j.state.SCFIterations = rep.SCFIterations
 		j.state.EnergiesHa = boundedTail(rep.EnergiesHa)
 		j.state.TemperaturesK = boundedTail(rep.TemperaturesK)
 	}
+	status, errText := StatusCompleted, ""
 	switch req.Status {
 	case "completed":
-		j.state.Status = StatusCompleted
-		m.completed++
 		m.persistResults(j, req.Report.Results)
 	case "failed":
-		j.state.Status = StatusFailed
-		j.state.Error = req.Error
-		m.failed++
+		status, errText = StatusFailed, req.Error
+	case "cancelled":
+		status, errText = StatusCancelled, ErrCancelledByClient.Error()
 	case "released":
 		m.requeueLocked(j, fmt.Sprintf("released by worker %s", j.state.Worker))
+		if m.draining {
+			// The daemon is going down with the job parked: end its
+			// event streams so their HTTP handlers can return.
+			m.finishBroadcast(j)
+		}
 		return j.state.clone(), nil
 	default:
-		// Leave the lease intact? No: the worker is done either way.
-		// Requeue so the job is not stranded, and report the protocol
-		// error.
+		// The holder is done with the job either way: requeue so it is
+		// not stranded, and report the protocol error.
 		m.requeueLocked(j, "unknown completion status")
 		return nil, fmt.Errorf("serve: unknown completion status %q", req.Status)
 	}
-	m.running--
-	j.state.FinishedAt = time.Now().UTC()
-	if perr := m.persistState(j); perr != nil {
-		m.cfg.Logf("serve: persist %s: %v", j.id, perr)
+	st, err := m.endLocked(j, status, errText)
+	if err != nil {
+		// The holder did its part; the job is terminal in memory and a
+		// restart would rerun it from its checkpoint.
+		m.cfg.Logf("serve: persist %s: %v", j.id, err)
 	}
-	m.cfg.Logf("serve: job %s %s after %d steps (worker %s)",
-		j.id, j.state.Status, j.state.StepsDone, j.state.Worker)
-	m.finishBroadcast(j)
-	st := j.state.clone()
-	m.maybePruneLocked()
 	return st, nil
-}
-
-// leaseErrIsFencing reports whether err is one of the 409-mapped lease
-// fencing failures.
-func leaseErrIsFencing(err error) bool {
-	return errors.Is(err, lease.ErrNotLeased) || errors.Is(err, lease.ErrStale)
 }

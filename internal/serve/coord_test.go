@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,7 +19,7 @@ import (
 )
 
 // newCoordinator builds a Manager in Distributed (coordinator) mode:
-// no local worker pool, jobs only move via the lease API.
+// no in-process slots, jobs only move when a test leases them.
 func newCoordinator(t *testing.T, dir string, ttl time.Duration) *Manager {
 	t.Helper()
 	m, err := NewManager(Config{
@@ -309,27 +310,246 @@ func TestCancelLeasedJob(t *testing.T) {
 	}
 }
 
-// The lease API does not exist on a standalone manager (neither in-process
-// nor over HTTP), and standalone queue order stays FIFO within a
-// priority level — the distributed cost-aware pick must not leak in.
-func TestStandaloneHasNoLeaseAPI(t *testing.T) {
+// A standalone manager is a coordinator whose slots are in-process: its
+// jobs run under leases like any other, and the lease counters show it.
+func TestStandaloneJobRunsUnderLease(t *testing.T) {
 	m := newTestManager(t, t.TempDir(), 1, 4, &fakeRunner{})
 	defer shutdown(t, m)
-	if _, err := m.Acquire(context.Background(), "w1", 0); !errors.Is(err, ErrNotCoordinator) {
-		t.Fatalf("standalone acquire: want ErrNotCoordinator, got %v", err)
+	st := mustSubmit(t, m, validSpec("a", 3))
+	fin := waitStatus(t, m, st.ID, StatusCompleted)
+	if fin.LeaseEpoch != 1 || fin.Worker == "" {
+		t.Fatalf("standalone job finished with epoch %d, worker %q; want epoch 1 and a slot name",
+			fin.LeaseEpoch, fin.Worker)
 	}
-	if _, err := m.RenewLease("j00000001", 1); !errors.Is(err, ErrNotCoordinator) {
-		t.Fatalf("standalone renew: want ErrNotCoordinator, got %v", err)
+	if c := m.Stats(); c.LeasesGranted != 1 || c.LeasesExpired != 0 || c.LeasesActive != 0 {
+		t.Fatalf("counters %+v, want one lease granted, none expired or active", c)
 	}
+	var buf bytes.Buffer
+	if err := m.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "\nqmdd_leases_granted_total 1\n") {
+		t.Fatal("standalone /metrics does not export qmdd_leases_granted_total 1")
+	}
+}
+
+// An in-process slot holds its lease without expiry and without a
+// heartbeat: a runner blocked for ten TTLs is neither requeued nor
+// re-granted.
+func TestInProcessLeaseDoesNotExpire(t *testing.T) {
+	const ttl = 50 * time.Millisecond
+	gate := make(chan struct{})
+	fr := &fakeRunner{started: make(chan string, 4), gate: map[string]chan struct{}{"a": gate}}
+	m, err := NewManager(Config{DataDir: t.TempDir(), Workers: 1, Runner: fr, LeaseTTL: ttl, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(t, m)
+	st := mustSubmit(t, m, validSpec("a", 2))
+	<-fr.started
+	time.Sleep(10 * ttl)
+	if s, _ := m.Get(st.ID); s.Status != StatusRunning || s.LeaseEpoch != 1 {
+		t.Fatalf("after 10 TTLs the job is %s at epoch %d, want running at epoch 1", s.Status, s.LeaseEpoch)
+	}
+	close(gate)
+	if fin := waitStatus(t, m, st.ID, StatusCompleted); fin.LeaseEpoch != 1 {
+		t.Fatalf("job finished at epoch %d, want 1", fin.LeaseEpoch)
+	}
+	if c := m.Stats(); c.LeasesGranted != 1 || c.LeasesExpired != 0 {
+		t.Fatalf("counters %+v, want one grant and no expiry", c)
+	}
+	select {
+	case name := <-fr.started:
+		t.Fatalf("job %q was started a second time", name)
+	default:
+	}
+}
+
+// holderRunner records which holder ran which job and makes each
+// holder's first job wait until both holders have one, so neither can
+// drain the queue alone.
+type holderRunner struct {
+	who   string
+	first sync.Once
+	both  *sync.WaitGroup
+	mu    *sync.Mutex
+	ran   map[string][]string // job name → holders that started it
+}
+
+func (h *holderRunner) Run(ctx context.Context, spec JobSpec, ckPath string,
+	onStep func(int, float64, float64)) (RunReport, error) {
+	h.mu.Lock()
+	h.ran[spec.Name] = append(h.ran[spec.Name], h.who)
+	h.mu.Unlock()
+	h.first.Do(func() { h.both.Done(); h.both.Wait() })
+	return (&fakeRunner{}).Run(ctx, spec, ckPath, onStep)
+}
+
+// A worker node attached over HTTP to a standalone manager shares the
+// queue with the local slot: every job completes, each exactly once.
+func TestWorkerNodeSharesStandaloneQueue(t *testing.T) {
+	var both sync.WaitGroup
+	both.Add(2)
+	var mu sync.Mutex
+	ran := make(map[string][]string)
+	m := newTestManager(t, t.TempDir(), 1, 8,
+		&holderRunner{who: "slot", both: &both, mu: &mu, ran: ran})
+	defer shutdown(t, m)
 	srv := httptest.NewServer(m.Handler())
 	defer srv.Close()
+	_, cancel, done := startWorker(t, srv.URL, "node-a", 1,
+		&holderRunner{who: "node", both: &both, mu: &mu, ran: ran})
+	defer func() { cancel(); <-done }()
+
+	var ids []string
+	for _, name := range []string{"a", "b", "c", "d", "e", "f"} {
+		ids = append(ids, mustSubmit(t, m, validSpec(name, 2)).ID)
+	}
+	workers := make(map[string]int)
+	for _, id := range ids {
+		fin := waitStatus(t, m, id, StatusCompleted)
+		if fin.LeaseEpoch != 1 {
+			t.Fatalf("job %s finished at epoch %d, want 1 (leased once)", id, fin.LeaseEpoch)
+		}
+		workers[fin.Worker]++
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for name, by := range ran {
+		if len(by) != 1 {
+			t.Fatalf("job %s was started by %v, want exactly one holder", name, by)
+		}
+	}
+	if len(ran) != 6 || len(workers) != 2 || workers["node-a"] == 0 {
+		t.Fatalf("%d jobs ran, attributed %v; want six jobs split over the slot and node-a", len(ran), workers)
+	}
+	if c := m.Stats(); c.Completed != 6 || c.LeasesGranted != 6 || c.LeasesExpired != 0 || c.StaleRejected != 0 {
+		t.Fatalf("counters %+v", c)
+	}
+}
+
+// A holder the manager cannot interrupt loses its job the moment the
+// client cancels; its late completion is fenced and changes nothing.
+func TestLateCompleteAfterCancelIsFenced(t *testing.T) {
+	gate := make(chan struct{})
+	defer close(gate)
+	fr := &fakeRunner{started: make(chan string, 4), gate: map[string]chan struct{}{"blocker": gate}}
+	m := newTestManager(t, t.TempDir(), 1, 4, fr)
+	defer shutdown(t, m)
+	mustSubmit(t, m, validSpec("blocker", 1))
+	<-fr.started // the only local slot is busy: "a" is leased by hand below
+	st := mustSubmit(t, m, validSpec("a", 3))
+	g := mustAcquire(t, m, "late")
+	if _, err := m.Cancel(st.ID); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := m.Get(st.ID)
+	if before.Status != StatusCancelled {
+		t.Fatalf("cancelled state %+v", before)
+	}
+	_, err := m.CompleteLease(st.ID, CompleteRequest{Worker: "late", Epoch: g.Epoch, Status: "completed",
+		Report: RunReport{Steps: 3, EnergiesHa: []float64{-1, -2, -3}, TemperaturesK: []float64{1, 1, 1}}})
+	if !errors.Is(err, lease.ErrNotLeased) {
+		t.Fatalf("late complete: want ErrNotLeased, got %v", err)
+	}
+	after, _ := m.Get(st.ID)
+	if after.Status != StatusCancelled || after.StepsDone != before.StepsDone ||
+		!after.FinishedAt.Equal(before.FinishedAt) || len(after.EnergiesHa) != 0 {
+		t.Fatalf("late complete changed the job: %+v → %+v", before, after)
+	}
+	if c := m.Stats(); c.Completed != 0 || c.Cancelled != 1 || c.StaleRejected != 1 {
+		t.Fatalf("counters %+v", c)
+	}
+}
+
+// breakJobDir makes every write into the job's directory fail (a file
+// where the directory was — unlike a chmod, root cannot write through
+// it) and returns the repair.
+func breakJobDir(t *testing.T, dataDir, id string) (repair func()) {
+	t.Helper()
+	dir := filepath.Join(dataDir, "jobs", id)
+	if err := os.Rename(dir, dir+".away"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return func() {
+		t.Helper()
+		if err := os.Remove(dir); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Rename(dir+".away", dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// A lease is granted only under an epoch the store remembers: when
+// state.json cannot be written the acquire fails (503 over HTTP), the
+// job is queued exactly as before, and the next grant after a restart
+// is still past every epoch ever handed out.
+func TestGrantRefusedWhenEpochNotPersisted(t *testing.T) {
+	dir := t.TempDir()
+	m := newCoordinator(t, dir, time.Minute)
+	srv := httptest.NewServer(m.Handler())
+	defer srv.Close()
+	st := mustSubmit(t, m, validSpec("a", 3))
+	repair := breakJobDir(t, dir, st.ID)
+
+	if g, err := m.Acquire(context.Background(), "w1", 0); !errors.Is(err, errEpochNotPersisted) || g != nil {
+		t.Fatalf("acquire on an unwritable job: got (%+v, %v), want errEpochNotPersisted", g, err)
+	}
 	resp, err := http.Post(srv.URL+"/v1/lease", "application/json", strings.NewReader(`{"worker":"w1"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("standalone POST /v1/lease: status %d, want 404", resp.StatusCode)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("acquire over HTTP: status %d, want 503", resp.StatusCode)
+	}
+	s, _ := m.Get(st.ID)
+	if s.Status != StatusQueued || s.LeaseEpoch != 0 || s.Worker != "" || !s.StartedAt.IsZero() {
+		t.Fatalf("refused grant left state %+v, want the queued job untouched", s)
+	}
+	if c := m.Stats(); c.QueueDepth != 1 || c.LeasesGranted != 0 || c.LeasesActive != 0 {
+		t.Fatalf("counters %+v", c)
+	}
+
+	repair()
+	g1 := mustAcquire(t, m, "w1")
+	if g1.Epoch != 1 {
+		t.Fatalf("first durable grant has epoch %d, want 1", g1.Epoch)
+	}
+	shutdown(t, m)
+	m2 := newCoordinator(t, dir, time.Minute)
+	defer shutdown(t, m2)
+	if g2 := mustAcquire(t, m2, "w2"); g2.Epoch <= g1.Epoch {
+		t.Fatalf("post-restart epoch %d not past %d", g2.Epoch, g1.Epoch)
+	}
+}
+
+// An in-process slot that is refused a grant backs off and retries; the
+// job runs once the store is writable again.
+func TestSlotRetriesRefusedGrant(t *testing.T) {
+	dir := t.TempDir()
+	gate := make(chan struct{})
+	fr := &fakeRunner{started: make(chan string, 4), gate: map[string]chan struct{}{"blocker": gate}}
+	m := newTestManager(t, dir, 1, 4, fr)
+	defer shutdown(t, m)
+	blocker := mustSubmit(t, m, validSpec("blocker", 1))
+	<-fr.started
+	st := mustSubmit(t, m, validSpec("a", 2))
+	repair := breakJobDir(t, dir, st.ID)
+	close(gate) // the slot finishes the blocker and is refused "a"
+	waitStatus(t, m, blocker.ID, StatusCompleted)
+	time.Sleep(50 * time.Millisecond)
+	if s, _ := m.Get(st.ID); s.Status != StatusQueued || s.LeaseEpoch != 0 {
+		t.Fatalf("job on an unwritable directory is %s at epoch %d, want queued at 0", s.Status, s.LeaseEpoch)
+	}
+	repair()
+	if fin := waitStatus(t, m, st.ID, StatusCompleted); fin.LeaseEpoch != 1 || fin.StepsDone != 2 {
+		t.Fatalf("retried job finished %+v, want epoch 1 and 2 steps", fin)
 	}
 }
 

@@ -4,10 +4,16 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"strconv"
+	"time"
+
+	"ldcdft/internal/serve/lease"
 )
 
-// Handler returns the daemon's HTTP API:
+// Handler returns the daemon's HTTP API — one route table in every mode.
+// The client-facing half:
 //
 //	POST   /v1/jobs             submit a JobSpec  → 201 JobState
 //	GET    /v1/jobs             list all jobs     → 200 []JobState
@@ -20,6 +26,19 @@ import (
 //
 // A full queue answers 429, a draining daemon 503, an unknown ID 404,
 // cancellation of a finished job 409, and an invalid spec 400.
+//
+// The worker-facing half — worker nodes lease from the queue the
+// in-process slots (if any) also draw on:
+//
+//	POST /v1/lease                  long-poll acquire → 200 LeaseGrant | 204 no work | 503 draining or epoch not persisted
+//	POST /v1/lease/{id}/renew       heartbeat         → 200 {ttl_seconds} | 409 fenced
+//	POST /v1/lease/{id}/steps       step progress     → 204 | 409
+//	PUT  /v1/lease/{id}/checkpoint  checkpoint upload → 204 | 409
+//	GET  /v1/lease/{id}/checkpoint  checkpoint fetch  → 200 bytes | 404 none | 409
+//	POST /v1/lease/{id}/complete    terminal report   → 200 JobState | 409
+//
+// 409 is the fencing answer everywhere: the caller's lease is expired,
+// released, or superseded by a newer epoch, and it must abandon the job.
 func (m *Manager) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", m.handleSubmit)
@@ -33,12 +52,12 @@ func (m *Manager) Handler() http.Handler {
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("GET /metrics", m.handleMetrics)
-	if m.leases != nil {
-		// Coordinator mode adds the worker-facing lease API (acquire,
-		// renew, step progress, checkpoint up/download, complete) — see
-		// coordhttp.go. Standalone daemons 404 these paths.
-		m.registerLeaseAPI(mux)
-	}
+	mux.HandleFunc("POST /v1/lease", m.handleLeaseAcquire)
+	mux.HandleFunc("POST /v1/lease/{id}/renew", m.handleLeaseRenew)
+	mux.HandleFunc("POST /v1/lease/{id}/steps", m.handleLeaseStep)
+	mux.HandleFunc("PUT /v1/lease/{id}/checkpoint", m.handleLeaseCheckpointPut)
+	mux.HandleFunc("GET /v1/lease/{id}/checkpoint", m.handleLeaseCheckpointGet)
+	mux.HandleFunc("POST /v1/lease/{id}/complete", m.handleLeaseComplete)
 	return mux
 }
 
@@ -64,7 +83,7 @@ func errorCode(err error) int {
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		return http.StatusTooManyRequests
-	case errors.Is(err, ErrShuttingDown):
+	case errors.Is(err, ErrShuttingDown), errors.Is(err, errEpochNotPersisted):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrNotFound):
 		return http.StatusNotFound
@@ -74,7 +93,7 @@ func errorCode(err error) int {
 		return http.StatusNotFound
 	case errors.Is(err, ErrAlreadyFinished):
 		return http.StatusConflict
-	case leaseErrIsFencing(err):
+	case errors.Is(err, lease.ErrNotLeased), errors.Is(err, lease.ErrStale):
 		// Expired, released, or superseded lease: the worker's claim is
 		// gone and it must abandon the trajectory.
 		return http.StatusConflict
@@ -175,4 +194,141 @@ func (m *Manager) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+}
+
+// acquireRequest is the body of POST /v1/lease.
+type acquireRequest struct {
+	Worker string `json:"worker"`
+	// WaitSeconds bounds the long poll; the server caps it at
+	// maxAcquireWait.
+	WaitSeconds float64 `json:"wait_seconds,omitempty"`
+}
+
+// maxAcquireWait caps the acquire long poll so handlers cannot be
+// parked indefinitely by a client.
+const maxAcquireWait = 60 * time.Second
+
+// renewResponse is the body of a successful renew.
+type renewResponse struct {
+	TTLSeconds float64 `json:"ttl_seconds"`
+}
+
+// stepRequest is the body of POST /v1/lease/{id}/steps.
+type stepRequest struct {
+	Epoch    int64   `json:"epoch"`
+	Step     int     `json:"step"`
+	EnergyHa float64 `json:"energy_ha"`
+	TempK    float64 `json:"temp_k"`
+}
+
+func (m *Manager) handleLeaseAcquire(w http.ResponseWriter, r *http.Request) {
+	var req acquireRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid acquire request: %w", err))
+		return
+	}
+	if req.Worker == "" {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("acquire requires a worker name"))
+		return
+	}
+	wait := time.Duration(req.WaitSeconds * float64(time.Second))
+	if wait < 0 {
+		wait = 0
+	}
+	if wait > maxAcquireWait {
+		wait = maxAcquireWait
+	}
+	grant, err := m.Acquire(r.Context(), req.Worker, wait)
+	if err != nil {
+		writeError(w, errorCode(err), err)
+		return
+	}
+	if grant == nil {
+		w.WriteHeader(http.StatusNoContent)
+		return
+	}
+	writeJSON(w, http.StatusOK, grant)
+}
+
+// leaseEpoch parses the fencing epoch for checkpoint up/downloads out
+// of the ?epoch query parameter.
+func leaseEpoch(r *http.Request) (int64, error) {
+	raw := r.URL.Query().Get("epoch")
+	if raw == "" {
+		return 0, fmt.Errorf("missing epoch parameter")
+	}
+	return strconv.ParseInt(raw, 10, 64)
+}
+
+func (m *Manager) handleLeaseRenew(w http.ResponseWriter, r *http.Request) {
+	var req struct {
+		Epoch int64 `json:"epoch"`
+	}
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid renew request: %w", err))
+		return
+	}
+	ttl, err := m.RenewLease(r.PathValue("id"), req.Epoch)
+	if err != nil {
+		writeError(w, errorCode(err), err)
+		return
+	}
+	writeJSON(w, http.StatusOK, renewResponse{TTLSeconds: ttl.Seconds()})
+}
+
+func (m *Manager) handleLeaseStep(w http.ResponseWriter, r *http.Request) {
+	var req stepRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid step report: %w", err))
+		return
+	}
+	if err := m.LeaseProgress(r.PathValue("id"), req.Epoch, req.Step, req.EnergyHa, req.TempK); err != nil {
+		writeError(w, errorCode(err), err)
+		return
+	}
+	w.WriteHeader(http.StatusNoContent)
+}
+
+func (m *Manager) handleLeaseCheckpointPut(w http.ResponseWriter, r *http.Request) {
+	epoch, err := leaseEpoch(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	if err := m.PutLeaseCheckpoint(r.PathValue("id"), epoch, r.Body); err != nil {
+		writeError(w, errorCode(err), err)
+		return
+	}
+	w.WriteHeader(http.StatusNoContent)
+}
+
+func (m *Manager) handleLeaseCheckpointGet(w http.ResponseWriter, r *http.Request) {
+	epoch, err := leaseEpoch(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	f, err := m.OpenLeaseCheckpoint(r.PathValue("id"), epoch)
+	if err != nil {
+		writeError(w, errorCode(err), err)
+		return
+	}
+	defer f.Close()
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.WriteHeader(http.StatusOK)
+	io.Copy(w, f)
+}
+
+func (m *Manager) handleLeaseComplete(w http.ResponseWriter, r *http.Request) {
+	var req CompleteRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid completion report: %w", err))
+		return
+	}
+	st, err := m.CompleteLease(r.PathValue("id"), req)
+	if err != nil {
+		writeError(w, errorCode(err), err)
+		return
+	}
+	writeJSON(w, http.StatusOK, st)
 }

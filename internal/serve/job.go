@@ -1,6 +1,7 @@
 // Package serve is the job-serving layer of the LDC-DFT engine: a
-// bounded priority queue with admission control, a worker pool running
-// QMD trajectories with cooperative cancellation, durable per-job state
+// bounded priority queue with admission control, a lease table under
+// which in-process slots and worker nodes run QMD trajectories with
+// cooperative cancellation, durable per-job state
 // (specs and results as JSON next to qio checkpoints, so a killed
 // daemon recovers its queue and resumes in-flight work), and a
 // stdlib-only HTTP API with an SSE step stream and Prometheus metrics.
@@ -179,7 +180,7 @@ func (s *JobSpec) Validate() error {
 // reactive jobs it is remaining steps × atom count, the pair-field cost
 // driver (a reactive step is orders of magnitude cheaper than an SCF
 // step, so within a mixed queue reactive jobs naturally sort behind
-// LDC jobs of comparable length). The coordinator's lease pick uses it
+// LDC jobs of comparable length). The lease pick (jobQueue) uses it
 // to hand out the largest remaining tasks first within a priority
 // level, and re-estimates on requeue so a mostly-finished trajectory
 // (stepsDone close to Steps) no longer outranks fresh large jobs.
@@ -272,11 +273,10 @@ type JobState struct {
 	EnergiesHa    []float64 `json:"energies_ha,omitempty"`
 	TemperaturesK []float64 `json:"temperatures_k,omitempty"`
 
-	// Worker and LeaseEpoch are the distributed-mode lease record: the
-	// node currently holding the job and the fencing epoch it was
-	// granted under. The epoch is persisted so that fencing survives
-	// coordinator restarts; it only ever increases. Both are empty/zero
-	// in standalone mode.
+	// Worker and LeaseEpoch are the lease record: the in-process slot or
+	// node that holds (or last held) the job and the fencing epoch it
+	// was granted under. The epoch is persisted so that fencing survives
+	// daemon restarts; it only ever increases.
 	Worker     string `json:"worker,omitempty"`
 	LeaseEpoch int64  `json:"lease_epoch,omitempty"`
 

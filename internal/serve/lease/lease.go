@@ -1,13 +1,13 @@
-// Package lease is the coordinator-side lease table of the distributed
-// serving layer: it tracks which worker holds which job, for how long,
-// and — critically — under which epoch. Epochs are the fencing tokens
-// that make crash-safe requeue sound: every grant of a job increments
-// its epoch, and every mutation a worker attempts (renew, checkpoint
-// upload, completion) must present the epoch it was granted. A zombie
-// worker — one whose lease expired during a GC pause, a network
-// partition, or a SIGKILL it somehow survived — still holds the old
-// epoch, so after the job has been requeued and re-leased every one of
-// its calls is rejected instead of clobbering the new assignee's
+// Package lease is the lease table of the serving layer: it tracks
+// which worker — a remote node or an in-process slot — holds which job,
+// for how long, and — critically — under which epoch. Epochs are the
+// fencing tokens that make crash-safe requeue sound: every grant of a
+// job increments its epoch, and every mutation a worker attempts (renew,
+// checkpoint upload, completion) must present the epoch it was granted.
+// A zombie worker — one whose lease expired during a GC pause, a
+// network partition, or a SIGKILL it somehow survived — still holds the
+// old epoch, so after the job has been requeued and re-leased every one
+// of its calls is rejected instead of clobbering the new assignee's
 // progress.
 //
 // The table is purely in-memory bookkeeping: the durable record of the
@@ -33,7 +33,8 @@ var (
 	ErrStale = errors.New("lease: stale epoch")
 )
 
-// Lease is a snapshot of one active lease.
+// Lease is a snapshot of one active lease. A zero ExpiresAt marks a
+// held lease (see Hold): one that never expires.
 type Lease struct {
 	JobID     string
 	Worker    string
@@ -70,6 +71,17 @@ func (t *Table) Grant(jobID, worker string, epoch int64, now time.Time) Lease {
 	return l
 }
 
+// Hold records a lease on jobID that never expires, for a holder that
+// lives in the table's own process: it cannot be partitioned from the
+// table, and if the process dies the table dies with it (the serve
+// layer's recovery requeues the job from the durable store). Epochs
+// fence a held lease exactly like a granted one; Renew leaves it held.
+func (t *Table) Hold(jobID, worker string, epoch int64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.active[jobID] = Lease{JobID: jobID, Worker: worker, Epoch: epoch}
+}
+
 // Check verifies that jobID is actively leased under exactly epoch.
 func (t *Table) Check(jobID string, epoch int64) error {
 	t.mu.Lock()
@@ -98,8 +110,10 @@ func (t *Table) Renew(jobID string, epoch int64, now time.Time) (Lease, error) {
 		return Lease{}, err
 	}
 	l := t.active[jobID]
-	l.ExpiresAt = now.Add(t.ttl)
-	t.active[jobID] = l
+	if !l.ExpiresAt.IsZero() {
+		l.ExpiresAt = now.Add(t.ttl)
+		t.active[jobID] = l
+	}
 	return l, nil
 }
 
@@ -124,16 +138,17 @@ func (t *Table) Drop(jobID string) {
 	delete(t.active, jobID)
 }
 
-// Expired removes and returns every lease whose ExpiresAt is at or
-// before now. The coordinator requeues the returned jobs; a worker
-// calling in after this point gets ErrNotLeased (or ErrStale once the
-// job is re-granted under a fresh epoch).
+// Expired removes and returns every granted lease whose ExpiresAt is at
+// or before now (held leases never qualify). The serve layer requeues
+// the returned jobs; a worker calling in after this point gets
+// ErrNotLeased (or ErrStale once the job is re-granted under a fresh
+// epoch).
 func (t *Table) Expired(now time.Time) []Lease {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var out []Lease
 	for id, l := range t.active {
-		if !l.ExpiresAt.After(now) {
+		if !l.ExpiresAt.IsZero() && !l.ExpiresAt.After(now) {
 			out = append(out, l)
 			delete(t.active, id)
 		}

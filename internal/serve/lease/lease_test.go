@@ -45,6 +45,31 @@ func TestGrantCheckRenewRelease(t *testing.T) {
 	}
 }
 
+// A held lease is fenced like a granted one but outlives any TTL, also
+// after a renew, while a granted lease beside it expires on schedule.
+func TestHoldNeverExpires(t *testing.T) {
+	tb := NewTable(time.Second)
+	now := time.Unix(1000, 0)
+	tb.Hold("local", "local/0", 3)
+	tb.Grant("remote", "w1", 1, now)
+	if _, err := tb.Renew("local", 3, now); err != nil {
+		t.Fatal(err)
+	}
+	exp := tb.Expired(now.Add(1000 * time.Hour))
+	if len(exp) != 1 || exp[0].JobID != "remote" {
+		t.Fatalf("expired %v, want only the granted lease", exp)
+	}
+	if err := tb.Check("local", 3); err != nil {
+		t.Fatalf("held lease after the scan: %v", err)
+	}
+	if err := tb.Check("local", 2); !errors.Is(err, ErrStale) {
+		t.Fatalf("stale check on a held lease: %v, want ErrStale", err)
+	}
+	if err := tb.Release("local", 3); err != nil || tb.Len() != 0 {
+		t.Fatalf("release: %v, %d leases left", err, tb.Len())
+	}
+}
+
 // The zombie-worker scenario end to end: worker A's lease expires, the
 // job is re-granted to worker B under the next epoch, and every call A
 // makes with its old epoch is rejected.

@@ -45,7 +45,8 @@ type Config struct {
 	// QueueCap bounds the pending queue (running jobs excluded);
 	// submissions beyond it get ErrQueueFull. 0 = 16.
 	QueueCap int
-	// Workers is the number of concurrent trajectory workers. 0 = 2.
+	// Workers is the number of in-process trajectory slots. 0 = 2.
+	// Ignored when Distributed.
 	Workers int
 	// Runner executes trajectories; nil = QMDRunner (the real engine).
 	Runner Runner
@@ -65,20 +66,19 @@ type Config struct {
 	// kept in the store; the oldest-finished are pruned first.
 	RetainMaxJobs int
 
-	// Distributed switches the manager into coordinator mode: no local
-	// worker pool runs; instead remote worker nodes lease jobs over the
-	// HTTP lease API (POST /v1/lease and friends, see Handler), renew
-	// them by heartbeat, upload checkpoints at step boundaries, and
-	// report completion. Leases that expire — worker crash, partition,
-	// SIGKILL — are requeued and later resumed bit-for-bit from the
-	// last uploaded checkpoint; a zombie worker's late calls are fenced
-	// off by the lease epoch. The pending queue picks by estimated
-	// remaining cost (largest first within a priority level) rather
-	// than strict FIFO.
+	// Distributed decides one thing: whether the manager starts its
+	// Workers in-process slots. Every job in every mode runs under a
+	// lease (Acquire → LeaseProgress → CompleteLease, see coord.go);
+	// a Distributed manager — the coordinator — holds none itself and
+	// leaves them all to worker nodes on the HTTP lease API (see
+	// Handler), which may attach to a non-Distributed manager too.
+	// A node's lease that expires — crash, partition, SIGKILL — is
+	// requeued and resumed bit-for-bit from the last uploaded
+	// checkpoint; a zombie's late calls are fenced by the lease epoch.
 	Distributed bool
-	// LeaseTTL is the coordinator's lease duration: a leased job whose
-	// worker misses renewals for this long is requeued. 0 = 15s.
-	// Ignored unless Distributed.
+	// LeaseTTL is how long a worker node may go without renewing
+	// before its job is requeued. 0 = 15s. In-process slots hold their
+	// leases without expiry.
 	LeaseTTL time.Duration
 }
 
@@ -91,26 +91,24 @@ type job struct {
 	dir      string
 	state    JobState
 	queueIdx int                     // heap index; -1 when not queued
-	cancel   context.CancelCauseFunc // non-nil while running
+	cancel   context.CancelCauseFunc // non-nil while an in-process slot runs it
 	subs     map[chan Event]struct{}
 }
 
-// Manager owns the job store, the bounded priority queue, and the
-// worker pool. It is created over a (possibly non-empty) data
-// directory: jobs found on disk are reloaded, and non-terminal ones are
-// requeued so interrupted trajectories resume from their checkpoints.
+// Manager owns the job store, the bounded priority queue, and the lease
+// table every job runs under. It is created over a (possibly non-empty)
+// data directory: jobs found on disk are reloaded, and non-terminal
+// ones are requeued so interrupted trajectories resume from their
+// checkpoints.
 type Manager struct {
-	cfg    Config
-	root   *qio.JobRoot
-	runner Runner
-	cache  *cache.Cache
+	cfg  Config
+	root *qio.JobRoot
 
-	// leases is non-nil exactly in coordinator (Distributed) mode; its
-	// epochs fence zombie workers off reassigned jobs. stopExpiry ends
-	// the expiry-scan goroutine on shutdown.
-	leases     *lease.Table
-	stopExpiry chan struct{}
-	stopOnce   sync.Once
+	// leases records who runs what; its epochs fence zombie workers off
+	// reassigned jobs. stop is closed when draining is set: it ends the
+	// expiry scan and cuts short a slot's retry back-off.
+	leases *lease.Table
+	stop   chan struct{}
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -118,12 +116,9 @@ type Manager struct {
 	queue    jobQueue
 	seq      int64
 	draining bool
-	running  int
 
 	submitted int64
-	completed int64
-	failed    int64
-	cancelled int64
+	ended     map[Status]int64 // terminal transitions, by final status
 	rejected  int64
 	pruned    int64
 
@@ -136,7 +131,8 @@ type Manager struct {
 
 // NewManager opens (creating if needed) the job store at cfg.DataDir,
 // recovers persisted jobs — requeueing every non-terminal one — and
-// starts the worker pool.
+// starts the lease-expiry scan plus, unless cfg.Distributed, the
+// in-process slots.
 func NewManager(cfg Config) (*Manager, error) {
 	if cfg.QueueCap == 0 {
 		cfg.QueueCap = 16
@@ -160,27 +156,22 @@ func NewManager(cfg Config) (*Manager, error) {
 	m := &Manager{
 		cfg:    cfg,
 		root:   root,
-		runner: cfg.Runner,
-		cache:  cfg.Cache,
 		jobs:   make(map[string]*job),
+		ended:  make(map[Status]int64),
+		leases: lease.NewTable(cfg.LeaseTTL),
+		stop:   make(chan struct{}),
 	}
 	m.cond = sync.NewCond(&m.mu)
-	m.queue.byCost = cfg.Distributed
 	if err := m.recover(); err != nil {
 		return nil, err
 	}
-	if cfg.Distributed {
-		// Coordinator: remote workers execute jobs; the only local
-		// goroutine is the lease-expiry scan.
-		m.leases = lease.NewTable(cfg.LeaseTTL)
-		m.stopExpiry = make(chan struct{})
-		m.wg.Add(1)
-		go m.expireLoop()
-		return m, nil
-	}
-	for i := 0; i < cfg.Workers; i++ {
-		m.wg.Add(1)
-		go m.worker()
+	m.wg.Add(1)
+	go m.expireLoop()
+	if !cfg.Distributed {
+		for i := 0; i < cfg.Workers; i++ {
+			m.wg.Add(1)
+			go m.slot(fmt.Sprintf("local/%d", i))
+		}
 	}
 	return m, nil
 }
@@ -224,7 +215,7 @@ func (m *Manager) recover() error {
 				m.cfg.Logf("serve: requeueing interrupted job %s (was %s, %d steps done)",
 					id, j.state.Status, j.state.StepsDone)
 				j.state.Status = StatusQueued
-				// The lease died with the coordinator; the persisted
+				// The lease died with the daemon; the persisted
 				// epoch survives so the next grant still fences any
 				// zombie holding a pre-crash lease.
 				j.state.Worker = ""
@@ -317,11 +308,16 @@ func (m *Manager) List() []*JobState {
 	return out
 }
 
-// Cancel requests cancellation: a queued job is removed and terminal
-// immediately; a running job's context is cancelled (with
-// ErrCancelledByClient as the cause) and turns terminal once the
-// trajectory stops at the next cooperative point, final checkpoint
-// written. The returned state is the post-request snapshot.
+// Cancel requests cancellation. A queued job is removed and terminal
+// immediately. For a running job it depends on the holder, by what the
+// manager can observe of it: an in-process slot registered a cancel func
+// with its grant, so its context is cancelled (ErrCancelledByClient as
+// the cause) and the job turns terminal once the trajectory stops at
+// the next cooperative point, final checkpoint written; a worker node
+// is out of reach, so its lease is dropped and the job is terminal at
+// once — the node learns of it on its next renew (409) and abandons the
+// trajectory, the last uploaded checkpoint is kept for manual resume.
+// The returned state is the post-request snapshot.
 func (m *Manager) Cancel(id string) (*JobState, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -331,36 +327,16 @@ func (m *Manager) Cancel(id string) (*JobState, error) {
 	}
 	switch {
 	case m.queue.remove(j):
-		j.state.Status = StatusCancelled
-		j.state.FinishedAt = time.Now().UTC()
-		m.cancelled++
-		if err := m.persistState(j); err != nil {
-			return nil, err
-		}
-		m.finishBroadcast(j)
-		defer m.maybePruneLocked()
-	case m.leases != nil && j.state.Status == StatusRunning:
-		// Leased to a remote worker: terminal immediately — the worker
-		// discovers the loss on its next renew (409) and abandons the
-		// trajectory. The last uploaded checkpoint is kept for manual
-		// resume, exactly like a standalone cancellation.
-		m.leases.Drop(j.id)
-		m.running--
-		j.state.Status = StatusCancelled
-		j.state.Error = ErrCancelledByClient.Error()
-		j.state.FinishedAt = time.Now().UTC()
-		m.cancelled++
-		if err := m.persistState(j); err != nil {
-			return nil, err
-		}
-		m.finishBroadcast(j)
-		defer m.maybePruneLocked()
-	case j.state.Status == StatusRunning && j.cancel != nil:
-		j.cancel(ErrCancelledByClient)
-	default:
+		return m.endLocked(j, StatusCancelled, "")
+	case j.state.Status != StatusRunning:
 		return nil, ErrAlreadyFinished
+	case j.cancel != nil:
+		j.cancel(ErrCancelledByClient)
+		return j.state.clone(), nil
+	default:
+		m.leases.Drop(j.id)
+		return m.endLocked(j, StatusCancelled, ErrCancelledByClient.Error())
 	}
-	return j.state.clone(), nil
 }
 
 // Subscribe attaches an event stream to the job: an immediate status
@@ -433,99 +409,73 @@ func (m *Manager) finishBroadcast(j *job) {
 	}
 }
 
-// worker pulls jobs off the queue until drain.
-func (m *Manager) worker() {
+// slot is one in-process lease holder: a worker node minus everything
+// a process boundary forces on one. It shares the manager's store, so
+// the trajectory checkpoints straight into the job directory; it cannot
+// be partitioned from the table it leases from, so its lease has no
+// expiry and needs no heartbeat (a process crash is covered by
+// recover()); and its context is within the manager's reach, so Cancel
+// and Shutdown interrupt it cooperatively.
+func (m *Manager) slot(name string) {
 	defer m.wg.Done()
 	for {
-		m.mu.Lock()
-		for !m.draining && m.queue.Len() == 0 {
-			m.cond.Wait()
-		}
-		if m.draining {
-			m.mu.Unlock()
-			return
-		}
-		j := m.queue.pop()
 		ctx, cancel := context.WithCancelCause(context.Background())
-		j.cancel = cancel
-		j.state.Status = StatusRunning
-		j.state.StartedAt = time.Now().UTC()
-		m.running++
-		if err := m.persistState(j); err != nil {
-			m.cfg.Logf("serve: persist %s: %v", j.id, err)
+		g, err := m.acquire(context.Background(), name, time.Hour, cancel)
+		if g == nil { // draining, refused, or an hour without work
+			cancel(nil)
+			switch {
+			case errors.Is(err, ErrShuttingDown):
+				return
+			case err != nil: // grant not durable; the job is back in the queue
+				m.cfg.Logf("serve: slot %s: %v", name, err)
+				select {
+				case <-time.After(time.Second):
+				case <-m.stop:
+				}
+			}
+			continue
 		}
-		m.broadcast(j, Event{Type: "status", Status: StatusRunning, Step: j.state.StepsDone})
-		spec := j.spec
-		ckPath := filepath.Join(j.dir, qio.JobCheckpointFile)
-		m.mu.Unlock()
-
-		m.cfg.Logf("serve: job %s started (%d atoms, %d steps)", j.id, len(spec.Atoms), spec.Steps)
-		rep, err := m.runner.Run(ctx, spec, ckPath, func(step int, energyHa, tempK float64) {
-			m.onStep(j, step, energyHa, tempK)
-		})
+		// A progress report can only be fenced after a client cancel,
+		// which also cancelled ctx: the run is about to stop anyway.
+		rep, err := m.cfg.Runner.Run(ctx, g.Spec, m.root.CheckpointPath(g.JobID),
+			func(step int, energyHa, tempK float64) {
+				_ = m.LeaseProgress(g.JobID, g.Epoch, step, energyHa, tempK)
+			})
 		cancel(nil)
-		m.finish(j, ctx, rep, err)
-	}
-}
-
-// onStep records a completed MD step and streams it to subscribers.
-func (m *Manager) onStep(j *job, step int, energyHa, tempK float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	j.state.StepsDone = step
-	j.state.EnergiesHa = appendBounded(j.state.EnergiesHa, energyHa)
-	j.state.TemperaturesK = appendBounded(j.state.TemperaturesK, tempK)
-	m.broadcast(j, Event{Type: "step", Status: StatusRunning, Step: step, EnergyHa: energyHa, TempK: tempK})
-}
-
-// finish resolves a returned trajectory into its terminal state — or,
-// when the run was interrupted by graceful drain, back into the queued
-// state so the next daemon resumes it.
-func (m *Manager) finish(j *job, ctx context.Context, rep RunReport, err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.running--
-	j.cancel = nil
-	// The report is authoritative: on resumed runs it includes the
-	// checkpoint-restored prefix the in-memory record may lack.
-	if rep.Steps > 0 {
-		j.state.StepsDone = rep.Steps
-		j.state.SCFIterations = rep.SCFIterations
-		j.state.EnergiesHa = boundedTail(rep.EnergiesHa)
-		j.state.TemperaturesK = boundedTail(rep.TemperaturesK)
-	}
-	cause := context.Cause(ctx)
-	switch {
-	case err == nil:
-		j.state.Status = StatusCompleted
-		m.completed++
-		m.persistResults(j, rep.Results)
-	case errors.Is(err, ErrCancelledByClient) || errors.Is(cause, ErrCancelledByClient):
-		j.state.Status = StatusCancelled
-		j.state.Error = ErrCancelledByClient.Error()
-		m.cancelled++
-	case errors.Is(err, errShutdownCause) || errors.Is(cause, errShutdownCause):
-		// Not terminal: the checkpoint written on cancellation carries
-		// the trajectory; requeue-on-restart resumes it.
-		j.state.Status = StatusQueued
-		if perr := m.persistState(j); perr != nil {
-			m.cfg.Logf("serve: persist %s: %v", j.id, perr)
+		req := CompleteRequest{Worker: name, Epoch: g.Epoch, Status: "completed", Report: rep}
+		switch cause := context.Cause(ctx); {
+		case err == nil:
+		case errors.Is(err, ErrCancelledByClient) || errors.Is(cause, ErrCancelledByClient):
+			req.Status = "cancelled"
+		case errors.Is(err, errShutdownCause) || errors.Is(cause, errShutdownCause):
+			// Not terminal: the checkpoint written on cancellation
+			// carries the trajectory and the next daemon resumes it.
+			req.Status = "released"
+		default:
+			req.Status, req.Error = "failed", err.Error()
 		}
-		m.cfg.Logf("serve: job %s checkpointed at step %d for shutdown", j.id, j.state.StepsDone)
-		m.finishBroadcast(j)
-		return
-	default:
-		j.state.Status = StatusFailed
-		j.state.Error = err.Error()
-		m.failed++
+		if _, err := m.CompleteLease(g.JobID, req); err != nil {
+			m.cfg.Logf("serve: slot %s: complete %s: %v", name, g.JobID, err)
+		}
 	}
+}
+
+// endLocked makes j terminal — recorded, persisted, subscriptions closed
+// with the done event, retention run — and returns the snapshot taken
+// before retention could prune the job, with the persist error. Callers
+// hold the manager lock and have taken j off the queue or lease table.
+func (m *Manager) endLocked(j *job, status Status, errText string) (*JobState, error) {
+	j.state.Status = status
+	j.state.Error = errText
 	j.state.FinishedAt = time.Now().UTC()
-	if perr := m.persistState(j); perr != nil {
-		m.cfg.Logf("serve: persist %s: %v", j.id, perr)
-	}
-	m.cfg.Logf("serve: job %s %s after %d steps", j.id, j.state.Status, j.state.StepsDone)
+	m.ended[status]++
+	err := m.persistState(j)
+	m.cfg.Logf("serve: job %s %s after %d steps (worker %q)",
+		j.id, j.state.Status, j.state.StepsDone, j.state.Worker)
 	m.finishBroadcast(j)
+	st := j.state.clone()
 	m.maybePruneLocked()
+	return st, err
 }
 
 // persistState writes state.json crash-safely. Callers hold the lock.
@@ -535,13 +485,12 @@ func (m *Manager) persistState(j *job) error {
 
 // requeueLocked puts a leased job back in the pending queue — the
 // crash-safe requeue path shared by lease expiry and voluntary release
-// (worker drain). The job keeps its StepsDone and its persisted
-// LeaseEpoch (so the next grant's epoch fences the old holder) and is
-// resumed from its last uploaded checkpoint by whichever worker leases
-// it next. Callers hold the manager lock and have already removed the
+// (worker or daemon drain). The job keeps its StepsDone and its
+// persisted LeaseEpoch (so the next grant's epoch fences the old
+// holder) and is resumed from its last checkpoint by whoever leases it
+// next. Callers hold the manager lock and have already removed the
 // lease from the table.
 func (m *Manager) requeueLocked(j *job, why string) {
-	m.running--
 	j.state.Status = StatusQueued
 	j.state.Worker = ""
 	if err := m.persistState(j); err != nil {
@@ -553,10 +502,11 @@ func (m *Manager) requeueLocked(j *job, why string) {
 	m.cfg.Logf("serve: job %s requeued (%s, %d steps done)", j.id, why, j.state.StepsDone)
 }
 
-// expireLoop is the coordinator's lease-expiry scan: any lease whose
-// worker has missed renewals for LeaseTTL is revoked and its job
-// requeued. Scan cadence is a quarter of the TTL so a dead worker's job
-// is back in the queue at most ~1.25 TTLs after its last heartbeat.
+// expireLoop is the lease-expiry scan: any lease whose worker node has
+// missed renewals for LeaseTTL is revoked and its job requeued (leases
+// held by in-process slots never expire). Scan cadence is a quarter of
+// the TTL so a dead worker's job is back in the queue at most ~1.25 TTLs
+// after its last heartbeat.
 func (m *Manager) expireLoop() {
 	defer m.wg.Done()
 	period := m.cfg.LeaseTTL / 4
@@ -567,7 +517,7 @@ func (m *Manager) expireLoop() {
 	defer ticker.Stop()
 	for {
 		select {
-		case <-m.stopExpiry:
+		case <-m.stop:
 			return
 		case now := <-ticker.C:
 			for _, l := range m.leases.Expired(now) {
@@ -598,7 +548,8 @@ type Counters struct {
 	Rejected   int64
 	Pruned     int64
 
-	// Lease counters; all zero in standalone mode.
+	// Lease counters. Running and LeasesActive are the same number:
+	// a job runs exactly while it is leased.
 	LeasesActive  int
 	LeasesGranted int64
 	LeasesExpired int64
@@ -609,34 +560,37 @@ type Counters struct {
 func (m *Manager) Stats() Counters {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	c := Counters{
+	return Counters{
 		QueueDepth: m.queue.Len(),
-		Running:    m.running,
+		Running:    m.leases.Len(),
 		Submitted:  m.submitted,
-		Completed:  m.completed,
-		Failed:     m.failed,
-		Cancelled:  m.cancelled,
+		Completed:  m.ended[StatusCompleted],
+		Failed:     m.ended[StatusFailed],
+		Cancelled:  m.ended[StatusCancelled],
 		Rejected:   m.rejected,
 		Pruned:     m.pruned,
 
+		LeasesActive:  m.leases.Len(),
 		LeasesGranted: m.leasesGranted,
 		LeasesExpired: m.leasesExpired,
 		StaleRejected: m.staleRejected,
 	}
-	if m.leases != nil {
-		c.LeasesActive = m.leases.Len()
-	}
-	return c
 }
 
-// Shutdown drains gracefully: admissions stop (ErrShuttingDown),
-// running trajectories are cancelled with the shutdown cause — each
-// writes a final checkpoint and is persisted back as queued — and the
-// call returns when every worker has exited, or with ctx's error on
-// timeout. Queued jobs stay persisted and queued for the next daemon.
+// Shutdown drains gracefully: admissions stop (ErrShuttingDown), jobs
+// running on in-process slots are cancelled with the shutdown cause —
+// each writes a final checkpoint and is released back as queued — and
+// the call returns when every slot has exited, or with ctx's error on
+// timeout. Queued jobs stay persisted and queued for the next daemon;
+// jobs leased to worker nodes are left running in the store — their
+// workers lose contact, abandon, and the next daemon requeues them on
+// recovery.
 func (m *Manager) Shutdown(ctx context.Context) error {
 	m.mu.Lock()
-	m.draining = true
+	if !m.draining {
+		m.draining = true
+		close(m.stop)
+	}
 	m.cond.Broadcast()
 	for _, j := range m.jobs {
 		if j.cancel != nil {
@@ -644,12 +598,6 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 		}
 	}
 	m.mu.Unlock()
-	if m.stopExpiry != nil {
-		// Coordinator: stop the expiry scan. Leased jobs are left
-		// running in the store — their workers lose contact, abandon,
-		// and the next coordinator requeues them on recovery.
-		m.stopOnce.Do(func() { close(m.stopExpiry) })
-	}
 	done := make(chan struct{})
 	go func() {
 		m.wg.Wait()

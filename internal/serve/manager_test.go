@@ -293,7 +293,10 @@ func TestShutdownRequeuesRunningAndRecoveryResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-fr.started
-	b, err := m.Submit(validSpec("b", 2))
+	// One step, so that after the drain (the fake reports a interrupted
+	// with 1 of its 2 steps done) both jobs have the same remaining cost
+	// and the pick falls through to admission order.
+	b, err := m.Submit(validSpec("b", 1))
 	if err != nil {
 		t.Fatal(err)
 	}

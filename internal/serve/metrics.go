@@ -13,42 +13,27 @@ import (
 // Prometheus exposition format — the body of GET /metrics.
 func (m *Manager) WriteMetrics(w io.Writer) error {
 	c := m.Stats()
-	rows := []struct {
-		name string
-		help string
-		typ  string
-		v    float64
-	}{
+	type row struct {
+		name, help, typ string
+		v               float64
+	}
+	rows := []row{
 		{"qmdd_queue_depth", "Jobs waiting in the admission queue.", "gauge", float64(c.QueueDepth)},
-		{"qmdd_jobs_running", "Jobs currently executing on the worker pool.", "gauge", float64(c.Running)},
+		{"qmdd_jobs_running", "Jobs currently executing (leased).", "gauge", float64(c.Running)},
 		{"qmdd_jobs_submitted_total", "Jobs admitted since daemon start.", "counter", float64(c.Submitted)},
 		{"qmdd_jobs_completed_total", "Jobs finished successfully.", "counter", float64(c.Completed)},
 		{"qmdd_jobs_failed_total", "Jobs finished with an error.", "counter", float64(c.Failed)},
 		{"qmdd_jobs_cancelled_total", "Jobs cancelled by clients.", "counter", float64(c.Cancelled)},
 		{"qmdd_jobs_rejected_total", "Submissions rejected by admission control (429).", "counter", float64(c.Rejected)},
 		{"qmdd_jobs_pruned_total", "Terminal jobs removed from the store by retention bounds.", "counter", float64(c.Pruned)},
+		{"qmdd_leases_active", "Jobs currently leased to in-process slots or worker nodes.", "gauge", float64(c.LeasesActive)},
+		{"qmdd_leases_granted_total", "Leases granted to in-process slots or worker nodes.", "counter", float64(c.LeasesGranted)},
+		{"qmdd_leases_expired_total", "Leases revoked after missed renewals (job requeued).", "counter", float64(c.LeasesExpired)},
+		{"qmdd_lease_stale_rejected_total", "Lease calls rejected by the epoch fence (zombie workers).", "counter", float64(c.StaleRejected)},
 	}
-	if m.leases != nil {
-		rows = append(rows, []struct {
-			name string
-			help string
-			typ  string
-			v    float64
-		}{
-			{"qmdd_leases_active", "Jobs currently leased to worker nodes.", "gauge", float64(c.LeasesActive)},
-			{"qmdd_leases_granted_total", "Leases granted to worker nodes.", "counter", float64(c.LeasesGranted)},
-			{"qmdd_leases_expired_total", "Leases revoked after missed renewals (job requeued).", "counter", float64(c.LeasesExpired)},
-			{"qmdd_lease_stale_rejected_total", "Lease calls rejected by the epoch fence (zombie workers).", "counter", float64(c.StaleRejected)},
-		}...)
-	}
-	if m.cache != nil {
-		s := m.cache.Stats()
-		rows = append(rows, []struct {
-			name string
-			help string
-			typ  string
-			v    float64
-		}{
+	if m.cfg.Cache != nil {
+		s := m.cfg.Cache.Stats()
+		rows = append(rows, []row{
 			{"qmdd_cache_hits_total", "Warm-start cache exact hits (SCF solve skipped).", "counter", float64(s.Hits)},
 			{"qmdd_cache_near_hits_total", "Warm-start cache near misses that seeded an SCF solve.", "counter", float64(s.NearHits)},
 			{"qmdd_cache_misses_total", "Warm-start cache misses.", "counter", float64(s.Misses)},

@@ -2,22 +2,19 @@ package serve
 
 import "container/heap"
 
-// jobQueue is the pending-job priority queue. Higher Priority always
-// runs first. Within a priority level the tiebreak depends on the mode:
-//
-//   - standalone (byCost=false): FIFO by admission sequence — the
-//     original single-process daemon behaviour, preserved exactly;
-//   - coordinator (byCost=true): largest estimated remaining cost
-//     first (LPT scheduling: handing the biggest tasks out earliest
-//     minimizes fleet makespan — the graph-partitioning QMD literature's
-//     "partition by estimated cost, not round-robin"), with the
-//     admission sequence as the final tiebreak.
+// jobQueue is the pending-job priority queue, with one pick policy for
+// every holder, local slot or worker node: higher Priority first; within
+// a level the largest estimated remaining cost first (LPT scheduling:
+// handing the biggest tasks out earliest minimizes makespan — the
+// graph-partitioning QMD literature's "partition by estimated cost, not
+// round-robin" — and it holds for two local slots as much as for two
+// nodes); among equal costs, admission order, so a queue of like jobs
+// is FIFO.
 //
 // It holds *job entries owned by the Manager and is always accessed
 // under its lock.
 type jobQueue struct {
-	byCost bool
-	items  []*job
+	items []*job
 }
 
 func (q *jobQueue) Len() int { return len(q.items) }
@@ -27,11 +24,9 @@ func (q *jobQueue) Less(i, j int) bool {
 	if a.state.Priority != b.state.Priority {
 		return a.state.Priority > b.state.Priority
 	}
-	if q.byCost {
-		ca, cb := a.spec.EstimatedCost(a.state.StepsDone), b.spec.EstimatedCost(b.state.StepsDone)
-		if ca != cb {
-			return ca > cb
-		}
+	ca, cb := a.spec.EstimatedCost(a.state.StepsDone), b.spec.EstimatedCost(b.state.StepsDone)
+	if ca != cb {
+		return ca > cb
 	}
 	return a.seq < b.seq
 }
