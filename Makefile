@@ -39,7 +39,8 @@ bce:
 	if [ -n "$$out" ]; then echo "bounds checks survive in pinned kernel files:"; echo "$$out"; exit 1; fi; \
 	echo "bce: stencil.go and butterfly.go are bounds-check free"
 
-# Race-check the concurrency-heavy packages (FFT worker pool and pooled
+# Race-check the concurrency-heavy packages (linalg's CGemm row-panel
+# fan-out, the per-domain scf engines, FFT worker pool and pooled
 # scratch arenas, goroutine pool, collective I/O, parallel SCF assembly,
 # atomic perf counters, pooled pw/pseudo scratch, checkpoint writes:
 # concurrent collective checkpoint I/O during a trajectory, in both
@@ -51,7 +52,7 @@ bce:
 # concurrent Cached3 lookups, job submission/cancellation races, and the
 # warm-start cache's concurrent get/put path.
 race: vet
-	$(GO) test -race -short . ./internal/fft/... ./internal/pw/... ./internal/pseudo/... ./internal/bsd/... ./internal/qio/... ./internal/core/... ./internal/perf/... ./internal/md/... ./internal/serve/... ./internal/serve/lease/... ./internal/waitfor/... ./internal/cache/...
+	$(GO) test -race -short . ./internal/linalg/... ./internal/scf/... ./internal/fft/... ./internal/pw/... ./internal/pseudo/... ./internal/bsd/... ./internal/qio/... ./internal/core/... ./internal/perf/... ./internal/md/... ./internal/serve/... ./internal/serve/lease/... ./internal/waitfor/... ./internal/cache/...
 
 # serve-smoke drives the built qmdd daemon end to end over HTTP: start
 # on a random port, submit a tiny 2-atom job and poll it to completion,

@@ -23,6 +23,15 @@ import (
 // (seeding, boundary potential, diagonalization, band densities) is
 // preserved exactly; only the cross-domain reduction order of one
 // energy double-counting term changed.
+//
+// The values were re-pinned once, when the direct subspace eigensolver
+// replaced Jacobi and SolveAllBand's expansion block was capped at the
+// dimension of the plane-wave space (ISSUE 18, old → new in CHANGES.md).
+// 2×2×2 moved by 3e-14 Ha: round-off. 3×3×3 moved by 1.0e-5 Ha and from
+// 31 to 26 iterations: its 10³-point domains hold 27 plane waves for 14
+// bands, the old values came from a 28-column "orthonormal" block in that
+// 27-dimensional space, and the new ones are what a converged eigensolver
+// gives at either commit (EigenIters 12: −7.6073557).
 
 // goldenConfig is the reference configuration the goldens were captured
 // with (only the grid and decomposition vary between cases).
@@ -51,30 +60,30 @@ var streamingGoldens = []struct {
 }{
 	{
 		name: "2x2x2", gridN: 16, nd: 2,
-		energy: -7.5740740372004964, mu: -0.59538461284443578, iters: 31,
+		energy: -7.5740740372005284, mu: -0.595384612844437, iters: 31,
 		forces: [][3]float64{
-			{-0.42672379737006122, -0.42672379795250504, -0.42672379778441027},
-			{-0.42672379618579565, -0.036179705793141836, -0.036179709173235403},
-			{-0.036179709380654096, -0.42672379805663718, -0.036179707071436945},
-			{-0.036179706632373076, -0.03617970717976815, -0.42672379785554437},
-			{-0.020205573366506697, -0.020205574809717918, -0.020205574605363832},
-			{-0.020205574383824088, 0.019401849818665568, 0.019401849730288332},
-			{0.019401848086186665, -0.020205574869817357, 0.019401850300642606},
-			{0.019401849353730106, 0.019401850043312921, -0.020205575425751385},
+			{-0.42672379737005917, -0.42672379795250437, -0.42672379778441089},
+			{-0.4267237961857947, -0.036179705793144251, -0.036179709173235819},
+			{-0.036179709380655012, -0.42672379805663485, -0.036179707071435585},
+			{-0.036179706632374825, -0.036179707179768816, -0.42672379785554548},
+			{-0.02020557336650531, -0.020205574809718754, -0.020205574605363538},
+			{-0.020205574383825003, 0.019401849818667639, 0.019401849730289151},
+			{0.019401848086186776, -0.020205574869817725, 0.019401850300642301},
+			{0.019401849353730294, 0.019401850043313806, -0.020205575425750712},
 		},
 	},
 	{
 		name: "3x3x3", gridN: 18, nd: 3,
-		energy: -7.6073455081384829, mu: -0.43150013117617853, iters: 31,
+		energy: -7.607355698986769, mu: -0.43150632572289294, iters: 26,
 		forces: [][3]float64{
-			{-0.15146455778641249, -0.15146457920096007, -0.15146457144907197},
-			{-0.0042895968185571176, 0.21256685886004045, 0.21256686048095119},
-			{0.21256686235273459, -0.0042895984554416622, 0.21256687143541661},
-			{0.21256685632035535, 0.21256686880657699, -0.0042895905323527272},
-			{-0.087489377113859637, -0.087489346898493817, -0.087489357131634429},
-			{-0.091831802966484757, 0.13472825190832161, 0.13472825132166952},
-			{0.13472824949828172, -0.091831803391502556, 0.13472824757984786},
-			{0.13472825433804628, 0.13472825548826317, -0.091831803409391385},
+			{-0.15146464319111494, -0.1514646573026841, -0.15146465111686691},
+			{-0.0042888893389551597, 0.21256705579695029, 0.21256705632280895},
+			{0.21256705815369997, -0.0042888887135015819, 0.21256705788074393},
+			{0.21256705722164937, 0.21256705684272639, -0.0042888890488194109},
+			{-0.087488053965386711, -0.087488034402098833, -0.087488042090357057},
+			{-0.091829381368048427, 0.13472739572227999, 0.13472739671533834},
+			{0.1347273961013509, -0.091829383449480786, 0.13472739627763247},
+			{0.134727395264406, 0.134727395092053, -0.091829381649053479},
 		},
 	},
 }

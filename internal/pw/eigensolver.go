@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
 
 	"ldcdft/internal/linalg"
 )
@@ -84,6 +85,15 @@ func teterPrecondition(b *Basis, r []complex128, ke float64) {
 // reuse path reproduces the seed path's eigenvalues.
 var expandFullApply = false
 
+// eigenFlops models linalg.HermitianEigen on an n×n matrix in real
+// operations: Householder tridiagonalisation 16n³/3 (a Hermitian
+// matrix-vector product and a rank-2 update per reflector), accumulating
+// Q another 16n³/3, QL ≈ 6n³ (about two sweeps per eigenvalue, 6n per
+// rotation on the real Z) and the complex × real back-transform 4n³.
+func eigenFlops(n int) int64 {
+	return 21 * int64(n) * int64(n) * int64(n)
+}
+
 // SolveAllBand diagonalizes H for the nb lowest states using the blocked
 // (all-band) algorithm of §3.4: every iteration applies H to the whole
 // packed Ψ matrix, performs a Rayleigh–Ritz rotation, and expands the
@@ -109,7 +119,7 @@ func SolveAllBand(h *Hamiltonian, psi *linalg.CMatrix, iters int) (EigenResult, 
 		copy(psi.Data, rot.Data)
 		linalg.CGemm(hpsi, u, rot)
 		copy(hpsi.Data, rot.Data)
-		res.Flops += 24*int64(np)*int64(nb)*int64(nb) + 9*int64(nb)*int64(nb)*int64(nb)
+		res.Flops += 24*int64(np)*int64(nb)*int64(nb) + eigenFlops(nb)
 		res.Eigenvalues = w
 
 		// Preconditioned residual block R = K(HΨ − Ψ diag(w)). Columns
@@ -117,6 +127,7 @@ func SolveAllBand(h *Hamiltonian, psi *linalg.CMatrix, iters int) (EigenResult, 
 		// dropped from the expansion set: keeping them would make the
 		// expanded overlap matrix numerically singular.
 		var keep [][]complex128
+		var keepNorm []float64
 		col := make([]complex128, np)
 		hcol := make([]complex128, np)
 		res.MaxResidual = 0
@@ -139,6 +150,22 @@ func SolveAllBand(h *Hamiltonian, psi *linalg.CMatrix, iters int) (EigenResult, 
 				linalg.CScale(complex(1/pn, 0), hcol)
 			}
 			keep = append(keep, append([]complex128(nil), hcol...))
+			keepNorm = append(keepNorm, rn)
+		}
+		// V = [Ψ, R_kept] must fit in the np-dimensional space: asking
+		// for more orthonormal columns than that slips through Cholesky
+		// on round-off and returns a V that is not orthonormal. The
+		// smallest residuals go first; with np == nb nothing is left and
+		// the Rayleigh–Ritz above was already exact.
+		for len(keep) > np-nb {
+			k := 0
+			for j, rn := range keepNorm {
+				if rn < keepNorm[k] {
+					k = j
+				}
+			}
+			keep = slices.Delete(keep, k, k+1)
+			keepNorm = slices.Delete(keepNorm, k, k+1)
 		}
 		res.Iterations = it + 1
 		if res.MaxResidual < 1e-10 || len(keep) == 0 {
@@ -147,48 +174,11 @@ func SolveAllBand(h *Hamiltonian, psi *linalg.CMatrix, iters int) (EigenResult, 
 
 		// Expand: V = [Ψ, R_kept], orthonormalize, Rayleigh–Ritz in the
 		// expanded space, keep the lowest nb states.
-		nv := nb + len(keep)
-		v := linalg.NewCMatrix(np, nv)
-		for i := 0; i < np; i++ {
-			copy(v.Row(i)[:nb], psi.Row(i))
-			for k, rcol := range keep {
-				v.Row(i)[nb+k] = rcol[i]
-			}
+		v, hv, applyFl, err := expandSubspace(h, psi, hpsi, keep)
+		if err != nil {
+			return res, err
 		}
-		// HΨ reuse: Ψ's columns are already orthonormal, so the Cholesky
-		// factor of the expanded overlap has an identity leading block
-		// and Ψ L^{-†} leaves the first nb columns unchanged — HV for
-		// those columns IS the hpsi block already in hand. H is applied
-		// only to the orthonormalized residual columns, roughly halving
-		// the Hamiltonian work of every expansion step. If the Cholesky
-		// route fails (residuals nearly dependent on Ψ), the Gram–
-		// Schmidt fallback rebuilds all columns and the reuse no longer
-		// holds, so the full block is re-applied.
-		reuse := !expandFullApply
-		if err := Orthonormalize(v); err != nil {
-			if err := gramSchmidt(v); err != nil {
-				return res, err
-			}
-			reuse = false
-		}
-		var hv *linalg.CMatrix
-		var applyFl int64
-		if reuse {
-			r := linalg.NewCMatrix(np, len(keep))
-			for i := 0; i < np; i++ {
-				copy(r.Row(i), v.Row(i)[nb:])
-			}
-			hr := h.ApplyAll(r)
-			hv = linalg.NewCMatrix(np, nv)
-			for i := 0; i < np; i++ {
-				copy(hv.Row(i)[:nb], hpsi.Row(i))
-				copy(hv.Row(i)[nb:], hr.Row(i))
-			}
-			applyFl = h.applyAllFlops(len(keep))
-		} else {
-			hv = h.ApplyAll(v)
-			applyFl = h.applyAllFlops(nv)
-		}
+		nv := v.Cols
 		hsub2 := linalg.CGemmCT(v, hv)
 		w2, u2, err := linalg.HermitianEigen(hsub2)
 		if err != nil {
@@ -202,20 +192,65 @@ func SolveAllBand(h *Hamiltonian, psi *linalg.CMatrix, iters int) (EigenResult, 
 		linalg.CGemm(v, usel, psi)
 		linalg.CGemm(hv, usel, hpsi)
 		res.Flops += orthoFlops(np, nv) + applyFl +
-			8*int64(np)*int64(nv)*int64(nv) + 9*int64(nv)*int64(nv)*int64(nv) +
+			8*int64(np)*int64(nv)*int64(nv) + eigenFlops(nv) +
 			16*int64(np)*int64(nv)*int64(nb)
 		res.Eigenvalues = w2[:nb]
 	}
 	return res, nil
 }
 
-// orthonormalizeSafe orthonormalizes with a Gram–Schmidt fallback when
-// the Cholesky route fails (residual block nearly dependent on Ψ).
-func orthonormalizeSafe(v *linalg.CMatrix) error {
-	if err := Orthonormalize(v); err == nil {
-		return nil
+// expandSubspace returns an orthonormal basis V of span[Ψ, R] (R the
+// columns in keep), HV, and the modelled flops of the Hamiltonian applies.
+//
+// HΨ reuse: while Ψ's columns are orthonormal, the Cholesky factor of the
+// expanded overlap has an identity leading block and Ψ L^{-†} leaves the
+// first nb columns unchanged — HV for those columns IS the hpsi block
+// already in hand. H is then applied only to the orthonormalized residual
+// columns, roughly halving the Hamiltonian work of every expansion step.
+// That is checked, not assumed: once Ψ has lost orthonormality the leading
+// block moves, pairing it with hpsi would hand the Rayleigh–Ritz step a
+// matrix that is not Hermitian, and the full block is re-applied instead —
+// as it is when the Cholesky route fails (residuals nearly dependent on Ψ)
+// and the Gram–Schmidt fallback rebuilds all columns.
+func expandSubspace(h *Hamiltonian, psi, hpsi *linalg.CMatrix, keep [][]complex128) (v, hv *linalg.CMatrix, applyFlops int64, err error) {
+	np, nb := psi.Rows, psi.Cols
+	nv := nb + len(keep)
+	v = linalg.NewCMatrix(np, nv)
+	for i := 0; i < np; i++ {
+		copy(v.Row(i)[:nb], psi.Row(i))
+		for k, rcol := range keep {
+			v.Row(i)[nb+k] = rcol[i]
+		}
 	}
-	return gramSchmidt(v)
+	reuse := !expandFullApply
+	if err := Orthonormalize(v); err != nil {
+		if err := gramSchmidt(v); err != nil {
+			return nil, nil, 0, err
+		}
+		reuse = false
+	}
+	for i := 0; reuse && i < np; i++ {
+		for j, p := range psi.Row(i) {
+			if d := v.Row(i)[j] - p; math.Abs(real(d)) > 1e-10 || math.Abs(imag(d)) > 1e-10 {
+				reuse = false
+				break
+			}
+		}
+	}
+	if !reuse {
+		return v, h.ApplyAll(v), h.applyAllFlops(nv), nil
+	}
+	r := linalg.NewCMatrix(np, len(keep))
+	for i := 0; i < np; i++ {
+		copy(r.Row(i), v.Row(i)[nb:])
+	}
+	hr := h.ApplyAll(r)
+	hv = linalg.NewCMatrix(np, nv)
+	for i := 0; i < np; i++ {
+		copy(hv.Row(i)[:nb], hpsi.Row(i))
+		copy(hv.Row(i)[nb:], hr.Row(i))
+	}
+	return v, hv, h.applyAllFlops(len(keep)), nil
 }
 
 // gramSchmidt is the fallback orthonormalization: modified Gram–Schmidt
@@ -377,8 +412,7 @@ func SolveBandByBand(h *Hamiltonian, psi *linalg.CMatrix, sweeps, cgSteps int) (
 	res.Eigenvalues = w
 	res.Iterations = sweeps * cgSteps
 	res.Flops = int64(nApply)*h.applyAllFlops(1) + orthoFlops(np, nb) +
-		2*h.applyAllFlops(nb) + 16*int64(np)*int64(nb)*int64(nb) +
-		9*int64(nb)*int64(nb)*int64(nb)
+		2*h.applyAllFlops(nb) + 16*int64(np)*int64(nb)*int64(nb) + eigenFlops(nb)
 	// Residual report.
 	hpsi = h.ApplyAll(psi)
 	for n := 0; n < nb; n++ {

@@ -130,7 +130,10 @@ func buildDenseH(h *Hamiltonian) *linalg.CMatrix {
 // potential and projectors for two atoms.
 func testHamiltonian(t *testing.T, withNl bool) (*Hamiltonian, []*atoms.Species, []geom.Vec3) {
 	t.Helper()
-	b := testBasis(t, 10, 8, 1.2)
+	return testHamiltonianOn(testBasis(t, 10, 8, 1.2), withNl)
+}
+
+func testHamiltonianOn(b *Basis, withNl bool) (*Hamiltonian, []*atoms.Species, []geom.Vec3) {
 	species := []*atoms.Species{atoms.Silicon, atoms.Carbon}
 	positions := []geom.Vec3{{X: 2, Y: 2, Z: 2}, {X: 5.5, Y: 5.5, Z: 5.5}}
 	var proj *pseudo.Projectors
@@ -571,6 +574,121 @@ func TestNonlocalForcesFiniteDifference(t *testing.T) {
 		}
 		if math.Abs(an-fd) > 1e-6*(1+math.Abs(fd)) {
 			t.Fatalf("nonlocal dim %d: analytic %g vs FD %g", dim, an, fd)
+		}
+	}
+}
+
+// orthonormalityDefect returns max |Ψ†Ψ − I|.
+func orthonormalityDefect(psi *linalg.CMatrix) float64 {
+	s := linalg.CGemmCT(psi, psi)
+	var d float64
+	for i := 0; i < s.Rows; i++ {
+		s.Set(i, i, s.At(i, i)-1)
+	}
+	for _, v := range s.Data {
+		d = math.Max(d, cmplx.Abs(v))
+	}
+	return d
+}
+
+// TestSolveAllBandSmallBasis: with fewer than 2·nb plane waves — the
+// 10³-point domains at Ecut 3: 27 waves, 14 bands — the expansion block
+// [Ψ, R] may not outgrow the space. Capped at np columns it spans all of
+// it, so the expanded Rayleigh–Ritz is the exact diagonalisation.
+func TestSolveAllBandSmallBasis(t *testing.T) {
+	b := testBasis(t, 10, 8, 1.0)
+	if b.Np() != 27 {
+		t.Fatalf("basis has %d plane waves, the test wants the 27 of |n|² ≤ 3", b.Np())
+	}
+	h, _, _ := testHamiltonianOn(b, true)
+	wDense, _, err := linalg.HermitianEigen(buildDenseH(h))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nb := 14
+	psi, err := RandomOrbitals(b, nb, rand.New(rand.NewSource(12)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := SolveAllBand(h, psi, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := orthonormalityDefect(psi); d > 1e-10 {
+		t.Errorf("‖Ψ†Ψ − I‖ = %.3g on return", d)
+	}
+	for n := 0; n < nb; n++ {
+		if d := math.Abs(res.Eigenvalues[n] - wDense[n]); d > 1e-9 {
+			t.Errorf("band %d: %.12g vs dense %.12g (Δ = %.3g)", n, res.Eigenvalues[n], wDense[n], d)
+		}
+	}
+}
+
+// TestExpandSubspaceChecksLeadingBlock: the HΨ-reuse path is only valid
+// while orthonormalising [Ψ, R] leaves Ψ where it was. Handed a Ψ that is
+// slightly off orthonormal it must be refused: HV has to be H·V, and V†HV
+// Hermitian, whatever Ψ was.
+func TestExpandSubspaceChecksLeadingBlock(t *testing.T) {
+	h, _, _ := testHamiltonian(t, true)
+	nb := 6
+	rng := rand.New(rand.NewSource(13))
+	psi, err := RandomOrbitals(h.Basis, nb, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keep [][]complex128
+	for k := 0; k < 4; k++ {
+		r := make([]complex128, psi.Rows)
+		for i := range r {
+			r[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+		keep = append(keep, r)
+	}
+	check := func(name string, psi *linalg.CMatrix, wantFlops int64) {
+		v, hv, flops, err := expandSubspace(h, psi, h.ApplyAll(psi), keep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if flops != wantFlops {
+			t.Errorf("%s: modelled %d apply flops, want %d", name, flops, wantFlops)
+		}
+		want := h.ApplyAll(v)
+		for i := range want.Data {
+			if cmplx.Abs(hv.Data[i]-want.Data[i]) > 1e-10 {
+				t.Fatalf("%s: HV is not H·V (Δ = %.3g)", name, cmplx.Abs(hv.Data[i]-want.Data[i]))
+			}
+		}
+		hsub := linalg.CGemmCT(v, hv)
+		for i := 0; i < hsub.Rows; i++ {
+			for j := 0; j < i; j++ {
+				if d := cmplx.Abs(hsub.At(i, j) - cmplx.Conj(hsub.At(j, i))); d > 1e-10 {
+					t.Fatalf("%s: V†HV has a Hermiticity defect of %.3g", name, d)
+				}
+			}
+		}
+	}
+	check("orthonormal Ψ reuses HΨ", psi, h.applyAllFlops(len(keep)))
+	skew := psi.Clone()
+	for i := 0; i < skew.Rows; i++ {
+		skew.Set(i, 0, skew.At(i, 0)+1e-3*skew.At(i, 1))
+	}
+	check("skewed Ψ re-applies H", skew, h.applyAllFlops(nb+len(keep)))
+
+	// And end to end: SolveAllBand started from the skewed Ψ recovers.
+	res, err := SolveAllBand(h, skew, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := orthonormalityDefect(skew); d > 1e-10 {
+		t.Errorf("‖Ψ†Ψ − I‖ = %.3g after solving from a skewed start", d)
+	}
+	wDense, _, err := linalg.HermitianEigen(buildDenseH(h))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < nb; n++ {
+		if math.Abs(res.Eigenvalues[n]-wDense[n]) > 1e-5 {
+			t.Errorf("band %d: %g vs dense %g", n, res.Eigenvalues[n], wDense[n])
 		}
 	}
 }

@@ -63,6 +63,31 @@ func TestRunQMDConservesAndCounts(t *testing.T) {
 	}
 }
 
+// TestRunQMDFewPlaneWavesPerDomain: 27 domains of 10³ points at Ecut 3
+// hold 27 plane waves for up to 14 bands, so the eigensolver's expansion
+// block [Ψ, R] wants more columns than the space has. Before the block
+// was capped this trajectory (velocity seed 4) died in its first MD step
+// with "linalg: eigensolver failed to converge".
+func TestRunQMDFewPlaneWavesPerDomain(t *testing.T) {
+	if testing.Short() {
+		t.Skip("QMD is expensive")
+	}
+	sys := BuildSiC(1)
+	sys.InitVelocities(300, rand.New(rand.NewSource(4)))
+	cfg := LDCConfig{
+		GridN: 18, DomainsPerAxis: 3, BufN: 2, Ecut: 3, Mode: ModeLDC,
+		KT: 0.05, MixAlpha: 0.3, Anderson: true, MaxSCF: 100,
+		EigenIters: 4, Seed: 1,
+	}
+	res, err := RunQMD(sys, cfg, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Energies) != 1 || math.IsNaN(res.Energies[0]) {
+		t.Fatalf("energies %v", res.Energies)
+	}
+}
+
 func TestFig5Fig6Drivers(t *testing.T) {
 	weak := Fig5WeakScaling()
 	if len(weak) == 0 {
