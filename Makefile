@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt check bench-check race bench bench-smoke serve-smoke cluster-smoke exp-smoke bench-cache bench-multigrid bench-scale scale-smoke bce
+.PHONY: build test vet fmt check bench-check race fuzz-smoke loc bench bench-smoke serve-smoke cluster-smoke exp-smoke bench-cache bench-multigrid bench-scale scale-smoke bce
 
 build:
 	$(GO) build ./...
@@ -43,9 +43,11 @@ bce:
 # fan-out, the per-domain scf engines, FFT worker pool and pooled
 # scratch arenas, goroutine pool, collective I/O, parallel SCF assembly,
 # atomic perf counters, pooled pw/pseudo scratch, checkpoint writes:
-# concurrent collective checkpoint I/O during a trajectory, in both
+# concurrent collective checkpoint I/O during a trajectory and a reader
+# racing 200 atomic replacements of one checkpoint, in both
 # internal/qio and the root package, plus the job manager's lease
-# table / in-process slots / queue / SSE fan-out in internal/serve). -short skips the full
+# table / in-process slots / queue / SSE fan-out and interleaved
+# checkpoint uploads in internal/serve). -short skips the full
 # SCF-convergence solves (minutes each under the race detector) while
 # keeping every concurrency path: pool error/panic ordering, parallel
 # SCFStep, collective and checkpoint writes, registry hammering,
@@ -53,6 +55,29 @@ bce:
 # warm-start cache's concurrent get/put path.
 race: vet
 	$(GO) test -race -short . ./internal/linalg/... ./internal/scf/... ./internal/fft/... ./internal/pw/... ./internal/pseudo/... ./internal/bsd/... ./internal/qio/... ./internal/core/... ./internal/perf/... ./internal/md/... ./internal/serve/... ./internal/serve/lease/... ./internal/waitfor/... ./internal/cache/...
+
+# fuzz-smoke mutates the inputs of the four binary decoders that share
+# internal/qio/frame.go for a few seconds each (`go test -fuzz` takes one
+# target per invocation). Every input also runs with its CRC resealed, so
+# mutations reach the section parsers; the properties are no panic,
+# allocation bounded by the input size, and a stable re-encoding. The
+# seed corpus (the golden fixtures) already runs under plain `go test`.
+# Two workers and a short minimisation budget keep the run small and
+# spend it mutating. A failure writes its input under the package's
+# testdata/fuzz/, to be committed with the fix. CI runs this on every PR.
+FUZZ = $(GO) test -run '^$$' -fuzztime 5s -fuzzminimizetime 1s -parallel 2
+fuzz-smoke:
+	$(FUZZ) -fuzz '^FuzzDecodeCheckpoint$$' ./internal/qio/
+	$(FUZZ) -fuzz '^FuzzDecodeCheckpointDelta$$' ./internal/qio/
+	$(FUZZ) -fuzz '^FuzzDecompressField$$' ./internal/qio/
+	$(FUZZ) -fuzz '^FuzzDecodeEntry$$' ./internal/cache/
+
+# loc prints the non-test Go line count ROADMAP aim 2 tracks: every *.go
+# that is not a *_test.go and not under bench/ (a module of its own), for
+# the root module and per internal/ package.
+loc:
+	@printf '%6d  root module, non-test\n' "$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)"
+	@for d in internal/*/; do printf '%6d  %s\n' "$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)" "$$d"; done
 
 # serve-smoke drives the built qmdd daemon end to end over HTTP: start
 # on a random port, submit a tiny 2-atom job and poll it to completion,

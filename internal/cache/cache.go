@@ -15,6 +15,7 @@
 package cache
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -29,6 +30,7 @@ import (
 	"ldcdft/internal/geom"
 	"ldcdft/internal/grid"
 	"ldcdft/internal/perf"
+	"ldcdft/internal/qio"
 )
 
 // Options configures a cache. The zero value of each field selects its
@@ -171,6 +173,7 @@ func Open(opts Options) (*Cache, error) {
 
 // scan rebuilds the index from the directory contents.
 func (c *Cache) scan() error {
+	qio.RemoveTemps(c.opts.Dir) // a killed Put's; outside the byte budget
 	names, err := filepath.Glob(filepath.Join(c.opts.Dir, "*"+entryExt))
 	if err != nil {
 		return fmt.Errorf("cache: %w", err)
@@ -409,7 +412,7 @@ func (c *Cache) Put(sys *atoms.System, cfgTag string, res *Result) error {
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := writeFileAtomic(c.path(key), raw); err != nil {
+	if _, err := qio.WriteFileAtomic(c.path(key), bytes.NewReader(raw)); err != nil {
 		return err
 	}
 	if old := c.byKey[key]; old != nil {

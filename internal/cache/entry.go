@@ -1,12 +1,7 @@
 package cache
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"math"
-	"os"
-	"path/filepath"
 
 	"ldcdft/internal/geom"
 	"ldcdft/internal/qio"
@@ -16,10 +11,11 @@ import (
 //
 //	magic "LDCWSCE1" | version uint32 | header section | density section | crc32
 //
-// Sections are uvarint-length-framed like checkpoint sections. The header
-// carries the configuration tag, cell, species table, per-atom positions
-// and forces, the converged energy and the SCF iteration count the solve
-// cost; the density section holds the converged density compressed with
+// Envelope, length-prefixed sections and wire primitives are qio's (its
+// frame.go; DESIGN.md "Files on disk"). The header carries the
+// configuration tag, cell, species table, per-atom positions and forces,
+// the converged energy and the SCF iteration count the solve cost; the
+// density section holds the converged density compressed with
 // the Hilbert-curve XOR-delta field codec (exact — a warm start seeded
 // from a cache entry must match one seeded from the live density
 // bit-for-bit). The trailing CRC-32 (IEEE) covers every preceding byte,
@@ -31,6 +27,8 @@ import (
 const entryVersion = 1
 
 const entryMagic = "LDCWSCE1"
+
+var entryFormat = qio.Format{Magic: entryMagic, Version: entryVersion, Name: "cache"}
 
 // entryExt is the filename extension of cache entries.
 const entryExt = ".wse"
@@ -51,29 +49,6 @@ type entryData struct {
 	Rho   []float64 // nil when decoded with withRho=false
 }
 
-type entryEncoder struct {
-	buf []byte
-	tmp [binary.MaxVarintLen64]byte
-}
-
-func (e *entryEncoder) uvarint(v uint64) {
-	k := binary.PutUvarint(e.tmp[:], v)
-	e.buf = append(e.buf, e.tmp[:k]...)
-}
-
-func (e *entryEncoder) f64(v float64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
-}
-
-func (e *entryEncoder) vec(v geom.Vec3) { e.f64(v.X); e.f64(v.Y); e.f64(v.Z) }
-
-// framed prefixes body with its uvarint length.
-func framed(body []byte) []byte {
-	var e entryEncoder
-	e.uvarint(uint64(len(body)))
-	return append(e.buf, body...)
-}
-
 // encodeEntry serializes d into the on-disk entry layout.
 func encodeEntry(d *entryData) ([]byte, error) {
 	n := len(d.Pos)
@@ -88,88 +63,32 @@ func encodeEntry(d *entryData) ([]byte, error) {
 		return nil, fmt.Errorf("cache: non-positive cell %g", d.CellL)
 	}
 
-	var h entryEncoder
-	h.uvarint(uint64(len(d.CfgTag)))
-	h.buf = append(h.buf, d.CfgTag...)
-	h.f64(d.CellL)
-	h.f64(d.EnergyHa)
-	h.uvarint(uint64(d.SCFIterations))
-	h.uvarint(uint64(len(d.Symbols)))
-	for _, s := range d.Symbols {
-		h.uvarint(uint64(len(s)))
-		h.buf = append(h.buf, s...)
-	}
-	h.uvarint(uint64(n))
+	var h qio.Encoder
+	h.Bytes([]byte(d.CfgTag))
+	h.F64(d.CellL)
+	h.F64(d.EnergyHa)
+	h.Uvarint(uint64(d.SCFIterations))
+	h.Strings(d.Symbols)
+	h.Uvarint(uint64(n))
 	for i := 0; i < n; i++ {
 		if int(d.Spec[i]) >= len(d.Symbols) {
 			return nil, fmt.Errorf("cache: atom %d species id %d out of range", i, d.Spec[i])
 		}
-		h.buf = append(h.buf, d.Spec[i])
-		h.vec(d.Pos[i])
-		h.vec(d.Force[i])
+		h.Byte(d.Spec[i])
+		h.Vec3(d.Pos[i])
+		h.Vec3(d.Force[i])
 	}
-	h.uvarint(uint64(d.GridN))
+	h.Uvarint(uint64(d.GridN))
 
 	density, err := qio.CompressField(d.Rho, d.GridN)
 	if err != nil {
 		return nil, err
 	}
-
-	raw := append([]byte(entryMagic), 0, 0, 0, 0)
-	binary.LittleEndian.PutUint32(raw[len(entryMagic):], entryVersion)
-	raw = append(raw, framed(h.buf)...)
-	raw = append(raw, framed(density)...)
-	raw = binary.LittleEndian.AppendUint32(raw, crc32.ChecksumIEEE(raw))
+	e := entryFormat.Begin()
+	e.Section(&h)
+	e.Bytes(density)
+	raw, _ := e.Seal()
 	return raw, nil
-}
-
-type entryDecoder struct{ buf []byte }
-
-func (d *entryDecoder) uvarint() (uint64, error) {
-	v, k := binary.Uvarint(d.buf)
-	if k <= 0 {
-		return 0, fmt.Errorf("cache: truncated varint")
-	}
-	d.buf = d.buf[k:]
-	return v, nil
-}
-
-func (d *entryDecoder) f64() (float64, error) {
-	if len(d.buf) < 8 {
-		return 0, fmt.Errorf("cache: truncated float")
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.buf))
-	d.buf = d.buf[8:]
-	return v, nil
-}
-
-func (d *entryDecoder) vec() (geom.Vec3, error) {
-	x, err := d.f64()
-	if err != nil {
-		return geom.Vec3{}, err
-	}
-	y, err := d.f64()
-	if err != nil {
-		return geom.Vec3{}, err
-	}
-	z, err := d.f64()
-	if err != nil {
-		return geom.Vec3{}, err
-	}
-	return geom.Vec3{X: x, Y: y, Z: z}, nil
-}
-
-func (d *entryDecoder) bytes(what string) ([]byte, error) {
-	l, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if l > uint64(len(d.buf)) {
-		return nil, fmt.Errorf("cache: %s length %d exceeds remaining %d bytes", what, l, len(d.buf))
-	}
-	b := d.buf[:l]
-	d.buf = d.buf[l:]
-	return b, nil
 }
 
 // decodeEntry parses entry bytes. Magic, version, CRC, and every section
@@ -177,102 +96,41 @@ func (d *entryDecoder) bytes(what string) ([]byte, error) {
 // density payload is left compressed (only its framing is validated) —
 // the cheap index-rebuild path of Open.
 func decodeEntry(raw []byte, withRho bool) (*entryData, error) {
-	if len(raw) < len(entryMagic)+4+4 {
-		return nil, fmt.Errorf("cache: entry too short (%d bytes)", len(raw))
-	}
-	if string(raw[:len(entryMagic)]) != entryMagic {
-		return nil, fmt.Errorf("cache: bad magic (not a warm-start entry)")
-	}
-	version := binary.LittleEndian.Uint32(raw[len(entryMagic):])
-	if version == 0 || version > entryVersion {
-		return nil, fmt.Errorf("cache: unsupported entry version %d (this build reads 1..%d)",
-			version, entryVersion)
-	}
-	body, trailer := raw[:len(raw)-4], raw[len(raw)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {
-		return nil, fmt.Errorf("cache: CRC mismatch (truncated or corrupted entry)")
-	}
-	d := &entryDecoder{buf: body[len(entryMagic)+4:]}
-
-	hb, err := d.bytes("header section")
+	d, _, err := entryFormat.Open(raw)
 	if err != nil {
 		return nil, err
 	}
-	h := &entryDecoder{buf: hb}
+	h := d.Section("header section")
 	out := &entryData{}
-	tag, err := h.bytes("config tag")
-	if err != nil {
-		return nil, err
-	}
-	out.CfgTag = string(tag)
-	if out.CellL, err = h.f64(); err != nil {
-		return nil, err
-	}
-	if out.EnergyHa, err = h.f64(); err != nil {
-		return nil, err
-	}
-	iters, err := h.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	out.SCFIterations = int(iters)
-	nsym, err := h.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if nsym > uint64(len(h.buf)) {
-		return nil, fmt.Errorf("cache: species count %d exceeds entry size", nsym)
-	}
-	for i := uint64(0); i < nsym; i++ {
-		s, err := h.bytes("species symbol")
-		if err != nil {
-			return nil, err
-		}
-		out.Symbols = append(out.Symbols, string(s))
-	}
-	natoms, err := h.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	// Each atom record is 1 + 2×24 bytes; bound the count so a corrupt
-	// header cannot force a huge allocation.
-	if natoms > uint64(len(h.buf)/49) {
-		return nil, fmt.Errorf("cache: atom count %d exceeds entry size", natoms)
-	}
+	out.CfgTag = string(h.Bytes("config tag"))
+	out.CellL = h.F64()
+	out.EnergyHa = h.F64()
+	out.SCFIterations = int(h.Uvarint())
+	out.Symbols = h.Strings("species")
+	// Each atom record is 1 + 2×24 bytes; Count bounds the count so a
+	// corrupt header cannot force a huge allocation.
+	natoms := h.Count(49, "atom")
 	out.Spec = make([]uint8, natoms)
 	out.Pos = make([]geom.Vec3, natoms)
 	out.Force = make([]geom.Vec3, natoms)
-	for i := uint64(0); i < natoms; i++ {
-		if len(h.buf) < 1 {
-			return nil, fmt.Errorf("cache: truncated atom record")
+	for i := 0; i < natoms && h.Err() == nil; i++ {
+		out.Spec[i] = h.Byte()
+		if int(out.Spec[i]) >= len(out.Symbols) {
+			h.Failf("atom %d species id %d out of range", i, out.Spec[i])
 		}
-		sp := h.buf[0]
-		h.buf = h.buf[1:]
-		if int(sp) >= len(out.Symbols) {
-			return nil, fmt.Errorf("cache: atom %d species id %d out of range", i, sp)
-		}
-		out.Spec[i] = sp
-		if out.Pos[i], err = h.vec(); err != nil {
-			return nil, err
-		}
-		if out.Force[i], err = h.vec(); err != nil {
-			return nil, err
-		}
+		out.Pos[i] = h.Vec3()
+		out.Force[i] = h.Vec3()
 	}
-	gridN, err := h.uvarint()
-	if err != nil {
+	out.GridN = int(h.Uvarint())
+	if out.GridN <= 0 {
+		h.Failf("invalid density grid %d", out.GridN)
+	}
+	if err := h.Done("header"); err != nil {
 		return nil, err
 	}
-	out.GridN = int(gridN)
-	if out.GridN <= 0 {
-		return nil, fmt.Errorf("cache: invalid density grid %d", out.GridN)
-	}
-	if len(h.buf) != 0 {
-		return nil, fmt.Errorf("cache: %d trailing header bytes", len(h.buf))
-	}
 
-	density, err := d.bytes("density section")
-	if err != nil {
+	density := d.Bytes("density section")
+	if err := d.Done("entry"); err != nil {
 		return nil, err
 	}
 	if withRho {
@@ -280,39 +138,5 @@ func decodeEntry(raw []byte, withRho bool) (*entryData, error) {
 			return nil, err
 		}
 	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("cache: %d trailing bytes", len(d.buf))
-	}
 	return out, nil
-}
-
-// writeFileAtomic writes raw crash-safely: temp file, fsync, rename, and
-// a best-effort directory sync — the qio checkpoint discipline, so a
-// killed process leaves either the old entry or the new one, never a
-// torn file.
-func writeFileAtomic(path string, raw []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("cache: %w", err)
-	}
-	_, err = f.Write(raw)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("cache: write %s: %w", path, err)
-	}
-	if dir, derr := os.Open(filepath.Dir(path)); derr == nil {
-		dir.Sync()
-		dir.Close()
-	}
-	return nil
 }

@@ -14,7 +14,7 @@ import (
 
 // CellRecord is the durable record of one completed cell: the axis
 // values, the job that ran it, and its Results. Records are written
-// crash-safely (qio temp+fsync+rename), so a campaign killed mid-write
+// crash-safely (qio.AtomicFile), so a campaign killed mid-write
 // never leaves a torn cell — on rerun, a present record means the cell
 // is done and is skipped.
 type CellRecord struct {
@@ -78,10 +78,6 @@ func (s *Store) WriteReport(rep *Report) error {
 	if err := qio.WriteJSONFile(filepath.Join(s.dir, "report.json"), rep); err != nil {
 		return err
 	}
-	md := RenderMarkdown(rep)
-	tmp := filepath.Join(s.dir, "report.md.tmp")
-	if err := os.WriteFile(tmp, []byte(md), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(s.dir, "report.md"))
+	_, err := qio.WriteFileAtomic(filepath.Join(s.dir, "report.md"), strings.NewReader(RenderMarkdown(rep)))
+	return err
 }

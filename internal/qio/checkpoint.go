@@ -1,12 +1,8 @@
 package qio
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"math"
-	"os"
-	"path/filepath"
+	"io"
 
 	"ldcdft/internal/atoms"
 	"ldcdft/internal/geom"
@@ -15,7 +11,8 @@ import (
 
 // Versioned binary checkpoint format for restartable trajectories (§4.2:
 // long production runs are only sustainable with aggregated checkpoint
-// I/O). A checkpoint file is
+// I/O). A checkpoint file is the shared envelope of frame.go (DESIGN.md
+// "Files on disk")
 //
 //	magic "LDCQMDCK" | version uint32 | sections | crc32
 //
@@ -38,9 +35,13 @@ const CheckpointVersion = 1
 // checkpointMagic opens every checkpoint file.
 const checkpointMagic = "LDCQMDCK"
 
+var checkpointFormat = Format{Magic: checkpointMagic, Version: CheckpointVersion, Name: "qio: checkpoint"}
+
+// Header flags of a checkpoint and of a delta checkpoint.
 const (
-	ckFlagForces  = 1 << 0
-	ckFlagDensity = 1 << 1
+	ckFlagForces      = 1 << 0 // the file carries forces
+	ckFlagDensity     = 1 << 1 // the file carries a density
+	ckFlagDensityFull = 1 << 2 // delta only: density stored full (no usable base density)
 )
 
 var (
@@ -136,79 +137,86 @@ type CheckpointWriteOptions struct {
 	DomainsPerAxis int
 }
 
-type ckEncoder struct {
-	buf []byte
-	tmp [binary.MaxVarintLen64]byte
-}
-
-func (e *ckEncoder) uvarint(v uint64) {
-	k := binary.PutUvarint(e.tmp[:], v)
-	e.buf = append(e.buf, e.tmp[:k]...)
-}
-
-func (e *ckEncoder) f64(v float64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(v))
-}
-
-func (e *ckEncoder) vec(v geom.Vec3) { e.f64(v.X); e.f64(v.Y); e.f64(v.Z) }
-
-// section frames a body with its uvarint length.
-func section(body []byte) []byte {
-	var e ckEncoder
-	e.uvarint(uint64(len(body)))
-	return append(e.buf, body...)
-}
-
-// encode serializes the checkpoint into the collective rank payloads:
-// payload 0 is the preamble + header section, payloads 1..n are the
-// per-domain atom sections, and the last payload is the density section
-// plus the CRC trailer.
-func (ck *Checkpoint) encode(domainsPerAxis int) ([][]byte, error) {
+// checkShape rejects a checkpoint whose arrays disagree with each other —
+// the validation full and delta encodes share.
+func (ck *Checkpoint) checkShape(f Format) error {
 	n := len(ck.Pos)
-	if len(ck.Vel) != n || len(ck.Spec) != n {
-		return nil, fmt.Errorf("qio: checkpoint: inconsistent atom arrays (%d pos, %d vel, %d spec)",
-			n, len(ck.Vel), len(ck.Spec))
+	switch {
+	case len(ck.Vel) != n || len(ck.Spec) != n:
+		return fmt.Errorf("%s: inconsistent atom arrays (%d pos, %d vel, %d spec)", f.Name, n, len(ck.Vel), len(ck.Spec))
+	case ck.Force != nil && len(ck.Force) != n:
+		return fmt.Errorf("%s: %d forces for %d atoms", f.Name, len(ck.Force), n)
+	case ck.GridN > 0 && len(ck.Rho) != ck.GridN*ck.GridN*ck.GridN:
+		return fmt.Errorf("%s: density length %d is not %d³", f.Name, len(ck.Rho), ck.GridN)
 	}
-	hasForces := ck.Force != nil
-	if hasForces && len(ck.Force) != n {
-		return nil, fmt.Errorf("qio: checkpoint: %d forces for %d atoms", len(ck.Force), n)
+	return nil
+}
+
+// putAtom appends atom i's index-tagged record: global index, species
+// id, position, velocity and — when the file carries them — force.
+func (ck *Checkpoint) putAtom(e *Encoder, i int, forces bool) {
+	e.Uvarint(uint64(i))
+	e.Byte(ck.Spec[i])
+	e.Vec3(ck.Pos[i])
+	e.Vec3(ck.Vel[i])
+	if forces {
+		e.Vec3(ck.Force[i])
 	}
-	hasDensity := ck.GridN > 0
-	if hasDensity && len(ck.Rho) != ck.GridN*ck.GridN*ck.GridN {
-		return nil, fmt.Errorf("qio: checkpoint: density length %d is not %d³", len(ck.Rho), ck.GridN)
+}
+
+// getAtoms reads one counted run of index-tagged records into ck's
+// (already sized) arrays and returns the count. An index or species id
+// out of range fails the decoder before anything is stored under it.
+func (ck *Checkpoint) getAtoms(s *Decoder, what string, forces bool) int {
+	n := s.Count(11, what)
+	for a := 0; a < n && s.Err() == nil; a++ {
+		i, spec := s.Uvarint(), s.Byte()
+		switch {
+		case s.Err() != nil:
+		case i >= uint64(len(ck.Pos)):
+			s.Failf("atom index %d out of range [0,%d)", i, len(ck.Pos))
+		case int(spec) >= len(ck.Symbols):
+			s.Failf("atom %d species id %d out of range", i, spec)
+		default:
+			ck.Spec[i] = spec
+			ck.Pos[i] = s.Vec3()
+			ck.Vel[i] = s.Vec3()
+			if forces {
+				ck.Force[i] = s.Vec3()
+			}
+		}
+	}
+	return n
+}
+
+// encode serializes the checkpoint and cuts the file into the collective
+// rank payloads: payload 0 is the preamble + header section, payloads
+// 1..n are the per-domain atom sections, and the last payload is the
+// density section plus the CRC trailer. The file CRC is returned too —
+// the identity a delta checkpoint binds to (see delta.go).
+func (ck *Checkpoint) encode(domainsPerAxis int) ([][]byte, uint32, error) {
+	if err := ck.checkShape(checkpointFormat); err != nil {
+		return nil, 0, err
 	}
 	if ck.CellL <= 0 {
-		return nil, fmt.Errorf("qio: checkpoint: non-positive cell %g", ck.CellL)
+		return nil, 0, fmt.Errorf("qio: checkpoint: non-positive cell %g", ck.CellL)
 	}
-	nd := domainsPerAxis
-	if nd < 1 {
-		nd = 1
-	}
+	hasForces, hasDensity := ck.Force != nil, ck.GridN > 0
+	nd := max(domainsPerAxis, 1)
 
 	// Partition atoms into per-domain rank payloads by position.
-	ndom := nd * nd * nd
 	domainOf := func(p geom.Vec3) int {
-		clamp := func(x float64) int {
-			i := int(x / ck.CellL * float64(nd))
-			if i < 0 {
-				i = 0
-			}
-			if i >= nd {
-				i = nd - 1
-			}
-			return i
-		}
+		clamp := func(x float64) int { return min(max(int(x/ck.CellL*float64(nd)), 0), nd-1) }
 		w := geom.Cell{L: ck.CellL}.Wrap(p)
 		return (clamp(w.X)*nd+clamp(w.Y))*nd + clamp(w.Z)
 	}
-	members := make([][]int, ndom)
-	for i := 0; i < n; i++ {
-		d := domainOf(ck.Pos[i])
+	members := make([][]int, nd*nd*nd)
+	for i, p := range ck.Pos {
+		d := domainOf(p)
 		members[d] = append(members[d], i)
 	}
 
-	// Header section.
-	var h ckEncoder
+	var h Encoder
 	var flags uint64
 	if hasForces {
 		flags |= ckFlagForces
@@ -216,191 +224,87 @@ func (ck *Checkpoint) encode(domainsPerAxis int) ([][]byte, error) {
 	if hasDensity {
 		flags |= ckFlagDensity
 	}
-	h.uvarint(flags)
-	h.f64(ck.CellL)
-	h.f64(ck.DtFs)
-	h.f64(ck.Energy)
-	h.uvarint(uint64(ck.Step))
-	h.uvarint(uint64(n))
-	h.uvarint(uint64(ndom))
-	h.uvarint(uint64(ck.GridN))
-	h.uvarint(uint64(ck.SCFIterations))
-	h.uvarint(uint64(len(ck.Energies)))
-	for _, v := range ck.Energies {
-		h.f64(v)
-	}
-	h.uvarint(uint64(len(ck.Temperatures)))
-	for _, v := range ck.Temperatures {
-		h.f64(v)
-	}
-	h.uvarint(uint64(len(ck.Symbols)))
-	for _, s := range ck.Symbols {
-		h.uvarint(uint64(len(s)))
-		h.buf = append(h.buf, s...)
-	}
-
-	payloads := make([][]byte, 0, ndom+2)
-	preamble := append([]byte(checkpointMagic), 0, 0, 0, 0)
-	binary.LittleEndian.PutUint32(preamble[8:], CheckpointVersion)
-	payloads = append(payloads, append(preamble, section(h.buf)...))
-
-	for d := 0; d < ndom; d++ {
-		var e ckEncoder
-		e.uvarint(uint64(len(members[d])))
-		for _, i := range members[d] {
-			e.uvarint(uint64(i))
-			e.buf = append(e.buf, ck.Spec[i])
-			e.vec(ck.Pos[i])
-			e.vec(ck.Vel[i])
-			if hasForces {
-				e.vec(ck.Force[i])
-			}
-		}
-		payloads = append(payloads, section(e.buf))
-	}
+	h.Uvarint(flags)
+	h.F64(ck.CellL)
+	h.F64(ck.DtFs)
+	h.F64(ck.Energy)
+	h.Uvarint(uint64(ck.Step))
+	h.Uvarint(uint64(len(ck.Pos)))
+	h.Uvarint(uint64(len(members)))
+	h.Uvarint(uint64(ck.GridN))
+	h.Uvarint(uint64(ck.SCFIterations))
+	h.Floats(ck.Energies)
+	h.Floats(ck.Temperatures)
+	h.Strings(ck.Symbols)
 
 	var density []byte
 	if hasDensity {
 		var err error
-		density, err = CompressField(ck.Rho, ck.GridN)
-		if err != nil {
-			return nil, err
+		if density, err = CompressField(ck.Rho, ck.GridN); err != nil {
+			return nil, 0, err
 		}
 	}
-	last := section(density)
-	crc := crc32.NewIEEE()
-	for _, p := range payloads {
-		crc.Write(p)
+
+	e := checkpointFormat.Begin()
+	e.Grow(h.Len() + 84*len(ck.Pos) + 20*len(members) + len(density) + 32) // every record and length at its widest
+	e.Section(&h)
+	cuts := make([]int, 1, len(members)+3) // payload boundaries in the file
+	var s Encoder
+	for _, m := range members {
+		cuts = append(cuts, e.Len())
+		s.Reset()
+		s.Uvarint(uint64(len(m)))
+		for _, i := range m {
+			ck.putAtom(&s, i, hasForces)
+		}
+		e.Section(&s)
 	}
-	crc.Write(last)
-	last = binary.LittleEndian.AppendUint32(last, crc.Sum32())
-	payloads = append(payloads, last)
-	return payloads, nil
+	cuts = append(cuts, e.Len())
+	e.Bytes(density)
+	raw, crc := e.Seal()
+	cuts = append(cuts, len(raw))
+	payloads := make([][]byte, len(cuts)-1)
+	for i := range payloads {
+		payloads[i] = raw[cuts[i]:cuts[i+1]]
+	}
+	return payloads, crc, nil
 }
 
 // WriteCheckpoint serializes ck and writes it crash-safely: the rank
-// payloads are aggregated through a CollectiveWriter into path+".tmp",
-// fsynced, and atomically renamed over path, so a crash mid-write never
-// leaves a truncated checkpoint under the final name. It returns the
-// file size in bytes.
+// payloads are aggregated through a CollectiveWriter into an AtomicFile
+// (DESIGN.md "Files on disk"), so a crash mid-write never leaves a
+// truncated checkpoint under the final name. It returns the file size in
+// bytes.
 func WriteCheckpoint(path string, ck *Checkpoint, opts CheckpointWriteOptions) (int64, error) {
-	sp := phCheckpointWrite.Start()
-	n, _, err := writeCheckpoint(path, ck, opts)
-	sp.StopBytes(n)
+	_, n, err := WriteCheckpointBase(path, ck, opts)
 	return n, err
 }
 
-func writeCheckpoint(path string, ck *Checkpoint, opts CheckpointWriteOptions) (int64, uint32, error) {
-	payloads, err := ck.encode(opts.DomainsPerAxis)
+// WriteCheckpointBase is WriteCheckpoint returning, besides the file
+// size, the checkpoint bound to the CRC of its on-disk encoding: the base
+// for subsequent delta writes (see delta.go).
+func WriteCheckpointBase(path string, ck *Checkpoint, opts CheckpointWriteOptions) (base *DeltaBase, n int64, err error) {
+	sp := phCheckpointWrite.Start()
+	defer func() { sp.StopBytes(n) }()
+	payloads, crc, err := ck.encode(opts.DomainsPerAxis)
 	if err != nil {
-		return 0, 0, err
+		return nil, 0, err
 	}
-	// The file CRC is the last payload's trailer — the identity a delta
-	// checkpoint binds to (see delta.go).
-	lastPayload := payloads[len(payloads)-1]
-	fileCRC := binary.LittleEndian.Uint32(lastPayload[len(lastPayload)-4:])
 	groupSize := opts.GroupSize
 	if groupSize == 0 {
 		groupSize = 192
 	}
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	err = WriteAtomic(path, func(w io.Writer) error {
+		cw, err := NewCollectiveWriter(w, groupSize)
+		if err == nil {
+			n, err = cw.WriteAll(payloads)
+		}
+		return err
+	})
 	if err != nil {
-		return 0, 0, fmt.Errorf("qio: checkpoint: %w", err)
+		return nil, n, err
 	}
-	cw, err := NewCollectiveWriter(f, groupSize)
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, 0, err
-	}
-	n, err := cw.WriteAll(payloads)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return n, 0, fmt.Errorf("qio: checkpoint write %s: %w", path, err)
-	}
-	// Durability of the rename itself: fsync the directory (best effort;
-	// not all platforms support syncing directories).
-	if dir, derr := os.Open(filepath.Dir(path)); derr == nil {
-		dir.Sync()
-		dir.Close()
-	}
-	return n, fileCRC, nil
-}
-
-type ckDecoder struct{ buf []byte }
-
-func (d *ckDecoder) uvarint() (uint64, error) {
-	v, k := binary.Uvarint(d.buf)
-	if k <= 0 {
-		return 0, fmt.Errorf("qio: checkpoint: truncated varint")
-	}
-	d.buf = d.buf[k:]
-	return v, nil
-}
-
-func (d *ckDecoder) f64() (float64, error) {
-	if len(d.buf) < 8 {
-		return 0, fmt.Errorf("qio: checkpoint: truncated float")
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.buf))
-	d.buf = d.buf[8:]
-	return v, nil
-}
-
-func (d *ckDecoder) vec() (geom.Vec3, error) {
-	x, err := d.f64()
-	if err != nil {
-		return geom.Vec3{}, err
-	}
-	y, err := d.f64()
-	if err != nil {
-		return geom.Vec3{}, err
-	}
-	z, err := d.f64()
-	if err != nil {
-		return geom.Vec3{}, err
-	}
-	return geom.Vec3{X: x, Y: y, Z: z}, nil
-}
-
-// count reads a uvarint and bounds-checks it as an element count whose
-// encoding must fit in the remaining buffer (at least min bytes each).
-func (d *ckDecoder) count(min int, what string) (int, error) {
-	v, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if min < 1 {
-		min = 1
-	}
-	if v > uint64(len(d.buf)/min) {
-		return 0, fmt.Errorf("qio: checkpoint: %s count %d exceeds file size", what, v)
-	}
-	return int(v), nil
-}
-
-// sectionBody reads one length-framed section.
-func (d *ckDecoder) sectionBody() (*ckDecoder, error) {
-	l, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if l > uint64(len(d.buf)) {
-		return nil, fmt.Errorf("qio: checkpoint: section length %d exceeds remaining %d bytes", l, len(d.buf))
-	}
-	body := &ckDecoder{buf: d.buf[:l]}
-	d.buf = d.buf[l:]
-	return body, nil
+	return &DeltaBase{Ck: ck, CRC: crc}, n, nil
 }
 
 // ReadCheckpoint reads and validates a checkpoint file: magic, version,
@@ -408,119 +312,47 @@ func (d *ckDecoder) sectionBody() (*ckDecoder, error) {
 // truncated or corrupted files yield a descriptive error rather than a
 // panic or silently wrong state.
 func ReadCheckpoint(path string) (*Checkpoint, error) {
-	sp := phCheckpointRead.Start()
-	raw, err := os.ReadFile(path)
-	sp.StopBytes(int64(len(raw)))
+	base, err := LoadCheckpointBase(path)
 	if err != nil {
-		return nil, fmt.Errorf("qio: checkpoint: %w", err)
+		return nil, err
 	}
-	return DecodeCheckpoint(raw)
+	return base.Ck, nil
 }
 
 // DecodeCheckpoint parses checkpoint bytes (see ReadCheckpoint).
 func DecodeCheckpoint(raw []byte) (*Checkpoint, error) {
-	if len(raw) < len(checkpointMagic)+4+4 {
-		return nil, fmt.Errorf("qio: checkpoint: file too short (%d bytes)", len(raw))
-	}
-	if string(raw[:len(checkpointMagic)]) != checkpointMagic {
-		return nil, fmt.Errorf("qio: checkpoint: bad magic (not a checkpoint file)")
-	}
-	version := binary.LittleEndian.Uint32(raw[len(checkpointMagic):])
-	if version == 0 || version > CheckpointVersion {
-		return nil, fmt.Errorf("qio: checkpoint: unsupported format version %d (this build reads 1..%d)",
-			version, CheckpointVersion)
-	}
-	body, trailer := raw[:len(raw)-4], raw[len(raw)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {
-		return nil, fmt.Errorf("qio: checkpoint: CRC mismatch (truncated or corrupted file)")
-	}
-	d := &ckDecoder{buf: body[len(checkpointMagic)+4:]}
+	ck, _, err := decodeCheckpoint(raw)
+	return ck, err
+}
 
-	h, err := d.sectionBody()
+// decodeCheckpoint also returns the file CRC, for delta binding.
+func decodeCheckpoint(raw []byte) (*Checkpoint, uint32, error) {
+	d, crc, err := checkpointFormat.Open(raw)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
+	h := d.Section("header section")
+	flags := h.Uvarint()
 	ck := &Checkpoint{}
-	flags, err := h.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if ck.CellL, err = h.f64(); err != nil {
-		return nil, err
-	}
-	if ck.DtFs, err = h.f64(); err != nil {
-		return nil, err
-	}
-	if ck.Energy, err = h.f64(); err != nil {
-		return nil, err
-	}
-	step, err := h.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	ck.Step = int(step)
-	natoms64, err := h.uvarint()
-	if err != nil {
-		return nil, err
-	}
+	ck.CellL = h.F64()
+	ck.DtFs = h.F64()
+	ck.Energy = h.F64()
+	ck.Step = int(h.Uvarint())
+	natoms := h.Uvarint()
+	ndom := h.Uvarint()
+	ck.GridN = int(h.Uvarint())
+	ck.SCFIterations = int(h.Uvarint())
+	ck.Energies = h.AppendFloats(nil, "energy")
+	ck.Temperatures = h.AppendFloats(nil, "temperature")
+	ck.Symbols = h.Strings("species")
 	// Atoms live in later sections; bound the count by the whole file
 	// (each record needs ≥ 50 bytes) so a corrupt header cannot force a
 	// huge allocation.
-	if natoms64 > uint64(len(raw)/50) {
-		return nil, fmt.Errorf("qio: checkpoint: atom count %d exceeds file size", natoms64)
+	if natoms > uint64(len(raw)/50) {
+		h.Failf("atom count %d exceeds file size", natoms)
 	}
-	natoms := int(natoms64)
-	ndom64, err := h.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	ndom := int(ndom64)
-	gridN, err := h.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	ck.GridN = int(gridN)
-	scf, err := h.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	ck.SCFIterations = int(scf)
-	ne, err := h.count(8, "energy")
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < ne; i++ {
-		v, err := h.f64()
-		if err != nil {
-			return nil, err
-		}
-		ck.Energies = append(ck.Energies, v)
-	}
-	nt, err := h.count(8, "temperature")
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < nt; i++ {
-		v, err := h.f64()
-		if err != nil {
-			return nil, err
-		}
-		ck.Temperatures = append(ck.Temperatures, v)
-	}
-	nspec, err := h.count(1, "species")
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < nspec; i++ {
-		l, err := h.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if l > uint64(len(h.buf)) {
-			return nil, fmt.Errorf("qio: checkpoint: truncated species table")
-		}
-		ck.Symbols = append(ck.Symbols, string(h.buf[:l]))
-		h.buf = h.buf[l:]
+	if err := h.Err(); err != nil {
+		return nil, 0, err
 	}
 
 	hasForces := flags&ckFlagForces != 0
@@ -530,68 +362,29 @@ func DecodeCheckpoint(raw []byte) (*Checkpoint, error) {
 	if hasForces {
 		ck.Force = make([]geom.Vec3, natoms)
 	}
-	seen := 0
-	for dom := 0; dom < ndom; dom++ {
-		s, err := d.sectionBody()
-		if err != nil {
-			return nil, fmt.Errorf("qio: checkpoint: atom section %d: %w", dom, err)
-		}
-		cnt, err := s.count(11, "domain atom")
-		if err != nil {
-			return nil, err
-		}
-		for a := 0; a < cnt; a++ {
-			idx64, err := s.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			i := int(idx64)
-			if i >= natoms {
-				return nil, fmt.Errorf("qio: checkpoint: atom index %d out of range [0,%d)", i, natoms)
-			}
-			if len(s.buf) < 1 {
-				return nil, fmt.Errorf("qio: checkpoint: truncated atom record")
-			}
-			spec := s.buf[0]
-			s.buf = s.buf[1:]
-			if int(spec) >= len(ck.Symbols) {
-				return nil, fmt.Errorf("qio: checkpoint: atom %d species id %d out of range", i, spec)
-			}
-			ck.Spec[i] = spec
-			if ck.Pos[i], err = s.vec(); err != nil {
-				return nil, err
-			}
-			if ck.Vel[i], err = s.vec(); err != nil {
-				return nil, err
-			}
-			if hasForces {
-				if ck.Force[i], err = s.vec(); err != nil {
-					return nil, err
-				}
-			}
-			seen++
-		}
+	seen := uint64(0)
+	for dom := uint64(0); dom < ndom && d.Err() == nil; dom++ {
+		s := d.Section("atom section")
+		seen += uint64(ck.getAtoms(&s, "domain atom", hasForces))
 	}
 	if seen != natoms {
-		return nil, fmt.Errorf("qio: checkpoint: atom sections hold %d atoms, header says %d", seen, natoms)
+		d.Failf("atom sections hold %d atoms, header says %d", seen, natoms)
 	}
 
-	ds, err := d.sectionBody()
-	if err != nil {
-		return nil, fmt.Errorf("qio: checkpoint: density section: %w", err)
-	}
-	if flags&ckFlagDensity != 0 {
-		if ck.GridN <= 0 {
-			return nil, fmt.Errorf("qio: checkpoint: density flag set with grid size %d", ck.GridN)
-		}
-		if ck.Rho, err = DecompressField(ds.buf, ck.GridN); err != nil {
-			return nil, err
-		}
-	} else {
+	density := d.Bytes("density section")
+	switch {
+	case d.Err() != nil:
+	case flags&ckFlagDensity == 0:
 		ck.GridN = 0
+	case ck.GridN <= 0:
+		d.Failf("density flag set with grid size %d", ck.GridN)
+	default:
+		if ck.Rho, err = DecompressField(density, ck.GridN); err != nil {
+			return nil, 0, err
+		}
 	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("qio: checkpoint: %d trailing bytes", len(d.buf))
+	if err := d.Done("checkpoint"); err != nil {
+		return nil, 0, err
 	}
-	return ck, nil
+	return ck, crc, nil
 }

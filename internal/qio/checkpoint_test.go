@@ -332,7 +332,7 @@ func TestCheckpointReadWhileWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const writes = 40
+	const writes = 200
 	stop := make(chan struct{})
 	errs := make(chan error, 5)
 	var wg sync.WaitGroup

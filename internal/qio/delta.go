@@ -1,11 +1,11 @@
 package qio
 
 import (
-	"encoding/binary"
+	"bytes"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
+	"slices"
 
 	"ldcdft/internal/geom"
 )
@@ -30,14 +30,16 @@ import (
 // where baseCRC is the CRC-32 trailer of the base checkpoint FILE: a
 // delta can only be applied to the exact base bytes it was computed
 // against — a refreshed or corrupted base makes the delta detectably
-// stale rather than silently wrong. Writes are crash-safe (tmp + fsync +
-// rename), like full checkpoints.
+// stale rather than silently wrong. Envelope and atomic commit are the
+// ones full checkpoints use (frame.go; DESIGN.md "Files on disk").
 
 // DeltaCheckpointVersion is the current delta format version.
 const DeltaCheckpointVersion = 1
 
 // deltaMagic opens every delta checkpoint file.
 const deltaMagic = "LDCQMDDL"
+
+var deltaFormat = Format{Magic: deltaMagic, Version: DeltaCheckpointVersion, Name: "qio: delta checkpoint"}
 
 // ErrDeltaIncompatible reports a checkpoint whose shape diverged from the
 // base (atom count, species table, cell, or grid) — callers should write
@@ -55,19 +57,6 @@ type DeltaBase struct {
 	CRC uint32
 }
 
-// WriteCheckpointBase writes a full checkpoint (exactly WriteCheckpoint)
-// and returns it as the base for subsequent delta writes, along with the
-// file size.
-func WriteCheckpointBase(path string, ck *Checkpoint, opts CheckpointWriteOptions) (*DeltaBase, int64, error) {
-	sp := phCheckpointWrite.Start()
-	n, crc, err := writeCheckpoint(path, ck, opts)
-	sp.StopBytes(n)
-	if err != nil {
-		return nil, n, err
-	}
-	return &DeltaBase{Ck: ck, CRC: crc}, n, nil
-}
-
 // LoadCheckpointBase reads a full checkpoint file as a delta base,
 // capturing its file CRC for delta binding.
 func LoadCheckpointBase(path string) (*DeltaBase, error) {
@@ -77,164 +66,106 @@ func LoadCheckpointBase(path string) (*DeltaBase, error) {
 	if err != nil {
 		return nil, fmt.Errorf("qio: checkpoint: %w", err)
 	}
-	ck, err := DecodeCheckpoint(raw)
+	ck, crc, err := decodeCheckpoint(raw)
 	if err != nil {
 		return nil, err
 	}
-	return &DeltaBase{Ck: ck, CRC: binary.LittleEndian.Uint32(raw[len(raw)-4:])}, nil
+	return &DeltaBase{Ck: ck, CRC: crc}, nil
 }
-
-const (
-	ckdFlagForces      = 1 << 0 // this checkpoint carries forces
-	ckdFlagDensity     = 1 << 1 // this checkpoint carries a density
-	ckdFlagDensityFull = 1 << 2 // density stored full (no usable base density)
-)
 
 // WriteCheckpointDelta writes ck as a delta against base, crash-safely,
 // and returns the file size. ErrDeltaIncompatible is returned (before
 // touching the file) when ck's shape diverged from the base — the caller
 // should then write a fresh base with WriteCheckpointBase.
-func WriteCheckpointDelta(path string, ck *Checkpoint, base *DeltaBase) (int64, error) {
+func WriteCheckpointDelta(path string, ck *Checkpoint, base *DeltaBase) (n int64, err error) {
 	sp := phCheckpointWrite.Start()
-	n, err := writeCheckpointDelta(path, ck, base)
-	sp.StopBytes(n)
-	return n, err
-}
-
-func writeCheckpointDelta(path string, ck *Checkpoint, base *DeltaBase) (int64, error) {
+	defer func() { sp.StopBytes(n) }()
 	raw, err := encodeDelta(ck, base)
 	if err != nil {
 		return 0, err
 	}
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return 0, fmt.Errorf("qio: delta checkpoint: %w", err)
-	}
-	_, err = f.Write(raw)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("qio: delta checkpoint write %s: %w", path, err)
-	}
-	return int64(len(raw)), nil
+	return WriteFileAtomic(path, bytes.NewReader(raw))
 }
 
 func encodeDelta(ck *Checkpoint, base *DeltaBase) ([]byte, error) {
 	b := base.Ck
-	n := len(ck.Pos)
-	switch {
-	case len(ck.Vel) != n || len(ck.Spec) != n:
-		return nil, fmt.Errorf("qio: delta checkpoint: inconsistent atom arrays")
+	if err := ck.checkShape(deltaFormat); err != nil {
+		return nil, err
+	}
+	switch n := len(ck.Pos); {
 	case n != len(b.Pos):
 		return nil, fmt.Errorf("%w: %d atoms vs base %d", ErrDeltaIncompatible, n, len(b.Pos))
 	case ck.CellL != b.CellL:
 		return nil, fmt.Errorf("%w: cell %g vs base %g", ErrDeltaIncompatible, ck.CellL, b.CellL)
-	case len(ck.Symbols) != len(b.Symbols):
+	case !slices.Equal(ck.Symbols, b.Symbols):
 		return nil, fmt.Errorf("%w: species table changed", ErrDeltaIncompatible)
 	case ck.Step < b.Step:
 		return nil, fmt.Errorf("%w: step %d behind base step %d", ErrDeltaIncompatible, ck.Step, b.Step)
 	case len(ck.Energies) < len(b.Energies) || len(ck.Temperatures) < len(b.Temperatures):
 		return nil, fmt.Errorf("%w: per-step record shrank", ErrDeltaIncompatible)
 	}
-	for i, s := range ck.Symbols {
-		if s != b.Symbols[i] {
-			return nil, fmt.Errorf("%w: species table changed", ErrDeltaIncompatible)
-		}
-	}
-	hasForces := ck.Force != nil
-	if hasForces && len(ck.Force) != n {
-		return nil, fmt.Errorf("qio: delta checkpoint: %d forces for %d atoms", len(ck.Force), n)
-	}
-	hasDensity := ck.GridN > 0
-	if hasDensity && len(ck.Rho) != ck.GridN*ck.GridN*ck.GridN {
-		return nil, fmt.Errorf("qio: delta checkpoint: density length %d is not %d³", len(ck.Rho), ck.GridN)
-	}
+	hasForces, hasDensity := ck.Force != nil, ck.GridN > 0
 
-	// Header section.
-	var h ckEncoder
+	var h Encoder
 	var flags uint64
 	if hasForces {
-		flags |= ckdFlagForces
+		flags |= ckFlagForces
 	}
 	baseDensityUsable := hasDensity && b.GridN == ck.GridN && len(b.Rho) == len(ck.Rho)
 	if hasDensity {
-		flags |= ckdFlagDensity
+		flags |= ckFlagDensity
 		if !baseDensityUsable {
-			flags |= ckdFlagDensityFull
+			flags |= ckFlagDensityFull
 		}
 	}
-	h.uvarint(flags)
-	h.f64(ck.DtFs)
-	h.f64(ck.Energy)
-	h.uvarint(uint64(ck.Step))
-	h.uvarint(uint64(ck.GridN))
-	h.uvarint(uint64(ck.SCFIterations))
-	h.uvarint(uint64(len(ck.Energies) - len(b.Energies)))
-	for _, v := range ck.Energies[len(b.Energies):] {
-		h.f64(v)
-	}
-	h.uvarint(uint64(len(ck.Temperatures) - len(b.Temperatures)))
-	for _, v := range ck.Temperatures[len(b.Temperatures):] {
-		h.f64(v)
-	}
+	h.Uvarint(flags)
+	h.F64(ck.DtFs)
+	h.F64(ck.Energy)
+	h.Uvarint(uint64(ck.Step))
+	h.Uvarint(uint64(ck.GridN))
+	h.Uvarint(uint64(ck.SCFIterations))
+	h.Floats(ck.Energies[len(b.Energies):])
+	h.Floats(ck.Temperatures[len(b.Temperatures):])
 
 	// Changed-atom section: an atom is written iff any of its record's
 	// fields differ bitwise from the base (or its force cannot be taken
 	// from the base).
 	baseForceUsable := !hasForces || b.Force != nil
-	var a ckEncoder
-	changed := 0
-	for i := 0; i < n; i++ {
+	var changed []int
+	for i := range ck.Pos {
 		same := ck.Spec[i] == b.Spec[i] && ck.Pos[i] == b.Pos[i] && ck.Vel[i] == b.Vel[i]
 		if same && hasForces {
 			same = baseForceUsable && ck.Force[i] == b.Force[i]
 		}
-		if same {
-			continue
-		}
-		changed++
-		a.uvarint(uint64(i))
-		a.buf = append(a.buf, ck.Spec[i])
-		a.vec(ck.Pos[i])
-		a.vec(ck.Vel[i])
-		if hasForces {
-			a.vec(ck.Force[i])
+		if !same {
+			changed = append(changed, i)
 		}
 	}
-	var atomSec ckEncoder
-	atomSec.uvarint(uint64(changed))
-	atomSec.buf = append(atomSec.buf, a.buf...)
+	var atomSec Encoder
+	atomSec.Uvarint(uint64(len(changed)))
+	for _, i := range changed {
+		ck.putAtom(&atomSec, i, hasForces)
+	}
 
-	// Density section.
 	var density []byte
-	if hasDensity {
-		var err error
-		if baseDensityUsable {
-			density, err = CompressFieldDelta(ck.Rho, b.Rho, ck.GridN)
-		} else {
-			density, err = CompressField(ck.Rho, ck.GridN)
-		}
-		if err != nil {
-			return nil, err
-		}
+	var err error
+	switch {
+	case baseDensityUsable:
+		density, err = CompressFieldDelta(ck.Rho, b.Rho, ck.GridN)
+	case hasDensity:
+		density, err = CompressField(ck.Rho, ck.GridN)
+	}
+	if err != nil {
+		return nil, err
 	}
 
-	out := append([]byte(deltaMagic), 0, 0, 0, 0, 0, 0, 0, 0)
-	binary.LittleEndian.PutUint32(out[len(deltaMagic):], DeltaCheckpointVersion)
-	binary.LittleEndian.PutUint32(out[len(deltaMagic)+4:], base.CRC)
-	out = append(out, section(h.buf)...)
-	out = append(out, section(atomSec.buf)...)
-	out = append(out, section(density)...)
-	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out)), nil
+	e := deltaFormat.Begin()
+	e.U32(base.CRC)
+	e.Section(&h)
+	e.Section(&atomSec)
+	e.Bytes(density)
+	raw, _ := e.Seal()
+	return raw, nil
 }
 
 // ApplyDeltaIfPresent returns the newest restartable state reachable
@@ -272,45 +203,23 @@ func ReadCheckpointDelta(path string, base *DeltaBase) (*Checkpoint, error) {
 
 // DecodeCheckpointDelta parses delta bytes and applies them to base.
 func DecodeCheckpointDelta(raw []byte, base *DeltaBase) (*Checkpoint, error) {
-	hdr := len(deltaMagic) + 8
-	if len(raw) < hdr+4 {
-		return nil, fmt.Errorf("qio: delta checkpoint: file too short (%d bytes)", len(raw))
+	d, _, err := deltaFormat.Open(raw)
+	if err != nil {
+		return nil, err
 	}
-	if string(raw[:len(deltaMagic)]) != deltaMagic {
-		return nil, fmt.Errorf("qio: delta checkpoint: bad magic (not a delta checkpoint file)")
-	}
-	version := binary.LittleEndian.Uint32(raw[len(deltaMagic):])
-	if version == 0 || version > DeltaCheckpointVersion {
-		return nil, fmt.Errorf("qio: delta checkpoint: unsupported format version %d (this build reads 1..%d)",
-			version, DeltaCheckpointVersion)
-	}
-	body, trailer := raw[:len(raw)-4], raw[len(raw)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {
-		return nil, fmt.Errorf("qio: delta checkpoint: CRC mismatch (truncated or corrupted file)")
-	}
-	if got := binary.LittleEndian.Uint32(raw[len(deltaMagic)+4:]); got != base.CRC {
+	if got := d.U32(); d.Err() == nil && got != base.CRC {
 		return nil, fmt.Errorf("%w (delta bound to base CRC %08x, have %08x)", ErrDeltaStale, got, base.CRC)
 	}
 	b := base.Ck
-	d := &ckDecoder{buf: body[hdr:]}
-
-	h, err := d.sectionBody()
-	if err != nil {
-		return nil, err
-	}
-	flags, err := h.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	hasForces := flags&ckdFlagForces != 0
+	h := d.Section("header section")
+	flags := h.Uvarint()
+	hasForces := flags&ckFlagForces != 0
 	ck := &Checkpoint{
-		CellL:        b.CellL,
-		Symbols:      append([]string(nil), b.Symbols...),
-		Spec:         append([]uint8(nil), b.Spec...),
-		Pos:          append([]geom.Vec3(nil), b.Pos...),
-		Vel:          append([]geom.Vec3(nil), b.Vel...),
-		Energies:     append([]float64(nil), b.Energies...),
-		Temperatures: append([]float64(nil), b.Temperatures...),
+		CellL:   b.CellL,
+		Symbols: slices.Clone(b.Symbols),
+		Spec:    slices.Clone(b.Spec),
+		Pos:     slices.Clone(b.Pos),
+		Vel:     slices.Clone(b.Vel),
 	}
 	n := len(ck.Pos)
 	if hasForces {
@@ -319,114 +228,36 @@ func DecodeCheckpointDelta(raw []byte, base *DeltaBase) (*Checkpoint, error) {
 			copy(ck.Force, b.Force)
 		}
 	}
-	if ck.DtFs, err = h.f64(); err != nil {
-		return nil, err
-	}
-	if ck.Energy, err = h.f64(); err != nil {
-		return nil, err
-	}
-	step, err := h.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	ck.Step = int(step)
-	gridN, err := h.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	ck.GridN = int(gridN)
-	scf, err := h.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	ck.SCFIterations = int(scf)
-	ne, err := h.count(8, "appended energy")
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < ne; i++ {
-		v, err := h.f64()
-		if err != nil {
-			return nil, err
-		}
-		ck.Energies = append(ck.Energies, v)
-	}
-	nt, err := h.count(8, "appended temperature")
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < nt; i++ {
-		v, err := h.f64()
-		if err != nil {
-			return nil, err
-		}
-		ck.Temperatures = append(ck.Temperatures, v)
-	}
+	ck.DtFs = h.F64()
+	ck.Energy = h.F64()
+	ck.Step = int(h.Uvarint())
+	ck.GridN = int(h.Uvarint())
+	ck.SCFIterations = int(h.Uvarint())
+	ck.Energies = h.AppendFloats(slices.Clone(b.Energies), "appended energy")
+	ck.Temperatures = h.AppendFloats(slices.Clone(b.Temperatures), "appended temperature")
 
-	// Changed-atom section.
-	as, err := d.sectionBody()
-	if err != nil {
-		return nil, fmt.Errorf("qio: delta checkpoint: atom section: %w", err)
-	}
-	changed, err := as.count(11, "changed atom")
-	if err != nil {
-		return nil, err
-	}
-	for a := 0; a < changed; a++ {
-		idx64, err := as.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		i := int(idx64)
-		if i >= n {
-			return nil, fmt.Errorf("qio: delta checkpoint: atom index %d out of range [0,%d)", i, n)
-		}
-		if len(as.buf) < 1 {
-			return nil, fmt.Errorf("qio: delta checkpoint: truncated atom record")
-		}
-		spec := as.buf[0]
-		as.buf = as.buf[1:]
-		if int(spec) >= len(ck.Symbols) {
-			return nil, fmt.Errorf("qio: delta checkpoint: atom %d species id %d out of range", i, spec)
-		}
-		ck.Spec[i] = spec
-		if ck.Pos[i], err = as.vec(); err != nil {
-			return nil, err
-		}
-		if ck.Vel[i], err = as.vec(); err != nil {
-			return nil, err
-		}
-		if hasForces {
-			if ck.Force[i], err = as.vec(); err != nil {
-				return nil, err
-			}
-		}
-	}
+	as := d.Section("atom section")
+	ck.getAtoms(&as, "changed atom", hasForces)
 
-	// Density section.
-	ds, err := d.sectionBody()
-	if err != nil {
-		return nil, fmt.Errorf("qio: delta checkpoint: density section: %w", err)
-	}
+	density := d.Bytes("density section")
 	switch {
-	case flags&ckdFlagDensity == 0:
+	case d.Err() != nil:
+	case flags&ckFlagDensity == 0:
 		ck.GridN = 0
 	case ck.GridN <= 0:
-		return nil, fmt.Errorf("qio: delta checkpoint: density flag set with grid size %d", ck.GridN)
-	case flags&ckdFlagDensityFull != 0:
-		if ck.Rho, err = DecompressField(ds.buf, ck.GridN); err != nil {
-			return nil, err
-		}
+		d.Failf("density flag set with grid size %d", ck.GridN)
+	case flags&ckFlagDensityFull != 0:
+		ck.Rho, err = DecompressField(density, ck.GridN)
+	case len(b.Rho) != ck.GridN*ck.GridN*ck.GridN:
+		err = fmt.Errorf("%w: base density length %d is not %d³", ErrDeltaStale, len(b.Rho), ck.GridN)
 	default:
-		if len(b.Rho) != ck.GridN*ck.GridN*ck.GridN {
-			return nil, fmt.Errorf("%w: base density length %d is not %d³", ErrDeltaStale, len(b.Rho), ck.GridN)
-		}
-		if ck.Rho, err = DecompressFieldDelta(ds.buf, b.Rho, ck.GridN); err != nil {
-			return nil, err
-		}
+		ck.Rho, err = DecompressFieldDelta(density, b.Rho, ck.GridN)
 	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("qio: delta checkpoint: %d trailing bytes", len(d.buf))
+	if err != nil {
+		return nil, err
+	}
+	if err := d.Done("delta checkpoint"); err != nil {
+		return nil, err
 	}
 	return ck, nil
 }

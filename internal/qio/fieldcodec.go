@@ -123,9 +123,15 @@ func CompressFieldDelta(data, base []float64, n int) ([]byte, error) {
 	return buf, nil
 }
 
+// cubeFits reports whether 1 ≤ n and n³ ≤ limit, without overflowing on
+// an n read from a file.
+func cubeFits(n, limit int) bool { return n >= 1 && n <= limit/n/n }
+
 // DecompressFieldDelta inverts CompressFieldDelta given the same base.
+// Its work is bounded by len(base), which the caller already holds in
+// memory, so unlike DecompressField it needs no bound against len(buf).
 func DecompressFieldDelta(buf []byte, base []float64, n int) ([]float64, error) {
-	if n < 1 || n*n*n != len(base) {
+	if !cubeFits(n, len(base)) || n*n*n != len(base) {
 		return nil, fmt.Errorf("qio: delta base length %d is not %d³", len(base), n)
 	}
 	order := hilbertGridOrder(n)
@@ -177,10 +183,13 @@ func DecompressFieldDelta(buf []byte, base []float64, n int) ([]float64, error) 
 	return data, nil
 }
 
-// DecompressField inverts CompressField for an n³ field.
+// DecompressField inverts CompressField for an n³ field. n usually comes
+// from a file header (a CRC is integrity, not authentication) and every
+// point costs at least one byte, so an n whose cube exceeds len(buf) is
+// rejected before it sizes the traversal order or the field.
 func DecompressField(buf []byte, n int) ([]float64, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("qio: invalid field edge %d", n)
+	if !cubeFits(n, len(buf)) {
+		return nil, fmt.Errorf("qio: field edge %d invalid for %d bytes of field data", n, len(buf))
 	}
 	order := hilbertGridOrder(n)
 	data := make([]float64, n*n*n)

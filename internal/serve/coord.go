@@ -7,6 +7,8 @@ import (
 	"io"
 	"os"
 	"time"
+
+	"ldcdft/internal/qio"
 )
 
 // errEpochNotPersisted refuses a grant (503 over HTTP) whose epoch could
@@ -179,31 +181,26 @@ func (m *Manager) LeaseProgress(id string, epoch int64, step int, energyHa, temp
 }
 
 // PutLeaseCheckpoint stores an uploaded trajectory checkpoint as the
-// job's durable resume point. The body is streamed to a temp file
-// first; the lease is re-verified under the manager lock immediately
-// before the atomic rename, so a zombie whose lease lapsed while its
-// upload was in flight can never clobber the new holder's checkpoint.
+// job's durable resume point. The body is streamed into a staged
+// qio.AtomicFile (a temp no other upload shares) without the manager
+// lock; the lease is re-verified under the lock immediately before the
+// commit, so a zombie whose lease lapsed while its upload was in flight
+// can never clobber the new holder's checkpoint.
 func (m *Manager) PutLeaseCheckpoint(id string, epoch int64, r io.Reader) error {
 	m.mu.Lock()
-	j, err := m.leasedLocked(id, epoch)
-	if err != nil {
-		m.mu.Unlock()
-		return err
-	}
-	dir := j.dir
+	_, err := m.leasedLocked(id, epoch)
 	m.mu.Unlock()
-
-	tmp, err := os.CreateTemp(dir, "upload-*.ck")
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name())
-	_, err = io.Copy(tmp, r)
-	if err == nil {
-		err = tmp.Sync()
+
+	af, err := qio.CreateAtomic(m.root.CheckpointPath(id))
+	if err != nil {
+		return err
 	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
+	defer af.Abort()
+	if _, err = io.Copy(af, r); err == nil {
+		err = af.Stage()
 	}
 	if err != nil {
 		return fmt.Errorf("serve: checkpoint upload for %s: %w", id, err)
@@ -214,12 +211,8 @@ func (m *Manager) PutLeaseCheckpoint(id string, epoch int64, r io.Reader) error 
 	if _, err := m.leasedLocked(id, epoch); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp.Name(), m.root.CheckpointPath(id)); err != nil {
+	if err := af.Commit(); err != nil {
 		return fmt.Errorf("serve: checkpoint upload for %s: %w", id, err)
-	}
-	if d, derr := os.Open(dir); derr == nil {
-		d.Sync()
-		d.Close()
 	}
 	return nil
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"ldcdft/internal/qio"
 	"ldcdft/internal/serve/lease"
 	"ldcdft/internal/waitfor"
 )
@@ -274,6 +275,99 @@ func TestLeaseCheckpointRoundTrip(t *testing.T) {
 	g2 := mustAcquire(t, m, "w2")
 	if !g2.HasCheckpoint || g2.StepsDone != 2 || g2.Epoch != g1.Epoch+1 {
 		t.Fatalf("re-grant %+v, want checkpoint present, 2 steps done, epoch bumped", g2)
+	}
+}
+
+// Two uploads for one job under different epochs interleave: the old
+// holder's body is still streaming when the job is released and
+// re-granted, and the new holder uploads meanwhile. Each upload stages
+// into a temp of its own (two temps exist at once), the live epoch's
+// bytes are what gets published, the zombie is fenced at its commit, and
+// neither leaves its temp behind.
+func TestInterleavedUploadsDoNotShareATemp(t *testing.T) {
+	dir := t.TempDir()
+	m := newCoordinator(t, dir, time.Minute)
+	defer shutdown(t, m)
+	st := mustSubmit(t, m, validSpec("a", 4))
+	temps := func() []string {
+		found, _ := filepath.Glob(filepath.Join(dir, "jobs", st.ID, "*.tmp"))
+		return found
+	}
+	// upload starts a PutLeaseCheckpoint whose body stalls after its first
+	// half (so the upload is past its first lease check and inside the
+	// copy); finish sends the rest and returns the upload's verdict.
+	upload := func(epoch int64, body string) (finish func() error) {
+		pr, pw := io.Pipe()
+		done := make(chan error, 1)
+		go func() { done <- m.PutLeaseCheckpoint(st.ID, epoch, pr) }()
+		if _, err := pw.Write([]byte(body[:len(body)/2])); err != nil {
+			t.Fatal(err)
+		}
+		return func() error {
+			pw.Write([]byte(body[len(body)/2:]))
+			pw.Close()
+			return <-done
+		}
+	}
+
+	g1 := mustAcquire(t, m, "old")
+	finishOld := upload(g1.Epoch, "bytes of the old holder")
+	if _, err := m.CompleteLease(st.ID, CompleteRequest{Worker: "old", Epoch: g1.Epoch, Status: "released"}); err != nil {
+		t.Fatal(err)
+	}
+	g2 := mustAcquire(t, m, "new")
+	finishNew := upload(g2.Epoch, "bytes of the new holder")
+	if got := temps(); len(got) != 2 {
+		t.Fatalf("two uploads in flight stage into %v, want two distinct temps", got)
+	}
+	if err := finishNew(); err != nil {
+		t.Fatalf("live upload: %v", err)
+	}
+	if err := finishOld(); !errors.Is(err, lease.ErrStale) {
+		t.Fatalf("zombie upload: got %v, want ErrStale", err)
+	}
+	rc, err := m.OpenLeaseCheckpoint(st.ID, g2.Epoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := io.ReadAll(rc)
+	rc.Close()
+	if string(got) != "bytes of the new holder" {
+		t.Fatalf("published checkpoint %q", got)
+	}
+	if left := temps(); left != nil {
+		t.Fatalf("temp files left: %v", left)
+	}
+}
+
+// A coordinator killed mid-upload leaves the upload's temp — as large as a
+// checkpoint — in the job directory; the next one to recover the store
+// removes it and still requeues the job with its published checkpoint.
+func TestRecoveryRemovesOrphanedTemps(t *testing.T) {
+	dir := t.TempDir()
+	m := newCoordinator(t, dir, time.Minute)
+	st := mustSubmit(t, m, validSpec("a", 4))
+	g := mustAcquire(t, m, "w")
+	if err := m.PutLeaseCheckpoint(st.ID, g.Epoch, strings.NewReader("published")); err != nil {
+		t.Fatal(err)
+	}
+	shutdown(t, m)
+	ckPath := filepath.Join(dir, "jobs", st.ID, qio.JobCheckpointFile)
+	orphan := ckPath + ".0badc0de.tmp"
+	if err := os.WriteFile(orphan, []byte("half an upload"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m = newCoordinator(t, dir, time.Minute)
+	defer shutdown(t, m)
+	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
+		t.Fatalf("orphaned temp survived recovery: %v", err)
+	}
+	if got, err := os.ReadFile(ckPath); err != nil || string(got) != "published" {
+		t.Fatalf("published checkpoint after recovery: %q, %v", got, err)
+	}
+	if g := mustAcquire(t, m, "w2"); g.JobID != st.ID {
+		t.Fatalf("recovered job not requeued: granted %s", g.JobID)
 	}
 }
 

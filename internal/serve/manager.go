@@ -190,6 +190,7 @@ func (m *Manager) recover() error {
 		if err != nil {
 			return err
 		}
+		qio.RemoveTemps(dir) // what a killed daemon was in the middle of writing
 		j := &job{id: id, dir: dir, queueIdx: -1, subs: make(map[chan Event]struct{})}
 		// Advance the ID sequence past every directory — including ones
 		// skipped below for unreadable specs — so a later Submit can never
