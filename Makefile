@@ -28,16 +28,17 @@ bench-check:
 	$(GO) vet -C bench .
 	$(GO) test -C bench .
 
-# bce asserts the SIMD-shaped kernels compile with zero bounds checks in
-# their inner loops: `ssa/check_bce` prints one "Found IsInBounds" line
-# per surviving check, and any line naming a pinned kernel file fails the
-# target. (IsSliceInBounds from the setup reslices is fine — those run
-# once per row/pass, not per point.) -a defeats the build cache so the
+# bce asserts the SIMD-shaped kernels — the multigrid stencils and every
+# butterfly stage of the FFT engine — compile with zero bounds checks:
+# `ssa/check_bce` prints one "Found IsInBounds" line per surviving check,
+# and any line naming a pinned kernel file fails the target.
+# (IsSliceInBounds from cutting the operand rows is fine — those run once
+# per row/pass, not per point.) -a defeats the build cache so the
 # diagnostic always runs.
 bce:
-	@out="$$($(GO) build -a -gcflags=-d=ssa/check_bce ./internal/multigrid/ ./internal/fft/ 2>&1 | grep -E 'stencil\.go|butterfly\.go' | grep 'Found IsInBounds' || true)"; \
+	@out="$$($(GO) build -a -gcflags=-d=ssa/check_bce ./internal/multigrid/ ./internal/fft/ 2>&1 | grep -E 'stencil\.go|stockham\.go' | grep 'Found IsInBounds' || true)"; \
 	if [ -n "$$out" ]; then echo "bounds checks survive in pinned kernel files:"; echo "$$out"; exit 1; fi; \
-	echo "bce: stencil.go and butterfly.go are bounds-check free"
+	echo "bce: stencil.go and stockham.go are bounds-check free"
 
 # Race-check the concurrency-heavy packages (linalg's CGemm row-panel
 # fan-out, the per-domain scf engines, FFT worker pool and pooled

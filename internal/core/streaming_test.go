@@ -32,6 +32,22 @@ import (
 // bands, the old values came from a 28-column "orthonormal" block in that
 // 27-dimensional space, and the new ones are what a converged eigensolver
 // gives at either commit (EigenIters 12: −7.6073557).
+//
+// Re-pinned a second time when one Stockham engine replaced the in-place
+// power-of-two kernel and the mixed-radix recursion, and the inverse's
+// three per-axis 1/n passes became one multiply (ISSUE 21, old → new in
+// EXPERIMENTS.md): every FFT now sums in a different order. 2×2×2 moved
+// by 3.5e-15 Ha and its forces by ≤ 6.5e-15 Ha/Bohr; 3×3×3 by 2.0e-9 Ha
+// and ≤ 6.5e-10 Ha/Bohr — the Ecut-3 case whose expansion block fills
+// the whole 27-dimensional plane-wave space and answers any change of
+// round-off with 3e-9–1e-8 Ha (ISSUE 18). Iteration counts are unchanged
+// and GOMAXPROCS 1, 2 and 4 agree bit for bit.
+//
+// These values licence refactors; they do not certify physics. A pin that
+// holds says the arithmetic did not change, not that it is right — the
+// first 3×3×3 golden certified a non-Hermitian eigenproblem for ten PRs.
+// Physics is checked against invariants (ROADMAP item 4); a numerics
+// change re-pins here once and shows the move is round-off-sized.
 
 // goldenConfig is the reference configuration the goldens were captured
 // with (only the grid and decomposition vary between cases).
@@ -60,30 +76,30 @@ var streamingGoldens = []struct {
 }{
 	{
 		name: "2x2x2", gridN: 16, nd: 2,
-		energy: -7.5740740372005284, mu: -0.595384612844437, iters: 31,
+		energy: -7.5740740372005249, mu: -0.59538461284443633, iters: 31,
 		forces: [][3]float64{
-			{-0.42672379737005917, -0.42672379795250437, -0.42672379778441089},
-			{-0.4267237961857947, -0.036179705793144251, -0.036179709173235819},
-			{-0.036179709380655012, -0.42672379805663485, -0.036179707071435585},
-			{-0.036179706632374825, -0.036179707179768816, -0.42672379785554548},
-			{-0.02020557336650531, -0.020205574809718754, -0.020205574605363538},
-			{-0.020205574383825003, 0.019401849818667639, 0.019401849730289151},
-			{0.019401848086186776, -0.020205574869817725, 0.019401850300642301},
-			{0.019401849353730294, 0.019401850043313806, -0.020205575425750712},
+			{-0.42672379737006177, -0.42672379795250648, -0.42672379778441061},
+			{-0.42672379618579415, -0.036179705793137784, -0.036179709173234875},
+			{-0.036179709380654068, -0.42672379805663729, -0.036179707071438721},
+			{-0.036179706632373576, -0.036179707179766318, -0.42672379785554193},
+			{-0.020205573366505844, -0.020205574809715972, -0.020205574605362975},
+			{-0.020205574383822849, 0.019401849818663146, 0.019401849730288193},
+			{0.01940184808618892, -0.020205574869816209, 0.019401850300642984},
+			{0.019401849353730651, 0.019401850043313115, -0.020205575425750084},
 		},
 	},
 	{
 		name: "3x3x3", gridN: 18, nd: 3,
-		energy: -7.607355698986769, mu: -0.43150632572289294, iters: 26,
+		energy: -7.6073556970040492, mu: -0.43150632565412639, iters: 26,
 		forces: [][3]float64{
-			{-0.15146464319111494, -0.1514646573026841, -0.15146465111686691},
-			{-0.0042888893389551597, 0.21256705579695029, 0.21256705632280895},
-			{0.21256705815369997, -0.0042888887135015819, 0.21256705788074393},
-			{0.21256705722164937, 0.21256705684272639, -0.0042888890488194109},
-			{-0.087488053965386711, -0.087488034402098833, -0.087488042090357057},
-			{-0.091829381368048427, 0.13472739572227999, 0.13472739671533834},
-			{0.1347273961013509, -0.091829383449480786, 0.13472739627763247},
-			{0.134727395264406, 0.134727395092053, -0.091829381649053479},
+			{-0.1514646430483573, -0.15146465718632024, -0.15146465114023089},
+			{-0.0042888893721872434, 0.21256705602169942, 0.21256705629076109},
+			{0.21256705859105854, -0.0042888891628291848, 0.21256705847251203},
+			{0.21256705715546897, 0.21256705698602055, -0.0042888890591505913},
+			{-0.087488053978455063, -0.087488034516022203, -0.087488041928725627},
+			{-0.09182938127454994, 0.13472739610269238, 0.1347273960702646},
+			{0.13472739586316629, -0.091829383867020706, 0.13472739617214344},
+			{0.1347273948327613, 0.13472739542844009, -0.091829381377094718},
 		},
 	},
 }

@@ -1,78 +1,50 @@
-// Package fft implements complex discrete Fourier transforms: an
-// optimized iterative radix-2 path with precomputed twiddle factors, a
-// Bluestein fallback for arbitrary lengths, batched/parallel 3-D
-// transforms, and a deliberately naive reference DFT.
+// Package fft implements complex discrete Fourier transforms: one
+// iterative Stockham autosort engine over a per-length factor schedule
+// (hard-coded radix-2/3/4/5 butterflies, a generic butterfly for larger
+// primes) that transforms a tile of interleaved lines per stage, a
+// Bluestein convolution on top of it for lengths with a large prime
+// factor, batched/parallel 3-D transforms — complex, sphere-pruned and
+// real-to-complex — whose passes feed the engine whole tiles, and a
+// deliberately naive reference DFT.
 //
 // The package plays the role FFTW and Spiral played in the paper (§3.2,
 // §4.2): the plane-wave domain solver applies the kinetic and local
 // potential operators in whichever space is diagonal, moving wave
 // functions between real and reciprocal space with 3-D FFTs. The paper
-// replaced FFTW with the SIMD-tuned Spiral library; here `Plan` (tuned) vs
-// `SlowDFT` (commodity stand-in) expose the same ablation.
+// replaced FFTW with the SIMD-tuned Spiral library because domain grids
+// (core + 2·buffer) are small and rarely powers of two; here `Plan`
+// (tuned) vs `SlowDFT` (commodity stand-in) expose the same ablation.
 package fft
 
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sync"
 
 	"ldcdft/internal/perf"
 )
 
-// Plan holds precomputed twiddle factors for transforms of a fixed
-// length. All tables are read-only after NewPlan, so a Plan is safe for
+// Plan holds the precomputed schedule for transforms of a fixed length.
+// All tables are read-only after NewPlan, so a Plan is safe for
 // concurrent use: Forward/Inverse draw per-call scratch from an internal
-// pool, and the unexported forwardS/inverseS variants take caller-owned
-// scratch (see scratchLen) for allocation-free hot paths.
+// pool, and the unexported forwardS takes caller-owned scratch (see
+// scratchLen) for allocation-free hot paths.
 type Plan struct {
-	n        int
-	pow2     bool
-	twiddle  []complex128 // forward twiddles for radix-2, size n/2
-	itwiddle []complex128 // inverse twiddles
-	tw4f     []complex128 // packed per-stage triples for the fused radix-4 passes
-	tw4i     []complex128 // inverse counterpart
-	rev      []int        // bit-reversal permutation
-	mixed    *mixedFFT    // smooth composite lengths
-	dense    *denseDFT    // small lengths with large prime factors
-	blu      *bluestein   // everything else
-	scratch  sync.Pool    // *[]complex128 of scratchLen for Forward/Inverse
+	n       int
+	stages  []stage    // the Stockham schedule; nil when blu serves the length
+	blu     *bluestein // lengths with a prime factor the schedule does not take
+	scratch sync.Pool  // *[]complex128 of scratchLen for Forward/Inverse
 }
-
-// denseSizeLimit bounds the cached-matrix DFT: below this, an n² matrix
-// product beats the Bluestein convolution (which pads to ≥ 2n−1 rounded
-// up to a power of two) and allocates nothing per call beyond one vector.
-const denseSizeLimit = 64
 
 // NewPlan prepares a transform of length n (n ≥ 1).
 func NewPlan(n int) *Plan {
 	if n < 1 {
 		panic(fmt.Sprintf("fft: invalid length %d", n))
 	}
-	p := &Plan{n: n, pow2: n&(n-1) == 0}
-	switch {
-	case p.pow2:
-		p.twiddle = make([]complex128, n/2)
-		p.itwiddle = make([]complex128, n/2)
-		for k := 0; k < n/2; k++ {
-			ang := -2 * math.Pi * float64(k) / float64(n)
-			p.twiddle[k] = complex(math.Cos(ang), math.Sin(ang))
-			p.itwiddle[k] = complex(math.Cos(ang), -math.Sin(ang))
-		}
-		p.rev = bitReversal(n)
-		if n >= 4 {
-			q0 := 1
-			if bits.TrailingZeros(uint(n))&1 == 1 {
-				q0 = 2
-			}
-			p.tw4f = packRadix4Twiddles(p.twiddle, n, q0)
-			p.tw4i = packRadix4Twiddles(p.itwiddle, n, q0)
-		}
-	case smoothLength(n):
-		p.mixed = newMixedFFT(n)
-	case n <= denseSizeLimit:
-		p.dense = newDenseDFT(n)
-	default:
+	p := &Plan{n: n}
+	if smoothLength(n) || n <= denseSizeLimit {
+		p.stages = newStages(n)
+	} else {
 		p.blu = newBluestein(n)
 	}
 	p.scratch.New = func() any {
@@ -82,116 +54,29 @@ func NewPlan(n int) *Plan {
 	return p
 }
 
-// scratchLen returns the scratch length required by forwardS/inverseS:
-// the in-place radix-2 kernel needs none, the mixed-radix recursion needs
-// a destination plus a combine buffer, the dense matrix product one
-// output vector, and Bluestein its padded convolution buffer.
+// scratchLen returns the scratch length forwardS needs per line: the
+// engine is out of place, so n; Bluestein its padded convolution buffer
+// plus its sub-plan's own scratch.
 func (p *Plan) scratchLen() int {
-	switch {
-	case p.pow2:
-		return 0
-	case p.mixed != nil:
-		return 2 * p.n
-	case p.dense != nil:
-		return p.n
-	default:
-		return p.blu.m
+	if p.blu != nil {
+		return p.blu.m + p.blu.sub.scratchLen()
 	}
+	return p.n
 }
 
-// forwardS computes the in-place forward DFT using caller-owned scratch
-// of at least scratchLen elements. No perf counters are touched; batch
-// drivers attribute modelled FLOPs once per pass instead of per line.
-func (p *Plan) forwardS(x, scratch []complex128) {
-	switch {
-	case p.pow2:
-		p.radix24(x, false)
-	case p.mixed != nil:
-		p.mixed.transformS(x, scratch, false)
-	case p.dense != nil:
-		p.dense.transformS(x, scratch, false)
-	default:
-		p.blu.transformS(x, scratch, false)
+// forwardS computes the forward DFT of the s interleaved lines of
+// x[:n·s] (element j of line t at x[j*s+t]) in place, using caller-owned
+// scratch of at least s·scratchLen elements. There is no inverse kernel:
+// the raw inverse Σ X[k] e^{+2πi jk/n} is the forward transform read at
+// index (n−j) mod n, a reversal every caller folds into the pass that
+// writes its result out. No perf counters are touched; batch drivers
+// attribute modelled FLOPs once per pass instead of per line.
+func (p *Plan) forwardS(x, scratch []complex128, s int) {
+	if p.blu != nil {
+		p.blu.forward(x, scratch, s)
+		return
 	}
-}
-
-// inverseS is forwardS's inverse, including the 1/n normalization.
-func (p *Plan) inverseS(x, scratch []complex128) {
-	switch {
-	case p.pow2:
-		p.radix24(x, true)
-	case p.mixed != nil:
-		p.mixed.transformS(x, scratch, true)
-	case p.dense != nil:
-		p.dense.transformS(x, scratch, true)
-	default:
-		p.blu.transformS(x, scratch, true)
-	}
-	inv := complex(1/float64(p.n), 0)
-	for i := range x {
-		x[i] *= inv
-	}
-}
-
-// inverseRawS is inverseS without the 1/n normalization: the raw sum
-// Σ X[k] e^{+2πi jk/n}. The fused real-space Hamiltonian path uses it
-// because the plane-wave convention ψ̃ = N³·Inverse makes the raw
-// inverse exactly the target, letting the per-axis normalize passes and
-// the N³ rescale pass cancel instead of being computed.
-func (p *Plan) inverseRawS(x, scratch []complex128) {
-	switch {
-	case p.pow2:
-		p.radix24(x, true)
-	case p.mixed != nil:
-		p.mixed.transformS(x, scratch, true)
-	case p.dense != nil:
-		p.dense.transformS(x, scratch, true)
-	default:
-		p.blu.transformS(x, scratch, true)
-	}
-}
-
-// denseDFT is a precomputed n×n transform matrix, applied as a dense
-// matrix-vector product. The inverse uses the conjugate matrix.
-type denseDFT struct {
-	n   int
-	fwd []complex128 // row-major n×n: W[k][j] = e^{-2πi kj/n}
-}
-
-func newDenseDFT(n int) *denseDFT {
-	d := &denseDFT{n: n, fwd: make([]complex128, n*n)}
-	for k := 0; k < n; k++ {
-		for j := 0; j < n; j++ {
-			ang := -2 * math.Pi * float64((k*j)%n) / float64(n)
-			d.fwd[k*n+j] = complex(math.Cos(ang), math.Sin(ang))
-		}
-	}
-	return d
-}
-
-func (d *denseDFT) transformS(x, scratch []complex128, inverse bool) {
-	n := d.n
-	out := scratch[:n]
-	if inverse {
-		for k := 0; k < n; k++ {
-			row := d.fwd[k*n : (k+1)*n]
-			var s complex128
-			for j, w := range row {
-				s += x[j] * complex(real(w), -imag(w))
-			}
-			out[k] = s
-		}
-	} else {
-		for k := 0; k < n; k++ {
-			row := d.fwd[k*n : (k+1)*n]
-			var s complex128
-			for j, w := range row {
-				s += x[j] * w
-			}
-			out[k] = s
-		}
-	}
-	copy(x, out)
+	p.stockham(x, scratch, s)
 }
 
 // Len returns the transform length.
@@ -202,50 +87,21 @@ func (p *Plan) Forward(x []complex128) {
 	if len(x) != p.n {
 		panic(fmt.Sprintf("fft: length %d != plan %d", len(x), p.n))
 	}
-	if p.pow2 {
-		p.radix24(x, false)
-	} else {
-		s := p.scratch.Get().(*[]complex128)
-		p.forwardS(x, *s)
-		p.scratch.Put(s)
-	}
+	s := p.scratch.Get().(*[]complex128)
+	p.forwardS(x, *s, 1)
+	p.scratch.Put(s)
 	perf.Global.AddVector(flops(p.n))
 }
 
 // Inverse computes the in-place inverse DFT, including the 1/n factor:
 // x[j] = (1/n) Σ X[k] e^{+2πi jk/n}.
 func (p *Plan) Inverse(x []complex128) {
-	if len(x) != p.n {
-		panic(fmt.Sprintf("fft: length %d != plan %d", len(x), p.n))
+	p.Forward(x)
+	inv := 1 / float64(p.n)
+	x[0] = scale(x[0], inv)
+	for j, k := 1, p.n-1; j <= k; j, k = j+1, k-1 {
+		x[j], x[k] = scale(x[k], inv), scale(x[j], inv)
 	}
-	if p.pow2 {
-		p.radix24(x, true)
-		inv := complex(1/float64(p.n), 0)
-		for i := range x {
-			x[i] *= inv
-		}
-	} else {
-		s := p.scratch.Get().(*[]complex128)
-		p.inverseS(x, *s)
-		p.scratch.Put(s)
-	}
-	perf.Global.AddVector(flops(p.n))
-}
-
-// packRadix4Twiddles lays out the twiddle triples the fused stages
-// consume in order: for each stage with quarter length q (ascending),
-// entries 3j..3j+2 hold tw[j·step], tw[2j·step], tw[(j+q)·step] with
-// step = n/(4q) — the second-stage pair twiddle, the shared first-stage
-// twiddle, and the second-stage twiddle of the upper pair.
-func packRadix4Twiddles(tw []complex128, n, q0 int) []complex128 {
-	var out []complex128
-	for q := q0; 4*q <= n; q *= 4 {
-		step := n / (4 * q)
-		for j := 0; j < q; j++ {
-			out = append(out, tw[j*step], tw[2*j*step], tw[(j+q)*step])
-		}
-	}
-	return out
 }
 
 // flops is the standard 5 n log2 n FFT operation-count model.
@@ -256,23 +112,14 @@ func flops(n int) int64 {
 	return int64(5 * float64(n) * math.Log2(float64(n)))
 }
 
-func bitReversal(n int) []int {
-	shift := 64 - uint(bits.TrailingZeros(uint(n)))
-	rev := make([]int, n)
-	for i := range rev {
-		rev[i] = int(bits.Reverse64(uint64(i)) >> shift)
-	}
-	return rev
-}
-
-// bluestein implements the chirp-z transform for arbitrary lengths by
-// embedding in a power-of-two convolution.
+// bluestein implements the chirp-z transform for lengths the schedule
+// does not take by embedding in a power-of-two convolution.
 type bluestein struct {
 	n    int
 	m    int // power-of-two convolution length ≥ 2n-1
 	sub  *Plan
 	w    []complex128 // chirp e^{-iπ k²/n}
-	finv []complex128 // FFT of the conjugate chirp, padded to m
+	finv []complex128 // FFT of the conjugate chirp, padded to m, over m
 }
 
 func newBluestein(n int) *bluestein {
@@ -285,12 +132,13 @@ func newBluestein(n int) *bluestein {
 	for k := 0; k < n; k++ {
 		// Use k² mod 2n to avoid precision loss for large k.
 		kk := (int64(k) * int64(k)) % int64(2*n)
-		ang := -math.Pi * float64(kk) / float64(n)
-		b.w[k] = complex(math.Cos(ang), math.Sin(ang))
+		b.w[k] = root(int(kk), 2*n)
 	}
 	b.finv = make([]complex128, m)
 	for k := 0; k < n; k++ {
-		c := complex(real(b.w[k]), -imag(b.w[k]))
+		// The 1/m of the convolution's inverse transform rides here; m is
+		// a power of two, so the scaling is exact.
+		c := scale(conj(b.w[k]), 1/float64(m))
 		b.finv[k] = c
 		if k > 0 {
 			b.finv[m-k] = c
@@ -300,40 +148,33 @@ func newBluestein(n int) *bluestein {
 	return b
 }
 
-// transformS computes the forward DFT in place using caller scratch of
-// at least m elements; the inverse is obtained via IDFT(x) =
-// conj(DFT(conj(x))), with the 1/n factor applied by the caller.
-func (b *bluestein) transformS(x, scratch []complex128, inverse bool) {
-	if inverse {
-		for i := range x {
-			x[i] = conj(x[i])
-		}
-		b.forward(x, scratch)
-		for i := range x {
-			x[i] = conj(x[i])
-		}
-		return
-	}
-	b.forward(x, scratch)
-}
-
-func (b *bluestein) forward(x, scratch []complex128) {
+// forward computes the forward DFT of s interleaved lines in place using
+// caller scratch of at least s·(m + sub.scratchLen()) elements. The
+// convolution's inverse transform is a second forward one read backwards.
+func (b *bluestein) forward(x, scratch []complex128, s int) {
 	n, m := b.n, b.m
-	a := scratch[:m]
-	for k := 0; k < n; k++ {
-		a[k] = x[k] * b.w[k]
+	a, rest := scratch[:m*s], scratch[m*s:]
+	for k, w := range b.w {
+		row := a[k*s : (k+1)*s]
+		for q, v := range x[k*s : (k+1)*s] {
+			row[q] = v * w
+		}
 	}
-	for k := n; k < m; k++ {
-		a[k] = 0
+	clear(a[n*s:])
+	b.sub.stockham(a, rest, s)
+	for i, f := range b.finv {
+		row := a[i*s : (i+1)*s]
+		for q := range row {
+			row[q] *= f
+		}
 	}
-	// The power-of-two sub-plan transforms in place with no scratch.
-	b.sub.forwardS(a, nil)
-	for i := range a {
-		a[i] *= b.finv[i]
-	}
-	b.sub.inverseS(a, nil)
-	for k := 0; k < n; k++ {
-		x[k] = a[k] * b.w[k]
+	b.sub.stockham(a, rest, s)
+	for k, w := range b.w {
+		i := (m - k) % m
+		row := x[k*s : (k+1)*s]
+		for q, v := range a[i*s : (i+1)*s] {
+			row[q] = v * w
+		}
 	}
 }
 

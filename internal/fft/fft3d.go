@@ -12,11 +12,11 @@ import (
 // workers rather than wall-clock.
 var ph3D = perf.GetPhase("fft/3d")
 
-// tileB is the number of strided lines gathered per tile in the y- and
-// x-axis passes. A tile of tileB lines × the line length stays inside L1
-// (16 lines × 32 points × 16 B = 8 KiB), so the twiddle tables and the
-// gathered pencils are hot for the whole tile instead of being evicted
-// between per-line gathers.
+// tileB is the most lines one tile holds. The engine's inner loop runs
+// over the lines of a tile, so a tile is a unit of butterfly work as well
+// as of gather/scatter; tileB lines × the line length, twice (the two
+// sides of the Stockham ping-pong), stay inside L1: 2 × 16 lines × 12
+// points × 16 B = 6 KiB at 12³, 16 KiB at 32³.
 const tileB = 16
 
 // Plan3 performs 3-D complex transforms on an Nx×Ny×Nz array stored in
@@ -33,12 +33,14 @@ type Plan3 struct {
 	arenas     sync.Pool // *arena3
 }
 
-// arena3 is one worker's reusable scratch: the tile gather buffer for the
-// strided passes plus the per-line plan scratch (mixed-radix, dense, or
-// Bluestein lengths need it; power-of-two lengths run in place).
+// arena3 is one worker's reusable scratch: a tile of up to tileB lines in
+// [element][line] layout — element j of line t at tile[j*w+t], which is a
+// row of w adjacent grid offsets per element in the y- and x-passes — and
+// the line plans' scratch for a tile that wide (the engine's other
+// ping-pong half; Bluestein's padded buffers).
 type arena3 struct {
-	tile []complex128 // tileB × max(Nx, Ny) gathered lines
-	line []complex128 // line-plan scratch, max over the three axes
+	tile []complex128 // tileB × max(Nx, Ny, Nz)
+	work []complex128 // tileB × the largest scratchLen of the three axes
 }
 
 // NewPlan3 prepares a 3-D transform of the given shape. Most callers
@@ -61,12 +63,12 @@ func NewPlan3(nx, ny, nz int) *Plan3 {
 	}
 	all := p.newSchedule(filled(nx*ny), filled(nx), filled(nz), filled(ny*nz))
 	p.full = Support3{p: p, inv: all, fwd: all}
-	tileLen := tileB * max(nx, ny)
-	scrLen := max(p.px.scratchLen(), max(p.py.scratchLen(), p.pz.scratchLen()))
+	tileLen := tileB * max(nx, ny, nz)
+	workLen := tileB * max(p.px.scratchLen(), p.py.scratchLen(), p.pz.scratchLen())
 	p.arenas.New = func() any {
 		return &arena3{
 			tile: make([]complex128, tileLen),
-			line: make([]complex128, scrLen),
+			work: make([]complex128, workLen),
 		}
 	}
 	return p
@@ -111,38 +113,48 @@ func (p *Plan3) InverseRawMulRealBatch(x []complex128, nb int, vr []float64) {
 	p.full.InverseRawMulRealBatch(x, nb, vr)
 }
 
-// Pass modes for the axis kernels. passInvRaw is the inverse without
-// any normalization — the fused ψ→real-space path (InverseRawMulReal)
-// wants N³·Inverse, which is exactly the raw inverse.
-const (
-	passFwd int8 = iota
-	passInv
-	passInvRaw
-)
+// rev maps element j of an n-point result to the tile row that holds it:
+// the engine only transforms forward, and the raw inverse is the forward
+// transform read at (n−j) mod n, so every pass reverses while it writes
+// its tile back.
+func rev(j, n int, inverse bool) int {
+	if inverse && j > 0 {
+		return n - j
+	}
+	return j
+}
 
-// zLines transforms the contiguous z-lines s.zLines[lo:hi].
-func (p *Plan3) zLines(x []complex128, s *schedule, mode int8, lo, hi int, a *arena3) {
+// zLines transforms the contiguous z-lines s.zLines[lo:hi], up to tileB
+// at a time through a transposed tile.
+func (p *Plan3) zLines(x []complex128, s *schedule, inverse bool, lo, hi int, a *arena3) {
 	nz := p.Nz
-	for _, l := range s.zLines[lo:hi] {
-		line := x[l*nz : (l+1)*nz]
-		switch mode {
-		case passFwd:
-			p.pz.forwardS(line, a.line)
-		case passInv:
-			p.pz.inverseS(line, a.line)
-		default:
-			p.pz.inverseRawS(line, a.line)
+	for lo < hi {
+		lines := s.zLines[lo:min(lo+tileB, hi)]
+		w := len(lines)
+		lo += w
+		tile := a.tile[:w*nz]
+		for t, l := range lines {
+			for j, v := range x[l*nz : (l+1)*nz] {
+				tile[j*w+t] = v
+			}
+		}
+		p.pz.forwardS(tile, a.work, w)
+		for j := 0; j < nz; j++ {
+			r := rev(j, nz, inverse)
+			for t, v := range tile[r*w : (r+1)*w] {
+				x[lines[t]*nz+j] = v
+			}
 		}
 	}
 }
 
 // yTiles transforms y-lines (stride Nz) for tile units [lo, hi). Unit u
-// covers plane s.planes[u/nblk], iz block s.yBlocks[u%nblk]: a block of
-// up to tileB adjacent z-columns is gathered into the arena (contiguous
-// reads per y), transformed, and scattered back. Only the plane's
+// covers plane s.planes[u/nblk], iz block s.yBlocks[u%nblk]: a row of up
+// to tileB adjacent z-columns is already [element][line], so the gather
+// is one copy per row, and so is the write-back. Only the plane's
 // s.yRows are read; the other rows enter the transform as zeros, so a
 // pruned inverse never looks at grid points outside the sticks.
-func (p *Plan3) yTiles(x []complex128, s *schedule, mode int8, lo, hi int, a *arena3) {
+func (p *Plan3) yTiles(x []complex128, s *schedule, inverse bool, lo, hi int, a *arena3) {
 	ny, nz := p.Ny, p.Nz
 	nblk := len(s.yBlocks)
 	for u := lo; u < hi; u++ {
@@ -150,81 +162,71 @@ func (p *Plan3) yTiles(x []complex128, s *schedule, mode int8, lo, hi int, a *ar
 		b := s.yBlocks[u%nblk]
 		w := b.w
 		base := s.planes[k]*ny*nz + b.off
-		buf := a.tile[:w*ny]
 		rows := s.yRows[k]
+		if w == nz && len(rows) == ny {
+			// The plane already is the tile: transform it where it lies,
+			// and reverse its rows in place.
+			plane := x[base : base+ny*nz]
+			p.py.forwardS(plane, a.work, nz)
+			for i, j := 1, ny-1; inverse && i < j; i, j = i+1, j-1 {
+				ri, rj := plane[i*nz:(i+1)*nz], plane[j*nz:(j+1)*nz]
+				for t, v := range ri {
+					ri[t], rj[t] = rj[t], v
+				}
+			}
+			continue
+		}
+		tile := a.tile[:w*ny]
 		if len(rows) < ny {
-			clear(buf)
+			clear(tile)
 		}
 		for _, iy := range rows {
-			src := x[base+iy*nz : base+iy*nz+w]
-			for t, v := range src {
-				buf[t*ny+iy] = v
-			}
+			copy(tile[iy*w:(iy+1)*w], x[base+iy*nz:])
 		}
-		for t := 0; t < w; t++ {
-			line := buf[t*ny : t*ny+ny]
-			switch mode {
-			case passFwd:
-				p.py.forwardS(line, a.line)
-			case passInv:
-				p.py.inverseS(line, a.line)
-			default:
-				p.py.inverseRawS(line, a.line)
-			}
-		}
+		p.py.forwardS(tile, a.work, w)
 		for iy := 0; iy < ny; iy++ {
-			dst := x[base+iy*nz : base+iy*nz+w]
-			for t := range dst {
-				dst[t] = buf[t*ny+iy]
-			}
+			r := rev(iy, ny, inverse)
+			copy(x[base+iy*nz:], tile[r*w:(r+1)*w])
 		}
 	}
 }
 
 // xTiles transforms x-lines (stride Ny*Nz) for tile units [lo, hi). Unit
 // u covers the yz-plane offsets of block s.xBlocks[u]. Only the planes
-// s.planes are read; the others enter the transform as zeros. When vr
-// is non-nil, each output point is multiplied by the real field vr
-// during the scatter-back — the fused ×V_loc of the real-space
-// Hamiltonian application, which removes one full grid traversal per
-// band.
-func (p *Plan3) xTiles(x []complex128, s *schedule, mode int8, lo, hi int, a *arena3, vr []float64) {
+// s.planes are read; the others enter the transform as zeros. The
+// write-back multiplies each point by the real field vr when it is
+// non-nil — the fused ×V_loc of the real-space Hamiltonian application —
+// and otherwise by norm, the whole 3-D inverse's normalization, when that
+// is not 0: either way the multiply costs no grid traversal of its own.
+func (p *Plan3) xTiles(x []complex128, s *schedule, inverse bool, lo, hi int, a *arena3, vr []float64, norm float64) {
 	nx := p.Nx
 	plane := p.Ny * p.Nz
 	for _, b := range s.xBlocks[lo:hi] {
 		l0, w := b.off, b.w
-		buf := a.tile[:w*nx]
+		tile := a.tile[:w*nx]
 		if len(s.planes) < nx {
-			clear(buf)
+			clear(tile)
 		}
 		for _, ix := range s.planes {
-			src := x[ix*plane+l0 : ix*plane+l0+w]
-			for t, v := range src {
-				buf[t*nx+ix] = v
-			}
+			copy(tile[ix*w:(ix+1)*w], x[ix*plane+l0:])
 		}
-		for t := 0; t < w; t++ {
-			line := buf[t*nx : t*nx+nx]
-			switch mode {
-			case passFwd:
-				p.px.forwardS(line, a.line)
-			case passInv:
-				p.px.inverseS(line, a.line)
-			default:
-				p.px.inverseRawS(line, a.line)
-			}
-		}
+		p.px.forwardS(tile, a.work, w)
 		for ix := 0; ix < nx; ix++ {
+			r := rev(ix, nx, inverse)
+			row := tile[r*w : (r+1)*w]
 			dst := x[ix*plane+l0 : ix*plane+l0+w]
-			if vr != nil {
+			switch {
+			case vr != nil:
 				vs := vr[ix*plane+l0 : ix*plane+l0+w]
-				for t := range dst {
-					dst[t] = buf[t*nx+ix] * complex(vs[t], 0)
+				for t, v := range row {
+					dst[t] = scale(v, vs[t])
 				}
-				continue
-			}
-			for t := range dst {
-				dst[t] = buf[t*nx+ix]
+			case norm != 0:
+				for t, v := range row {
+					dst[t] = scale(v, norm)
+				}
+			default:
+				copy(dst, row)
 			}
 		}
 	}
@@ -239,15 +241,16 @@ func (p *Plan3) putArena(a *arena3) { p.arenas.Put(a) }
 // real-transform passes (jobRZ, jobRGrids) set rp and carry the real
 // side of the data in rx.
 type fftJob struct {
-	p      *Plan3
-	s      *schedule // the lines p's passes run (complex passes only)
-	rp     *RPlan3
-	x      []complex128
-	rx     []float64 // real data (jobRZ/jobRGrids) or, when non-nil, the fused real multiplier (jobX/jobGrids)
-	kind   int8
-	mode   int8 // passFwd/passInv/passInvRaw; jobR* read it as fwd-vs-inverse
-	lo, hi int
-	wg     *sync.WaitGroup
+	p       *Plan3
+	s       *schedule // the lines p's passes run (complex passes only)
+	rp      *RPlan3
+	x       []complex128
+	rx      []float64 // real data (jobRZ/jobRGrids) or, when non-nil, the fused real multiplier (jobX/jobGrids)
+	norm    float64   // when not 0, the factor the x-pass write-back multiplies in (jobX/jobGrids)
+	kind    int8
+	inverse bool
+	lo, hi  int
+	wg      *sync.WaitGroup
 }
 
 const (
@@ -263,7 +266,7 @@ func (j fftJob) run() {
 	switch j.kind {
 	case jobRZ:
 		s := j.rp.getScratch()
-		if j.mode != passFwd {
+		if j.inverse {
 			j.rp.c2rLines(j.x, j.rx, j.lo, j.hi, *s)
 		} else {
 			j.rp.r2cLines(j.rx, j.x, j.lo, j.hi, *s)
@@ -275,7 +278,7 @@ func (j fftJob) run() {
 		a := j.rp.half.getArena()
 		rsize, hsize := j.rp.Size(), j.rp.HSize()
 		for g := j.lo; g < j.hi; g++ {
-			j.rp.applySerial(j.rx[g*rsize:(g+1)*rsize], j.x[g*hsize:(g+1)*hsize], j.mode != passFwd, *s, a)
+			j.rp.applySerial(j.rx[g*rsize:(g+1)*rsize], j.x[g*hsize:(g+1)*hsize], j.inverse, *s, a)
 		}
 		j.rp.half.putArena(a)
 		j.rp.putScratch(s)
@@ -284,15 +287,15 @@ func (j fftJob) run() {
 	a := j.p.getArena()
 	switch j.kind {
 	case jobZ:
-		j.p.zLines(j.x, j.s, j.mode, j.lo, j.hi, a)
+		j.p.zLines(j.x, j.s, j.inverse, j.lo, j.hi, a)
 	case jobY:
-		j.p.yTiles(j.x, j.s, j.mode, j.lo, j.hi, a)
+		j.p.yTiles(j.x, j.s, j.inverse, j.lo, j.hi, a)
 	case jobX:
-		j.p.xTiles(j.x, j.s, j.mode, j.lo, j.hi, a, j.rx)
+		j.p.xTiles(j.x, j.s, j.inverse, j.lo, j.hi, a, j.rx, j.norm)
 	case jobGrids:
 		size := j.p.Size()
 		for g := j.lo; g < j.hi; g++ {
-			j.p.applySerial(j.x[g*size:(g+1)*size], j.s, j.mode, a, j.rx)
+			j.p.applySerial(j.x[g*size:(g+1)*size], j.s, j.inverse, a, j.rx, j.norm)
 		}
 	}
 	j.p.putArena(a)

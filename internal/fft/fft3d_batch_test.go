@@ -101,6 +101,13 @@ func TestCached3(t *testing.T) {
 	wg.Wait()
 }
 
+// allocShapes are the grids the zero-allocation guards run: the reference
+// grid, the global and both domain grids of the benchmark, one with a
+// generic-butterfly axis (34 = 2·17) and one with a Bluestein axis (67,
+// and 134 = 2·67 for the real plan's half length) — the engine is out of
+// place, so every length draws its scratch from the arenas.
+var allocShapes = [][3]int{{16, 16, 16}, {18, 18, 18}, {10, 10, 10}, {12, 12, 12}, {10, 10, 34}, {4, 6, 67}, {4, 6, 134}}
+
 // TestApplyZeroAllocs guards the allocation-free hot path: once a plan's
 // arena pool is warm, Forward/Inverse and the batched forms must not
 // allocate.
@@ -109,7 +116,7 @@ func TestApplyZeroAllocs(t *testing.T) {
 		t.Skip("race-detector instrumentation allocates")
 	}
 	rng := rand.New(rand.NewSource(3))
-	for _, sh := range [][3]int{{16, 16, 16}, {18, 18, 18}} {
+	for _, sh := range allocShapes {
 		p := NewPlan3(sh[0], sh[1], sh[2])
 		x := randVec(rng, 4*p.Size())
 		// Warm the arena and job pools.

@@ -26,28 +26,66 @@ func maxDiff(a, b []complex128) float64 {
 	return m
 }
 
+func norm2(x []complex128) float64 {
+	var s float64
+	for _, v := range x {
+		s += real(v)*real(v) + imag(v)*imag(v)
+	}
+	return math.Sqrt(s)
+}
+
+// oracleLengths is every length 1…128 — each radix, every mix of them,
+// the generic butterfly's primes, Bluestein's — and three long ones.
+func oracleLengths() []int {
+	lengths := []int{360, 1000, 1009}
+	for n := 1; n <= 128; n++ {
+		lengths = append(lengths, n)
+	}
+	return lengths
+}
+
 func TestForwardMatchesSlowDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 12, 16, 30, 64, 100, 128} {
+	for _, n := range oracleLengths() {
 		x := randVec(rng, n)
 		want := SlowDFT(x)
 		got := append([]complex128(nil), x...)
 		NewPlan(n).Forward(got)
-		if d := maxDiff(got, want); d > 1e-9*float64(n) {
-			t.Fatalf("n=%d: forward differs from slow DFT by %g", n, d)
+		if d := maxDiff(got, want); d > 1e-12*norm2(x) {
+			t.Errorf("n=%d: forward differs from slow DFT by %g", n, d)
 		}
 	}
 }
 
+// rawInverse is the unnormalized inverse as every 3-D pass forms it: the
+// forward transform read at (n−j) mod n.
+func rawInverse(p *Plan, x []complex128) []complex128 {
+	y := append([]complex128(nil), x...)
+	p.forwardS(y, make([]complex128, p.scratchLen()), 1)
+	out := make([]complex128, p.n)
+	for j := range out {
+		out[j] = y[rev(j, p.n, true)]
+	}
+	return out
+}
+
 func TestInverseMatchesSlowIDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{1, 2, 4, 6, 9, 16, 27, 64} {
+	for _, n := range oracleLengths() {
 		x := randVec(rng, n)
 		want := SlowIDFT(x)
+		tol := 1e-12 * norm2(x)
+		p := NewPlan(n)
 		got := append([]complex128(nil), x...)
-		NewPlan(n).Inverse(got)
-		if d := maxDiff(got, want); d > 1e-9*float64(n) {
-			t.Fatalf("n=%d: inverse differs from slow IDFT by %g", n, d)
+		p.Inverse(got)
+		if d := maxDiff(got, want); d > tol/float64(n) {
+			t.Errorf("n=%d: inverse differs from slow IDFT by %g", n, d)
+		}
+		for i := range want {
+			want[i] *= complex(float64(n), 0)
+		}
+		if d := maxDiff(rawInverse(p, x), want); d > tol {
+			t.Errorf("n=%d: raw inverse differs from n·(slow IDFT) by %g", n, d)
 		}
 	}
 }

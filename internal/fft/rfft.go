@@ -72,7 +72,7 @@ func (p *RPlan) Len() int { return p.n }
 // HLen returns the packed half-spectrum length n/2+1.
 func (p *RPlan) HLen() int { return p.n/2 + 1 }
 
-// scratchLen is the complex scratch required by forwardS/inverseS: the
+// scratchLen is the complex scratch forwardS/inverseS need per line: the
 // half-length packed vector plus the sub-plan's own scratch (even), or
 // the widened full-length vector plus the full plan's scratch (odd).
 func (p *RPlan) scratchLen() int {
@@ -105,7 +105,7 @@ func (p *RPlan) Forward(src []float64, dst []complex128) {
 		panic(fmt.Sprintf("fft: r2c lengths %d→%d != plan %d→%d", len(src), len(dst), p.n, p.HLen()))
 	}
 	s := p.scratch.Get().(*[]complex128)
-	p.forwardS(src, dst, *s)
+	p.forwardS(src, dst, *s, 1)
 	p.scratch.Put(s)
 	perf.Global.AddVector(rflops(p.n))
 }
@@ -119,76 +119,106 @@ func (p *RPlan) Inverse(src []complex128, dst []float64) {
 		panic(fmt.Sprintf("fft: c2r lengths %d→%d != plan %d→%d", len(src), len(dst), p.HLen(), p.n))
 	}
 	s := p.scratch.Get().(*[]complex128)
-	p.inverseS(src, dst, *s)
+	p.inverseS(src, dst, *s, 1, 1)
 	p.scratch.Put(s)
 	perf.Global.AddVector(rflops(p.n))
 }
 
-// forwardS is Forward with caller-owned scratch of ≥ scratchLen
-// elements. No perf counters are touched; batch drivers attribute
+// forwardS is Forward for w lines packed back to back in src and dst,
+// with caller-owned scratch of ≥ w·scratchLen elements: the lines are
+// packed into one [element][line] tile, so the complex plan transforms
+// them together. No perf counters are touched; batch drivers attribute
 // modelled FLOPs once per pass.
-func (p *RPlan) forwardS(src []float64, dst []complex128, scratch []complex128) {
+func (p *RPlan) forwardS(src []float64, dst []complex128, scratch []complex128, w int) {
+	n, h, hl := p.n, p.h, p.HLen()
 	if !p.even {
-		z := scratch[:p.n]
-		for j, v := range src {
-			z[j] = complex(v, 0)
+		z := scratch[:n*w]
+		for t := 0; t < w; t++ {
+			for j, v := range src[t*n : (t+1)*n] {
+				z[j*w+t] = complex(v, 0)
+			}
 		}
-		p.full.forwardS(z, scratch[p.n:])
-		copy(dst, z[:p.h+1])
+		p.full.forwardS(z, scratch[n*w:], w)
+		for t := 0; t < w; t++ {
+			for k := range dst[t*hl : (t+1)*hl] {
+				dst[t*hl+k] = z[k*w+t]
+			}
+		}
 		return
 	}
-	h := p.h
-	z := scratch[:h]
-	for j := 0; j < h; j++ {
-		z[j] = complex(src[2*j], src[2*j+1])
+	z := scratch[:h*w]
+	for t := 0; t < w; t++ {
+		line := src[t*n : (t+1)*n]
+		for j := 0; j < h; j++ {
+			z[j*w+t] = complex(line[2*j], line[2*j+1])
+		}
 	}
-	p.half.forwardS(z, scratch[h:])
+	p.half.forwardS(z, scratch[h*w:], w)
 	// Untangle: with E/O the DFTs of the even/odd samples,
 	// z^[k] = E[k] + i·O[k] and X[k] = E[k] + w[k]·O[k], where
 	// E[k] = (z^[k]+conj(z^[h−k]))/2 and O[k] = −i(z^[k]−conj(z^[h−k]))/2.
-	z0 := z[0]
-	dst[0] = complex(real(z0)+imag(z0), 0)
-	dst[h] = complex(real(z0)-imag(z0), 0)
-	for k := 1; k < h; k++ {
-		zk := z[k]
-		zc := conj(z[h-k])
-		e := (zk + zc) * complex(0.5, 0)
-		o := (zk - zc) * complex(0, -0.5)
-		dst[k] = e + p.w[k]*o
+	for t := 0; t < w; t++ {
+		out := dst[t*hl : (t+1)*hl]
+		z0 := z[t]
+		out[0] = complex(real(z0)+imag(z0), 0)
+		out[h] = complex(real(z0)-imag(z0), 0)
+		for k := 1; k < h; k++ {
+			zk := z[k*w+t]
+			zc := conj(z[(h-k)*w+t])
+			e := (zk + zc) * complex(0.5, 0)
+			o := (zk - zc) * complex(0, -0.5)
+			out[k] = e + p.w[k]*o
+		}
 	}
 }
 
-// inverseS is Inverse with caller-owned scratch of ≥ scratchLen
-// elements.
-func (p *RPlan) inverseS(src []complex128, dst []float64, scratch []complex128) {
+// inverseS is Inverse for w packed lines with caller-owned scratch of
+// ≥ w·scratchLen elements; every output is further multiplied by norm
+// (RPlan3 passes the other two axes' 1/(NxNy), so the whole 3-D
+// normalization is one multiply at the final write).
+func (p *RPlan) inverseS(src []complex128, dst []float64, scratch []complex128, w int, norm float64) {
+	n, h, hl := p.n, p.h, p.HLen()
 	if !p.even {
-		z := scratch[:p.n]
-		copy(z, src)
-		for k := 1; k <= p.h; k++ {
-			z[p.n-k] = conj(src[k])
+		z := scratch[:n*w]
+		for t := 0; t < w; t++ {
+			in := src[t*hl : (t+1)*hl]
+			z[t] = in[0]
+			for k := 1; k <= h; k++ {
+				z[k*w+t], z[(n-k)*w+t] = in[k], conj(in[k])
+			}
 		}
-		p.full.inverseS(z, scratch[p.n:])
-		for j := range dst {
-			dst[j] = real(z[j])
+		p.full.forwardS(z, scratch[n*w:], w)
+		norm /= float64(n)
+		for t := 0; t < w; t++ {
+			for j := range dst[t*n : (t+1)*n] {
+				dst[t*n+j] = real(z[rev(j, n, true)*w+t]) * norm
+			}
 		}
 		return
 	}
-	h := p.h
-	z := scratch[:h]
+	z := scratch[:h*w]
 	// Re-tangle: E[k] = (X[k]+conj(X[h−k]))/2,
 	// O[k] = conj(w[k])·(X[k]−conj(X[h−k]))/2, z^[k] = E[k] + i·O[k].
-	// The half-plan inverse's built-in 1/h factor is exactly the 1/n
-	// normalization of the interleaved samples.
-	for k := 0; k < h; k++ {
-		xk := src[k]
-		xc := conj(src[h-k])
-		e := (xk + xc) * complex(0.5, 0)
-		o := conj(p.w[k]) * (xk - xc) * complex(0.5, 0)
-		z[k] = e + complex(0, 1)*o
+	for t := 0; t < w; t++ {
+		in := src[t*hl : (t+1)*hl]
+		for k := 0; k < h; k++ {
+			xk := in[k]
+			xc := conj(in[h-k])
+			e := (xk + xc) * complex(0.5, 0)
+			o := conj(p.w[k]) * (xk - xc) * complex(0.5, 0)
+			z[k*w+t] = e + complex(0, 1)*o
+		}
 	}
-	p.half.inverseS(z, scratch[h:])
-	for j := 0; j < h; j++ {
-		dst[2*j] = real(z[j])
-		dst[2*j+1] = imag(z[j])
+	p.half.forwardS(z, scratch[h*w:], w)
+	// The half-length inverse's 1/h is exactly the 1/n normalization of
+	// the interleaved samples; like every inverse here it is the forward
+	// transform read backwards.
+	norm /= float64(h)
+	for t := 0; t < w; t++ {
+		line := dst[t*n : (t+1)*n]
+		for j := 0; j < h; j++ {
+			v := z[rev(j, h, true)*w+t]
+			line[2*j], line[2*j+1] = real(v)*norm, imag(v)*norm
+		}
 	}
 }

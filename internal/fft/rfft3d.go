@@ -49,7 +49,7 @@ func NewRPlan3(nx, ny, nz int) *RPlan3 {
 	p.half = Cached3(nx, ny, p.Nzh)
 	p.flops = int64(nx*ny)*rflops(nz) + int64(nx*p.Nzh)*flops(ny) + int64(ny*p.Nzh)*flops(nx)
 	p.scratch.New = func() any {
-		s := make([]complex128, p.rz.scratchLen())
+		s := make([]complex128, tileB*p.rz.scratchLen())
 		return &s
 	}
 	return p
@@ -86,9 +86,9 @@ func (p *RPlan3) Inverse(src []complex128, dst []float64) {
 	p.checkLens(dst, src)
 	defer ph3DReal.Start().StopFlops(p.flops)
 	sc := p.half.full.inv
-	runUnits(fftJob{p: p.half, s: sc, x: src, kind: jobX, mode: passInv}, len(sc.xBlocks))
-	runUnits(fftJob{p: p.half, s: sc, x: src, kind: jobY, mode: passInv}, sc.yUnits())
-	runUnits(fftJob{rp: p, rx: dst, x: src, kind: jobRZ, mode: passInv}, p.Nx*p.Ny)
+	runUnits(fftJob{p: p.half, s: sc, x: src, kind: jobX, inverse: true}, len(sc.xBlocks))
+	runUnits(fftJob{p: p.half, s: sc, x: src, kind: jobY, inverse: true}, sc.yUnits())
+	runUnits(fftJob{rp: p, rx: dst, x: src, kind: jobRZ, inverse: true}, p.Nx*p.Ny)
 	perf.Global.AddVector(p.flops)
 }
 
@@ -115,7 +115,7 @@ func (p *RPlan3) InverseBatch(src []complex128, dst []float64, nb int) {
 		return
 	}
 	defer ph3DReal.Start().StopFlops(p.flops * int64(nb))
-	runUnits(fftJob{rp: p, rx: dst, x: src, kind: jobRGrids, mode: passInv}, nb)
+	runUnits(fftJob{rp: p, rx: dst, x: src, kind: jobRGrids, inverse: true}, nb)
 	perf.Global.AddVector(p.flops * int64(nb))
 }
 
@@ -140,31 +140,35 @@ func (p *RPlan3) applySerial(re []float64, half []complex128, inverse bool, s []
 	yUnits := sc.yUnits()
 	xUnits := len(sc.xBlocks)
 	if inverse {
-		p.half.xTiles(half, sc, passInv, 0, xUnits, a, nil)
-		p.half.yTiles(half, sc, passInv, 0, yUnits, a)
+		p.half.xTiles(half, sc, true, 0, xUnits, a, nil, 0)
+		p.half.yTiles(half, sc, true, 0, yUnits, a)
 		p.c2rLines(half, re, 0, p.Nx*p.Ny, s)
 		return
 	}
 	p.r2cLines(re, half, 0, p.Nx*p.Ny, s)
-	p.half.yTiles(half, sc, passFwd, 0, yUnits, a)
-	p.half.xTiles(half, sc, passFwd, 0, xUnits, a, nil)
+	p.half.yTiles(half, sc, false, 0, yUnits, a)
+	p.half.xTiles(half, sc, false, 0, xUnits, a, nil, 0)
 }
 
 // r2cLines transforms the contiguous real z-lines [lo, hi) of src into
-// packed half-spectrum lines of dst.
+// packed half-spectrum lines of dst, up to tileB lines per engine call.
 func (p *RPlan3) r2cLines(src []float64, dst []complex128, lo, hi int, scratch []complex128) {
 	nz, nzh := p.Nz, p.Nzh
-	for l := lo; l < hi; l++ {
-		p.rz.forwardS(src[l*nz:(l+1)*nz], dst[l*nzh:(l+1)*nzh], scratch)
+	for l := lo; l < hi; l += tileB {
+		w := min(tileB, hi-l)
+		p.rz.forwardS(src[l*nz:(l+w)*nz], dst[l*nzh:(l+w)*nzh], scratch, w)
 	}
 }
 
 // c2rLines reconstructs the contiguous real z-lines [lo, hi) of dst
-// from packed half-spectrum lines of src.
+// from packed half-spectrum lines of src, multiplying in the 1/(NxNy)
+// the unnormalized x- and y-passes left out.
 func (p *RPlan3) c2rLines(src []complex128, dst []float64, lo, hi int, scratch []complex128) {
 	nz, nzh := p.Nz, p.Nzh
-	for l := lo; l < hi; l++ {
-		p.rz.inverseS(src[l*nzh:(l+1)*nzh], dst[l*nz:(l+1)*nz], scratch)
+	norm := 1 / float64(p.Nx*p.Ny)
+	for l := lo; l < hi; l += tileB {
+		w := min(tileB, hi-l)
+		p.rz.inverseS(src[l*nzh:(l+w)*nzh], dst[l*nz:(l+w)*nz], scratch, w, norm)
 	}
 }
 

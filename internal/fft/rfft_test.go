@@ -189,7 +189,7 @@ func TestR2CZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
 	}
-	for _, sh := range [][3]int{{16, 16, 16}, {18, 18, 18}} {
+	for _, sh := range allocShapes {
 		p := NewRPlan3(sh[0], sh[1], sh[2])
 		rng := rand.New(rand.NewSource(14))
 		src := randReal(rng, 4*p.Size())

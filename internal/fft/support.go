@@ -157,76 +157,83 @@ func (s *Support3) ClearSticks(x []complex128) {
 
 // Forward computes the in-place 3-D forward DFT of x at the support
 // points; the rest of x is left undefined.
-func (s *Support3) Forward(x []complex128) { s.apply(x, s.fwd, passFwd, nil) }
+func (s *Support3) Forward(x []complex128) { s.apply(x, s.fwd, false, nil, 0) }
 
 // Inverse computes the in-place 3-D inverse DFT, including the
 // 1/(NxNyNz) normalization, of a spectrum that is zero off the support.
 // Only the sticks (see ClearSticks) are read; all of x is written.
-func (s *Support3) Inverse(x []complex128) { s.apply(x, s.inv, passInv, nil) }
+func (s *Support3) Inverse(x []complex128) { s.apply(x, s.inv, true, nil, s.p.norm()) }
 
 // InverseRawMulReal is Plan3.InverseRawMulReal for a spectrum that is
 // zero off the support.
 func (s *Support3) InverseRawMulReal(x []complex128, vr []float64) {
-	s.apply(x, s.inv, passInvRaw, vr)
+	s.apply(x, s.inv, true, vr, 0)
 }
 
 // ForwardBatch, InverseBatch and InverseRawMulRealBatch apply the
 // single-grid methods to nb grids packed contiguously in x, one grid per
 // worker at a time, as Plan3's batch methods do.
-func (s *Support3) ForwardBatch(x []complex128, nb int) { s.applyBatch(x, nb, s.fwd, passFwd, nil) }
-func (s *Support3) InverseBatch(x []complex128, nb int) { s.applyBatch(x, nb, s.inv, passInv, nil) }
-func (s *Support3) InverseRawMulRealBatch(x []complex128, nb int, vr []float64) {
-	s.applyBatch(x, nb, s.inv, passInvRaw, vr)
+func (s *Support3) ForwardBatch(x []complex128, nb int) { s.applyBatch(x, nb, s.fwd, false, nil, 0) }
+func (s *Support3) InverseBatch(x []complex128, nb int) {
+	s.applyBatch(x, nb, s.inv, true, nil, s.p.norm())
 }
+func (s *Support3) InverseRawMulRealBatch(x []complex128, nb int, vr []float64) {
+	s.applyBatch(x, nb, s.inv, true, vr, 0)
+}
+
+// norm is the 1/(NxNyNz) of the normalized inverse, multiplied in once
+// while the last pass writes its tiles back.
+func (p *Plan3) norm() float64 { return 1 / float64(p.Size()) }
 
 // yUnits is the number of (plane, iz block) tiles of the y-pass.
 func (s *schedule) yUnits() int { return len(s.planes) * len(s.yBlocks) }
 
-// passFlops models one transform of the schedule: its lines plus, in
-// passInvRaw mode, the ×vr of the x-pass scatter-back at 6 operations
-// per point.
-func (p *Plan3) passFlops(sc *schedule, mode int8) int64 {
-	if mode == passInvRaw {
+// passFlops models one transform of the schedule: its lines plus, when
+// vr is fused in, the ×vr of the x-pass write-back at 6 operations per
+// point.
+func (p *Plan3) passFlops(sc *schedule, vr []float64) int64 {
+	if vr != nil {
 		return sc.flops + 6*int64(p.Size())
 	}
 	return sc.flops
 }
 
 // apply runs one transform pass by pass, each pass fanned out over the
-// worker pool. In passInvRaw mode vr is multiplied in during the x-pass
-// scatter-back.
-func (s *Support3) apply(x []complex128, sc *schedule, mode int8, vr []float64) {
+// worker pool. The x-pass write-back multiplies in vr (the raw inverse of
+// InverseRawMulReal) or norm (the normalized inverse); an inverse given
+// no norm must bring its vr.
+func (s *Support3) apply(x []complex128, sc *schedule, inverse bool, vr []float64, norm float64) {
 	p := s.p
-	if len(x) != p.Size() || (mode == passInvRaw && len(vr) != p.Size()) {
+	if len(x) != p.Size() || (inverse && norm == 0 && len(vr) != p.Size()) {
 		panic("fft: data length does not match 3-D plan")
 	}
-	fl := p.passFlops(sc, mode)
+	fl := p.passFlops(sc, vr)
 	defer ph3D.Start().StopFlops(fl)
-	runUnits(fftJob{p: p, s: sc, x: x, kind: jobZ, mode: mode}, len(sc.zLines))
-	runUnits(fftJob{p: p, s: sc, x: x, kind: jobY, mode: mode}, sc.yUnits())
-	runUnits(fftJob{p: p, s: sc, x: x, rx: vr, kind: jobX, mode: mode}, len(sc.xBlocks))
+	runUnits(fftJob{p: p, s: sc, x: x, kind: jobZ, inverse: inverse}, len(sc.zLines))
+	runUnits(fftJob{p: p, s: sc, x: x, kind: jobY, inverse: inverse}, sc.yUnits())
+	runUnits(fftJob{p: p, s: sc, x: x, rx: vr, norm: norm, kind: jobX, inverse: inverse}, len(sc.xBlocks))
 	perf.Global.AddVector(fl)
 }
 
 // applyBatch runs nb packed grids, each serially in one worker's arena.
-func (s *Support3) applyBatch(x []complex128, nb int, sc *schedule, mode int8, vr []float64) {
+func (s *Support3) applyBatch(x []complex128, nb int, sc *schedule, inverse bool, vr []float64, norm float64) {
 	p := s.p
-	if nb < 0 || len(x) != nb*p.Size() || (mode == passInvRaw && len(vr) != p.Size()) {
+	if nb < 0 || len(x) != nb*p.Size() || (inverse && norm == 0 && len(vr) != p.Size()) {
 		panic("fft: batch length does not match 3-D plan")
 	}
 	if nb == 0 {
 		return
 	}
-	fl := p.passFlops(sc, mode) * int64(nb)
+	fl := p.passFlops(sc, vr) * int64(nb)
 	defer ph3D.Start().StopFlops(fl)
-	runUnits(fftJob{p: p, s: sc, x: x, rx: vr, kind: jobGrids, mode: mode}, nb)
+	runUnits(fftJob{p: p, s: sc, x: x, rx: vr, norm: norm, kind: jobGrids, inverse: inverse}, nb)
 	perf.Global.AddVector(fl)
 }
 
 // applySerial runs one 3-D transform on a single goroutine with the
 // given arena. This is the batch worker body and the GOMAXPROCS=1 path.
-func (p *Plan3) applySerial(x []complex128, sc *schedule, mode int8, a *arena3, vr []float64) {
-	p.zLines(x, sc, mode, 0, len(sc.zLines), a)
-	p.yTiles(x, sc, mode, 0, sc.yUnits(), a)
-	p.xTiles(x, sc, mode, 0, len(sc.xBlocks), a, vr)
+func (p *Plan3) applySerial(x []complex128, sc *schedule, inverse bool, a *arena3, vr []float64, norm float64) {
+	p.zLines(x, sc, inverse, 0, len(sc.zLines), a)
+	p.yTiles(x, sc, inverse, 0, sc.yUnits(), a)
+	p.xTiles(x, sc, inverse, 0, len(sc.xBlocks), a, vr, norm)
 }

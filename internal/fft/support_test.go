@@ -202,8 +202,8 @@ func TestSupportZeroAllocs(t *testing.T) {
 		t.Skip("race-detector instrumentation allocates")
 	}
 	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{12, 10, 16} {
-		p := NewPlan3(n, n, n)
+	for _, sh := range allocShapes {
+		p := NewPlan3(sh[0], sh[1], sh[2])
 		s := p.NewSupport(sphereSupport(p, 5))
 		x := randVec(rng, 4*p.Size())
 		vr := make([]float64, p.Size())
@@ -219,7 +219,7 @@ func TestSupportZeroAllocs(t *testing.T) {
 			s.ForwardBatch(x, 4)
 		})
 		if allocs > 0 {
-			t.Errorf("N=%d: pruned hot path allocates %.1f objects per run, want 0", n, allocs)
+			t.Errorf("shape %v: pruned hot path allocates %.1f objects per run, want 0", sh, allocs)
 		}
 	}
 }
