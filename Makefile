@@ -48,14 +48,16 @@ bce:
 # racing 200 atomic replacements of one checkpoint, in both
 # internal/qio and the root package, plus the job manager's lease
 # table / in-process slots / queue / SSE fan-out and interleaved
-# checkpoint uploads in internal/serve). -short skips the full
-# SCF-convergence solves (minutes each under the race detector) while
+# checkpoint uploads in internal/serve, and the reactive Field's reused
+# list and accumulator scratch — two serve slots run two Fields at once).
+# -short skips the full SCF-convergence solves and the long reactive
+# production runs (minutes each under the race detector) while
 # keeping every concurrency path: pool error/panic ordering, parallel
 # SCFStep, collective and checkpoint writes, registry hammering,
 # concurrent Cached3 lookups, job submission/cancellation races, and the
 # warm-start cache's concurrent get/put path.
 race: vet
-	$(GO) test -race -short . ./internal/linalg/... ./internal/scf/... ./internal/fft/... ./internal/pw/... ./internal/pseudo/... ./internal/bsd/... ./internal/qio/... ./internal/core/... ./internal/perf/... ./internal/md/... ./internal/serve/... ./internal/serve/lease/... ./internal/waitfor/... ./internal/cache/...
+	$(GO) test -race -short . ./internal/linalg/... ./internal/scf/... ./internal/fft/... ./internal/pw/... ./internal/pseudo/... ./internal/bsd/... ./internal/qio/... ./internal/core/... ./internal/perf/... ./internal/md/... ./internal/atoms/... ./internal/reactive/... ./internal/serve/... ./internal/serve/lease/... ./internal/waitfor/... ./internal/cache/...
 
 # fuzz-smoke mutates the inputs of the four binary decoders that share
 # internal/qio/frame.go for a few seconds each (`go test -fuzz` takes one

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"ldcdft/internal/atoms"
+	"ldcdft/internal/geom"
 	"ldcdft/internal/units"
 )
 
@@ -37,59 +38,66 @@ var (
 // sit at 18 and even face atoms fall well below the threshold.
 const surfaceCoordination = 13
 
-// TakeCensus classifies every atom by its bond topology.
+// TakeCensus classifies every atom by its bond topology, counting bonds
+// straight from the linked-cell traversal (no list is materialised). Bonds
+// to hydrogen are at most cutMH long and come from a traversal at that
+// range over all atoms; the much longer metal–metal shells come from a
+// second one over the metal atoms alone, so the water never pays for the
+// 4.3 Å cells the particle needs.
 func TakeCensus(sys *atoms.System) Census {
-	var c Census
-	nl := atoms.BuildNeighborList(sys, cutMM+0.1)
-	n := len(sys.Atoms)
-	hBondO := make([]int, n) // oxygens bonded to this H
-	hBondH := make([]int, n) // hydrogens bonded to this H
-	hBondM := make([]int, n) // metals bonded to this H
-	hPartner := make([]int, n)
-	oBondH := make([]int, n)
-	mBondM := make([]int, n)
-	for i := range hPartner {
-		hPartner[i] = -1
+	// bonds of one atom: oxygens (of an H), hydrogens (of an H or an O)
+	// and metals (of an H) within the bond cutoffs.
+	type bonds struct {
+		o, h, m int32
+		partner int32 // a bonded hydrogen of an H; the one if h == 1
+		counted bool  // already half of a counted H₂
 	}
-	for i := range sys.Atoms {
-		si := sys.Atoms[i].Species
-		for _, nb := range nl.Lists[i] {
-			sj := sys.Atoms[nb.J].Species
-			switch {
-			case si == atoms.Hydrogen && sj == atoms.Hydrogen && nb.R < cutHH:
-				hBondH[i]++
-				hPartner[i] = nb.J
-			case si == atoms.Hydrogen && sj == atoms.Oxygen && nb.R < cutOH:
-				hBondO[i]++
-			case si == atoms.Oxygen && sj == atoms.Hydrogen && nb.R < cutOH:
-				oBondH[i]++
-			case si == atoms.Hydrogen && IsMetal(sj) && nb.R < cutMH:
-				hBondM[i]++
-			case IsMetal(si) && IsMetal(sj) && nb.R < cutMM:
-				mBondM[i]++
-			}
+	kind := make([]uint8, len(sys.Atoms))
+	metals := &atoms.System{Cell: sys.Cell}
+	for i, a := range sys.Atoms {
+		if kind[i] = kindOf(a.Species); metal(kind[i]) {
+			metals.Atoms = append(metals.Atoms, a)
 		}
 	}
-	countedH2 := make([]bool, n)
-	for i := range sys.Atoms {
-		sp := sys.Atoms[i].Species
-		switch {
-		case sp == atoms.Hydrogen:
+	bond := make([]bonds, len(sys.Atoms))
+	atoms.VisitPairs(sys, cutMH+0.1, func(i, j int, _ geom.Vec3, r2 float64) {
+		r, b := math.Sqrt(r2), &bond[i]
+		switch ki, kj := kind[i], kind[j]; {
+		case ki == kindH && kj == kindH && r < cutHH:
+			b.h++
+			b.partner = int32(j)
+		case ki == kindH && kj == kindO && r < cutOH:
+			b.o++
+		case ki == kindO && kj == kindH && r < cutOH:
+			b.h++
+		case ki == kindH && metal(kj) && r < cutMH:
+			b.m++
+		}
+	})
+	shell := make([]int, len(metals.Atoms)) // metal neighbours of each metal
+	atoms.VisitPairs(metals, cutMM+0.1, func(i, _ int, _ geom.Vec3, r2 float64) {
+		if math.Sqrt(r2) < cutMM {
+			shell[i]++
+		}
+	})
+	var c Census
+	for i := range bond {
+		b := &bond[i]
+		switch kind[i] {
+		case kindH:
 			switch {
-			case hBondH[i] == 1 && hBondO[i] == 0 && !countedH2[i]:
-				j := hPartner[i]
-				if j >= 0 && hPartner[j] == i && hBondO[j] == 0 && hBondH[j] == 1 {
+			case b.h == 1 && b.o == 0 && !b.counted:
+				if p := &bond[b.partner]; p.h == 1 && p.partner == int32(i) && p.o == 0 {
 					c.H2++
-					countedH2[i] = true
-					countedH2[j] = true
+					b.counted, p.counted = true, true
 				}
-			case hBondO[i] == 0 && hBondH[i] == 0 && hBondM[i] > 0:
+			case b.o == 0 && b.h == 0 && b.m > 0:
 				c.MetalH++
-			case hBondO[i] == 0 && hBondH[i] == 0 && hBondM[i] == 0:
+			case b.o == 0 && b.h == 0 && b.m == 0:
 				c.FreeH++
 			}
-		case sp == atoms.Oxygen:
-			switch oBondH[i] {
+		case kindO:
+			switch b.h {
 			case 1:
 				c.Hydroxide++
 			case 2:
@@ -97,17 +105,14 @@ func TakeCensus(sys *atoms.System) Census {
 			case 3:
 				c.Hydronium++
 			}
-		case sp == atoms.Lithium:
-			if mBondM[i] == 0 {
-				c.DissolvedLi++
-			}
-			if mBondM[i] > 0 && mBondM[i] < surfaceCoordination {
-				c.SurfaceMetal++
-			}
-		case sp == atoms.Aluminum:
-			if mBondM[i] > 0 && mBondM[i] < surfaceCoordination {
-				c.SurfaceMetal++
-			}
+		}
+	}
+	for k, a := range metals.Atoms {
+		if a.Species == atoms.Lithium && shell[k] == 0 {
+			c.DissolvedLi++
+		}
+		if shell[k] > 0 && shell[k] < surfaceCoordination {
+			c.SurfaceMetal++
 		}
 	}
 	return c

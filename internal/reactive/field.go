@@ -7,98 +7,172 @@ import (
 	"ldcdft/internal/geom"
 )
 
+// skin is the Verlet-list margin (Bohr): the list admits pairs up to
+// their reach plus skin and stays valid until some atom has moved more
+// than skin/2 from where it stood at the build.
+const skin = 1.5
+
+// An atom's kind is its species reduced to what the field distinguishes.
+// kindOther is every species outside H, O, Li, Al: Pairs holds no Morse
+// term for it (its key type is unexported and DefaultParams names only
+// these four), so it feels the core repulsion alone.
+const (
+	kindH uint8 = iota
+	kindO
+	kindLi
+	kindAl
+	kindOther
+	numKinds
+)
+
+var kindSpecies = [kindOther]*atoms.Species{atoms.Hydrogen, atoms.Oxygen, atoms.Lithium, atoms.Aluminum}
+
+func kindOf(sp *atoms.Species) uint8 {
+	for k, ks := range kindSpecies {
+		if sp == ks {
+			return uint8(k)
+		}
+	}
+	return kindOther
+}
+
+func metal(k uint8) bool { return k == kindLi || k == kindAl }
+
 // Field is the reactive force field. It caches a Verlet neighbour list
-// between calls (rebuilt when any atom moves more than half the skin), so
-// a Field must not be shared across goroutines or across different
-// trajectories concurrently.
+// and its scratch between calls, so a Field must not be shared across
+// goroutines or across different trajectories concurrently.
+//
+// The list is pair-ranged: a pair is admitted only within the reach of
+// its two kinds — the largest distance at which any term of the field
+// couples them — plus the skin, so the 8 in 9 water pairs (O–H, H–H) that
+// stop interacting at 2.2–2.8 Å never enter it. Entries keep the order
+// atoms.VisitPairs emits them in; that order is the summation order and
+// part of the numerical contract (DESIGN.md, "The reactive engine").
 type Field struct {
 	P Params
 
-	// Skin is the Verlet-list margin added to the interaction cutoff;
-	// 0 selects the default (1.5 Bohr). Negative disables caching.
-	Skin float64
+	// CSR Verlet list: the neighbours of atom i are entries
+	// start[i]:start[i+1] of j (index), d (minimum-image displacement
+	// i→j) and r (|d|); d and r are refreshed on every call. All arrays
+	// are reused across rebuilds.
+	start []int32
+	j     []int32
+	d     []geom.Vec3
+	r     []float64
 
-	nl      *atoms.NeighborList
-	nlPos   []geom.Vec3 // positions at the last rebuild
-	nlCellL float64
+	kind  []uint8                     // per atom, at the last build
+	pos0  []geom.Vec3                 // positions at the last build
+	cellL float64                     // cell side at the last build
+	reach [numKinds][numKinds]float64 // reach the list was built with
 
-	// pairCache memoizes species-pair parameter lookups by pointer,
-	// avoiding string-key map access in the pair loop.
-	pairCache map[*atoms.Species]map[*atoms.Species]*Morse
-}
-
-// morseFor returns the pair parameters for a species pair, or nil when
-// the pair does not interact through a Morse term.
-func (f *Field) morseFor(si, sj *atoms.Species) *Morse {
-	if f.pairCache == nil {
-		f.pairCache = map[*atoms.Species]map[*atoms.Species]*Morse{}
-	}
-	inner, ok := f.pairCache[si]
-	if !ok {
-		inner = map[*atoms.Species]*Morse{}
-		f.pairCache[si] = inner
-	}
-	mp, ok := inner[sj]
-	if !ok {
-		if v, exists := f.P.Pairs[keyOf(si, sj)]; exists {
-			c := v
-			mp = &c
-		}
-		inner[sj] = mp
-	}
-	return mp
+	acc []float64 // the twelve per-atom accumulators of Compute
 }
 
 // NewField returns a Field with the default calibrated parameters.
 func NewField() *Field { return &Field{P: DefaultParams()} }
 
-// neighborList returns a cached list when every atom has moved less than
-// half the skin since the last rebuild.
-func (f *Field) neighborList(sys *atoms.System) *atoms.NeighborList {
-	skin := f.Skin
-	if skin == 0 {
-		skin = 1.5
-	}
-	if skin < 0 {
-		return atoms.BuildNeighborList(sys, f.P.Cutoff)
-	}
-	half2 := (skin / 2) * (skin / 2)
-	if f.nl != nil && len(f.nlPos) == len(sys.Atoms) && f.nlCellL == sys.Cell.L {
-		ok := true
-		for i := range sys.Atoms {
-			if sys.Cell.MinImage(f.nlPos[i], sys.Atoms[i].Position).Norm2() > half2 {
-				ok = false
-				break
+// pairTables derives the per-kind-pair Morse terms and reaches from P.
+// It runs on every Compute (kinds² work), so an edit to P between calls
+// takes effect at once; a changed reach rebuilds the list. A kind pair
+// without a Morse term keeps the zero Morse, whose Rc = 0 no distance is
+// inside. The reach is the largest of the pair's Morse cutoff, the core
+// cutoff and the R2 of every coordination count the pair feeds, capped at
+// P.Cutoff, the range of the one global list this one replaces.
+func (f *Field) pairTables() (morse [numKinds][numKinds]Morse, reach [numKinds][numKinds]float64) {
+	p := &f.P
+	for ki := range numKinds {
+		for kj := range numKinds {
+			rc := p.CoreRc
+			if ki < kindOther && kj < kindOther {
+				morse[ki][kj] = p.Pairs[keyOf(kindSpecies[ki], kindSpecies[kj])]
+				rc = max(rc, morse[ki][kj].Rc)
 			}
-		}
-		if ok {
-			// Refresh displacements and distances against current
-			// positions (the cached list stores stale vectors).
-			return f.refresh(sys)
+			h, o, m := ki == kindH || kj == kindH, ki == kindO || kj == kindO, metal(ki) || metal(kj)
+			switch {
+			case h && o:
+				rc = max(rc, p.OHCoordR2)
+			case ki == kindH && kj == kindH:
+				rc = max(rc, p.HHCoordR2)
+			case m && o:
+				rc = max(rc, p.MOCoordR2)
+			case m && h:
+				rc = max(rc, p.MHCoordR2)
+			}
+			reach[ki][kj] = min(rc, p.Cutoff)
 		}
 	}
-	f.nl = atoms.BuildNeighborList(sys, f.P.Cutoff+skin)
-	f.nlPos = make([]geom.Vec3, len(sys.Atoms))
-	for i := range sys.Atoms {
-		f.nlPos[i] = sys.Atoms[i].Position
-	}
-	f.nlCellL = sys.Cell.L
-	return f.refresh(sys)
+	return morse, reach
 }
 
-// refresh recomputes displacement vectors and distances of the cached
-// pairs for the current positions.
-func (f *Field) refresh(sys *atoms.System) *atoms.NeighborList {
-	for i := range f.nl.Lists {
-		lst := f.nl.Lists[i]
+// neighbors brings the list up to date with sys: it is rebuilt when the
+// system, the cell, a species or a reach changed or any atom has moved
+// more than half the skin since the last build, and its displacement
+// vectors and distances are recomputed for the current positions either
+// way.
+func (f *Field) neighbors(sys *atoms.System, reach [numKinds][numKinds]float64) {
+	const half2 = (skin / 2) * (skin / 2)
+	fresh := len(f.pos0) == len(sys.Atoms) && f.cellL == sys.Cell.L && f.reach == reach
+	for i := 0; fresh && i < len(sys.Atoms); i++ {
+		a := &sys.Atoms[i]
+		fresh = kindOf(a.Species) == f.kind[i] && sys.Cell.MinImage(f.pos0[i], a.Position).Norm2() <= half2
+	}
+	if !fresh {
+		f.build(sys, reach)
+	}
+	for i := range sys.Atoms {
 		pi := sys.Atoms[i].Position
-		for k := range lst {
-			d := sys.Cell.MinImage(pi, sys.Atoms[lst[k].J].Position)
-			lst[k].D = d
-			lst[k].R = d.Norm()
+		for k := f.start[i]; k < f.start[i+1]; k++ {
+			d := sys.Cell.MinImage(pi, sys.Atoms[f.j[k]].Position)
+			f.d[k] = d
+			f.r[k] = d.Norm()
 		}
 	}
-	return f.nl
+}
+
+// build refills the list from one linked-cell traversal at the global
+// range P.Cutoff+skin (the grid, and so the visiting order, of the list
+// this one replaces), keeping the pairs inside their own reach + skin.
+// An entry left out has every term identically zero until the next
+// build: its atoms start at least reach + skin apart and each moves at
+// most skin/2 before the list is rebuilt.
+func (f *Field) build(sys *atoms.System, reach [numKinds][numKinds]float64) {
+	n := len(sys.Atoms)
+	f.kind, f.pos0, f.start = resize(f.kind, n), resize(f.pos0, n), resize(f.start, n+1)
+	for i := range sys.Atoms {
+		f.kind[i], f.pos0[i] = kindOf(sys.Atoms[i].Species), sys.Atoms[i].Position
+	}
+	f.cellL, f.reach = sys.Cell.L, reach
+	var lim2 [numKinds][numKinds]float64
+	for ki := range reach {
+		for kj, rc := range reach[ki] {
+			lim2[ki][kj] = (rc + skin) * (rc + skin)
+		}
+	}
+	f.j, f.start[0] = f.j[:0], 0
+	row := 0 // rows below it are closed: start[1..row] set
+	atoms.VisitPairs(sys, f.P.Cutoff+skin, func(i, j int, _ geom.Vec3, r2 float64) {
+		if r2 >= lim2[f.kind[i]][f.kind[j]] {
+			return
+		}
+		for ; row < i; row++ {
+			f.start[row+1] = int32(len(f.j))
+		}
+		f.j = append(f.j, int32(j))
+	})
+	for ; row < n; row++ {
+		f.start[row+1] = int32(len(f.j))
+	}
+	// d and r grow on j's schedule, not on every build that adds a pair.
+	f.d, f.r = resize(f.d, cap(f.j))[:len(f.j)], resize(f.r, cap(f.j))[:len(f.j)]
+}
+
+// resize returns s with length n, reallocating only when it must grow;
+// the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // fc is the smooth cutoff: 1 below r1, cosine switch to 0 at r2.
@@ -157,46 +231,47 @@ func valence(x float64) (s, ds float64) {
 	return
 }
 
-// Compute implements md.ForceField.
+// Compute implements md.ForceField. The returned forces are the caller's
+// to keep; everything else is scratch the Field reuses.
 func (f *Field) Compute(sys *atoms.System) (float64, []geom.Vec3, error) {
 	if err := sys.Validate(); err != nil {
 		return 0, nil, err
 	}
 	n := len(sys.Atoms)
+	morse, reach := f.pairTables()
+	f.neighbors(sys, reach)
 	forces := make([]geom.Vec3, n)
-	nl := f.neighborList(sys)
+	p, kind, start, nbJ, nbD, nbR := &f.P, f.kind, f.start, f.j, f.d, f.r
+
+	f.acc = resize(f.acc, 12*n)
+	clear(f.acc)
+	block := func(k int) []float64 { return f.acc[k*n : (k+1)*n : (k+1)*n] }
 
 	// Pass 1: coordinations.
-	//   u[i]: oxygen coordination of hydrogen i
-	//   v[i]: hydrogen coordination of hydrogen i
-	//   m[i]: metal coordination of oxygen i
-	u := make([]float64, n)  // oxygen coordination of each H
-	v := make([]float64, n)  // hydrogen coordination of each H
-	m := make([]float64, n)  // metal coordination of each O
-	q := make([]float64, n)  // hydrogen coordination of each O
-	w := make([]float64, n)  // metal coordination of each H
-	oc := make([]float64, n) // oxide-oxygen coordination of each H (autocatalysis)
-	for i := range sys.Atoms {
-		si := sys.Atoms[i].Species
-		switch {
-		case si == atoms.Hydrogen:
-			for _, nb := range nl.Lists[i] {
-				sj := sys.Atoms[nb.J].Species
-				if sj == atoms.Oxygen {
-					u[i] += fc(nb.R, f.P.OHCoordR1, f.P.OHCoordR2)
-				} else if sj == atoms.Hydrogen {
-					v[i] += fc(nb.R, f.P.HHCoordR1, f.P.HHCoordR2)
-				} else if IsMetal(sj) {
-					w[i] += fc(nb.R, f.P.MHCoordR1, f.P.MHCoordR2)
+	u := block(0)  // oxygen coordination of each H
+	v := block(1)  // hydrogen coordination of each H
+	m := block(2)  // metal coordination of each O
+	q := block(3)  // hydrogen coordination of each O
+	w := block(4)  // metal coordination of each H
+	oc := block(5) // oxide-oxygen coordination of each H (autocatalysis)
+	for i := range n {
+		switch kind[i] {
+		case kindH:
+			for k := start[i]; k < start[i+1]; k++ {
+				if kj := kind[nbJ[k]]; kj == kindO {
+					u[i] += fc(nbR[k], p.OHCoordR1, p.OHCoordR2)
+				} else if kj == kindH {
+					v[i] += fc(nbR[k], p.HHCoordR1, p.HHCoordR2)
+				} else if metal(kj) {
+					w[i] += fc(nbR[k], p.MHCoordR1, p.MHCoordR2)
 				}
 			}
-		case si == atoms.Oxygen:
-			for _, nb := range nl.Lists[i] {
-				sj := sys.Atoms[nb.J].Species
-				if IsMetal(sj) {
-					m[i] += fc(nb.R, f.P.MOCoordR1, f.P.MOCoordR2)
-				} else if sj == atoms.Hydrogen {
-					q[i] += fc(nb.R, f.P.OHCoordR1, f.P.OHCoordR2)
+		case kindO:
+			for k := start[i]; k < start[i+1]; k++ {
+				if kj := kind[nbJ[k]]; metal(kj) {
+					m[i] += fc(nbR[k], p.MOCoordR1, p.MOCoordR2)
+				} else if kj == kindH {
+					q[i] += fc(nbR[k], p.OHCoordR1, p.OHCoordR2)
 				}
 			}
 		}
@@ -207,47 +282,47 @@ func (f *Field) Compute(sys *atoms.System) (float64, []geom.Vec3, error) {
 	// acid-base weakening at adsorbed water (the parent O term) and the
 	// paper's bridging-oxygen autocatalysis (§6): Li-O-Al oxide oxygens
 	// actively assist the breakage of neighbouring O–H bonds.
-	for i := range sys.Atoms {
-		if sys.Atoms[i].Species != atoms.Hydrogen {
+	for i := range n {
+		if kind[i] != kindH {
 			continue
 		}
-		for _, nb := range nl.Lists[i] {
-			if sys.Atoms[nb.J].Species == atoms.Oxygen {
-				oc[i] += fc(nb.R, f.P.OHCoordR1, f.P.OHCoordR2) * gSmooth(m[nb.J])
+		for k := start[i]; k < start[i+1]; k++ {
+			if j := nbJ[k]; kind[j] == kindO {
+				oc[i] += fc(nbR[k], p.OHCoordR1, p.OHCoordR2) * gSmooth(m[j])
 			}
 		}
 	}
 
 	// Pass 2: pair energies, radial forces, and accumulation of the
 	// bond-order energy derivatives dE/du, dE/dv, dE/dm, dE/dq.
-	dEdu := make([]float64, n)
-	dEdv := make([]float64, n)
-	dEdm := make([]float64, n)
-	dEdq := make([]float64, n)
-	dEdw := make([]float64, n)
-	dEdoc := make([]float64, n)
+	dEdu := block(6)
+	dEdv := block(7)
+	dEdm := block(8)
+	dEdq := block(9)
+	dEdw := block(10)
+	dEdoc := block(11)
 	var energy float64
-	for i := range sys.Atoms {
-		si := sys.Atoms[i].Species
-		for _, nb := range nl.Lists[i] {
-			j := nb.J
+	for i := range n {
+		ki := kind[i]
+		for k := start[i]; k < start[i+1]; k++ {
+			j := int(nbJ[k])
 			if j <= i {
 				continue // each pair once
 			}
-			sj := sys.Atoms[j].Species
-			r := nb.R
+			kj := kind[j]
+			r := nbR[k]
 			if r < 1e-9 {
 				continue
 			}
 			// Core repulsion (never scaled).
-			if r < f.P.CoreRc {
-				e := f.P.CoreA * math.Exp(-r/f.P.CoreRho)
+			if r < p.CoreRc {
+				e := p.CoreA * math.Exp(-r/p.CoreRho)
 				energy += e
-				dEdr := -e / f.P.CoreRho
-				addPairForce(forces, i, j, nb.D, r, dEdr)
+				dEdr := -e / p.CoreRho
+				addPairForce(forces, i, j, nbD[k], r, dEdr)
 			}
-			mp := f.morseFor(si, sj)
-			if mp == nil || r >= mp.Rc {
+			mp := &morse[ki][kj]
+			if r >= mp.Rc {
 				continue
 			}
 			// Morse well: φ(r) = (1 − e^{−a(r−r0)})² − 1 ∈ [−1, …).
@@ -264,10 +339,9 @@ func (f *Field) Compute(sys *atoms.System) (float64, []geom.Vec3, error) {
 			base := mp.D * phi * sw // pair energy before scaling
 			s := 1.0
 			switch {
-			case (si == atoms.Oxygen && sj == atoms.Hydrogen) ||
-				(si == atoms.Hydrogen && sj == atoms.Oxygen):
+			case (ki == kindO && kj == kindH) || (ki == kindH && kj == kindO):
 				oi, hi := i, j
-				if si == atoms.Hydrogen {
+				if ki == kindH {
 					oi, hi = j, i
 				}
 				// Ingredient 1, two channels: contact with metal-
@@ -276,35 +350,35 @@ func (f *Field) Compute(sys *atoms.System) (float64, []geom.Vec3, error) {
 				// the bond (oc-dependent), and a hydrogen swinging toward
 				// the surface trades its O–H bond for a hydride bond
 				// (w-dependent).
-				aFacM := 1 - f.P.COH*gSmooth(oc[hi])
-				aFacW := 1 - f.P.CWH*gSmooth(w[hi])
+				aFacM := 1 - p.COH*gSmooth(oc[hi])
+				aFacW := 1 - p.CWH*gSmooth(w[hi])
 				aFac := aFacM * aFacW
 				// Valence saturation, excluding this bond's own
 				// contribution to the coordination counts: an oxygen
 				// supports two hydrogens, a hydrogen one oxygen.
-				fcSelf := fc(r, f.P.OHCoordR1, f.P.OHCoordR2)
-				dfcSelf := fcDeriv(r, f.P.OHCoordR1, f.P.OHCoordR2)
+				fcSelf := fc(r, p.OHCoordR1, p.OHCoordR2)
+				dfcSelf := fcDeriv(r, p.OHCoordR1, p.OHCoordR2)
 				qExcl := q[oi] - fcSelf
 				uExcl := u[hi] - fcSelf
 				bFac, dB := valence(qExcl - 1)
 				cFac, dC := valence(uExcl)
 				s = aFac * bFac * cFac
-				dEdoc[hi] += base * (-f.P.COH * gSmoothDeriv(oc[hi])) * aFacW * bFac * cFac
-				dEdw[hi] += base * aFacM * (-f.P.CWH * gSmoothDeriv(w[hi])) * bFac * cFac
+				dEdoc[hi] += base * (-p.COH * gSmoothDeriv(oc[hi])) * aFacW * bFac * cFac
+				dEdw[hi] += base * aFacM * (-p.CWH * gSmoothDeriv(w[hi])) * bFac * cFac
 				dEdq[oi] += base * aFac * dB * cFac
 				dEdu[hi] += base * aFac * bFac * dC
 				// The self-exclusion makes S depend on this pair's own r:
 				// ∂S/∂r = −fc'(r)·(∂S/∂q + ∂S/∂u) terms.
 				extraDEdr := base * aFac * (dB*cFac + bFac*dC) * (-dfcSelf)
-				addPairForce(forces, i, j, nb.D, r, extraDEdr)
-			case si == atoms.Hydrogen && sj == atoms.Hydrogen:
+				addPairForce(forces, i, j, nbD[k], r, extraDEdr)
+			case ki == kindH && kj == kindH:
 				// Ingredient 2: only oxygen-free hydrogens bind as H₂,
 				// and each hydrogen saturates at one H partner (no
 				// unbounded H clustering).
 				gi := gSmooth(u[i])
 				gj := gSmooth(u[j])
-				fcSelf := fc(r, f.P.HHCoordR1, f.P.HHCoordR2)
-				dfcSelf := fcDeriv(r, f.P.HHCoordR1, f.P.HHCoordR2)
+				fcSelf := fc(r, p.HHCoordR1, p.HHCoordR2)
+				dfcSelf := fcDeriv(r, p.HHCoordR1, p.HHCoordR2)
 				bi, dBi := valence(v[i] - fcSelf)
 				bj, dBj := valence(v[j] - fcSelf)
 				s = (1 - gi) * (1 - gj) * bi * bj
@@ -313,93 +387,82 @@ func (f *Field) Compute(sys *atoms.System) (float64, []geom.Vec3, error) {
 				dEdv[i] += base * (1 - gi) * (1 - gj) * dBi * bj
 				dEdv[j] += base * (1 - gi) * (1 - gj) * bi * dBj
 				extra := base * (1 - gi) * (1 - gj) * (dBi*bj + bi*dBj) * (-dfcSelf)
-				addPairForce(forces, i, j, nb.D, r, extra)
-			case si == atoms.Hydrogen && IsMetal(sj),
-				sj == atoms.Hydrogen && IsMetal(si):
+				addPairForce(forces, i, j, nbD[k], r, extra)
+			case ki == kindH && metal(kj), kj == kindH && metal(ki):
 				// Hydride intermediates: free atomic H binds the metal;
 				// H in H₂ (v > 0) or in water (u > 0) much less, and a
 				// hydride saturates at roughly one metal bond.
 				hi := i
-				if sj == atoms.Hydrogen {
+				if kj == kindH {
 					hi = j
 				}
 				gv := gSmooth(v[hi])
 				gu := gSmooth(u[hi])
-				fcSelf := fc(r, f.P.MHCoordR1, f.P.MHCoordR2)
-				dfcSelf := fcDeriv(r, f.P.MHCoordR1, f.P.MHCoordR2)
+				fcSelf := fc(r, p.MHCoordR1, p.MHCoordR2)
+				dfcSelf := fcDeriv(r, p.MHCoordR1, p.MHCoordR2)
 				bw, dBw := valence(w[hi] - fcSelf)
 				s = (1 - gv) * (1 - 0.5*gu) * bw
 				dEdv[hi] += base * (-gSmoothDeriv(v[hi]) * (1 - 0.5*gu) * bw)
 				dEdu[hi] += base * ((1 - gv) * (-0.5 * gSmoothDeriv(u[hi])) * bw)
 				dEdw[hi] += base * (1 - gv) * (1 - 0.5*gu) * dBw
-				addPairForce(forces, i, j, nb.D, r,
+				addPairForce(forces, i, j, nbD[k], r,
 					base*(1-gv)*(1-0.5*gu)*dBw*(-dfcSelf))
 			}
 
 			energy += s * base
 			dEdr := s * mp.D * (dphi*sw + phi*dsw)
-			addPairForce(forces, i, j, nb.D, r, dEdr)
+			addPairForce(forces, i, j, nbD[k], r, dEdr)
 		}
 	}
 
 	// Pass 3a: distribute the autocatalysis derivative dE/d(oc_H):
 	// oc depends on every H–O' distance (radial force) and on each O''s
 	// metal coordination (feeds dE/dm, distributed in pass 3b).
-	for i := range sys.Atoms {
-		if sys.Atoms[i].Species != atoms.Hydrogen || dEdoc[i] == 0 {
+	for i := range n {
+		if kind[i] != kindH || dEdoc[i] == 0 {
 			continue
 		}
-		for _, nb := range nl.Lists[i] {
-			if sys.Atoms[nb.J].Species != atoms.Oxygen {
+		for k := start[i]; k < start[i+1]; k++ {
+			j := int(nbJ[k])
+			if kind[j] != kindO {
 				continue
 			}
-			gm := gSmooth(m[nb.J])
-			if d := fcDeriv(nb.R, f.P.OHCoordR1, f.P.OHCoordR2); d != 0 && gm != 0 {
-				addPairForce(forces, i, nb.J, nb.D, nb.R, dEdoc[i]*gm*d)
+			gm := gSmooth(m[j])
+			if d := fcDeriv(nbR[k], p.OHCoordR1, p.OHCoordR2); d != 0 && gm != 0 {
+				addPairForce(forces, i, j, nbD[k], nbR[k], dEdoc[i]*gm*d)
 			}
-			if fcv := fc(nb.R, f.P.OHCoordR1, f.P.OHCoordR2); fcv != 0 {
-				dEdm[nb.J] += dEdoc[i] * fcv * gSmoothDeriv(m[nb.J])
+			if fcv := fc(nbR[k], p.OHCoordR1, p.OHCoordR2); fcv != 0 {
+				dEdm[j] += dEdoc[i] * fcv * gSmoothDeriv(m[j])
 			}
 		}
 	}
 
-	// Pass 3b: distribute coordination forces through ∂n/∂r.
-	for i := range sys.Atoms {
-		si := sys.Atoms[i].Species
-		switch {
-		case si == atoms.Hydrogen && (dEdu[i] != 0 || dEdv[i] != 0 || dEdw[i] != 0):
-			for _, nb := range nl.Lists[i] {
-				sj := sys.Atoms[nb.J].Species
-				if sj == atoms.Oxygen && dEdu[i] != 0 {
-					d := fcDeriv(nb.R, f.P.OHCoordR1, f.P.OHCoordR2)
-					if d != 0 {
-						addPairForce(forces, i, nb.J, nb.D, nb.R, dEdu[i]*d)
-					}
-				} else if sj == atoms.Hydrogen && dEdv[i] != 0 {
-					d := fcDeriv(nb.R, f.P.HHCoordR1, f.P.HHCoordR2)
-					if d != 0 {
-						addPairForce(forces, i, nb.J, nb.D, nb.R, dEdv[i]*d)
-					}
-				} else if IsMetal(sj) && dEdw[i] != 0 {
-					d := fcDeriv(nb.R, f.P.MHCoordR1, f.P.MHCoordR2)
-					if d != 0 {
-						addPairForce(forces, i, nb.J, nb.D, nb.R, dEdw[i]*d)
-					}
+	// Pass 3b: distribute coordination forces through ∂n/∂r: entry k of
+	// row i carries the derivative dEdn of a count switched off between
+	// r1 and r2.
+	coord := func(i int, k int32, dEdn, r1, r2 float64) {
+		if d := fcDeriv(nbR[k], r1, r2); d != 0 {
+			addPairForce(forces, i, int(nbJ[k]), nbD[k], nbR[k], dEdn*d)
+		}
+	}
+	for i := range n {
+		switch ki := kind[i]; {
+		case ki == kindH && (dEdu[i] != 0 || dEdv[i] != 0 || dEdw[i] != 0):
+			for k := start[i]; k < start[i+1]; k++ {
+				if kj := kind[nbJ[k]]; kj == kindO && dEdu[i] != 0 {
+					coord(i, k, dEdu[i], p.OHCoordR1, p.OHCoordR2)
+				} else if kj == kindH && dEdv[i] != 0 {
+					coord(i, k, dEdv[i], p.HHCoordR1, p.HHCoordR2)
+				} else if metal(kj) && dEdw[i] != 0 {
+					coord(i, k, dEdw[i], p.MHCoordR1, p.MHCoordR2)
 				}
 			}
-		case si == atoms.Oxygen && (dEdm[i] != 0 || dEdq[i] != 0):
-			for _, nb := range nl.Lists[i] {
-				sj := sys.Atoms[nb.J].Species
-				if IsMetal(sj) && dEdm[i] != 0 {
-					d := fcDeriv(nb.R, f.P.MOCoordR1, f.P.MOCoordR2)
-					if d != 0 {
-						addPairForce(forces, i, nb.J, nb.D, nb.R, dEdm[i]*d)
-					}
-				} else if sj == atoms.Hydrogen && dEdq[i] != 0 {
-					d := fcDeriv(nb.R, f.P.OHCoordR1, f.P.OHCoordR2)
-					if d != 0 {
-						addPairForce(forces, i, nb.J, nb.D, nb.R, dEdq[i]*d)
-					}
+		case ki == kindO && (dEdm[i] != 0 || dEdq[i] != 0):
+			for k := start[i]; k < start[i+1]; k++ {
+				if kj := kind[nbJ[k]]; metal(kj) && dEdm[i] != 0 {
+					coord(i, k, dEdm[i], p.MOCoordR1, p.MOCoordR2)
+				} else if kj == kindH && dEdq[i] != 0 {
+					coord(i, k, dEdq[i], p.OHCoordR1, p.OHCoordR2)
 				}
 			}
 		}

@@ -119,9 +119,3 @@ func DefaultParams() Params {
 	p.Cutoff = ang(5.5)
 	return p
 }
-
-// IsMetal reports whether the species participates as a Lewis-acid metal
-// centre.
-func IsMetal(sp *atoms.Species) bool {
-	return sp == atoms.Aluminum || sp == atoms.Lithium
-}

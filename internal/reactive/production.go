@@ -109,13 +109,13 @@ func RunProduction(sys *atoms.System, cfg ProductionConfig) (*ProductionResult, 
 		return nil, fmt.Errorf("reactive: checkpoint at step %d is past the %d-step trajectory", startStep, cfg.Steps)
 	}
 
+	start := TakeCensus(sys)
 	res := &ProductionResult{
 		TempK:        cfg.TempK,
 		Steps:        cfg.Steps,
-		SurfaceAtoms: SurfaceAtoms(sys),
+		SurfaceAtoms: start.SurfaceMetal,
 		PairCount:    sys.CountSpecies(atoms.Lithium),
 	}
-	start := TakeCensus(sys)
 	res.Samples = append(res.Samples, ProductionSample{Step: startStep, Census: start, TempK: sys.Temperature()})
 	if cfg.Resume != nil {
 		// Carry the restored per-step record forward, truncated to the

@@ -282,11 +282,19 @@ func TestProductionRunProducesHydrogenAtHighT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got, want := TakeCensus(sys), censusFromList(sys); got != want {
+		t.Fatalf("initial frame: census %+v, from a materialised list %+v", got, want)
+	}
 	res, err := RunProduction(sys, ProductionConfig{
 		TempK: 1500, Steps: 3000, SampleEvery: 500, Seed: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The final frame holds H₂, hydrides and free H: every branch of the
+	// census must agree with the list-built reference there too.
+	if want := censusFromList(sys); res.Final != want || res.Final.H2 == 0 {
+		t.Fatalf("final frame: census %+v, from a materialised list %+v", res.Final, want)
 	}
 	// At 1500 K the surface chemistry must have started: dissociated
 	// water (hydroxide/metal-H/H2) present.
