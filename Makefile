@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt check bench-check race fuzz-smoke loc bench bench-smoke serve-smoke cluster-smoke exp-smoke bench-cache bench-multigrid bench-scale scale-smoke bce
+.PHONY: build test vet fmt check bench-check race fuzz-smoke loc bench bench-smoke serve-smoke cluster-smoke exp-smoke cli-smoke bench-cache bench-multigrid bench-scale scale-smoke bce
 
 build:
 	$(GO) build ./...
@@ -110,6 +110,15 @@ cluster-smoke:
 # fetch of one array job. CI runs this on every PR.
 exp-smoke:
 	$(GO) test -run TestExpSmoke -count=1 -timeout 10m -v ./cmd/qmdexp/
+
+# cli-smoke builds the two trajectory commands and drives what they share
+# (cmd/internal/trajcli over md.Trajectory): conflicting flags exit
+# non-zero with a diagnostic; SIGINT mid-run writes a final checkpoint of
+# the last completed step and exits 130, and -resume continues from it —
+# for ldcmd to the same per-step energies an uninterrupted run prints.
+# CI runs this on every PR.
+cli-smoke:
+	$(GO) test -count=1 -run 'TestSIGINT|TestFlagValidation' ./cmd/ldcmd/ ./cmd/h2od/
 
 bench: bench-fft
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...

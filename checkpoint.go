@@ -7,11 +7,9 @@ import (
 	"os"
 
 	"ldcdft/internal/cache"
-	"ldcdft/internal/geom"
 	"ldcdft/internal/grid"
 	"ldcdft/internal/md"
 	"ldcdft/internal/qio"
-	"ldcdft/internal/units"
 )
 
 // QMDOptions carries the trajectory options beyond the physics
@@ -67,8 +65,7 @@ type QMDOptions struct {
 // written through the collective I/O path of internal/qio.
 func RunQMDOpts(sys *System, cfg LDCConfig, steps int, dtFs float64, opts QMDOptions) (*QMDResult, error) {
 	ff := &DFTForceField{Cfg: cfg, Cache: opts.Cache}
-	in := md.NewIntegrator(ff, dtFs)
-	return runTrajectory(sys.Clone(), cfg, steps, 0, in, ff, &QMDResult{}, opts, &checkpointWriter{opts: opts})
+	return runLDC(sys.Clone(), ff, steps, dtFs, nil, opts, &checkpointWriter{opts: opts, domains: cfg.DomainsPerAxis})
 }
 
 // ResumeQMD restores a trajectory from a checkpoint and continues it to
@@ -105,20 +102,7 @@ func ResumeQMD(path string, cfg LDCConfig, steps int, dtFs float64, opts QMDOpti
 		}
 		ff.SetDensity(&grid.Field{Grid: grid.New(ck.GridN, work.Cell.L), Data: ck.Rho})
 	}
-	in := md.NewIntegrator(ff, dtFs)
-	if ck.Force != nil {
-		in.Prime(ck.Energy, ck.Force)
-	}
-	out := &QMDResult{
-		Steps:         ck.Step,
-		SCFIterations: ck.SCFIterations,
-		Energies:      ck.Energies,
-		Temperatures:  ck.Temperatures,
-	}
-	if steps < ck.Step {
-		steps = ck.Step
-	}
-	cw := &checkpointWriter{opts: opts}
+	cw := &checkpointWriter{opts: opts, domains: cfg.DomainsPerAxis}
 	if opts.DeltaCheckpoints {
 		// Seed the writer with the on-disk base so the continued run keeps
 		// appending deltas to it instead of rewriting a full checkpoint.
@@ -127,101 +111,34 @@ func ResumeQMD(path string, cfg LDCConfig, steps int, dtFs float64, opts QMDOpti
 			cw.baseBytes = info.Size()
 		}
 	}
-	return runTrajectory(work, cfg, steps, ck.Step, in, ff, out, opts, cw)
+	return runLDC(work, ff, steps, dtFs, ck, opts, cw)
 }
 
-// trajSnapshot is the restartable state of the last completed MD step —
-// the only state a cancellation-triggered checkpoint may capture (the
-// live system is torn when a cancellation lands mid-step).
-type trajSnapshot struct {
-	sys     *System
-	energy  float64
-	forces  []geom.Vec3
-	rho     *grid.Field
-	dtFs    float64
-	domains int
-}
-
-// capture copies the post-step trajectory state. The density pointer is
-// retained without copying: DFTForceField replaces (never mutates) its
-// warm-start density on each force evaluation.
-func capture(work *System, in *md.Integrator, ff *DFTForceField) *trajSnapshot {
-	return &trajSnapshot{
-		sys:     work.Clone(),
-		energy:  in.PotentialEnergy(),
-		forces:  append([]geom.Vec3(nil), in.Forces()...),
-		rho:     ff.Density(),
-		dtFs:    in.DtAU * units.FsPerAtomicTime,
-		domains: ff.Cfg.DomainsPerAxis,
+// runLDC is the LDC-DFT engine under the md.Trajectory driver: ff supplies
+// the forces, the per-step hook tallies SCF iterations, and the sink adds
+// the tally and the converged density before cw stores the checkpoint.
+func runLDC(work *System, ff *DFTForceField, steps int, dtFs float64, resume *qio.Checkpoint,
+	opts QMDOptions, cw *checkpointWriter) (*QMDResult, error) {
+	out := &QMDResult{}
+	if resume != nil {
+		out.SCFIterations = resume.SCFIterations
 	}
-}
-
-// runTrajectory advances work from startStep to steps total MD steps,
-// accumulating into out. On a mid-trajectory error the partial result —
-// including the last good FinalSystem — is returned alongside the error,
-// so callers (and checkpoints) keep the state up to the failure. When
-// opts.Ctx is cancelled the trajectory stops between steps (or between
-// SCF iterations mid-step), writes a final checkpoint of the last
-// completed step if checkpointing is configured, and returns an error
-// wrapping the cancellation cause.
-func runTrajectory(work *System, cfg LDCConfig, steps, startStep int, in *md.Integrator,
-	ff *DFTForceField, out *QMDResult, opts QMDOptions, cw *checkpointWriter) (*QMDResult, error) {
-	ctx := opts.Ctx
-	if ctx == nil {
-		ctx = context.Background()
+	traj := md.Trajectory{
+		In: md.NewIntegrator(ff, dtFs), Steps: steps, Resume: resume,
+		Ctx: opts.Ctx, OnStep: opts.OnStep,
+		CheckpointEvery: opts.CheckpointEvery, CheckpointPath: opts.CheckpointPath,
+		Observe: func(int) { out.SCFIterations += ff.LastSCFIters },
+		Write: func(ck *qio.Checkpoint) error {
+			ck.SCFIterations = out.SCFIterations
+			if rho := ff.Density(); rho != nil {
+				ck.GridN, ck.Rho = rho.Grid.N, rho.Data
+			}
+			return cw.write(ck)
+		},
 	}
-	ff.Ctx = ctx
-	// Snapshots are only needed to back cancellation checkpoints.
-	snapshots := opts.CheckpointPath != "" && ctx.Done() != nil
-	var last *trajSnapshot
-	cancelled := func() (*QMDResult, error) {
-		cause := context.Cause(ctx)
-		if last != nil {
-			out.FinalSystem = last.sys
-			if opts.CheckpointPath != "" {
-				if err := cw.write(last, out); err != nil {
-					return out, fmt.Errorf("qmd: final checkpoint after cancellation at step %d: %w", out.Steps, err)
-				}
-			}
-		} else {
-			out.FinalSystem = work
-		}
-		return out, fmt.Errorf("qmd: trajectory cancelled after step %d: %w", out.Steps, cause)
-	}
-	for i := startStep; i < steps; i++ {
-		if ctx.Err() != nil {
-			return cancelled()
-		}
-		if err := in.Step(work); err != nil {
-			if ctx.Err() != nil {
-				return cancelled()
-			}
-			out.FinalSystem = work
-			return out, fmt.Errorf("qmd: MD step %d: %w", i+1, err)
-		}
-		out.Steps++
-		out.SCFIterations += ff.LastSCFIters
-		out.Energies = append(out.Energies, in.PotentialEnergy())
-		out.Temperatures = append(out.Temperatures, work.Temperature())
-		if opts.OnStep != nil {
-			opts.OnStep(i+1, in.PotentialEnergy(), work.Temperature())
-		}
-		if snapshots {
-			last = capture(work, in, ff)
-		}
-		if opts.CheckpointEvery > 0 && opts.CheckpointPath != "" && (i+1)%opts.CheckpointEvery == 0 {
-			snap := last
-			if snap == nil {
-				snap = capture(work, in, ff)
-			}
-			if err := cw.write(snap, out); err != nil {
-				out.FinalSystem = work
-				return out, fmt.Errorf("qmd: checkpoint at step %d: %w", i+1, err)
-			}
-		}
-	}
-	out.FinalSystem = work
-	return out, nil
+	rec, err := traj.Run(work)
+	out.Steps, out.Energies, out.Temperatures, out.FinalSystem = rec.Steps, rec.Energies, rec.Temperatures, rec.System
+	return out, err
 }
 
 // checkpointWriter writes trajectory checkpoints: independent full files
@@ -232,34 +149,19 @@ func runTrajectory(work *System, cfg LDCConfig, steps, startStep int, in *md.Int
 // delta (ignored via its base-CRC binding).
 type checkpointWriter struct {
 	opts      QMDOptions
+	domains   int // DomainsPerAxis: the per-domain rank payloads of a full write
 	base      *qio.DeltaBase
 	baseBytes int64
 }
 
-// write checkpoints the captured trajectory state and the accumulated
-// per-step record through the collective checkpoint path.
-func (w *checkpointWriter) write(snap *trajSnapshot, out *QMDResult) error {
-	ck, err := qio.CheckpointFromSystem(snap.sys)
-	if err != nil {
-		return err
-	}
-	ck.Step = out.Steps
-	ck.DtFs = snap.dtFs
-	ck.Energy = snap.energy
-	ck.Force = snap.forces
-	ck.SCFIterations = out.SCFIterations
-	ck.Energies = out.Energies
-	ck.Temperatures = out.Temperatures
-	if snap.rho != nil {
-		ck.GridN = snap.rho.Grid.N
-		ck.Rho = snap.rho.Data
-	}
+// write stores ck through the collective checkpoint path.
+func (w *checkpointWriter) write(ck *qio.Checkpoint) error {
 	wopts := qio.CheckpointWriteOptions{
 		GroupSize:      w.opts.CheckpointGroupSize,
-		DomainsPerAxis: snap.domains,
+		DomainsPerAxis: w.domains,
 	}
 	if !w.opts.DeltaCheckpoints {
-		_, err = qio.WriteCheckpoint(w.opts.CheckpointPath, ck, wopts)
+		_, err := qio.WriteCheckpoint(w.opts.CheckpointPath, ck, wopts)
 		return err
 	}
 	if w.base != nil {

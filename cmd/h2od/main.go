@@ -7,87 +7,41 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"math/rand"
 	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
+	"ldcdft/cmd/internal/trajcli"
 	"ldcdft/internal/analysis"
 	"ldcdft/internal/atoms"
-	"ldcdft/internal/perf"
 	"ldcdft/internal/qio"
 	"ldcdft/internal/reactive"
 	"ldcdft/internal/units"
 )
 
-// validateFlags rejects flag combinations that would otherwise be
-// silently ignored: checkpoint tuning without a checkpoint destination,
-// and resuming from a checkpoint that does not exist.
-func validateFlags(resume, ckPath string) {
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	for _, name := range []string{"checkpoint-every", "checkpoint-group"} {
-		if explicit[name] && ckPath == "" {
-			log.Fatalf("-%s has no effect without -checkpoint", name)
-		}
-	}
-	if resume != "" {
-		if _, err := os.Stat(resume); err != nil {
-			log.Fatalf("-resume: cannot read checkpoint: %v", err)
-		}
-	}
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("h2od: ")
 	var (
-		pairs   = flag.Int("pairs", 30, "n in LinAln (paper: 30, 135, 441)")
-		tempK   = flag.Float64("temp", 1500, "temperature (K)")
-		steps   = flag.Int("steps", 4000, "MD steps (paper production: 21,140)")
-		seed    = flag.Int64("seed", 1, "random seed")
-		snap    = flag.String("snapshot", "", "write a compressed final snapshot to this file")
-		ckPath  = flag.String("checkpoint", "", "write restartable checkpoints to this file during the run")
-		ckEvery = flag.Int("checkpoint-every", 500, "MD steps between checkpoint writes")
-		ckGroup = flag.Int("checkpoint-group", 192, "collective-I/O aggregation group size for checkpoints")
-		resume  = flag.String("resume", "", "resume the trajectory from this checkpoint file")
-		doPerf  = flag.Bool("perf", false, "print the per-phase performance report after the run")
-		perfJS  = flag.String("perf-json", "", "write the per-phase report as JSON to this file")
-		cpuProf = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
+		pairs = flag.Int("pairs", 30, "n in LinAln (paper: 30, 135, 441)")
+		tempK = flag.Float64("temp", 1500, "temperature (K)")
+		steps = flag.Int("steps", 4000, "MD steps (paper production: 21,140)")
+		seed  = flag.Int64("seed", 1, "random seed")
+		snap  = flag.String("snapshot", "", "write a compressed final snapshot to this file")
+		run   = trajcli.Register(500)
 	)
-	flag.Parse()
-	validateFlags(*resume, *ckPath)
-
-	stopProf, err := perf.StartCPUProfile(*cpuProf)
-	if err != nil {
-		log.Fatalf("%v", err)
-	}
-	defer stopProf()
-	perf.Global.Reset()
-	perf.Default.Reset()
-
-	// SIGINT/SIGTERM cancel the trajectory cooperatively: the run stops
-	// after the current step and, when -checkpoint is set, writes a
-	// final checkpoint first.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
+	ctx, finish := run.Start()
+	defer finish()
 	cfg := reactive.ProductionConfig{
 		TempK: *tempK, Steps: *steps, SampleEvery: *steps / 8, Seed: *seed,
-		CheckpointEvery: *ckEvery, CheckpointPath: *ckPath, CheckpointGroupSize: *ckGroup,
+		CheckpointEvery: run.Every, CheckpointPath: run.Checkpoint, CheckpointGroupSize: run.Group,
 		Ctx: ctx,
 	}
-	if *ckPath == "" {
-		cfg.CheckpointEvery = 0
-	}
 	var sys *atoms.System
-	if *resume != "" {
-		ck, err := qio.ReadCheckpoint(*resume)
+	if run.Resume != "" {
+		ck, err := qio.ReadCheckpoint(run.Resume)
 		if err != nil {
 			log.Fatalf("resume: %v", err)
 		}
@@ -96,7 +50,7 @@ func main() {
 		}
 		cfg.Resume = ck
 		fmt.Printf("resumed from %s at step %d: %d atoms, cell %.1f Bohr\n",
-			*resume, ck.Step, sys.NumAtoms(), sys.Cell.L)
+			run.Resume, ck.Step, sys.NumAtoms(), sys.Cell.L)
 	} else {
 		rng := rand.New(rand.NewSource(*seed))
 		var err error
@@ -110,15 +64,7 @@ func main() {
 
 	res, err := reactive.RunProduction(sys, cfg)
 	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			if *ckPath != "" {
-				log.Printf("interrupted; final checkpoint at %s", *ckPath)
-			} else {
-				log.Printf("interrupted")
-			}
-			os.Exit(130)
-		}
-		log.Fatalf("run: %v", err)
+		trajcli.Exit(err)
 	}
 	fmt.Println("  time(fs)   H2  H2O   OH-  M-H  freeH  dissolved-Li   pH-proxy")
 	for _, s := range res.Samples {
@@ -165,23 +111,5 @@ func main() {
 		}
 		fmt.Printf("snapshot: %d atoms → %d bytes (%.1f× compression) → %s\n",
 			s.N, len(s.Data), s.Ratio(), *snap)
-	}
-
-	if *doPerf {
-		fmt.Printf("\nper-phase performance report (wall %s):\n", perf.Default.Wall().Round(time.Millisecond))
-		if err := perf.Default.WriteText(os.Stdout); err != nil {
-			log.Fatalf("perf: %v", err)
-		}
-	}
-	if *perfJS != "" {
-		f, err := os.Create(*perfJS)
-		if err != nil {
-			log.Fatalf("perf-json: %v", err)
-		}
-		defer f.Close()
-		if err := perf.Default.WriteJSON(f); err != nil {
-			log.Fatalf("perf-json: %v", err)
-		}
-		fmt.Printf("per-phase JSON report written to %s\n", *perfJS)
 	}
 }

@@ -9,53 +9,17 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"math/rand"
 	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
 	qmd "ldcdft"
+	"ldcdft/cmd/internal/trajcli"
 	"ldcdft/internal/cache"
-	"ldcdft/internal/perf"
 	"ldcdft/internal/qio"
 )
-
-// validateFlags rejects flag combinations that would otherwise be
-// silently ignored: checkpoint tuning without a checkpoint destination,
-// cache tuning without a cache directory, and resuming from a
-// checkpoint that does not exist. explicit holds the flags the user
-// actually set.
-func validateFlags(resume, ckPath, cacheDir string, cacheBytes int64, cacheTol float64) {
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	for _, name := range []string{"checkpoint-every", "checkpoint-group"} {
-		if explicit[name] && ckPath == "" {
-			log.Fatalf("-%s has no effect without -checkpoint", name)
-		}
-	}
-	for _, name := range []string{"cache-bytes", "cache-tol"} {
-		if explicit[name] && cacheDir == "" {
-			log.Fatalf("-%s has no effect without -cache-dir", name)
-		}
-	}
-	if cacheBytes < 0 {
-		log.Fatalf("-cache-bytes must be non-negative, got %d", cacheBytes)
-	}
-	if cacheTol < 0 {
-		log.Fatalf("-cache-tol must be non-negative, got %g", cacheTol)
-	}
-	if resume != "" {
-		if _, err := os.Stat(resume); err != nil {
-			log.Fatalf("-resume: cannot read checkpoint: %v", err)
-		}
-	}
-}
 
 func main() {
 	log.SetFlags(0)
@@ -72,28 +36,22 @@ func main() {
 		dcMode  = flag.Bool("dc", false, "use original DC (no boundary potential)")
 		seed    = flag.Int64("seed", 1, "random seed")
 		xyzPath = flag.String("xyz", "", "write the trajectory to this XYZ file")
-		ckPath  = flag.String("checkpoint", "", "write restartable checkpoints to this file during the run")
-		ckEvery = flag.Int("checkpoint-every", 1, "MD steps between checkpoint writes")
-		ckGroup = flag.Int("checkpoint-group", 192, "collective-I/O aggregation group size for checkpoints")
-		resume  = flag.String("resume", "", "resume the trajectory from this checkpoint file")
-		doPerf  = flag.Bool("perf", false, "print the per-phase performance report after the run")
-		perfJS  = flag.String("perf-json", "", "write the per-phase report as JSON to this file")
-		cpuProf = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
+		run     = trajcli.Register(1)
 
 		cacheDir   = flag.String("cache-dir", "", "SCF warm-start cache directory (empty = no cache)")
 		cacheBytes = flag.Int64("cache-bytes", 256<<20, "warm-start cache byte budget")
 		cacheTol   = flag.Float64("cache-tol", 0.25, "near-hit tolerance: max per-atom displacement (Bohr)")
 	)
-	flag.Parse()
-	validateFlags(*resume, *ckPath, *cacheDir, *cacheBytes, *cacheTol)
-
-	stopProf, err := perf.StartCPUProfile(*cpuProf)
-	if err != nil {
-		log.Fatalf("%v", err)
+	ctx, finish := run.Start()
+	defer finish()
+	// Cache tuning without a cache directory would be silently ignored too.
+	trajcli.RequireWith("cache-dir", *cacheDir != "", "cache-bytes", "cache-tol")
+	if *cacheBytes < 0 {
+		log.Fatalf("-cache-bytes must be non-negative, got %d", *cacheBytes)
 	}
-	defer stopProf()
-	perf.Global.Reset()
-	perf.Default.Reset()
+	if *cacheTol < 0 {
+		log.Fatalf("-cache-tol must be non-negative, got %g", *cacheTol)
+	}
 
 	sys := qmd.BuildSiC(*cells)
 	sys.InitVelocities(*tempK, rand.New(rand.NewSource(*seed)))
@@ -114,19 +72,11 @@ func main() {
 		EigenIters:     4,
 		Seed:           *seed,
 	}
-	// SIGINT/SIGTERM cancel the trajectory cooperatively: the run stops
-	// at the next step (or SCF-iteration) boundary and, when
-	// -checkpoint is set, writes a final checkpoint first.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
 	opts := qmd.QMDOptions{
-		CheckpointEvery:     *ckEvery,
-		CheckpointPath:      *ckPath,
-		CheckpointGroupSize: *ckGroup,
+		CheckpointEvery:     run.Every,
+		CheckpointPath:      run.Checkpoint,
+		CheckpointGroupSize: run.Group,
 		Ctx:                 ctx,
-	}
-	if *ckPath == "" {
-		opts.CheckpointEvery = 0
 	}
 	if *cacheDir != "" {
 		wsc, err := cache.Open(cache.Options{Dir: *cacheDir, MaxBytes: *cacheBytes, NearTol: *cacheTol})
@@ -137,29 +87,17 @@ func main() {
 	}
 
 	var res *qmd.QMDResult
-	if *resume != "" {
-		fmt.Printf("resuming from %s (total trajectory %d steps)\n", *resume, *steps)
-		res, err = qmd.ResumeQMD(*resume, cfg, *steps, *dtFs, opts)
+	var err error
+	if run.Resume != "" {
+		fmt.Printf("resuming from %s (total trajectory %d steps)\n", run.Resume, *steps)
+		res, err = qmd.ResumeQMD(run.Resume, cfg, *steps, *dtFs, opts)
 	} else {
 		fmt.Printf("system: %d atoms (SiC), cell %.3f Bohr, %s mode, %d³ domains, buffer %d pts\n",
 			sys.NumAtoms(), sys.Cell.L, mode, *domains, *bufN)
 		res, err = qmd.RunQMDOpts(sys, cfg, *steps, *dtFs, opts)
 	}
 	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			done := 0
-			if res != nil {
-				done = res.Steps
-			}
-			if *ckPath != "" && done > 0 {
-				log.Printf("interrupted after step %d; final checkpoint at %s", done, *ckPath)
-			} else {
-				log.Printf("interrupted after step %d", done)
-			}
-			os.Exit(130)
-		}
-		log.Printf("error: %v", err)
-		os.Exit(1)
+		trajcli.Exit(err)
 	}
 	for i := range res.Energies {
 		fmt.Printf("step %3d: E = %.6f Ha, T = %7.1f K\n", i+1, res.Energies[i], res.Temperatures[i])
@@ -181,23 +119,5 @@ func main() {
 		st := opts.Cache.Stats()
 		fmt.Printf("warm-start cache: %d exact hits, %d near hits, %d misses, %d SCF iterations saved (%d entries, %d bytes)\n",
 			st.Hits, st.NearHits, st.Misses, st.SCFIterationsSaved, st.Entries, st.Bytes)
-	}
-
-	if *doPerf {
-		fmt.Printf("\nper-phase performance report (wall %s):\n", perf.Default.Wall().Round(time.Millisecond))
-		if err := perf.Default.WriteText(os.Stdout); err != nil {
-			log.Fatalf("perf: %v", err)
-		}
-	}
-	if *perfJS != "" {
-		f, err := os.Create(*perfJS)
-		if err != nil {
-			log.Fatalf("perf-json: %v", err)
-		}
-		defer f.Close()
-		if err := perf.Default.WriteJSON(f); err != nil {
-			log.Fatalf("perf-json: %v", err)
-		}
-		fmt.Printf("per-phase JSON report written to %s\n", *perfJS)
 	}
 }

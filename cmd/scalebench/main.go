@@ -12,7 +12,6 @@ import (
 	"log"
 	"math/rand"
 	"os"
-	"time"
 
 	qmd "ldcdft"
 	"ldcdft/internal/perf"
@@ -23,9 +22,8 @@ func main() {
 	log.SetPrefix("scalebench: ")
 	weak := flag.Bool("weak", true, "run the weak-scaling experiment (Fig. 5)")
 	strong := flag.Bool("strong", true, "run the strong-scaling experiment (Fig. 6)")
-	doPerf := flag.Bool("perf", false, "run a small real LDC-DFT workload and print the per-phase report")
-	perfJS := flag.String("perf-json", "", "write the per-phase report as JSON to this file")
-	cpuProf := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
+	pf := perf.RegisterFlags(flag.CommandLine)
+	flag.Lookup("perf").Usage = "run a small real LDC-DFT workload and print the per-phase report"
 	scale := flag.Bool("scale", false, "run the measured workspace-streaming scale sweep (one subprocess per decomposition) and write the scale report")
 	scaleJS := flag.String("scale-json", "BENCH_scale.json", "output path of the -scale report")
 	scaleChild := flag.Int("scale-child", 0, "internal: run one -scale sweep point at this DomainsPerAxis and print its JSON row")
@@ -44,7 +42,7 @@ func main() {
 		return
 	}
 
-	stopProf, err := perf.StartCPUProfile(*cpuProf)
+	stopProf, err := pf.Start()
 	if err != nil {
 		log.Fatalf("%v", err)
 	}
@@ -74,9 +72,7 @@ func main() {
 		fmt.Println("paper: speedup 12.85 (efficiency 0.803) at 16× cores")
 	}
 
-	if *doPerf || *perfJS != "" {
-		perf.Global.Reset()
-		perf.Default.Reset()
+	if pf.Report || pf.JSONPath != "" {
 		fmt.Println("\nrunning one MD step of an 8-atom SiC cell to measure real phases...")
 		sys := qmd.BuildSiC(1)
 		sys.InitVelocities(300, rand.New(rand.NewSource(1)))
@@ -95,22 +91,8 @@ func main() {
 		if _, err := qmd.RunQMD(sys, cfg, 1, 0); err != nil {
 			log.Fatalf("perf workload: %v", err)
 		}
-		if *doPerf {
-			fmt.Printf("per-phase performance report (wall %s):\n", perf.Default.Wall().Round(time.Millisecond))
-			if err := perf.Default.WriteText(os.Stdout); err != nil {
-				log.Fatalf("perf: %v", err)
-			}
-		}
-		if *perfJS != "" {
-			f, err := os.Create(*perfJS)
-			if err != nil {
-				log.Fatalf("perf-json: %v", err)
-			}
-			defer f.Close()
-			if err := perf.Default.WriteJSON(f); err != nil {
-				log.Fatalf("perf-json: %v", err)
-			}
-			fmt.Printf("per-phase JSON report written to %s\n", *perfJS)
+		if err := pf.Write(os.Stdout); err != nil {
+			log.Fatalf("%v", err)
 		}
 	}
 }

@@ -12,20 +12,28 @@ import (
 	"ldcdft/internal/qio"
 )
 
-// deltaSnap builds a restartable snapshot by hand so the test controls
-// exactly how much state changes between checkpoint writes.
-func deltaSnap(sys *System, gridN int, energy float64) *trajSnapshot {
+// deltaSnap builds the checkpoint the trajectory driver would hand the
+// writer for out's step, by hand, so the test controls exactly how much
+// state changes between checkpoint writes.
+func deltaSnap(t *testing.T, sys *System, gridN int, energy float64, out *QMDResult) *qio.Checkpoint {
+	t.Helper()
 	g := grid.New(gridN, sys.Cell.L)
-	rho := &grid.Field{Grid: g, Data: make([]float64, g.Size())}
-	for i := range rho.Data {
-		rho.Data[i] = 0.02 + 0.0001*math.Sin(float64(i)*0.003)
+	rho := make([]float64, g.Size())
+	for i := range rho {
+		rho[i] = 0.02 + 0.0001*math.Sin(float64(i)*0.003)
 	}
 	forces := make([]geom.Vec3, sys.NumAtoms())
 	for i := range forces {
 		forces[i] = geom.Vec3{X: 0.01 * float64(i), Y: -0.02, Z: 0.003}
 	}
-	return &trajSnapshot{sys: sys.Clone(), energy: energy, forces: forces,
-		rho: rho, dtFs: 0.242, domains: 2}
+	ck, err := qio.CheckpointFromSystem(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.Step, ck.DtFs, ck.Energy, ck.Force = out.Steps, 0.242, energy, forces
+	ck.SCFIterations, ck.Energies, ck.Temperatures = out.SCFIterations, out.Energies, out.Temperatures
+	ck.GridN, ck.Rho = gridN, rho
+	return ck
 }
 
 // TestDeltaCheckpointWriterAndResume drives the delta checkpoint writer
@@ -40,12 +48,12 @@ func TestDeltaCheckpointWriterAndResume(t *testing.T) {
 	cfg.GridN = gridN
 	path := filepath.Join(t.TempDir(), "ck.qmd")
 	opts := QMDOptions{CheckpointPath: path, DeltaCheckpoints: true}
-	cw := &checkpointWriter{opts: opts}
+	cw := &checkpointWriter{opts: opts, domains: 2}
 
 	// Step 1: first write is a full base, no delta.
 	out := &QMDResult{Steps: 1, SCFIterations: 30,
 		Energies: []float64{-7.5}, Temperatures: []float64{300}}
-	if err := cw.write(deltaSnap(sys, gridN, -7.5), out); err != nil {
+	if err := cw.write(deltaSnap(t, sys, gridN, -7.5, out)); err != nil {
 		t.Fatal(err)
 	}
 	baseInfo, err := os.Stat(path)
@@ -60,14 +68,14 @@ func TestDeltaCheckpointWriterAndResume(t *testing.T) {
 	// must produce a small delta and leave the base untouched.
 	sys.Atoms[0].Position.X += 0.05
 	sys.Atoms[0].Velocity.Y += 0.001
-	snap2 := deltaSnap(sys, gridN, -7.51)
-	for i := 0; i < 5; i++ {
-		snap2.rho.Data[i*31] += 1e-6
-	}
 	out.Steps, out.SCFIterations = 2, 55
 	out.Energies = append(out.Energies, -7.51)
 	out.Temperatures = append(out.Temperatures, 301)
-	if err := cw.write(snap2, out); err != nil {
+	snap2 := deltaSnap(t, sys, gridN, -7.51, out)
+	for i := 0; i < 5; i++ {
+		snap2.Rho[i*31] += 1e-6
+	}
+	if err := cw.write(snap2); err != nil {
 		t.Fatal(err)
 	}
 	deltaInfo, err := os.Stat(path + ".delta")
@@ -98,14 +106,14 @@ func TestDeltaCheckpointWriterAndResume(t *testing.T) {
 	for i := range sys.Atoms {
 		sys.Atoms[i].Position.Z += 0.1 * float64(i+1)
 	}
-	snap3 := deltaSnap(sys, gridN, -7.52)
-	for i := range snap3.rho.Data {
-		snap3.rho.Data[i] *= 1.001
-	}
 	out.Steps = 3
 	out.Energies = append(out.Energies, -7.52)
 	out.Temperatures = append(out.Temperatures, 302)
-	if err := cw.write(snap3, out); err != nil {
+	snap3 := deltaSnap(t, sys, gridN, -7.52, out)
+	for i := range snap3.Rho {
+		snap3.Rho[i] *= 1.001
+	}
+	if err := cw.write(snap3); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(path + ".delta"); !os.IsNotExist(err) {
@@ -121,8 +129,10 @@ func TestDeltaCheckpointWriterAndResume(t *testing.T) {
 
 	// Crash window: a stale delta (bound to a superseded base) next to a
 	// fresh base must be ignored by resume, not misapplied.
-	snap3.sys.Atoms[0].Velocity.X += 1e-5
-	if err := cw.write(snap3, out); err != nil {
+	again := *snap3 // the base the writer kept must not change under it
+	again.Vel = append([]geom.Vec3(nil), snap3.Vel...)
+	again.Vel[0].X += 1e-5
+	if err := cw.write(&again); err != nil {
 		t.Fatal(err) // near-identical step-3 state: a small delta vs the new base
 	}
 	if _, err := os.Stat(path + ".delta"); err != nil {

@@ -29,9 +29,6 @@ func OptimalCoreLength(b, nu float64) float64 {
 	return 2 * b / (nu - 1)
 }
 
-// TcompO3 is the conventional DFT cost model L^{3ν} for the same system.
-func TcompO3(L, nu float64) float64 { return math.Pow(L, 3*nu) }
-
 // ErrNoCrossover is returned when the DC cost never beats the O(N³) cost
 // in the searched range.
 var ErrNoCrossover = errors.New("dc: no crossover found")

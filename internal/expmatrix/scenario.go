@@ -20,11 +20,6 @@ var scenarios = map[string]Scenario{
 	"ldc-h2":     ldcH2Scenario,
 }
 
-// ScenarioNames lists the registered scenario generators.
-func ScenarioNames() []string {
-	return []string{"lial-water", "ldc-h2"}
-}
-
 // lialWaterScenario builds the hydrogen-on-demand workload of §6: a
 // LinAln nanoparticle in water run under the reactive surrogate-field
 // engine. Cell axes: "temp_k" (thermostat target), "pairs" (n in

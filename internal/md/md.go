@@ -1,9 +1,9 @@
 // Package md implements the molecular-dynamics layer of QMD: the
-// velocity-Verlet integrator, thermostats, and the trajectory driver that
-// couples any force provider — the LDC-DFT engine for quantum MD, or the
-// reactive surrogate field for the large hydrogen-on-demand runs — to the
-// atomic equations of motion (§6; the paper's production runs use a unit
-// time step of 0.242 fs).
+// velocity-Verlet integrator, thermostats, and Trajectory, the one driver
+// that runs any force provider — the LDC-DFT engine for quantum MD, or the
+// reactive surrogate field for the large hydrogen-on-demand runs — through
+// the step loop, record, checkpoints, cancellation and resume (§6; the
+// paper's production runs use a unit time step of 0.242 fs).
 package md
 
 import (
@@ -97,7 +97,6 @@ type Integrator struct {
 	forces []geom.Vec3
 	energy float64
 	primed bool
-	steps  int
 }
 
 // ErrNoForceField is returned by Step when the integrator lacks a force
@@ -118,9 +117,6 @@ func (in *Integrator) PotentialEnergy() float64 { return in.energy }
 
 // Forces returns the last computed forces (nil before the first step).
 func (in *Integrator) Forces() []geom.Vec3 { return in.forces }
-
-// Steps returns the number of completed MD steps.
-func (in *Integrator) Steps() int { return in.steps }
 
 // Prime installs a force evaluation as if a Step had just completed —
 // the checkpoint-restart hook. A resumed integrator must not recompute
@@ -179,23 +175,6 @@ func (in *Integrator) Step(sys *atoms.System) error {
 		in.Thermostat.Apply(sys, dt)
 	}
 	spI.StopFlops(6 * int64(len(sys.Atoms)))
-	in.steps++
-	return nil
-}
-
-// Run advances n steps, invoking observe (if non-nil) after each with the
-// completed step index.
-func (in *Integrator) Run(sys *atoms.System, n int, observe func(step int) error) error {
-	for i := 0; i < n; i++ {
-		if err := in.Step(sys); err != nil {
-			return err
-		}
-		if observe != nil {
-			if err := observe(i); err != nil {
-				return err
-			}
-		}
-	}
 	return nil
 }
 

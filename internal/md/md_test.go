@@ -172,25 +172,6 @@ func TestIntegratorPropagatesFieldError(t *testing.T) {
 	}
 }
 
-func TestRunObserver(t *testing.T) {
-	in := NewIntegrator(&harmonicPair{K: 0.1, R0: 2}, 0.5)
-	sys := dimerSystem(2.2)
-	var seen []int
-	err := in.Run(sys, 5, func(step int) error {
-		seen = append(seen, step)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 5 || seen[4] != 4 {
-		t.Fatalf("observer calls %v", seen)
-	}
-	if in.Steps() != 5 {
-		t.Fatalf("Steps() = %d", in.Steps())
-	}
-}
-
 func TestNoseHooverSamplesTarget(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	sys := &atoms.System{Cell: geom.Cell{L: 40}}

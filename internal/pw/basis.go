@@ -162,21 +162,6 @@ func (b *Basis) G2Half() []float64 { return b.g2Half }
 // RPlan exposes the real-field 3-D FFT plan.
 func (b *Basis) RPlan() *fft.RPlan3 { return b.rplan }
 
-// HalfLen returns the packed half-spectrum length N²·(N/2+1).
-func (b *Basis) HalfLen() int { return b.rplan.HSize() }
-
-// HalfWeight returns the Hermitian multiplicity of packed half-spectrum
-// z-index iz: 2 when the conjugate partner at N−iz lies outside the
-// packed range, 1 when the plane is self-conjugate (iz = 0 and, for
-// even N, iz = N/2). Reciprocal-space sums over the full grid become
-// weighted sums over the half grid.
-func (b *Basis) HalfWeight(iz int) float64 {
-	if iz == 0 || 2*iz == b.Grid.N {
-		return 1
-	}
-	return 2
-}
-
 // GetHalfGrid returns a pooled N²·(N/2+1) complex half-spectrum buffer.
 // Contents are unspecified; release with PutHalfGrid when done.
 func (b *Basis) GetHalfGrid() []complex128 {
@@ -186,13 +171,6 @@ func (b *Basis) GetHalfGrid() []complex128 {
 // PutHalfGrid returns a buffer obtained from GetHalfGrid to the pool.
 func (b *Basis) PutHalfGrid(buf []complex128) {
 	b.halfPool.Put(&buf)
-}
-
-// RealForward transforms a real field on the FFT grid to its packed
-// half spectrum (unnormalized, matching the complex Forward
-// convention). src is preserved.
-func (b *Basis) RealForward(src []float64, dst []complex128) {
-	b.rplan.Forward(src, dst)
 }
 
 // RealInverse reconstructs a real field from its packed half spectrum,
@@ -292,27 +270,6 @@ func (b *Basis) FromRealSpace(work []complex128, c []complex128) {
 	inv := complex(1/float64(b.Grid.Size()), 0)
 	for i, fi := range b.FFTi {
 		c[i] = work[fi] * inv
-	}
-}
-
-// FromRealSpaceBatch projects nb packed grids back onto sphere
-// coefficients, storing band n into column n of psi. The batch buffer is
-// destroyed. The 1/N³ normalization is applied only to the gathered
-// coefficients, saving a full pass over the batch.
-func (b *Basis) FromRealSpaceBatch(batch []complex128, psi *linalg.CMatrix) {
-	size := b.Grid.Size()
-	nb := psi.Cols
-	if len(batch) < nb*size {
-		panic("pw: batch buffer too small")
-	}
-	b.sphere.ForwardBatch(batch[:nb*size], nb)
-	inv := complex(1/float64(size), 0)
-	nc := psi.Cols
-	for n := 0; n < nb; n++ {
-		g := batch[n*size : (n+1)*size]
-		for gi, fi := range b.FFTi {
-			psi.Data[gi*nc+n] = g[fi] * inv
-		}
 	}
 }
 

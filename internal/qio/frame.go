@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 
 	"ldcdft/internal/geom"
 )
@@ -268,6 +269,19 @@ func CreateAtomic(path string) (*AtomicFile, error) {
 // (cache.Open, serve.Manager's recovery): a live writer's temp would go too.
 func RemoveTemps(dir string) {
 	temps, _ := filepath.Glob(filepath.Join(dir, "*.tmp"))
+	for _, tmp := range temps {
+		os.Remove(tmp)
+	}
+}
+
+// RemoveTempsOf deletes the temps of path alone ("<path>.%08x.tmp", the
+// CreateAtomic name), for a writer that owns path but not its directory (a
+// checkpoint path from a command line). Glob metacharacters disable it.
+func RemoveTempsOf(path string) {
+	if strings.ContainsAny(path, `*?[\`) {
+		return
+	}
+	temps, _ := filepath.Glob(path + ".????????.tmp")
 	for _, tmp := range temps {
 		os.Remove(tmp)
 	}

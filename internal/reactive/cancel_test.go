@@ -22,10 +22,17 @@ func TestProductionCancelWritesFinalCheckpoint(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), "ck.h2o")
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // trips at the end of step 1
+	defer cancel()
+	// Cancelled from OnStep at step 1: a context already cancelled on entry
+	// runs no step (md.Trajectory, as the LDC path always did).
 	cfg := ProductionConfig{
 		TempK: 600, Steps: 20, SampleEvery: 5, Seed: 5,
 		CheckpointPath: path, Ctx: ctx,
+		OnStep: func(step int, _, _ float64) {
+			if step == 1 {
+				cancel()
+			}
+		},
 	}
 	res, err := RunProduction(sys, cfg)
 	if err == nil || !errors.Is(err, context.Canceled) {

@@ -2,12 +2,10 @@ package reactive
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 
 	"ldcdft/internal/atoms"
-	"ldcdft/internal/geom"
 	"ldcdft/internal/md"
 	"ldcdft/internal/qio"
 	"ldcdft/internal/units"
@@ -24,7 +22,7 @@ type ProductionSample struct {
 // ProductionResult summarizes a hydrogen-on-demand MD run.
 type ProductionResult struct {
 	TempK        float64
-	Steps        int
+	Steps        int // completed steps, counting resumed-over ones
 	TimeFs       float64
 	Samples      []ProductionSample
 	Final        Census
@@ -80,8 +78,9 @@ type ProductionConfig struct {
 }
 
 // RunProduction equilibrates velocities at TempK and integrates the
-// reactive field, sampling the species census — the surrogate for the
-// paper's production QMD runs of §6.
+// reactive field under the md.Trajectory driver, sampling the species
+// census — the surrogate for the paper's production QMD runs of §6. A
+// cancelled or failed run returns what it completed with the error.
 func RunProduction(sys *atoms.System, cfg ProductionConfig) (*ProductionResult, error) {
 	if cfg.Steps <= 0 {
 		return nil, fmt.Errorf("reactive: non-positive step count %d", cfg.Steps)
@@ -92,114 +91,57 @@ func RunProduction(sys *atoms.System, cfg ProductionConfig) (*ProductionResult, 
 	if cfg.ThermostatTauFs == 0 {
 		cfg.ThermostatTauFs = 24
 	}
-	field := NewField()
-	in := md.NewIntegrator(field, cfg.DtFs)
+	in := md.NewIntegrator(NewField(), cfg.DtFs)
 	in.Thermostat = &md.Berendsen{TargetK: cfg.TempK, TauAU: cfg.ThermostatTauFs * units.AtomicTimePerFs}
 	startStep := 0
 	if cfg.Resume != nil {
 		startStep = cfg.Resume.Step
-		if cfg.Resume.Force != nil {
-			in.Prime(cfg.Resume.Energy, cfg.Resume.Force)
-		}
 	} else {
 		rng := rand.New(rand.NewSource(cfg.Seed + 17))
 		sys.InitVelocities(cfg.TempK, rng)
-	}
-	if startStep > cfg.Steps {
-		return nil, fmt.Errorf("reactive: checkpoint at step %d is past the %d-step trajectory", startStep, cfg.Steps)
 	}
 
 	start := TakeCensus(sys)
 	res := &ProductionResult{
 		TempK:        cfg.TempK,
-		Steps:        cfg.Steps,
 		SurfaceAtoms: start.SurfaceMetal,
 		PairCount:    sys.CountSpecies(atoms.Lithium),
 	}
 	res.Samples = append(res.Samples, ProductionSample{Step: startStep, Census: start, TempK: sys.Temperature()})
-	if cfg.Resume != nil {
-		// Carry the restored per-step record forward, truncated to the
-		// restored step count (the record grows one entry per step).
-		prefix := len(cfg.Resume.Energies)
-		if prefix > startStep {
-			prefix = startStep
-		}
-		res.EnergiesHa = append(res.EnergiesHa, cfg.Resume.Energies[:prefix]...)
-		if len(cfg.Resume.Temperatures) >= prefix {
-			res.TemperaturesK = append(res.TemperaturesK, cfg.Resume.Temperatures[:prefix]...)
-		}
-	}
 	dtFs := in.DtAU * units.FsPerAtomicTime
-	ctx := cfg.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	writeCk := func(abs int) error {
-		ck, err := qio.CheckpointFromSystem(sys)
-		if err != nil {
+	traj := md.Trajectory{
+		In: in, Steps: cfg.Steps, Resume: cfg.Resume, Ctx: cfg.Ctx, OnStep: cfg.OnStep,
+		CheckpointEvery: cfg.CheckpointEvery, CheckpointPath: cfg.CheckpointPath,
+		Observe: func(step int) {
+			if step%cfg.SampleEvery == 0 {
+				res.Samples = append(res.Samples, ProductionSample{
+					Step:   step,
+					TimeFs: float64(step) * dtFs,
+					Census: TakeCensus(sys),
+					TempK:  sys.Temperature(),
+				})
+			}
+		},
+		Write: func(ck *qio.Checkpoint) error {
+			_, err := qio.WriteCheckpoint(cfg.CheckpointPath, ck,
+				qio.CheckpointWriteOptions{GroupSize: cfg.CheckpointGroupSize})
 			return err
-		}
-		ck.Step = abs
-		ck.DtFs = dtFs
-		ck.Energy = in.PotentialEnergy()
-		ck.Force = append([]geom.Vec3(nil), in.Forces()...)
-		ck.Energies = append([]float64(nil), res.EnergiesHa...)
-		ck.Temperatures = append([]float64(nil), res.TemperaturesK...)
-		_, err = qio.WriteCheckpoint(cfg.CheckpointPath, ck, qio.CheckpointWriteOptions{
-			GroupSize: cfg.CheckpointGroupSize,
-		})
-		return err
+		},
 	}
-	errCancelled := errors.New("reactive: cancelled")
-	lastStep := startStep
-	err := in.Run(sys, cfg.Steps-startStep, func(step int) error {
-		abs := startStep + step + 1
-		lastStep = abs
-		res.EnergiesHa = append(res.EnergiesHa, in.PotentialEnergy())
-		res.TemperaturesK = append(res.TemperaturesK, sys.Temperature())
-		if cfg.OnStep != nil {
-			cfg.OnStep(abs, in.PotentialEnergy(), sys.Temperature())
-		}
-		if abs%cfg.SampleEvery == 0 {
-			res.Samples = append(res.Samples, ProductionSample{
-				Step:   abs,
-				TimeFs: float64(abs) * dtFs,
-				Census: TakeCensus(sys),
-				TempK:  sys.Temperature(),
-			})
-		}
-		if cfg.CheckpointEvery > 0 && cfg.CheckpointPath != "" && abs%cfg.CheckpointEvery == 0 {
-			if err := writeCk(abs); err != nil {
-				return err
-			}
-		}
-		if ctx.Err() != nil {
-			return errCancelled
-		}
-		return nil
-	})
-	if errors.Is(err, errCancelled) {
-		// The observe hook runs after a completed step, so the system is
-		// in a consistent post-step state — safe to checkpoint.
-		if cfg.CheckpointPath != "" {
-			if ckErr := writeCk(lastStep); ckErr != nil {
-				return res, fmt.Errorf("reactive: final checkpoint after cancellation at step %d: %w", lastStep, ckErr)
-			}
-		}
-		return res, fmt.Errorf("reactive: trajectory cancelled after step %d: %w", lastStep, context.Cause(ctx))
-	}
+	rec, err := traj.Run(sys)
+	res.Steps, res.EnergiesHa, res.TemperaturesK = rec.Steps, rec.Energies, rec.Temperatures
 	if err != nil {
-		return nil, err
+		return res, err
 	}
 	res.Final = TakeCensus(sys)
-	res.TimeFs = float64(cfg.Steps) * dtFs
+	res.TimeFs = float64(res.Steps) * dtFs
 	produced := res.Final.H2 - start.H2
 	if produced < 0 {
 		produced = 0
 	}
 	// The start census is taken at startStep, so rates cover only the
 	// segment this call actually integrated.
-	seconds := float64(cfg.Steps-startStep) * dtFs * 1e-15
+	seconds := float64(res.Steps-startStep) * dtFs * 1e-15
 	if seconds > 0 && res.PairCount > 0 {
 		res.RatePerPairPerSec = float64(produced) / seconds / float64(res.PairCount)
 	}

@@ -73,9 +73,6 @@ func NewEngine(cellL float64, gridN int, ecut float64, nb int,
 	return e, nil
 }
 
-// NumBands returns the number of bands.
-func (e *Engine) NumBands() int { return e.Psi.Cols }
-
 // SetEffectivePotential installs the full effective local potential
 // (ionic + Hartree + XC + optional boundary potential) for the next
 // diagonalization.

@@ -149,6 +149,40 @@ func TestReactiveEngineJob(t *testing.T) {
 	}
 }
 
+// A reactive trajectory that fails mid-run — here its second checkpoint
+// cannot be written — reports the steps it completed, like an LDC one,
+// not an empty record.
+func TestReactiveRunReportCarriesPartialStepsOnError(t *testing.T) {
+	spec := JobSpec{
+		Engine: EngineReactive,
+		CellL:  20,
+		Atoms: []AtomSpec{
+			{Species: "O", Position: [3]float64{10, 14, 10}},
+			{Species: "H", Position: [3]float64{11.2, 14.6, 10}},
+			{Species: "H", Position: [3]float64{8.8, 14.6, 10}},
+		},
+		Reactive: &ReactiveSpec{TempK: 600, Seed: 1},
+		Steps:    10,
+	}
+	dir := filepath.Join(t.TempDir(), "job")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	steps := 0
+	rep, err := QMDRunner{}.Run(context.Background(), spec, filepath.Join(dir, "ck"),
+		func(step int, _, _ float64) {
+			if steps = step; step == 2 {
+				os.RemoveAll(dir) // this step's checkpoint has nowhere to go
+			}
+		})
+	if err == nil || errors.Is(err, context.Canceled) {
+		t.Fatalf("want a checkpoint write error, got %v", err)
+	}
+	if steps != 2 || rep.Steps != 2 || len(rep.EnergiesHa) != 2 || len(rep.TemperaturesK) != 2 || rep.Results != nil {
+		t.Fatalf("after %d steps: report %+v", steps, rep)
+	}
+}
+
 // Engine-gated validation: reactive specs need a reactive section with
 // a positive temperature; unknown engines are rejected.
 func TestJobSpecEngineValidation(t *testing.T) {

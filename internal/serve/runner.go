@@ -40,29 +40,33 @@ type Runner interface {
 		onStep func(step int, energyHa, tempK float64)) (RunReport, error)
 }
 
-// QMDRunner runs jobs through the real trajectory drivers: LDC-DFT QMD
-// (qmd.RunQMDOpts / qmd.ResumeQMD) for LDC jobs, the reactive
-// surrogate-field MD (reactive.RunProduction) for reactive jobs.
+// QMDRunner runs jobs through the two engines under the md.Trajectory
+// driver: LDC-DFT QMD (qmd.RunQMDOpts / qmd.ResumeQMD) for LDC jobs, the
+// reactive surrogate-field MD (reactive.RunProduction) for reactive jobs.
 type QMDRunner struct {
 	// Cache, when non-nil, is the shared SCF warm-start cache handed to
 	// every LDC trajectory (see qmd.QMDOptions.Cache).
 	Cache *cache.Cache
 }
 
-// Run implements Runner.
+// Run implements Runner, with one discipline for both engines: checkpoint
+// at the spec'd cadence (default every step), resume from ckPath when it
+// exists (a crash, a requeue, a lease taken over), else build from the spec.
 func (r QMDRunner) Run(ctx context.Context, spec JobSpec, ckPath string,
-	onStep func(step int, energyHa, tempK float64)) (RunReport, error) {
-	if spec.EngineKind() == EngineReactive {
-		return r.runReactive(ctx, spec, ckPath, onStep)
-	}
-	return r.runLDC(ctx, spec, ckPath, onStep)
-}
-
-func (r QMDRunner) runLDC(ctx context.Context, spec JobSpec, ckPath string,
 	onStep func(step int, energyHa, tempK float64)) (RunReport, error) {
 	every := spec.CheckpointEvery
 	if every == 0 {
 		every = 1
+	}
+	var sys *qmd.System // stays nil to resume from ckPath
+	var err error
+	if _, statErr := os.Stat(ckPath); statErr != nil {
+		if sys, err = spec.BuildSystem(); err != nil {
+			return RunReport{}, err
+		}
+	}
+	if spec.EngineKind() == EngineReactive {
+		return runReactive(ctx, spec, sys, ckPath, every, onStep)
 	}
 	opts := qmd.QMDOptions{
 		CheckpointPath:  ckPath,
@@ -72,53 +76,20 @@ func (r QMDRunner) runLDC(ctx context.Context, spec JobSpec, ckPath string,
 		Cache:           r.Cache,
 	}
 	var res *qmd.QMDResult
-	var err error
-	if _, statErr := os.Stat(ckPath); statErr == nil {
+	if sys == nil {
 		res, err = qmd.ResumeQMD(ckPath, spec.Config.LDC(), spec.Steps, spec.DtFs, opts)
 	} else {
-		sys, buildErr := spec.BuildSystem()
-		if buildErr != nil {
-			return RunReport{}, buildErr
-		}
 		res, err = qmd.RunQMDOpts(sys, spec.Config.LDC(), spec.Steps, spec.DtFs, opts)
 	}
-	rep := RunReport{}
-	if res != nil {
-		rep = RunReport{
-			Steps:         res.Steps,
-			SCFIterations: res.SCFIterations,
-			EnergiesHa:    res.Energies,
-			TemperaturesK: res.Temperatures,
-		}
-		if err == nil {
-			rep.Results = &Results{
-				Engine:        EngineLDC,
-				Steps:         res.Steps,
-				SCFIterations: res.SCFIterations,
-				EnergiesHa:    boundedTail(res.Energies),
-				TemperaturesK: boundedTail(res.Temperatures),
-			}
-			if n := len(res.Energies); n > 0 {
-				rep.Results.FinalEnergyHa = res.Energies[n-1]
-			}
-			if res.FinalSystem != nil {
-				rep.Results.FinalSystem = SnapshotSystem(res.FinalSystem)
-			}
-		}
+	if res == nil {
+		return RunReport{}, err
 	}
-	return rep, err
+	return report(EngineLDC, res.Steps, res.SCFIterations, res.Energies, res.Temperatures, res.FinalSystem, err == nil), err
 }
 
-// runReactive executes a reactive-engine job through
-// reactive.RunProduction with the same checkpoint/resume discipline as
-// the LDC path: checkpoint at the spec'd cadence (default every step),
-// resume from ckPath when it exists, final checkpoint on cancellation.
-func (r QMDRunner) runReactive(ctx context.Context, spec JobSpec, ckPath string,
+// runReactive is the reactive half of Run; a nil sys resumes from ckPath.
+func runReactive(ctx context.Context, spec JobSpec, sys *qmd.System, ckPath string, every int,
 	onStep func(step int, energyHa, tempK float64)) (RunReport, error) {
-	every := spec.CheckpointEvery
-	if every == 0 {
-		every = 1
-	}
 	cfg := reactive.ProductionConfig{
 		TempK:           spec.Reactive.TempK,
 		Steps:           spec.Steps,
@@ -131,8 +102,7 @@ func (r QMDRunner) runReactive(ctx context.Context, spec JobSpec, ckPath string,
 		Ctx:             ctx,
 		OnStep:          onStep,
 	}
-	var sys *qmd.System
-	if _, statErr := os.Stat(ckPath); statErr == nil {
+	if sys == nil {
 		ck, err := qio.ReadCheckpoint(ckPath)
 		if err != nil {
 			return RunReport{}, err
@@ -141,42 +111,41 @@ func (r QMDRunner) runReactive(ctx context.Context, spec JobSpec, ckPath string,
 			return RunReport{}, err
 		}
 		cfg.Resume = ck
-	} else {
-		var err error
-		if sys, err = spec.BuildSystem(); err != nil {
-			return RunReport{}, err
-		}
 	}
 	res, err := reactive.RunProduction(sys, cfg)
-	rep := RunReport{}
-	if res != nil {
-		rep = RunReport{
-			Steps:         len(res.EnergiesHa),
-			EnergiesHa:    res.EnergiesHa,
-			TemperaturesK: res.TemperaturesK,
-		}
-		if err == nil {
-			final := res.Final
-			rep.Results = &Results{
-				Engine:               EngineReactive,
-				Steps:                res.Steps,
-				EnergiesHa:           boundedTail(res.EnergiesHa),
-				TemperaturesK:        boundedTail(res.TemperaturesK),
-				Census:               &final,
-				RatePerPairPerSec:    res.RatePerPairPerSec,
-				RatePerSurfacePerSec: res.RatePerSurfacePerSec,
-				SurfaceAtoms:         res.SurfaceAtoms,
-				PairCount:            res.PairCount,
-				PHEnd:                res.Final.PHProxy(),
-				FinalSystem:          SnapshotSystem(sys),
-			}
-			if n := len(res.EnergiesHa); n > 0 {
-				rep.Results.FinalEnergyHa = res.EnergiesHa[n-1]
-			}
-			if len(res.Samples) > 0 {
-				rep.Results.PHStart = res.Samples[0].Census.PHProxy()
-			}
-		}
+	if res == nil {
+		return RunReport{}, err
+	}
+	rep := report(EngineReactive, res.Steps, 0, res.EnergiesHa, res.TemperaturesK, sys, err == nil)
+	if out := rep.Results; out != nil {
+		final := res.Final
+		out.Census = &final
+		out.RatePerPairPerSec = res.RatePerPairPerSec
+		out.RatePerSurfacePerSec = res.RatePerSurfacePerSec
+		out.SurfaceAtoms = res.SurfaceAtoms
+		out.PairCount = res.PairCount
+		out.PHStart = res.Samples[0].Census.PHProxy()
+		out.PHEnd = final.PHProxy()
 	}
 	return rep, err
+}
+
+// report is the RunReport of a trajectory's record: the steps it completed
+// and, for one that ran to the end (done), the Results every engine fills.
+func report(engine string, steps, scfIters int, energies, temps []float64, final *qmd.System, done bool) RunReport {
+	rep := RunReport{Steps: steps, SCFIterations: scfIters, EnergiesHa: energies, TemperaturesK: temps}
+	if done {
+		rep.Results = &Results{
+			Engine:        engine,
+			Steps:         steps,
+			SCFIterations: scfIters,
+			EnergiesHa:    boundedTail(energies),
+			TemperaturesK: boundedTail(temps),
+			FinalSystem:   SnapshotSystem(final),
+		}
+		if n := len(energies); n > 0 {
+			rep.Results.FinalEnergyHa = energies[n-1]
+		}
+	}
+	return rep
 }

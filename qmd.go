@@ -21,7 +21,6 @@ import (
 	"ldcdft/internal/grid"
 	"ldcdft/internal/machine"
 	"ldcdft/internal/md"
-	"ldcdft/internal/reactive"
 	"ldcdft/internal/scf"
 )
 
@@ -100,10 +99,6 @@ type (
 func NewIntegrator(ff ForceField, dtFs float64) *Integrator {
 	return md.NewIntegrator(ff, dtFs)
 }
-
-// NewReactiveField returns the calibrated reactive LiAl-water surrogate
-// force field of the hydrogen-on-demand application (§6).
-func NewReactiveField() ForceField { return reactive.NewField() }
 
 // BlueGeneQ returns the modelled Blue Gene/Q (Mira) machine.
 func BlueGeneQ() *machine.Machine { return machine.BlueGeneQ() }
@@ -238,9 +233,13 @@ func (f *DFTForceField) Close() error {
 	return nil
 }
 
-// Density returns the converged density of the most recent force
-// evaluation (nil before the first) — the SCF warm start a checkpoint
-// must capture.
+// SetContext installs Ctx; having it tells the trajectory driver that a
+// cancellation can abandon a force evaluation — and so a step — part-way.
+func (f *DFTForceField) SetContext(ctx context.Context) { f.Ctx = ctx }
+
+// Density returns the converged density of the most recent completed
+// force evaluation (nil before the first; a failed or cancelled one never
+// replaces it) — the SCF warm start a checkpoint must capture.
 func (f *DFTForceField) Density() *grid.Field { return f.prevRho }
 
 // SetDensity installs a warm-start density for the next force
