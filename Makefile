@@ -48,8 +48,10 @@ bce:
 # racing 200 atomic replacements of one checkpoint, in both
 # internal/qio and the root package, plus the job manager's lease
 # table / in-process slots / queue / SSE fan-out and interleaved
-# checkpoint uploads in internal/serve, and the reactive Field's reused
-# list and accumulator scratch — two serve slots run two Fields at once).
+# checkpoint uploads in internal/serve, the reactive Field's reused
+# list and accumulator scratch — two serve slots run two Fields at once —
+# and the experiment harness's host-kernel measurement, which shares the
+# process-wide FLOP counter with running jobs).
 # -short skips the full SCF-convergence solves and the long reactive
 # production runs (minutes each under the race detector) while
 # keeping every concurrency path: pool error/panic ordering, parallel
@@ -57,7 +59,7 @@ bce:
 # concurrent Cached3 lookups, job submission/cancellation races, and the
 # warm-start cache's concurrent get/put path.
 race: vet
-	$(GO) test -race -short . ./internal/linalg/... ./internal/scf/... ./internal/fft/... ./internal/pw/... ./internal/pseudo/... ./internal/bsd/... ./internal/qio/... ./internal/core/... ./internal/perf/... ./internal/md/... ./internal/atoms/... ./internal/reactive/... ./internal/serve/... ./internal/serve/lease/... ./internal/waitfor/... ./internal/cache/...
+	$(GO) test -race -short . ./internal/linalg/... ./internal/scf/... ./internal/fft/... ./internal/pw/... ./internal/pseudo/... ./internal/bsd/... ./internal/qio/... ./internal/core/... ./internal/perf/... ./internal/md/... ./internal/atoms/... ./internal/reactive/... ./internal/serve/... ./internal/serve/lease/... ./internal/waitfor/... ./internal/cache/... ./internal/expmatrix/...
 
 # fuzz-smoke mutates the inputs of the four binary decoders that share
 # internal/qio/frame.go for a few seconds each (`go test -fuzz` takes one
@@ -107,9 +109,14 @@ cluster-smoke:
 # resume from the durable store (cached cells skipped, only the
 # remainder resubmitted) and pass every validator — including the
 # Arrhenius fit against the paper's 0.068 eV — plus a qmdctl results
-# fetch of one array job. CI runs this on every PR.
+# fetch of one array job. Beside it every computed builtin spec runs
+# against a fresh store and must pass: the model tables and figures
+# within their tolerances of the paper, Fig. 7's buffer scan
+# non-increasing for LDC and DC, and §5.5 (LDC-DFT vs the O(N³) code:
+# ≤ 1e-3 Ha/atom, ≤ 0.05 Ha/Bohr, same census) — ≈ 20 s each for the two
+# real-solver studies. CI runs this on every PR.
 exp-smoke:
-	$(GO) test -run TestExpSmoke -count=1 -timeout 10m -v ./cmd/qmdexp/
+	$(GO) test -run 'TestExpSmoke|TestBuiltinComputedSpecs' -count=1 -timeout 10m -v ./cmd/qmdexp/ ./internal/expmatrix/
 
 # cli-smoke builds the two trajectory commands and drives what they share
 # (cmd/internal/trajcli over md.Trajectory): conflicting flags exit
@@ -125,7 +132,9 @@ bench: bench-fft
 
 # bench-smoke compiles and runs every benchmark exactly once and pushes
 # one benchmark through the cmd/benchjson pipe, so benchmark code and the
-# BENCH_fft.json plumbing cannot rot silently. CI runs this on every PR.
+# BENCH_fft.json plumbing cannot rot silently. These are kernel and
+# ablation benchmarks; the paper's tables and figures are qmdexp specs
+# (exp-smoke). CI runs this on every PR.
 bench-smoke: build
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 	$(GO) test -run '^$$' -bench 'Benchmark3DBatch' -benchtime 1x ./internal/fft/ | $(GO) run ./cmd/benchjson > /dev/null

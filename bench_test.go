@@ -1,276 +1,18 @@
 package qmd
 
-// Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation section (see DESIGN.md §3 for the experiment index). Each
-// benchmark regenerates its table/figure rows, logs them, and reports the
-// headline quantity via b.ReportMetric so `go test -bench=.` output
-// carries the paper-vs-measured comparison.
-//
-// The expensive experiments (real SCF sweeps, reactive MD) are computed
-// once per benchmark process and cached — the b.N loop then replays the
-// cached result, so -benchtime does not multiply hours of solver work.
+// Ablation benchmarks for the design choices of DESIGN.md §4 that live
+// above a single package. The paper's tables and figures are not here:
+// they are expmatrix specs run by cmd/qmdexp.
 
 import (
-	"fmt"
 	"math"
-	"sync"
 	"testing"
-	"time"
 
 	"ldcdft/internal/grid"
-	"ldcdft/internal/kern"
 	"ldcdft/internal/linalg"
-	"ldcdft/internal/machine"
 	"ldcdft/internal/multigrid"
 	"ldcdft/internal/pw"
 )
-
-// once-cached expensive results.
-var (
-	fig7Once   sync.Once
-	fig7Cached *Fig7Result
-	fig7Err    error
-
-	fig9aOnce   sync.Once
-	fig9aCached *ArrheniusResult
-	fig9aErr    error
-
-	fig9bOnce   sync.Once
-	fig9bCached []SizeScalingRow
-	fig9bErr    error
-
-	verOnce   sync.Once
-	verCached *VerificationResult
-	verErr    error
-)
-
-// BenchmarkFig5WeakScaling regenerates Fig. 5: wall-clock per QMD step
-// with scaled workloads (64·P atoms on P cores), paper efficiency 0.984.
-func BenchmarkFig5WeakScaling(b *testing.B) {
-	var pts []ScalingPoint
-	for i := 0; i < b.N; i++ {
-		pts = WeakScalingPoints()
-	}
-	for _, pt := range pts {
-		b.Logf("P=%7d atoms=%11d T=%8.1f s/step eff=%.4f", pt.Cores, pt.Atoms, pt.WallClock, pt.Efficiency)
-	}
-	last := pts[len(pts)-1]
-	b.ReportMetric(last.Efficiency, "efficiency@786432")
-	b.ReportMetric(0.984, "paper-efficiency")
-	b.ReportMetric(last.WallClock, "s/step@786432")
-}
-
-// WeakScalingPoints is the Fig. 5 driver (exported for the benchmark).
-func WeakScalingPoints() []ScalingPoint { return Fig5WeakScaling() }
-
-// BenchmarkFig6StrongScaling regenerates Fig. 6: the 77,889-atom
-// LiAl-water system on 49,152…786,432 cores, paper speedup 12.85.
-func BenchmarkFig6StrongScaling(b *testing.B) {
-	var pts []ScalingPoint
-	for i := 0; i < b.N; i++ {
-		pts = Fig6StrongScaling()
-	}
-	for _, pt := range pts {
-		b.Logf("P=%7d T=%7.2f s/step eff=%.4f", pt.Cores, pt.WallClock, pt.Efficiency)
-	}
-	first, last := pts[0], pts[len(pts)-1]
-	b.ReportMetric(first.WallClock/last.WallClock, "speedup@16x")
-	b.ReportMetric(12.85, "paper-speedup")
-	b.ReportMetric(last.Efficiency, "efficiency")
-}
-
-// BenchmarkFig7BufferConvergence regenerates Fig. 7 with the REAL LDC and
-// DC engines: energy error vs buffer thickness (paper: LDC converges much
-// faster; within 1e-3 Ha/atom above b = 4 a.u. for CdSe).
-func BenchmarkFig7BufferConvergence(b *testing.B) {
-	fig7Once.Do(func() { fig7Cached, fig7Err = Fig7BufferConvergence(true) })
-	if fig7Err != nil {
-		b.Fatal(fig7Err)
-	}
-	for i := 0; i < b.N; i++ {
-		_ = fig7Cached.Points
-	}
-	for _, p := range fig7Cached.Points {
-		b.Logf("b=%5.3f Bohr: LDC err %.3e, DC err %.3e Ha/atom", p.BufferBohr, p.LDCErr, p.DCErr)
-	}
-	lastPt := fig7Cached.Points[len(fig7Cached.Points)-1]
-	firstPt := fig7Cached.Points[0]
-	b.ReportMetric(firstPt.LDCErr, "LDCerr@b-small")
-	b.ReportMetric(lastPt.LDCErr, "LDCerr@b-large")
-	b.ReportMetric(firstPt.DCErr/math.Max(firstPt.LDCErr, 1e-300), "DC/LDC-err-ratio")
-}
-
-// BenchmarkTable1ThreadScaling regenerates Table 1: FLOP/s vs threads per
-// core on the Blue Gene/Q node model, alongside REAL kernel throughput of
-// this build at 1/2/4 workers.
-func BenchmarkTable1ThreadScaling(b *testing.B) {
-	var cells []Table1Row
-	var err error
-	for i := 0; i < b.N; i++ {
-		cells, err = Table1ThreadScaling()
-	}
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, c := range cells {
-		b.Logf("nodes=%2d threads=%d: %7.0f GF (%.1f%% of peak)", c.Nodes, c.ThreadsPerCore, c.GFlops, 100*c.PctPeak)
-	}
-	b.ReportMetric(100*cells[2].PctPeak, "model-pct-4nodes-4thr")
-	b.ReportMetric(54.3, "paper-pct-4nodes-4thr")
-	for _, w := range []int{1, 2, 4} {
-		rate := kern.KernelRate(w, 100*time.Millisecond)
-		b.Logf("host kernels with %d workers: %.2f GFLOP/s", w, rate)
-		b.ReportMetric(rate, fmt.Sprintf("host-GF-%dworkers", w))
-	}
-}
-
-// BenchmarkTable2RackFlops regenerates Table 2: sustained TFLOP/s on 1, 2
-// and 48 racks (paper: 113.23 / 226.32 / 5,081).
-func BenchmarkTable2RackFlops(b *testing.B) {
-	var rows []Table2Row
-	for i := 0; i < b.N; i++ {
-		rows = Table2RackFlops()
-	}
-	for _, r := range rows {
-		b.Logf("%2d racks: %8.1f TF (%.2f%%), paper %8.1f TF (%.2f%%)",
-			r.Racks, r.TFlops, r.PctPeak, r.PaperTF, r.PaperPct)
-	}
-	b.ReportMetric(rows[2].TFlops, "model-TF@48racks")
-	b.ReportMetric(rows[2].PaperTF, "paper-TF@48racks")
-}
-
-// BenchmarkSec2TimeToSolution regenerates the §2 comparison: LDC-DFT's
-// atom·iteration/s against the two prior state-of-the-art codes.
-func BenchmarkSec2TimeToSolution(b *testing.B) {
-	var rows []TimeToSolutionRow
-	for i := 0; i < b.N; i++ {
-		rows = Sec2TimeToSolution()
-	}
-	for _, r := range rows {
-		b.Logf("%-55s %12.1f atom·iter/s", r.Code, r.Speed)
-	}
-	b.ReportMetric(rows[2].Speed, "ldc-atom-iter-per-s")
-	b.ReportMetric(rows[2].Speed/rows[0].Speed, "speedup-vs-ON3")
-	b.ReportMetric(rows[2].Speed/rows[1].Speed, "speedup-vs-ON")
-}
-
-// BenchmarkSec52SpeedupCrossover regenerates the §5.2 analysis: the
-// LDC-over-DC speedup table and the O(N³) crossover point (125 atoms;
-// 422 with a 1.5× buffer).
-func BenchmarkSec52SpeedupCrossover(b *testing.B) {
-	var rows []SpeedupRow
-	var cx CrossoverResult
-	var err error
-	for i := 0; i < b.N; i++ {
-		rows = Sec52PaperSpeedups()
-		cx, err = Sec52Crossover()
-	}
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, r := range rows {
-		b.Logf("tol %.0e: b_DC %.2f, b_LDC %.2f → speedup %.2f (ν=2) / %.2f (ν=3)",
-			r.TolHa, r.BufDC, r.BufLDC, r.SpeedupNu2, r.SpeedupNu3)
-	}
-	b.Logf("crossover: L=%.2f a.u. → %.0f atoms (1.5× buffer → %.0f)",
-		cx.CrossoverL, cx.CrossoverAtoms, cx.Stringent)
-	b.ReportMetric(rows[1].SpeedupNu2, "speedup-5e3-nu2")
-	b.ReportMetric(cx.CrossoverAtoms, "crossover-atoms")
-}
-
-// BenchmarkSec55Verification runs the REAL §5.5 verification: LDC-DFT vs
-// conventional O(N³) DFT on the same LiAl-water cluster.
-func BenchmarkSec55Verification(b *testing.B) {
-	verOnce.Do(func() { verCached, verErr = Sec55Verification() })
-	if verErr != nil {
-		b.Fatal(verErr)
-	}
-	for i := 0; i < b.N; i++ {
-		_ = verCached.DiffPA
-	}
-	b.Logf("%d atoms: E/atom LDC %.6f vs conv %.6f (Δ %.2e)", verCached.Atoms,
-		verCached.LDCEnergyPA, verCached.ConvEnergyPA, verCached.DiffPA)
-	b.Logf("quantity-of-interest identical: %v", verCached.QuantityLDC == verCached.QuantityConv)
-	b.ReportMetric(verCached.DiffPA, "energy-diff-Ha-per-atom")
-	b.ReportMetric(verCached.MaxForceDiff, "max-force-diff")
-}
-
-// BenchmarkFig9aArrhenius runs the REAL reactive MD Arrhenius study at
-// 300/600/1500 K (paper: Ea ≈ 0.068 eV).
-func BenchmarkFig9aArrhenius(b *testing.B) {
-	fig9aOnce.Do(func() { fig9aCached, fig9aErr = Fig9aArrhenius(12, 2500, 3) })
-	if fig9aErr != nil {
-		b.Fatal(fig9aErr)
-	}
-	for i := 0; i < b.N; i++ {
-		_ = fig9aCached.EaEV
-	}
-	for i, tk := range fig9aCached.TempsK {
-		b.Logf("T=%5.0f K: rate %.3g /s/pair, pH %.2f → %.2f",
-			tk, fig9aCached.Rates[i], fig9aCached.PHStart[i], fig9aCached.PHEnd[i])
-	}
-	b.Logf("Arrhenius Ea = %.3f eV (paper: 0.068 eV)", fig9aCached.EaEV)
-	b.ReportMetric(fig9aCached.EaEV, "Ea-eV")
-	b.ReportMetric(0.068, "paper-Ea-eV")
-}
-
-// BenchmarkFig9bSizeScaling runs the REAL reactive MD size study: H₂
-// production rate per surface atom for growing particles (paper:
-// constant within error bars).
-func BenchmarkFig9bSizeScaling(b *testing.B) {
-	fig9bOnce.Do(func() { fig9bCached, fig9bErr = Fig9bSizeScaling([]int{8, 16, 32}, 2500, 4) })
-	if fig9bErr != nil {
-		b.Fatal(fig9bErr)
-	}
-	for i := 0; i < b.N; i++ {
-		_ = fig9bCached
-	}
-	var minR, maxR float64
-	for _, r := range fig9bCached {
-		b.Logf("Li%dAl%d (%d atoms): Nsurf=%d H2=%d rate/Nsurf=%.3g /s",
-			r.Pairs, r.Pairs, r.Atoms, r.SurfaceAtoms, r.H2Produced, r.RatePerSurf)
-		if minR == 0 || r.RatePerSurf < minR {
-			minR = r.RatePerSurf
-		}
-		if r.RatePerSurf > maxR {
-			maxR = r.RatePerSurf
-		}
-	}
-	if minR > 0 {
-		b.ReportMetric(maxR/minR, "rate-spread-max/min")
-	}
-}
-
-// BenchmarkIOGroupSize regenerates the §4.2 collective-I/O study: write
-// time vs aggregation group size with the optimum near 192 ranks.
-func BenchmarkIOGroupSize(b *testing.B) {
-	var opt int
-	var sweep []IOSweepPoint
-	for i := 0; i < b.N; i++ {
-		sweep, opt = IOGroupSizeSweep()
-	}
-	for _, p := range sweep {
-		if p.GroupSize >= 32 && p.GroupSize <= 2048 {
-			b.Logf("group=%5d write=%6.2f s", p.GroupSize, p.WriteSec)
-		}
-	}
-	b.ReportMetric(float64(opt), "optimal-group")
-	b.ReportMetric(192, "paper-optimal-group")
-}
-
-// BenchmarkHilbertCompression measures the real space-filling-curve
-// coordinate compression (ref. [65]) on a 512-atom snapshot.
-func BenchmarkHilbertCompression(b *testing.B) {
-	var ratio float64
-	var err error
-	for i := 0; i < b.N; i++ {
-		ratio, err = CompressionDemo(4, 12)
-	}
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(ratio, "compression-ratio")
-}
 
 // BenchmarkBlas3Transform measures the §3.4 algebraic transformation:
 // all-band BLAS3 GEMM vs band-by-band BLAS2 GEMV for the same workload.
@@ -322,25 +64,6 @@ func BenchmarkGemmVariants(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkPortability is the §5.4 performance-portability check: the
-// same kernel suite against the Blue Gene/Q and Xeon machine models plus
-// the real host measurement.
-func BenchmarkPortability(b *testing.B) {
-	var bgq, xeon float64
-	for i := 0; i < b.N; i++ {
-		mb := machine.BlueGeneQ()
-		mx := machine.XeonE5()
-		bgq = mb.PeakGF(mb.CoresPerNode) * mb.KernelEff
-		xeon = mx.PeakGF(mx.CoresPerNode) * mx.KernelEff
-	}
-	host := kern.KernelRate(0, 150*time.Millisecond)
-	b.Logf("BG/Q node model: %.1f GF sustained; Xeon node model: %.1f GF (paper: 217.6); host: %.2f GF",
-		bgq, xeon, host)
-	b.ReportMetric(xeon, "xeon-model-GF")
-	b.ReportMetric(217.6, "paper-xeon-GF")
-	b.ReportMetric(host, "host-measured-GF")
 }
 
 // BenchmarkMixingAblation compares the three density-mixing schemes on a

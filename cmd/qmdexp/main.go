@@ -1,12 +1,12 @@
-// Command qmdexp runs validation-matrix experiments (internal/expmatrix):
-// a parameter grid over a scenario generator, executed as a qmdd job
-// array, checked by observable validators, rendered as a pass/fail
-// matrix.
+// Command qmdexp regenerates the tables and figures of the paper's
+// evaluation (internal/expmatrix): each is a parameter grid over a
+// scenario — computed in process, or executed as a qmdd job array —
+// checked by observable validators and rendered as a pass/fail matrix.
 //
 // Usage:
 //
-//	qmdexp [-addr URL] [-data dir] run <experiment | spec.json>
-//	qmdexp [-data dir] render <experiment | spec.json>
+//	qmdexp [-addr URL] [-data dir] run <experiment | spec.json>...
+//	qmdexp [-data dir] render <experiment | spec.json>...
 //	qmdexp list
 //
 // With -addr, jobs go to a running qmdd daemon (standalone or
@@ -15,8 +15,8 @@
 // <data>/experiments/<name>/ and are skipped when the experiment is
 // rerun, so a killed campaign resumes where it left off.
 //
-// `run` exits 1 when any validator fails (the CI gate behaviour);
-// `render` re-evaluates the stored cells without running jobs.
+// `run` exits 1 when any validator of any named experiment fails (the CI
+// gate behaviour); `render` re-evaluates the stored cells, running nothing.
 package main
 
 import (
@@ -42,7 +42,7 @@ func main() {
 	quiet := flag.Bool("q", false, "suppress progress logging")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: qmdexp [-addr URL] [-data dir] {run|render|list} [experiment | spec.json]\n")
+			"usage: qmdexp [-addr URL] [-data dir] {run|render|list} [experiment | spec.json]...\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -53,12 +53,10 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	var err error
+	pass, err := true, error(nil)
 	switch cmd, rest := args[0], args[1:]; cmd {
-	case "run":
-		err = run(*addr, *data, *workers, *quiet, rest, false)
-	case "render":
-		err = run(*addr, *data, *workers, *quiet, rest, true)
+	case "run", "render":
+		pass, err = run(*addr, *data, *workers, *quiet, rest, cmd == "render")
 	case "list":
 		err = list(rest)
 	default:
@@ -66,6 +64,10 @@ func main() {
 	}
 	if err != nil {
 		log.Fatal(err)
+	}
+	if !pass {
+		// The CI-gate contract: a failing matrix fails the command.
+		os.Exit(1)
 	}
 }
 
@@ -75,7 +77,7 @@ func list(args []string) error {
 	}
 	for _, s := range expmatrix.Builtins() {
 		cells := len(expmatrix.ExpandGrid(s.Axes))
-		fmt.Printf("%-18s %2d cells  %s\n", s.Name, cells, s.Title)
+		fmt.Printf("%-24s %2d cells  %s\n", s.Name, cells, s.Title)
 	}
 	return nil
 }
@@ -102,52 +104,52 @@ func loadSpec(arg string) (*expmatrix.Spec, error) {
 	return &s, nil
 }
 
-func run(addr, data string, workers int, quiet bool, args []string, renderOnly bool) error {
-	verb := "run"
-	if renderOnly {
-		verb = "render"
-	}
-	if len(args) != 1 {
-		return fmt.Errorf("usage: qmdexp %s <experiment | spec.json>", verb)
-	}
-	spec, err := loadSpec(args[0])
-	if err != nil {
-		return err
-	}
-	store, err := expmatrix.OpenStore(data, spec.Name)
-	if err != nil {
-		return err
+// run executes (renderOnly: re-evaluates) the named experiments in order
+// and reports whether every matrix passed.
+func run(addr, data string, workers int, quiet bool, args []string, renderOnly bool) (bool, error) {
+	if len(args) == 0 {
+		return false, fmt.Errorf("usage: qmdexp {run|render} <experiment | spec.json>...")
 	}
 	logf := log.Printf
 	if quiet {
 		logf = func(string, ...any) {}
 	}
-	runner := &expmatrix.Runner{Store: store, Logf: logf}
-
-	var rep *expmatrix.Report
-	if renderOnly {
-		rep, err = runner.Render(spec)
-	} else {
-		var shutdown func()
-		runner.Client, shutdown, err = openClient(addr, data, workers, logf)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	var client expmatrix.JobClient
+	if !renderOnly {
+		c, shutdown, err := openClient(addr, data, workers, logf)
 		if err != nil {
-			return err
+			return false, err
 		}
 		defer shutdown()
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		rep, err = runner.Run(ctx, spec)
+		client = c
 	}
-	if err != nil {
-		return err
+	pass := true
+	for _, arg := range args {
+		spec, err := loadSpec(arg)
+		if err != nil {
+			return false, err
+		}
+		store, err := expmatrix.OpenStore(data, spec.Name)
+		if err != nil {
+			return false, err
+		}
+		runner := &expmatrix.Runner{Client: client, Store: store, Logf: logf}
+		var rep *expmatrix.Report
+		if renderOnly {
+			rep, err = runner.Render(spec)
+		} else {
+			rep, err = runner.Run(ctx, spec)
+		}
+		if err != nil {
+			return false, err
+		}
+		fmt.Print(expmatrix.RenderMarkdown(rep))
+		fmt.Printf("\nreport: %s/report.{md,json}\n\n", store.Dir())
+		pass = pass && rep.Pass
 	}
-	fmt.Print(expmatrix.RenderMarkdown(rep))
-	fmt.Printf("\nreport: %s/report.{md,json}\n", store.Dir())
-	if !rep.Pass {
-		// The CI-gate contract: a failing matrix fails the command.
-		os.Exit(1)
-	}
-	return nil
+	return pass, nil
 }
 
 // openClient builds the job client: HTTP against -addr, or an

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -178,12 +179,18 @@ func TestExpSmoke(t *testing.T) {
 		Census struct {
 			H2 int `json:"h2"`
 		} `json:"census"`
+		PHStart float64 `json:"ph_start"`
+		PHEnd   float64 `json:"ph_end"`
 	}
 	if err := json.Unmarshal(out, &res); err != nil {
 		t.Fatalf("qmdctl results output: %v\n%s", err, out)
 	}
 	if res.Engine != "reactive" || res.Census.H2 < 1 {
 		t.Fatalf("qmdctl results: engine=%q h2=%d\n%s", res.Engine, res.Census.H2, out)
+	}
+	// The pH proxies of Fig. 9(a) are finite at either end of the run.
+	if math.IsNaN(res.PHStart+res.PHEnd) || math.IsInf(res.PHStart+res.PHEnd, 0) {
+		t.Fatalf("qmdctl results: pH proxy %g → %g\n%s", res.PHStart, res.PHEnd, out)
 	}
 
 	// SIGTERM drains the daemon cleanly.

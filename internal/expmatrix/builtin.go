@@ -1,12 +1,123 @@
 package expmatrix
 
-// Builtins are the shipped experiment specs — the validation matrix
-// EXPERIMENTS.md reports. Budgets are laptop-scale (the same scale as
-// cmd/experiments); tolerances encode which paper claims each matrix
-// defends and how far the documented surrogate substitutions are
-// allowed to drift (see DESIGN.md).
+// Builtins are the shipped experiment specs — every table and figure
+// EXPERIMENTS.md reports: the computed ones in the order of DESIGN.md
+// §3, then the job matrices (Fig. 9). Budgets are laptop-scale (a
+// smaller one is a spec file); tolerances encode which paper claims
+// each matrix defends and how far the model and the documented
+// surrogate substitutions may drift (see DESIGN.md). Host kernel rates
+// are timings on a shared box: reported, never gated.
 func Builtins() []Spec {
 	return []Spec{
+		{
+			Name:     "fig5-weak-scaling",
+			Title:    "Fig. 5 — weak scaling, 64·P-atom SiC on P Blue Gene/Q cores (model)",
+			Scenario: "weak-scaling",
+			Axes:     []Axis{{Name: "cores", Values: []float64{16, 64, 256, 1024, 4096, 16384, 65536, 262144, 786432}}},
+			Validators: []ValidatorSpec{
+				{Name: "vs-paper", Kind: KindObservable, Observable: "efficiency", Reference: "paper_efficiency", Tolerance: 0.005},
+			},
+		},
+		{
+			Name:     "fig6-strong-scaling",
+			Title:    "Fig. 6 — strong scaling, 77,889-atom LiAl-water system (model)",
+			Scenario: "strong-scaling",
+			Axes:     []Axis{{Name: "cores", Values: []float64{49152, 98304, 196608, 393216, 786432}}},
+			Validators: []ValidatorSpec{
+				{Name: "vs-paper", Kind: KindObservable, Observable: "efficiency", Reference: "paper_efficiency", Tolerance: 0.01},
+			},
+		},
+		{
+			Name:     "fig7-buffer-convergence",
+			Title:    "Fig. 7 — energy convergence vs buffer thickness, LDC (mode 0) and DC (mode 1) (REAL solver)",
+			Scenario: "buffer-convergence",
+			Base:     Base{GridN: 24, DomainsPerAxis: 2, Ecut: 4, Seed: 1},
+			Axes:     []Axis{{Name: "mode", Values: []float64{0, 1}}, {Name: "buf_n", Values: []float64{1, 2, 3, 4}}},
+			MatrixValidators: []ValidatorSpec{
+				{Name: "ldc-converge", Kind: KindBufferConverge, Observable: "ldc_energy", Reference: "ref_energy"},
+				{Name: "dc-converge", Kind: KindBufferConverge, Observable: "dc_energy", Reference: "ref_energy"},
+			},
+		},
+		{
+			Name:     "table1-thread-scaling",
+			Title:    "Table 1 — FLOP/s vs threads per core, 512-atom SiC on 64 ranks (model + host kernels)",
+			Scenario: "thread-scaling",
+			Axes:     []Axis{{Name: "nodes", Values: []float64{4, 8, 16}}, {Name: "threads", Values: []float64{1, 2, 4}}},
+			Validators: []ValidatorSpec{
+				// The model captures the trends, each cell within 25 %.
+				{Name: "vs-paper", Kind: KindObservable, Observable: "pct_peak", Reference: "paper_pct_peak", Min: 0.75, Max: 1.25},
+			},
+		},
+		{
+			Name:     "table2-rack-flops",
+			Title:    "Table 2 — FLOP/s at rack scale (model)",
+			Scenario: "rack-flops",
+			Axes:     []Axis{{Name: "racks", Values: []float64{1, 2, 48}}},
+			Validators: []ValidatorSpec{
+				{Name: "vs-paper", Kind: KindObservable, Observable: "tflops", Reference: "paper_tflops", Min: 0.9, Max: 1.1},
+			},
+		},
+		{
+			Name:     "sec2-time-to-solution",
+			Title:    "§2 — time-to-solution, atom·SCF-iterations/s: O(N³) and O(N) prior art (rows 0, 1) vs LDC-DFT (row 2) (model)",
+			Scenario: "time-to-solution",
+			Axes:     []Axis{{Name: "row", Values: []float64{0, 1, 2}}},
+			Validators: []ValidatorSpec{
+				{Name: "vs-on3", Kind: KindObservable, Observable: "speed", Reference: "on3_speed", Min: 5000},
+			},
+		},
+		{
+			Name:     "sec52-speedups",
+			Title:    "§5.2 — LDC-over-DC speedup at the paper's CdSe buffers (analysis)",
+			Scenario: "ldc-speedup",
+			Axes:     []Axis{{Name: "tol_ha", Values: []float64{1e-2, 5e-3, 1e-3}}},
+			Validators: []ValidatorSpec{
+				{Name: "nu2", Kind: KindObservable, Observable: "speedup_nu2", Reference: "paper_speedup_nu2", Tolerance: 0.05},
+				{Name: "nu3", Kind: KindObservable, Observable: "speedup_nu3", Reference: "paper_speedup_nu3", Tolerance: 0.08},
+			},
+		},
+		{
+			Name:     "sec52-crossover",
+			Title:    "§5.2 — crossover against conventional O(N³) DFT, buffer ×1 and ×1.5 (analysis)",
+			Scenario: "crossover",
+			Axes:     []Axis{{Name: "buffer_scale", Values: []float64{1, 1.5}}},
+			Validators: []ValidatorSpec{
+				{Name: "atoms", Kind: KindObservable, Observable: "crossover_atoms", Reference: "paper_crossover_atoms", Tolerance: 2},
+				{Name: "atoms-stringent", Kind: KindObservable, Observable: "crossover_atoms", Reference: "paper_crossover_atoms_stringent", Tolerance: 5},
+			},
+		},
+		{
+			Name:     "sec55-verification",
+			Title:    "§5.5 — verification: LDC-DFT vs conventional O(N³) DFT on Li2Al2 + 2 H₂O (REAL solvers)",
+			Scenario: "ldc-vs-conventional",
+			Base:     Base{GridN: 24, DomainsPerAxis: 2, Ecut: 3, Seed: 2},
+			Axes:     []Axis{{Name: "buf_n", Values: []float64{5}}},
+			Validators: []ValidatorSpec{
+				// The paper's criterion: 1e-3 a.u. per atom, identical census.
+				{Name: "energy", Kind: KindObservable, Observable: "energy_diff_per_atom", Max: 1e-3},
+				{Name: "force", Kind: KindObservable, Observable: "max_force_diff", Max: 0.05},
+				{Name: "census", Kind: KindObservable, Observable: "census_ldc", Reference: "census_conv", Min: 1, Max: 1},
+			},
+		},
+		{
+			Name:     "sec42-collective-io",
+			Title:    "§4.2 — collective I/O: checkpoint write time vs aggregation group size (model), Hilbert-curve snapshot compression (real)",
+			Scenario: "collective-io",
+			Axes:     []Axis{{Name: "group", Values: []float64{16, 32, 64, 128, 192, 256, 512, 1024, 2048, 4096}}},
+			Validators: []ValidatorSpec{
+				{Name: "optimum", Kind: KindObservable, Observable: "optimal_group", Min: 96, Max: 384},
+				{Name: "compression", Kind: KindObservable, Observable: "compression_ratio", Min: 1.5},
+			},
+		},
+		{
+			Name:     "sec54-portability",
+			Title:    "§5.4 — performance portability: Blue Gene/Q and Xeon node models + host kernels",
+			Scenario: "portability",
+			Axes:     []Axis{{Name: "node_peak_gf", Values: []float64{204.8, 396}}},
+			Validators: []ValidatorSpec{
+				{Name: "vs-paper", Kind: KindObservable, Observable: "node_gflops", Reference: "paper_node_gflops", Tolerance: 5},
+			},
+		},
 		{
 			Name:     "fig9a-arrhenius",
 			Title:    "Fig. 9(a) — H₂ production Arrhenius sweep (reactive MD)",
@@ -50,9 +161,7 @@ func Builtins() []Spec {
 				{Kind: KindCensusH2, Min: 1},
 				{Kind: KindRateRange, Min: 1e10, Max: 1e14},
 			},
-			MatrixValidators: []ValidatorSpec{
-				{Kind: KindArrhenius, Target: 0.068, Tolerance: 0.06},
-			},
+			MatrixValidators: []ValidatorSpec{{Kind: KindArrhenius, Target: 0.068, Tolerance: 0.06}},
 		},
 		{
 			Name:     "ldc-buffer-scan",

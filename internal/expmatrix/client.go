@@ -25,7 +25,7 @@ type JobClient interface {
 	// Wait blocks until the job is terminal and returns its state.
 	Wait(ctx context.Context, id string) (*serve.JobState, error)
 	// Results fetches a completed job's final observable record.
-	Results(id string) (*serve.Results, error)
+	Results(ctx context.Context, id string) (*serve.Results, error)
 }
 
 // submitBackoff paces admission retries after queue-full rejections.
@@ -77,11 +77,13 @@ func (c *LocalClient) Wait(ctx context.Context, id string) (*serve.JobState, err
 	}
 }
 
-func (c *LocalClient) Results(id string) (*serve.Results, error) {
+func (c *LocalClient) Results(_ context.Context, id string) (*serve.Results, error) {
 	return c.M.Results(id)
 }
 
-// HTTPClient speaks the qmdd HTTP API.
+// HTTPClient speaks the qmdd HTTP API. Every request carries the
+// caller's context, so a cancelled campaign is not held by a daemon
+// that keeps a connection open.
 type HTTPClient struct {
 	Base string // daemon base URL, e.g. http://127.0.0.1:8432
 	// Poll overrides the status polling cadence (0 = 250ms).
@@ -94,13 +96,11 @@ func (c *HTTPClient) Submit(ctx context.Context, spec serve.JobSpec) (string, er
 		return "", err
 	}
 	for {
-		resp, err := http.Post(c.Base+"/v1/jobs", "application/json", bytes.NewReader(body))
+		code, raw, err := c.do(ctx, http.MethodPost, "/v1/jobs", body)
 		if err != nil {
 			return "", err
 		}
-		raw, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		switch resp.StatusCode {
+		switch code {
 		case http.StatusCreated:
 			var st serve.JobState
 			if err := json.Unmarshal(raw, &st); err != nil {
@@ -115,7 +115,7 @@ func (c *HTTPClient) Submit(ctx context.Context, spec serve.JobSpec) (string, er
 			case <-time.After(submitBackoff):
 			}
 		default:
-			return "", apiErr("submit", resp.StatusCode, raw)
+			return "", apiErr("submit", code, raw)
 		}
 	}
 }
@@ -126,12 +126,12 @@ func (c *HTTPClient) Wait(ctx context.Context, id string) (*serve.JobState, erro
 		poll = 250 * time.Millisecond
 	}
 	for {
-		st, err := c.get(id)
-		if err != nil {
+		var st serve.JobState
+		if err := c.getJSON(ctx, "status", "/v1/jobs/"+id, &st); err != nil {
 			return nil, err
 		}
 		if st.Status.Terminal() {
-			return st, nil
+			return &st, nil
 		}
 		select {
 		case <-ctx.Done():
@@ -141,38 +141,48 @@ func (c *HTTPClient) Wait(ctx context.Context, id string) (*serve.JobState, erro
 	}
 }
 
-func (c *HTTPClient) get(id string) (*serve.JobState, error) {
-	resp, err := http.Get(c.Base + "/v1/jobs/" + id)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return nil, apiErr("status", resp.StatusCode, raw)
-	}
-	var st serve.JobState
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
-}
-
-func (c *HTTPClient) Results(id string) (*serve.Results, error) {
-	resp, err := http.Get(c.Base + "/v1/jobs/" + id + "/results")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return nil, apiErr("results", resp.StatusCode, raw)
-	}
+func (c *HTTPClient) Results(ctx context.Context, id string) (*serve.Results, error) {
 	var res serve.Results
-	if err := json.Unmarshal(raw, &res); err != nil {
+	if err := c.getJSON(ctx, "results", "/v1/jobs/"+id+"/results", &res); err != nil {
 		return nil, err
 	}
 	return &res, nil
+}
+
+// getJSON decodes the 200 response of a GET into out.
+func (c *HTTPClient) getJSON(ctx context.Context, op, path string, out any) error {
+	code, raw, err := c.do(ctx, http.MethodGet, path, nil)
+	if err != nil {
+		return err
+	}
+	if code != http.StatusOK {
+		return apiErr(op, code, raw)
+	}
+	return json.Unmarshal(raw, out)
+}
+
+// do performs one request under ctx and returns the status and body. A
+// request the context ended reports the cancellation cause.
+func (c *HTTPClient) do(ctx context.Context, method, path string, body []byte) (code int, raw []byte, err error) {
+	defer func() {
+		if err != nil && ctx.Err() != nil {
+			err = context.Cause(ctx)
+		}
+	}()
+	req, err := http.NewRequestWithContext(ctx, method, c.Base+path, bytes.NewReader(body))
+	if err != nil {
+		return 0, nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	raw, err = io.ReadAll(resp.Body)
+	return resp.StatusCode, raw, err
 }
 
 // apiErr surfaces the daemon's JSON error envelope.

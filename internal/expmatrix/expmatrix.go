@@ -1,20 +1,23 @@
-// Package expmatrix is the validation-matrix experiment harness: a
-// declarative experiment spec — a parameter grid (temperature,
-// composition, particle size, LDC buffer size) over a scenario
-// generator, plus observable validators with tolerances — executed as a
-// qmdd job array and rendered as a pass/fail matrix.
+// Package expmatrix is the one experiment surface of the reproduction:
+// every table and figure of the paper's evaluation is a declarative
+// spec — a parameter grid (cores, racks, temperature, particle size,
+// LDC buffer size) over a registered scenario, plus observable
+// validators with tolerances — run by one Runner, kept in one durable
+// store and rendered as one pass/fail matrix.
 //
-// An experiment expands its axes into cells; each cell becomes one
-// serve.JobSpec submitted through a JobClient (the HTTP API of a
-// running qmdd, or an in-process serve.Manager). Completed cells land
-// in a durable per-experiment store (crash-safe JSON via qio), so a
-// killed campaign resumes on rerun without recomputing finished cells.
-// Validators are first class: per-cell checks (energy drift,
-// temperature tracking, H₂ census, production-rate ranges, g(r) first
-// peak) run against each cell's Results record, and matrix-level
-// checks (the Arrhenius fit across the temperature axis, the LDC
-// buffer-size convergence scan) run across the whole grid. cmd/qmdexp
-// is the CLI.
+// An experiment expands its axes into cells. A job scenario turns a
+// cell into a serve.JobSpec submitted through a JobClient (the HTTP API
+// of a running qmdd, or an in-process serve.Manager); a computed
+// scenario (computed.go: the machine-model tables, Fig. 7, §5.5)
+// evaluates the cell's named observables in the runner's process, each
+// beside the paper's own number. Either way the completed cell lands in
+// a durable per-experiment store (crash-safe JSON via qio), so a killed
+// campaign resumes on rerun without recomputing finished cells.
+// Validators are first class: per-cell checks (an observable against a
+// target or reference, energy drift, temperature tracking, H₂ census,
+// production-rate ranges, g(r) first peak) run against each cell's
+// record, and matrix-level checks (the Arrhenius fit, the buffer-size
+// convergence scan) run across the whole grid. cmd/qmdexp is the CLI.
 package expmatrix
 
 import (
@@ -60,8 +63,9 @@ type Spec struct {
 	// and must be a valid single path element.
 	Name  string `json:"name"`
 	Title string `json:"title,omitempty"`
-	// Scenario names the registered cell-to-JobSpec generator (see
-	// scenario.go): "lial-water" or "ldc-h2".
+	// Scenario names the registered scenario: a job generator
+	// (scenario.go: "lial-water", "ldc-h2") or a computed one
+	// (computed.go).
 	Scenario string `json:"scenario"`
 	Base     Base   `json:"base"`
 	Axes     []Axis `json:"axes"`
@@ -78,13 +82,15 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("expmatrix: experiment needs a name")
 	case strings.ContainsAny(s.Name, "/\\ ") || s.Name == "." || s.Name == "..":
 		return fmt.Errorf("expmatrix: invalid experiment name %q", s.Name)
-	case s.Base.Steps <= 0:
-		return fmt.Errorf("expmatrix: base.steps must be positive, got %d", s.Base.Steps)
 	case len(s.Axes) == 0:
 		return fmt.Errorf("expmatrix: at least one axis is required")
 	}
-	if _, ok := scenarios[s.Scenario]; !ok {
+	sc, ok := scenarios[s.Scenario]
+	if !ok {
 		return fmt.Errorf("expmatrix: unknown scenario %q", s.Scenario)
+	}
+	if sc.job != nil && s.Base.Steps <= 0 {
+		return fmt.Errorf("expmatrix: base.steps must be positive, got %d", s.Base.Steps)
 	}
 	seen := map[string]bool{}
 	for _, ax := range s.Axes {

@@ -2,6 +2,9 @@ package expmatrix
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -18,8 +21,24 @@ func RenderMarkdown(rep *Report) string {
 	fmt.Fprintf(&b, "Scenario `%s`; %d cells (%d run, %d cached, %d failed). Verdict: %s.\n\n",
 		rep.Scenario, len(rep.Cells), rep.Ran, rep.Cached, rep.Failed, passWord(rep.Pass))
 
-	// Column set: axes, then the per-cell check names (from the first
-	// cell carrying checks — all cells share the validator list).
+	// Column set: axes, then every observable a computed cell carries (a
+	// paper value right after its own number), then the per-cell check
+	// names (from the first cell carrying checks — all share the list).
+	var obsNames []string
+	for _, c := range rep.Cells {
+		for name := range c.Observables {
+			if !slices.Contains(obsNames, name) {
+				obsNames = append(obsNames, name)
+			}
+		}
+	}
+	sort.Slice(obsNames, func(i, j int) bool {
+		a, b := strings.TrimPrefix(obsNames[i], "paper_"), strings.TrimPrefix(obsNames[j], "paper_")
+		if a != b {
+			return a < b
+		}
+		return obsNames[i] == a // "tflops" before "paper_tflops"
+	})
 	var checkNames []string
 	for _, c := range rep.Cells {
 		if len(c.Checks) > 0 {
@@ -29,10 +48,11 @@ func RenderMarkdown(rep *Report) string {
 			break
 		}
 	}
-	header := make([]string, 0, len(rep.Axes)+len(checkNames)+2)
+	header := make([]string, 0, len(rep.Axes)+len(obsNames)+len(checkNames)+2)
 	for _, ax := range rep.Axes {
 		header = append(header, ax.Name)
 	}
+	header = append(header, obsNames...)
 	header = append(header, "status")
 	header = append(header, checkNames...)
 	header = append(header, "cell")
@@ -47,6 +67,15 @@ func RenderMarkdown(rep *Report) string {
 		for _, ax := range rep.Axes {
 			row = append(row, strconv.FormatFloat(c.Values[ax.Name], 'g', -1, 64))
 		}
+		for _, name := range obsNames {
+			if v, ok := c.Observables[name]; !ok {
+				row = append(row, "—")
+			} else if v == math.Trunc(v) && math.Abs(v) < 1e15 {
+				row = append(row, strconv.FormatFloat(v, 'f', 0, 64)) // counts print whole
+			} else {
+				row = append(row, strconv.FormatFloat(v, 'g', 6, 64))
+			}
+		}
 		status := c.Status
 		if c.Cached {
 			status += " (cached)"
@@ -56,7 +85,7 @@ func RenderMarkdown(rep *Report) string {
 		}
 		row = append(row, status)
 		for i := range checkNames {
-			if i < len(c.Checks) {
+			if i < len(c.Checks) && !c.Checks[i].Skipped {
 				ch := c.Checks[i]
 				row = append(row, fmt.Sprintf("%s %.3g", passMark(ch.Pass), ch.Measured))
 			} else {

@@ -3,6 +3,7 @@ package expmatrix
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"ldcdft/internal/serve"
@@ -10,14 +11,16 @@ import (
 
 // CellReport is one row of the rendered matrix.
 type CellReport struct {
-	Key    string             `json:"key"`
-	Values Cell               `json:"values"`
-	JobID  string             `json:"job_id,omitempty"`
-	Status string             `json:"status"` // "completed" | "failed" | "skipped-cached"→"completed"
-	Error  string             `json:"error,omitempty"`
-	Cached bool               `json:"cached,omitempty"` // restored from the store, not run this campaign
-	Checks []ValidationResult `json:"checks,omitempty"`
-	Pass   bool               `json:"pass"`
+	Key    string `json:"key"`
+	Values Cell   `json:"values"`
+	// Observables of a computed cell render as columns after the axes.
+	Observables map[string]float64 `json:"observables,omitempty"`
+	JobID       string             `json:"job_id,omitempty"`
+	Status      string             `json:"status"` // "completed" | "failed" | "skipped-cached"→"completed"
+	Error       string             `json:"error,omitempty"`
+	Cached      bool               `json:"cached,omitempty"` // restored from the store, not run this campaign
+	Checks      []ValidationResult `json:"checks,omitempty"`
+	Pass        bool               `json:"pass"`
 }
 
 // Report is an experiment's evaluated matrix — the body of report.json
@@ -39,9 +42,10 @@ type Report struct {
 }
 
 // Runner executes experiments: expand the grid, skip cells the store
-// already holds, submit the rest as a qmdd job array, collect results,
-// evaluate the validators, and persist the report.
+// already holds, compute the rest in process or run them as a qmdd job
+// array, evaluate the validators, and persist the report.
 type Runner struct {
+	// Client runs job scenarios' cells; computed scenarios need none.
 	Client JobClient
 	Store  *Store
 	// Logf, when non-nil, receives campaign progress lines.
@@ -55,17 +59,29 @@ func (r *Runner) logf(format string, args ...any) {
 }
 
 // Run executes one experiment campaign to a Report. Completed cells
-// found in the store are reused (Cached); the remainder run as a job
+// found in the store are reused (Cached); the remainder are computed
+// one after the other (ctx is checked between cells) or run as a job
 // array — all submissions first (admission-control rejections retried
-// with backoff), then collection in submission order. A failed or
-// cancelled job marks its cell failed but does not abort the campaign:
-// the report carries the partial matrix and rerunning retries exactly
-// the unfinished cells.
+// with backoff), then collection in submission order. A cell whose
+// computation errors or whose job fails or is cancelled is marked
+// failed but does not abort the campaign: the report carries the
+// partial matrix and rerunning retries exactly the unfinished cells.
 func (r *Runner) Run(ctx context.Context, spec *Spec) (*Report, error) {
+	return r.campaign(ctx, spec, true)
+}
+
+// Render re-evaluates the experiment from the store alone — nothing
+// runs. Cells without a stored record are reported as missing (and fail
+// the matrix); Run is the way to fill them.
+func (r *Runner) Render(spec *Spec) (*Report, error) {
+	return r.campaign(context.Background(), spec, false)
+}
+
+func (r *Runner) campaign(ctx context.Context, spec *Spec, execute bool) (*Report, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	gen := scenarios[spec.Scenario]
+	sc := scenarios[spec.Scenario]
 	cells := ExpandGrid(spec.Axes)
 	rep := &Report{
 		Experiment: spec.Name,
@@ -76,49 +92,70 @@ func (r *Runner) Run(ctx context.Context, spec *Spec) (*Report, error) {
 	}
 	start := time.Now()
 
-	// Phase 1: reuse completed cells, submit the rest as a job array.
-	type pending struct {
-		idx   int
-		jobID string
-	}
-	var queue []pending
+	// Phase 1: reuse completed cells; compute or submit the rest.
+	var queue []int // submitted cells, in submission order
 	records := make([]*CellRecord, len(cells))
 	for i, cell := range cells {
 		key := CellKey(spec.Axes, cell)
-		rep.Cells[i] = CellReport{Key: key, Values: cell}
+		cr := &rep.Cells[i]
+		*cr = CellReport{Key: key, Values: cell, Status: string(serve.StatusCompleted)}
 		rec, err := r.Store.GetCell(key)
-		if err != nil {
+		switch {
+		case err != nil:
 			return nil, err
-		}
-		if rec != nil && rec.Results != nil {
+		case rec != nil && (rec.Results != nil || rec.Observables != nil):
 			records[i] = rec
-			rep.Cells[i].Status = string(serve.StatusCompleted)
-			rep.Cells[i].JobID = rec.JobID
-			rep.Cells[i].Cached = true
+			cr.JobID = rec.JobID
+			cr.Cached = true
 			rep.Cached++
-			continue
+		case !execute:
+			cr.Status = "missing"
+			rep.Failed++
+		case sc.compute != nil:
+			if ctx.Err() != nil {
+				return nil, context.Cause(ctx)
+			}
+			obs, err := sc.compute(spec.Base, cell)
+			for name, v := range obs {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					err = fmt.Errorf("expmatrix: observable %q is not finite (%g)", name, v)
+				}
+			}
+			if err != nil {
+				cr.Status, cr.Error = string(serve.StatusFailed), err.Error()
+				rep.Failed++
+				r.logf("expmatrix: %s: cell %s failed: %v", spec.Name, key, err)
+				continue
+			}
+			records[i] = &CellRecord{Key: key, Values: cell, Observables: obs, CompletedAt: time.Now().UTC()}
+			if err := r.Store.PutCell(records[i]); err != nil {
+				return nil, err
+			}
+			rep.Ran++
+			r.logf("expmatrix: %s: cell %s computed", spec.Name, key)
+		default:
+			js, err := sc.job(spec.Base, cell)
+			if err != nil {
+				return nil, fmt.Errorf("expmatrix: cell %s: %w", key, err)
+			}
+			js.Name = spec.Name + "/" + key
+			id, err := r.Client.Submit(ctx, js)
+			if err != nil {
+				return nil, fmt.Errorf("expmatrix: submit cell %s: %w", key, err)
+			}
+			cr.JobID = id
+			queue = append(queue, i)
+			r.logf("expmatrix: %s: cell %s submitted as %s", spec.Name, key, id)
 		}
-		js, err := gen(spec.Base, cell)
-		if err != nil {
-			return nil, fmt.Errorf("expmatrix: cell %s: %w", key, err)
-		}
-		js.Name = spec.Name + "/" + key
-		id, err := r.Client.Submit(ctx, js)
-		if err != nil {
-			return nil, fmt.Errorf("expmatrix: submit cell %s: %w", key, err)
-		}
-		rep.Cells[i].JobID = id
-		queue = append(queue, pending{idx: i, jobID: id})
-		r.logf("expmatrix: %s: cell %s submitted as %s", spec.Name, key, id)
 	}
 	if rep.Cached > 0 {
 		r.logf("expmatrix: %s: %d/%d cells already complete in store", spec.Name, rep.Cached, len(cells))
 	}
 
 	// Phase 2: collect in submission order.
-	for _, p := range queue {
-		cr := &rep.Cells[p.idx]
-		st, err := r.Client.Wait(ctx, p.jobID)
+	for _, i := range queue {
+		cr := &rep.Cells[i]
+		st, err := r.Client.Wait(ctx, cr.JobID)
 		if err != nil {
 			return nil, fmt.Errorf("expmatrix: wait for cell %s: %w", cr.Key, err)
 		}
@@ -129,21 +166,21 @@ func (r *Runner) Run(ctx context.Context, spec *Spec) (*Report, error) {
 			r.logf("expmatrix: %s: cell %s %s: %s", spec.Name, cr.Key, st.Status, st.Error)
 			continue
 		}
-		res, err := r.Client.Results(p.jobID)
+		res, err := r.Client.Results(ctx, cr.JobID)
 		if err != nil {
 			return nil, fmt.Errorf("expmatrix: results for cell %s: %w", cr.Key, err)
 		}
 		rec := &CellRecord{
 			Key:         cr.Key,
-			Values:      cells[p.idx],
-			JobID:       p.jobID,
+			Values:      cells[i],
+			JobID:       cr.JobID,
 			Results:     res,
 			CompletedAt: time.Now().UTC(),
 		}
 		if err := r.Store.PutCell(rec); err != nil {
 			return nil, err
 		}
-		records[p.idx] = rec
+		records[i] = rec
 		rep.Ran++
 		r.logf("expmatrix: %s: cell %s completed (%d steps)", spec.Name, cr.Key, res.Steps)
 	}
@@ -158,58 +195,22 @@ func (r *Runner) Run(ctx context.Context, spec *Spec) (*Report, error) {
 	return rep, nil
 }
 
-// Render re-evaluates the experiment from the store alone — no jobs
-// run. Cells without a stored record are reported as missing (and fail
-// the matrix); Run is the way to fill them.
-func (r *Runner) Render(spec *Spec) (*Report, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	cells := ExpandGrid(spec.Axes)
-	rep := &Report{
-		Experiment: spec.Name,
-		Title:      spec.Title,
-		Scenario:   spec.Scenario,
-		Axes:       spec.Axes,
-		Cells:      make([]CellReport, len(cells)),
-	}
-	records := make([]*CellRecord, len(cells))
-	for i, cell := range cells {
-		key := CellKey(spec.Axes, cell)
-		rep.Cells[i] = CellReport{Key: key, Values: cell, Status: "missing"}
-		rec, err := r.Store.GetCell(key)
-		if err != nil {
-			return nil, err
-		}
-		if rec != nil && rec.Results != nil {
-			records[i] = rec
-			rep.Cells[i].Status = string(serve.StatusCompleted)
-			rep.Cells[i].JobID = rec.JobID
-			rep.Cells[i].Cached = true
-			rep.Cached++
-		} else {
-			rep.Failed++
-		}
-	}
-	evaluate(spec, cells, records, rep)
-	if err := r.Store.WriteReport(rep); err != nil {
-		return nil, err
-	}
-	return rep, nil
-}
-
 // evaluate fills in the checks and the verdict from the cell records.
 func evaluate(spec *Spec, cells []Cell, records []*CellRecord, rep *Report) {
 	rep.Pass = rep.Failed == 0
-	results := make([]*serve.Results, len(cells))
 	for i, rec := range records {
 		if rec == nil {
 			rep.Pass = false
 			continue
 		}
-		results[i] = rec.Results
+		rep.Cells[i].Observables = rec.Observables
 		for _, v := range spec.Validators {
-			check := v.Evaluate(cells[i], rec.Results)
+			var check ValidationResult
+			if v.Kind == KindObservable {
+				check = v.evaluateObservable(rec.Observables)
+			} else {
+				check = v.Evaluate(cells[i], rec.Results)
+			}
 			rep.Cells[i].Checks = append(rep.Cells[i].Checks, check)
 		}
 		rep.Cells[i].Pass = true
@@ -221,7 +222,7 @@ func evaluate(spec *Spec, cells []Cell, records []*CellRecord, rep *Report) {
 		}
 	}
 	for _, v := range spec.MatrixValidators {
-		check := v.EvaluateMatrix(cells, results)
+		check := v.evaluateMatrix(cells, records)
 		rep.Matrix = append(rep.Matrix, check)
 		if !check.Pass {
 			rep.Pass = false

@@ -8,16 +8,32 @@ import (
 	"ldcdft/internal/serve"
 )
 
-// A Scenario turns one grid cell into a runnable job spec. Generators
-// must be deterministic in (base, cell): resubmitting a cell after a
-// crash reproduces the same system, so results are comparable across
-// campaign restarts.
-type Scenario func(base Base, cell Cell) (serve.JobSpec, error)
+// A scenario turns one grid cell into work; exactly one field is set:
+// job builds the spec a JobClient runs, compute returns the cell's named
+// observables, evaluated in the runner's process. Both are deterministic
+// in (base, cell): redoing a cell after a crash reproduces the same
+// system, so results are comparable across campaign restarts.
+type scenario struct {
+	job     func(Base, Cell) (serve.JobSpec, error)
+	compute func(Base, Cell) (map[string]float64, error)
+}
 
-// scenarios is the generator registry, keyed by Spec.Scenario.
-var scenarios = map[string]Scenario{
-	"lial-water": lialWaterScenario,
-	"ldc-h2":     ldcH2Scenario,
+// scenarios is the registry, keyed by Spec.Scenario.
+var scenarios = map[string]scenario{
+	"lial-water": {job: lialWaterScenario},
+	"ldc-h2":     {job: ldcH2Scenario},
+
+	"weak-scaling":        {compute: weakScaling},
+	"strong-scaling":      {compute: strongScaling},
+	"thread-scaling":      {compute: threadScaling},
+	"rack-flops":          {compute: rackFlops},
+	"time-to-solution":    {compute: timeToSolution},
+	"ldc-speedup":         {compute: ldcSpeedup},
+	"crossover":           {compute: crossover},
+	"portability":         {compute: portability},
+	"collective-io":       {compute: collectiveIO},
+	"buffer-convergence":  {compute: bufferConvergence},
+	"ldc-vs-conventional": {compute: ldcVsConventional},
 }
 
 // lialWaterScenario builds the hydrogen-on-demand workload of §6: a

@@ -13,16 +13,17 @@ import (
 )
 
 // CellRecord is the durable record of one completed cell: the axis
-// values, the job that ran it, and its Results. Records are written
-// crash-safely (qio.AtomicFile), so a campaign killed mid-write
-// never leaves a torn cell — on rerun, a present record means the cell
-// is done and is skipped.
+// values and the job that ran it with its Results, or a computed cell's
+// Observables. Records are written crash-safely (qio.AtomicFile), so a
+// campaign killed mid-write never leaves a torn cell — on rerun, a
+// present record means the cell is done and is skipped.
 type CellRecord struct {
-	Key         string         `json:"key"`
-	Values      Cell           `json:"values"`
-	JobID       string         `json:"job_id"`
-	Results     *serve.Results `json:"results"`
-	CompletedAt time.Time      `json:"completed_at,omitzero"`
+	Key         string             `json:"key"`
+	Values      Cell               `json:"values"`
+	JobID       string             `json:"job_id"`
+	Results     *serve.Results     `json:"results"`
+	Observables map[string]float64 `json:"observables,omitempty"`
+	CompletedAt time.Time          `json:"completed_at,omitzero"`
 }
 
 // Store is the per-experiment result directory:

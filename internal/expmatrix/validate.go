@@ -12,9 +12,16 @@ import (
 	"ldcdft/internal/units"
 )
 
-// Validator kinds. Cell validators judge one cell's Results record;
-// matrix validators judge the whole grid.
+// Validator kinds. Cell validators judge one cell's record; matrix
+// validators judge the whole grid.
 const (
+	// KindObservable (cell) checks the named Observable of a computed
+	// cell against Target or, with Reference, against that observable of
+	// the same cell (the paper's number; a cell without it is not
+	// judged). Tolerance > 0 bounds the absolute difference; otherwise
+	// the value — with Reference the ratio value/reference, so ±10 % is
+	// Min 0.9, Max 1.1 — must lie in [Min, Max] (Max 0 = unbounded).
+	KindObservable = "observable"
 	// KindEnergyDrift (cell) bounds the per-step potential-energy drift
 	// |E_last − E_first| / steps over the recorded series: Max is the
 	// allowed drift in Hartree per step.
@@ -41,10 +48,11 @@ const (
 	// within Tolerance — the Fig. 9(a) check against the paper's
 	// 0.068 eV.
 	KindArrhenius = "arrhenius"
-	// KindBufferConverge (matrix) checks the LDC buffer-size error
-	// scan: with the largest value of Axis (default "buf_n") as
-	// reference, the final-energy error must be non-increasing in the
-	// buffer size, within absolute slack Tolerance (Hartree).
+	// KindBufferConverge (matrix) checks the buffer-size error scan:
+	// the error of Observable (default: a job's final energy) against
+	// the cells' Reference observable (default: the value at the largest
+	// buffer) must be non-increasing in Axis (default "buf_n"), within
+	// absolute slack Tolerance (Hartree).
 	KindBufferConverge = "buffer-converge"
 )
 
@@ -64,6 +72,9 @@ type ValidatorSpec struct {
 	SpeciesB string `json:"species_b,omitempty"`
 	// Axis names the grid axis a matrix validator sweeps.
 	Axis string `json:"axis,omitempty"`
+	// Observable and Reference name observables of a computed cell.
+	Observable string `json:"observable,omitempty"`
+	Reference  string `json:"reference,omitempty"`
 }
 
 func (v *ValidatorSpec) label() string {
@@ -82,6 +93,10 @@ func (v *ValidatorSpec) Matrix() bool {
 // Validate rejects malformed validator specs.
 func (v *ValidatorSpec) Validate() error {
 	switch v.Kind {
+	case KindObservable:
+		if v.Observable == "" || (v.Tolerance <= 0 && v.Min == 0 && v.Max == 0) {
+			return fmt.Errorf("expmatrix: %s needs an observable and a tolerance or min/max", v.label())
+		}
 	case KindEnergyDrift:
 		if v.Max <= 0 {
 			return fmt.Errorf("expmatrix: %s needs max > 0 (Hartree/step)", v.label())
@@ -98,6 +113,9 @@ func (v *ValidatorSpec) Validate() error {
 		}
 	case KindBufferConverge:
 		// Tolerance optional (0 = strict monotone).
+		if v.Reference != "" && v.Observable == "" {
+			return fmt.Errorf("expmatrix: %s: a reference needs the observable it is the reference of", v.label())
+		}
 	default:
 		return fmt.Errorf("expmatrix: unknown validator kind %q", v.Kind)
 	}
@@ -111,6 +129,8 @@ type ValidationResult struct {
 	Pass     bool    `json:"pass"`
 	Measured float64 `json:"measured"`
 	Detail   string  `json:"detail,omitempty"`
+	// Skipped: the cell carries no reference; passes, renders as "—".
+	Skipped bool `json:"skipped,omitempty"`
 }
 
 func fail(v *ValidatorSpec, format string, args ...any) ValidationResult {
@@ -187,6 +207,35 @@ func (v *ValidatorSpec) Evaluate(cell Cell, res *serve.Results) ValidationResult
 	return out
 }
 
+// evaluateObservable runs an observable validator on a computed cell.
+func (v *ValidatorSpec) evaluateObservable(obs map[string]float64) ValidationResult {
+	val, ok := obs[v.Observable]
+	if !ok {
+		return fail(v, "cell has no observable %q", v.Observable)
+	}
+	out := ValidationResult{Name: v.label(), Kind: v.Kind, Measured: val}
+	against := v.Target
+	if v.Reference != "" {
+		if against, ok = obs[v.Reference]; !ok {
+			out.Pass, out.Skipped = true, true
+			return out
+		}
+	}
+	if v.Tolerance > 0 {
+		out.Pass = math.Abs(val-against) <= v.Tolerance
+		out.Detail = fmt.Sprintf("%s = %.6g vs %.6g (±%g)", v.Observable, val, against, v.Tolerance)
+		return out
+	}
+	out.Detail = fmt.Sprintf("%s = %.6g", v.Observable, val)
+	if v.Reference != "" {
+		out.Measured = val / against
+		out.Detail += fmt.Sprintf(", %.4g × %s", out.Measured, v.Reference)
+	}
+	out.Pass = out.Measured >= v.Min && (v.Max == 0 || out.Measured <= v.Max)
+	out.Detail += fmt.Sprintf(" in [%g, %g]", v.Min, v.Max)
+	return out
+}
+
 // rdfFirstPeak recomputes g(r) on the final frame of a cell.
 func rdfFirstPeak(res *serve.Results, symA, symB string) (pos, height float64, err error) {
 	if res.FinalSystem == nil {
@@ -221,8 +270,18 @@ func rdfFirstPeak(res *serve.Results, symA, symB string) (pos, height float64, e
 	return pos, height, nil
 }
 
-// EvaluateMatrix runs a matrix validator across the completed cells.
+// EvaluateMatrix runs a matrix validator across the Results records of
+// completed job cells.
 func (v *ValidatorSpec) EvaluateMatrix(cells []Cell, results []*serve.Results) ValidationResult {
+	recs := make([]*CellRecord, len(results))
+	for i, res := range results {
+		recs[i] = &CellRecord{Results: res} // nil results: nothing to read
+	}
+	return v.evaluateMatrix(cells, recs)
+}
+
+// evaluateMatrix is EvaluateMatrix over cell records (nil = unfinished).
+func (v *ValidatorSpec) evaluateMatrix(cells []Cell, recs []*CellRecord) ValidationResult {
 	out := ValidationResult{Name: v.label(), Kind: v.Kind}
 	switch v.Kind {
 	case KindArrhenius:
@@ -230,7 +289,7 @@ func (v *ValidatorSpec) EvaluateMatrix(cells []Cell, results []*serve.Results) V
 		if axis == "" {
 			axis = "temp_k"
 		}
-		temps, rates := groupMeans(cells, results, axis, func(r *serve.Results) float64 {
+		temps, rates := groupMeans(cells, recs, axis, "", "", func(r *serve.Results) float64 {
 			return r.RatePerPairPerSec
 		})
 		if len(temps) < 2 {
@@ -249,13 +308,17 @@ func (v *ValidatorSpec) EvaluateMatrix(cells []Cell, results []*serve.Results) V
 		if axis == "" {
 			axis = "buf_n"
 		}
-		bufs, energies := groupMeans(cells, results, axis, func(r *serve.Results) float64 {
+		// energies are errors already when the cells carry their reference.
+		bufs, energies := groupMeans(cells, recs, axis, v.Observable, v.Reference, func(r *serve.Results) float64 {
 			return r.FinalEnergyHa
 		})
 		if len(bufs) < 2 {
 			return fail(v, "need ≥2 %s values with results, have %d", axis, len(bufs))
 		}
-		ref := energies[len(energies)-1] // largest buffer = reference
+		ref := 0.0
+		if v.Reference == "" {
+			ref = energies[len(energies)-1] // largest buffer = reference
+		}
 		out.Pass = true
 		prev := math.Inf(1)
 		for i, e := range energies {
@@ -275,21 +338,32 @@ func (v *ValidatorSpec) EvaluateMatrix(cells []Cell, results []*serve.Results) V
 	return out
 }
 
-// groupMeans averages obs over cells sharing the same value of axis,
+// groupMeans averages one quantity — the named observable (less the
+// reference observable, if named) or, unnamed, job of a job cell's
+// results — over the completed cells sharing the same value of axis,
 // returning parallel slices sorted by the axis value ascending. Cells
-// without results are skipped.
-func groupMeans(cells []Cell, results []*serve.Results, axis string, obs func(*serve.Results) float64) (keys, means []float64) {
+// without the quantity are skipped.
+func groupMeans(cells []Cell, recs []*CellRecord, axis, observable, reference string, job func(*serve.Results) float64) (keys, means []float64) {
 	sums := map[float64]float64{}
 	counts := map[float64]int{}
 	for i, c := range cells {
-		if i >= len(results) || results[i] == nil {
+		if i >= len(recs) || recs[i] == nil {
 			continue
 		}
 		k, ok := c[axis]
 		if !ok {
 			continue
 		}
-		sums[k] += obs(results[i])
+		val, ok := recs[i].Observables[observable]
+		if observable == "" && recs[i].Results != nil {
+			val, ok = job(recs[i].Results), true
+		} else if r, has := recs[i].Observables[reference]; reference != "" {
+			val, ok = val-r, ok && has
+		}
+		if !ok {
+			continue
+		}
+		sums[k] += val
 		counts[k]++
 	}
 	for k := range sums {

@@ -87,115 +87,3 @@ func TestRunQMDFewPlaneWavesPerDomain(t *testing.T) {
 		t.Fatalf("energies %v", res.Energies)
 	}
 }
-
-func TestFig5Fig6Drivers(t *testing.T) {
-	weak := Fig5WeakScaling()
-	if len(weak) == 0 {
-		t.Fatal("no weak-scaling points")
-	}
-	last := weak[len(weak)-1]
-	if last.Cores != 786432 || math.Abs(last.Efficiency-0.984) > 0.005 {
-		t.Fatalf("weak scaling endpoint: P=%d eff=%.4f", last.Cores, last.Efficiency)
-	}
-	strong := Fig6StrongScaling()
-	lastS := strong[len(strong)-1]
-	if math.Abs(lastS.Efficiency-0.803) > 0.01 {
-		t.Fatalf("strong scaling endpoint eff=%.4f", lastS.Efficiency)
-	}
-}
-
-func TestSec52Drivers(t *testing.T) {
-	rows := Sec52PaperSpeedups()
-	// Paper's quoted values: 2.59/4.18, 2.03/2.89, 1.42/1.69.
-	want := [][2]float64{{2.59, 4.18}, {2.03, 2.89}, {1.42, 1.69}}
-	for i, r := range rows {
-		if math.Abs(r.SpeedupNu2-want[i][0]) > 0.05 || math.Abs(r.SpeedupNu3-want[i][1]) > 0.08 {
-			t.Fatalf("row %d: got %.2f/%.2f want %.2f/%.2f",
-				i, r.SpeedupNu2, r.SpeedupNu3, want[i][0], want[i][1])
-		}
-	}
-	cx, err := Sec52Crossover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(cx.CrossoverAtoms-125) > 2 {
-		t.Fatalf("crossover %g atoms, paper: 125", cx.CrossoverAtoms)
-	}
-	if math.Abs(cx.Stringent-422) > 5 {
-		t.Fatalf("stringent crossover %g, paper: 422", cx.Stringent)
-	}
-}
-
-func TestTableDrivers(t *testing.T) {
-	cells, err := Table1ThreadScaling()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cells) != 9 {
-		t.Fatalf("Table 1 has %d cells, want 9", len(cells))
-	}
-	t2 := Table2RackFlops()
-	if len(t2) != 3 {
-		t.Fatal("Table 2 rows")
-	}
-	for _, r := range t2 {
-		if math.Abs(r.TFlops-r.PaperTF)/r.PaperTF > 0.10 {
-			t.Fatalf("%d racks: %.1f TF vs paper %.1f", r.Racks, r.TFlops, r.PaperTF)
-		}
-	}
-}
-
-func TestSec2Driver(t *testing.T) {
-	rows := Sec2TimeToSolution()
-	if len(rows) != 3 {
-		t.Fatal("expected 3 rows")
-	}
-	ldc := rows[2]
-	if ldc.Speed/rows[0].Speed < 5000 {
-		t.Fatal("LDC should be thousands of times faster than the O(N³) baseline")
-	}
-}
-
-func TestIODrivers(t *testing.T) {
-	sweep, opt := IOGroupSizeSweep()
-	if len(sweep) == 0 {
-		t.Fatal("empty I/O sweep")
-	}
-	if opt < 96 || opt > 384 {
-		t.Fatalf("optimal group %d, paper: 192", opt)
-	}
-	ratio, err := CompressionDemo(3, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ratio < 1.5 {
-		t.Fatalf("compression ratio %.2f", ratio)
-	}
-}
-
-func TestMeasuredSpeedupsInterpolation(t *testing.T) {
-	// Synthetic Fig-7 curves with known exponential decay.
-	fig7 := &Fig7Result{
-		Points: []Fig7Point{
-			{BufferBohr: 1, LDCErr: 1e-2, DCErr: 3e-2},
-			{BufferBohr: 2, LDCErr: 1e-3, DCErr: 1e-2},
-			{BufferBohr: 3, LDCErr: 1e-4, DCErr: 3e-3},
-			{BufferBohr: 4, LDCErr: 1e-5, DCErr: 1e-3},
-		},
-	}
-	rows := MeasuredSpeedups(fig7, 4.0, []float64{1e-3})
-	if len(rows) != 1 {
-		t.Fatal("row count")
-	}
-	r := rows[0]
-	if r.BufLDC >= r.BufDC {
-		t.Fatalf("LDC buffer %.2f should be thinner than DC %.2f", r.BufLDC, r.BufDC)
-	}
-	if r.SpeedupNu2 <= 1 {
-		t.Fatalf("speedup %.2f should exceed 1", r.SpeedupNu2)
-	}
-	// LDC hits 1e-3 exactly at b=2; DC at b=4.
-	if math.Abs(r.BufLDC-2) > 1e-9 || math.Abs(r.BufDC-4) > 1e-9 {
-		t.Fatalf("interpolated buffers %.3f / %.3f, want 2 / 4", r.BufLDC, r.BufDC)
-	}
-}
