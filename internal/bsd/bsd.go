@@ -97,14 +97,14 @@ func (e *TaskPanicError) Error() string {
 	return fmt.Sprintf("bsd: task %d panicked: %v\n%s", e.Index, e.Value, e.Stack)
 }
 
-// runTask invokes task(i), converting a panic into a *TaskPanicError.
-func runTask(i int, task func(i int) error) (err error) {
+// runTask invokes task(w, i), converting a panic into a *TaskPanicError.
+func runTask(w, i int, task func(worker, i int) error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &TaskPanicError{Index: i, Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return task(i)
+	return task(w, i)
 }
 
 // Run executes task(i) for i in [0, n), attempting every task and
@@ -113,47 +113,7 @@ func runTask(i int, task func(i int) error) (err error) {
 // across runs and worker counts. Panics in tasks are recovered and
 // reported as *TaskPanicError.
 func (p *Pool) Run(n int, task func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	workers := p.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	// Each task owns errs[i]; wg.Wait orders all writes before the scan,
-	// so the scan below is race-free and picks the lowest-index error.
-	errs := make([]error, n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			errs[i] = runTask(i, task)
-		}
-	} else {
-		next := make(chan int, n)
-		for i := 0; i < n; i++ {
-			next <- i
-		}
-		close(next)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					errs[i] = runTask(i, task)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return p.RunWorkers(n, func(_, i int) error { return task(i) })
 }
 
 // RunWorkers is Run with worker identity: task(w, i) runs task i on
@@ -162,23 +122,17 @@ func (p *Pool) Run(n int, task func(i int) error) error {
 // workspace, a scratch arena) needs no locking — this is the executor
 // behind the streaming domain scheduler, where each worker owns one
 // reusable workspace and domains flow through the bounded worker set.
-// Error and panic semantics match Run: every task is attempted and the
-// lowest-index failure is returned.
 func (p *Pool) RunWorkers(n int, task func(worker, i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	workers := p.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	workers := p.NumWorkers(n)
+	// Each task owns errs[i]; wg.Wait orders all writes before the scan,
+	// so the scan below is race-free and picks the lowest-index error.
 	errs := make([]error, n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			errs[i] = runTask(i, func(i int) error { return task(0, i) })
+			errs[i] = runTask(0, i, task)
 		}
 	} else {
 		next := make(chan int, n)
@@ -192,7 +146,7 @@ func (p *Pool) RunWorkers(n int, task func(worker, i int) error) error {
 			go func(w int) {
 				defer wg.Done()
 				for i := range next {
-					errs[i] = runTask(i, func(i int) error { return task(w, i) })
+					errs[i] = runTask(w, i, task)
 				}
 			}(w)
 		}

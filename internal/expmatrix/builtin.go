@@ -28,6 +28,21 @@ func Builtins() []Spec {
 			},
 		},
 		{
+			Name:     "sec33-streaming-memory",
+			Title:    "§3.3 — memory vs domain count: 64-atom SiC, 8 → 512 domains through 4 solver workspaces, one SCF step (REAL solver)",
+			Scenario: "streaming-memory",
+			Base:     Base{GridN: 24, BufN: 2, Ecut: 6, Seed: 1},
+			Axes:     []Axis{{Name: "domains_per_axis", Values: []float64{2, 4, 6, 8}}},
+			Validators: []ValidatorSpec{
+				{Name: "bounded-pool", Kind: KindObservable, Observable: "workspaces", Max: 4},
+				// One ceiling for every cell is "does not grow with the
+				// domain count". Measured 12.2 / 5.7 / 6.3 / 6.1 MiB (±0.1,
+				// at any GOMAXPROCS); with one workspace per domain kept
+				// resident 16.1 / 13.9 / 20.2 / 22.0.
+				{Name: "flat-heap", Kind: KindObservable, Observable: "live_heap_mib", Max: 14},
+			},
+		},
+		{
 			Name:     "fig7-buffer-convergence",
 			Title:    "Fig. 7 — energy convergence vs buffer thickness, LDC (mode 0) and DC (mode 1) (REAL solver)",
 			Scenario: "buffer-convergence",

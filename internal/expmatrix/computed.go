@@ -242,13 +242,18 @@ func collectiveIO(_ Base, cell Cell) (map[string]float64, error) {
 	}, nil
 }
 
-// solveLDC solves the LDC-DFT (or DC) ground state with the SCF setup the
-// two real-solver studies share; grid, cutoff and seed are the spec's.
-func solveLDC(sys *atoms.System, base Base, mode core.Mode, domains, bufN int) (*core.Engine, float64, error) {
-	eng, err := core.NewEngine(sys, core.Config{
+// ldcConfig is the SCF setup the real-solver studies share; grid, cutoff
+// and seed are the spec's.
+func ldcConfig(base Base, mode core.Mode, domains, bufN int) core.Config {
+	return core.Config{
 		GridN: base.GridN, DomainsPerAxis: domains, BufN: bufN, Ecut: base.Ecut, Mode: mode,
 		KT: 0.05, MixAlpha: 0.3, Anderson: true, MaxSCF: 100, EigenIters: 4, Seed: base.Seed,
-	})
+	}
+}
+
+// solveLDC solves the LDC-DFT (or DC) ground state.
+func solveLDC(sys *atoms.System, base Base, mode core.Mode, domains, bufN int) (*core.Engine, float64, error) {
+	eng, err := core.NewEngine(sys, ldcConfig(base, mode, domains, bufN))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -359,5 +364,42 @@ func ldcVsConventional(base Base, cell Cell) (map[string]float64, error) {
 		"max_force_diff":       maxd,
 		"census_ldc":           census,
 		"census_conv":          census,
+	}, nil
+}
+
+// streamingMemory measures the §3.3 design point behind Fig. 5's flat
+// per-node cost: the 64-atom SiC cell cut into "domains_per_axis"³
+// domains (8 → 512) that stream through 4 solver workspaces for one SCF
+// step. live_heap_mib is the heap the open engine then retains — set by
+// the workspace count, where an engine holding every domain's solver
+// resident grows with the domain count.
+func streamingMemory(base Base, cell Cell) (map[string]float64, error) {
+	// Two collections: the first only moves sync.Pool scratch (this
+	// cell's, or an earlier one's) to the pools' victim caches.
+	heapMiB := func() float64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return float64(m.HeapAlloc) / (1 << 20)
+	}
+	cfg := ldcConfig(base, core.ModeLDC, int(cell["domains_per_axis"]), base.BufN)
+	cfg.Workers = 4
+	before := heapMiB()
+	eng, err := core.NewEngine(atoms.BuildSiC(2), cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer eng.Close()
+	if _, _, err := eng.SCFStep(); err != nil {
+		return nil, err
+	}
+	live := heapMiB() - before // eng is used below, so still reachable here
+	return map[string]float64{
+		"live_heap_mib": live,
+		"domains":       float64(eng.NumDomains()),
+		"occupied":      float64(eng.OccupiedDomains()),
+		"workspaces":    float64(eng.ResidentWorkspaces()),
+		"dof":           float64(eng.DegreesOfFreedom()),
 	}, nil
 }

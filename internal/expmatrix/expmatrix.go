@@ -8,8 +8,8 @@
 // An experiment expands its axes into cells. A job scenario turns a
 // cell into a serve.JobSpec submitted through a JobClient (the HTTP API
 // of a running qmdd, or an in-process serve.Manager); a computed
-// scenario (computed.go: the machine-model tables, Fig. 7, §5.5)
-// evaluates the cell's named observables in the runner's process, each
+// scenario (computed.go: the machine-model tables, the §3.3 memory
+// sweep, Fig. 7, §5.5) evaluates the cell's named observables in the runner's process, each
 // beside the paper's own number. Either way the completed cell lands in
 // a durable per-experiment store (crash-safe JSON via qio), so a killed
 // campaign resumes on rerun without recomputing finished cells.

@@ -34,6 +34,7 @@ var scenarios = map[string]scenario{
 	"collective-io":       {compute: collectiveIO},
 	"buffer-convergence":  {compute: bufferConvergence},
 	"ldc-vs-conventional": {compute: ldcVsConventional},
+	"streaming-memory":    {compute: streamingMemory},
 }
 
 // lialWaterScenario builds the hydrogen-on-demand workload of §6: a

@@ -85,16 +85,3 @@ func Equalish(a, b *Matrix, tol float64) bool {
 	}
 	return true
 }
-
-// SymmetrizeUpper copies the strict upper triangle onto the lower
-// triangle, making m exactly symmetric. m must be square.
-func (m *Matrix) SymmetrizeUpper() {
-	if m.Rows != m.Cols {
-		panic("linalg: SymmetrizeUpper on non-square matrix")
-	}
-	for i := 0; i < m.Rows; i++ {
-		for j := i + 1; j < m.Cols; j++ {
-			m.Set(j, i, m.At(i, j))
-		}
-	}
-}

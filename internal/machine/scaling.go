@@ -1,36 +1,5 @@
 package machine
 
-import "math"
-
-// FitPowerLaw fits y ≈ c·xᵃ to measured scaling points by least squares
-// in log-log space, returning the prefactor c and exponent alpha. It is
-// the slope extractor for measured sweeps (e.g. peak RSS or wall clock
-// vs domain count): alpha ≈ 1 is linear growth, alpha ≈ 0 is the flat
-// profile a bounded-workspace design targets. Points must be positive;
-// fewer than two valid points yield (NaN, NaN).
-func FitPowerLaw(xs, ys []float64) (c, alpha float64) {
-	var n float64
-	var sx, sy, sxx, sxy float64
-	for i := range xs {
-		if i >= len(ys) || xs[i] <= 0 || ys[i] <= 0 {
-			continue
-		}
-		lx, ly := math.Log(xs[i]), math.Log(ys[i])
-		n++
-		sx += lx
-		sy += ly
-		sxx += lx * lx
-		sxy += lx * ly
-	}
-	det := n*sxx - sx*sx
-	if n < 2 || det == 0 {
-		return math.NaN(), math.NaN()
-	}
-	alpha = (n*sxy - sx*sy) / det
-	c = math.Exp((sy - alpha*sx) / n)
-	return c, alpha
-}
-
 // ScalingPoint is one row of a scaling experiment (Figs. 5–6).
 type ScalingPoint struct {
 	Cores      int

@@ -39,8 +39,8 @@ func BenchmarkPoisson96(b *testing.B) { benchPoisson(b, 96) }
 
 // Kernel-level benchmarks: the SIMD-shaped smooth/residual pencil kernels
 // (stencil.go) against the per-point wrapMul references retained in
-// stencil_test.go. These are the numbers BENCH_multigrid.json pins; the
-// acceptance bar for the vectorized kernels is ≥1.5x over the Ref pair.
+// stencil_test.go. The acceptance bar for the vectorized kernels is
+// ≥1.5x over the Ref pair.
 func benchSweep(b *testing.B, n int, fn func(*level)) {
 	b.Helper()
 	lev := randLevel(rand.New(rand.NewSource(7)), n)
@@ -61,8 +61,8 @@ func BenchmarkResidual48(b *testing.B)    { benchSweep(b, 48, computeResidual) }
 func BenchmarkResidualRef24(b *testing.B) { benchSweep(b, 24, computeResidualRef) }
 func BenchmarkResidualRef48(b *testing.B) { benchSweep(b, 48, computeResidualRef) }
 
-// Inter-level transfer operators and one whole V-cycle (allocations per
-// cycle must stay zero: the hierarchy is preallocated in NewSolver).
+// Inter-level transfer operators and one whole V-cycle (zero allocations
+// per call is TestKernelsAllocateNothing's to assert).
 func BenchmarkRestrict48(b *testing.B) {
 	fine := randLevel(rand.New(rand.NewSource(7)), 48)
 	coarse := randLevel(rand.New(rand.NewSource(8)), 24)

@@ -3,6 +3,8 @@ package multigrid
 import (
 	"math/rand"
 	"testing"
+
+	"ldcdft/internal/grid"
 )
 
 // Reference implementations with the per-point wrapMul the production
@@ -101,6 +103,32 @@ func TestStencilsBitwiseIdentical(t *testing.T) {
 						n, sweep, i, a.r[i], b.r[i])
 				}
 			}
+		}
+	}
+}
+
+// The sweeps, the transfer operators and a whole V-cycle allocate
+// nothing: the hierarchy is preallocated in NewSolver.
+func TestKernelsAllocateNothing(t *testing.T) {
+	const n = 48
+	fine := randLevel(rand.New(rand.NewSource(7)), n)
+	coarse := randLevel(rand.New(rand.NewSource(8)), n/2)
+	s, err := NewSolver(grid.New(n, 10), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"Smooth", func() { smooth(fine) }},
+		{"Residual", func() { computeResidual(fine) }},
+		{"Restrict", func() { restrictFull(fine.r, coarse.f, fine.n, coarse.n) }},
+		{"Prolong", func() { prolongAdd(coarse.v, fine.v, coarse.n, fine.n) }},
+		{"VCycle", func() { s.vcycle(0) }},
+	} {
+		if allocs := testing.AllocsPerRun(3, tc.fn); allocs != 0 {
+			t.Errorf("%s at %d³: %v allocs per run, want 0", tc.name, n, allocs)
 		}
 	}
 }

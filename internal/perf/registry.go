@@ -102,9 +102,9 @@ func (s PhaseStats) MBPerSec() float64 {
 
 // Report is a complete structured export of a registry: the wall-clock
 // since the last Reset plus every active phase's stats. It is the single
-// source for all registry renderings — WriteText, WriteJSON (-perf-json
-// and BENCH_*.json tooling), and WritePrometheus (the serving layer's
-// /metrics endpoint).
+// source for all registry renderings — WriteText, WriteJSON (-perf-json),
+// and WritePrometheus (the serving layer's /metrics endpoint) — and what
+// the bench/ module stores per run.
 type Report struct {
 	Wall   time.Duration `json:"wall_ns"`
 	Phases []PhaseStats  `json:"phases"`

@@ -39,8 +39,8 @@ func (r *Registry) WriteText(w io.Writer) error {
 }
 
 // WriteJSON renders the registry export as indented JSON (same ordering
-// as WriteText) for consumption by bench tooling (BENCH_*.json). The
-// schema is Report's — PhaseStats rows keyed by their JSON tags.
+// as WriteText) — what -perf-json writes. The schema is Report's —
+// PhaseStats rows keyed by their JSON tags.
 func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
