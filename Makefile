@@ -40,10 +40,12 @@ bce:
 	if [ -n "$$out" ]; then echo "bounds checks survive in pinned kernel files:"; echo "$$out"; exit 1; fi; \
 	echo "bce: stencil.go and stockham.go are bounds-check free"
 
-# Race-check the concurrency-heavy packages (linalg's CGemm row-panel
-# fan-out, the per-domain scf engines, FFT worker pool and pooled
-# scratch arenas, goroutine pool, collective I/O, parallel SCF assembly,
-# atomic perf counters, pooled pw/pseudo scratch, checkpoint writes:
+# Race-check the concurrency-heavy packages (internal/par — the one
+# parallel loop every fan-out runs on: nesting, panics, pool resizing —
+# and its callers: linalg's row-panel GEMMs, FFT passes and pooled
+# scratch arenas, bsd's domain workers, the collective I/O gather; the
+# per-domain scf engines, parallel SCF assembly, atomic perf counters,
+# pooled pw/pseudo scratch, checkpoint writes:
 # concurrent collective checkpoint I/O during a trajectory and a reader
 # racing 200 atomic replacements of one checkpoint, in both
 # internal/qio and the root package, plus the job manager's lease
@@ -59,7 +61,7 @@ bce:
 # concurrent Cached3 lookups, job submission/cancellation races, and the
 # warm-start cache's concurrent get/put path.
 race: vet
-	$(GO) test -race -short . ./internal/linalg/... ./internal/scf/... ./internal/fft/... ./internal/pw/... ./internal/pseudo/... ./internal/bsd/... ./internal/qio/... ./internal/core/... ./internal/perf/... ./internal/md/... ./internal/atoms/... ./internal/reactive/... ./internal/serve/... ./internal/serve/lease/... ./internal/waitfor/... ./internal/cache/... ./internal/expmatrix/...
+	$(GO) test -race -short . ./internal/linalg/... ./internal/scf/... ./internal/fft/... ./internal/pw/... ./internal/pseudo/... ./internal/bsd/... ./internal/par/... ./internal/qio/... ./internal/core/... ./internal/perf/... ./internal/md/... ./internal/atoms/... ./internal/reactive/... ./internal/serve/... ./internal/serve/lease/... ./internal/waitfor/... ./internal/cache/... ./internal/expmatrix/...
 
 # fuzz-smoke mutates the inputs of the four binary decoders that share
 # internal/qio/frame.go for a few seconds each (`go test -fuzz` takes one
@@ -141,14 +143,14 @@ bench-smoke: build
 # streamed through 4 solver workspaces must finish under a hard RSS
 # ceiling — a resident-per-domain regression (O(domains) memory) blows
 # the ceiling and fails loudly. GOMEMLIMIT keeps the Go heap honest so
-# lazily-collected garbage cannot hide under the ceiling. The ceiling
-# sits between what was measured on both sides of that regression, and
-# the process floor moves with the core count: the test peaks at
-# 19–25 MiB at GOMAXPROCS 2 (65 runs; 1.6× headroom) and 26–38 MiB at
-# GOMAXPROCS 4–16 (125 runs; 1.05× over the worst seen); with one
-# workspace per occupied domain kept resident (384 of them) it peaks at
-# 41–50 MiB at GOMAXPROCS 2 and 49–71 MiB at 4–16. `qmdexp run
-# sec33-streaming-memory` (exp-smoke) gates the same property on the
-# retained heap, which does not move with the core count.
+# lazily-collected garbage cannot hide under the ceiling. The process
+# floor moves with the core count and the pool size, so GOMAXPROCS is
+# pinned at 2 and the ceiling sits between what was measured on both
+# sides of that regression there: the test peaks at 18–25 MiB (24 runs,
+# median 19; 1.28× headroom) and, with one workspace per occupied domain
+# kept resident (384 of them), at 40–43 MiB (16 runs) — which the former
+# 40 MiB ceiling let through in 2 runs of 5.
+# `qmdexp run sec33-streaming-memory` (exp-smoke) gates the same
+# property on the retained heap, which does not move with the core count.
 scale-smoke:
-	GOMEMLIMIT=400MiB LDC_SCALE_RSS_MAX_MB=40 $(GO) test -run TestScaleSmoke512 -count=1 -v ./internal/core/
+	GOMAXPROCS=2 GOMEMLIMIT=400MiB LDC_SCALE_RSS_MAX_MB=32 $(GO) test -run TestScaleSmoke512 -count=1 -v ./internal/core/

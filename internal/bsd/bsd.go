@@ -5,16 +5,17 @@
 // on different cores) and space (different real/reciprocal grid points),
 // with all-to-all transposes to switch between the two (Fig. 4).
 //
-// Two layers are provided: Plan/Decomposition is the pure bookkeeping used
-// by the machine performance model, and Pool is the real goroutine
-// executor that runs domain solves concurrently in this process.
+// Two layers are provided: Plan/Decomposition is the pure bookkeeping of
+// the paper's core assignment, and Pool runs domain solves concurrently
+// in this process on the shared internal/par pool.
 package bsd
 
 import (
 	"fmt"
-	"runtime"
 	"runtime/debug"
-	"sync"
+	"sync/atomic"
+
+	"ldcdft/internal/par"
 )
 
 // Decomposition records how cores are assigned across the BSD hierarchy.
@@ -76,17 +77,17 @@ func (d Decomposition) OverlapMatrixBytes(bands int) int64 {
 	return int64(16) * int64(bands) * int64(bands)
 }
 
-// Pool executes tasks on a bounded set of goroutines — the in-process
+// Pool executes tasks on a bounded set of workers — the in-process
 // equivalent of the coarse task decomposition over domain communicators.
 type Pool struct {
 	Workers int // 0 → GOMAXPROCS
 }
 
 // TaskPanicError is the error a Pool returns when a task panicked: the
-// panic is recovered in the worker goroutine and converted into an error
-// carrying the task index (the domain that failed) and the stack at the
-// panic site, so one bad domain solve does not kill the whole process
-// without attribution.
+// panic is recovered on the worker running the task and converted into an
+// error carrying the task index (the domain that failed) and the stack at
+// the panic site, so one bad domain solve does not kill the whole process
+// without attribution — even from a nested par.For chunk on a helper.
 type TaskPanicError struct {
 	Index int    // index of the panicking task
 	Value any    // the recovered panic value
@@ -108,10 +109,9 @@ func runTask(w, i int, task func(worker, i int) error) (err error) {
 }
 
 // Run executes task(i) for i in [0, n), attempting every task and
-// returning the error of the lowest-index failing task. The serial and
-// concurrent paths agree on this ordering, so a failure is deterministic
-// across runs and worker counts. Panics in tasks are recovered and
-// reported as *TaskPanicError.
+// returning the error of the lowest-index failing task, so a failure is
+// deterministic across runs and worker counts. Panics in tasks are
+// recovered and reported as *TaskPanicError.
 func (p *Pool) Run(n int, task func(i int) error) error {
 	return p.RunWorkers(n, func(_, i int) error { return task(i) })
 }
@@ -122,36 +122,20 @@ func (p *Pool) Run(n int, task func(i int) error) error {
 // workspace, a scratch arena) needs no locking — this is the executor
 // behind the streaming domain scheduler, where each worker owns one
 // reusable workspace and domains flow through the bounded worker set.
+// The workers are the chunks of one par.For and claim tasks in order.
 func (p *Pool) RunWorkers(n int, task func(worker, i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	workers := p.NumWorkers(n)
-	// Each task owns errs[i]; wg.Wait orders all writes before the scan,
-	// so the scan below is race-free and picks the lowest-index error.
+	// Each task owns errs[i]; par.For returns after every worker, so the
+	// scan below is race-free and picks the lowest-index error.
 	errs := make([]error, n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			errs[i] = runTask(0, i, task)
+	var next atomic.Int64
+	par.For(p.NumWorkers(n), 1, func(w, _ int) {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			errs[i] = runTask(w, i, task)
 		}
-	} else {
-		next := make(chan int, n)
-		for i := 0; i < n; i++ {
-			next <- i
-		}
-		close(next)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := range next {
-					errs[i] = runTask(w, i, task)
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -165,13 +149,7 @@ func (p *Pool) RunWorkers(n int, task func(worker, i int) error) error {
 func (p *Pool) NumWorkers(n int) int {
 	workers := p.Workers
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+		workers = par.Procs()
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
+	return max(min(workers, n), 1)
 }

@@ -28,7 +28,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
 
 	"ldcdft/internal/atoms"
 	"ldcdft/internal/bsd"
@@ -121,9 +120,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.EigenIters == 0 {
 		c.EigenIters = 3
-	}
-	if c.Workers == 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
 	}
 }
 

@@ -1,9 +1,9 @@
 package fft
 
 import (
-	"runtime"
 	"sync"
 
+	"ldcdft/internal/par"
 	"ldcdft/internal/perf"
 )
 
@@ -24,8 +24,8 @@ const tileB = 16
 // state is read-only after NewPlan3 and per-call scratch comes from a
 // pool of reusable arenas, so one Plan3 (e.g. the shared instance from
 // Cached3) serves any number of concurrent transforms. Line transforms
-// are tiled and distributed across a package-wide worker pool, mirroring
-// the threaded Spiral FFT of §4.2.
+// are tiled and each pass is spread over the process-wide internal/par
+// pool, mirroring the threaded Spiral FFT of §4.2.
 type Plan3 struct {
 	Nx, Ny, Nz int
 	px, py, pz *Plan
@@ -33,7 +33,7 @@ type Plan3 struct {
 	arenas     sync.Pool // *arena3
 }
 
-// arena3 is one worker's reusable scratch: a tile of up to tileB lines in
+// arena3 is one chunk's reusable scratch: a tile of up to tileB lines in
 // [element][line] layout — element j of line t at tile[j*w+t], which is a
 // row of w adjacent grid offsets per element in the y- and x-passes — and
 // the line plans' scratch for a tile that wide (the engine's other
@@ -90,10 +90,9 @@ func (p *Plan3) Inverse(x []complex128) { p.full.Inverse(x) }
 
 // ForwardBatch computes the forward DFT of nb independent grids packed
 // contiguously in x (grid g occupies x[g*Size():(g+1)*Size()]). Grids are
-// distributed across the worker pool and each is transformed serially in
-// one worker's arena — for nb ≥ GOMAXPROCS this replaces per-line
-// fan-out with per-grid fan-out and runs allocation-free in the steady
-// state.
+// spread over the internal/par pool, one grid per chunk, and each is
+// transformed serially in one arena — per-grid instead of per-line
+// fan-out, allocation-free in the steady state.
 func (p *Plan3) ForwardBatch(x []complex128, nb int) { p.full.ForwardBatch(x, nb) }
 
 // InverseBatch is ForwardBatch's inverse, including the 1/(NxNyNz)
@@ -235,11 +234,10 @@ func (p *Plan3) xTiles(x []complex128, s *schedule, inverse bool, lo, hi int, a 
 func (p *Plan3) getArena() *arena3  { return p.arenas.Get().(*arena3) }
 func (p *Plan3) putArena(a *arena3) { p.arenas.Put(a) }
 
-// fftJob is one contiguous unit range of a pass, executable by any pool
-// worker (or inline on the caller). It is a plain value — no closures —
-// so submitting a job performs no allocation. Complex passes set p; the
-// real-transform passes (jobRZ, jobRGrids) set rp and carry the real
-// side of the data in rx.
+// fftJob is one pass of a transform, run over its units by par.For
+// through a pooled job's bound run, so a pass allocates nothing. Complex
+// passes set p; the real-transform passes (jobRZ, jobRGrids) set rp and
+// carry the real side of the data in rx.
 type fftJob struct {
 	p       *Plan3
 	s       *schedule // the lines p's passes run (complex passes only)
@@ -249,8 +247,7 @@ type fftJob struct {
 	norm    float64   // when not 0, the factor the x-pass write-back multiplies in (jobX/jobGrids)
 	kind    int8
 	inverse bool
-	lo, hi  int
-	wg      *sync.WaitGroup
+	body    func(lo, hi int) // the job's own run, bound once
 }
 
 const (
@@ -262,14 +259,38 @@ const (
 	jobRGrids // whole real↔half-spectrum grids of a batch
 )
 
-func (j fftJob) run() {
+var jobs = sync.Pool{New: func() any {
+	j := new(fftJob)
+	j.body = j.run
+	return j
+}}
+
+// runUnits runs units [0, n) of the pass proto describes. A chunk is four
+// tiles of lines, worth waking a helper for, or one grid of a batch.
+func runUnits(proto fftJob, n int) {
+	grain := 4
+	switch proto.kind {
+	case jobZ, jobRZ:
+		grain = 4 * tileB
+	case jobGrids, jobRGrids:
+		grain = 1
+	}
+	j := jobs.Get().(*fftJob)
+	proto.body = j.body
+	*j = proto
+	par.For(n, grain, j.body)
+	*j = fftJob{body: j.body}
+	jobs.Put(j)
+}
+
+func (j *fftJob) run(lo, hi int) {
 	switch j.kind {
 	case jobRZ:
 		s := j.rp.getScratch()
 		if j.inverse {
-			j.rp.c2rLines(j.x, j.rx, j.lo, j.hi, *s)
+			j.rp.c2rLines(j.x, j.rx, lo, hi, *s)
 		} else {
-			j.rp.r2cLines(j.rx, j.x, j.lo, j.hi, *s)
+			j.rp.r2cLines(j.rx, j.x, lo, hi, *s)
 		}
 		j.rp.putScratch(s)
 		return
@@ -277,7 +298,7 @@ func (j fftJob) run() {
 		s := j.rp.getScratch()
 		a := j.rp.half.getArena()
 		rsize, hsize := j.rp.Size(), j.rp.HSize()
-		for g := j.lo; g < j.hi; g++ {
+		for g := lo; g < hi; g++ {
 			j.rp.applySerial(j.rx[g*rsize:(g+1)*rsize], j.x[g*hsize:(g+1)*hsize], j.inverse, *s, a)
 		}
 		j.rp.half.putArena(a)
@@ -287,80 +308,16 @@ func (j fftJob) run() {
 	a := j.p.getArena()
 	switch j.kind {
 	case jobZ:
-		j.p.zLines(j.x, j.s, j.inverse, j.lo, j.hi, a)
+		j.p.zLines(j.x, j.s, j.inverse, lo, hi, a)
 	case jobY:
-		j.p.yTiles(j.x, j.s, j.inverse, j.lo, j.hi, a)
+		j.p.yTiles(j.x, j.s, j.inverse, lo, hi, a)
 	case jobX:
-		j.p.xTiles(j.x, j.s, j.inverse, j.lo, j.hi, a, j.rx, j.norm)
+		j.p.xTiles(j.x, j.s, j.inverse, lo, hi, a, j.rx, j.norm)
 	case jobGrids:
 		size := j.p.Size()
-		for g := j.lo; g < j.hi; g++ {
+		for g := lo; g < hi; g++ {
 			j.p.applySerial(j.x[g*size:(g+1)*size], j.s, j.inverse, a, j.rx, j.norm)
 		}
 	}
 	j.p.putArena(a)
-}
-
-// The package-wide FFT worker pool: GOMAXPROCS long-lived goroutines fed
-// by a bounded channel. Transforms are submitted from many concurrent
-// callers (band and domain workers); a bounded shared pool keeps the
-// total FFT parallelism at the core count instead of oversubscribing
-// GOMAXPROCS goroutines per caller as the old per-apply fan-out did.
-var (
-	poolOnce sync.Once
-	jobCh    chan fftJob
-	wgPool   = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
-)
-
-func startPool() {
-	n := runtime.GOMAXPROCS(0)
-	jobCh = make(chan fftJob, 4*n)
-	for i := 0; i < n; i++ {
-		go func() {
-			for j := range jobCh {
-				j.run()
-				j.wg.Done()
-			}
-		}()
-	}
-}
-
-// runUnits executes units [0, n) of the pass described by the prototype
-// job (whose lo/hi are ignored). The range is split into one chunk per
-// worker; chunks that cannot be handed to the pool immediately run
-// inline on the caller (and the first chunk always does), so progress
-// never depends on pool availability and a saturated pool degrades to
-// serial execution instead of queueing. Workers never submit jobs, so
-// the pool cannot deadlock.
-func runUnits(proto fftJob, n int) {
-	if n <= 0 {
-		return
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		proto.lo, proto.hi = 0, n
-		proto.run()
-		return
-	}
-	poolOnce.Do(startPool)
-	wg := wgPool.Get().(*sync.WaitGroup)
-	chunk := (n + workers - 1) / workers
-	for lo := chunk; lo < n; lo += chunk {
-		j := proto
-		j.lo, j.hi, j.wg = lo, min(lo+chunk, n), wg
-		wg.Add(1)
-		select {
-		case jobCh <- j:
-		default:
-			j.run()
-			wg.Done()
-		}
-	}
-	proto.lo, proto.hi = 0, chunk
-	proto.run()
-	wg.Wait()
-	wgPool.Put(wg)
 }

@@ -24,7 +24,7 @@ var ph3DReal = perf.GetPhase("fft/3d-real")
 //
 // All plan state is read-only after NewRPlan3; per-call scratch comes
 // from pooled arenas (the y/x passes reuse the shared half-grid Plan3's
-// arenas, tiled strided passes, and the package-wide bounded worker
+// arenas, tiled strided passes, and the process-wide internal/par
 // pool), so one RPlan3 — e.g. the shared instance from CachedR3 —
 // serves any number of concurrent transforms with zero steady-state
 // allocations.
@@ -94,9 +94,9 @@ func (p *RPlan3) Inverse(src []complex128, dst []float64) {
 
 // ForwardBatch computes the packed half spectra of nb real fields packed
 // contiguously in src (field g occupies src[g*Size():(g+1)*Size()], its
-// spectrum dst[g*HSize():(g+1)*HSize()]). Fields are distributed across
-// the worker pool and each is transformed serially in one worker's
-// arena; the steady state is allocation-free.
+// spectrum dst[g*HSize():(g+1)*HSize()]). Fields are spread over the
+// internal/par pool, one field per chunk, and each is transformed
+// serially in one arena; the steady state is allocation-free.
 func (p *RPlan3) ForwardBatch(src []float64, dst []complex128, nb int) {
 	p.checkBatch(src, dst, nb)
 	if nb == 0 {
@@ -134,7 +134,7 @@ func (p *RPlan3) checkBatch(re []float64, half []complex128, nb int) {
 
 // applySerial runs one full real 3-D transform on a single goroutine
 // with the given scratch and (half-grid) arena. This is the batch
-// worker body.
+// chunk body.
 func (p *RPlan3) applySerial(re []float64, half []complex128, inverse bool, s []complex128, a *arena3) {
 	sc := p.half.full.fwd
 	yUnits := sc.yUnits()

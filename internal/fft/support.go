@@ -26,7 +26,7 @@ import "ldcdft/internal/perf"
 // Support3 of the full grid.
 //
 // A Support3 is read-only after NewSupport and shares its plan's arenas
-// and the package worker pool, so it is safe for concurrent use.
+// and the internal/par pool, so it is safe for concurrent use.
 type Support3 struct {
 	p        *Plan3
 	inv, fwd *schedule
@@ -172,7 +172,7 @@ func (s *Support3) InverseRawMulReal(x []complex128, vr []float64) {
 
 // ForwardBatch, InverseBatch and InverseRawMulRealBatch apply the
 // single-grid methods to nb grids packed contiguously in x, one grid per
-// worker at a time, as Plan3's batch methods do.
+// chunk, as Plan3's batch methods do.
 func (s *Support3) ForwardBatch(x []complex128, nb int) { s.applyBatch(x, nb, s.fwd, false, nil, 0) }
 func (s *Support3) InverseBatch(x []complex128, nb int) {
 	s.applyBatch(x, nb, s.inv, true, nil, s.p.norm())
@@ -199,9 +199,9 @@ func (p *Plan3) passFlops(sc *schedule, vr []float64) int64 {
 }
 
 // apply runs one transform pass by pass, each pass fanned out over the
-// worker pool. The x-pass write-back multiplies in vr (the raw inverse of
-// InverseRawMulReal) or norm (the normalized inverse); an inverse given
-// no norm must bring its vr.
+// internal/par pool. The x-pass write-back multiplies in vr (the raw
+// inverse of InverseRawMulReal) or norm (the normalized inverse); an
+// inverse given no norm must bring its vr.
 func (s *Support3) apply(x []complex128, sc *schedule, inverse bool, vr []float64, norm float64) {
 	p := s.p
 	if len(x) != p.Size() || (inverse && norm == 0 && len(vr) != p.Size()) {
@@ -215,7 +215,7 @@ func (s *Support3) apply(x []complex128, sc *schedule, inverse bool, vr []float6
 	perf.Global.AddVector(fl)
 }
 
-// applyBatch runs nb packed grids, each serially in one worker's arena.
+// applyBatch runs nb packed grids, each serially in one arena.
 func (s *Support3) applyBatch(x []complex128, nb int, sc *schedule, inverse bool, vr []float64, norm float64) {
 	p := s.p
 	if nb < 0 || len(x) != nb*p.Size() || (inverse && norm == 0 && len(vr) != p.Size()) {
@@ -231,7 +231,7 @@ func (s *Support3) applyBatch(x []complex128, nb int, sc *schedule, inverse bool
 }
 
 // applySerial runs one 3-D transform on a single goroutine with the
-// given arena. This is the batch worker body and the GOMAXPROCS=1 path.
+// given arena. This is the batch chunk body.
 func (p *Plan3) applySerial(x []complex128, sc *schedule, inverse bool, a *arena3, vr []float64, norm float64) {
 	p.zLines(x, sc, inverse, 0, len(sc.zLines), a)
 	p.yTiles(x, sc, inverse, 0, sc.yUnits(), a)

@@ -4,9 +4,8 @@ import (
 	"errors"
 	"math"
 	"math/cmplx"
-	"runtime"
-	"sync"
 
+	"ldcdft/internal/par"
 	"ldcdft/internal/perf"
 )
 
@@ -97,39 +96,18 @@ func CScale(a complex128, x []complex128) {
 	}
 }
 
-// CGemm computes C = A*B for complex matrices with cache blocking and
-// row-panel parallelism. It is the ZGEMM analog used by the all-band
-// (BLAS3) code path of §3.4.
+// CGemm computes C = A*B for complex matrices in row panels of at least
+// 32³ multiply-adds on the internal/par pool, so a small product runs
+// inline and every row is summed in order at any processor count. It is
+// the ZGEMM analog used by the all-band (BLAS3) code path of §3.4.
 func CGemm(a, b, c *CMatrix) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
 		panic(ErrDimension)
 	}
-	for i := range c.Data {
-		c.Data[i] = 0
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > a.Rows {
-		workers = a.Rows
-	}
-	if workers <= 1 || int64(a.Rows)*int64(a.Cols)*int64(b.Cols) < 32*32*32 {
-		cgemmRange(a, b, c, 0, a.Rows)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (a.Rows + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		r0 := w * chunk
-		r1 := min(r0+chunk, a.Rows)
-		if r0 >= r1 {
-			break
-		}
-		wg.Add(1)
-		go func(r0, r1 int) {
-			defer wg.Done()
-			cgemmRange(a, b, c, r0, r1)
-		}(r0, r1)
-	}
-	wg.Wait()
+	clear(c.Data)
+	par.For(a.Rows, rowGrain(32*32*32, a.Cols, b.Cols), func(r0, r1 int) {
+		cgemmRange(a, b, c, r0, r1)
+	})
 }
 
 func cgemmRange(a, b, c *CMatrix, r0, r1 int) {

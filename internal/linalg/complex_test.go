@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -111,31 +112,64 @@ func TestCGemmCTOverlapHermitian(t *testing.T) {
 // additions — which must therefore not depend on GOMAXPROCS or on
 // goroutine scheduling. rows 24–57 are the plane-wave counts the engine
 // reaches; 1000 is far past any threshold a parallel split would use.
+// CGemm and the parallel real GEMM split their rows over the worker
+// pool; at shapes past their inline cutoffs (32³ and 64³ multiply-adds)
+// each row must still come out the same.
 func TestCGemmCTBitIdenticalAcrossProcessorCounts(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(34))
+	type product struct {
+		name string
+		run  func() []float64
+	}
+	var cases []product
 	for _, rows := range []int{24, 33, 57, 1000} {
 		a := randCMatrix(rng, rows, 8)
 		b := randCMatrix(rng, rows, 8)
-		var want *CMatrix
+		cases = append(cases, product{fmt.Sprintf("CGemmCT rows=%d", rows), func() []float64 {
+			return complexBits(CGemmCT(a, b).Data)
+		}})
+	}
+	ca, cb := randCMatrix(rng, 200, 40), randCMatrix(rng, 40, 30)
+	cases = append(cases, product{"CGemm 200×40×30", func() []float64 {
+		c := NewCMatrix(200, 30)
+		CGemm(ca, cb, c)
+		return complexBits(c.Data)
+	}})
+	ra, rb := randMatrix(rng, 300, 80), randMatrix(rng, 80, 60)
+	cases = append(cases, product{"Gemm(GemmParallel) 300×80×60", func() []float64 {
+		c := NewMatrix(300, 60)
+		Gemm(GemmParallel, ra, rb, c)
+		return c.Data
+	}})
+	for _, pc := range cases {
+		var want []float64
 		for _, procs := range []int{1, 2, 3, 8} {
 			runtime.GOMAXPROCS(procs)
 			for rep := 0; rep < 20; rep++ {
-				got := CGemmCT(a, b)
+				got := pc.run()
 				if want == nil {
 					want = got
 					continue
 				}
-				for i, v := range got.Data {
-					if math.Float64bits(real(v)) != math.Float64bits(real(want.Data[i])) ||
-						math.Float64bits(imag(v)) != math.Float64bits(imag(want.Data[i])) {
-						t.Fatalf("rows=%d GOMAXPROCS=%d rep %d: element %d is %v, first run gave %v",
-							rows, procs, rep, i, v, want.Data[i])
+				for i, v := range got {
+					if math.Float64bits(v) != math.Float64bits(want[i]) {
+						t.Fatalf("%s GOMAXPROCS=%d rep %d: word %d is %v, first run gave %v",
+							pc.name, procs, rep, i, v, want[i])
 					}
 				}
 			}
 		}
 	}
+}
+
+// complexBits flattens complex values into their real and imaginary parts.
+func complexBits(z []complex128) []float64 {
+	out := make([]float64, 0, 2*len(z))
+	for _, v := range z {
+		out = append(out, real(v), imag(v))
+	}
+	return out
 }
 
 func TestCholeskyHermitian(t *testing.T) {

@@ -1,9 +1,7 @@
 package linalg
 
 import (
-	"runtime"
-	"sync"
-
+	"ldcdft/internal/par"
 	"ldcdft/internal/perf"
 )
 
@@ -18,8 +16,8 @@ const (
 	GemmNaive GemmVariant = iota
 	// GemmBlocked is cache-blocked with ikj inner order (unit stride).
 	GemmBlocked
-	// GemmParallel is GemmBlocked with row-panel parallelism across
-	// GOMAXPROCS goroutines. It stands in for the threaded ESSL/JAG-DGEMM.
+	// GemmParallel is GemmBlocked in row panels of ≥ 64³ multiply-adds on
+	// the internal/par pool. It stands in for the threaded ESSL/JAG-DGEMM.
 	GemmParallel
 )
 
@@ -185,27 +183,12 @@ func gemmBlockedRange(a, b, c *Matrix, r0, r1 int) {
 
 func gemmParallel(a, b, c *Matrix) {
 	c.Zero()
-	workers := runtime.GOMAXPROCS(0)
-	if workers > a.Rows {
-		workers = a.Rows
-	}
-	if workers <= 1 || a.Rows*a.Cols*b.Cols < 64*64*64 {
-		gemmBlockedRange(a, b, c, 0, a.Rows)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (a.Rows + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		r0 := w * chunk
-		r1 := min(r0+chunk, a.Rows)
-		if r0 >= r1 {
-			break
-		}
-		wg.Add(1)
-		go func(r0, r1 int) {
-			defer wg.Done()
-			gemmBlockedRange(a, b, c, r0, r1)
-		}(r0, r1)
-	}
-	wg.Wait()
+	par.For(a.Rows, rowGrain(64*64*64, a.Cols, b.Cols), func(r0, r1 int) {
+		gemmBlockedRange(a, b, c, r0, r1)
+	})
+}
+
+// rowGrain is the fewest rows of n·p multiply-adds each that make work.
+func rowGrain(work, n, p int) int {
+	return (work + n*p - 1) / max(n*p, 1)
 }

@@ -1,14 +1,17 @@
 package pw
 
-import "ldcdft/internal/linalg"
+import (
+	"ldcdft/internal/linalg"
+	"ldcdft/internal/par"
+)
 
 // Density computes the valence electron density ρ(r_j) = (1/Ω) Σ_n f_n
 // |ψ̃_n(r_j)|² on the FFT grid (Eq. (c) in Fig. 2, with occupations f_n
 // supplied by the Fermi distribution at the global chemical potential).
-// The occupied bands go to real space in one batched 3-D transform (the
-// fft worker pool fans out per band) and the accumulation is
-// partitioned over disjoint grid ranges, so no per-worker partial grids
-// are allocated or merged.
+// The occupied bands go to real space in one batched 3-D transform (one
+// band per internal/par chunk) and the accumulation is partitioned over
+// disjoint grid ranges, so no partial grids are allocated or merged and
+// every point sums its bands in the same order at any processor count.
 //
 // Unlike the density/potential fields themselves, the ψ̃_n(G) columns
 // carry no Hermitian symmetry (the orbitals are genuinely complex), so
@@ -37,7 +40,7 @@ func Density(b *Basis, psi *linalg.CMatrix, occ []float64) []float64 {
 	// |ψ̃|²/Ω prefactor instead of rescaling the whole batch.
 	n3 := float64(size)
 	scale := n3 * n3 / b.Volume()
-	parallelRange(size, func(lo, hi int) {
+	par.For(size, 512, func(lo, hi int) { // 512 points × the bands: microseconds
 		for k, n := range bands {
 			f := occ[n] * scale
 			g := batch[k*size : (k+1)*size]

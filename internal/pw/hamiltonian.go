@@ -2,12 +2,11 @@ package pw
 
 import (
 	"math"
-	"runtime"
-	"sync"
 
 	"ldcdft/internal/atoms"
 	"ldcdft/internal/geom"
 	"ldcdft/internal/linalg"
+	"ldcdft/internal/par"
 	"ldcdft/internal/pseudo"
 )
 
@@ -104,12 +103,11 @@ func (h *Hamiltonian) ApplyAll(psi *linalg.CMatrix) *linalg.CMatrix {
 }
 
 // ApplyAllInto computes HΨ into out (same shape as psi). The local part
-// runs as two batched 3-D FFTs over all bands — the fft worker pool
-// fans out per grid, replacing the old per-band goroutine fan-out that
-// oversubscribed GOMAXPROCS FFT goroutines per band worker — and the
-// nonlocal part uses the BLAS3 all-band form unless NlMode selects the
-// band-by-band path (§3.4 ablation). All scratch comes from the basis
-// pools; steady-state calls allocate nothing beyond the caller's out.
+// runs as two batched 3-D FFTs over all bands, one grid per internal/par
+// chunk, and the nonlocal part uses the BLAS3 all-band form unless NlMode
+// selects the band-by-band path (§3.4 ablation). All scratch comes from
+// the basis pools; steady-state calls allocate nothing beyond the
+// caller's out and the closures handed to par.For.
 func (h *Hamiltonian) ApplyAllInto(psi, out *linalg.CMatrix) {
 	b := h.Basis
 	nb := psi.Cols
@@ -127,12 +125,10 @@ func (h *Hamiltonian) ApplyAllInto(psi, out *linalg.CMatrix) {
 		b.sphere.InverseRawMulRealBatch(batch[:nb*size], nb, h.Vloc)
 	} else {
 		b.ToRealSpaceBatch(psi, batch)
-		parallelRange(nb, func(lo, hi int) {
-			for n := lo; n < hi; n++ {
-				g := batch[n*size : (n+1)*size]
-				for i, v := range h.Vloc {
-					g[i] *= complex(v, 0)
-				}
+		par.For(nb, 1, func(n, _ int) {
+			g := batch[n*size : (n+1)*size]
+			for i, v := range h.Vloc {
+				g[i] *= complex(v, 0)
 			}
 		})
 	}
@@ -140,7 +136,7 @@ func (h *Hamiltonian) ApplyAllInto(psi, out *linalg.CMatrix) {
 	// out(G,n) = ½G² ψ(G,n) + (1/N³)·(VlocψR)(G,n), assembled row-wise so
 	// the matrix accesses stay contiguous.
 	invN3 := complex(1/float64(size), 0)
-	parallelRange(psi.Rows, func(lo, hi int) {
+	par.For(psi.Rows, 64, func(lo, hi int) { // a domain's few dozen rows run inline
 		for gi := lo; gi < hi; gi++ {
 			kin := complex(b.G2[gi]/2, 0)
 			fi := b.FFTi[gi]
@@ -167,30 +163,6 @@ func (h *Hamiltonian) ApplyAllInto(psi, out *linalg.CMatrix) {
 			h.Proj.ApplyAllBand(psi, out)
 		}
 	}
-}
-
-// parallelRange splits [0, n) into one contiguous chunk per GOMAXPROCS
-// worker. With a single processor (or n == 1) it runs inline.
-func parallelRange(n int, f func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		f(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := min(lo+chunk, n)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			f(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // KineticExpectation returns ⟨ψ|−½∇²|ψ⟩ for one coefficient vector.

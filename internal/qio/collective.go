@@ -1,11 +1,13 @@
 package qio
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math"
 	"sync"
 
+	"ldcdft/internal/par"
 	"ldcdft/internal/perf"
 )
 
@@ -31,37 +33,19 @@ func NewCollectiveWriter(w io.Writer, groupSize int) (*CollectiveWriter, error) 
 }
 
 // WriteAll gathers the payloads of all ranks: each group's master
-// concatenates its members' blocks (concurrently across groups) and the
-// masters then write in rank order. It returns the bytes written. A
+// concatenates its members' blocks (concurrently across groups, on the
+// internal/par pool, so thousands of groups need no goroutine each) and
+// the masters then write in rank order. It returns the bytes written. A
 // writer accepting fewer bytes than offered is reported as an
 // io.ErrShortWrite-wrapping error for the offending group.
 func (c *CollectiveWriter) WriteAll(rankPayloads [][]byte) (int64, error) {
 	ngroups := (len(rankPayloads) + c.GroupSize - 1) / c.GroupSize
 	// out is index-assigned by group number and therefore already in rank
-	// order after the barrier; no sort is needed.
+	// order once par.For returns; no sort is needed.
 	out := make([][]byte, ngroups)
-	var wg sync.WaitGroup
-	for g := 0; g < ngroups; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			lo := g * c.GroupSize
-			hi := lo + c.GroupSize
-			if hi > len(rankPayloads) {
-				hi = len(rankPayloads)
-			}
-			var total int
-			for _, p := range rankPayloads[lo:hi] {
-				total += len(p)
-			}
-			buf := make([]byte, 0, total)
-			for _, p := range rankPayloads[lo:hi] {
-				buf = append(buf, p...)
-			}
-			out[g] = buf
-		}(g)
-	}
-	wg.Wait()
+	par.For(ngroups, 1, func(g, _ int) {
+		out[g] = bytes.Join(rankPayloads[g*c.GroupSize:min((g+1)*c.GroupSize, len(rankPayloads))], nil)
+	})
 	var n int64
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -139,7 +123,7 @@ func (m IOModel) OptimalGroupSize(ranks int, totalBytes float64) int {
 		}
 	}
 	// Refine around the best power of two.
-	for gs := best / 2; gs <= best*2 && gs <= ranks; gs += maxInt(best/16, 1) {
+	for gs := best / 2; gs <= best*2 && gs <= ranks; gs += max(best/16, 1) {
 		if gs < 1 {
 			continue
 		}
@@ -148,11 +132,4 @@ func (m IOModel) OptimalGroupSize(ranks int, totalBytes float64) int {
 		}
 	}
 	return best
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
