@@ -42,7 +42,7 @@ bce:
 
 # Race-check the concurrency-heavy packages (internal/par — the one
 # parallel loop every fan-out runs on: nesting, panics, pool resizing —
-# and its callers: linalg's row-panel GEMMs, FFT passes and pooled
+# and its callers: CGemm's row panels, FFT passes and pooled
 # scratch arenas, bsd's domain workers, the collective I/O gather; the
 # per-domain scf engines, parallel SCF assembly, atomic perf counters,
 # pooled pw/pseudo scratch, checkpoint writes:

@@ -9,62 +9,9 @@ import (
 	"testing"
 
 	"ldcdft/internal/grid"
-	"ldcdft/internal/linalg"
 	"ldcdft/internal/multigrid"
 	"ldcdft/internal/pw"
 )
-
-// BenchmarkBlas3Transform measures the §3.4 algebraic transformation:
-// all-band BLAS3 GEMM vs band-by-band BLAS2 GEMV for the same workload.
-func BenchmarkBlas3Transform(b *testing.B) {
-	const np, nb = 512, 64
-	a := linalg.NewMatrix(np, np)
-	x := linalg.NewMatrix(np, nb)
-	y := linalg.NewMatrix(np, nb)
-	for i := range a.Data {
-		a.Data[i] = float64(i%17) * 0.1
-	}
-	for i := range x.Data {
-		x.Data[i] = float64(i%13) * 0.1
-	}
-	b.Run("BLAS2-band-by-band", func(b *testing.B) {
-		xi := make([]float64, np)
-		yi := make([]float64, np)
-		for i := 0; i < b.N; i++ {
-			for n := 0; n < nb; n++ {
-				for r := 0; r < np; r++ {
-					xi[r] = x.At(r, n)
-				}
-				linalg.Gemv(a, xi, yi)
-			}
-		}
-	})
-	b.Run("BLAS3-all-band", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			linalg.Gemm(linalg.GemmParallel, a, x, y)
-		}
-	})
-}
-
-// BenchmarkGemmVariants is the §4.2 data-parallelism ablation: naive vs
-// blocked vs blocked+parallel GEMM.
-func BenchmarkGemmVariants(b *testing.B) {
-	const n = 192
-	a := linalg.NewMatrix(n, n)
-	x := linalg.NewMatrix(n, n)
-	c := linalg.NewMatrix(n, n)
-	for i := range a.Data {
-		a.Data[i] = float64(i%7) * 0.3
-		x.Data[i] = float64(i%11) * 0.2
-	}
-	for _, v := range []linalg.GemmVariant{linalg.GemmNaive, linalg.GemmBlocked, linalg.GemmParallel} {
-		b.Run(v.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				linalg.Gemm(v, a, x, c)
-			}
-		})
-	}
-}
 
 // BenchmarkMixingAblation compares the three density-mixing schemes on a
 // REAL LDC-DFT solve — the SCF robustness machinery behind the paper's

@@ -58,8 +58,8 @@ func (m Mode) String() string {
 	return "LDC"
 }
 
-// DefaultXi is the adjustable parameter ξ of Eq. (2), 0.333 a.u., fitted
-// in Ref. [24] and adopted by the paper.
+// DefaultXi is the parameter ξ of Eq. (2), 0.333 a.u., fitted in Ref. [24]
+// and adopted by the paper; every LDC run uses it.
 const DefaultXi = 0.333
 
 // Config controls an LDC-DFT calculation.
@@ -69,7 +69,6 @@ type Config struct {
 	BufN           int     // buffer thickness in grid points
 	Ecut           float64 // plane-wave cutoff for domain solves (Hartree)
 	Mode           Mode
-	Xi             float64 // boundary-response parameter; default DefaultXi
 
 	KT         float64 // electronic temperature (Hartree); default 0.02
 	MixAlpha   float64 // density mixing; default 0.35
@@ -79,7 +78,6 @@ type Config struct {
 	EnergyTol  float64 // default 1e-6 Ha
 	DensityTol float64 // default 1e-5
 	EigenIters int     // eigensolver iterations per SCF cycle; default 3
-	BandByBand bool    // BLAS2 reference path in the domain solver
 	Seed       int64
 
 	// Workers caps the number of concurrent domain solves (0 = GOMAXPROCS)
@@ -100,9 +98,6 @@ type Config struct {
 }
 
 func (c *Config) setDefaults() {
-	if c.Xi == 0 {
-		c.Xi = DefaultXi
-	}
 	if c.KT == 0 {
 		c.KT = 0.02
 	}

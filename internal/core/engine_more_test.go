@@ -27,23 +27,6 @@ func TestSetDensity(t *testing.T) {
 	}
 }
 
-func TestBandByBandDomainSolve(t *testing.T) {
-	if testing.Short() {
-		t.Skip("BLAS2 path is slow")
-	}
-	sys := atoms.BuildSiC(1)
-	cfg := sicConfig(ModeLDC, 2, 2)
-	cfg.BandByBand = true
-	cfg.EigenIters = 6
-	e, err := NewEngine(sys, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := e.SCFStep(); err != nil {
-		t.Fatalf("BLAS2 domain solve failed: %v", err)
-	}
-}
-
 func TestWorkersOne(t *testing.T) {
 	// Serial domain execution must agree with parallel.
 	sys := atoms.BuildSiC(1)

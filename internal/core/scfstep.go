@@ -139,11 +139,11 @@ func (e *Engine) SCFStep() (*grid.Field, StepResult, error) {
 	return rhoOut, res, nil
 }
 
-// invXi returns 1/ξ in LDC mode and 0 in plain-DC mode (where the
-// boundary potential vanishes identically).
+// invXi returns 1/ξ (ξ = DefaultXi) in LDC mode and 0 in plain-DC mode
+// (where the boundary potential vanishes identically).
 func (e *Engine) invXi() float64 {
 	if e.Cfg.Mode == ModeLDC {
-		return 1 / e.Cfg.Xi
+		return 1 / DefaultXi
 	}
 	return 0
 }

@@ -29,7 +29,6 @@ func newWorkspace(lg grid.Grid, cfg Config, maxBands int) (*workspace, error) {
 		return nil, err
 	}
 	eng.EigenIters = cfg.EigenIters
-	eng.BandByBand = cfg.BandByBand
 	size := lg.Size()
 	return &workspace{
 		eng:      eng,

@@ -191,23 +191,26 @@ func portability(_ Base, cell Cell) (map[string]float64, error) {
 }
 
 // kernelRate measures the sustained GFLOP/s of this build's core kernels
-// (blocked parallel GEMM + 3-D FFT) on `workers` threads (0 = as is) for
-// roughly the given duration. It differences the process-wide FLOP
-// counter and never resets it: an in-process manager's jobs count on it.
+// (the solver's complex GEMM, CGemm, + 3-D FFT) on `workers` threads
+// (0 = as is) for roughly the given duration. It differences the
+// process-wide FLOP counter and never resets it: an in-process
+// manager's jobs count on it.
 func kernelRate(workers int, duration time.Duration) float64 {
 	if workers > 0 {
 		old := runtime.GOMAXPROCS(workers)
 		defer runtime.GOMAXPROCS(old)
 	}
 	rng := rand.New(rand.NewSource(42))
-	const n = 256
-	a := linalg.NewMatrix(n, n)
-	b := linalg.NewMatrix(n, n)
+	const n, nb = 256, 64
+	a := linalg.NewCMatrix(n, n)
+	b := linalg.NewCMatrix(n, nb)
 	for i := range a.Data {
-		a.Data[i] = rng.NormFloat64()
-		b.Data[i] = rng.NormFloat64()
+		a.Data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
-	c := linalg.NewMatrix(n, n)
+	for i := range b.Data {
+		b.Data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	}
+	c := linalg.NewCMatrix(n, nb)
 	plan := fft.NewPlan3(32, 32, 32)
 	sig := make([]complex128, plan.Size())
 	for i := range sig {
@@ -216,7 +219,7 @@ func kernelRate(workers int, duration time.Duration) float64 {
 	before := perf.Global.Total()
 	start := time.Now()
 	for time.Since(start) < duration {
-		linalg.Gemm(linalg.GemmParallel, a, b, c)
+		linalg.CGemm(a, b, c)
 		plan.Forward(sig)
 		plan.Inverse(sig)
 	}

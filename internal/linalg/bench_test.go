@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"math/rand"
+	"runtime"
 	"strconv"
 	"testing"
 )
@@ -15,13 +16,25 @@ func benchCMatrix(r, c int) *CMatrix {
 	return m
 }
 
+// BenchmarkCGemm is the §4.2 data-parallelism ablation on the kernel the
+// solver runs: the test-reference triple loop, CGemm on one processor,
+// and CGemm split into row panels over GOMAXPROCS processors.
 func BenchmarkCGemm(b *testing.B) {
 	a := benchCMatrix(256, 256)
 	x := benchCMatrix(256, 32)
 	c := NewCMatrix(256, 32)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		CGemm(a, x, c)
+	b.Run("naive", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			cgemmNaiveRef(a, x)
+		}
+	})
+	for _, procs := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run("procs="+strconv.Itoa(procs), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for i := 0; i < b.N; i++ {
+				CGemm(a, x, c)
+			}
+		})
 	}
 }
 

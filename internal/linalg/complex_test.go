@@ -112,9 +112,8 @@ func TestCGemmCTOverlapHermitian(t *testing.T) {
 // additions — which must therefore not depend on GOMAXPROCS or on
 // goroutine scheduling. rows 24–57 are the plane-wave counts the engine
 // reaches; 1000 is far past any threshold a parallel split would use.
-// CGemm and the parallel real GEMM split their rows over the worker
-// pool; at shapes past their inline cutoffs (32³ and 64³ multiply-adds)
-// each row must still come out the same.
+// CGemm splits its rows over the worker pool; at a shape past its
+// inline cutoff (32³ multiply-adds) each row must still come out the same.
 func TestCGemmCTBitIdenticalAcrossProcessorCounts(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(34))
@@ -135,12 +134,6 @@ func TestCGemmCTBitIdenticalAcrossProcessorCounts(t *testing.T) {
 		c := NewCMatrix(200, 30)
 		CGemm(ca, cb, c)
 		return complexBits(c.Data)
-	}})
-	ra, rb := randMatrix(rng, 300, 80), randMatrix(rng, 80, 60)
-	cases = append(cases, product{"Gemm(GemmParallel) 300×80×60", func() []float64 {
-		c := NewMatrix(300, 60)
-		Gemm(GemmParallel, ra, rb, c)
-		return c.Data
 	}})
 	for _, pc := range cases {
 		var want []float64
@@ -204,6 +197,53 @@ func TestCholeskyHermitianRejects(t *testing.T) {
 	a.Set(1, 1, 1)
 	if _, err := CholeskyHermitian(a); err == nil {
 		t.Fatal("expected error for indefinite matrix")
+	}
+}
+
+// A singular or non-square matrix is refused: a rank-deficient Gram
+// matrix trips the relative pivot floor, and only square input is read.
+func TestCholeskyRejectsIndefinite(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	m := randCMatrix(rng, 8, 3)
+	m.SetCol(2, m.Col(0, nil)) // two equal columns: M†M has rank 2
+	if _, err := CholeskyHermitian(CGemmCT(m, m)); err != ErrNotHermitianPD {
+		t.Fatalf("rank-deficient: err = %v, want ErrNotHermitianPD", err)
+	}
+	if _, err := CholeskyHermitian(NewCMatrix(2, 3)); err != ErrDimension {
+		t.Fatalf("non-square: err = %v, want ErrDimension", err)
+	}
+}
+
+// Property: for any Hermitian positive-definite matrix, CholeskyHermitian
+// succeeds and its factor is lower triangular with a real positive
+// diagonal.
+func TestCholeskyProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(15)
+		m := randCMatrix(rng, n, n)
+		a := CGemmCT(m, m)
+		for i := 0; i < n; i++ {
+			a.Set(i, i, a.At(i, i)+complex(float64(n), 0))
+		}
+		l, err := CholeskyHermitian(a)
+		if err != nil {
+			return false
+		}
+		for i := 0; i < n; i++ {
+			if d := l.At(i, i); imag(d) != 0 || real(d) <= 0 {
+				return false
+			}
+			for j := i + 1; j < n; j++ {
+				if l.At(i, j) != 0 {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,195 +1,109 @@
 package linalg
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
-func randMatrix(rng *rand.Rand, r, c int) *Matrix {
-	m := NewMatrix(r, c)
-	for i := range m.Data {
-		m.Data[i] = rng.NormFloat64()
+func eyeC(n int) *CMatrix {
+	m := NewCMatrix(n, n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, 1)
 	}
 	return m
 }
 
-func TestGemmVariantsAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	shapes := [][3]int{{1, 1, 1}, {2, 3, 4}, {7, 5, 9}, {64, 64, 64}, {65, 33, 129}, {100, 1, 50}}
-	for _, s := range shapes {
-		a := randMatrix(rng, s[0], s[1])
-		b := randMatrix(rng, s[1], s[2])
-		ref := NewMatrix(s[0], s[2])
-		Gemm(GemmNaive, a, b, ref)
-		for _, v := range []GemmVariant{GemmBlocked, GemmParallel} {
-			c := NewMatrix(s[0], s[2])
-			Gemm(v, a, b, c)
-			if !Equalish(ref, c, 1e-10) {
-				t.Errorf("shape %v: %v disagrees with naive", s, v)
-			}
-		}
-	}
-}
-
+// Multiplying by the identity is exact: every product is a·1 or a skipped
+// zero, so A·I and I·A reproduce A bit for bit.
 func TestGemmIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	a := randMatrix(rng, 17, 17)
-	c := NewMatrix(17, 17)
-	Gemm(GemmParallel, a, Eye(17), c)
-	if !Equalish(a, c, 1e-14) {
+	a := randCMatrix(rng, 17, 17)
+	c := NewCMatrix(17, 17)
+	CGemm(a, eyeC(17), c)
+	if !cEqualish(a, c, 0) {
 		t.Fatal("A*I != A")
 	}
-	Gemm(GemmParallel, Eye(17), a, c)
-	if !Equalish(a, c, 1e-14) {
+	CGemm(eyeC(17), a, c)
+	if !cEqualish(a, c, 0) {
 		t.Fatal("I*A != A")
-	}
-}
-
-func TestGemvMatchesGemm(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := randMatrix(rng, 23, 31)
-	x := make([]float64, 31)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	y := make([]float64, 23)
-	Gemv(a, x, y)
-	bx := MatrixFrom(31, 1, x)
-	c := NewMatrix(23, 1)
-	Gemm(GemmBlocked, a, bx, c)
-	for i := range y {
-		if math.Abs(y[i]-c.Data[i]) > 1e-10 {
-			t.Fatalf("row %d: gemv %g vs gemm %g", i, y[i], c.Data[i])
-		}
-	}
-}
-
-func TestGemvT(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	a := randMatrix(rng, 12, 8)
-	x := make([]float64, 12)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	y := make([]float64, 8)
-	GemvT(a, x, y)
-	at := a.Transpose()
-	y2 := make([]float64, 8)
-	Gemv(at, x, y2)
-	for i := range y {
-		if math.Abs(y[i]-y2[i]) > 1e-12 {
-			t.Fatalf("GemvT mismatch at %d", i)
-		}
-	}
-}
-
-func TestMatMulHelpers(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	a := randMatrix(rng, 9, 14)
-	b := randMatrix(rng, 6, 14)
-	// MatMulT: A * Bᵀ
-	got := MatMulT(a, b)
-	want := MatMul(a, b.Transpose())
-	if !Equalish(got, want, 1e-10) {
-		t.Fatal("MatMulT mismatch")
-	}
-	// MatTMul: Aᵀ * B with compatible shapes
-	c := randMatrix(rng, 9, 7)
-	got2 := MatTMul(a, c)
-	want2 := MatMul(a.Transpose(), c)
-	if !Equalish(got2, want2, 1e-10) {
-		t.Fatal("MatTMul mismatch")
 	}
 }
 
 // Property: (A*B)*C == A*(B*C) for random small matrices.
 func TestGemmAssociativityProperty(t *testing.T) {
+	mul := func(a, b *CMatrix) *CMatrix {
+		c := NewCMatrix(a.Rows, b.Cols)
+		CGemm(a, b, c)
+		return c
+	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(12)
 		m := 1 + rng.Intn(12)
 		p := 1 + rng.Intn(12)
 		q := 1 + rng.Intn(12)
-		a := randMatrix(rng, n, m)
-		b := randMatrix(rng, m, p)
-		c := randMatrix(rng, p, q)
-		left := MatMul(MatMul(a, b), c)
-		right := MatMul(a, MatMul(b, c))
-		return Equalish(left, right, 1e-8)
+		a := randCMatrix(rng, n, m)
+		b := randCMatrix(rng, m, p)
+		c := randCMatrix(rng, p, q)
+		return cEqualish(mul(mul(a, b), c), mul(a, mul(b, c)), 1e-8)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: transpose is an involution and (AB)ᵀ = BᵀAᵀ.
+// Property: A†B is the adjoint of B†A, and A†(BC) = (A†B)C.
 func TestTransposeProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		r := 1 + rng.Intn(10)
 		c := 1 + rng.Intn(10)
 		k := 1 + rng.Intn(10)
-		a := randMatrix(rng, r, c)
-		b := randMatrix(rng, c, k)
-		if !Equalish(a, a.Transpose().Transpose(), 0) {
+		a := randCMatrix(rng, r, c)
+		b := randCMatrix(rng, r, k)
+		ab, ba := CGemmCT(a, b), CGemmCT(b, a)
+		adj := NewCMatrix(c, k)
+		for i := 0; i < c; i++ {
+			for j := 0; j < k; j++ {
+				adj.Set(i, j, complex(real(ba.At(j, i)), -imag(ba.At(j, i))))
+			}
+		}
+		if !cEqualish(ab, adj, 1e-12) {
 			return false
 		}
-		lhs := MatMul(a, b).Transpose()
-		rhs := MatMul(b.Transpose(), a.Transpose())
-		return Equalish(lhs, rhs, 1e-9)
+		d := randCMatrix(rng, k, 1+rng.Intn(10))
+		bd := NewCMatrix(r, d.Cols)
+		CGemm(b, d, bd)
+		abd := NewCMatrix(c, d.Cols)
+		CGemm(ab, d, abd)
+		return cEqualish(CGemmCT(a, bd), abd, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestVectorOps(t *testing.T) {
-	x := []float64{3, 4}
-	if got := Norm2(x); math.Abs(got-5) > 1e-14 {
-		t.Fatalf("Norm2 = %g, want 5", got)
-	}
-	if got := Dot(x, []float64{1, 2}); math.Abs(got-11) > 1e-14 {
-		t.Fatalf("Dot = %g, want 11", got)
-	}
-	y := []float64{1, 1}
-	Axpy(2, x, y)
-	if y[0] != 7 || y[1] != 9 {
-		t.Fatalf("Axpy got %v", y)
-	}
-	Scale(0.5, y)
-	if y[0] != 3.5 || y[1] != 4.5 {
-		t.Fatalf("Scale got %v", y)
-	}
-	if MaxAbs([]float64{-7, 3}) != 7 {
-		t.Fatal("MaxAbs")
-	}
-	if Sum([]float64{1, 2, 3}) != 6 {
-		t.Fatal("Sum")
-	}
-	if Norm2(nil) != 0 {
-		t.Fatal("Norm2(nil) should be 0")
-	}
-}
-
-func TestNorm2NoOverflow(t *testing.T) {
-	x := []float64{1e200, 1e200}
-	got := Norm2(x)
-	want := 1e200 * math.Sqrt2
-	if math.Abs(got-want)/want > 1e-12 {
-		t.Fatalf("Norm2 overflow handling: got %g want %g", got, want)
-	}
-}
-
+// Every shape mismatch panics with ErrDimension.
 func TestDimensionPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on dimension mismatch")
-		}
-	}()
-	a := NewMatrix(2, 3)
-	b := NewMatrix(4, 2)
-	c := NewMatrix(2, 2)
-	Gemm(GemmNaive, a, b, c)
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"CGemm inner", func() { CGemm(NewCMatrix(2, 3), NewCMatrix(4, 2), NewCMatrix(2, 2)) }},
+		{"CGemm out rows", func() { CGemm(NewCMatrix(2, 3), NewCMatrix(3, 2), NewCMatrix(3, 2)) }},
+		{"CGemm out cols", func() { CGemm(NewCMatrix(2, 3), NewCMatrix(3, 2), NewCMatrix(2, 3)) }},
+		{"CGemmCTInto inner", func() { CGemmCTInto(NewCMatrix(5, 2), NewCMatrix(4, 3), NewCMatrix(2, 3)) }},
+		{"CGemmCTInto out rows", func() { CGemmCTInto(NewCMatrix(5, 2), NewCMatrix(5, 3), NewCMatrix(3, 3)) }},
+		{"CGemmCTInto out cols", func() { CGemmCTInto(NewCMatrix(5, 2), NewCMatrix(5, 3), NewCMatrix(2, 2)) }},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != ErrDimension {
+					t.Errorf("%s: recovered %v, want ErrDimension", tc.name, r)
+				}
+			}()
+			tc.run()
+		}()
+	}
 }

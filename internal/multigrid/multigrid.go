@@ -28,41 +28,25 @@ var (
 	phResidual = perf.GetPhase("multigrid/residual")
 )
 
-// Options configures the solver. PreSmooth and PostSmooth use a
-// negative-means-zero sentinel so both "default" and "explicitly no
-// sweeps" are representable: 0 selects the default of 3 sweeps, any
-// negative value selects zero sweeps.
+// Options configures the solver.
 type Options struct {
-	Tol        float64 // max-norm residual tolerance relative to |f|; default 1e-8
-	MaxCycles  int     // maximum V-cycles; default 60
-	PreSmooth  int     // pre-smoothing sweeps; 0 = default 3, negative = none
-	PostSmooth int     // post-smoothing sweeps; 0 = default 3, negative = none
-	CoarseN    int     // coarsest level size; default 4 (or the smallest even divisor chain end)
+	Tol float64 // max-norm residual tolerance relative to |f|; default 1e-8
 }
 
 func (o *Options) setDefaults() {
 	if o.Tol == 0 {
 		o.Tol = 1e-8
 	}
-	if o.MaxCycles == 0 {
-		o.MaxCycles = 60
-	}
-	switch {
-	case o.PreSmooth == 0:
-		o.PreSmooth = 3
-	case o.PreSmooth < 0:
-		o.PreSmooth = 0
-	}
-	switch {
-	case o.PostSmooth == 0:
-		o.PostSmooth = 3
-	case o.PostSmooth < 0:
-		o.PostSmooth = 0
-	}
-	if o.CoarseN == 0 {
-		o.CoarseN = 4
-	}
 }
+
+// The V-cycle shape: smoothing sweeps before and after each coarse-grid
+// correction, the coarsest level size, and the cycle budget of one solve.
+const (
+	preSmooth  = 3
+	postSmooth = 3
+	coarseN    = 4
+	maxCycles  = 60
+)
 
 // ErrNoConvergence is returned when the V-cycle iteration stalls above
 // tolerance.
@@ -94,7 +78,7 @@ type Solver struct {
 }
 
 // NewSolver builds the level hierarchy for grid g. The grid size must be
-// even enough to coarsen at least once to CoarseN or below; any size
+// even enough to coarsen at least once to coarseN or below; any size
 // works, but power-of-two sizes give the deepest (fastest) hierarchies.
 func NewSolver(g grid.Grid, opts Options) (*Solver, error) {
 	opts.setDefaults()
@@ -109,7 +93,7 @@ func NewSolver(g grid.Grid, opts Options) (*Solver, error) {
 			f:  make([]float64, n*n*n),
 			r:  make([]float64, n*n*n),
 		})
-		if n%2 != 0 || n/2 < opts.CoarseN || n/2 < 2 {
+		if n%2 != 0 || n/2 < coarseN || n/2 < 2 {
 			break
 		}
 		n /= 2
@@ -119,7 +103,6 @@ func NewSolver(g grid.Grid, opts Options) (*Solver, error) {
 	// sweep, 9 per residual point, 2 per mean subtraction, 54 per coarse
 	// restriction point, ~8 per prolongated fine point; the coarsest level
 	// relaxes 25·n sweeps.
-	pre, post := int64(opts.PreSmooth), int64(opts.PostSmooth)
 	for l, lev := range s.levels {
 		n3 := int64(lev.n) * int64(lev.n) * int64(lev.n)
 		if l == len(s.levels)-1 {
@@ -127,7 +110,7 @@ func NewSolver(g grid.Grid, opts Options) (*Solver, error) {
 			continue
 		}
 		nc := int64(s.levels[l+1].n)
-		s.flopsPerCycle += (pre+post)*8*n3 + 9*n3 + 2*n3 + 54*nc*nc*nc + 8*n3
+		s.flopsPerCycle += (preSmooth+postSmooth)*8*n3 + 9*n3 + 2*n3 + 54*nc*nc*nc + 8*n3
 	}
 	top := int64(s.levels[0].n)
 	s.flopsPerCycle += 10 * top * top * top // convergence-check residual
@@ -175,7 +158,7 @@ func (s *Solver) SolvePoisson(rho *grid.Field) (*grid.Field, Result, error) {
 		tol = 1e-13
 	}
 	res := Result{Levels: len(s.levels)}
-	for cycle := 1; cycle <= s.opts.MaxCycles; cycle++ {
+	for cycle := 1; cycle <= maxCycles; cycle++ {
 		s.vcycle(0)
 		perf.Global.AddScalar(s.flopsPerCycle)
 		res.Cycles = cycle
@@ -218,14 +201,12 @@ func (s *Solver) vcycle(l int) {
 		subtractMean(lev.v)
 		return
 	}
-	if s.opts.PreSmooth > 0 {
-		sp := phSmooth.Start()
-		for i := 0; i < s.opts.PreSmooth; i++ {
-			smooth(lev)
-		}
-		sp.StopFlops(int64(s.opts.PreSmooth) * 8 * n3)
+	sp := phSmooth.Start()
+	for i := 0; i < preSmooth; i++ {
+		smooth(lev)
 	}
-	sp := phResidual.Start()
+	sp.StopFlops(preSmooth * 8 * n3)
+	sp = phResidual.Start()
 	computeResidual(lev)
 	sp.StopFlops(9 * n3)
 	coarse := s.levels[l+1]
@@ -235,13 +216,11 @@ func (s *Solver) vcycle(l int) {
 	}
 	s.vcycle(l + 1)
 	prolongAdd(coarse.v, lev.v, coarse.n, lev.n)
-	if s.opts.PostSmooth > 0 {
-		sp := phSmooth.Start()
-		for i := 0; i < s.opts.PostSmooth; i++ {
-			smooth(lev)
-		}
-		sp.StopFlops(int64(s.opts.PostSmooth) * 8 * n3)
+	sp = phSmooth.Start()
+	for i := 0; i < postSmooth; i++ {
+		smooth(lev)
 	}
+	sp.StopFlops(postSmooth * 8 * n3)
 	subtractMean(lev.v)
 }
 

@@ -188,41 +188,3 @@ func TestFieldGridMismatch(t *testing.T) {
 		t.Fatal("expected grid mismatch error")
 	}
 }
-
-func TestSmoothingSentinel(t *testing.T) {
-	g := grid.New(16, 10)
-	cases := []struct {
-		name      string
-		opts      Options
-		pre, post int
-	}{
-		{"zero-value defaults", Options{}, 3, 3},
-		{"explicit sweeps kept", Options{PreSmooth: 2, PostSmooth: 5}, 2, 5},
-		{"negative means none", Options{PreSmooth: -1, PostSmooth: -1}, 0, 0},
-		{"mixed", Options{PreSmooth: -1}, 0, 3},
-	}
-	for _, tc := range cases {
-		s, err := NewSolver(g, tc.opts)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if s.opts.PreSmooth != tc.pre || s.opts.PostSmooth != tc.post {
-			t.Fatalf("%s: sweeps %d/%d, want %d/%d",
-				tc.name, s.opts.PreSmooth, s.opts.PostSmooth, tc.pre, tc.post)
-		}
-	}
-	// A solver with no smoothing must still solve when the hierarchy is a
-	// single level: the coarsest-level relaxation does all the work.
-	single := grid.New(4, 10)
-	s, err := NewSolver(single, Options{PreSmooth: -1, PostSmooth: -1, Tol: 1e-6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Levels() != 1 {
-		t.Fatalf("expected a single level for N=4, got %d", s.Levels())
-	}
-	rho, _ := analyticPair(single, 1, 0, 0)
-	if _, _, err := s.SolvePoisson(rho); err != nil {
-		t.Fatalf("no-smoothing single-level solve: %v", err)
-	}
-}

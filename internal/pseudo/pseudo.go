@@ -1,8 +1,9 @@
 // Package pseudo implements the model pseudopotentials of the Kohn–Sham
 // Hamiltonian: a local screened-Coulomb part evaluated in reciprocal
-// space, and separable nonlocal projectors applied either band-by-band
-// (BLAS2, Eq. (4) of the paper) or all-band (BLAS3, Eq. (5)) — the
-// algebraic transformation of §3.4.
+// space, and separable nonlocal projectors applied all-band (BLAS3,
+// Eq. (5) of the paper; what the solver runs) or band by band (BLAS2,
+// Eq. (4); the reference and the other leg of pw's BenchmarkNonlocal) —
+// the algebraic transformation of §3.4.
 package pseudo
 
 import (
@@ -117,7 +118,9 @@ func BuildProjectors(gvecs []geom.Vec3, g2 []float64, volume float64,
 
 // ApplyBandByBand computes out += V_nl ψ for a single band using BLAS2-
 // style operations (Eq. (4)): one projection per projector, then one
-// accumulation per projector.
+// accumulation per projector. It is the reference for ApplyAllBand, the
+// per-band Hamiltonian.Apply's nonlocal term and the BLAS2 leg of the
+// §3.4 ablation.
 func (p *Projectors) ApplyBandByBand(psi, out []complex128) {
 	np := p.B.Rows
 	for j := 0; j < p.NumProjectors(); j++ {

@@ -290,153 +290,3 @@ func gramSchmidt(v *linalg.CMatrix) error {
 	}
 	return nil
 }
-
-// SolveBandByBand diagonalizes H with the original band-by-band
-// preconditioned CG minimization (§3.4's pre-transformation algorithm):
-// bands are optimized one at a time in ascending order, each constrained
-// to be orthogonal to all lower bands — BLAS2-style work throughout.
-// A final Rayleigh–Ritz rotation resolves the computed subspace.
-func SolveBandByBand(h *Hamiltonian, psi *linalg.CMatrix, sweeps, cgSteps int) (EigenResult, error) {
-	np, nb := psi.Rows, psi.Cols
-	ws := h.NewWorkspace()
-	col := make([]complex128, np)
-	hcol := make([]complex128, np)
-	grad := make([]complex128, np)
-	dir := make([]complex128, np)
-	hdir := make([]complex128, np)
-	prevGrad := make([]complex128, np)
-	lower := make([]complex128, np)
-	var res EigenResult
-	nApply := 0
-	for sweep := 0; sweep < sweeps; sweep++ {
-		for n := 0; n < nb; n++ {
-			psi.Col(n, col)
-			// Project out lower bands and normalize.
-			for k := 0; k < n; k++ {
-				psi.Col(k, lower)
-				c := linalg.CDot(lower, col)
-				linalg.CAxpy(-c, lower, col)
-			}
-			nrm := linalg.CNorm2(col)
-			if nrm < 1e-12 {
-				return res, fmt.Errorf("pw: band %d collapsed during band-by-band CG", n)
-			}
-			linalg.CScale(complex(1/nrm, 0), col)
-			var gammaPrev float64
-			for step := 0; step < cgSteps; step++ {
-				h.Apply(col, hcol, ws)
-				nApply++
-				eps := real(linalg.CDot(col, hcol))
-				// Gradient: (H − ε)ψ, projected against lower bands and ψ.
-				for i := range grad {
-					grad[i] = hcol[i] - complex(eps, 0)*col[i]
-				}
-				for k := 0; k < n; k++ {
-					psi.Col(k, lower)
-					c := linalg.CDot(lower, grad)
-					linalg.CAxpy(-c, lower, grad)
-				}
-				ke := h.KineticExpectation(col)
-				teterPrecondition(h.Basis, grad, ke)
-				// Re-project after preconditioning.
-				for k := 0; k < n; k++ {
-					psi.Col(k, lower)
-					c := linalg.CDot(lower, grad)
-					linalg.CAxpy(-c, lower, grad)
-				}
-				cg := linalg.CDot(col, grad)
-				linalg.CAxpy(-cg, col, grad)
-				gamma := real(linalg.CDot(grad, grad))
-				if gamma < 1e-22 {
-					break
-				}
-				if step == 0 || gammaPrev == 0 {
-					copy(dir, grad)
-				} else {
-					beta := complex(gamma/gammaPrev, 0)
-					for i := range dir {
-						dir[i] = grad[i] + beta*dir[i]
-					}
-					// Keep the search direction orthogonal to ψ.
-					cd := linalg.CDot(col, dir)
-					linalg.CAxpy(-cd, col, dir)
-				}
-				gammaPrev = gamma
-				copy(prevGrad, grad)
-				dn := linalg.CNorm2(dir)
-				if dn < 1e-14 {
-					break
-				}
-				unit := make([]complex128, np)
-				for i := range unit {
-					unit[i] = dir[i] / complex(dn, 0)
-				}
-				// Exact 2×2 line minimization in span{ψ, d̂}.
-				h.Apply(unit, hdir, ws)
-				nApply++
-				haa := eps
-				hbb := real(linalg.CDot(unit, hdir))
-				hab := linalg.CDot(col, hdir)
-				// Rotation angle θ minimizing ⟨cosθ ψ + sinθ d̂|H|...⟩.
-				theta := 0.5 * math.Atan2(2*real(hab), haa-hbb)
-				// Two stationary points; pick the minimum.
-				e1 := rotatedEnergy(haa, hbb, real(hab), theta)
-				e2 := rotatedEnergy(haa, hbb, real(hab), theta+math.Pi/2)
-				if e2 < e1 {
-					theta += math.Pi / 2
-				}
-				ct, st := math.Cos(theta), math.Sin(theta)
-				for i := range col {
-					col[i] = complex(ct, 0)*col[i] + complex(st, 0)*unit[i]
-				}
-				// Renormalize against drift.
-				nn := linalg.CNorm2(col)
-				linalg.CScale(complex(1/nn, 0), col)
-			}
-			psi.SetCol(n, col)
-		}
-	}
-	// Final subspace rotation sorts and decouples the bands.
-	if err := Orthonormalize(psi); err != nil {
-		return res, err
-	}
-	hpsi := h.ApplyAll(psi)
-	hsub := linalg.CGemmCT(psi, hpsi)
-	w, u, err := linalg.HermitianEigen(hsub)
-	if err != nil {
-		return res, err
-	}
-	rot := linalg.NewCMatrix(np, nb)
-	linalg.CGemm(psi, u, rot)
-	copy(psi.Data, rot.Data)
-	res.Eigenvalues = w
-	res.Iterations = sweeps * cgSteps
-	res.Flops = int64(nApply)*h.applyAllFlops(1) + orthoFlops(np, nb) +
-		2*h.applyAllFlops(nb) + 16*int64(np)*int64(nb)*int64(nb) + eigenFlops(nb)
-	// Residual report.
-	hpsi = h.ApplyAll(psi)
-	for n := 0; n < nb; n++ {
-		psi.Col(n, col)
-		hpsi.Col(n, hcol)
-		for i := range hcol {
-			hcol[i] -= complex(w[n], 0) * col[i]
-		}
-		if rn := linalg.CNorm2(hcol); rn > res.MaxResidual {
-			res.MaxResidual = rn
-		}
-	}
-	return res, nil
-}
-
-// rotatedEnergy is the Rayleigh quotient of cosθ·ψ + sinθ·d̂ given the
-// 2×2 Hamiltonian elements (haa, hbb, hab real part; the basis pair is
-// orthonormal).
-func rotatedEnergy(haa, hbb, hab, theta float64) float64 {
-	c, s := math.Cos(theta), math.Sin(theta)
-	return c*c*haa + s*s*hbb + 2*c*s*hab
-}
-
-// theta minimization note: since hab may be complex, the exact minimum
-// would rotate d̂'s phase first; the real-part treatment above is exact
-// after the preceding projection makes ⟨ψ|d̂⟩ = 0 and suffices for the
-// reference path.

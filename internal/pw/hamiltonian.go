@@ -10,27 +10,14 @@ import (
 	"ldcdft/internal/pseudo"
 )
 
-// NonlocalVariant selects the §3.4 code path for V_nl application.
-type NonlocalVariant int
-
-const (
-	// NonlocalBLAS3 applies the projectors to all bands at once via
-	// matrix-matrix products (Eq. (5)); the production path.
-	NonlocalBLAS3 NonlocalVariant = iota
-	// NonlocalBLAS2 applies them band by band (Eq. (4)); the original
-	// path kept for the ablation benchmark.
-	NonlocalBLAS2
-)
-
 // Hamiltonian is the Kohn–Sham operator of one periodic cell (Eq. (3)):
 // H = −½∇² + V_local(r) + V_nl, with V_local collecting the local
 // pseudopotential, Hartree, exchange-correlation, and (for LDC domains)
 // the density-adaptive boundary potential v_bc.
 type Hamiltonian struct {
-	Basis  *Basis
-	Vloc   []float64 // effective local potential on the FFT grid (N³)
-	Proj   *pseudo.Projectors
-	NlMode NonlocalVariant
+	Basis *Basis
+	Vloc  []float64 // effective local potential on the FFT grid (N³)
+	Proj  *pseudo.Projectors
 }
 
 // NewHamiltonian allocates a Hamiltonian with a zero local potential.
@@ -104,8 +91,8 @@ func (h *Hamiltonian) ApplyAll(psi *linalg.CMatrix) *linalg.CMatrix {
 
 // ApplyAllInto computes HΨ into out (same shape as psi). The local part
 // runs as two batched 3-D FFTs over all bands, one grid per internal/par
-// chunk, and the nonlocal part uses the BLAS3 all-band form unless NlMode
-// selects the band-by-band path (§3.4 ablation). All scratch comes from
+// chunk, and the nonlocal part uses the BLAS3 all-band form of Eq. (5)
+// (§3.4). All scratch comes from
 // the basis pools; steady-state calls allocate nothing beyond the
 // caller's out and the closures handed to par.For.
 func (h *Hamiltonian) ApplyAllInto(psi, out *linalg.CMatrix) {
@@ -150,18 +137,7 @@ func (h *Hamiltonian) ApplyAllInto(psi, out *linalg.CMatrix) {
 	b.PutBatch(batch)
 	// Nonlocal part.
 	if h.Proj != nil && h.Proj.NumProjectors() > 0 {
-		if h.NlMode == NonlocalBLAS2 {
-			col := make([]complex128, psi.Rows)
-			res := make([]complex128, psi.Rows)
-			for n := 0; n < nb; n++ {
-				psi.Col(n, col)
-				out.Col(n, res)
-				h.Proj.ApplyBandByBand(col, res)
-				out.SetCol(n, res)
-			}
-		} else {
-			h.Proj.ApplyAllBand(psi, out)
-		}
+		h.Proj.ApplyAllBand(psi, out)
 	}
 }
 

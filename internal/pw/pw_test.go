@@ -178,19 +178,16 @@ func TestApplyAllMatchesApply(t *testing.T) {
 	for i := range psi.Data {
 		psi.Data[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
-	for _, mode := range []NonlocalVariant{NonlocalBLAS3, NonlocalBLAS2} {
-		h.NlMode = mode
-		all := h.ApplyAll(psi)
-		ws := h.NewWorkspace()
-		col := make([]complex128, np)
-		out := make([]complex128, np)
-		for n := 0; n < nb; n++ {
-			psi.Col(n, col)
-			h.Apply(col, out, ws)
-			for i := 0; i < np; i++ {
-				if cmplx.Abs(all.At(i, n)-out[i]) > 1e-9 {
-					t.Fatalf("mode %v band %d: ApplyAll differs from Apply at %d", mode, n, i)
-				}
+	all := h.ApplyAll(psi)
+	ws := h.NewWorkspace()
+	col := make([]complex128, np)
+	out := make([]complex128, np)
+	for n := 0; n < nb; n++ {
+		psi.Col(n, col)
+		h.Apply(col, out, ws)
+		for i := 0; i < np; i++ {
+			if cmplx.Abs(all.At(i, n)-out[i]) > 1e-9 {
+				t.Fatalf("band %d: ApplyAll differs from Apply at %d", n, i)
 			}
 		}
 	}
@@ -299,31 +296,6 @@ func TestSolveAllBandHPsiReuse(t *testing.T) {
 		if d := math.Abs(resA.Eigenvalues[n] - resB.Eigenvalues[n]); d > 1e-8 {
 			t.Fatalf("band %d: HΨ-reuse %g vs full-apply %g (Δ=%g)",
 				n, resA.Eigenvalues[n], resB.Eigenvalues[n], d)
-		}
-	}
-}
-
-func TestSolveBandByBandMatchesAllBand(t *testing.T) {
-	h, _, _ := testHamiltonian(t, true)
-	nb := 4
-	rng := rand.New(rand.NewSource(6))
-	psiA, err := RandomOrbitals(h.Basis, nb, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	psiB := psiA.Clone()
-	resA, err := SolveAllBand(h, psiA, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resB, err := SolveBandByBand(h, psiB, 6, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for n := 0; n < nb; n++ {
-		if math.Abs(resA.Eigenvalues[n]-resB.Eigenvalues[n]) > 1e-4 {
-			t.Fatalf("band %d: all-band %g vs band-by-band %g",
-				n, resA.Eigenvalues[n], resB.Eigenvalues[n])
 		}
 	}
 }

@@ -31,8 +31,6 @@ type Engine struct {
 	Positions []geom.Vec3 // relative to this cell's origin
 	Vps       []float64   // ionic local potential on the FFT grid
 
-	// BandByBand selects the BLAS2 reference eigensolver (§3.4 ablation).
-	BandByBand bool
 	// EigenIters is the number of eigensolver iterations per SCF cycle
 	// (the paper's weak-scaling runs use 3, §5.1).
 	EigenIters int
@@ -99,15 +97,7 @@ func (e *Engine) EffectivePotentialFrom(rho []float64) {
 // of the current Hamiltonian and returns the eigenvalues.
 func (e *Engine) Diagonalize() (pw.EigenResult, error) {
 	sp := phEigensolver.Start()
-	var res pw.EigenResult
-	var err error
-	if e.BandByBand {
-		e.Ham.NlMode = pw.NonlocalBLAS2
-		res, err = pw.SolveBandByBand(e.Ham, e.Psi, 1, e.EigenIters)
-	} else {
-		e.Ham.NlMode = pw.NonlocalBLAS3
-		res, err = pw.SolveAllBand(e.Ham, e.Psi, e.EigenIters)
-	}
+	res, err := pw.SolveAllBand(e.Ham, e.Psi, e.EigenIters)
 	sp.StopFlops(res.Flops)
 	return res, err
 }

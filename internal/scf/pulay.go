@@ -1,9 +1,5 @@
 package scf
 
-import (
-	"ldcdft/internal/linalg"
-)
-
 // PulayMixer implements Pulay's DIIS density mixing: the next input
 // density is built from the linear combination of the last `Depth`
 // (input, residual) pairs that minimizes the predicted residual norm,
@@ -46,12 +42,12 @@ func (m *PulayMixer) Mix(in, out []float64) []float64 {
 	// Solve the DIIS equations: minimize |Σ c_i r_i|² with Σ c_i = 1.
 	// Lagrange system: [B 1; 1ᵀ 0] [c; λ] = [0; 1], B_ij = ⟨r_i|r_j⟩.
 	dim := k + 1
-	a := linalg.NewMatrix(dim, dim)
+	a := make([]float64, dim*dim) // row-major
 	var scale float64
 	for i := 0; i < k; i++ {
 		for j := 0; j < k; j++ {
 			v := dot(m.res[i], m.res[j])
-			a.Set(i, j, v)
+			a[i*dim+j] = v
 			if i == j && v > scale {
 				scale = v
 			}
@@ -66,10 +62,10 @@ func (m *PulayMixer) Mix(in, out []float64) []float64 {
 	// normalization rescales only the Lagrange multiplier, not c.
 	for i := 0; i < k; i++ {
 		for j := 0; j < k; j++ {
-			a.Set(i, j, a.At(i, j)/scale)
+			a[i*dim+j] /= scale
 		}
-		a.Set(i, k, 1)
-		a.Set(k, i, 1)
+		a[i*dim+k] = 1
+		a[k*dim+i] = 1
 	}
 	rhs := make([]float64, dim)
 	rhs[k] = 1
@@ -112,39 +108,38 @@ func dot(a, b []float64) float64 {
 	return s
 }
 
-// solveDense solves a small dense linear system by Gaussian elimination
-// with partial pivoting; ok=false on (near-)singularity.
-func solveDense(a *linalg.Matrix, b []float64) ([]float64, bool) {
-	n := a.Rows
-	m := a.Clone()
+// solveDense solves the n×n system a·x = b (a row-major, n = len(b)) by
+// Gaussian elimination with partial pivoting, leaving a and b untouched;
+// ok=false on (near-)singularity.
+func solveDense(a, b []float64) ([]float64, bool) {
+	n := len(b)
+	m := append([]float64(nil), a...)
 	x := append([]float64(nil), b...)
 	for col := 0; col < n; col++ {
 		// Pivot.
 		p := col
 		for r := col + 1; r < n; r++ {
-			if abs(m.At(r, col)) > abs(m.At(p, col)) {
+			if abs(m[r*n+col]) > abs(m[p*n+col]) {
 				p = r
 			}
 		}
-		if abs(m.At(p, col)) < 1e-14 {
+		if abs(m[p*n+col]) < 1e-14 {
 			return nil, false
 		}
 		if p != col {
 			for c := 0; c < n; c++ {
-				v1, v2 := m.At(col, c), m.At(p, c)
-				m.Set(col, c, v2)
-				m.Set(p, c, v1)
+				m[col*n+c], m[p*n+c] = m[p*n+c], m[col*n+c]
 			}
 			x[col], x[p] = x[p], x[col]
 		}
-		inv := 1 / m.At(col, col)
+		inv := 1 / m[col*n+col]
 		for r := col + 1; r < n; r++ {
-			f := m.At(r, col) * inv
+			f := m[r*n+col] * inv
 			if f == 0 {
 				continue
 			}
 			for c := col; c < n; c++ {
-				m.Set(r, c, m.At(r, c)-f*m.At(col, c))
+				m[r*n+c] -= f * m[col*n+c]
 			}
 			x[r] -= f * x[col]
 		}
@@ -152,9 +147,9 @@ func solveDense(a *linalg.Matrix, b []float64) ([]float64, bool) {
 	for r := n - 1; r >= 0; r-- {
 		s := x[r]
 		for c := r + 1; c < n; c++ {
-			s -= m.At(r, c) * x[c]
+			s -= m[r*n+c] * x[c]
 		}
-		x[r] = s / m.At(r, r)
+		x[r] = s / m[r*n+r]
 	}
 	return x, true
 }

@@ -3,8 +3,6 @@ package scf
 import (
 	"math"
 	"testing"
-
-	"ldcdft/internal/linalg"
 )
 
 func TestPulayBeatsLinearOnLinearMap(t *testing.T) {
@@ -76,7 +74,7 @@ func TestPulayDegenerateHistory(t *testing.T) {
 
 func TestSolveDense(t *testing.T) {
 	// 2x + y = 5; x − y = 1 → x=2, y=1.
-	a := matFrom(2, 2, []float64{2, 1, 1, -1})
+	a := []float64{2, 1, 1, -1}
 	x, ok := solveDense(a, []float64{5, 1})
 	if !ok {
 		t.Fatal("solvable system reported singular")
@@ -85,13 +83,8 @@ func TestSolveDense(t *testing.T) {
 		t.Fatalf("got %v", x)
 	}
 	// Singular.
-	s := matFrom(2, 2, []float64{1, 1, 1, 1})
+	s := []float64{1, 1, 1, 1}
 	if _, ok := solveDense(s, []float64{1, 2}); ok {
 		t.Fatal("singular system should report !ok")
 	}
-}
-
-// matFrom is a test helper building a matrix from row-major data.
-func matFrom(r, c int, data []float64) *linalg.Matrix {
-	return linalg.MatrixFrom(r, c, data)
 }

@@ -185,23 +185,6 @@ func TestSCFConverges(t *testing.T) {
 	}
 }
 
-func TestSCFBandByBandMatchesAllBand(t *testing.T) {
-	cfg := testConfig()
-	resA, err := Solve(testSystem(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.BandByBand = true
-	cfg.EigenIters = 8
-	resB, err := Solve(testSystem(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(resA.Energy-resB.Energy) > 5e-4*math.Abs(resA.Energy) {
-		t.Fatalf("BLAS3 SCF energy %g vs BLAS2 %g", resA.Energy, resB.Energy)
-	}
-}
-
 func TestSCFDeterministic(t *testing.T) {
 	r1, err1 := Solve(testSystem(), testConfig())
 	r2, err2 := Solve(testSystem(), testConfig())

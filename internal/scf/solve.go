@@ -29,7 +29,6 @@ type Config struct {
 	EnergyTol  float64 // total-energy convergence (Hartree); default 1e-6
 	DensityTol float64 // max |Δρ| convergence; default 1e-5
 	EigenIters int     // eigensolver iterations per SCF cycle; default 3
-	BandByBand bool    // use the BLAS2 reference eigensolver
 	Seed       int64
 }
 
@@ -110,7 +109,6 @@ func Solve(sys *atoms.System, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	eng.EigenIters = cfg.EigenIters
-	eng.BandByBand = cfg.BandByBand
 	if 2*float64(cfg.NBands) < nelec {
 		return nil, fmt.Errorf("scf: %d bands cannot hold %g electrons", cfg.NBands, nelec)
 	}

@@ -1,6 +1,7 @@
 package qmd
 
 import (
+	"reflect"
 	"testing"
 
 	"ldcdft/internal/cache"
@@ -25,6 +26,36 @@ func h2Config() LDCConfig {
 		GridN: 12, DomainsPerAxis: 1, Ecut: 4.0,
 		KT: 0.05, MixAlpha: 0.3, Anderson: true, MaxSCF: 80,
 		EigenIters: 4, Seed: 1, EnergyTol: 1e-5, DensityTol: 1e-4,
+	}
+}
+
+// The cache tag is what keeps a hit from returning another
+// configuration's energy: every LDCConfig field moved off its zero value
+// must change it, except Workers and SpillDir, which must not. Walking
+// the fields by reflection also catches a field added without a tag entry.
+func TestCacheTagCoversConfig(t *testing.T) {
+	base := (&DFTForceField{}).tag()
+	typ := reflect.TypeOf(LDCConfig{})
+	for i := 0; i < typ.NumField(); i++ {
+		var cfg LDCConfig
+		v := reflect.ValueOf(&cfg).Elem().Field(i)
+		switch v.Kind() {
+		case reflect.Int, reflect.Int64:
+			v.SetInt(1)
+		case reflect.Float64:
+			v.SetFloat(1.5)
+		case reflect.Bool:
+			v.SetBool(true)
+		case reflect.String:
+			v.SetString("x")
+		default:
+			t.Fatalf("field %s: no test value for kind %v", typ.Field(i).Name, v.Kind())
+		}
+		name := typ.Field(i).Name
+		changed := (&DFTForceField{Cfg: cfg}).tag() != base
+		if want := name != "Workers" && name != "SpillDir"; changed != want {
+			t.Errorf("field %s: tag changed = %v, want %v", name, changed, want)
+		}
 	}
 }
 
