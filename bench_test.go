@@ -13,16 +13,16 @@ import (
 	"ldcdft/internal/pw"
 )
 
-// BenchmarkMixingAblation compares the three density-mixing schemes on a
+// BenchmarkMixingAblation compares the two density-mixing schemes on a
 // REAL LDC-DFT solve — the SCF robustness machinery behind the paper's
 // convergence claims (§1). The reported metric is SCF iterations to the
 // same tolerance.
 func BenchmarkMixingAblation(b *testing.B) {
-	run := func(anderson, pulay bool) (int, error) {
+	run := func(anderson bool) (int, error) {
 		sys := BuildSiC(1)
 		eng, err := NewLDCEngine(sys, LDCConfig{
 			GridN: 24, DomainsPerAxis: 2, BufN: 2, Ecut: 4.0,
-			KT: 0.05, MixAlpha: 0.3, Anderson: anderson, Pulay: pulay,
+			KT: 0.05, MixAlpha: 0.3, Anderson: anderson,
 			MaxSCF: 100, EigenIters: 4, Seed: 1,
 			EnergyTol: 1e-5, DensityTol: 1e-4,
 		})
@@ -36,15 +36,15 @@ func BenchmarkMixingAblation(b *testing.B) {
 		return res.Iterations, nil
 	}
 	type variant struct {
-		name            string
-		anderson, pulay bool
+		name     string
+		anderson bool
 	}
-	for _, v := range []variant{{"linear", false, false}, {"anderson", true, false}, {"pulay", false, true}} {
+	for _, v := range []variant{{"linear", false}, {"anderson", true}} {
 		b.Run(v.name, func(b *testing.B) {
 			var iters int
 			var err error
 			for i := 0; i < b.N; i++ {
-				iters, err = run(v.anderson, v.pulay)
+				iters, err = run(v.anderson)
 			}
 			if err != nil {
 				b.Logf("%s: did not converge in %d iterations (%v)", v.name, iters, err)

@@ -23,9 +23,6 @@ type QMDOptions struct {
 	// CheckpointPath is the checkpoint file; each write replaces it
 	// atomically (temp file + fsync + rename).
 	CheckpointPath string
-	// CheckpointGroupSize is the collective-I/O aggregation group size
-	// (0 = 192, the paper's §4.2 optimum).
-	CheckpointGroupSize int
 	// DeltaCheckpoints switches to incremental checkpointing: the first
 	// write (and periodic refreshes) store a full base at CheckpointPath,
 	// and every other write stores only the state that changed since the
@@ -156,10 +153,7 @@ type checkpointWriter struct {
 
 // write stores ck through the collective checkpoint path.
 func (w *checkpointWriter) write(ck *qio.Checkpoint) error {
-	wopts := qio.CheckpointWriteOptions{
-		GroupSize:      w.opts.CheckpointGroupSize,
-		DomainsPerAxis: w.domains,
-	}
+	wopts := qio.CheckpointWriteOptions{DomainsPerAxis: w.domains}
 	if !w.opts.DeltaCheckpoints {
 		_, err := qio.WriteCheckpoint(w.opts.CheckpointPath, ck, wopts)
 		return err

@@ -1,9 +1,9 @@
 // Command h2od runs a (scaled-down) hydrogen-on-demand production
 // simulation: a LinAln nanoparticle immersed in water evolved with the
 // reactive surrogate field, reporting the species census timeline, the
-// H₂ production rate, and the pH trend (§6 of the paper). A compressed
-// snapshot of the final configuration is optionally written with the
-// Hilbert-curve codec through the collective writer.
+// H₂ production rate, and the pH trend (§6 of the paper). With
+// -checkpoint the final configuration is written as a restartable
+// checkpoint through the collective writer.
 package main
 
 import (
@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"os"
 
 	"ldcdft/cmd/internal/trajcli"
 	"ldcdft/internal/analysis"
@@ -29,14 +28,13 @@ func main() {
 		tempK = flag.Float64("temp", 1500, "temperature (K)")
 		steps = flag.Int("steps", 4000, "MD steps (paper production: 21,140)")
 		seed  = flag.Int64("seed", 1, "random seed")
-		snap  = flag.String("snapshot", "", "write a compressed final snapshot to this file")
 		run   = trajcli.Register(500)
 	)
 	ctx, finish := run.Start()
 	defer finish()
 	cfg := reactive.ProductionConfig{
 		TempK: *tempK, Steps: *steps, SampleEvery: *steps / 8, Seed: *seed,
-		CheckpointEvery: run.Every, CheckpointPath: run.Checkpoint, CheckpointGroupSize: run.Group,
+		CheckpointEvery: run.Every, CheckpointPath: run.Checkpoint,
 		Ctx: ctx,
 	}
 	var sys *atoms.System
@@ -90,26 +88,5 @@ func main() {
 			fmt.Printf("O-H RDF first peak: r = %.2f Angstrom (g = %.1f)\n",
 				pos*units.AngstromPerBohr, h)
 		}
-	}
-
-	if *snap != "" {
-		s, err := qio.Compress(sys, 14)
-		if err != nil {
-			log.Fatalf("compress: %v", err)
-		}
-		f, err := os.Create(*snap)
-		if err != nil {
-			log.Fatalf("create: %v", err)
-		}
-		defer f.Close()
-		cw, err := qio.NewCollectiveWriter(f, 192)
-		if err != nil {
-			log.Fatalf("writer: %v", err)
-		}
-		if _, err := cw.WriteAll([][]byte{s.Data}); err != nil {
-			log.Fatalf("write: %v", err)
-		}
-		fmt.Printf("snapshot: %d atoms → %d bytes (%.1f× compression) → %s\n",
-			s.N, len(s.Data), s.Ratio(), *snap)
 	}
 }

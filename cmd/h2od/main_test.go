@@ -37,7 +37,6 @@ func TestFlagValidation(t *testing.T) {
 	}{
 		{"resume-missing-file", []string{"-resume", filepath.Join(t.TempDir(), "nope.ck")}, "-resume"},
 		{"checkpoint-every-without-checkpoint", []string{"-checkpoint-every", "100"}, "-checkpoint-every"},
-		{"checkpoint-group-without-checkpoint", []string{"-checkpoint-group", "64"}, "-checkpoint-group"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -20,7 +20,6 @@ import (
 type Flags struct {
 	Checkpoint string // -checkpoint
 	Every      int    // -checkpoint-every
-	Group      int    // -checkpoint-group
 	Resume     string // -resume
 	perf       *perf.Flags
 }
@@ -30,7 +29,6 @@ func Register(every int) *Flags {
 	f := &Flags{perf: perf.RegisterFlags(flag.CommandLine)}
 	flag.StringVar(&f.Checkpoint, "checkpoint", "", "write restartable checkpoints to this file during the run")
 	flag.IntVar(&f.Every, "checkpoint-every", every, "MD steps between checkpoint writes")
-	flag.IntVar(&f.Group, "checkpoint-group", 192, "collective-I/O aggregation group size for checkpoints")
 	flag.StringVar(&f.Resume, "resume", "", "resume the trajectory from this checkpoint file")
 	return f
 }
@@ -43,7 +41,7 @@ func Register(every int) *Flags {
 // finish, deferred, ends the profile and prints the perf reports.
 func (f *Flags) Start() (ctx context.Context, finish func()) {
 	flag.Parse()
-	RequireWith("checkpoint", f.Checkpoint != "", "checkpoint-every", "checkpoint-group")
+	RequireWith("checkpoint", f.Checkpoint != "", "checkpoint-every")
 	if f.Resume != "" {
 		if _, err := os.Stat(f.Resume); err != nil {
 			log.Fatalf("-resume: cannot read checkpoint: %v", err)

@@ -73,10 +73,9 @@ func main() {
 		Seed:           *seed,
 	}
 	opts := qmd.QMDOptions{
-		CheckpointEvery:     run.Every,
-		CheckpointPath:      run.Checkpoint,
-		CheckpointGroupSize: run.Group,
-		Ctx:                 ctx,
+		CheckpointEvery: run.Every,
+		CheckpointPath:  run.Checkpoint,
+		Ctx:             ctx,
 	}
 	if *cacheDir != "" {
 		wsc, err := cache.Open(cache.Options{Dir: *cacheDir, MaxBytes: *cacheBytes, NearTol: *cacheTol})

@@ -37,7 +37,6 @@ func TestFlagValidation(t *testing.T) {
 	}{
 		{"resume-missing-file", []string{"-resume", filepath.Join(t.TempDir(), "nope.ck")}, "-resume"},
 		{"checkpoint-every-without-checkpoint", []string{"-checkpoint-every", "5"}, "-checkpoint-every"},
-		{"checkpoint-group-without-checkpoint", []string{"-checkpoint-group", "64"}, "-checkpoint-group"},
 		{"cache-bytes-without-cache-dir", []string{"-cache-bytes", "1048576"}, "-cache-bytes"},
 		{"cache-tol-without-cache-dir", []string{"-cache-tol", "0.5"}, "-cache-tol"},
 		{"negative-cache-bytes", []string{"-cache-dir", t.TempDir(), "-cache-bytes", "-1"}, "-cache-bytes"},

@@ -43,12 +43,6 @@ type Options struct {
 	// entries are evicted past it. 0 means 256 MiB.
 	MaxBytes int64
 
-	// QuantTol (Bohr) is the position quantization of the exact-match
-	// key: structures whose coordinates agree within it hash identically.
-	// 0 means 1e-6 Bohr — tight enough that "exact" is bitwise for any
-	// realistic trajectory, loose enough to absorb decimal round-trips.
-	QuantTol float64
-
 	// NearTol (Bohr) is the maximum per-atom minimum-image displacement
 	// at which a cached density still seeds a near-miss warm start.
 	// 0 means 0.25 Bohr.
@@ -148,13 +142,10 @@ func Open(opts Options) (*Cache, error) {
 	if opts.MaxBytes < 0 {
 		return nil, fmt.Errorf("cache: negative byte budget %d", opts.MaxBytes)
 	}
-	if opts.QuantTol == 0 {
-		opts.QuantTol = 1e-6
-	}
 	if opts.NearTol == 0 {
 		opts.NearTol = 0.25
 	}
-	if opts.QuantTol < 0 || opts.NearTol < 0 {
+	if opts.NearTol < 0 {
 		return nil, fmt.Errorf("cache: negative tolerance")
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
@@ -209,10 +200,11 @@ func (c *Cache) scan() error {
 			syms[i] = d.Symbols[sp]
 		}
 		e.family = familyHash(d.CfgTag, d.CellL, syms)
-		e.key = keyHash(e.family, geom.Cell{L: d.CellL}, d.Pos, c.opts.QuantTol)
+		e.key = keyHash(e.family, geom.Cell{L: d.CellL}, d.Pos)
 		if want := filepath.Join(c.opts.Dir, e.key+entryExt); want != path {
-			// Entry no longer hashes to its filename (e.g. the quantization
-			// tolerance changed since it was written). Rehome it.
+			// Entry does not hash to its filename (e.g. copied in under
+			// another name, or keyed by a build that hashed differently).
+			// Rehome it.
 			if os.Rename(path, want) != nil {
 				os.Remove(path)
 				continue
@@ -250,14 +242,20 @@ func familyHash(cfgTag string, cellL float64, symbols []string) string {
 	return hex.EncodeToString(h.Sum(nil))[:32]
 }
 
+// quantTol (Bohr) is the position quantization of the exact-match key:
+// structures whose coordinates agree within it hash identically. It is
+// tight enough that "exact" is bitwise for any realistic trajectory,
+// loose enough to absorb decimal round-trips.
+const quantTol = 1e-6
+
 // keyHash extends a family hash with positions wrapped into the cell and
-// quantized to tol, yielding the exact-match key.
-func keyHash(family string, cell geom.Cell, pos []geom.Vec3, tol float64) string {
+// quantized to quantTol, yielding the exact-match key.
+func keyHash(family string, cell geom.Cell, pos []geom.Vec3) string {
 	h := sha256.New()
 	h.Write([]byte(family))
 	var b [8]byte
 	q := func(x float64) {
-		binary.LittleEndian.PutUint64(b[:], uint64(int64(math.Round(x/tol))))
+		binary.LittleEndian.PutUint64(b[:], uint64(int64(math.Round(x/quantTol))))
 		h.Write(b[:])
 	}
 	for _, p := range pos {
@@ -270,7 +268,7 @@ func keyHash(family string, cell geom.Cell, pos []geom.Vec3, tol float64) string
 }
 
 // systemHashes computes (family, key) for a live system.
-func systemHashes(sys *atoms.System, cfgTag string, tol float64) (string, string) {
+func systemHashes(sys *atoms.System, cfgTag string) (string, string) {
 	syms := make([]string, len(sys.Atoms))
 	pos := make([]geom.Vec3, len(sys.Atoms))
 	for i, a := range sys.Atoms {
@@ -278,7 +276,7 @@ func systemHashes(sys *atoms.System, cfgTag string, tol float64) (string, string
 		pos[i] = a.Position
 	}
 	family := familyHash(cfgTag, sys.Cell.L, syms)
-	return family, keyHash(family, sys.Cell, pos, tol)
+	return family, keyHash(family, sys.Cell, pos)
 }
 
 // maxDisplacement returns the largest per-atom minimum-image distance
@@ -307,7 +305,7 @@ func maxDisplacement(cell geom.Cell, sys *atoms.System, pos []geom.Vec3) float64
 // absent.
 func (c *Cache) Lookup(sys *atoms.System, cfgTag string, nearOK bool) (*Result, Tier) {
 	defer perf.GetPhase("cache/lookup").Start().Stop()
-	family, key := systemHashes(sys, cfgTag, c.opts.QuantTol)
+	family, key := systemHashes(sys, cfgTag)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -408,7 +406,7 @@ func (c *Cache) Put(sys *atoms.System, cfgTag string, res *Result) error {
 		return fmt.Errorf("cache: entry of %d bytes exceeds the %d-byte budget",
 			len(raw), c.opts.MaxBytes)
 	}
-	family, key := systemHashes(sys, cfgTag, c.opts.QuantTol)
+	family, key := systemHashes(sys, cfgTag)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -99,7 +99,7 @@ func TestExactHitRoundTripsBitwise(t *testing.T) {
 }
 
 func TestQuantizationAbsorbsTinyPerturbation(t *testing.T) {
-	c := openTest(t, Options{QuantTol: 1e-3})
+	c := openTest(t, Options{})
 	sys := testSystem(2)
 	if err := c.Put(sys, tag, testResult(sys, 8, 5, 2)); err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestQuantizationAbsorbsTinyPerturbation(t *testing.T) {
 	// Perturb well inside the quantization bucket width: still exact.
 	bumped := testSystem(2)
 	for i := range bumped.Atoms {
-		bumped.Atoms[i].Position.X += 1e-5
+		bumped.Atoms[i].Position.X += quantTol / 100
 	}
 	if _, tier := c.Lookup(bumped, tag, false); tier != TierExact {
 		t.Fatalf("sub-tolerance perturbation: tier %v, want exact", tier)

@@ -123,7 +123,7 @@ func TestPutFailuresLeaveCacheIntact(t *testing.T) {
 	}
 
 	blocked := testSystem(2)
-	_, key := systemHashes(blocked, tag, c.opts.QuantTol)
+	_, key := systemHashes(blocked, tag)
 	if err := os.MkdirAll(filepath.Join(c.path(key), "squatter"), 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestOpenRemovesOrphanedTemps(t *testing.T) {
 	if err := c.Put(sys, tag, testResult(sys, 6, 9, 1)); err != nil {
 		t.Fatal(err)
 	}
-	_, key := systemHashes(sys, tag, c.opts.QuantTol)
+	_, key := systemHashes(sys, tag)
 	orphan := c.path(key) + ".0badc0de.tmp"
 	if err := os.WriteFile(orphan, []byte("half an entry"), 0o644); err != nil {
 		t.Fatal(err)

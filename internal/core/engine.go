@@ -73,7 +73,6 @@ type Config struct {
 	KT         float64 // electronic temperature (Hartree); default 0.02
 	MixAlpha   float64 // density mixing; default 0.35
 	Anderson   bool    // Anderson two-point acceleration
-	Pulay      bool    // Pulay/DIIS mixing (overrides Anderson)
 	MaxSCF     int     // default 60
 	EnergyTol  float64 // default 1e-6 Ha
 	DensityTol float64 // default 1e-5
@@ -198,12 +197,9 @@ func NewEngine(sys *atoms.System, cfg Config) (*Engine, error) {
 	}
 	e := &Engine{Cfg: cfg, Sys: sys, Global: g, Domains: doms, mg: mg,
 		pool: bsd.Pool{Workers: cfg.Workers}}
-	switch {
-	case cfg.Pulay:
-		e.mixer = &scf.PulayMixer{Alpha: cfg.MixAlpha}
-	case cfg.Anderson:
+	if cfg.Anderson {
 		e.mixer = &scf.AndersonMixer{Alpha: cfg.MixAlpha}
-	default:
+	} else {
 		e.mixer = &scf.LinearMixer{Alpha: cfg.MixAlpha}
 	}
 	maxNb := 0

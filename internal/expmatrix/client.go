@@ -28,15 +28,18 @@ type JobClient interface {
 	Results(ctx context.Context, id string) (*serve.Results, error)
 }
 
-// submitBackoff paces admission retries after queue-full rejections.
-const submitBackoff = 100 * time.Millisecond
+// submitBackoff paces admission retries after queue-full rejections;
+// the poll intervals pace Wait's terminal-state polling.
+const (
+	submitBackoff = 100 * time.Millisecond
+	localPoll     = 25 * time.Millisecond
+	httpPoll      = 250 * time.Millisecond
+)
 
 // LocalClient runs jobs on an in-process manager — the no-daemon mode
 // of cmd/qmdexp and the harness tests.
 type LocalClient struct {
 	M *serve.Manager
-	// Poll overrides the terminal-state polling cadence (0 = 25ms).
-	Poll time.Duration
 }
 
 func (c *LocalClient) Submit(ctx context.Context, spec serve.JobSpec) (string, error) {
@@ -57,10 +60,6 @@ func (c *LocalClient) Submit(ctx context.Context, spec serve.JobSpec) (string, e
 }
 
 func (c *LocalClient) Wait(ctx context.Context, id string) (*serve.JobState, error) {
-	poll := c.Poll
-	if poll == 0 {
-		poll = 25 * time.Millisecond
-	}
 	for {
 		st, err := c.M.Get(id)
 		if err != nil {
@@ -72,7 +71,7 @@ func (c *LocalClient) Wait(ctx context.Context, id string) (*serve.JobState, err
 		select {
 		case <-ctx.Done():
 			return nil, context.Cause(ctx)
-		case <-time.After(poll):
+		case <-time.After(localPoll):
 		}
 	}
 }
@@ -86,8 +85,6 @@ func (c *LocalClient) Results(_ context.Context, id string) (*serve.Results, err
 // that keeps a connection open.
 type HTTPClient struct {
 	Base string // daemon base URL, e.g. http://127.0.0.1:8432
-	// Poll overrides the status polling cadence (0 = 250ms).
-	Poll time.Duration
 }
 
 func (c *HTTPClient) Submit(ctx context.Context, spec serve.JobSpec) (string, error) {
@@ -121,10 +118,6 @@ func (c *HTTPClient) Submit(ctx context.Context, spec serve.JobSpec) (string, er
 }
 
 func (c *HTTPClient) Wait(ctx context.Context, id string) (*serve.JobState, error) {
-	poll := c.Poll
-	if poll == 0 {
-		poll = 250 * time.Millisecond
-	}
 	for {
 		var st serve.JobState
 		if err := c.getJSON(ctx, "status", "/v1/jobs/"+id, &st); err != nil {
@@ -136,7 +129,7 @@ func (c *HTTPClient) Wait(ctx context.Context, id string) (*serve.JobState, erro
 		select {
 		case <-ctx.Done():
 			return nil, context.Cause(ctx)
-		case <-time.After(poll):
+		case <-time.After(httpPoll):
 		}
 	}
 }

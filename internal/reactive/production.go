@@ -54,10 +54,9 @@ type ProductionConfig struct {
 
 	// CheckpointEvery writes a restartable checkpoint to CheckpointPath
 	// after every N completed steps (0 = never), through the collective
-	// I/O path with the group size CheckpointGroupSize (0 = 192).
-	CheckpointEvery     int
-	CheckpointPath      string
-	CheckpointGroupSize int
+	// I/O path at the paper's group size, 192.
+	CheckpointEvery int
+	CheckpointPath  string
 	// Resume continues a trajectory from a previously read checkpoint:
 	// sys must be the checkpoint's restored system; velocity
 	// initialization is skipped and the integrator is re-primed with the
@@ -123,8 +122,7 @@ func RunProduction(sys *atoms.System, cfg ProductionConfig) (*ProductionResult, 
 			}
 		},
 		Write: func(ck *qio.Checkpoint) error {
-			_, err := qio.WriteCheckpoint(cfg.CheckpointPath, ck,
-				qio.CheckpointWriteOptions{GroupSize: cfg.CheckpointGroupSize})
+			_, err := qio.WriteCheckpoint(cfg.CheckpointPath, ck, qio.CheckpointWriteOptions{})
 			return err
 		},
 	}

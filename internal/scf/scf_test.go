@@ -197,11 +197,6 @@ func TestSCFDeterministic(t *testing.T) {
 }
 
 func TestSCFRejectsBadConfig(t *testing.T) {
-	cfg := testConfig()
-	cfg.NBands = 2 // cannot hold 8 electrons
-	if _, err := Solve(testSystem(), cfg); err == nil {
-		t.Fatal("expected error for too few bands")
-	}
 	sys := testSystem()
 	sys.Cell.L = -5
 	if _, err := Solve(sys, testConfig()); err == nil {

@@ -20,11 +20,9 @@ func sinf(x float64) float64   { return math.Sin(x) }
 type Config struct {
 	GridN      int     // FFT grid points per axis
 	Ecut       float64 // plane-wave cutoff (Hartree)
-	NBands     int     // 0 → ceil(Nelec/2 · 1.2) + 4
 	KT         float64 // electronic temperature (Hartree); default 0.02
 	MixAlpha   float64 // default 0.35
 	Anderson   bool    // Anderson vs linear mixing
-	Pulay      bool    // Pulay/DIIS mixing (overrides Anderson)
 	MaxIter    int     // default 60
 	EnergyTol  float64 // total-energy convergence (Hartree); default 1e-6
 	DensityTol float64 // max |Δρ| convergence; default 1e-5
@@ -32,10 +30,7 @@ type Config struct {
 	Seed       int64
 }
 
-func (c *Config) setDefaults(nelec float64) {
-	if c.NBands == 0 {
-		c.NBands = int(math.Ceil(nelec/2*1.2)) + 4
-	}
+func (c *Config) setDefaults() {
 	if c.KT == 0 {
 		c.KT = 0.02
 	}
@@ -97,29 +92,24 @@ func Solve(sys *atoms.System, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	nelec := sys.TotalValence()
-	cfg.setDefaults(nelec)
+	cfg.setDefaults()
 	species := make([]*atoms.Species, len(sys.Atoms))
 	positions := make([]geom.Vec3, len(sys.Atoms))
 	for i, a := range sys.Atoms {
 		species[i] = a.Species
 		positions[i] = sys.Cell.Wrap(a.Position)
 	}
-	eng, err := NewEngine(sys.Cell.L, cfg.GridN, cfg.Ecut, cfg.NBands, species, positions, cfg.Seed+1)
+	nb := int(math.Ceil(nelec/2*1.2)) + 4 // occupied bands + 20 % + 4, as core.bandsFor
+	eng, err := NewEngine(sys.Cell.L, cfg.GridN, cfg.Ecut, nb, species, positions, cfg.Seed+1)
 	if err != nil {
 		return nil, err
 	}
 	eng.EigenIters = cfg.EigenIters
-	if 2*float64(cfg.NBands) < nelec {
-		return nil, fmt.Errorf("scf: %d bands cannot hold %g electrons", cfg.NBands, nelec)
-	}
 
 	var mixer Mixer
-	switch {
-	case cfg.Pulay:
-		mixer = &PulayMixer{Alpha: cfg.MixAlpha}
-	case cfg.Anderson:
+	if cfg.Anderson {
 		mixer = &AndersonMixer{Alpha: cfg.MixAlpha}
-	default:
+	} else {
 		mixer = &LinearMixer{Alpha: cfg.MixAlpha}
 	}
 

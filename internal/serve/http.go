@@ -103,10 +103,8 @@ func errorCode(err error) int {
 }
 
 func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := decodeSpec(r.Body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid job spec: %w", err))
 		return
 	}

@@ -9,7 +9,9 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"time"
 
 	qmd "ldcdft"
@@ -37,7 +39,6 @@ type ConfigSpec struct {
 	KT             float64 `json:"kt,omitempty"`
 	MixAlpha       float64 `json:"mix_alpha,omitempty"`
 	Anderson       bool    `json:"anderson,omitempty"`
-	Pulay          bool    `json:"pulay,omitempty"`
 	MaxSCF         int     `json:"max_scf,omitempty"`
 	EnergyTol      float64 `json:"energy_tol,omitempty"`
 	DensityTol     float64 `json:"density_tol,omitempty"`
@@ -56,7 +57,6 @@ func (c ConfigSpec) LDC() qmd.LDCConfig {
 		KT:             c.KT,
 		MixAlpha:       c.MixAlpha,
 		Anderson:       c.Anderson,
-		Pulay:          c.Pulay,
 		MaxSCF:         c.MaxSCF,
 		EnergyTol:      c.EnergyTol,
 		DensityTol:     c.DensityTol,
@@ -125,6 +125,18 @@ func (s *JobSpec) EngineKind() string {
 		return EngineLDC
 	}
 	return s.Engine
+}
+
+// decodeSpec is the one JobSpec decoder, for submissions and for the
+// spec.json a restarted daemon recovers: an unknown field is an error,
+// never silently dropped, so a job cannot resume as a different
+// computation from the one submitted.
+func decodeSpec(r io.Reader) (JobSpec, error) {
+	var spec JobSpec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&spec)
+	return spec, err
 }
 
 // Validate rejects specs the engine cannot run, with messages meant for

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -201,7 +202,12 @@ func (m *Manager) recover() error {
 				m.seq = n
 			}
 		}
-		if err := qio.ReadJSONFile(filepath.Join(dir, qio.JobSpecFile), &j.spec); err != nil {
+		f, err := os.Open(filepath.Join(dir, qio.JobSpecFile))
+		if err == nil {
+			j.spec, err = decodeSpec(f)
+			f.Close()
+		}
+		if err != nil {
 			m.cfg.Logf("serve: skipping job %s: unreadable spec: %v", id, err)
 			continue
 		}

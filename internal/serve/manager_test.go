@@ -382,14 +382,29 @@ func TestRecoverAdvancesSeqPastCorruptSpec(t *testing.T) {
 	if err := os.WriteFile(specPath, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// Valid JSON carrying a field this build does not know (a removed
+	// mixer option): resuming it without that field would run a
+	// different trajectory, so it is skipped like a corrupt spec.
+	unknown := filepath.Join(dir, "jobs", "j00000002")
+	if err := os.MkdirAll(unknown, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	stale := `{"cell_l":8,"atoms":[{"species":"H","position":[4,4,4]}],` +
+		`"config":{"grid_n":8,"domains_per_axis":1,"ecut":2,"pulay":true},"steps":1}`
+	if err := os.WriteFile(filepath.Join(unknown, "spec.json"), []byte(stale), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	m := newTestManager(t, dir, 1, 4, &fakeRunner{})
 	defer shutdown(t, m)
+	if _, err := m.Get("j00000002"); err == nil {
+		t.Fatal("a spec with an unknown field was recovered")
+	}
 	st, err := m.Submit(validSpec("fresh", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.ID != "j00000002" {
-		t.Fatalf("submitted job got ID %s, want j00000002 (must not collide with the skipped dir)", st.ID)
+	if st.ID != "j00000003" {
+		t.Fatalf("submitted job got ID %s, want j00000003 (must not collide with the skipped dirs)", st.ID)
 	}
 	// The skipped directory is untouched — its (corrupt) spec survives
 	// for operator inspection.

@@ -44,9 +44,6 @@ type WorkerConfig struct {
 	PollWait time.Duration
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
-	// Client is the HTTP client; nil = a default without global
-	// timeout (per-call deadlines are set individually).
-	Client *http.Client
 }
 
 // Worker is a worker node of the distributed serving layer: it leases
@@ -91,10 +88,8 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	} else if err := os.MkdirAll(cfg.WorkDir, 0o755); err != nil {
 		return nil, err
 	}
-	w := &Worker{cfg: cfg, client: cfg.Client, runner: cfg.Runner}
-	if w.client == nil {
-		w.client = &http.Client{}
-	}
+	// No global client timeout: per-call deadlines are set individually.
+	w := &Worker{cfg: cfg, client: &http.Client{}, runner: cfg.Runner}
 	if w.runner == nil {
 		w.runner = QMDRunner{Cache: cfg.Cache}
 	}
