@@ -116,7 +116,7 @@ cluster-smoke:
 # within their tolerances of the paper, the §3.3 memory sweep (8 → 512
 # domains through 4 workspaces under one retained-heap ceiling, ≈ 5 s),
 # Fig. 7's buffer scan non-increasing for LDC and DC, and §5.5 (LDC-DFT
-# vs the O(N³) code: ≤ 1e-3 Ha/atom, ≤ 0.05 Ha/Bohr, same census) —
+# vs the O(N³) code: ≤ 1e-3 Ha/atom, ≤ 0.05 Ha/Bohr) —
 # ≈ 20 s each for those two real-solver studies. CI runs this on every PR.
 exp-smoke:
 	$(GO) test -run 'TestExpSmoke|TestBuiltinComputedSpecs' -count=1 -timeout 10m -v ./cmd/qmdexp/ ./internal/expmatrix/

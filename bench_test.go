@@ -8,6 +8,7 @@ import (
 	"math"
 	"testing"
 
+	"ldcdft/internal/geom"
 	"ldcdft/internal/grid"
 	"ldcdft/internal/multigrid"
 	"ldcdft/internal/pw"
@@ -66,7 +67,7 @@ func BenchmarkGSLFPoisson(b *testing.B) {
 	for ix := 0; ix < n; ix++ {
 		for iy := 0; iy < n; iy++ {
 			for iz := 0; iz < n; iz++ {
-				p := g.Point(ix, iy, iz)
+				p := geom.Vec3{X: float64(ix), Y: float64(iy), Z: float64(iz)}.Scale(g.H())
 				rho.Data[g.Index(ix, iy, iz)] = math.Sin(2*math.Pi*p.X/12) * math.Cos(2*math.Pi*p.Y/12)
 			}
 		}

@@ -11,9 +11,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
-	"os"
 
 	qmd "ldcdft"
 	"ldcdft/cmd/internal/trajcli"
@@ -102,12 +102,11 @@ func main() {
 		fmt.Printf("step %3d: E = %.6f Ha, T = %7.1f K\n", i+1, res.Energies[i], res.Temperatures[i])
 	}
 	if *xyzPath != "" {
-		f, err := os.Create(*xyzPath)
+		// Atomic: a failed write leaves the previous file, never a partial one.
+		err := qio.WriteAtomic(*xyzPath, func(w io.Writer) error {
+			return qio.WriteXYZ(w, res.FinalSystem, fmt.Sprintf("qmd steps=%d", res.Steps))
+		})
 		if err != nil {
-			log.Fatalf("xyz: %v", err)
-		}
-		defer f.Close()
-		if err := qio.WriteXYZ(f, res.FinalSystem, fmt.Sprintf("qmd steps=%d", res.Steps)); err != nil {
 			log.Fatalf("xyz: %v", err)
 		}
 		fmt.Printf("final configuration written to %s\n", *xyzPath)

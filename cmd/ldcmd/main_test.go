@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -108,16 +109,34 @@ func TestSIGINTWritesFinalCheckpoint(t *testing.T) {
 	}
 
 	steps := strconv.Itoa(restored.Step + 2)
-	resumed, err := exec.Command(bin, args("-steps", steps, "-resume", ck)...).CombinedOutput()
+	dir := t.TempDir()
+	resumedXYZ, straightXYZ := filepath.Join(dir, "resumed.xyz"), filepath.Join(dir, "straight.xyz")
+	resumed, err := exec.Command(bin, args("-steps", steps, "-resume", ck, "-xyz", resumedXYZ)...).CombinedOutput()
 	if err != nil {
 		t.Fatalf("resume failed: %v\n%s", err, resumed)
 	}
-	straight, err := exec.Command(bin, args("-steps", steps)...).CombinedOutput()
+	straight, err := exec.Command(bin, args("-steps", steps, "-xyz", straightXYZ)...).CombinedOutput()
 	if err != nil {
 		t.Fatalf("uninterrupted run failed: %v\n%s", err, straight)
 	}
 	got, want := stepLines(resumed), stepLines(straight)
 	if len(want) != restored.Step+2 || strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("resumed run printed\n%s\nuninterrupted run printed\n%s", resumed, straight)
+	}
+	// Both final frames: the same bytes, a count line, a comment line and
+	// one line per atom of the 8-atom SiC cell.
+	gotXYZ, err := os.ReadFile(resumedXYZ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantXYZ, err := os.ReadFile(straightXYZ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotXYZ, wantXYZ) {
+		t.Fatalf("resumed run wrote\n%s\nuninterrupted run wrote\n%s", gotXYZ, wantXYZ)
+	}
+	if n := strings.Count(string(wantXYZ), "\n"); n != 8+2 {
+		t.Fatalf("XYZ file has %d lines, want %d:\n%s", n, 8+2, wantXYZ)
 	}
 }

@@ -1,8 +1,6 @@
-// Package analysis implements the trajectory-analysis toolkit behind the
-// paper's §6 science results: radial distribution functions (the
-// structure of water around the LiAl particle), mean-squared
-// displacements (Li dissolution kinetics), and bond-angle distributions
-// (the Lewis acid-base site geometry).
+// Package analysis implements the radial distribution function g(r)
+// behind the paper's §6 structure results (water around the LiAl
+// particle).
 package analysis
 
 import (
@@ -10,7 +8,6 @@ import (
 	"math"
 
 	"ldcdft/internal/atoms"
-	"ldcdft/internal/geom"
 )
 
 // RDF is a radial distribution function g(r) between two species.
@@ -106,137 +103,4 @@ func (r *RDF) FirstPeak(threshold float64) (pos, height float64) {
 		}
 	}
 	return 0, 0
-}
-
-// MSD tracks mean-squared displacements of a tagged species with
-// periodic unwrapping (the Li dissolution observable of §6).
-type MSD struct {
-	species *atoms.Species
-	initial []geom.Vec3
-	prev    []geom.Vec3
-	unwrap  []geom.Vec3
-	index   []int
-	Times   []float64
-	Values  []float64
-}
-
-// NewMSD snapshots the initial positions of the tagged species.
-func NewMSD(sys *atoms.System, sp *atoms.Species) (*MSD, error) {
-	m := &MSD{species: sp}
-	for i, a := range sys.Atoms {
-		if a.Species == sp {
-			m.index = append(m.index, i)
-			p := sys.Cell.Wrap(a.Position)
-			m.initial = append(m.initial, p)
-			m.prev = append(m.prev, p)
-			m.unwrap = append(m.unwrap, p)
-		}
-	}
-	if len(m.index) == 0 {
-		return nil, fmt.Errorf("analysis: no %s atoms", sp.Symbol)
-	}
-	return m, nil
-}
-
-// Sample records the MSD at time t, unwrapping each displacement by
-// minimum image against the previous sample (valid when atoms move less
-// than half the cell between samples).
-func (m *MSD) Sample(sys *atoms.System, t float64) {
-	var sum float64
-	for k, i := range m.index {
-		p := sys.Cell.Wrap(sys.Atoms[i].Position)
-		step := sys.Cell.MinImage(m.prev[k], p)
-		m.unwrap[k] = m.unwrap[k].Add(step)
-		m.prev[k] = p
-		d := m.unwrap[k].Sub(m.initial[k])
-		sum += d.Norm2()
-	}
-	m.Times = append(m.Times, t)
-	m.Values = append(m.Values, sum/float64(len(m.index)))
-}
-
-// DiffusionCoefficient estimates D from the Einstein relation
-// MSD = 6·D·t by least squares through the sampled points (skipping the
-// first `skip` samples as ballistic transient).
-func (m *MSD) DiffusionCoefficient(skip int) float64 {
-	if skip < 0 || skip >= len(m.Times)-1 {
-		return 0
-	}
-	var sxx, sxy float64
-	for i := skip; i < len(m.Times); i++ {
-		sxx += m.Times[i] * m.Times[i]
-		sxy += m.Times[i] * m.Values[i]
-	}
-	if sxx == 0 {
-		return 0
-	}
-	return sxy / sxx / 6
-}
-
-// BondAngleHistogram bins the angles a–b–c (b is the apex species) for
-// triplets bonded within the cutoff — e.g. H-O-H for water geometry or
-// O-Al-O for the oxide sites.
-func BondAngleHistogram(sys *atoms.System, a, apex, c *atoms.Species,
-	cutoff float64, bins int) ([]float64, error) {
-	if bins < 1 || cutoff <= 0 {
-		return nil, fmt.Errorf("analysis: invalid histogram parameters")
-	}
-	hist := make([]float64, bins)
-	nl := atoms.BuildNeighborList(sys, cutoff)
-	var total float64
-	for i, at := range sys.Atoms {
-		if at.Species != apex {
-			continue
-		}
-		var ends []geom.Vec3
-		var kinds []*atoms.Species
-		for _, nb := range nl.Lists[i] {
-			sp := sys.Atoms[nb.J].Species
-			if sp == a || sp == c {
-				ends = append(ends, nb.D)
-				kinds = append(kinds, sp)
-			}
-		}
-		for x := 0; x < len(ends); x++ {
-			for y := x + 1; y < len(ends); y++ {
-				if !(kinds[x] == a && kinds[y] == c) && !(kinds[x] == c && kinds[y] == a) {
-					continue
-				}
-				cosA := ends[x].Dot(ends[y]) / (ends[x].Norm() * ends[y].Norm())
-				if cosA > 1 {
-					cosA = 1
-				}
-				if cosA < -1 {
-					cosA = -1
-				}
-				angle := math.Acos(cosA) * 180 / math.Pi
-				bin := int(angle / 180 * float64(bins))
-				if bin == bins {
-					bin = bins - 1
-				}
-				hist[bin]++
-				total++
-			}
-		}
-	}
-	if total > 0 {
-		for i := range hist {
-			hist[i] /= total
-		}
-	}
-	return hist, nil
-}
-
-// MeanAngle returns the histogram-weighted mean angle in degrees.
-func MeanAngle(hist []float64) float64 {
-	var s, w float64
-	for i, h := range hist {
-		centre := (float64(i) + 0.5) * 180 / float64(len(hist))
-		s += centre * h
-		w += h
-	}
-	if w == 0 {
-		return 0
-	}
-	return s / w
 }

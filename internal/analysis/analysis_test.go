@@ -7,7 +7,6 @@ import (
 
 	"ldcdft/internal/atoms"
 	"ldcdft/internal/geom"
-	"ldcdft/internal/units"
 )
 
 func TestRDFIdealGasIsFlat(t *testing.T) {
@@ -58,100 +57,5 @@ func TestRDFErrors(t *testing.T) {
 	r2 := NewRDF(3, 10)
 	if err := r2.Accumulate(sys, atoms.Oxygen, atoms.Carbon); err == nil {
 		t.Fatal("absent species must fail")
-	}
-}
-
-func TestMSDBallisticMotion(t *testing.T) {
-	// Atoms moving at constant velocity v: MSD(t) = |v|²t².
-	sys := &atoms.System{Cell: geom.Cell{L: 50}}
-	v := geom.Vec3{X: 0.01, Y: 0.02, Z: -0.005}
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 20; i++ {
-		sys.Atoms = append(sys.Atoms, atoms.Atom{Species: atoms.Lithium,
-			Position: geom.Vec3{X: rng.Float64() * 50, Y: rng.Float64() * 50, Z: rng.Float64() * 50}})
-	}
-	m, err := NewMSD(sys, atoms.Lithium)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dt := 10.0
-	for step := 1; step <= 40; step++ {
-		for i := range sys.Atoms {
-			sys.Atoms[i].Position = sys.Atoms[i].Position.Add(v.Scale(dt))
-		}
-		sys.WrapAll()
-		m.Sample(sys, float64(step)*dt)
-	}
-	// Final MSD should match |v·t|² despite periodic wrapping.
-	tFinal := 400.0
-	want := v.Norm2() * tFinal * tFinal
-	got := m.Values[len(m.Values)-1]
-	if math.Abs(got-want)/want > 1e-9 {
-		t.Fatalf("ballistic MSD %g, want %g", got, want)
-	}
-}
-
-func TestMSDDiffusionCoefficient(t *testing.T) {
-	// Synthetic diffusive data MSD = 6 D t recovers D.
-	m := &MSD{index: []int{0}}
-	d := 0.37
-	for i := 1; i <= 50; i++ {
-		tt := float64(i)
-		m.Times = append(m.Times, tt)
-		m.Values = append(m.Values, 6*d*tt)
-	}
-	if got := m.DiffusionCoefficient(5); math.Abs(got-d) > 1e-12 {
-		t.Fatalf("D = %g, want %g", got, d)
-	}
-	if m.DiffusionCoefficient(100) != 0 {
-		t.Fatal("invalid skip should return 0")
-	}
-}
-
-func TestMSDErrors(t *testing.T) {
-	sys := atoms.BuildSiC(1)
-	if _, err := NewMSD(sys, atoms.Lithium); err == nil {
-		t.Fatal("absent species must fail")
-	}
-}
-
-func TestBondAngleWater(t *testing.T) {
-	// A box of rigid waters: H-O-H angle peaked at 104.5°.
-	rng := rand.New(rand.NewSource(3))
-	sys := &atoms.System{Cell: geom.Cell{L: 40}}
-	rOH := 0.9572 * units.BohrPerAngstrom
-	half := 104.52 / 2 * math.Pi / 180
-	for i := 0; i < 27; i++ {
-		// Grid placement: no accidental intermolecular O-H contacts.
-		p := geom.Vec3{
-			X: 6 + float64(i%3)*13,
-			Y: 6 + float64((i/3)%3)*13,
-			Z: 6 + float64(i/9)*13,
-		}
-		_ = rng
-		sys.Atoms = append(sys.Atoms,
-			atoms.Atom{Species: atoms.Oxygen, Position: p},
-			atoms.Atom{Species: atoms.Hydrogen, Position: p.Add(geom.Vec3{X: rOH * math.Sin(half), Z: rOH * math.Cos(half)})},
-			atoms.Atom{Species: atoms.Hydrogen, Position: p.Add(geom.Vec3{X: -rOH * math.Sin(half), Z: rOH * math.Cos(half)})},
-		)
-	}
-	hist, err := BondAngleHistogram(sys, atoms.Hydrogen, atoms.Oxygen, atoms.Hydrogen,
-		1.3*units.BohrPerAngstrom, 90)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mean := MeanAngle(hist)
-	if math.Abs(mean-104.52) > 3 {
-		t.Fatalf("mean H-O-H angle %g, want ≈104.5", mean)
-	}
-}
-
-func TestBondAngleErrors(t *testing.T) {
-	sys := atoms.BuildSiC(1)
-	if _, err := BondAngleHistogram(sys, atoms.Silicon, atoms.Carbon, atoms.Silicon, 0, 10); err == nil {
-		t.Fatal("zero cutoff must fail")
-	}
-	if _, err := BondAngleHistogram(sys, atoms.Silicon, atoms.Carbon, atoms.Silicon, 4, 0); err == nil {
-		t.Fatal("zero bins must fail")
 	}
 }

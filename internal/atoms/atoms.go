@@ -139,15 +139,6 @@ func (s *System) Temperature() float64 {
 	return units.HartreeToKelvin(2 * ke / (3 * float64(len(s.Atoms))))
 }
 
-// KineticEnergy returns the total kinetic energy in Hartree.
-func (s *System) KineticEnergy() float64 {
-	var ke float64
-	for _, a := range s.Atoms {
-		ke += 0.5 * a.Species.Mass() * a.Velocity.Norm2()
-	}
-	return ke
-}
-
 // InitVelocities draws Maxwell–Boltzmann velocities at temperature tK
 // (Kelvin) and removes the centre-of-mass drift.
 func (s *System) InitVelocities(tK float64, rng *rand.Rand) {

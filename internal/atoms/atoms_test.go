@@ -35,23 +35,6 @@ func TestBuildSiC(t *testing.T) {
 	}
 }
 
-func TestBuildAmorphousCdSe512(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	s := BuildAmorphousCdSe(4, 0.03, rng)
-	if s.NumAtoms() != 512 {
-		t.Fatalf("4×4×4 CdSe should have 512 atoms (the paper's Fig. 7 system), got %d", s.NumAtoms())
-	}
-	if s.CountSpecies(Cadmium) != 256 || s.CountSpecies(Selenium) != 256 {
-		t.Fatal("CdSe stoichiometry wrong")
-	}
-	for _, a := range s.Atoms {
-		p := a.Position
-		if p.X < 0 || p.X >= s.Cell.L || p.Y < 0 || p.Y >= s.Cell.L || p.Z < 0 || p.Z >= s.Cell.L {
-			t.Fatal("atoms not wrapped into cell")
-		}
-	}
-}
-
 func TestBuildLiAlInWater(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	s, err := BuildLiAlInWater(LiAlParticleSpec{PairCount: 30}, rng)

@@ -14,10 +14,6 @@ import (
 // Bohr (4.3596 Å).
 const SiCLatticeConstant = 4.3596 * units.BohrPerAngstrom
 
-// CdSeLatticeConstant is the zincblende CdSe lattice constant in Bohr
-// (6.052 Å).
-const CdSeLatticeConstant = 6.052 * units.BohrPerAngstrom
-
 // zincblende builds an nx×ny×nz replication of the conventional cubic
 // zincblende cell (8 atoms: 4 of each species).
 func zincblende(a float64, spA, spB *Species, n int) *System {
@@ -45,24 +41,6 @@ func zincblende(a float64, spA, spB *Species, n int) *System {
 // BuildSiC builds an n×n×n supercell of crystalline 3C-SiC (8n³ atoms) —
 // the weak-scaling workload of §5.1.
 func BuildSiC(n int) *System { return zincblende(SiCLatticeConstant, Silicon, Carbon, n) }
-
-// BuildAmorphousCdSe builds an n×n×n zincblende CdSe supercell with
-// Gaussian positional disorder of amplitude disorder·a (a fraction of the
-// lattice constant), modelling the amorphous CdSe system of the Fig. 7
-// buffer-convergence study. n = 4 gives the paper's 512-atom system.
-func BuildAmorphousCdSe(n int, disorder float64, rng *rand.Rand) *System {
-	s := zincblende(CdSeLatticeConstant, Cadmium, Selenium, n)
-	sd := disorder * CdSeLatticeConstant
-	for i := range s.Atoms {
-		s.Atoms[i].Position = s.Atoms[i].Position.Add(geom.Vec3{
-			X: sd * rng.NormFloat64(),
-			Y: sd * rng.NormFloat64(),
-			Z: sd * rng.NormFloat64(),
-		})
-	}
-	s.WrapAll()
-	return s
-}
 
 // LiAlParticleSpec describes a LinAln nanoparticle-in-water system.
 type LiAlParticleSpec struct {

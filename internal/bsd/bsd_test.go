@@ -4,86 +4,12 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
-
-func TestPlanBasic(t *testing.T) {
-	d, err := Plan(1024, 64, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.CoresPerDomain != 16 {
-		t.Fatalf("cores/domain = %d", d.CoresPerDomain)
-	}
-	if d.BandGroups*d.SpaceGroups > d.CoresPerDomain {
-		t.Fatal("band×space exceeds the domain communicator")
-	}
-	if d.BandGroups > 32 {
-		t.Fatal("more band groups than bands")
-	}
-	if d.Waves() != 1 {
-		t.Fatalf("waves = %d", d.Waves())
-	}
-}
-
-func TestPlanMoreDomainsThanCores(t *testing.T) {
-	d, err := Plan(8, 64, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.CoresPerDomain != 1 {
-		t.Fatal("undersubscribed cores per domain")
-	}
-	if d.Waves() != 8 {
-		t.Fatalf("waves = %d, want 8", d.Waves())
-	}
-}
-
-func TestPlanErrors(t *testing.T) {
-	if _, err := Plan(0, 1, 1); err == nil {
-		t.Fatal("expected error")
-	}
-}
-
-// Property: the plan never oversubscribes and always covers all domains.
-func TestPlanProperty(t *testing.T) {
-	f := func(c, d, b uint8) bool {
-		cores := int(c%200) + 1
-		domains := int(d%50) + 1
-		bands := int(b%100) + 1
-		dec, err := Plan(cores, domains, bands)
-		if err != nil {
-			return false
-		}
-		if dec.BandGroups*dec.SpaceGroups > dec.CoresPerDomain {
-			return false
-		}
-		groups := cores / dec.CoresPerDomain
-		if groups < 1 {
-			groups = 1
-		}
-		return dec.Waves()*groups >= domains
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTransposeVolume(t *testing.T) {
-	d, _ := Plan(256, 16, 64)
-	v := d.TransposeBytesPerCore(10000, 64)
-	if v != 16*10000*64/16 {
-		t.Fatalf("transpose bytes %d", v)
-	}
-	if d.OverlapMatrixBytes(64) != 16*64*64 {
-		t.Fatal("overlap bytes")
-	}
-}
 
 func TestPoolRunsAllTasks(t *testing.T) {
 	var count atomic.Int64
 	p := &Pool{Workers: 4}
-	if err := p.Run(100, func(i int) error {
+	if err := p.RunWorkers(100, func(_, i int) error {
 		count.Add(1)
 		return nil
 	}); err != nil {
@@ -98,7 +24,7 @@ func TestPoolPropagatesError(t *testing.T) {
 	boom := errors.New("boom")
 	p := &Pool{Workers: 3}
 	var count atomic.Int64
-	err := p.Run(50, func(i int) error {
+	err := p.RunWorkers(50, func(_, i int) error {
 		count.Add(1)
 		if i == 17 {
 			return boom
@@ -116,7 +42,7 @@ func TestPoolPropagatesError(t *testing.T) {
 func TestPoolSerialPath(t *testing.T) {
 	p := &Pool{Workers: 1}
 	order := []int{}
-	if err := p.Run(5, func(i int) error {
+	if err := p.RunWorkers(5, func(_, i int) error {
 		order = append(order, i)
 		return nil
 	}); err != nil {

@@ -10,7 +10,7 @@ import (
 )
 
 // TestPoolFirstErrorIsLowestIndex verifies the deterministic error
-// contract: Run returns the error of the lowest-index failing task, not
+// contract: RunWorkers returns the error of the lowest-index failing task, not
 // whichever worker reported first. The lowest failing task sleeps so
 // that, under the old channel-based implementation, later failures would
 // almost surely be reported first.
@@ -20,7 +20,7 @@ func TestPoolFirstErrorIsLowestIndex(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			p := Pool{Workers: workers}
 			const n = 64
-			err := p.Run(n, func(i int) error {
+			err := p.RunWorkers(n, func(_, i int) error {
 				switch {
 				case i == 32:
 					time.Sleep(2 * time.Millisecond)
@@ -34,7 +34,7 @@ func TestPoolFirstErrorIsLowestIndex(t *testing.T) {
 				t.Fatal("expected an error")
 			}
 			if got, want := err.Error(), "task 32 failed"; got != want {
-				t.Fatalf("Run returned %q, want lowest-index error %q", got, want)
+				t.Fatalf("RunWorkers returned %q, want lowest-index error %q", got, want)
 			}
 		})
 	}
@@ -46,7 +46,7 @@ func TestPoolAllTasksAttempted(t *testing.T) {
 	p := Pool{Workers: 4}
 	const n = 40
 	done := make([]bool, n)
-	err := p.Run(n, func(i int) error {
+	err := p.RunWorkers(n, func(_, i int) error {
 		done[i] = true
 		if i%7 == 0 {
 			return fmt.Errorf("task %d failed", i)
@@ -71,7 +71,7 @@ func TestPoolRecoversPanic(t *testing.T) {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			p := Pool{Workers: workers}
-			err := p.Run(16, func(i int) error {
+			err := p.RunWorkers(16, func(_, i int) error {
 				if i == 7 {
 					panic("domain solve blew up")
 				}
@@ -101,7 +101,7 @@ func TestPoolRecoversPanic(t *testing.T) {
 // error at a higher index, and vice versa.
 func TestPoolPanicVsErrorOrdering(t *testing.T) {
 	p := Pool{Workers: 8}
-	err := p.Run(16, func(i int) error {
+	err := p.RunWorkers(16, func(_, i int) error {
 		if i == 3 {
 			panic("early panic")
 		}
@@ -115,7 +115,7 @@ func TestPoolPanicVsErrorOrdering(t *testing.T) {
 		t.Fatalf("err = %v, want panic from task 3", err)
 	}
 
-	err = p.Run(16, func(i int) error {
+	err = p.RunWorkers(16, func(_, i int) error {
 		if i == 3 {
 			return errors.New("early error")
 		}
@@ -132,10 +132,10 @@ func TestPoolPanicVsErrorOrdering(t *testing.T) {
 // TestPoolZeroTasks: n <= 0 is a no-op.
 func TestPoolZeroTasks(t *testing.T) {
 	p := Pool{Workers: 4}
-	if err := p.Run(0, func(int) error { return errors.New("must not run") }); err != nil {
+	if err := p.RunWorkers(0, func(int, int) error { return errors.New("must not run") }); err != nil {
 		t.Fatalf("n=0: %v", err)
 	}
-	if err := p.Run(-3, func(int) error { return errors.New("must not run") }); err != nil {
+	if err := p.RunWorkers(-3, func(int, int) error { return errors.New("must not run") }); err != nil {
 		t.Fatalf("n=-3: %v", err)
 	}
 }
@@ -169,7 +169,7 @@ func TestRunWorkers(t *testing.T) {
 }
 
 // TestRunWorkersErrors: lowest-index error wins and panics are
-// converted, matching Run.
+// converted, matching RunWorkers.
 func TestRunWorkersErrors(t *testing.T) {
 	p := Pool{Workers: 3}
 	err := p.RunWorkers(16, func(w, i int) error {

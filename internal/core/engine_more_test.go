@@ -14,7 +14,9 @@ func TestSetDensity(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := grid.NewField(e.Global)
-	good.Fill(0.05)
+	for i := range good.Data {
+		good.Data[i] = 0.05
+	}
 	if err := e.SetDensity(good); err != nil {
 		t.Fatal(err)
 	}

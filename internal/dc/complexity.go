@@ -1,7 +1,6 @@
 // Package dc implements the divide-and-conquer layer of LDC-DFT: the
-// complexity and error analysis of §3.1 (optimal domain size, buffer
-// thickness from error tolerance, O(N³) crossover), and the assignment of
-// atoms to overlapping domains Ωα = Ω0α ∪ Γα.
+// complexity analysis of §3.1 (optimal domain size, O(N³) crossover) and
+// the assignment of atoms to overlapping domains Ωα = Ω0α ∪ Γα.
 package dc
 
 import (
@@ -9,19 +8,12 @@ import (
 	"math"
 )
 
-// Tcomp is the total computational cost model of §3.1 for a cubic system
-// of side L tiled by domains with core length l and buffer thickness b,
-// with per-domain DFT cost ∝ (domain edge)^{3ν}:
-//
-//	Tcomp(l) = (L/l)³ (l+2b)^{3ν}
-func Tcomp(L, l, b, nu float64) float64 {
-	nd := L / l
-	return nd * nd * nd * math.Pow(l+2*b, 3*nu)
-}
-
-// OptimalCoreLength returns l* = argmin_l Tcomp(l) = 2b/(ν−1) (§3.1):
-// 2b for the ν = 2 regime of typical domain sizes, b in the asymptotic
-// ν = 3 (orthonormalization-dominated) limit.
+// OptimalCoreLength returns l* = 2b/(ν−1) (§3.1), the minimizer of the
+// cost model Tcomp(l) = (L/l)³ (l+2b)^{3ν} of a cubic system of side L
+// tiled by domains of core length l and buffer thickness b, with
+// per-domain DFT cost ∝ (domain edge)^{3ν}: 2b for the ν = 2 regime of
+// typical domain sizes, b in the asymptotic ν = 3
+// (orthonormalization-dominated) limit.
 func OptimalCoreLength(b, nu float64) float64 {
 	if nu <= 1 {
 		return math.Inf(1) // cost decreases monotonically with l
@@ -58,23 +50,6 @@ func CrossoverAtoms(b, nu float64, refAtoms float64, refLength float64) (float64
 	}
 	r := L / refLength
 	return refAtoms * r * r * r, nil
-}
-
-// BufferForTolerance is Eq. (1): the buffer thickness needed so that the
-// boundary-induced density perturbation, decaying exponentially with
-// constant λ from amplitude maxDrho at ∂Ωα, falls below eps·rhoBar at the
-// core boundary:
-//
-//	b = λ ln( maxDrho / (eps·rhoBar) )
-func BufferForTolerance(lambda, maxDrho, eps, rhoBar float64) float64 {
-	if eps <= 0 || rhoBar <= 0 || maxDrho <= 0 || lambda <= 0 {
-		return 0
-	}
-	arg := maxDrho / (eps * rhoBar)
-	if arg <= 1 {
-		return 0
-	}
-	return lambda * math.Log(arg)
 }
 
 // Speedup returns the LDC-over-DC cost ratio of §5.2 for a fixed core

@@ -84,12 +84,6 @@ func (v *ValidatorSpec) label() string {
 	return v.Kind
 }
 
-// Matrix reports whether the validator runs across the grid rather
-// than per cell.
-func (v *ValidatorSpec) Matrix() bool {
-	return v.Kind == KindArrhenius || v.Kind == KindBufferConverge
-}
-
 // Validate rejects malformed validator specs.
 func (v *ValidatorSpec) Validate() error {
 	switch v.Kind {
@@ -270,17 +264,8 @@ func rdfFirstPeak(res *serve.Results, symA, symB string) (pos, height float64, e
 	return pos, height, nil
 }
 
-// EvaluateMatrix runs a matrix validator across the Results records of
-// completed job cells.
-func (v *ValidatorSpec) EvaluateMatrix(cells []Cell, results []*serve.Results) ValidationResult {
-	recs := make([]*CellRecord, len(results))
-	for i, res := range results {
-		recs[i] = &CellRecord{Results: res} // nil results: nothing to read
-	}
-	return v.evaluateMatrix(cells, recs)
-}
-
-// evaluateMatrix is EvaluateMatrix over cell records (nil = unfinished).
+// evaluateMatrix runs a matrix validator across the records of the
+// grid's cells (nil = unfinished).
 func (v *ValidatorSpec) evaluateMatrix(cells []Cell, recs []*CellRecord) ValidationResult {
 	out := ValidationResult{Name: v.label(), Kind: v.Kind}
 	switch v.Kind {

@@ -80,7 +80,7 @@ func Benchmark3DBatch(b *testing.B) {
 		p.InverseBatch(x, nb)
 	}
 	b.StopTimer()
-	gflop := float64(2*nb*p.Flops()) * float64(b.N) / 1e9
+	gflop := float64(2*nb*p.full.fwd.flops) * float64(b.N) / 1e9
 	b.ReportMetric(gflop/b.Elapsed().Seconds(), "GFLOP/s")
 }
 
@@ -157,27 +157,6 @@ func BenchmarkRPlan3(b *testing.B) {
 		p.Inverse(half, x)
 	}
 	b.StopTimer()
-	gflop := float64(2*p.Flops()) * float64(b.N) / 1e9
-	b.ReportMetric(gflop/b.Elapsed().Seconds(), "GFLOP/s")
-}
-
-// BenchmarkR3Batch is Benchmark3DBatch's real-field counterpart: 16
-// real grids of the reference-run shape per call, allocation-free in
-// steady state.
-func BenchmarkR3Batch(b *testing.B) {
-	const nb = 16
-	p := CachedR3(16, 16, 16)
-	x := benchRealVec(nb * p.Size())
-	half := make([]complex128, nb*p.HSize())
-	p.ForwardBatch(x, half, nb) // warm the arena pool
-	p.InverseBatch(half, x, nb)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.ForwardBatch(x, half, nb)
-		p.InverseBatch(half, x, nb)
-	}
-	b.StopTimer()
-	gflop := float64(2*nb*p.Flops()) * float64(b.N) / 1e9
+	gflop := float64(2*p.flops) * float64(b.N) / 1e9
 	b.ReportMetric(gflop/b.Elapsed().Seconds(), "GFLOP/s")
 }

@@ -79,9 +79,6 @@ func (p *Plan) forwardS(x, scratch []complex128, s int) {
 	p.stockham(x, scratch, s)
 }
 
-// Len returns the transform length.
-func (p *Plan) Len() int { return p.n }
-
 // Forward computes the in-place forward DFT: X[k] = Σ x[j] e^{-2πi jk/n}.
 func (p *Plan) Forward(x []complex128) {
 	if len(x) != p.n {
@@ -91,17 +88,6 @@ func (p *Plan) Forward(x []complex128) {
 	p.forwardS(x, *s, 1)
 	p.scratch.Put(s)
 	perf.Global.AddVector(flops(p.n))
-}
-
-// Inverse computes the in-place inverse DFT, including the 1/n factor:
-// x[j] = (1/n) Σ X[k] e^{+2πi jk/n}.
-func (p *Plan) Inverse(x []complex128) {
-	p.Forward(x)
-	inv := 1 / float64(p.n)
-	x[0] = scale(x[0], inv)
-	for j, k := 1, p.n-1; j <= k; j, k = j+1, k-1 {
-		x[j], x[k] = scale(x[k], inv), scale(x[j], inv)
-	}
 }
 
 // flops is the standard 5 n log2 n FFT operation-count model.

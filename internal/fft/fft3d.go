@@ -77,10 +77,6 @@ func NewPlan3(nx, ny, nz int) *Plan3 {
 // Size returns the total number of grid points.
 func (p *Plan3) Size() int { return p.Nx * p.Ny * p.Nz }
 
-// Flops returns the modelled operation count (5 n log2 n per line) of one
-// full 3-D transform.
-func (p *Plan3) Flops() int64 { return p.full.fwd.flops }
-
 // Forward computes the in-place 3-D forward DFT.
 func (p *Plan3) Forward(x []complex128) { p.full.Forward(x) }
 
@@ -236,14 +232,14 @@ func (p *Plan3) putArena(a *arena3) { p.arenas.Put(a) }
 
 // fftJob is one pass of a transform, run over its units by par.For
 // through a pooled job's bound run, so a pass allocates nothing. Complex
-// passes set p; the real-transform passes (jobRZ, jobRGrids) set rp and
-// carry the real side of the data in rx.
+// passes set p; the real-transform pass (jobRZ) sets rp and carries the
+// real side of the data in rx.
 type fftJob struct {
 	p       *Plan3
 	s       *schedule // the lines p's passes run (complex passes only)
 	rp      *RPlan3
 	x       []complex128
-	rx      []float64 // real data (jobRZ/jobRGrids) or, when non-nil, the fused real multiplier (jobX/jobGrids)
+	rx      []float64 // real data (jobRZ) or, when non-nil, the fused real multiplier (jobX/jobGrids)
 	norm    float64   // when not 0, the factor the x-pass write-back multiplies in (jobX/jobGrids)
 	kind    int8
 	inverse bool
@@ -255,8 +251,7 @@ const (
 	jobY
 	jobX
 	jobGrids
-	jobRZ     // r2c/c2r z-lines between rx and the packed half grid x
-	jobRGrids // whole real↔half-spectrum grids of a batch
+	jobRZ // r2c/c2r z-lines between rx and the packed half grid x
 )
 
 var jobs = sync.Pool{New: func() any {
@@ -272,7 +267,7 @@ func runUnits(proto fftJob, n int) {
 	switch proto.kind {
 	case jobZ, jobRZ:
 		grain = 4 * tileB
-	case jobGrids, jobRGrids:
+	case jobGrids:
 		grain = 1
 	}
 	j := jobs.Get().(*fftJob)
@@ -284,24 +279,13 @@ func runUnits(proto fftJob, n int) {
 }
 
 func (j *fftJob) run(lo, hi int) {
-	switch j.kind {
-	case jobRZ:
+	if j.kind == jobRZ {
 		s := j.rp.getScratch()
 		if j.inverse {
 			j.rp.c2rLines(j.x, j.rx, lo, hi, *s)
 		} else {
 			j.rp.r2cLines(j.rx, j.x, lo, hi, *s)
 		}
-		j.rp.putScratch(s)
-		return
-	case jobRGrids:
-		s := j.rp.getScratch()
-		a := j.rp.half.getArena()
-		rsize, hsize := j.rp.Size(), j.rp.HSize()
-		for g := lo; g < hi; g++ {
-			j.rp.applySerial(j.rx[g*rsize:(g+1)*rsize], j.x[g*hsize:(g+1)*hsize], j.inverse, *s, a)
-		}
-		j.rp.half.putArena(a)
 		j.rp.putScratch(s)
 		return
 	}

@@ -6,7 +6,58 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"ldcdft/internal/perf"
 )
+
+// The direct-summation DFTs and the 1-D inverse below are the oracles the
+// engine is checked against; no program path runs them.
+
+// Inverse computes the in-place inverse DFT, including the 1/n factor:
+// x[j] = (1/n) Σ X[k] e^{+2πi jk/n}.
+func (p *Plan) Inverse(x []complex128) {
+	p.Forward(x)
+	inv := 1 / float64(p.n)
+	x[0] = scale(x[0], inv)
+	for j, k := 1, p.n-1; j <= k; j, k = j+1, k-1 {
+		x[j], x[k] = scale(x[k], inv), scale(x[j], inv)
+	}
+}
+
+// SlowDFT computes the forward DFT by direct O(n²) summation. It is the
+// "commodity, non-vectorized library" stand-in of the §4.2 ablation (the
+// role the unvectorized FFTW build played on Blue Gene/Q before the
+// switch to Spiral) and the correctness reference for Plan: the angle is
+// reduced mod n before the sine, so the oracle itself is good to
+// ~1e-13·‖x‖ at n = 1000.
+func SlowDFT(x []complex128) []complex128 {
+	n := len(x)
+	out := make([]complex128, n)
+	for k := 0; k < n; k++ {
+		var s complex128
+		for j := 0; j < n; j++ {
+			s += x[j] * root(k*j, n)
+		}
+		out[k] = s
+	}
+	perf.Global.AddScalar(8 * int64(n) * int64(n))
+	return out
+}
+
+// SlowIDFT computes the inverse DFT (with 1/n) by direct summation.
+func SlowIDFT(x []complex128) []complex128 {
+	n := len(x)
+	out := make([]complex128, n)
+	for k := 0; k < n; k++ {
+		var s complex128
+		for j := 0; j < n; j++ {
+			s += x[j] * conj(root(k*j, n))
+		}
+		out[k] = s / complex(float64(n), 0)
+	}
+	perf.Global.AddScalar(8 * int64(n) * int64(n))
+	return out
+}
 
 func randVec(rng *rand.Rand, n int) []complex128 {
 	x := make([]complex128, n)

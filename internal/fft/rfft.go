@@ -3,9 +3,6 @@ package fft
 import (
 	"fmt"
 	"math"
-	"sync"
-
-	"ldcdft/internal/perf"
 )
 
 // RPlan computes real-to-complex forward and complex-to-real inverse
@@ -21,12 +18,12 @@ import (
 // complex plan (dense or Bluestein under the hood) and keep only the
 // independent half of the output.
 //
-// Conventions match Plan: Forward is unnormalized,
-// X[k] = Σ_j x[j] e^{−2πijk/n} for k = 0..n/2; Inverse includes the 1/n
-// factor and reconstructs the real signal from the packed half spectrum.
+// Conventions match Plan: the forward transform (forwardS) is
+// unnormalized, X[k] = Σ_j x[j] e^{−2πijk/n} for k = 0..n/2; the inverse
+// (inverseS) includes the 1/n factor and reconstructs the real signal
+// from the packed half spectrum. RPlan3 runs both on tiles of z-lines.
 // All tables are read-only after NewRPlan, so one RPlan serves any
-// number of concurrent transforms (per-call scratch is pooled or
-// caller-owned).
+// number of concurrent transforms (scratch is caller-owned).
 type RPlan struct {
 	n    int
 	h    int   // n/2 (floor)
@@ -34,8 +31,7 @@ type RPlan struct {
 	half *Plan // even lengths: complex plan of length n/2
 	full *Plan // odd lengths: complex plan of length n
 	// w[k] = e^{−2πik/n} for k = 0..h: the untangling twiddles (even only).
-	w       []complex128
-	scratch sync.Pool // *[]complex128 of scratchLen for Forward/Inverse
+	w []complex128
 }
 
 // NewRPlan prepares a real transform of length n (n ≥ 1).
@@ -53,10 +49,6 @@ func NewRPlan(n int) *RPlan {
 	} else {
 		p.full = NewPlan(n)
 	}
-	p.scratch.New = func() any {
-		s := make([]complex128, p.scratchLen())
-		return &s
-	}
 	return p
 }
 
@@ -65,9 +57,6 @@ func twiddle(k, n int) complex128 {
 	ang := -2 * math.Pi * float64(k) / float64(n)
 	return complex(math.Cos(ang), math.Sin(ang))
 }
-
-// Len returns the real transform length n.
-func (p *RPlan) Len() int { return p.n }
 
 // HLen returns the packed half-spectrum length n/2+1.
 func (p *RPlan) HLen() int { return p.n/2 + 1 }
@@ -98,34 +87,9 @@ func rflops(n int) int64 {
 	return flops(n) + 2*int64(n)
 }
 
-// Forward computes the packed half spectrum of the real vector src into
-// dst (len n/2+1): X[k] = Σ_j src[j] e^{−2πijk/n}, k = 0..n/2.
-func (p *RPlan) Forward(src []float64, dst []complex128) {
-	if len(src) != p.n || len(dst) != p.HLen() {
-		panic(fmt.Sprintf("fft: r2c lengths %d→%d != plan %d→%d", len(src), len(dst), p.n, p.HLen()))
-	}
-	s := p.scratch.Get().(*[]complex128)
-	p.forwardS(src, dst, *s, 1)
-	p.scratch.Put(s)
-	perf.Global.AddVector(rflops(p.n))
-}
-
-// Inverse reconstructs the real vector dst (len n) from the packed half
-// spectrum src (len n/2+1), including the 1/n normalization. src is
-// treated as Hermitian: src[0] and (even n) src[n/2] must be real.
-// src is preserved.
-func (p *RPlan) Inverse(src []complex128, dst []float64) {
-	if len(src) != p.HLen() || len(dst) != p.n {
-		panic(fmt.Sprintf("fft: c2r lengths %d→%d != plan %d→%d", len(src), len(dst), p.HLen(), p.n))
-	}
-	s := p.scratch.Get().(*[]complex128)
-	p.inverseS(src, dst, *s, 1, 1)
-	p.scratch.Put(s)
-	perf.Global.AddVector(rflops(p.n))
-}
-
-// forwardS is Forward for w lines packed back to back in src and dst,
-// with caller-owned scratch of ≥ w·scratchLen elements: the lines are
+// forwardS computes the packed half spectra (len n/2+1 each) of w real
+// lines (len n each) packed back to back in src and dst, with
+// caller-owned scratch of ≥ w·scratchLen elements: the lines are
 // packed into one [element][line] tile, so the complex plan transforms
 // them together. No perf counters are touched; batch drivers attribute
 // modelled FLOPs once per pass.
@@ -172,10 +136,11 @@ func (p *RPlan) forwardS(src []float64, dst []complex128, scratch []complex128, 
 	}
 }
 
-// inverseS is Inverse for w packed lines with caller-owned scratch of
-// ≥ w·scratchLen elements; every output is further multiplied by norm
-// (RPlan3 passes the other two axes' 1/(NxNy), so the whole 3-D
-// normalization is one multiply at the final write).
+// inverseS reconstructs w real lines from their packed half spectra,
+// including the 1/n normalization (src is preserved), with caller-owned
+// scratch of ≥ w·scratchLen elements; every output is further
+// multiplied by norm (RPlan3 passes the other two axes' 1/(NxNy), so the
+// whole 3-D normalization is one multiply at the final write).
 func (p *RPlan) inverseS(src []complex128, dst []float64, scratch []complex128, w int, norm float64) {
 	n, h, hl := p.n, p.h, p.HLen()
 	if !p.even {

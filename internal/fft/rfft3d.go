@@ -61,11 +61,6 @@ func (p *RPlan3) Size() int { return p.Nx * p.Ny * p.Nz }
 // HSize returns the packed half-spectrum length Nx·Ny·(Nz/2+1).
 func (p *RPlan3) HSize() int { return p.Nx * p.Ny * p.Nzh }
 
-// Flops returns the modelled operation count of one real 3-D transform:
-// the halved r2c model along z plus complex lines over the half grid —
-// roughly half of the matching Plan3.Flops().
-func (p *RPlan3) Flops() int64 { return p.flops }
-
 // Forward computes the packed half spectrum of the real field src into
 // dst (len HSize): X[k] = Σ_j src[j] e^{−iG_k·r_j}, unnormalized,
 // matching Plan3.Forward restricted to iz ≤ Nz/2.
@@ -92,62 +87,11 @@ func (p *RPlan3) Inverse(src []complex128, dst []float64) {
 	perf.Global.AddVector(p.flops)
 }
 
-// ForwardBatch computes the packed half spectra of nb real fields packed
-// contiguously in src (field g occupies src[g*Size():(g+1)*Size()], its
-// spectrum dst[g*HSize():(g+1)*HSize()]). Fields are spread over the
-// internal/par pool, one field per chunk, and each is transformed
-// serially in one arena; the steady state is allocation-free.
-func (p *RPlan3) ForwardBatch(src []float64, dst []complex128, nb int) {
-	p.checkBatch(src, dst, nb)
-	if nb == 0 {
-		return
-	}
-	defer ph3DReal.Start().StopFlops(p.flops * int64(nb))
-	runUnits(fftJob{rp: p, rx: src, x: dst, kind: jobRGrids}, nb)
-	perf.Global.AddVector(p.flops * int64(nb))
-}
-
-// InverseBatch is ForwardBatch's inverse, including each field's
-// 1/(NxNyNz) normalization. src is clobbered.
-func (p *RPlan3) InverseBatch(src []complex128, dst []float64, nb int) {
-	p.checkBatch(dst, src, nb)
-	if nb == 0 {
-		return
-	}
-	defer ph3DReal.Start().StopFlops(p.flops * int64(nb))
-	runUnits(fftJob{rp: p, rx: dst, x: src, kind: jobRGrids, inverse: true}, nb)
-	perf.Global.AddVector(p.flops * int64(nb))
-}
-
 func (p *RPlan3) checkLens(re []float64, half []complex128) {
 	if len(re) != p.Size() || len(half) != p.HSize() {
 		panic(fmt.Sprintf("fft: r2c lengths %d/%d do not match 3-D plan %d/%d",
 			len(re), len(half), p.Size(), p.HSize()))
 	}
-}
-
-func (p *RPlan3) checkBatch(re []float64, half []complex128, nb int) {
-	if nb < 0 || len(re) != nb*p.Size() || len(half) != nb*p.HSize() {
-		panic("fft: batch lengths do not match 3-D real plan")
-	}
-}
-
-// applySerial runs one full real 3-D transform on a single goroutine
-// with the given scratch and (half-grid) arena. This is the batch
-// chunk body.
-func (p *RPlan3) applySerial(re []float64, half []complex128, inverse bool, s []complex128, a *arena3) {
-	sc := p.half.full.fwd
-	yUnits := sc.yUnits()
-	xUnits := len(sc.xBlocks)
-	if inverse {
-		p.half.xTiles(half, sc, true, 0, xUnits, a, nil, 0)
-		p.half.yTiles(half, sc, true, 0, yUnits, a)
-		p.c2rLines(half, re, 0, p.Nx*p.Ny, s)
-		return
-	}
-	p.r2cLines(re, half, 0, p.Nx*p.Ny, s)
-	p.half.yTiles(half, sc, false, 0, yUnits, a)
-	p.half.xTiles(half, sc, false, 0, xUnits, a, nil, 0)
 }
 
 // r2cLines transforms the contiguous real z-lines [lo, hi) of src into

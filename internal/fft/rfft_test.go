@@ -50,14 +50,15 @@ func TestRPlanMatchesComplexPlan(t *testing.T) {
 		want := widen(x)
 		cp.Forward(want)
 		got := make([]complex128, rp.HLen())
-		rp.Forward(x, got)
+		scratch := make([]complex128, rp.scratchLen())
+		rp.forwardS(x, got, scratch, 1)
 		for k := range got {
 			if d := cmplx.Abs(got[k] - want[k]); d > 1e-10*float64(n) {
 				t.Fatalf("n=%d k=%d: r2c %v vs complex %v (|Δ|=%g)", n, k, got[k], want[k], d)
 			}
 		}
 		back := make([]float64, n)
-		rp.Inverse(got, back)
+		rp.inverseS(got, back, scratch, 1, 1)
 		if d := maxDiffReal(back, x); d > 1e-12*float64(n) {
 			t.Fatalf("n=%d: c2r round trip off by %g", n, d)
 		}
@@ -116,35 +117,8 @@ func TestRPlan3Flops(t *testing.T) {
 	for _, sh := range [][3]int{{16, 16, 16}, {18, 18, 18}, {32, 32, 32}} {
 		rp := NewRPlan3(sh[0], sh[1], sh[2])
 		cp := NewPlan3(sh[0], sh[1], sh[2])
-		if rf, cf := rp.Flops(), cp.Flops(); rf <= 0 || rf > cf*2/3 {
+		if rf, cf := rp.flops, cp.full.fwd.flops; rf <= 0 || rf > cf*2/3 {
 			t.Fatalf("shape %v: real plan models %d flops vs complex %d — expected ≤ 2/3", sh, rf, cf)
-		}
-	}
-}
-
-// TestR3BatchMatchesSingle checks ForwardBatch/InverseBatch against
-// per-field Forward/Inverse.
-func TestR3BatchMatchesSingle(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, sh := range [][3]int{{16, 16, 16}, {18, 18, 18}, {12, 10, 6}} {
-		for _, nb := range []int{1, 3, 5} {
-			p := NewRPlan3(sh[0], sh[1], sh[2])
-			rsize, hsize := p.Size(), p.HSize()
-			src := randReal(rng, nb*rsize)
-			batch := make([]complex128, nb*hsize)
-			p.ForwardBatch(src, batch, nb)
-			want := make([]complex128, hsize)
-			for k := 0; k < nb; k++ {
-				p.Forward(src[k*rsize:(k+1)*rsize], want)
-				if d := maxDiff(batch[k*hsize:(k+1)*hsize], want); d > 1e-10 {
-					t.Errorf("shape %v nb=%d field %d: ForwardBatch differs by %g", sh, nb, k, d)
-				}
-			}
-			out := make([]float64, nb*rsize)
-			p.InverseBatch(batch, out, nb)
-			if d := maxDiffReal(out, src); d > 1e-12 {
-				t.Errorf("shape %v nb=%d: batched round trip off by %g", sh, nb, d)
-			}
 		}
 	}
 }
@@ -183,8 +157,8 @@ func TestCachedR3(t *testing.T) {
 }
 
 // TestR2CZeroAllocs extends the allocation guard to the real-transform
-// hot paths: once the scratch and arena pools are warm, single and
-// batched r2c/c2r transforms must not allocate.
+// hot paths: once the scratch and arena pools are warm, r2c/c2r
+// transforms must not allocate.
 func TestR2CZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates")
@@ -192,17 +166,15 @@ func TestR2CZeroAllocs(t *testing.T) {
 	for _, sh := range allocShapes {
 		p := NewRPlan3(sh[0], sh[1], sh[2])
 		rng := rand.New(rand.NewSource(14))
-		src := randReal(rng, 4*p.Size())
-		dst := make([]complex128, 4*p.HSize())
-		out := make([]float64, 4*p.Size())
+		src := randReal(rng, p.Size())
+		dst := make([]complex128, p.HSize())
+		out := make([]float64, p.Size())
 		// Warm the scratch, arena, and job pools.
-		p.ForwardBatch(src, dst, 4)
-		p.InverseBatch(dst, out, 4)
+		p.Forward(src, dst)
+		p.Inverse(dst, out)
 		allocs := testing.AllocsPerRun(10, func() {
-			p.Forward(src[:p.Size()], dst[:p.HSize()])
-			p.Inverse(dst[:p.HSize()], out[:p.Size()])
-			p.ForwardBatch(src, dst, 4)
-			p.InverseBatch(dst, out, 4)
+			p.Forward(src, dst)
+			p.Inverse(dst, out)
 		})
 		if allocs > 0 {
 			t.Errorf("shape %v: real hot path allocates %.1f objects per run, want 0", sh, allocs)

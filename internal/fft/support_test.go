@@ -182,15 +182,15 @@ func TestSupportLineCounts(t *testing.T) {
 		want := int64(c.lines) * flops(c.n)
 		if s.InverseFlops() != want || s.ForwardFlops() != want {
 			t.Errorf("N=%d sphere: flops inv %d fwd %d, want %d lines = %d (dense %d)",
-				c.n, s.InverseFlops(), s.ForwardFlops(), c.lines, want, p.Flops())
+				c.n, s.InverseFlops(), s.ForwardFlops(), c.lines, want, p.full.fwd.flops)
 		}
 		s = p.NewSupport(boxSupport(p, 2, 2, 2))
 		if want = int64(c.box) * flops(c.n); s.InverseFlops() != want || s.ForwardFlops() != want {
 			t.Errorf("N=%d box: flops inv %d fwd %d, want %d lines = %d", c.n, s.InverseFlops(), s.ForwardFlops(), c.box, want)
 		}
 		s = p.NewSupport(boxSupport(p, c.n/2, c.n/2, c.n/2))
-		if s.InverseFlops() != p.Flops() || s.ForwardFlops() != p.Flops() {
-			t.Errorf("N=%d: full support models %d/%d flops, dense plan %d", c.n, s.InverseFlops(), s.ForwardFlops(), p.Flops())
+		if s.InverseFlops() != p.full.fwd.flops || s.ForwardFlops() != p.full.fwd.flops {
+			t.Errorf("N=%d: full support models %d/%d flops, dense plan %d", c.n, s.InverseFlops(), s.ForwardFlops(), p.full.fwd.flops)
 		}
 	}
 }

@@ -25,15 +25,6 @@ func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }
 // Norm2 returns |v|².
 func (v Vec3) Norm2() float64 { return v.Dot(v) }
 
-// Cross returns v × u.
-func (v Vec3) Cross(u Vec3) Vec3 {
-	return Vec3{
-		v.Y*u.Z - v.Z*u.Y,
-		v.Z*u.X - v.X*u.Z,
-		v.X*u.Y - v.Y*u.X,
-	}
-}
-
 // Cell is a periodic cubic simulation cell of side L (Bohr).
 type Cell struct{ L float64 }
 

@@ -20,12 +20,6 @@ type Domain struct {
 // EdgeN returns the extended-domain points per axis.
 func (d Domain) EdgeN() int { return d.CoreN + 2*d.BufN }
 
-// CoreLength returns the core edge length l in Bohr.
-func (d Domain) CoreLength() float64 { return float64(d.CoreN) * d.Global.H() }
-
-// BufferLength returns the buffer thickness b in Bohr.
-func (d Domain) BufferLength() float64 { return float64(d.BufN) * d.Global.H() }
-
 // LocalGrid returns the periodic grid of the extended domain. LDC-DFT
 // imposes the periodic boundary condition on the local Kohn–Sham wave
 // functions (§3.1), so the extended domain is itself a small periodic
@@ -100,17 +94,6 @@ func (d Domain) AccumulateCore(local, global *Field) {
 	}
 }
 
-// InCore reports whether global grid point (gx, gy, gz) lies in this
-// domain's core.
-func (d Domain) InCore(gx, gy, gz int) bool {
-	gx = wrapInt(gx, d.Global.N)
-	gy = wrapInt(gy, d.Global.N)
-	gz = wrapInt(gz, d.Global.N)
-	return gx >= d.Ox && gx < d.Ox+d.CoreN &&
-		gy >= d.Oy && gy < d.Oy+d.CoreN &&
-		gz >= d.Oz && gz < d.Oz+d.CoreN
-}
-
 // Decompose tiles the global grid into nd³ domains with cores of
 // N/nd points per axis and the given buffer point count. N must be
 // divisible by nd.
@@ -135,27 +118,4 @@ func Decompose(g Grid, nd, bufN int) ([]Domain, error) {
 		}
 	}
 	return doms, nil
-}
-
-// PartitionOfUnity verifies Σα pα(r) = 1 at every grid point: each point
-// must belong to exactly one core. It returns an error naming the first
-// violating point.
-func PartitionOfUnity(g Grid, doms []Domain) error {
-	count := make([]int, g.Size())
-	for _, d := range doms {
-		for ix := 0; ix < d.CoreN; ix++ {
-			for iy := 0; iy < d.CoreN; iy++ {
-				for iz := 0; iz < d.CoreN; iz++ {
-					count[g.Index(d.Ox+ix, d.Oy+iy, d.Oz+iz)]++
-				}
-			}
-		}
-	}
-	for i, c := range count {
-		if c != 1 {
-			ix, iy, iz := g.Coords(i)
-			return fmt.Errorf("grid: point (%d,%d,%d) covered by %d cores", ix, iy, iz, c)
-		}
-	}
-	return nil
 }

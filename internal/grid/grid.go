@@ -7,8 +7,6 @@ package grid
 
 import (
 	"fmt"
-
-	"ldcdft/internal/geom"
 )
 
 // Grid is a uniform N³-point sampling of a periodic cubic cell of side L
@@ -42,20 +40,6 @@ func (g Grid) Index(ix, iy, iz int) int {
 	iy = wrapInt(iy, g.N)
 	iz = wrapInt(iz, g.N)
 	return (ix*g.N+iy)*g.N + iz
-}
-
-// Coords converts a linear index back to (ix, iy, iz).
-func (g Grid) Coords(i int) (ix, iy, iz int) {
-	iz = i % g.N
-	iy = (i / g.N) % g.N
-	ix = i / (g.N * g.N)
-	return
-}
-
-// Point returns the spatial position of grid point (ix, iy, iz).
-func (g Grid) Point(ix, iy, iz int) geom.Vec3 {
-	h := g.H()
-	return geom.Vec3{X: float64(ix) * h, Y: float64(iy) * h, Z: float64(iz) * h}
 }
 
 func wrapInt(i, n int) int {
@@ -100,36 +84,4 @@ func (f *Field) Mean() float64 {
 		s += v
 	}
 	return s / float64(len(f.Data))
-}
-
-// AddScaled computes f += a·g pointwise.
-func (f *Field) AddScaled(a float64, g *Field) {
-	if len(f.Data) != len(g.Data) {
-		panic("grid: field size mismatch")
-	}
-	for i, v := range g.Data {
-		f.Data[i] += a * v
-	}
-}
-
-// Fill sets every value to v.
-func (f *Field) Fill(v float64) {
-	for i := range f.Data {
-		f.Data[i] = v
-	}
-}
-
-// MaxAbsDiff returns max |f − g|.
-func (f *Field) MaxAbsDiff(g *Field) float64 {
-	var m float64
-	for i, v := range f.Data {
-		d := v - g.Data[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > m {
-			m = d
-		}
-	}
-	return m
 }

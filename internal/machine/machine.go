@@ -171,20 +171,3 @@ func (c *Comm) AllToAllTime(totalBytesPerRank int64) float64 {
 	vol := float64(totalBytesPerRank) * (n - 1) / n
 	return math.Log2(n)*c.M.HopLatency + vol/bw
 }
-
-// ComputeTime returns the time for the given GFLOPs on `cores` cores with
-// t threads per core at the machine's kernel efficiency.
-func (m *Machine) ComputeTime(gflops float64, cores, threadsPerCore int) float64 {
-	eff, ok := m.ThreadEff[threadsPerCore]
-	if !ok {
-		eff = m.KernelEff
-	}
-	// KernelEff is attained at max threading; scale other thread counts
-	// proportionally to the thread-efficiency curve.
-	maxEff := m.ThreadEff[m.ThreadsPerCore]
-	if maxEff == 0 {
-		maxEff = 1
-	}
-	rate := m.PeakGF(cores) * m.KernelEff * (eff / maxEff)
-	return gflops / rate
-}

@@ -64,30 +64,6 @@ func (b *Berendsen) Apply(sys *atoms.System, dt float64) {
 	}
 }
 
-// Rescale is a hard velocity-rescaling thermostat applied every Interval
-// steps (tracked internally).
-type Rescale struct {
-	TargetK  float64
-	Interval int
-	count    int
-}
-
-// Apply implements Thermostat.
-func (r *Rescale) Apply(sys *atoms.System, dt float64) {
-	r.count++
-	if r.Interval > 1 && r.count%r.Interval != 0 {
-		return
-	}
-	t := sys.Temperature()
-	if t <= 0 {
-		return
-	}
-	s := math.Sqrt(r.TargetK / t)
-	for i := range sys.Atoms {
-		sys.Atoms[i].Velocity = sys.Atoms[i].Velocity.Scale(s)
-	}
-}
-
 // Integrator advances a system with velocity Verlet.
 type Integrator struct {
 	FF         ForceField
@@ -176,9 +152,4 @@ func (in *Integrator) Step(sys *atoms.System) error {
 	}
 	spI.StopFlops(6 * int64(len(sys.Atoms)))
 	return nil
-}
-
-// TotalEnergy returns kinetic + potential energy of the last step.
-func (in *Integrator) TotalEnergy(sys *atoms.System) float64 {
-	return sys.KineticEnergy() + in.energy
 }

@@ -42,6 +42,15 @@ func dimerSystem(sep float64) *atoms.System {
 	}
 }
 
+// totalEnergy is the kinetic plus potential energy of the last step.
+func totalEnergy(in *Integrator, sys *atoms.System) float64 {
+	e := in.PotentialEnergy()
+	for _, a := range sys.Atoms {
+		e += 0.5 * a.Species.Mass() * a.Velocity.Norm2()
+	}
+	return e
+}
+
 func TestVerletEnergyConservation(t *testing.T) {
 	ff := &harmonicPair{K: 0.5, R0: 2.0}
 	sys := dimerSystem(2.4) // stretched: oscillates
@@ -49,7 +58,7 @@ func TestVerletEnergyConservation(t *testing.T) {
 	if err := in.Step(sys); err != nil {
 		t.Fatal(err)
 	}
-	e0 := in.TotalEnergy(sys)
+	e0 := totalEnergy(in, sys)
 	for i := 0; i < 2000; i++ {
 		if err := in.Step(sys); err != nil {
 			t.Fatal(err)
@@ -57,7 +66,7 @@ func TestVerletEnergyConservation(t *testing.T) {
 	}
 	// Velocity Verlet is symplectic: the energy error is bounded and
 	// O((ωΔt)²), not drifting; allow that bound.
-	drift := math.Abs(in.TotalEnergy(sys)-e0) / math.Abs(e0)
+	drift := math.Abs(totalEnergy(in, sys)-e0) / math.Abs(e0)
 	if drift > 1e-3 {
 		t.Fatalf("energy drift %g over 2000 steps", drift)
 	}
@@ -135,23 +144,6 @@ func TestBerendsenThermostatReachesTarget(t *testing.T) {
 	}
 }
 
-func TestRescaleThermostat(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	sys := &atoms.System{Cell: geom.Cell{L: 40}}
-	for i := 0; i < 16; i++ {
-		sys.Atoms = append(sys.Atoms, atoms.Atom{
-			Species:  atoms.Hydrogen,
-			Position: geom.Vec3{X: rng.Float64() * 40, Y: rng.Float64() * 40, Z: rng.Float64() * 40},
-		})
-	}
-	sys.InitVelocities(900, rng)
-	r := &Rescale{TargetK: 300, Interval: 1}
-	r.Apply(sys, 1)
-	if math.Abs(sys.Temperature()-300) > 1 {
-		t.Fatalf("rescale gave %g K", sys.Temperature())
-	}
-}
-
 func TestIntegratorErrors(t *testing.T) {
 	in := &Integrator{DtAU: 1}
 	if err := in.Step(dimerSystem(2)); !errors.Is(err, ErrNoForceField) {
@@ -169,38 +161,5 @@ func TestIntegratorPropagatesFieldError(t *testing.T) {
 	in := NewIntegrator(errField{}, 0.5)
 	if err := in.Step(dimerSystem(2)); err == nil {
 		t.Fatal("expected propagated force-field error")
-	}
-}
-
-func TestNoseHooverSamplesTarget(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	sys := &atoms.System{Cell: geom.Cell{L: 40}}
-	for i := 0; i < 64; i++ {
-		sys.Atoms = append(sys.Atoms, atoms.Atom{
-			Species:  atoms.Oxygen,
-			Position: geom.Vec3{X: rng.Float64() * 40, Y: rng.Float64() * 40, Z: rng.Float64() * 40},
-		})
-	}
-	sys.InitVelocities(200, rng)
-	in := NewIntegrator(&harmonicPair{K: 0, R0: 1}, 0.5)
-	nh := &NoseHoover{TargetK: 500, TauAU: 30 * units.AtomicTimePerFs}
-	in.Thermostat = nh
-	var avg float64
-	n := 0
-	for i := 0; i < 1200; i++ {
-		if err := in.Step(sys); err != nil {
-			t.Fatal(err)
-		}
-		if i > 400 {
-			avg += sys.Temperature()
-			n++
-		}
-	}
-	avg /= float64(n)
-	if avg < 400 || avg > 600 {
-		t.Fatalf("Nosé–Hoover average temperature %g K, want ≈500", avg)
-	}
-	if nh.Zeta() == 0 {
-		t.Fatal("friction variable never moved")
 	}
 }

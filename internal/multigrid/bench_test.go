@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ldcdft/internal/geom"
 	"ldcdft/internal/grid"
 )
 
@@ -20,7 +21,7 @@ func benchPoisson(b *testing.B, n int) {
 	for ix := 0; ix < n; ix++ {
 		for iy := 0; iy < n; iy++ {
 			for iz := 0; iz < n; iz++ {
-				p := g.Point(ix, iy, iz)
+				p := geom.Vec3{X: float64(ix), Y: float64(iy), Z: float64(iz)}.Scale(g.H())
 				rho.Data[g.Index(ix, iy, iz)] = math.Sin(2*math.Pi*p.X/10) * math.Cos(4*math.Pi*p.Y/10)
 			}
 		}

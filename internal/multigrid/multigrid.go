@@ -117,9 +117,6 @@ func NewSolver(g grid.Grid, opts Options) (*Solver, error) {
 	return s, nil
 }
 
-// Levels returns the depth of the multigrid hierarchy.
-func (s *Solver) Levels() int { return len(s.levels) }
-
 // SolvePoisson solves ∇²V = −4πρ and returns V with zero mean. The
 // compatibility condition for the periodic problem (zero-mean source) is
 // enforced by subtracting the mean of ρ, which physically corresponds to

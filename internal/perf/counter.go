@@ -1,11 +1,11 @@
-// Package perf provides floating-point operation accounting and
-// performance models mirroring the paper's use of the Blue Gene
-// performance monitoring (BGPM) hardware counters (section 4.2).
+// Package perf provides floating-point operation accounting and phase
+// instrumentation mirroring the paper's use of the Blue Gene performance
+// monitoring (BGPM) hardware counters (section 4.2).
 //
 // Numerical kernels (linalg, fft, pw) report their floating-point work to
-// a Counter; higher-level code converts counts and wall-clock time into
-// FLOP/s figures, and the machine model (internal/machine) converts them
-// into modelled at-scale performance (Tables 1 and 2 of the paper).
+// a Counter and time their regions as Phases; higher-level code converts
+// counts and wall-clock time into FLOP/s figures. The modelled at-scale
+// performance of Tables 1 and 2 lives in internal/machine.
 package perf
 
 import "sync/atomic"
@@ -33,12 +33,6 @@ func (c *Counter) AddVector(n int64) { c.vector.Add(n) }
 // scalar loop.
 func (c *Counter) AddScalar(n int64) { c.scalar.Add(n) }
 
-// Vector returns the accumulated vectorized FLOP count.
-func (c *Counter) Vector() int64 { return c.vector.Load() }
-
-// Scalar returns the accumulated scalar FLOP count.
-func (c *Counter) Scalar() int64 { return c.scalar.Load() }
-
 // Total returns the total FLOP count.
 func (c *Counter) Total() int64 { return c.vector.Load() + c.scalar.Load() }
 
@@ -46,16 +40,4 @@ func (c *Counter) Total() int64 { return c.vector.Load() + c.scalar.Load() }
 func (c *Counter) Reset() {
 	c.vector.Store(0)
 	c.scalar.Store(0)
-}
-
-// VectorFraction returns the fraction of FLOPs executed by vectorized
-// kernels, or 0 if no FLOPs have been recorded. The paper's §4.2 profiling
-// found 72.5% of FP operations non-vectorized before optimization; this
-// fraction is the analogous post-hoc measurement for the Go kernels.
-func (c *Counter) VectorFraction() float64 {
-	t := c.Total()
-	if t == 0 {
-		return 0
-	}
-	return float64(c.Vector()) / float64(t)
 }

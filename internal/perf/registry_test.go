@@ -42,7 +42,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			for i := 0; i < spansPerWorker; i++ {
 				sp := p.Start()
 				sp.StopFlops(10)
-				p.AddBytes(3)
+				p.bytes.Add(3)
 			}
 		}()
 	}
@@ -119,10 +119,10 @@ func goldenRegistry() *Registry {
 	p := r.Phase("scf/domain-solves")
 	p.record(1_500_000_000)
 	p.record(500_000_000)
-	p.AddFlops(4_000_000_000)
+	p.flops.Add(4_000_000_000)
 	q := r.Phase("qio/collective-write")
 	q.record(250_000_000)
-	q.AddBytes(500_000_000)
+	q.bytes.Add(500_000_000)
 	s := r.Phase("scf/chemical-potential")
 	s.record(42_300)
 	return r

@@ -22,9 +22,6 @@ type Phase struct {
 	bytes  atomic.Int64
 }
 
-// Name returns the phase name.
-func (p *Phase) Name() string { return p.name }
-
 // Calls returns the number of completed spans.
 func (p *Phase) Calls() int64 { return p.calls.Load() }
 
@@ -39,12 +36,6 @@ func (p *Phase) Flops() int64 { return p.flops.Load() }
 
 // Bytes returns the I/O bytes attributed to the phase.
 func (p *Phase) Bytes() int64 { return p.bytes.Load() }
-
-// AddFlops attributes n floating-point operations to the phase.
-func (p *Phase) AddFlops(n int64) { p.flops.Add(n) }
-
-// AddBytes attributes n I/O bytes to the phase.
-func (p *Phase) AddBytes(n int64) { p.bytes.Add(n) }
 
 // Start opens a wall-clock span on the phase. The returned Span must be
 // stopped exactly once (Stop, StopFlops, or StopBytes); an unstopped span

@@ -30,7 +30,6 @@ type Basis struct {
 	G2   []float64   // |G|²
 	FFTi []int       // FFT-grid linear index of each G
 
-	plan  *fft.Plan3
 	rplan *fft.RPlan3
 	// The sphere fills a small corner of the grid (57 of 12³ points in an
 	// LDC domain), so every wave-function transform goes through the
@@ -40,15 +39,13 @@ type Basis struct {
 	sphere *fft.Support3
 
 	// Folded reciprocal-space lookups shared by every grid-space kernel
-	// (kinetic via G2, Hartree 4π/G², pseudopotential form factors,
-	// forces): axisG[i] = fold(i)·2π/L per FFT index, g2Grid = |G|² per
-	// FFT grid point, g2Half the same restricted to the Hermitian-packed
-	// half spectrum (iz ≤ N/2) the real-field transforms produce.
+	// (Hartree 4π/G², pseudopotential form factors, forces): axisG[i] =
+	// fold(i)·2π/L per FFT index, g2Half = |G|² per point of the
+	// Hermitian-packed half spectrum (iz ≤ N/2) the real-field transforms
+	// produce.
 	axisG  []float64
-	g2Grid []float64
 	g2Half []float64
 
-	gridPool  sync.Pool // *[]complex128, one N³ grid each
 	halfPool  sync.Pool // *[]complex128, one N²·(N/2+1) half-spectrum grid each
 	batchPool sync.Pool // *[]complex128, grown to the largest batch seen
 }
@@ -63,7 +60,6 @@ func NewBasis(g grid.Grid, ecut float64) (*Basis, error) {
 	b := &Basis{
 		Grid:  g,
 		Ecut:  ecut,
-		plan:  fft.Cached3(g.N, g.N, g.N),
 		rplan: fft.CachedR3(g.N, g.N, g.N),
 	}
 	unit := 2 * math.Pi / g.L
@@ -78,7 +74,7 @@ func NewBasis(g grid.Grid, ecut float64) (*Basis, error) {
 	for i := 0; i < n; i++ {
 		b.axisG[i] = float64(fold(i, n)) * unit
 	}
-	b.g2Grid = make([]float64, g.Size())
+	g2Grid := make([]float64, g.Size()) // |G|² per FFT grid point
 	hz := n/2 + 1
 	b.g2Half = make([]float64, n*n*hz)
 	idx, hidx := 0, 0
@@ -89,7 +85,7 @@ func NewBasis(g grid.Grid, ecut float64) (*Basis, error) {
 			gxy := gx*gx + gy*gy
 			for iz := 0; iz < n; iz++ {
 				gz := b.axisG[iz]
-				b.g2Grid[idx] = gxy + gz*gz
+				g2Grid[idx] = gxy + gz*gz
 				idx++
 				// Packed half spectrum: iz ≤ N/2 only (axisG is
 				// non-negative there, so the values coincide).
@@ -104,7 +100,7 @@ func NewBasis(g grid.Grid, ecut float64) (*Basis, error) {
 	for ix := 0; ix < n; ix++ {
 		for iy := 0; iy < n; iy++ {
 			for iz := 0; iz < n; iz++ {
-				if g2 := b.g2Grid[idx]; g2/2 <= ecut {
+				if g2 := g2Grid[idx]; g2/2 <= ecut {
 					b.G = append(b.G, geom.Vec3{X: b.axisG[ix], Y: b.axisG[iy], Z: b.axisG[iz]})
 					b.G2 = append(b.G2, g2)
 					b.FFTi = append(b.FFTi, idx)
@@ -116,11 +112,7 @@ func NewBasis(g grid.Grid, ecut float64) (*Basis, error) {
 	if len(b.G) == 0 {
 		return nil, fmt.Errorf("pw: empty basis for cutoff %g", ecut)
 	}
-	b.sphere = b.plan.NewSupport(b.FFTi)
-	b.gridPool.New = func() any {
-		s := make([]complex128, g.Size())
-		return &s
-	}
+	b.sphere = fft.Cached3(n, n, n).NewSupport(b.FFTi)
 	b.halfPool.New = func() any {
 		s := make([]complex128, b.rplan.HSize())
 		return &s
@@ -147,20 +139,11 @@ func (b *Basis) Volume() float64 { return b.Grid.L * b.Grid.L * b.Grid.L }
 // FFT index along one axis (all axes are equal on the cubic grid).
 func (b *Basis) AxisG() []float64 { return b.axisG }
 
-// G2Grid returns |G|² at every FFT grid point in grid order — the folded
-// lookup shared by the kinetic term (gathered through FFTi into G2), the
-// Hartree kernel, and the pseudopotential builders. Callers must not
-// modify it.
-func (b *Basis) G2Grid() []float64 { return b.g2Grid }
-
 // G2Half returns |G|² at every point of the Hermitian-packed half
 // spectrum (grid order, iz = 0..N/2) — the lookup the real-field
 // kernels (Hartree, local pseudopotential, forces, density guess) use
 // alongside the r2c transforms. Callers must not modify it.
 func (b *Basis) G2Half() []float64 { return b.g2Half }
-
-// RPlan exposes the real-field 3-D FFT plan.
-func (b *Basis) RPlan() *fft.RPlan3 { return b.rplan }
 
 // GetHalfGrid returns a pooled N²·(N/2+1) complex half-spectrum buffer.
 // Contents are unspecified; release with PutHalfGrid when done.
@@ -177,17 +160,6 @@ func (b *Basis) PutHalfGrid(buf []complex128) {
 // including the 1/N³ normalization. src is clobbered.
 func (b *Basis) RealInverse(src []complex128, dst []float64) {
 	b.rplan.Inverse(src, dst)
-}
-
-// GetGrid returns a pooled N³ complex work buffer. Contents are
-// unspecified; release with PutGrid when done.
-func (b *Basis) GetGrid() []complex128 {
-	return *b.gridPool.Get().(*[]complex128)
-}
-
-// PutGrid returns a buffer obtained from GetGrid to the pool.
-func (b *Basis) PutGrid(buf []complex128) {
-	b.gridPool.Put(&buf)
 }
 
 // GetBatch returns a pooled complex buffer of at least n elements
@@ -272,6 +244,3 @@ func (b *Basis) FromRealSpace(work []complex128, c []complex128) {
 		c[i] = work[fi] * inv
 	}
 }
-
-// Plan exposes the dense 3-D FFT plan of the grid.
-func (b *Basis) Plan() *fft.Plan3 { return b.plan }

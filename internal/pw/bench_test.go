@@ -8,6 +8,7 @@ import (
 	"ldcdft/internal/geom"
 	"ldcdft/internal/grid"
 	"ldcdft/internal/linalg"
+	"ldcdft/internal/perf"
 	"ldcdft/internal/pseudo"
 )
 
@@ -170,13 +171,15 @@ func BenchmarkHartreeFFT(b *testing.B) {
 		rho[i] = 0.01 * float64(i%7)
 	}
 	HartreeFFT(h.Basis, rho) // warm the half-grid and scratch pools
+	ph := perf.GetPhase("fft/3d-real")
+	before := ph.Flops()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		HartreeFFT(h.Basis, rho)
 	}
 	b.StopTimer()
-	gflop := float64(2*h.Basis.RPlan().Flops()) * float64(b.N) / 1e9
+	gflop := float64(ph.Flops()-before) / 1e9
 	b.ReportMetric(gflop/b.Elapsed().Seconds(), "GFLOP/s")
 }
 
@@ -187,12 +190,14 @@ func BenchmarkHartreeFFTComplex(b *testing.B) {
 		rho[i] = 0.01 * float64(i%7)
 	}
 	hartreeFFTComplex(h.Basis, rho)
+	ph := perf.GetPhase("fft/3d")
+	before := ph.Flops()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		hartreeFFTComplex(h.Basis, rho)
 	}
 	b.StopTimer()
-	gflop := float64(2*h.Basis.Plan().Flops()) * float64(b.N) / 1e9
+	gflop := float64(ph.Flops()-before) / 1e9
 	b.ReportMetric(gflop/b.Elapsed().Seconds(), "GFLOP/s")
 }

@@ -33,7 +33,7 @@ func denseToRealSpaceBatch(b *Basis, psi *linalg.CMatrix) []complex128 {
 	for n := 0; n < psi.Cols; n++ {
 		denseScatterColumn(b, psi, n, batch[n*size:(n+1)*size])
 	}
-	b.Plan().InverseBatch(batch, psi.Cols)
+	densePlan(b).InverseBatch(batch, psi.Cols)
 	n3 := complex(float64(size), 0)
 	for i := range batch {
 		batch[i] *= n3
@@ -56,8 +56,8 @@ func denseApplyAllInto(h *Hamiltonian, psi, out *linalg.CMatrix, batch []complex
 	for n := 0; n < nb; n++ {
 		denseScatterColumn(b, psi, n, batch[n*size:(n+1)*size])
 	}
-	b.Plan().InverseRawMulRealBatch(batch, nb, h.Vloc)
-	b.Plan().ForwardBatch(batch, nb)
+	densePlan(b).InverseRawMulRealBatch(batch, nb, h.Vloc)
+	densePlan(b).ForwardBatch(batch, nb)
 	invN3 := complex(1/float64(size), 0)
 	for gi := 0; gi < psi.Rows; gi++ {
 		kin := complex(b.G2[gi]/2, 0)
@@ -75,8 +75,8 @@ func denseApply(h *Hamiltonian, psi []complex128) []complex128 {
 	for i, fi := range b.FFTi {
 		work[fi] = psi[i]
 	}
-	b.Plan().InverseRawMulReal(work, h.Vloc)
-	b.Plan().Forward(work)
+	densePlan(b).InverseRawMulReal(work, h.Vloc)
+	densePlan(b).Forward(work)
 	out := make([]complex128, len(psi))
 	inv := complex(1/float64(size), 0)
 	for i, fi := range b.FFTi {
@@ -98,7 +98,7 @@ func denseDensity(b *Basis, psi *linalg.CMatrix, occ []float64) []float64 {
 			continue
 		}
 		denseScatterColumn(b, psi, n, work)
-		b.Plan().Inverse(work)
+		densePlan(b).Inverse(work)
 		f := occ[n] * scale
 		for i, v := range work {
 			rho[i] += f * (real(v)*real(v) + imag(v)*imag(v))

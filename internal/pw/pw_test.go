@@ -93,7 +93,7 @@ func TestToRealSpaceIsPlaneWaveSum(t *testing.T) {
 	for ix := 0; ix < b.Grid.N; ix++ {
 		for iy := 0; iy < b.Grid.N; iy++ {
 			for iz := 0; iz < b.Grid.N; iz++ {
-				r := b.Grid.Point(ix, iy, iz)
+				r := geom.Vec3{X: float64(ix), Y: float64(iy), Z: float64(iz)}.Scale(b.Grid.H())
 				want := cmplx.Exp(complex(0, g.Dot(r)))
 				got := work[(ix*b.Grid.N+iy)*b.Grid.N+iz]
 				if cmplx.Abs(got-want) > 1e-10 {
@@ -360,7 +360,7 @@ func TestHartreeFFTMatchesAnalytic(t *testing.T) {
 	for ix := 0; ix < g.N; ix++ {
 		for iy := 0; iy < g.N; iy++ {
 			for iz := 0; iz < g.N; iz++ {
-				p := g.Point(ix, iy, iz)
+				p := geom.Vec3{X: float64(ix), Y: float64(iy), Z: float64(iz)}.Scale(g.H())
 				rho[(ix*g.N+iy)*g.N+iz] = math.Cos(unit * p.X)
 			}
 		}
@@ -368,7 +368,7 @@ func TestHartreeFFTMatchesAnalytic(t *testing.T) {
 	vh := HartreeFFT(b, rho)
 	want := 4 * math.Pi / (unit * unit)
 	for ix := 0; ix < g.N; ix++ {
-		p := g.Point(ix, 0, 0)
+		p := geom.Vec3{X: float64(ix)}.Scale(g.H())
 		got := vh[(ix*g.N)*g.N]
 		if math.Abs(got-want*math.Cos(unit*p.X)) > 1e-8*want {
 			t.Fatalf("Hartree mismatch at ix=%d: %g vs %g", ix, got, want*math.Cos(unit*p.X))
@@ -386,7 +386,7 @@ func TestLocalForcesFiniteDifference(t *testing.T) {
 	for ix := 0; ix < g.N; ix++ {
 		for iy := 0; iy < g.N; iy++ {
 			for iz := 0; iz < g.N; iz++ {
-				p := g.Point(ix, iy, iz)
+				p := geom.Vec3{X: float64(ix), Y: float64(iy), Z: float64(iz)}.Scale(g.H())
 				rho[(ix*g.N+iy)*g.N+iz] = 0.1 + 0.05*math.Cos(2*math.Pi*p.X/g.L)*math.Sin(2*math.Pi*p.Y/g.L)
 			}
 		}

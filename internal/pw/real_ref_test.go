@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ldcdft/internal/atoms"
+	"ldcdft/internal/fft"
 	"ldcdft/internal/geom"
 	"ldcdft/internal/pseudo"
 )
@@ -15,22 +16,41 @@ import (
 // fast paths to these, and BenchmarkHartreeFFTComplex uses
 // hartreeFFTComplex as the speedup baseline.
 
+// densePlan is the dense complex plan of b's grid, the process-wide
+// cached instance.
+func densePlan(b *Basis) *fft.Plan3 { return fft.Cached3(b.Grid.N, b.Grid.N, b.Grid.N) }
+
+// g2Grid returns |G|² at every FFT grid point in grid order, summed as
+// NewBasis sums it.
+func g2Grid(b *Basis) []float64 {
+	ax := b.AxisG()
+	out := make([]float64, 0, b.Grid.Size())
+	for _, gx := range ax {
+		for _, gy := range ax {
+			gxy := gx*gx + gy*gy
+			for _, gz := range ax {
+				out = append(out, gxy+gz*gz)
+			}
+		}
+	}
+	return out
+}
+
 func hartreeFFTComplex(b *Basis, rho []float64) []float64 {
 	size := b.Grid.Size()
-	work := b.GetGrid()
-	defer b.PutGrid(work)
+	work := make([]complex128, b.Grid.Size())
 	for i, v := range rho {
 		work[i] = complex(v, 0)
 	}
-	b.Plan().Forward(work)
-	for i, g2 := range b.G2Grid() {
+	densePlan(b).Forward(work)
+	for i, g2 := range g2Grid(b) {
 		if g2 == 0 {
 			work[i] = 0
 			continue
 		}
 		work[i] *= complex(4*math.Pi/g2, 0)
 	}
-	b.Plan().Inverse(work)
+	densePlan(b).Inverse(work)
 	out := make([]float64, size)
 	for i, v := range work {
 		out[i] = real(v)
@@ -41,13 +61,9 @@ func hartreeFFTComplex(b *Basis, rho []float64) []float64 {
 func buildLocalPseudoComplex(b *Basis, species []*atoms.Species, positions []geom.Vec3) []float64 {
 	n := b.Grid.N
 	size := b.Grid.Size()
-	vg := b.GetGrid()
-	defer b.PutGrid(vg)
-	for i := range vg {
-		vg[i] = 0
-	}
+	vg := make([]complex128, b.Grid.Size())
 	ax := b.AxisG()
-	g2g := b.G2Grid()
+	g2g := g2Grid(b)
 	bySpecies := map[*atoms.Species][]geom.Vec3{}
 	for ai, sp := range species {
 		bySpecies[sp] = append(bySpecies[sp], positions[ai])
@@ -78,7 +94,7 @@ func buildLocalPseudoComplex(b *Basis, species []*atoms.Species, positions []geo
 			}
 		}
 	}
-	b.Plan().Inverse(vg)
+	densePlan(b).Inverse(vg)
 	scale := float64(size)
 	out := make([]float64, size)
 	for i, v := range vg {
@@ -90,15 +106,14 @@ func buildLocalPseudoComplex(b *Basis, species []*atoms.Species, positions []geo
 func localForcesComplex(b *Basis, rho []float64, species []*atoms.Species, positions []geom.Vec3) []geom.Vec3 {
 	n := b.Grid.N
 	size := b.Grid.Size()
-	work := b.GetGrid()
-	defer b.PutGrid(work)
+	work := make([]complex128, b.Grid.Size())
 	for i, v := range rho {
 		work[i] = complex(v, 0)
 	}
-	b.Plan().Forward(work)
+	densePlan(b).Forward(work)
 	invN3 := 1 / float64(size)
 	ax := b.AxisG()
-	g2g := b.G2Grid()
+	g2g := g2Grid(b)
 	forces := make([]geom.Vec3, len(positions))
 	for ix := 0; ix < n; ix++ {
 		gx := ax[ix]

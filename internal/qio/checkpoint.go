@@ -319,13 +319,8 @@ func ReadCheckpoint(path string) (*Checkpoint, error) {
 	return base.Ck, nil
 }
 
-// DecodeCheckpoint parses checkpoint bytes (see ReadCheckpoint).
-func DecodeCheckpoint(raw []byte) (*Checkpoint, error) {
-	ck, _, err := decodeCheckpoint(raw)
-	return ck, err
-}
-
-// decodeCheckpoint also returns the file CRC, for delta binding.
+// decodeCheckpoint parses checkpoint bytes (see ReadCheckpoint) and also
+// returns the file CRC, for delta binding.
 func decodeCheckpoint(raw []byte) (*Checkpoint, uint32, error) {
 	d, crc, err := checkpointFormat.Open(raw)
 	if err != nil {

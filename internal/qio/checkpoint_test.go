@@ -164,7 +164,7 @@ func TestCheckpointTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cut := range []int{0, 1, 7, 8, 11, 12, 20, len(raw) / 4, len(raw) / 2, len(raw) - 5, len(raw) - 1} {
-		if _, err := DecodeCheckpoint(raw[:cut]); err == nil {
+		if _, _, err := decodeCheckpoint(raw[:cut]); err == nil {
 			t.Fatalf("truncation to %d bytes: no error", cut)
 		} else if !strings.Contains(err.Error(), "checkpoint") {
 			t.Fatalf("truncation to %d bytes: unexpected error %v", cut, err)
@@ -185,19 +185,19 @@ func TestCheckpointCorrupted(t *testing.T) {
 	// Flip one byte in the middle: the CRC must catch it.
 	bad := append([]byte(nil), raw...)
 	bad[len(bad)/2] ^= 0x40
-	if _, err := DecodeCheckpoint(bad); err == nil || !strings.Contains(err.Error(), "CRC") {
+	if _, _, err := decodeCheckpoint(bad); err == nil || !strings.Contains(err.Error(), "CRC") {
 		t.Fatalf("corrupted file: %v", err)
 	}
 	// Bad magic.
 	bad = append([]byte(nil), raw...)
 	bad[0] ^= 0xff
-	if _, err := DecodeCheckpoint(bad); err == nil || !strings.Contains(err.Error(), "magic") {
+	if _, _, err := decodeCheckpoint(bad); err == nil || !strings.Contains(err.Error(), "magic") {
 		t.Fatalf("bad magic: %v", err)
 	}
 	// Future version must be rejected, not misparsed.
 	bad = append([]byte(nil), raw...)
 	bad[len(checkpointMagic)] = CheckpointVersion + 1
-	if _, err := DecodeCheckpoint(bad); err == nil || !strings.Contains(err.Error(), "version") {
+	if _, _, err := decodeCheckpoint(bad); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("future version: %v", err)
 	}
 }

@@ -101,13 +101,6 @@ func (m IOModel) WriteTime(ranks int, groupSize int, totalBytes float64) float64
 	return meta + gather + stream
 }
 
-// ReadTime models the corresponding read (metadata is cheaper; gathering
-// becomes scattering at the same cost).
-func (m IOModel) ReadTime(ranks int, groupSize int, totalBytes float64) float64 {
-	return 0.4*m.MetaSec*math.Ceil(float64(ranks)/float64(groupSize))/float64(m.Servers) +
-		m.GatherSec*float64(groupSize)*0.5 + totalBytes/m.BandwidthB
-}
-
 // OptimalGroupSize scans group sizes and returns the minimizer of
 // WriteTime.
 func (m IOModel) OptimalGroupSize(ranks int, totalBytes float64) int {

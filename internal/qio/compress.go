@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"ldcdft/internal/atoms"
-	"ldcdft/internal/geom"
 	"ldcdft/internal/perf"
 )
 
@@ -98,70 +97,4 @@ func (c *CompressedSnapshot) Ratio() float64 {
 		return 0
 	}
 	return float64(c.RawBytes()) / float64(len(c.Data))
-}
-
-// Decompress reconstructs positions (quantized to the lattice) and
-// species symbols in the ORIGINAL atom order.
-func (c *CompressedSnapshot) Decompress() (positions []geom.Vec3, symbols []string, err error) {
-	buf := c.Data
-	get := func() (uint64, error) {
-		v, k := binary.Uvarint(buf)
-		if k <= 0 {
-			return 0, errors.New("qio: corrupt snapshot")
-		}
-		buf = buf[k:]
-		return v, nil
-	}
-	n64, err := get()
-	if err != nil {
-		return nil, nil, err
-	}
-	n := int(n64)
-	ns, err := get()
-	if err != nil {
-		return nil, nil, err
-	}
-	specs := make([]string, ns)
-	for i := range specs {
-		l, err := get()
-		if err != nil {
-			return nil, nil, err
-		}
-		if uint64(len(buf)) < l {
-			return nil, nil, errors.New("qio: corrupt species table")
-		}
-		specs[i] = string(buf[:l])
-		buf = buf[l:]
-	}
-	positions = make([]geom.Vec3, n)
-	symbols = make([]string, n)
-	inv := c.CellL / float64(uint64(1)<<c.Bits)
-	var d uint64
-	for i := 0; i < n; i++ {
-		delta, err := get()
-		if err != nil {
-			return nil, nil, err
-		}
-		d += delta
-		orig, err := get()
-		if err != nil {
-			return nil, nil, err
-		}
-		if len(buf) < 1 {
-			return nil, nil, errors.New("qio: truncated snapshot")
-		}
-		spec := buf[0]
-		buf = buf[1:]
-		if int(spec) >= len(specs) || orig >= uint64(n) {
-			return nil, nil, errors.New("qio: corrupt record")
-		}
-		x, y, z := hilbertCoords(c.Bits, d)
-		positions[orig] = geom.Vec3{
-			X: (float64(x) + 0.5) * inv,
-			Y: (float64(y) + 0.5) * inv,
-			Z: (float64(z) + 0.5) * inv,
-		}
-		symbols[orig] = specs[spec]
-	}
-	return positions, symbols, nil
 }

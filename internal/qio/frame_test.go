@@ -56,7 +56,7 @@ func TestDecompressFieldBoundsEdgeByPayload(t *testing.T) {
 // golden fixtures from 4 to 127 (2 M points, 57 MB of work if believed),
 // reseals the CRC, and expects a cheap rejection from both decoders.
 func TestDecodersBoundGridEdge(t *testing.T) {
-	base, err := DecodeCheckpoint(readGolden(t, goldenFullD1))
+	base, _, err := decodeCheckpoint(readGolden(t, goldenFullD1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestDecodersBoundGridEdge(t *testing.T) {
 	delta[deltaFlags] |= ckFlagDensityFull
 	dbase := &DeltaBase{Ck: base, CRC: binary.LittleEndian.Uint32(full[len(full)-4:])}
 	for name, decode := range map[string]func() error{
-		"checkpoint": func() error { _, err := DecodeCheckpoint(reseal(full)); return err },
+		"checkpoint": func() error { _, _, err := decodeCheckpoint(reseal(full)); return err },
 		"delta":      func() error { _, err := DecodeCheckpointDelta(reseal(delta), dbase); return err },
 	} {
 		var err error

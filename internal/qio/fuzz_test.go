@@ -71,7 +71,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		for i, in := range bothSealings(raw) {
 			var ck *Checkpoint
 			var err error
-			if got := allocatedBy(func() { ck, err = DecodeCheckpoint(in) }); got > fuzzBudget(len(in)) {
+			if got := allocatedBy(func() { ck, _, err = decodeCheckpoint(in) }); got > fuzzBudget(len(in)) {
 				t.Fatalf("decoding %d bytes allocated %d", len(in), got)
 			}
 			if err != nil {
@@ -84,7 +84,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			if again == nil {
 				continue
 			}
-			ck2, err := DecodeCheckpoint(again)
+			ck2, _, err := decodeCheckpoint(again)
 			if err != nil {
 				t.Fatalf("re-encoded checkpoint does not decode: %v", err)
 			}

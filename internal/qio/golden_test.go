@@ -138,7 +138,7 @@ func TestGoldenFullCheckpoints(t *testing.T) {
 			if len(want) >= 1024 {
 				t.Fatalf("fixture is %d bytes, want < 1 kB", len(want))
 			}
-			got, err := DecodeCheckpoint(want)
+			got, _, err := decodeCheckpoint(want)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -49,36 +49,3 @@ func hilbertIndex(bits uint, x, y, z uint32) uint64 {
 	}
 	return d
 }
-
-// hilbertCoords inverts hilbertIndex.
-func hilbertCoords(bits uint, d uint64) (x, y, z uint32) {
-	var v [3]uint32
-	// De-interleave.
-	for b := int(bits) - 1; b >= 0; b-- {
-		for i := 0; i < 3; i++ {
-			shift := uint(b*3 + (2 - i))
-			v[i] = (v[i] << 1) | uint32((d>>shift)&1)
-		}
-	}
-	// Gray decode by H ^ (H/2).
-	t := v[2] >> 1
-	for i := 2; i > 0; i-- {
-		v[i] ^= v[i-1]
-	}
-	v[0] ^= t
-	// Undo excess work.
-	m := uint32(1) << (bits - 1)
-	for q := uint32(2); q <= m; q <<= 1 {
-		p := q - 1
-		for i := 2; i >= 0; i-- {
-			if v[i]&q != 0 {
-				v[0] ^= p
-			} else {
-				tt := (v[0] ^ v[i]) & p
-				v[0] ^= tt
-				v[i] ^= tt
-			}
-		}
-	}
-	return v[0], v[1], v[2]
-}

@@ -2,6 +2,8 @@ package qio
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,6 +12,108 @@ import (
 	"ldcdft/internal/atoms"
 	"ldcdft/internal/geom"
 )
+
+// Decompress and hilbertCoords invert Compress and hilbertIndex: the
+// oracles of the round-trip tests below.
+
+// Decompress reconstructs positions (quantized to the lattice) and
+// species symbols in the ORIGINAL atom order.
+func (c *CompressedSnapshot) Decompress() (positions []geom.Vec3, symbols []string, err error) {
+	buf := c.Data
+	get := func() (uint64, error) {
+		v, k := binary.Uvarint(buf)
+		if k <= 0 {
+			return 0, errors.New("qio: corrupt snapshot")
+		}
+		buf = buf[k:]
+		return v, nil
+	}
+	n64, err := get()
+	if err != nil {
+		return nil, nil, err
+	}
+	n := int(n64)
+	ns, err := get()
+	if err != nil {
+		return nil, nil, err
+	}
+	specs := make([]string, ns)
+	for i := range specs {
+		l, err := get()
+		if err != nil {
+			return nil, nil, err
+		}
+		if uint64(len(buf)) < l {
+			return nil, nil, errors.New("qio: corrupt species table")
+		}
+		specs[i] = string(buf[:l])
+		buf = buf[l:]
+	}
+	positions = make([]geom.Vec3, n)
+	symbols = make([]string, n)
+	inv := c.CellL / float64(uint64(1)<<c.Bits)
+	var d uint64
+	for i := 0; i < n; i++ {
+		delta, err := get()
+		if err != nil {
+			return nil, nil, err
+		}
+		d += delta
+		orig, err := get()
+		if err != nil {
+			return nil, nil, err
+		}
+		if len(buf) < 1 {
+			return nil, nil, errors.New("qio: truncated snapshot")
+		}
+		spec := buf[0]
+		buf = buf[1:]
+		if int(spec) >= len(specs) || orig >= uint64(n) {
+			return nil, nil, errors.New("qio: corrupt record")
+		}
+		x, y, z := hilbertCoords(c.Bits, d)
+		positions[orig] = geom.Vec3{
+			X: (float64(x) + 0.5) * inv,
+			Y: (float64(y) + 0.5) * inv,
+			Z: (float64(z) + 0.5) * inv,
+		}
+		symbols[orig] = specs[spec]
+	}
+	return positions, symbols, nil
+}
+
+// hilbertCoords inverts hilbertIndex.
+func hilbertCoords(bits uint, d uint64) (x, y, z uint32) {
+	var v [3]uint32
+	// De-interleave.
+	for b := int(bits) - 1; b >= 0; b-- {
+		for i := 0; i < 3; i++ {
+			shift := uint(b*3 + (2 - i))
+			v[i] = (v[i] << 1) | uint32((d>>shift)&1)
+		}
+	}
+	// Gray decode by H ^ (H/2).
+	t := v[2] >> 1
+	for i := 2; i > 0; i-- {
+		v[i] ^= v[i-1]
+	}
+	v[0] ^= t
+	// Undo excess work.
+	m := uint32(1) << (bits - 1)
+	for q := uint32(2); q <= m; q <<= 1 {
+		p := q - 1
+		for i := 2; i >= 0; i-- {
+			if v[i]&q != 0 {
+				v[0] ^= p
+			} else {
+				tt := (v[0] ^ v[i]) & p
+				v[0] ^= tt
+				v[i] ^= tt
+			}
+		}
+	}
+	return v[0], v[1], v[2]
+}
 
 func TestHilbertRoundTrip(t *testing.T) {
 	for _, bits := range []uint{1, 2, 4, 7} {
@@ -198,13 +302,11 @@ func TestIOModelOptimumNearPaper(t *testing.T) {
 	if m.WriteTime(ranks, ranks, checkpointBytes) < tOpt*2 {
 		t.Fatal("single-group I/O should be much slower")
 	}
-	// Production anchor: read 9.1 s and write 99 s are small fractions of
-	// a 12-hour run (0.02% / 0.23%).
+	// Production anchor: a 99 s write is a small fraction of a 12-hour
+	// run (0.23%).
 	w := m.WriteTime(ranks, 192, checkpointBytes)
-	r := m.ReadTime(ranks, 192, 6e9)
 	runSec := 12 * 3600.0
-	if w/runSec > 0.01 || r/runSec > 0.01 {
-		t.Fatalf("I/O fractions too large: write %.3f%%, read %.3f%%",
-			100*w/runSec, 100*r/runSec)
+	if w/runSec > 0.01 {
+		t.Fatalf("write fraction too large: %.3f%%", 100*w/runSec)
 	}
 }

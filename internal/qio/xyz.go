@@ -7,10 +7,8 @@ import (
 	"strings"
 
 	"ldcdft/internal/atoms"
-	"ldcdft/internal/geom"
-	"ldcdft/internal/units"
-
 	"ldcdft/internal/perf"
+	"ldcdft/internal/units"
 )
 
 var phWriteXYZ = perf.GetPhase("qio/write-xyz")
@@ -53,98 +51,4 @@ func WriteXYZ(w io.Writer, sys *atoms.System, comment string) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// knownSpecies maps symbols back to the predefined species table.
-var knownSpecies = map[string]*atoms.Species{
-	"H": atoms.Hydrogen, "O": atoms.Oxygen, "Li": atoms.Lithium,
-	"Al": atoms.Aluminum, "Si": atoms.Silicon, "C": atoms.Carbon,
-	"Cd": atoms.Cadmium, "Se": atoms.Selenium,
-}
-
-// TrajectoryReader iterates over the frames of a multi-frame XYZ stream.
-type TrajectoryReader struct {
-	br *bufio.Reader
-}
-
-// NewTrajectoryReader wraps r for frame-by-frame reading.
-func NewTrajectoryReader(r io.Reader) *TrajectoryReader {
-	return &TrajectoryReader{br: bufio.NewReader(r)}
-}
-
-// Next reads one frame, returning io.EOF at clean end of stream.
-func (t *TrajectoryReader) Next() (*atoms.System, error) {
-	line, err := nextNonEmptyLine(t.br)
-	if err != nil {
-		return nil, err // io.EOF at a frame boundary is the clean end
-	}
-	var n int
-	if _, err := fmt.Sscanf(strings.TrimSpace(line), "%d", &n); err != nil || n < 0 {
-		return nil, fmt.Errorf("qio: bad XYZ atom count %q", strings.TrimSpace(line))
-	}
-	comment, err := t.br.ReadString('\n')
-	if err != nil && comment == "" {
-		return nil, fmt.Errorf("qio: missing XYZ comment: %w", err)
-	}
-	var cellL float64
-	for _, tok := range strings.Fields(comment) {
-		if strings.HasPrefix(tok, "cell_bohr=") {
-			if _, err := fmt.Sscanf(tok, "cell_bohr=%f", &cellL); err != nil {
-				return nil, fmt.Errorf("qio: bad cell tag %q", tok)
-			}
-		}
-	}
-	if cellL <= 0 {
-		return nil, fmt.Errorf("qio: XYZ comment lacks cell_bohr tag")
-	}
-	sys := &atoms.System{Cell: geom.Cell{L: cellL}}
-	for i := 0; i < n; i++ {
-		line, err := nextNonEmptyLine(t.br)
-		if err != nil {
-			return nil, fmt.Errorf("qio: atom %d: %w", i, err)
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 4 {
-			return nil, fmt.Errorf("qio: atom %d: short line %q", i, line)
-		}
-		sp, ok := knownSpecies[fields[0]]
-		if !ok {
-			return nil, fmt.Errorf("qio: unknown species %q", fields[0])
-		}
-		var x, y, z float64
-		if _, err := fmt.Sscan(fields[1], &x); err != nil {
-			return nil, fmt.Errorf("qio: atom %d x: %w", i, err)
-		}
-		if _, err := fmt.Sscan(fields[2], &y); err != nil {
-			return nil, fmt.Errorf("qio: atom %d y: %w", i, err)
-		}
-		if _, err := fmt.Sscan(fields[3], &z); err != nil {
-			return nil, fmt.Errorf("qio: atom %d z: %w", i, err)
-		}
-		sys.Atoms = append(sys.Atoms, atoms.Atom{Species: sp, Position: geom.Vec3{
-			X: x * units.BohrPerAngstrom,
-			Y: y * units.BohrPerAngstrom,
-			Z: z * units.BohrPerAngstrom,
-		}})
-	}
-	return sys, nil
-}
-
-func nextNonEmptyLine(br *bufio.Reader) (string, error) {
-	for {
-		line, err := br.ReadString('\n')
-		if strings.TrimSpace(line) != "" {
-			return line, nil
-		}
-		if err != nil {
-			return "", io.EOF
-		}
-	}
-}
-
-// ReadXYZ reads ONE frame from r. The cell edge is recovered from the
-// cell_bohr= comment tag (required). For multi-frame streams use
-// NewTrajectoryReader.
-func ReadXYZ(r io.Reader) (*atoms.System, error) {
-	return NewTrajectoryReader(r).Next()
 }

@@ -221,7 +221,7 @@ func TestCensusClassification(t *testing.T) {
 func TestArrheniusFitRecoversKnownEa(t *testing.T) {
 	// Synthesize rates with Ea = 0.068 eV (the paper's value) and check
 	// the fit recovers it.
-	ea := units.EVToHartree(0.068)
+	ea := 0.068 * units.HartreePerEV
 	a := 2.5e12
 	temps := []float64{300, 600, 1500}
 	rates := make([]float64, len(temps))
@@ -262,7 +262,7 @@ func TestArrheniusFitDegenerateInputs(t *testing.T) {
 		}
 	}
 	// Invalid samples must be skipped, not poison the remaining fit.
-	ea := units.EVToHartree(0.05)
+	ea := 0.05 * units.HartreePerEV
 	valid := func(tk float64) float64 { return 1e12 * math.Exp(-ea/units.KelvinToHartree(tk)) }
 	gotEa, _ := ArrheniusFit(
 		[]float64{300, -1, 600, 1500},

@@ -101,16 +101,6 @@ func (e *Engine) SeedRandom(seed int64) error {
 	return nil
 }
 
-// LoadPsi installs stored wave-function coefficients (as exported by
-// PsiData) into the current nb-band matrix.
-func (e *Engine) LoadPsi(data []complex128) error {
-	if len(data) != len(e.Psi.Data) {
-		return fmt.Errorf("scf: stored psi has %d coefficients, workspace wants %d", len(data), len(e.Psi.Data))
-	}
-	copy(e.Psi.Data, data)
-	return nil
-}
-
 // PsiData returns the live wave-function coefficient slice (row-major,
 // Np × nb). Callers must copy it before the workspace is retargeted.
 func (e *Engine) PsiData() []complex128 { return e.Psi.Data }

@@ -117,18 +117,6 @@ func (t *Table) Renew(jobID string, epoch int64, now time.Time) (Lease, error) {
 	return l, nil
 }
 
-// Release drops the lease if it is held under exactly epoch — the
-// fenced path for completion and voluntary release.
-func (t *Table) Release(jobID string, epoch int64) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if err := t.checkLocked(jobID, epoch); err != nil {
-		return err
-	}
-	delete(t.active, jobID)
-	return nil
-}
-
 // Drop removes any lease on jobID unconditionally — the coordinator's
 // own path (client cancellation), which outranks whatever the worker
 // holds.

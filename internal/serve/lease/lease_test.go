@@ -34,14 +34,9 @@ func TestGrantCheckRenewRelease(t *testing.T) {
 	if _, err := tb.Renew("j1", 0, now); !errors.Is(err, ErrStale) {
 		t.Fatalf("stale renew: %v, want ErrStale", err)
 	}
-	if err := tb.Release("j1", 0); !errors.Is(err, ErrStale) {
-		t.Fatalf("stale release: %v, want ErrStale", err)
-	}
-	if err := tb.Release("j1", 1); err != nil {
-		t.Fatal(err)
-	}
+	tb.Drop("j1")
 	if err := tb.Check("j1", 1); !errors.Is(err, ErrNotLeased) {
-		t.Fatalf("post-release check: %v, want ErrNotLeased", err)
+		t.Fatalf("post-drop check: %v, want ErrNotLeased", err)
 	}
 }
 
@@ -65,8 +60,8 @@ func TestHoldNeverExpires(t *testing.T) {
 	if err := tb.Check("local", 2); !errors.Is(err, ErrStale) {
 		t.Fatalf("stale check on a held lease: %v, want ErrStale", err)
 	}
-	if err := tb.Release("local", 3); err != nil || tb.Len() != 0 {
-		t.Fatalf("release: %v, %d leases left", err, tb.Len())
+	if tb.Drop("local"); tb.Len() != 0 {
+		t.Fatalf("drop: %d leases left", tb.Len())
 	}
 }
 

@@ -29,9 +29,6 @@ const (
 	// AtomicTimePerFs converts femtoseconds to atomic time units.
 	AtomicTimePerFs = 1.0 / FsPerAtomicTime
 
-	// AMUPerElectronMass is the electron mass in unified atomic mass units.
-	AMUPerElectronMass = 1.0 / 1822.888486209
-
 	// ElectronMassPerAMU converts amu to electron masses.
 	ElectronMassPerAMU = 1822.888486209
 )
@@ -40,17 +37,11 @@ const (
 // paper (section 6): 0.242 fs.
 const PaperTimeStepFs = 0.242
 
-// PaperTimeStepAU is the paper's time step in atomic time units.
-const PaperTimeStepAU = PaperTimeStepFs * AtomicTimePerFs
-
 // KelvinToHartree converts a temperature in Kelvin to an energy in Hartree.
 func KelvinToHartree(t float64) float64 { return t * HartreePerKelvin }
 
 // HartreeToKelvin converts an energy in Hartree to a temperature in Kelvin.
 func HartreeToKelvin(e float64) float64 { return e * KelvinPerHartree }
-
-// EVToHartree converts an energy in eV to Hartree.
-func EVToHartree(e float64) float64 { return e * HartreePerEV }
 
 // HartreeToEV converts an energy in Hartree to eV.
 func HartreeToEV(e float64) float64 { return e * EVPerHartree }

@@ -7,7 +7,7 @@ import (
 
 func TestRoundTrips(t *testing.T) {
 	for _, v := range []float64{0.001, 1, 27.3, 1000} {
-		if got := HartreeToEV(EVToHartree(v)); math.Abs(got-v) > 1e-12*v {
+		if got := HartreeToEV(v * HartreePerEV); math.Abs(got-v) > 1e-12*v {
 			t.Fatalf("eV roundtrip %g -> %g", v, got)
 		}
 		if got := HartreeToKelvin(KelvinToHartree(v)); math.Abs(got-v) > 1e-9*v {
@@ -32,8 +32,8 @@ func TestKnownValues(t *testing.T) {
 		t.Fatalf("300 K = %g Ha", kT)
 	}
 	// The paper's time step: 0.242 fs ≈ 10 atomic time units.
-	if PaperTimeStepAU < 9.9 || PaperTimeStepAU > 10.1 {
-		t.Fatalf("paper time step %g a.u.", PaperTimeStepAU)
+	if dt := PaperTimeStepFs * AtomicTimePerFs; dt < 9.9 || dt > 10.1 {
+		t.Fatalf("paper time step %g a.u.", dt)
 	}
 	// Proton/electron mass ratio.
 	if math.Abs(ElectronMassPerAMU-1822.888486209) > 1e-6 {

@@ -42,16 +42,3 @@ func Potential(rho float64) float64 {
 	vc := ec - rs/3*dec
 	return vx + vc
 }
-
-// Apply fills eps and v (both len(rho)) with the energy density and
-// potential over a density array and returns the integrated
-// exchange-correlation energy Σ ρ ε_xc · dv.
-func Apply(rho, eps, v []float64, dv float64) float64 {
-	var e float64
-	for i, r := range rho {
-		eps[i] = EnergyDensity(r)
-		v[i] = Potential(r)
-		e += r * eps[i]
-	}
-	return e * dv
-}

@@ -49,22 +49,3 @@ func TestMonotoneInDensity(t *testing.T) {
 		prev = v
 	}
 }
-
-func TestApply(t *testing.T) {
-	rho := []float64{0.1, 0.5, 0, 1.2}
-	eps := make([]float64, 4)
-	v := make([]float64, 4)
-	dv := 0.3
-	e := Apply(rho, eps, v, dv)
-	var want float64
-	for i, r := range rho {
-		if eps[i] != EnergyDensity(r) || v[i] != Potential(r) {
-			t.Fatal("Apply filled arrays incorrectly")
-		}
-		want += r * EnergyDensity(r)
-	}
-	want *= dv
-	if math.Abs(e-want) > 1e-14 {
-		t.Fatalf("Apply energy %g want %g", e, want)
-	}
-}
