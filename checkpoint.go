@@ -28,9 +28,9 @@ type QMDOptions struct {
 	// and every other write stores only the state that changed since the
 	// base — a small delta file at CheckpointPath+".delta" — so frequent
 	// checkpointing of a large system costs O(changed state) per step.
-	// When a delta grows to half the base size the next write folds it
-	// into a fresh base. ResumeQMD transparently applies a pending delta
-	// whether or not this flag is set.
+	// A write whose delta would be half the base size or more writes a
+	// fresh base instead, and no delta. ResumeQMD transparently applies a
+	// pending delta whether or not this flag is set.
 	DeltaCheckpoints bool
 
 	// Ctx, when non-nil, cancels the trajectory cooperatively: between
@@ -69,9 +69,11 @@ func RunQMDOpts(sys *System, cfg LDCConfig, steps int, dtFs float64, opts QMDOpt
 // steps total MD steps (if the checkpoint is already at or past steps,
 // no further steps run and the recorded trajectory is returned). The
 // integrator is re-primed with the checkpointed forces and the SCF is
-// warm-started from the checkpointed density, so a resumed trajectory
-// reproduces the uninterrupted one bit-for-bit. A dtFs of 0 adopts the
-// checkpoint's time step.
+// warm-started from the checkpointed density and per-domain ρα histories
+// (see DFTForceField), so a resumed trajectory reproduces the
+// uninterrupted one bit-for-bit. A checkpoint whose density grid or
+// history shape (domain count, local grid edge) differs from cfg's is an
+// error. A dtFs of 0 adopts the checkpoint's time step.
 func ResumeQMD(path string, cfg LDCConfig, steps int, dtFs float64, opts QMDOptions) (*QMDResult, error) {
 	base, err := qio.LoadCheckpointBase(path)
 	if err != nil {
@@ -99,6 +101,14 @@ func ResumeQMD(path string, cfg LDCConfig, steps int, dtFs float64, opts QMDOpti
 		}
 		ff.SetDensity(&grid.Field{Grid: grid.New(ck.GridN, work.Cell.L), Data: ck.Rho})
 	}
+	if len(ck.Hist) > 0 {
+		domains, edge := historyShape(cfg)
+		if len(ck.Hist) != domains || ck.HistN != edge {
+			return nil, fmt.Errorf("qmd: resume: checkpoint histories of %d domains × %d³ points do not match configured %d domains × %d³",
+				len(ck.Hist), ck.HistN, domains, edge)
+		}
+		ff.prevHist = ck.Hist
+	}
 	cw := &checkpointWriter{opts: opts, domains: cfg.DomainsPerAxis}
 	if opts.DeltaCheckpoints {
 		// Seed the writer with the on-disk base so the continued run keeps
@@ -111,9 +121,17 @@ func ResumeQMD(path string, cfg LDCConfig, steps int, dtFs float64, opts QMDOpti
 	return runLDC(work, ff, steps, dtFs, ck, opts, cw)
 }
 
+// historyShape is the shape of the ρα histories cfg's decomposition
+// carries: the domain count and every domain's local grid edge.
+func historyShape(cfg LDCConfig) (domains, edge int) {
+	n := cfg.DomainsPerAxis
+	return n * n * n, cfg.GridN/max(n, 1) + 2*cfg.BufN
+}
+
 // runLDC is the LDC-DFT engine under the md.Trajectory driver: ff supplies
 // the forces, the per-step hook tallies SCF iterations, and the sink adds
-// the tally and the converged density before cw stores the checkpoint.
+// the tally, the converged density and the ρα histories before cw stores
+// the checkpoint.
 func runLDC(work *System, ff *DFTForceField, steps int, dtFs float64, resume *qio.Checkpoint,
 	opts QMDOptions, cw *checkpointWriter) (*QMDResult, error) {
 	out := &QMDResult{}
@@ -129,6 +147,10 @@ func runLDC(work *System, ff *DFTForceField, steps int, dtFs float64, resume *qi
 			ck.SCFIterations = out.SCFIterations
 			if rho := ff.Density(); rho != nil {
 				ck.GridN, ck.Rho = rho.Grid.N, rho.Data
+			}
+			if ff.prevHist != nil {
+				_, ck.HistN = historyShape(ff.Cfg)
+				ck.Hist = ff.prevHist
 			}
 			return cw.write(ck)
 		},
@@ -159,16 +181,16 @@ func (w *checkpointWriter) write(ck *qio.Checkpoint) error {
 		return err
 	}
 	if w.base != nil {
-		n, err := qio.WriteCheckpointDelta(w.opts.CheckpointPath+".delta", ck, w.base)
+		// A delta of half the base or more is never written: the state
+		// folds into a fresh base instead, so write cost stays
+		// proportional to recent change, not drift accumulated since the
+		// first step, and the step pays for one durable write, not two.
+		_, err := qio.WriteCheckpointDeltaBelow(w.opts.CheckpointPath+".delta", ck, w.base, (w.baseBytes+1)/2)
 		switch {
-		case err == nil && n*2 < w.baseBytes:
-			return nil
 		case err == nil:
-			// The delta grew to half the base: fold it into a fresh base so
-			// write cost stays proportional to recent change, not drift
-			// accumulated since the first step.
-		case errors.Is(err, qio.ErrDeltaIncompatible):
-			// System shape changed; start a new base.
+			return nil
+		case errors.Is(err, qio.ErrDeltaTooLarge), errors.Is(err, qio.ErrDeltaIncompatible):
+			// Too large (above), or the system shape changed: new base.
 		default:
 			return err
 		}

@@ -99,8 +99,10 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 	})
 }
 
-// TestResumePastEndRunsNoSteps: resuming a checkpoint already at the
-// requested step count returns the recorded trajectory without any SCF.
+// TestResumeGridMismatchAndPastEnd: a checkpoint whose density grid or
+// ρα history shape differs from the configuration is refused, naming
+// both; resuming a checkpoint already at the requested step count
+// returns the recorded trajectory without any SCF.
 func TestResumeGridMismatchAndPastEnd(t *testing.T) {
 	sys := BuildSiC(1)
 	ck, err := qio.CheckpointFromSystem(sys)
@@ -125,7 +127,24 @@ func TestResumeGridMismatchAndPastEnd(t *testing.T) {
 		t.Fatalf("grid mismatch: %v", err)
 	}
 
+	// Histories of another decomposition: 8 domains of 10³ points is what
+	// GridN 8, DomainsPerAxis 2, BufN 3 carries, 2 × 3 is not.
 	cfg.GridN = 8
+	ck.HistN, ck.Hist = 3, make([][]float64, 2)
+	ck.Hist[1] = make([]float64, 27)
+	if _, err := qio.WriteCheckpoint(path, ck, qio.CheckpointWriteOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ResumeQMD(path, cfg, 4, 0, QMDOptions{}); err == nil ||
+		!strings.Contains(err.Error(), "2 domains × 3³") || !strings.Contains(err.Error(), "8 domains × 10³") {
+		t.Fatalf("history shape mismatch: %v", err)
+	}
+	ck.HistN, ck.Hist = 10, make([][]float64, 8)
+	ck.Hist[5] = make([]float64, 1000)
+	if _, err := qio.WriteCheckpoint(path, ck, qio.CheckpointWriteOptions{}); err != nil {
+		t.Fatal(err)
+	}
+
 	res, err := ResumeQMD(path, cfg, 2, 0, QMDOptions{})
 	if err != nil {
 		t.Fatal(err)

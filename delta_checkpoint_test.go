@@ -9,6 +9,7 @@ import (
 
 	"ldcdft/internal/geom"
 	"ldcdft/internal/grid"
+	"ldcdft/internal/perf"
 	"ldcdft/internal/qio"
 )
 
@@ -102,7 +103,8 @@ func TestDeltaCheckpointWriterAndResume(t *testing.T) {
 	}
 
 	// Step 3: everything changes — the writer folds into a fresh base
-	// and clears the delta.
+	// and clears the delta, having written no delta on the way: the
+	// bytes it wrote are the new base's.
 	for i := range sys.Atoms {
 		sys.Atoms[i].Position.Z += 0.1 * float64(i+1)
 	}
@@ -113,11 +115,17 @@ func TestDeltaCheckpointWriterAndResume(t *testing.T) {
 	for i := range snap3.Rho {
 		snap3.Rho[i] *= 1.001
 	}
+	written := perf.GetPhase("qio/checkpoint-write").Bytes()
 	if err := cw.write(snap3); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(path + ".delta"); !os.IsNotExist(err) {
 		t.Fatal("dense change did not fold the delta into a fresh base")
+	}
+	if info, err := os.Stat(path); err != nil {
+		t.Fatal(err)
+	} else if n := perf.GetPhase("qio/checkpoint-write").Bytes() - written; n != info.Size() {
+		t.Fatalf("folding into a %d-byte base wrote %d bytes: a delta was written first", info.Size(), n)
 	}
 	ck, err := qio.ReadCheckpoint(path)
 	if err != nil {

@@ -28,6 +28,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"ldcdft/internal/atoms"
 	"ldcdft/internal/bsd"
@@ -270,7 +271,8 @@ func (e *Engine) ResidentWorkspaces() int { return len(e.ws) }
 // SetDensity installs a starting global density (e.g. the converged
 // density of the previous MD step — the warm start that keeps the
 // per-step SCF count low in production QMD). The per-domain boundary-
-// potential histories are re-seeded from it.
+// potential histories are re-seeded from it; SetHistories, called after,
+// replaces those seeds with the histories the previous step carried.
 func (e *Engine) SetDensity(rho *grid.Field) error {
 	if rho.Grid != e.Global {
 		return fmt.Errorf("core: density grid mismatch")
@@ -288,6 +290,43 @@ func (e *Engine) SetDensity(rho *grid.Field) error {
 // checkpointing and cross-step warm starts.
 func (e *Engine) ExportDensity() *grid.Field {
 	return e.Rho.Clone()
+}
+
+// ExportHistories returns a copy of every domain's damped ρα history —
+// the state behind the boundary potential v_bc = (ρα − ρ)/ξ — indexed by
+// domain index, each on the domain's local grid; a vacuum domain's entry
+// is nil. Handed to the next MD step's engine (SetHistories), it spares
+// that step relaxing every history again from the re-seed ρ.
+func (e *Engine) ExportHistories() [][]float64 {
+	out := make([][]float64, len(e.states))
+	for _, di := range e.active {
+		out[di] = slices.Clone(e.states[di].rhoPrev.Data)
+	}
+	return out
+}
+
+// SetHistories installs carried ρα histories (see ExportHistories). Call
+// it after SetDensity, which re-seeds every history from ρ: an occupied
+// domain whose entry is nil keeps that seed — the first evaluation of a
+// trajectory, or a domain that was vacuum when the histories were
+// exported. Entries of domains that are vacuum now are ignored. A
+// history count other than the domain count, or an entry that is not the
+// domain's local grid, is an error and installs nothing.
+func (e *Engine) SetHistories(h [][]float64) error {
+	if len(h) != len(e.states) {
+		return fmt.Errorf("core: %d boundary-potential histories for %d domains", len(h), len(e.states))
+	}
+	for _, di := range e.active {
+		if want := len(e.states[di].rhoPrev.Data); h[di] != nil && len(h[di]) != want {
+			return fmt.Errorf("core: domain %d history has %d points, want %d", di, len(h[di]), want)
+		}
+	}
+	for _, di := range e.active {
+		if h[di] != nil {
+			copy(e.states[di].rhoPrev.Data, h[di])
+		}
+	}
+	return nil
 }
 
 // DegreesOfFreedom returns the total number of wave-function and charge-

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"ldcdft/internal/atoms"
+	"ldcdft/internal/geom"
 	"ldcdft/internal/grid"
 )
 
@@ -53,5 +55,67 @@ func TestWorkersOne(t *testing.T) {
 	}
 	if diff := stepP.Energy - stepS.Energy; diff > 1e-10 || diff < -1e-10 {
 		t.Fatalf("parallel (%.12f) vs serial (%.12f) energies differ", stepP.Energy, stepS.Energy)
+	}
+}
+
+// ExportHistories and SetHistories carry the ρα histories between two
+// engines on the same decomposition: a vacuum domain exports nil, a nil
+// entry keeps the seed from ρ, and a wrong shape installs nothing.
+func TestHistoriesRoundTrip(t *testing.T) {
+	sys := atoms.BuildSiC(1)
+	// Two atoms in the middles of two domain cores: most of the 27
+	// domains are vacuum.
+	sys.Atoms = sys.Atoms[:2]
+	for i, at := range []float64{1.0 / 6, 0.5} {
+		sys.Atoms[i].Position = geom.Vec3{X: at * sys.Cell.L, Y: at * sys.Cell.L, Z: at * sys.Cell.L}
+	}
+	cfg := sicConfig(ModeLDC, 3, 2)
+	src, err := NewEngine(sys, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := src.SCFStep(); err != nil {
+		t.Fatal(err)
+	}
+	h := src.ExportHistories()
+	if len(h) != src.NumDomains() || src.OccupiedDomains() == src.NumDomains() {
+		t.Fatalf("%d histories, %d of %d domains occupied", len(h), src.OccupiedDomains(), src.NumDomains())
+	}
+	for di, st := range src.states {
+		if (h[di] == nil) != (st.nb == 0) {
+			t.Fatalf("domain %d: history present %v, vacuum %v", di, h[di] != nil, st.nb == 0)
+		}
+	}
+
+	dst, err := NewEngine(sys, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.SetHistories(h[:1]); err == nil {
+		t.Fatal("a history count other than the domain count must fail")
+	}
+	first := src.active[0]
+	short := slices.Clone(h)
+	short[first] = short[first][:1]
+	if err := dst.SetHistories(short); err == nil {
+		t.Fatal("a history off the local grid must fail")
+	}
+	seeded := slices.Clone(dst.states[first].rhoPrev.Data)
+	kept := slices.Clone(h)
+	kept[first] = nil
+	if err := dst.SetHistories(kept); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(dst.states[first].rhoPrev.Data, seeded) {
+		t.Fatal("a nil entry replaced the seed from ρ")
+	}
+	for _, di := range dst.active[1:] {
+		if !slices.Equal(dst.states[di].rhoPrev.Data, h[di]) {
+			t.Fatalf("domain %d history not installed", di)
+		}
+	}
+	h[dst.active[1]][0] = -1 // the engine holds a copy, not the exporter's slice
+	if dst.states[dst.active[1]].rhoPrev.Data[0] == -1 {
+		t.Fatal("installed history aliases the caller's slice")
 	}
 }

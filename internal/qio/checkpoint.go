@@ -21,13 +21,21 @@ import (
 // species table), then one atom section per spatial domain (global index,
 // species id, position, velocity and — when present — force per atom),
 // then the density section (the converged SCF density compressed
-// losslessly with the Hilbert-curve field codec). The trailing CRC-32
-// (IEEE) covers every preceding byte, so truncation and corruption are
-// detected before any state is restored.
+// losslessly with the Hilbert-curve field codec), and — only when header
+// flag 1<<3 is set — the history section: the per-domain ρα histories
+// behind the LDC boundary potential (domain count, local grid edge, then
+// per domain a kind byte, 0 = none (vacuum) or 1 = present, and a
+// present history's field compressed like the density). The trailing
+// CRC-32 (IEEE) covers every preceding byte, so truncation and
+// corruption are detected before any state is restored.
 //
 // Format policy: CheckpointVersion is bumped on any breaking layout
 // change and readers reject versions they do not know — a restart must
-// never silently misinterpret trajectory state.
+// never silently misinterpret trajectory state. An optional section
+// added behind a new flag bit is not a breaking change: a file without
+// the bit is byte for byte what the earlier writer made. Readers reject
+// flag bits they do not know, so an older build refuses a file whose
+// extra state it would drop.
 
 // CheckpointVersion is the current format version.
 const CheckpointVersion = 1
@@ -42,6 +50,14 @@ const (
 	ckFlagForces      = 1 << 0 // the file carries forces
 	ckFlagDensity     = 1 << 1 // the file carries a density
 	ckFlagDensityFull = 1 << 2 // delta only: density stored full (no usable base density)
+	ckFlagHistory     = 1 << 3 // the file carries the per-domain ρα histories
+)
+
+// Kinds of one domain's entry in the history section.
+const (
+	histNone  = 0 // no history (a vacuum domain)
+	histFull  = 1 // CompressField at the history edge
+	histDelta = 2 // delta only: CompressFieldDelta against the base's entry
 )
 
 var (
@@ -67,6 +83,13 @@ type Checkpoint struct {
 
 	GridN int       // density grid points per axis (0 = no density)
 	Rho   []float64 // converged density, z fastest (len GridN³)
+
+	// ρα boundary-potential histories of the last force evaluation, one
+	// per DC domain in domain-index order (nil = vacuum domain), each on
+	// the domain's local grid of HistN³ points, z fastest. No entries =
+	// none carried; the next evaluation re-seeds them from Rho.
+	HistN int
+	Hist  [][]float64
 
 	// Accumulated QMD trajectory state.
 	SCFIterations int
@@ -148,8 +171,81 @@ func (ck *Checkpoint) checkShape(f Format) error {
 		return fmt.Errorf("%s: %d forces for %d atoms", f.Name, len(ck.Force), n)
 	case ck.GridN > 0 && len(ck.Rho) != ck.GridN*ck.GridN*ck.GridN:
 		return fmt.Errorf("%s: density length %d is not %d³", f.Name, len(ck.Rho), ck.GridN)
+	case len(ck.Hist) > 0 && ck.HistN < 1:
+		return fmt.Errorf("%s: %d histories with edge %d", f.Name, len(ck.Hist), ck.HistN)
+	}
+	for d, h := range ck.Hist {
+		if h != nil && len(h) != ck.HistN*ck.HistN*ck.HistN {
+			return fmt.Errorf("%s: domain %d history length %d is not %d³", f.Name, d, len(h), ck.HistN)
+		}
 	}
 	return nil
+}
+
+// putHistories appends ck's history section to file. A domain whose
+// entry base holds at the same edge and domain count is stored as a delta
+// against it; base is nil for a full checkpoint.
+func (ck *Checkpoint) putHistories(file *Encoder, base *Checkpoint) error {
+	var e Encoder
+	e.Uvarint(uint64(len(ck.Hist)))
+	e.Uvarint(uint64(ck.HistN))
+	against := base != nil && base.HistN == ck.HistN && len(base.Hist) == len(ck.Hist)
+	for d, h := range ck.Hist {
+		var field []byte
+		var err error
+		switch {
+		case h == nil:
+			e.Byte(histNone)
+			continue
+		case against && base.Hist[d] != nil:
+			e.Byte(histDelta)
+			field, err = CompressFieldDelta(h, base.Hist[d], ck.HistN)
+		default:
+			e.Byte(histFull)
+			field, err = CompressField(h, ck.HistN)
+		}
+		if err != nil {
+			return err
+		}
+		e.Bytes(field)
+	}
+	file.Section(&e)
+	return nil
+}
+
+// getHistories reads file's history section into ck; base is the delta
+// base, or nil for a full checkpoint (which admits no delta entry).
+func (ck *Checkpoint) getHistories(file *Decoder, base *Checkpoint) error {
+	s := file.Section("history section")
+	n := s.Count(1, "history")
+	ck.HistN = int(s.Uvarint())
+	if n == 0 && s.Err() == nil {
+		s.Failf("history flag set with no histories")
+	}
+	ck.Hist = make([][]float64, n)
+	for d := 0; d < n && s.Err() == nil; d++ {
+		kind := s.Byte()
+		if kind == histNone {
+			continue
+		}
+		field := s.Bytes("history field")
+		var err error
+		switch {
+		case s.Err() != nil:
+		case kind == histFull:
+			ck.Hist[d], err = DecompressField(field, ck.HistN)
+		case kind != histDelta || base == nil:
+			s.Failf("domain %d history kind %d invalid here", d, kind)
+		case base.HistN != ck.HistN || len(base.Hist) != n || base.Hist[d] == nil:
+			s.Failf("domain %d history is a delta against no base history of its shape", d)
+		default:
+			ck.Hist[d], err = DecompressFieldDelta(field, base.Hist[d], ck.HistN)
+		}
+		if err != nil {
+			s.Failf("domain %d history: %v", d, err)
+		}
+	}
+	return s.Done("history section")
 }
 
 // putAtom appends atom i's index-tagged record: global index, species
@@ -192,8 +288,9 @@ func (ck *Checkpoint) getAtoms(s *Decoder, what string, forces bool) int {
 // encode serializes the checkpoint and cuts the file into the collective
 // rank payloads: payload 0 is the preamble + header section, payloads
 // 1..n are the per-domain atom sections, and the last payload is the
-// density section plus the CRC trailer. The file CRC is returned too —
-// the identity a delta checkpoint binds to (see delta.go).
+// density section, the history section if any, and the CRC trailer. The
+// file CRC is returned too — the identity a delta checkpoint binds to
+// (see delta.go).
 func (ck *Checkpoint) encode(domainsPerAxis int) ([][]byte, uint32, error) {
 	if err := ck.checkShape(checkpointFormat); err != nil {
 		return nil, 0, err
@@ -223,6 +320,9 @@ func (ck *Checkpoint) encode(domainsPerAxis int) ([][]byte, uint32, error) {
 	}
 	if hasDensity {
 		flags |= ckFlagDensity
+	}
+	if len(ck.Hist) > 0 {
+		flags |= ckFlagHistory
 	}
 	h.Uvarint(flags)
 	h.F64(ck.CellL)
@@ -261,6 +361,11 @@ func (ck *Checkpoint) encode(domainsPerAxis int) ([][]byte, uint32, error) {
 	}
 	cuts = append(cuts, e.Len())
 	e.Bytes(density)
+	if len(ck.Hist) > 0 {
+		if err := ck.putHistories(e, nil); err != nil {
+			return nil, 0, err
+		}
+	}
 	raw, crc := e.Seal()
 	cuts = append(cuts, len(raw))
 	payloads := make([][]byte, len(cuts)-1)
@@ -328,6 +433,9 @@ func decodeCheckpoint(raw []byte) (*Checkpoint, uint32, error) {
 	}
 	h := d.Section("header section")
 	flags := h.Uvarint()
+	if unknown := flags &^ (ckFlagForces | ckFlagDensity | ckFlagHistory); unknown != 0 {
+		h.Failf("unknown header flags %#x", unknown)
+	}
 	ck := &Checkpoint{}
 	ck.CellL = h.F64()
 	ck.DtFs = h.F64()
@@ -375,6 +483,11 @@ func decodeCheckpoint(raw []byte) (*Checkpoint, uint32, error) {
 		d.Failf("density flag set with grid size %d", ck.GridN)
 	default:
 		if ck.Rho, err = DecompressField(density, ck.GridN); err != nil {
+			return nil, 0, err
+		}
+	}
+	if flags&ckFlagHistory != 0 {
+		if err := ck.getHistories(&d, nil); err != nil {
 			return nil, 0, err
 		}
 	}

@@ -92,6 +92,26 @@ func checkpointsEqual(t *testing.T, a, b *Checkpoint) {
 			t.Fatalf("temperature %d mismatch", i)
 		}
 	}
+	sameHistories(t, a, b)
+}
+
+// sameHistories fails unless a and b carry the same ρα histories, bit
+// for bit, with the same vacuum (nil) entries.
+func sameHistories(t *testing.T, a, b *Checkpoint) {
+	t.Helper()
+	if len(a.Hist) != len(b.Hist) || (len(a.Hist) > 0 && a.HistN != b.HistN) {
+		t.Fatalf("histories: %d at edge %d vs %d at edge %d", len(a.Hist), a.HistN, len(b.Hist), b.HistN)
+	}
+	for d := range a.Hist {
+		if (a.Hist[d] == nil) != (b.Hist[d] == nil) || len(a.Hist[d]) != len(b.Hist[d]) {
+			t.Fatalf("domain %d history: %d vs %d points", d, len(a.Hist[d]), len(b.Hist[d]))
+		}
+		for i := range a.Hist[d] {
+			if math.Float64bits(a.Hist[d][i]) != math.Float64bits(b.Hist[d][i]) {
+				t.Fatalf("domain %d history point %d not bitwise equal", d, i)
+			}
+		}
+	}
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"slices"
 
@@ -22,6 +23,10 @@ import (
 //   - only the appended tail of the per-step energy/temperature record,
 //   - the density as a sparse run-length XOR stream against the base
 //     density (identical points cost ~zero bytes),
+//   - when the checkpoint carries them (header flag 1<<3), the per-domain
+//     ρα histories, each the same kind of stream against the base's
+//     history of that domain, or stored full when the base has none of
+//     that shape,
 //
 // so its cost is O(changed state), not O(system). The file layout is
 //
@@ -45,6 +50,10 @@ var deltaFormat = Format{Magic: deltaMagic, Version: DeltaCheckpointVersion, Nam
 // base (atom count, species table, cell, or grid) — callers should write
 // a fresh full base instead of a delta.
 var ErrDeltaIncompatible = errors.New("qio: checkpoint no longer matches the delta base")
+
+// ErrDeltaTooLarge reports a delta that encoded to at least the size
+// limit its writer was given; nothing was written.
+var ErrDeltaTooLarge = errors.New("qio: delta checkpoint not below the size limit")
 
 // ErrDeltaStale reports a delta file bound (via baseCRC) to a different
 // base checkpoint than the one provided.
@@ -77,12 +86,23 @@ func LoadCheckpointBase(path string) (*DeltaBase, error) {
 // and returns the file size. ErrDeltaIncompatible is returned (before
 // touching the file) when ck's shape diverged from the base — the caller
 // should then write a fresh base with WriteCheckpointBase.
-func WriteCheckpointDelta(path string, ck *Checkpoint, base *DeltaBase) (n int64, err error) {
+func WriteCheckpointDelta(path string, ck *Checkpoint, base *DeltaBase) (int64, error) {
+	return WriteCheckpointDeltaBelow(path, ck, base, math.MaxInt64)
+}
+
+// WriteCheckpointDeltaBelow is WriteCheckpointDelta for a delta of fewer
+// than limit bytes: one that encodes to limit bytes or more returns
+// ErrDeltaTooLarge before touching the file, so a writer that would
+// replace such a delta with a fresh base never makes it durable first.
+func WriteCheckpointDeltaBelow(path string, ck *Checkpoint, base *DeltaBase, limit int64) (n int64, err error) {
 	sp := phCheckpointWrite.Start()
 	defer func() { sp.StopBytes(n) }()
 	raw, err := encodeDelta(ck, base)
-	if err != nil {
+	switch {
+	case err != nil:
 		return 0, err
+	case int64(len(raw)) >= limit:
+		return 0, fmt.Errorf("%w: %d bytes, limit %d", ErrDeltaTooLarge, len(raw), limit)
 	}
 	return WriteFileAtomic(path, bytes.NewReader(raw))
 }
@@ -117,6 +137,9 @@ func encodeDelta(ck *Checkpoint, base *DeltaBase) ([]byte, error) {
 		if !baseDensityUsable {
 			flags |= ckFlagDensityFull
 		}
+	}
+	if len(ck.Hist) > 0 {
+		flags |= ckFlagHistory
 	}
 	h.Uvarint(flags)
 	h.F64(ck.DtFs)
@@ -164,6 +187,11 @@ func encodeDelta(ck *Checkpoint, base *DeltaBase) ([]byte, error) {
 	e.Section(&h)
 	e.Section(&atomSec)
 	e.Bytes(density)
+	if len(ck.Hist) > 0 {
+		if err := ck.putHistories(e, b); err != nil {
+			return nil, err
+		}
+	}
 	raw, _ := e.Seal()
 	return raw, nil
 }
@@ -213,6 +241,9 @@ func DecodeCheckpointDelta(raw []byte, base *DeltaBase) (*Checkpoint, error) {
 	b := base.Ck
 	h := d.Section("header section")
 	flags := h.Uvarint()
+	if unknown := flags &^ (ckFlagForces | ckFlagDensity | ckFlagDensityFull | ckFlagHistory); unknown != 0 {
+		h.Failf("unknown header flags %#x", unknown)
+	}
 	hasForces := flags&ckFlagForces != 0
 	ck := &Checkpoint{
 		CellL:   b.CellL,
@@ -255,6 +286,11 @@ func DecodeCheckpointDelta(raw []byte, base *DeltaBase) (*Checkpoint, error) {
 	}
 	if err != nil {
 		return nil, err
+	}
+	if flags&ckFlagHistory != 0 {
+		if err := ck.getHistories(&d, b); err != nil {
+			return nil, err
+		}
 	}
 	if err := d.Done("delta checkpoint"); err != nil {
 		return nil, err

@@ -108,6 +108,7 @@ func sameCheckpoint(t *testing.T, got, want *Checkpoint) {
 			t.Fatalf("temperature %d: %v vs %v", i, got.Temperatures[i], want.Temperatures[i])
 		}
 	}
+	sameHistories(t, got, want)
 }
 
 func TestDeltaCheckpointRoundTrip(t *testing.T) {
@@ -269,5 +270,27 @@ func TestFieldDeltaCodec(t *testing.T) {
 	}
 	if _, err := DecompressFieldDelta(append(enc, 0x1), base, n); err == nil {
 		t.Fatal("trailing bytes accepted")
+	}
+}
+
+// A delta at or above the writer's limit is refused before the file is
+// touched; one below it is written as WriteCheckpointDelta writes it.
+func TestWriteCheckpointDeltaBelow(t *testing.T) {
+	_, basePath, base, _ := deltaTestBase(t)
+	next := advance(base.Ck, 3, 100)
+	raw, err := encodeDelta(next, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := basePath + ".delta"
+	if _, err := WriteCheckpointDeltaBelow(path, next, base, int64(len(raw))); !errors.Is(err, ErrDeltaTooLarge) {
+		t.Fatalf("delta of exactly the limit: %v", err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("a refused delta touched the file: %v", err)
+	}
+	n, err := WriteCheckpointDeltaBelow(path, next, base, int64(len(raw))+1)
+	if err != nil || n != int64(len(raw)) {
+		t.Fatalf("delta below the limit: %d bytes, %v", n, err)
 	}
 }

@@ -15,25 +15,34 @@ import (
 // guessing 32 bits); a decode that succeeds re-encodes to bytes that
 // decode again and re-encode identically (comparing encodings rather
 // than values keeps NaN payloads and overlong input varints out of the
-// way). The golden fixtures are the seed corpus, so plain `go test` runs
-// each target over them; `make fuzz-smoke` mutates for a few seconds.
+// way). The golden fixtures, and a checkpoint and a delta carrying ρα
+// histories (encoded from the constructors of history_test.go), are the
+// seed corpus, so plain `go test` runs each target over them; `make
+// fuzz-smoke` mutates for a few seconds.
 
 // fuzzBudget is what decoding n input bytes may allocate: the Hilbert
 // order, its sort keys and the field cost 28 bytes per density point and
 // a point costs at least one input byte; 1 MiB covers everything fixed.
 func fuzzBudget(n int) uint64 { return 64*uint64(n) + 1<<20 }
 
-// addGoldenSeeds seeds the corpus with each fixture, its first half and
-// a bit-flipped copy, and returns the intact fixtures.
-func addGoldenSeeds(f *testing.F, names ...string) (intact [][]byte) {
-	for _, name := range names {
-		raw := readGolden(f, name)
+// addSeeds seeds the corpus with each file, its first half and a
+// bit-flipped copy, and returns the intact files.
+func addSeeds(f *testing.F, files ...[]byte) (intact [][]byte) {
+	for _, raw := range files {
 		intact = append(intact, raw)
 		f.Add(raw)
 		f.Add(raw[:len(raw)/2])
 		flipped := bytes.Clone(raw)
 		flipped[len(flipped)/3] ^= 0x55
 		f.Add(flipped)
+	}
+	return intact
+}
+
+// addGoldenSeeds is addSeeds over the named fixtures.
+func addGoldenSeeds(f *testing.F, names ...string) (intact [][]byte) {
+	for _, name := range names {
+		intact = append(intact, addSeeds(f, readGolden(f, name))...)
 	}
 	return intact
 }
@@ -58,15 +67,19 @@ func bothSealings(raw []byte) [][]byte {
 	return [][]byte{raw}
 }
 
+// encodeFull returns ck's full encoding at DomainsPerAxis 2, or nil when ck
+// cannot be written.
+func encodeFull(ck *Checkpoint) []byte {
+	payloads, _, err := ck.encode(2)
+	if err != nil {
+		return nil // e.g. a non-positive cell: decodable, not writable
+	}
+	return bytes.Join(payloads, nil)
+}
+
 func FuzzDecodeCheckpoint(f *testing.F) {
 	intact := addGoldenSeeds(f, goldenFullD1, goldenFullD2, goldenBare)
-	encode := func(ck *Checkpoint) []byte {
-		payloads, _, err := ck.encode(2)
-		if err != nil {
-			return nil // e.g. a non-positive cell: decodable, not writable
-		}
-		return bytes.Join(payloads, nil)
-	}
+	intact = append(intact, addSeeds(f, encodeFull(withHistories(goldenCheckpoint())))...)
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		for i, in := range bothSealings(raw) {
 			var ck *Checkpoint
@@ -80,7 +93,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			if i == 0 {
 				requireSeed(t, in, intact)
 			}
-			again := encode(ck)
+			again := encodeFull(ck)
 			if again == nil {
 				continue
 			}
@@ -88,7 +101,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			if err != nil {
 				t.Fatalf("re-encoded checkpoint does not decode: %v", err)
 			}
-			if !bytes.Equal(encode(ck2), again) {
+			if !bytes.Equal(encodeFull(ck2), again) {
 				t.Fatal("encode → decode → encode is not a fixed point")
 			}
 		}
@@ -97,38 +110,54 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 
 func FuzzDecodeCheckpointDelta(f *testing.F) {
 	intact := addGoldenSeeds(f, goldenDeltaD1, goldenDeltaD2)
-	baseRaw := readGolden(f, goldenFullD1)
-	ck, crc, err := decodeCheckpoint(baseRaw)
+	// Every input is applied to the golden base and to a base carrying
+	// histories, which the history seed's delta entries are bound to.
+	var bases []*DeltaBase
+	for _, raw := range [][]byte{readGolden(f, goldenFullD1), encodeFull(withHistories(goldenCheckpoint()))} {
+		ck, crc, err := decodeCheckpoint(raw)
+		if err != nil {
+			f.Fatal(err)
+		}
+		bases = append(bases, &DeltaBase{Ck: ck, CRC: crc})
+	}
+	seed, err := encodeDelta(perturbedHistories(), bases[1])
 	if err != nil {
 		f.Fatal(err)
 	}
-	base := &DeltaBase{Ck: ck, CRC: crc}
+	intact = append(intact, addSeeds(f, seed)...)
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		for i, in := range bothSealings(raw) {
-			var ck *Checkpoint
-			var err error
-			if got := allocatedBy(func() { ck, err = DecodeCheckpointDelta(in, base) }); got > fuzzBudget(len(in)) {
-				t.Fatalf("decoding %d bytes allocated %d", len(in), got)
-			}
-			if err != nil {
-				continue
-			}
-			if i == 0 {
-				requireSeed(t, in, intact)
-			}
-			again, err := encodeDelta(ck, base)
-			if err != nil {
-				continue // e.g. a step behind the base: decodable, not writable
-			}
-			ck2, err := DecodeCheckpointDelta(again, base)
-			if err != nil {
-				t.Fatalf("re-encoded delta does not decode: %v", err)
-			}
-			if twice, err := encodeDelta(ck2, base); err != nil || !bytes.Equal(twice, again) {
-				t.Fatalf("encode → decode → encode is not a fixed point (%v)", err)
-			}
+		for _, base := range bases {
+			fuzzDelta(t, raw, base, intact)
 		}
 	})
+}
+
+// fuzzDelta is one FuzzDecodeCheckpointDelta input applied to one base.
+func fuzzDelta(t *testing.T, raw []byte, base *DeltaBase, intact [][]byte) {
+	for i, in := range bothSealings(raw) {
+		var ck *Checkpoint
+		var err error
+		if got := allocatedBy(func() { ck, err = DecodeCheckpointDelta(in, base) }); got > fuzzBudget(len(in)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(in), got)
+		}
+		if err != nil {
+			continue
+		}
+		if i == 0 {
+			requireSeed(t, in, intact)
+		}
+		again, err := encodeDelta(ck, base)
+		if err != nil {
+			continue // e.g. a step behind the base: decodable, not writable
+		}
+		ck2, err := DecodeCheckpointDelta(again, base)
+		if err != nil {
+			t.Fatalf("re-encoded delta does not decode: %v", err)
+		}
+		if twice, err := encodeDelta(ck2, base); err != nil || !bytes.Equal(twice, again) {
+			t.Fatalf("encode → decode → encode is not a fixed point (%v)", err)
+		}
+	}
 }
 
 func FuzzDecompressField(f *testing.F) {

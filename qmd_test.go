@@ -51,8 +51,6 @@ func TestRunQMDConservesAndCounts(t *testing.T) {
 	if res.SCFIterations <= 0 {
 		t.Fatal("no SCF iterations recorded")
 	}
-	// Warm start: the second step should need no more SCF iterations
-	// than a cold start would (loose sanity: at most MaxSCF).
 	for _, e := range res.Energies {
 		if math.IsNaN(e) {
 			t.Fatal("NaN energy in trajectory")
@@ -60,6 +58,34 @@ func TestRunQMDConservesAndCounts(t *testing.T) {
 	}
 	if res.FinalSystem.NumAtoms() != 8 {
 		t.Fatal("atom count changed")
+	}
+
+	// Warm start: drive the force field itself over the same two steps.
+	// Step 2 starts from the density AND the ρα histories step 1 carried;
+	// the same positions started from that density alone, every history
+	// re-seeded from it, take more iterations.
+	ff := &DFTForceField{Cfg: cfg}
+	work := sys.Clone()
+	in := NewIntegrator(ff, 0)
+	if err := in.Step(work); err != nil { // cold priming evaluation, then step 1
+		t.Fatal(err)
+	}
+	rho := ff.Density()
+	if err := in.Step(work); err != nil {
+		t.Fatal(err)
+	}
+	reseeded := &DFTForceField{Cfg: cfg}
+	reseeded.SetDensity(rho)
+	if _, _, err := reseeded.Compute(work.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	if ff.LastSCFIters >= reseeded.LastSCFIters {
+		t.Fatalf("step 2: %d SCF iterations from the carried histories, %d re-seeded from ρ alone",
+			ff.LastSCFIters, reseeded.LastSCFIters)
+	}
+	t.Logf("step 2: %d SCF iterations carried vs %d re-seeded", ff.LastSCFIters, reseeded.LastSCFIters)
+	if in.PotentialEnergy() != res.Energies[1] {
+		t.Fatalf("force field driven by hand ends at %.17g Ha, RunQMD at %.17g", in.PotentialEnergy(), res.Energies[1])
 	}
 }
 

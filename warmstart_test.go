@@ -1,12 +1,15 @@
 package qmd
 
 import (
+	"math"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"ldcdft/internal/cache"
 	"ldcdft/internal/geom"
 	"ldcdft/internal/perf"
+	"ldcdft/internal/qio"
 )
 
 // h2System is the smoke-test workload: two hydrogen atoms in a small
@@ -177,5 +180,73 @@ func TestCacheNearMissReducesSCFIterations(t *testing.T) {
 	}
 	if saved := c.Stats().SCFIterationsSaved; saved <= 0 {
 		t.Fatalf("iterations-saved counter %d after a helpful seed", saved)
+	}
+}
+
+// An exact cache hit in the middle of a trajectory drops the carried ρα
+// histories, so the next miss seeds them from the cached density alone:
+// the checkpoint written right after the hit holds the cached density and
+// no histories, and resuming from it ends in the same bits as the run
+// that was never interrupted.
+func TestCacheHitMidRunResumesBitwise(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full SCF solves")
+	}
+	cfg := h2Config()
+	first, err := RunQMD(h2System(), cfg, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A cache holding one entry, at the positions after step 1 — solved
+	// cold, so its density is not the trajectory's own — and a near-miss
+	// tolerance too small to seed the first evaluation from it.
+	cacheAtStep1 := func() *cache.Cache {
+		c, err := cache.Open(cache.Options{Dir: t.TempDir(), NearTol: 1e-9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := (&DFTForceField{Cfg: cfg, Cache: c}).Compute(first.FinalSystem.Clone()); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+
+	c := cacheAtStep1()
+	full, err := RunQMDOpts(h2System(), cfg, 3, 0, QMDOptions{Cache: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Hits != 1 {
+		t.Fatalf("uninterrupted run: %d exact hits, want 1 (step 1)", st.Hits)
+	}
+
+	c = cacheAtStep1()
+	path := filepath.Join(t.TempDir(), "ck.qmd")
+	if _, err := RunQMDOpts(h2System(), cfg, 1, 0, QMDOptions{Cache: c, CheckpointEvery: 1, CheckpointPath: path}); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Hits != 1 {
+		t.Fatalf("interrupted run: %d exact hits, want 1 (step 1)", st.Hits)
+	}
+	ck, err := qio.ReadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.Hist != nil || ck.GridN == 0 {
+		t.Fatalf("checkpoint after the hit: %d histories, density grid %d; want none and the cached density", len(ck.Hist), ck.GridN)
+	}
+	res, err := ResumeQMD(path, cfg, 3, 0, QMDOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range full.Energies {
+		if math.Float64bits(res.Energies[i]) != math.Float64bits(full.Energies[i]) {
+			t.Fatalf("step %d energy: resumed %.17g vs uninterrupted %.17g", i+1, res.Energies[i], full.Energies[i])
+		}
+	}
+	for i, a := range full.FinalSystem.Atoms {
+		if b := res.FinalSystem.Atoms[i]; a.Position != b.Position || a.Velocity != b.Velocity {
+			t.Fatalf("atom %d not bitwise equal after resume", i)
+		}
 	}
 }
