@@ -76,30 +76,30 @@ var streamingGoldens = []struct {
 }{
 	{
 		name: "2x2x2", gridN: 16, nd: 2,
-		energy: -7.5740740372005249, mu: -0.59538461284443633, iters: 31,
+		energy: -7.5740740372005213, mu: -0.59538461284443711, iters: 31,
 		forces: [][3]float64{
-			{-0.42672379737006177, -0.42672379795250648, -0.42672379778441061},
-			{-0.42672379618579415, -0.036179705793137784, -0.036179709173234875},
-			{-0.036179709380654068, -0.42672379805663729, -0.036179707071438721},
-			{-0.036179706632373576, -0.036179707179766318, -0.42672379785554193},
-			{-0.020205573366505844, -0.020205574809715972, -0.020205574605362975},
-			{-0.020205574383822849, 0.019401849818663146, 0.019401849730288193},
-			{0.01940184808618892, -0.020205574869816209, 0.019401850300642984},
-			{0.019401849353730651, 0.019401850043313115, -0.020205575425750084},
+			{-0.42672379737005983, -0.42672379795250431, -0.42672379778441011},
+			{-0.42672379618579276, -0.036179705793140282, -0.036179709173234681},
+			{-0.036179709380655678, -0.42672379805663624, -0.036179707071437667},
+			{-0.036179706632375908, -0.036179707179770176, -0.42672379785554593},
+			{-0.020205573366505761, -0.0202055748097166, -0.020205574605362812},
+			{-0.020205574383824202, 0.019401849818665291, 0.019401849730288068},
+			{0.019401848086188708, -0.020205574869817701, 0.019401850300642259},
+			{0.019401849353731706, 0.019401850043313434, -0.020205575425750386},
 		},
 	},
 	{
 		name: "3x3x3", gridN: 18, nd: 3,
-		energy: -7.6073556970040492, mu: -0.43150632565412639, iters: 26,
+		energy: -7.6073556985279147, mu: -0.43150632571714609, iters: 26,
 		forces: [][3]float64{
-			{-0.1514646430483573, -0.15146465718632024, -0.15146465114023089},
-			{-0.0042888893721872434, 0.21256705602169942, 0.21256705629076109},
-			{0.21256705859105854, -0.0042888891628291848, 0.21256705847251203},
-			{0.21256705715546897, 0.21256705698602055, -0.0042888890591505913},
-			{-0.087488053978455063, -0.087488034516022203, -0.087488041928725627},
-			{-0.09182938127454994, 0.13472739610269238, 0.1347273960702646},
-			{0.13472739586316629, -0.091829383867020706, 0.13472739617214344},
-			{0.1347273948327613, 0.13472739542844009, -0.091829381377094718},
+			{-0.15146464302664514, -0.15146465738936568, -0.15146465114347396},
+			{-0.0042888893382017068, 0.21256705587523661, 0.21256705624995079},
+			{0.21256705814732832, -0.0042888887050366864, 0.21256705787849756},
+			{0.21256705722957311, 0.21256705686929447, -0.0042888890223110598},
+			{-0.087488054197444529, -0.087488034468608825, -0.087488042138187297},
+			{-0.091829381384838135, 0.13472739574132292, 0.13472739672846254},
+			{0.13472739606615769, -0.091829383606774576, 0.13472739634442871},
+			{0.13472739524052604, 0.134727395061327, -0.091829381655669159},
 		},
 	},
 }

@@ -61,6 +61,10 @@ func (p *RPlan3) Size() int { return p.Nx * p.Ny * p.Nz }
 // HSize returns the packed half-spectrum length Nx·Ny·(Nz/2+1).
 func (p *RPlan3) HSize() int { return p.Nx * p.Ny * p.Nzh }
 
+// Flops returns the modelled operation count of one transform, forward
+// or inverse — what each call adds to perf.Global.
+func (p *RPlan3) Flops() int64 { return p.flops }
+
 // Forward computes the packed half spectrum of the real field src into
 // dst (len HSize): X[k] = Σ_j src[j] e^{−iG_k·r_j}, unnormalized,
 // matching Plan3.Forward restricted to iz ≤ Nz/2.

@@ -34,6 +34,10 @@ func benchPoisson(b *testing.B, n int) {
 	}
 }
 
+// Sizes with a large odd coarsest level: 18 halves once to 9³, and 27
+// is a single level.
+func BenchmarkPoisson18(b *testing.B) { benchPoisson(b, 18) }
+func BenchmarkPoisson27(b *testing.B) { benchPoisson(b, 27) }
 func BenchmarkPoisson24(b *testing.B) { benchPoisson(b, 24) }
 func BenchmarkPoisson48(b *testing.B) { benchPoisson(b, 48) }
 func BenchmarkPoisson96(b *testing.B) { benchPoisson(b, 96) }
@@ -62,27 +66,44 @@ func BenchmarkResidual48(b *testing.B)    { benchSweep(b, 48, computeResidual) }
 func BenchmarkResidualRef24(b *testing.B) { benchSweep(b, 24, computeResidualRef) }
 func BenchmarkResidualRef48(b *testing.B) { benchSweep(b, 48, computeResidualRef) }
 
-// Inter-level transfer operators and one whole V-cycle (zero allocations
-// per call is TestKernelsAllocateNothing's to assert).
-func BenchmarkRestrict48(b *testing.B) {
-	fine := randLevel(rand.New(rand.NewSource(7)), 48)
-	coarse := randLevel(rand.New(rand.NewSource(8)), 24)
+// Inter-level transfer operators — the separable passes against their
+// 27-point and per-point references — and one whole V-cycle (zero
+// allocations per call is TestKernelsAllocateNothing's to assert).
+func benchTransfer(b *testing.B, nf int, fn func(fine, coarse *level, half, quarter []float64)) {
+	fine := randLevel(rand.New(rand.NewSource(7)), nf)
+	coarse := randLevel(rand.New(rand.NewSource(8)), nf/2)
+	half, quarter := transferScratch(nf)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		restrictFull(fine.r, coarse.f, fine.n, coarse.n)
+		fn(fine, coarse, half, quarter)
 	}
 }
 
-func BenchmarkProlong48(b *testing.B) {
-	fine := randLevel(rand.New(rand.NewSource(7)), 48)
-	coarse := randLevel(rand.New(rand.NewSource(8)), 24)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		prolongAdd(coarse.v, fine.v, coarse.n, fine.n)
-	}
+func restrictBench(fine, coarse *level, half, quarter []float64) {
+	restrict(fine.f, coarse.f, half, quarter, coarse.n)
 }
+
+func restrictRefBench(fine, coarse *level, _, _ []float64) {
+	restrictFull(fine.f, coarse.f, fine.n, coarse.n)
+}
+
+func prolongBench(fine, coarse *level, half, quarter []float64) {
+	prolong(coarse.v, fine.v, half, quarter, coarse.n)
+}
+
+func prolongRefBench(fine, coarse *level, _, _ []float64) {
+	prolongAdd(coarse.v, fine.v, coarse.n, fine.n)
+}
+
+func BenchmarkRestrict18(b *testing.B)    { benchTransfer(b, 18, restrictBench) }
+func BenchmarkRestrict48(b *testing.B)    { benchTransfer(b, 48, restrictBench) }
+func BenchmarkRestrictRef18(b *testing.B) { benchTransfer(b, 18, restrictRefBench) }
+func BenchmarkRestrictRef48(b *testing.B) { benchTransfer(b, 48, restrictRefBench) }
+func BenchmarkProlong18(b *testing.B)     { benchTransfer(b, 18, prolongBench) }
+func BenchmarkProlong48(b *testing.B)     { benchTransfer(b, 48, prolongBench) }
+func BenchmarkProlongRef18(b *testing.B)  { benchTransfer(b, 18, prolongRefBench) }
+func BenchmarkProlongRef48(b *testing.B)  { benchTransfer(b, 48, prolongRefBench) }
 
 func BenchmarkVCycle48(b *testing.B) {
 	g := grid.New(48, 10)

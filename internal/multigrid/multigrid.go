@@ -3,7 +3,9 @@
 // conditions (§3.2, "Scalable inter-domain computation"). The V-cycle
 // hierarchy is the tree data structure (Fig. 3, blue lines) that makes
 // the inter-domain part of the GSLF solver scalable: communication volume
-// shrinks geometrically at upper tree levels.
+// shrinks geometrically at upper tree levels. The coarsest level — at
+// scale the one gathered to a single node — is solved exactly by
+// diagonalising its periodic 7-point operator with a real 3-D FFT.
 package multigrid
 
 import (
@@ -11,6 +13,7 @@ import (
 	"fmt"
 	"math"
 
+	"ldcdft/internal/fft"
 	"ldcdft/internal/grid"
 	"ldcdft/internal/perf"
 )
@@ -18,10 +21,11 @@ import (
 // phPoisson times the global Hartree solves. phSmooth and phResidual
 // break the V-cycle down into its two hot stencil kernels (stencil.go);
 // spans wrap whole sweep batches — a level's pre/post-smoothing loop,
-// the coarsest-level relaxation, one residual evaluation — rather than
-// single sweeps, so the coarse levels (microseconds per sweep) are not
-// swamped by timer overhead. Operation counts use the same per-point
-// model as flopsPerCycle (8 per smoothed point, 9 per residual point).
+// one residual evaluation — rather than single sweeps, so the coarse
+// levels (microseconds per sweep) are not swamped by timer overhead.
+// Operation counts use the same per-point model as flopsPerCycle (8 per
+// smoothed point, 9 per residual point). The coarsest level's exact
+// solve is timed by the fft package's own real-transform phase.
 var (
 	phPoisson  = perf.GetPhase("multigrid/poisson")
 	phSmooth   = perf.GetPhase("multigrid/smooth")
@@ -72,14 +76,27 @@ type Solver struct {
 	levels []*level
 	opts   Options
 
-	// flopsPerCycle is the modelled stencil operation count of one V-cycle
-	// plus the top-level convergence check, precomputed from the hierarchy.
+	// half and quarter are the separable transfer passes' intermediate
+	// grids, sized for the top level (n³/2 and n³/4) and shared by every
+	// level; nil when the hierarchy has a single level.
+	half, quarter []float64
+
+	// The coarsest level's exact solve: its real 3-D transform plan, the
+	// packed half spectrum it works in, and 1/λ(k) of the periodic
+	// 7-point operator over that half spectrum (0 at k = 0).
+	plan      *fft.RPlan3
+	spec      []complex128
+	invLambda []float64
+
+	// flopsPerCycle is the modelled operation count of one V-cycle plus
+	// the top-level convergence check, precomputed from the hierarchy.
 	flopsPerCycle int64
 }
 
-// NewSolver builds the level hierarchy for grid g. The grid size must be
-// even enough to coarsen at least once to coarseN or below; any size
-// works, but power-of-two sizes give the deepest (fastest) hierarchies.
+// NewSolver builds the level hierarchy for grid g: the grid halves while
+// its size is even and the next level keeps at least coarseN points per
+// side, and the last level is solved exactly. Any size works; an odd
+// size is a single level, solved exactly in one V-cycle.
 func NewSolver(g grid.Grid, opts Options) (*Solver, error) {
 	opts.setDefaults()
 	s := &Solver{g: g, opts: opts}
@@ -99,14 +116,21 @@ func NewSolver(g grid.Grid, opts Options) (*Solver, error) {
 		n /= 2
 		h *= 2
 	}
+	if len(s.levels) > 1 {
+		n3 := g.N * g.N * g.N
+		s.half = make([]float64, n3/2)
+		s.quarter = make([]float64, n3/4)
+	}
+	s.initCoarse()
 	// Operation-count model of one V-cycle: ~8 ops per point per smoothing
 	// sweep, 9 per residual point, 2 per mean subtraction, 54 per coarse
-	// restriction point, ~8 per prolongated fine point; the coarsest level
-	// relaxes 25·n sweeps.
+	// restriction point, ~8 per prolongated fine point (the transfer
+	// terms count the unfactored stencils); the coarsest level costs its
+	// forward and inverse transform and the 1/λ scaling.
 	for l, lev := range s.levels {
 		n3 := int64(lev.n) * int64(lev.n) * int64(lev.n)
 		if l == len(s.levels)-1 {
-			s.flopsPerCycle += 25*int64(lev.n)*8*n3 + 2*n3
+			s.flopsPerCycle += 2*s.plan.Flops() + 2*int64(len(s.spec))
 			continue
 		}
 		nc := int64(s.levels[l+1].n)
@@ -115,6 +139,46 @@ func NewSolver(g grid.Grid, opts Options) (*Solver, error) {
 	top := int64(s.levels[0].n)
 	s.flopsPerCycle += 10 * top * top * top // convergence-check residual
 	return s, nil
+}
+
+// initCoarse prepares the coarsest level's exact solve. The periodic
+// 7-point operator (Σ neighbours − 6v)/h² is diagonal in the discrete
+// Fourier basis with eigenvalue λ(k) = (2cos 2πkx/n + 2cos 2πky/n +
+// 2cos 2πkz/n − 6)/h²; λ(0) = 0 is the constant nullspace, whose
+// coefficient the solve sets to zero.
+func (s *Solver) initCoarse() {
+	lev := s.levels[len(s.levels)-1]
+	n := lev.n
+	s.plan = fft.CachedR3(n, n, n)
+	s.spec = make([]complex128, s.plan.HSize())
+	s.invLambda = make([]float64, len(s.spec))
+	c := make([]float64, n)
+	for k := range c {
+		c[k] = 2 * math.Cos(2*math.Pi*float64(k)/float64(n))
+	}
+	nzh := s.plan.Nzh
+	for ix := 0; ix < n; ix++ {
+		for iy := 0; iy < n; iy++ {
+			for iz := 0; iz < nzh; iz++ {
+				if ix == 0 && iy == 0 && iz == 0 {
+					continue
+				}
+				lambda := (c[ix] + c[iy] + c[iz] - 6) / lev.h2
+				s.invLambda[(ix*n+iy)*nzh+iz] = 1 / lambda
+			}
+		}
+	}
+}
+
+// solveCoarse sets lev.v to the zero-mean solution of ∇²v = f on the
+// coarsest level: forward transform, scale by 1/λ(k), inverse transform.
+func (s *Solver) solveCoarse(lev *level) {
+	s.plan.Forward(lev.f, s.spec)
+	spec := s.spec[:len(s.invLambda)]
+	for i, w := range s.invLambda {
+		spec[i] = complex(real(spec[i])*w, imag(spec[i])*w)
+	}
+	s.plan.Inverse(spec, lev.v)
 }
 
 // SolvePoisson solves ∇²V = −4πρ and returns V with zero mean. The
@@ -157,7 +221,8 @@ func (s *Solver) SolvePoisson(rho *grid.Field) (*grid.Field, Result, error) {
 	res := Result{Levels: len(s.levels)}
 	for cycle := 1; cycle <= maxCycles; cycle++ {
 		s.vcycle(0)
-		perf.Global.AddScalar(s.flopsPerCycle)
+		// The coarse transforms add their own share (vector bucket).
+		perf.Global.AddScalar(s.flopsPerCycle - 2*s.plan.Flops())
 		res.Cycles = cycle
 		res.Residual = s.residualNorm(top)
 		if res.Residual < tol {
@@ -186,18 +251,11 @@ func subtractMean(x []float64) {
 // vcycle runs one V-cycle starting at level l.
 func (s *Solver) vcycle(l int) {
 	lev := s.levels[l]
-	n3 := int64(lev.n) * int64(lev.n) * int64(lev.n)
 	if l == len(s.levels)-1 {
-		// Coarsest level: relax hard. The nullspace (constant mode) is
-		// projected out after smoothing.
-		sp := phSmooth.Start()
-		for i := 0; i < 25*lev.n; i++ {
-			smooth(lev)
-		}
-		sp.StopFlops(25 * int64(lev.n) * 8 * n3)
-		subtractMean(lev.v)
+		s.solveCoarse(lev)
 		return
 	}
+	n3 := int64(lev.n) * int64(lev.n) * int64(lev.n)
 	sp := phSmooth.Start()
 	for i := 0; i < preSmooth; i++ {
 		smooth(lev)
@@ -207,12 +265,12 @@ func (s *Solver) vcycle(l int) {
 	computeResidual(lev)
 	sp.StopFlops(9 * n3)
 	coarse := s.levels[l+1]
-	restrictFull(lev.r, coarse.f, lev.n, coarse.n)
+	restrict(lev.r, coarse.f, s.half, s.quarter, coarse.n)
 	for i := range coarse.v {
 		coarse.v[i] = 0
 	}
 	s.vcycle(l + 1)
-	prolongAdd(coarse.v, lev.v, coarse.n, lev.n)
+	prolong(coarse.v, lev.v, s.half, s.quarter, coarse.n)
 	sp = phSmooth.Start()
 	for i := 0; i < postSmooth; i++ {
 		smooth(lev)
@@ -242,118 +300,6 @@ func (s *Solver) residualNorm(lev *level) float64 {
 		}
 	}
 	return m
-}
-
-// restrictFull applies 3-D full weighting (27-point stencil with weights
-// 8:4:2:1 over center:face:edge:corner, normalized by 64) from fine to
-// coarse.
-func restrictFull(fine, coarse []float64, nf, nc int) {
-	for cx := 0; cx < nc; cx++ {
-		fx := 2 * cx
-		for cy := 0; cy < nc; cy++ {
-			fy := 2 * cy
-			for cz := 0; cz < nc; cz++ {
-				fz := 2 * cz
-				var sum float64
-				for dx := -1; dx <= 1; dx++ {
-					wx := 2 - absInt(dx)
-					x := wrapMul(fx+dx, nf) * nf * nf
-					for dy := -1; dy <= 1; dy++ {
-						wy := 2 - absInt(dy)
-						y := wrapMul(fy+dy, nf) * nf
-						for dz := -1; dz <= 1; dz++ {
-							wz := 2 - absInt(dz)
-							z := wrapMul(fz+dz, nf)
-							sum += float64(wx*wy*wz) * fine[x+y+z]
-						}
-					}
-				}
-				coarse[(cx*nc+cy)*nc+cz] = sum / 64
-			}
-		}
-	}
-}
-
-func absInt(i int) int {
-	if i < 0 {
-		return -i
-	}
-	return i
-}
-
-// prolongAdd adds the trilinear interpolation of the coarse correction
-// onto the fine solution.
-func prolongAdd(coarse, fine []float64, nc, nf int) {
-	cAt := func(x, y, z int) float64 {
-		return coarse[(wrapMul(x, nc)*nc+wrapMul(y, nc))*nc+wrapMul(z, nc)]
-	}
-	for fx := 0; fx < nf; fx++ {
-		cx := fx / 2
-		ox := fx & 1
-		for fy := 0; fy < nf; fy++ {
-			cy := fy / 2
-			oy := fy & 1
-			for fz := 0; fz < nf; fz++ {
-				cz := fz / 2
-				oz := fz & 1
-				var val float64
-				switch {
-				case ox == 0 && oy == 0 && oz == 0:
-					val = cAt(cx, cy, cz)
-				case ox == 1 && oy == 0 && oz == 0:
-					val = 0.5 * (cAt(cx, cy, cz) + cAt(cx+1, cy, cz))
-				case ox == 0 && oy == 1 && oz == 0:
-					val = 0.5 * (cAt(cx, cy, cz) + cAt(cx, cy+1, cz))
-				case ox == 0 && oy == 0 && oz == 1:
-					val = 0.5 * (cAt(cx, cy, cz) + cAt(cx, cy, cz+1))
-				case ox == 1 && oy == 1 && oz == 0:
-					val = 0.25 * (cAt(cx, cy, cz) + cAt(cx+1, cy, cz) +
-						cAt(cx, cy+1, cz) + cAt(cx+1, cy+1, cz))
-				case ox == 1 && oy == 0 && oz == 1:
-					val = 0.25 * (cAt(cx, cy, cz) + cAt(cx+1, cy, cz) +
-						cAt(cx, cy, cz+1) + cAt(cx+1, cy, cz+1))
-				case ox == 0 && oy == 1 && oz == 1:
-					val = 0.25 * (cAt(cx, cy, cz) + cAt(cx, cy+1, cz) +
-						cAt(cx, cy, cz+1) + cAt(cx, cy+1, cz+1))
-				default:
-					val = 0.125 * (cAt(cx, cy, cz) + cAt(cx+1, cy, cz) +
-						cAt(cx, cy+1, cz) + cAt(cx+1, cy+1, cz) +
-						cAt(cx, cy, cz+1) + cAt(cx+1, cy, cz+1) +
-						cAt(cx, cy+1, cz+1) + cAt(cx+1, cy+1, cz+1))
-				}
-				fine[(fx*nf+fy)*nf+fz] += val
-			}
-		}
-	}
-}
-
-// smoothWrap is the per-point wrapMul sweep, kept for the degenerate
-// sizes (n < 4) where the z peel's interior would be empty or the
-// wrapped neighbours coincide. It is the same code as the reference in
-// stencil_test.go.
-func smoothWrap(lev *level) {
-	n, h2 := lev.n, lev.h2
-	v, f := lev.v, lev.f
-	for parity := 0; parity < 2; parity++ {
-		for ix := 0; ix < n; ix++ {
-			xm := wrapMul(ix-1, n) * n * n
-			xp := wrapMul(ix+1, n) * n * n
-			x0 := ix * n * n
-			for iy := 0; iy < n; iy++ {
-				ym := wrapMul(iy-1, n) * n
-				yp := wrapMul(iy+1, n) * n
-				y0 := iy * n
-				for iz := (parity + ix + iy) & 1; iz < n; iz += 2 {
-					zm := wrapMul(iz-1, n)
-					zp := wrapMul(iz+1, n)
-					sum := v[xm+y0+iz] + v[xp+y0+iz] +
-						v[x0+ym+iz] + v[x0+yp+iz] +
-						v[x0+y0+zm] + v[x0+y0+zp]
-					v[x0+y0+iz] = (sum - h2*f[x0+y0+iz]) / 6
-				}
-			}
-		}
-	}
 }
 
 // residualWrap is computeResidual's per-point wrapMul form for n < 4.

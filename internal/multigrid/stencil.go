@@ -10,19 +10,22 @@
 // it finds). Update order is exactly the reference order, so results
 // are bitwise identical to the wrapMul loops retained in
 // stencil_test.go.
+//
+// The inter-level transfers run the same way: 3-D full weighting is the
+// tensor product of the periodic [1 2 1]/4 filter and trilinear
+// interpolation that of linear interpolation, so each is three 1-D
+// passes — a stride-1 line pass along z and slab passes along y and x
+// that combine whole contiguous rows or planes — with the wraps peeled
+// to the first or last line, slab or point.
 package multigrid
 
 // smooth performs one red-black Gauss–Seidel sweep of the 7-point
 // periodic Laplacian: (Σ neighbours − 6v)/h² = f. Points of one colour
 // never neighbour each other, so peeling and unrolling cannot change
 // the update order's data flow and the sweep stays bitwise identical to
-// smoothWrap.
+// the reference. Only levels above the coarsest are smoothed, so n ≥ 8.
 func smooth(lev *level) {
 	n := lev.n
-	if n < 4 {
-		smoothWrap(lev)
-		return
-	}
 	nn := n * n
 	for parity := 0; parity < 2; parity++ {
 		for ix := 0; ix < n; ix++ {
@@ -210,4 +213,119 @@ func residualRow(rz, fz, vz, vxm, vxp, vym, vyp []float64, h2 float64) {
 	}
 	lap = (vxm[n-1] + vxp[n-1] + vym[n-1] + vyp[n-1] + vz[n-2] + vz[0] - 6*vz[n-1]) / h2
 	rz[n-1] = fz[n-1] - lap
+}
+
+// restrict applies 3-D full weighting from the fine grid (2nc per side)
+// to the coarse grid (nc per side) in three separable passes: z into
+// half (nf·nf·nc), y into quarter (nf·nc·nc), x into coarse.
+func restrict(fine, coarse, half, quarter []float64, nc int) {
+	nf := 2 * nc
+	for row := 0; row < nf*nf; row++ {
+		restrictLine(half[row*nc:(row+1)*nc], fine[row*nf:(row+1)*nf])
+	}
+	for ix := 0; ix < nf; ix++ {
+		restrictSlabs(quarter[ix*nc*nc:(ix+1)*nc*nc], half[ix*nf*nc:(ix+1)*nf*nc], nc, nc)
+	}
+	restrictSlabs(coarse, quarter, nc, nc*nc)
+}
+
+// restrictLine filters one periodic line: dst[c] = (src[2c−1] +
+// 2·src[2c] + src[2c+1])/4 with len(src) = 2·len(dst); the c = 0 wrap
+// is peeled.
+func restrictLine(dst, src []float64) {
+	if len(dst) < 2 || len(src) < 4 || len(src) != 2*len(dst) {
+		return
+	}
+	dst[0] = (src[len(src)-1] + 2*src[0] + src[1]) * 0.25
+	// w[0] = src[2c−1], w[1] = src[2c], w[2] = src[2c+1] for d[0] = dst[c].
+	w, d := src[1:], dst[1:]
+	for len(w) >= 3 && len(d) >= 1 {
+		d[0] = (w[0] + 2*w[1] + w[2]) * 0.25
+		w, d = w[2:], d[1:]
+	}
+}
+
+// restrictSlabs filters along a strided periodic axis: src holds 2nc
+// slabs of m contiguous values and dst nc, with dst slab c = (src slab
+// 2c−1 + 2·slab 2c + slab 2c+1)/4; slab 0 wraps to slab 2nc−1.
+func restrictSlabs(dst, src []float64, nc, m int) {
+	for c := 0; c < nc; c++ {
+		lo := 2*c - 1
+		if c == 0 {
+			lo = 2*nc - 1
+		}
+		weigh121(dst[c*m:(c+1)*m], src[lo*m:(lo+1)*m], src[2*c*m:(2*c+1)*m], src[(2*c+1)*m:(2*c+2)*m])
+	}
+}
+
+// weigh121 sets d = (a + 2b + c)/4 elementwise.
+func weigh121(d, a, b, c []float64) {
+	if len(a) < len(d) || len(b) < len(d) || len(c) < len(d) {
+		return
+	}
+	a, b, c = a[:len(d)], b[:len(d)], c[:len(d)]
+	for i := range d {
+		d[i] = (a[i] + 2*b[i] + c[i]) * 0.25
+	}
+}
+
+// prolong adds the trilinear interpolation of the coarse correction (nc
+// per side) onto the fine grid (2nc per side) in three separable
+// passes: x into quarter (nf·nc·nc), y into half (nf·nf·nc), and z added
+// onto fine.
+func prolong(coarse, fine, half, quarter []float64, nc int) {
+	nf := 2 * nc
+	prolongSlabs(quarter, coarse, nc, nc*nc)
+	for ix := 0; ix < nf; ix++ {
+		prolongSlabs(half[ix*nf*nc:(ix+1)*nf*nc], quarter[ix*nc*nc:(ix+1)*nc*nc], nc, nc)
+	}
+	for row := 0; row < nf*nf; row++ {
+		prolongLine(fine[row*nf:(row+1)*nf], half[row*nc:(row+1)*nc])
+	}
+}
+
+// prolongSlabs interpolates along a strided periodic axis: src holds nc
+// slabs of m contiguous values and dst 2nc, with dst slab 2c = src slab
+// c and dst slab 2c+1 = (src slab c + slab c+1)/2; the last slab's
+// right neighbour wraps to slab 0.
+func prolongSlabs(dst, src []float64, nc, m int) {
+	for c := 0; c < nc; c++ {
+		hi := c + 1
+		if hi == nc {
+			hi = 0
+		}
+		lo := src[c*m : (c+1)*m]
+		copy(dst[2*c*m:(2*c+1)*m], lo)
+		mean2(dst[(2*c+1)*m:(2*c+2)*m], lo, src[hi*m:(hi+1)*m])
+	}
+}
+
+// mean2 sets d = (a + b)/2 elementwise.
+func mean2(d, a, b []float64) {
+	if len(a) < len(d) || len(b) < len(d) {
+		return
+	}
+	a, b = a[:len(d)], b[:len(d)]
+	for i := range d {
+		d[i] = (a[i] + b[i]) * 0.5
+	}
+}
+
+// prolongLine adds the linear interpolation of the periodic coarse line
+// src onto the fine line dst (len 2·len(src)): dst[2c] += src[c],
+// dst[2c+1] += (src[c] + src[c+1])/2, the last point's wrap peeled.
+func prolongLine(dst, src []float64) {
+	if len(src) < 1 || len(dst) != 2*len(src) {
+		return
+	}
+	d, w := dst, src
+	for len(w) >= 2 && len(d) >= 2 {
+		d[0] += w[0]
+		d[1] += (w[0] + w[1]) * 0.5
+		d, w = d[2:], w[1:]
+	}
+	if len(w) == 1 && len(d) >= 2 {
+		d[0] += w[0]
+		d[1] += (w[0] + src[0]) * 0.5
+	}
 }
