@@ -69,6 +69,9 @@ race: vet
 # mutations reach the section parsers; the properties are no panic,
 # allocation bounded by the input size, and a stable re-encoding. The
 # seed corpus (the golden fixtures) already runs under plain `go test`.
+# FuzzDecodeSpec does the same for the JSON job spec the daemon accepts
+# (decode → Validate → BuildSystem): no panic, a valid spec builds, and
+# the decoded spec survives a JSON round trip unchanged.
 # Two workers and a short minimisation budget keep the run small and
 # spend it mutating. A failure writes its input under the package's
 # testdata/fuzz/, to be committed with the fix. CI runs this on every PR.
@@ -78,13 +81,14 @@ fuzz-smoke:
 	$(FUZZ) -fuzz '^FuzzDecodeCheckpointDelta$$' ./internal/qio/
 	$(FUZZ) -fuzz '^FuzzDecompressField$$' ./internal/qio/
 	$(FUZZ) -fuzz '^FuzzDecodeEntry$$' ./internal/cache/
+	$(FUZZ) -fuzz '^FuzzDecodeSpec$$' ./internal/serve/
 
 # loc prints the non-test Go line count ROADMAP aim 2 tracks: every *.go
 # that is not a *_test.go and not under bench/ (a module of its own), for
-# the root module and per internal/ package.
+# the root module, per internal/ package and per cmd/ directory.
 loc:
 	@printf '%6d  root module, non-test\n' "$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)"
-	@for d in internal/*/; do printf '%6d  %s\n' "$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)" "$$d"; done
+	@for d in internal/*/ cmd/*/; do printf '%6d  %s\n' "$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)" "$$d"; done
 
 # serve-smoke drives the built qmdd daemon end to end over HTTP: start
 # on a random port, submit a tiny 2-atom job and poll it to completion,

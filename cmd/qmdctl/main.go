@@ -22,22 +22,34 @@
 //	cancel <id>              cancel a queued or running job.
 //	watch <id>               stream the job's SSE events until it
 //	                         finishes.
-//	wait <id>...             poll until every listed job is terminal;
+//	wait <id>...             block until every listed job is terminal;
 //	                         exit 1 if any failed or was cancelled.
 package main
 
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"strings"
-	"time"
+
+	"ldcdft/internal/serve"
 )
+
+// commands maps each subcommand to its implementation.
+var commands = map[string]func(ctx context.Context, c *serve.Client, args []string) error{
+	"submit":  submit,
+	"status":  status,
+	"results": results,
+	"list":    list,
+	"cancel":  cancel,
+	"watch":   watch,
+	"wait":    wait,
+}
 
 func main() {
 	addr := flag.String("addr", "http://127.0.0.1:8432", "qmdd base URL")
@@ -47,78 +59,19 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	c := client{base: strings.TrimRight(*addr, "/")}
 	args := flag.Args()
 	if len(args) == 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
-	var err error
-	switch cmd, rest := args[0], args[1:]; cmd {
-	case "submit":
-		err = c.submit(rest)
-	case "status":
-		err = c.status(rest)
-	case "results":
-		err = c.results(rest)
-	case "list":
-		err = c.list(rest)
-	case "cancel":
-		err = c.cancel(rest)
-	case "watch":
-		err = c.watch(rest)
-	case "wait":
-		err = c.wait(rest)
-	default:
-		err = fmt.Errorf("unknown command %q", cmd)
+	err := fmt.Errorf("unknown command %q", args[0])
+	if cmd, ok := commands[args[0]]; ok {
+		err = cmd(context.Background(), serve.NewClient(*addr), args[1:])
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "qmdctl: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-type client struct{ base string }
-
-// jobState mirrors the fields of serve.JobState this CLI presents. The
-// raw JSON is passed through for status, so unknown fields survive.
-type jobState struct {
-	ID        string `json:"id"`
-	Name      string `json:"name"`
-	Status    string `json:"status"`
-	Steps     int    `json:"steps"`
-	StepsDone int    `json:"steps_done"`
-	Worker    string `json:"worker"`
-	Error     string `json:"error"`
-}
-
-type apiError struct {
-	Error string `json:"error"`
-}
-
-// do issues a request and decodes an API error envelope on non-2xx.
-func (c client) do(method, path string, body io.Reader) (*http.Response, error) {
-	req, err := http.NewRequest(method, c.base+path, body)
-	if err != nil {
-		return nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode >= 300 {
-		defer resp.Body.Close()
-		raw, _ := io.ReadAll(resp.Body)
-		var ae apiError
-		if json.Unmarshal(raw, &ae) == nil && ae.Error != "" {
-			return nil, fmt.Errorf("%s: %s", resp.Status, ae.Error)
-		}
-		return nil, fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(raw))
-	}
-	return resp, nil
 }
 
 // splitSpecs accepts a single spec object, an array of specs, or a
@@ -147,7 +100,23 @@ func splitSpecs(raw []byte) ([]json.RawMessage, error) {
 	return []json.RawMessage{raw}, nil
 }
 
-func (w client) submit(args []string) error {
+// printJSON writes v as the daemon writes its answers, so status and
+// results print the bytes the API served.
+func printJSON(v any) error {
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
+}
+
+// oneID checks that args is a single job ID.
+func oneID(cmd string, args []string) error {
+	if len(args) != 1 {
+		return fmt.Errorf("usage: qmdctl %s <id>", cmd)
+	}
+	return nil
+}
+
+func submit(ctx context.Context, c *serve.Client, args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("usage: qmdctl submit <spec.json | ->")
 	}
@@ -165,62 +134,51 @@ func (w client) submit(args []string) error {
 	if err != nil {
 		return err
 	}
-	for i, spec := range specs {
-		resp, err := w.do(http.MethodPost, "/v1/jobs", bytes.NewReader(spec))
+	for i, raw := range specs {
+		spec, err := serve.DecodeSpec(bytes.NewReader(raw))
+		if err != nil {
+			return fmt.Errorf("job %d/%d: invalid job spec: %w", i+1, len(specs), err)
+		}
+		st, err := c.Submit(ctx, spec)
 		if err != nil {
 			return fmt.Errorf("job %d/%d: %w", i+1, len(specs), err)
-		}
-		var st jobState
-		derr := json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if derr != nil {
-			return derr
 		}
 		fmt.Println(st.ID)
 	}
 	return nil
 }
 
-func (c client) status(args []string) error {
-	if len(args) != 1 {
-		return fmt.Errorf("usage: qmdctl status <id>")
+func status(ctx context.Context, c *serve.Client, args []string) error {
+	if err := oneID("status", args); err != nil {
+		return err
 	}
-	resp, err := c.do(http.MethodGet, "/v1/jobs/"+args[0], nil)
+	st, err := c.Job(ctx, args[0])
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	_, err = io.Copy(os.Stdout, resp.Body)
-	return err
+	return printJSON(st)
 }
 
 // results prints a completed job's final observable record — the body
-// of GET /v1/jobs/{id}/results, passed through verbatim so callers can
-// pipe it into jq or the experiment harness.
-func (c client) results(args []string) error {
-	if len(args) != 1 {
-		return fmt.Errorf("usage: qmdctl results <id>")
+// of GET /v1/jobs/{id}/results — so callers can pipe it into jq or the
+// experiment harness.
+func results(ctx context.Context, c *serve.Client, args []string) error {
+	if err := oneID("results", args); err != nil {
+		return err
 	}
-	resp, err := c.do(http.MethodGet, "/v1/jobs/"+args[0]+"/results", nil)
+	res, err := c.Results(ctx, args[0])
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	_, err = io.Copy(os.Stdout, resp.Body)
-	return err
+	return printJSON(res)
 }
 
-func (c client) list(args []string) error {
+func list(ctx context.Context, c *serve.Client, args []string) error {
 	if len(args) != 0 {
 		return fmt.Errorf("usage: qmdctl list")
 	}
-	resp, err := c.do(http.MethodGet, "/v1/jobs", nil)
+	jobs, err := c.Jobs(ctx)
 	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	var jobs []jobState
-	if err := json.NewDecoder(resp.Body).Decode(&jobs); err != nil {
 		return err
 	}
 	tw := bufio.NewWriter(os.Stdout)
@@ -233,80 +191,49 @@ func (c client) list(args []string) error {
 	return nil
 }
 
-func (c client) cancel(args []string) error {
-	if len(args) != 1 {
-		return fmt.Errorf("usage: qmdctl cancel <id>")
-	}
-	resp, err := c.do(http.MethodDelete, "/v1/jobs/"+args[0], nil)
-	if err != nil {
+func cancel(ctx context.Context, c *serve.Client, args []string) error {
+	if err := oneID("cancel", args); err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	var st jobState
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	st, err := c.Cancel(ctx, args[0])
+	if err != nil {
 		return err
 	}
 	fmt.Printf("%s %s\n", st.ID, st.Status)
 	return nil
 }
 
-// watch streams the job's server-sent events, one line per event, until
-// the terminal "done" event.
-func (c client) watch(args []string) error {
-	if len(args) != 1 {
-		return fmt.Errorf("usage: qmdctl watch <id>")
-	}
-	resp, err := c.do(http.MethodGet, "/v1/jobs/"+args[0]+"/events", nil)
-	if err != nil {
+// watch prints the job's server-sent events, one JSON line per event,
+// until the terminal "done" event.
+func watch(ctx context.Context, c *serve.Client, args []string) error {
+	if err := oneID("watch", args); err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if data, ok := strings.CutPrefix(line, "data: "); ok {
-			fmt.Println(data)
-		}
-	}
-	return sc.Err()
+	return c.Events(ctx, args[0], func(ev serve.Event) {
+		data, _ := json.Marshal(ev)
+		fmt.Println(string(data))
+	})
 }
 
-// wait polls until every listed job is terminal. Exit status 1 (via the
-// returned error) if any failed or was cancelled.
-func (c client) wait(args []string) error {
+// wait blocks until every listed job is terminal, reporting each in
+// argument order. Exit status 1 (via the returned error) if any failed
+// or was cancelled.
+func wait(ctx context.Context, c *serve.Client, args []string) error {
 	if len(args) == 0 {
 		return fmt.Errorf("usage: qmdctl wait <id>...")
 	}
-	pending := make(map[string]bool, len(args))
-	for _, id := range args {
-		pending[id] = true
-	}
 	var bad []string
-	for len(pending) > 0 {
-		for id := range pending {
-			resp, err := c.do(http.MethodGet, "/v1/jobs/"+id, nil)
-			if err != nil {
-				return err
-			}
-			var st jobState
-			derr := json.NewDecoder(resp.Body).Decode(&st)
-			resp.Body.Close()
-			if derr != nil {
-				return derr
-			}
-			switch st.Status {
-			case "completed":
-				fmt.Printf("%s completed (%d steps)\n", id, st.StepsDone)
-				delete(pending, id)
-			case "failed", "cancelled":
-				fmt.Printf("%s %s: %s\n", id, st.Status, st.Error)
-				bad = append(bad, id)
-				delete(pending, id)
-			}
+	for _, id := range args {
+		st, err := c.Wait(ctx, id)
+		if err != nil {
+			return err
 		}
-		if len(pending) > 0 {
-			time.Sleep(250 * time.Millisecond)
+		if st.Status == serve.StatusCompleted {
+			fmt.Printf("%s completed (%d steps)\n", id, st.StepsDone)
+			continue
 		}
+		fmt.Printf("%s %s: %s\n", id, st.Status, st.Error)
+		bad = append(bad, id)
 	}
 	if len(bad) > 0 {
 		return fmt.Errorf("%d job(s) did not complete: %s", len(bad), strings.Join(bad, ", "))

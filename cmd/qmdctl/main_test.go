@@ -98,7 +98,8 @@ func TestSubmitWaitListStatusCancel(t *testing.T) {
 	}()
 	srv := httptest.NewServer(m.Handler())
 	defer srv.Close()
-	c := client{base: srv.URL}
+	c := serve.NewClient(srv.URL)
+	ctx := context.Background()
 
 	atomJSON := `{"species":"H","position":[4,4,4]}`
 	spec := func(name string) string {
@@ -110,26 +111,26 @@ func TestSubmitWaitListStatusCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	out := capture(t, func() error { return c.submit([]string{batch}) })
+	out := capture(t, func() error { return submit(ctx, c, []string{batch}) })
 	ids := strings.Fields(out)
 	if len(ids) != 2 {
 		t.Fatalf("submit printed %q, want two job IDs", out)
 	}
 
-	out = capture(t, func() error { return c.wait(ids) })
+	out = capture(t, func() error { return wait(ctx, c, ids) })
 	for _, id := range ids {
 		if !strings.Contains(out, id+" completed") {
 			t.Fatalf("wait output %q missing completion of %s", out, id)
 		}
 	}
 
-	out = capture(t, func() error { return c.list(nil) })
+	out = capture(t, func() error { return list(ctx, c, nil) })
 	if !strings.Contains(out, ids[0]) || !strings.Contains(out, "completed") {
 		t.Fatalf("list output %q", out)
 	}
 
-	out = capture(t, func() error { return c.status([]string{ids[0]}) })
-	var st jobState
+	out = capture(t, func() error { return status(ctx, c, []string{ids[0]}) })
+	var st serve.JobState
 	if err := json.Unmarshal([]byte(out), &st); err != nil {
 		t.Fatalf("status printed invalid JSON %q: %v", out, err)
 	}
@@ -138,10 +139,10 @@ func TestSubmitWaitListStatusCancel(t *testing.T) {
 	}
 
 	// Cancelling a finished job is a 409 — surfaced as an error.
-	if err := c.cancel([]string{ids[0]}); err == nil || !strings.Contains(err.Error(), "409") {
+	if err := cancel(ctx, c, []string{ids[0]}); err == nil || !strings.Contains(err.Error(), "409") {
 		t.Fatalf("cancel of finished job: %v", err)
 	}
-	if err := c.status([]string{"j999"}); err == nil || !strings.Contains(err.Error(), "404") {
+	if err := status(ctx, c, []string{"j999"}); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Fatalf("status of unknown job: %v", err)
 	}
 }
@@ -160,7 +161,8 @@ func TestWatchStreamsEvents(t *testing.T) {
 	}()
 	srv := httptest.NewServer(m.Handler())
 	defer srv.Close()
-	c := client{base: srv.URL}
+	c := serve.NewClient(srv.URL)
+	ctx := context.Background()
 
 	st, err := m.Submit(serve.JobSpec{
 		Name: "w", CellL: 8,
@@ -171,7 +173,7 @@ func TestWatchStreamsEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := capture(t, func() error { return c.watch([]string{st.ID}) })
+	out := capture(t, func() error { return watch(ctx, c, []string{st.ID}) })
 	if !strings.Contains(out, `"done"`) {
 		t.Fatalf("watch output missing done event:\n%s", out)
 	}

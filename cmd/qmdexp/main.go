@@ -10,8 +10,9 @@
 //	qmdexp list
 //
 // With -addr, jobs go to a running qmdd daemon (standalone or
-// coordinator). Without it, qmdexp hosts an in-process job manager over
-// -data — the zero-setup mode. Either way, completed cells land in
+// coordinator). Without it, qmdexp hosts a job manager over -data and
+// serves its API on a loopback port — the zero-setup mode. Either way
+// the harness talks to a daemon over HTTP, and completed cells land in
 // <data>/experiments/<name>/ and are skipped when the experiment is
 // rerun, so a killed campaign resumes where it left off.
 //
@@ -25,6 +26,8 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
+	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -116,7 +119,7 @@ func run(addr, data string, workers int, quiet bool, args []string, renderOnly b
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	var client expmatrix.JobClient
+	var client *serve.Client
 	if !renderOnly {
 		c, shutdown, err := openClient(addr, data, workers, logf)
 		if err != nil {
@@ -152,11 +155,16 @@ func run(addr, data string, workers int, quiet bool, args []string, renderOnly b
 	return pass, nil
 }
 
-// openClient builds the job client: HTTP against -addr, or an
-// in-process manager over the data dir.
-func openClient(addr, data string, workers int, logf func(string, ...any)) (expmatrix.JobClient, func(), error) {
+// openClient returns a client of the daemon at addr or, when addr is
+// empty, of an in-process manager over the data dir served on a
+// loopback port.
+func openClient(addr, data string, workers int, logf func(string, ...any)) (*serve.Client, func(), error) {
 	if addr != "" {
-		return &expmatrix.HTTPClient{Base: strings.TrimRight(addr, "/")}, func() {}, nil
+		return serve.NewClient(addr), func() {}, nil
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, nil, err
 	}
 	mgr, err := serve.NewManager(serve.Config{
 		DataDir:  data,
@@ -165,12 +173,18 @@ func openClient(addr, data string, workers int, logf func(string, ...any)) (expm
 		Logf:     logf,
 	})
 	if err != nil {
+		ln.Close()
 		return nil, nil, err
 	}
+	srv := &http.Server{Handler: mgr.Handler()}
+	go srv.Serve(ln)
 	shutdown := func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 		defer cancel()
+		// The manager first: its drain ends the event streams the HTTP
+		// shutdown would otherwise wait on.
 		mgr.Shutdown(ctx)
+		srv.Shutdown(ctx)
 	}
-	return &expmatrix.LocalClient{M: mgr}, shutdown, nil
+	return serve.NewClient("http://" + ln.Addr().String()), shutdown, nil
 }

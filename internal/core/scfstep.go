@@ -276,7 +276,7 @@ func (e *Engine) assembleDomain(ws *workspace, st *domainState, rhoOut *grid.Fie
 		st.rhoPrev.Data[i] = (1-alpha)*st.rhoPrev.Data[i] + alpha*v
 	}
 	fl += 3 * int64(len(local.Data))
-	perf.Global.AddScalar(fl)
+	perf.Global.Add(fl)
 	d.AccumulateCore(local, rhoOut)
 	return nil
 }
@@ -390,7 +390,7 @@ func WeightedChemicalPotential(eps, w []float64, nelec, kT float64) (float64, er
 				dn += w[i] * f * (2 - f) / (2 * kT)
 			}
 		}
-		perf.Global.AddScalar(int64(8 * len(eps)))
+		perf.Global.Add(int64(8 * len(eps)))
 		return
 	}
 	mu := 0.5 * (lo + hi)

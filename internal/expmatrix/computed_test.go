@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -283,7 +281,7 @@ func TestKernelRateLeavesGlobalCounter(t *testing.T) {
 				return
 			default:
 			}
-			perf.Global.AddScalar(1)
+			perf.Global.Add(1)
 			if now := perf.Global.Total(); now <= last {
 				t.Errorf("global FLOP counter went from %d to %d during a measurement", last, now)
 				return
@@ -300,31 +298,5 @@ func TestKernelRateLeavesGlobalCounter(t *testing.T) {
 	}
 	if got := runtime.GOMAXPROCS(0); got != procs {
 		t.Fatalf("GOMAXPROCS left at %d, was %d", got, procs)
-	}
-}
-
-// Every HTTPClient request carries the campaign context: against a
-// daemon that accepts the connection and never answers, a cancelled
-// context ends Wait (and Submit, Results) with the cancellation cause.
-func TestHTTPClientHonoursContext(t *testing.T) {
-	release := make(chan struct{})
-	srv := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { <-release }))
-	defer srv.Close()
-	defer close(release)
-
-	cause := errors.New("campaign interrupted")
-	ctx, cancel := context.WithCancelCause(context.Background())
-	time.AfterFunc(50*time.Millisecond, func() { cancel(cause) })
-	c := &HTTPClient{Base: srv.URL}
-
-	start := time.Now()
-	if _, err := c.Wait(ctx, "j1"); !errors.Is(err, cause) {
-		t.Fatalf("Wait on a mute daemon: %v, want the cancellation cause", err)
-	}
-	if d := time.Since(start); d > 5*time.Second {
-		t.Fatalf("Wait took %s to notice the cancellation", d)
-	}
-	if _, err := c.Results(ctx, "j1"); !errors.Is(err, cause) {
-		t.Fatalf("Results under a cancelled context: %v", err)
 	}
 }

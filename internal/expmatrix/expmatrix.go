@@ -6,8 +6,8 @@
 // store and rendered as one pass/fail matrix.
 //
 // An experiment expands its axes into cells. A job scenario turns a
-// cell into a serve.JobSpec submitted through a JobClient (the HTTP API
-// of a running qmdd, or an in-process serve.Manager); a computed
+// cell into a serve.JobSpec submitted through a serve.Client to a qmdd
+// daemon (cmd/qmdexp's in-process one listens on loopback); a computed
 // scenario (computed.go: the machine-model tables, the §3.3 memory
 // sweep, Fig. 7, §5.5) evaluates the cell's named observables in the runner's process, each
 // beside the paper's own number. Either way the completed cell lands in

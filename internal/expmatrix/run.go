@@ -2,6 +2,7 @@ package expmatrix
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -40,6 +41,18 @@ type Report struct {
 	Pass    bool `json:"pass"`   // every cell completed and every check passed
 	Elapsed int  `json:"elapsed_ms,omitempty"`
 }
+
+// JobClient is the harness's view of a qmdd daemon, standalone or
+// coordinator: *serve.Client implements it, and the harness tests run a
+// fake behind it.
+type JobClient interface {
+	Submit(ctx context.Context, spec serve.JobSpec) (*serve.JobState, error)
+	Wait(ctx context.Context, id string) (*serve.JobState, error)
+	Results(ctx context.Context, id string) (*serve.Results, error)
+}
+
+// submitBackoff paces admission retries after queue-full rejections.
+const submitBackoff = 100 * time.Millisecond
 
 // Runner executes experiments: expand the grid, skip cells the store
 // already holds, compute the rest in process or run them as a qmdd job
@@ -139,7 +152,7 @@ func (r *Runner) campaign(ctx context.Context, spec *Spec, execute bool) (*Repor
 				return nil, fmt.Errorf("expmatrix: cell %s: %w", key, err)
 			}
 			js.Name = spec.Name + "/" + key
-			id, err := r.Client.Submit(ctx, js)
+			id, err := r.submit(ctx, js)
 			if err != nil {
 				return nil, fmt.Errorf("expmatrix: submit cell %s: %w", key, err)
 			}
@@ -193,6 +206,26 @@ func (r *Runner) campaign(ctx context.Context, spec *Spec, execute bool) (*Repor
 		return nil, err
 	}
 	return rep, nil
+}
+
+// submit admits one job, retrying queue-full rejections with backoff
+// until ctx ends — an experiment grid routinely exceeds the queue
+// capacity.
+func (r *Runner) submit(ctx context.Context, js serve.JobSpec) (string, error) {
+	for {
+		st, err := r.Client.Submit(ctx, js)
+		if err == nil {
+			return st.ID, nil
+		}
+		if !errors.Is(err, serve.ErrQueueFull) {
+			return "", err
+		}
+		select {
+		case <-ctx.Done():
+			return "", context.Cause(ctx)
+		case <-time.After(submitBackoff):
+		}
+	}
 }
 
 // evaluate fills in the checks and the verdict from the cell records.

@@ -87,7 +87,7 @@ func (p *Plan) Forward(x []complex128) {
 	s := p.scratch.Get().(*[]complex128)
 	p.forwardS(x, *s, 1)
 	p.scratch.Put(s)
-	perf.Global.AddVector(flops(p.n))
+	perf.Global.Add(flops(p.n))
 }
 
 // flops is the standard 5 n log2 n FFT operation-count model.

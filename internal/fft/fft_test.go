@@ -40,7 +40,7 @@ func SlowDFT(x []complex128) []complex128 {
 		}
 		out[k] = s
 	}
-	perf.Global.AddScalar(8 * int64(n) * int64(n))
+	perf.Global.Add(8 * int64(n) * int64(n))
 	return out
 }
 
@@ -55,7 +55,7 @@ func SlowIDFT(x []complex128) []complex128 {
 		}
 		out[k] = s / complex(float64(n), 0)
 	}
-	perf.Global.AddScalar(8 * int64(n) * int64(n))
+	perf.Global.Add(8 * int64(n) * int64(n))
 	return out
 }
 

@@ -75,7 +75,7 @@ func (p *RPlan3) Forward(src []float64, dst []complex128) {
 	sc := p.half.full.fwd
 	runUnits(fftJob{p: p.half, s: sc, x: dst, kind: jobY}, sc.yUnits())
 	runUnits(fftJob{p: p.half, s: sc, x: dst, kind: jobX}, len(sc.xBlocks))
-	perf.Global.AddVector(p.flops)
+	perf.Global.Add(p.flops)
 }
 
 // Inverse reconstructs the real field dst from the packed half spectrum
@@ -88,7 +88,7 @@ func (p *RPlan3) Inverse(src []complex128, dst []float64) {
 	runUnits(fftJob{p: p.half, s: sc, x: src, kind: jobX, inverse: true}, len(sc.xBlocks))
 	runUnits(fftJob{p: p.half, s: sc, x: src, kind: jobY, inverse: true}, sc.yUnits())
 	runUnits(fftJob{rp: p, rx: dst, x: src, kind: jobRZ, inverse: true}, p.Nx*p.Ny)
-	perf.Global.AddVector(p.flops)
+	perf.Global.Add(p.flops)
 }
 
 func (p *RPlan3) checkLens(re []float64, half []complex128) {

@@ -212,7 +212,7 @@ func (s *Support3) apply(x []complex128, sc *schedule, inverse bool, vr []float6
 	runUnits(fftJob{p: p, s: sc, x: x, kind: jobZ, inverse: inverse}, len(sc.zLines))
 	runUnits(fftJob{p: p, s: sc, x: x, kind: jobY, inverse: inverse}, sc.yUnits())
 	runUnits(fftJob{p: p, s: sc, x: x, rx: vr, norm: norm, kind: jobX, inverse: inverse}, len(sc.xBlocks))
-	perf.Global.AddVector(fl)
+	perf.Global.Add(fl)
 }
 
 // applyBatch runs nb packed grids, each serially in one arena.
@@ -227,7 +227,7 @@ func (s *Support3) applyBatch(x []complex128, nb int, sc *schedule, inverse bool
 	fl := p.passFlops(sc, vr) * int64(nb)
 	defer ph3D.Start().StopFlops(fl)
 	runUnits(fftJob{p: p, s: sc, x: x, rx: vr, norm: norm, kind: jobGrids, inverse: inverse}, nb)
-	perf.Global.AddVector(fl)
+	perf.Global.Add(fl)
 }
 
 // applySerial runs one 3-D transform on a single goroutine with the

@@ -65,7 +65,7 @@ func CDot(x, y []complex128) complex128 {
 	for i, v := range x {
 		s += cmplx.Conj(v) * y[i]
 	}
-	perf.Global.AddVector(8 * int64(len(x)))
+	perf.Global.Add(8 * int64(len(x)))
 	return s
 }
 
@@ -86,7 +86,7 @@ func CAxpy(a complex128, x, y []complex128) {
 	for i, v := range x {
 		y[i] += a * v
 	}
-	perf.Global.AddVector(8 * int64(len(x)))
+	perf.Global.Add(8 * int64(len(x)))
 }
 
 // CScale multiplies x by a in place.
@@ -126,7 +126,7 @@ func cgemmRange(a, b, c *CMatrix, r0, r1 int) {
 			}
 		}
 	}
-	perf.Global.AddVector(8 * int64(r1-r0) * int64(n) * int64(p))
+	perf.Global.Add(8 * int64(r1-r0) * int64(n) * int64(p))
 }
 
 // CGemmCT computes C = A† * B (conjugate-transpose of A times B).
@@ -165,7 +165,7 @@ func CGemmCTInto(a, b, c *CMatrix) {
 			}
 		}
 	}
-	perf.Global.AddVector(8 * int64(a.Cols) * int64(b.Cols) * int64(a.Rows))
+	perf.Global.Add(8 * int64(a.Cols) * int64(b.Cols) * int64(a.Rows))
 }
 
 // ErrNotHermitianPD is returned by CholeskyHermitian for non-positive-
@@ -211,7 +211,7 @@ func CholeskyHermitian(a *CMatrix) (*CMatrix, error) {
 			l.Set(i, j, s*inv)
 		}
 	}
-	perf.Global.AddVector(4 * int64(n) * int64(n) * int64(n) / 3)
+	perf.Global.Add(4 * int64(n) * int64(n) * int64(n) / 3)
 	return l, nil
 }
 

@@ -7,9 +7,9 @@ import (
 
 func TestCounter(t *testing.T) {
 	var c Counter
-	c.AddVector(100)
-	c.AddScalar(50)
-	if c.Total() != 150 || c.vector.Load() != 100 || c.scalar.Load() != 50 {
+	c.Add(100)
+	c.Add(50)
+	if c.Total() != 150 {
 		t.Fatal("counter arithmetic")
 	}
 	c.Reset()
@@ -26,13 +26,13 @@ func TestCounterConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				c.AddVector(1)
-				c.AddScalar(2)
+				c.Add(1)
+				c.Add(2)
 			}
 		}()
 	}
 	wg.Wait()
-	if v, s := c.vector.Load(), c.scalar.Load(); v != 8000 || s != 16000 {
-		t.Fatalf("concurrent counts: %d, %d", v, s)
+	if n := c.Total(); n != 24000 {
+		t.Fatalf("concurrent count: %d, want 24000", n)
 	}
 }

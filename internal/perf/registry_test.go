@@ -66,12 +66,12 @@ func TestExclusiveSpanAttributesGlobalDelta(t *testing.T) {
 	defer Global.Reset()
 	r := NewRegistry()
 	p := r.Phase("excl")
-	Global.AddVector(1000) // before the span: not attributed
+	Global.Add(1000) // before the span: not attributed
 	sp := p.StartExclusive()
-	Global.AddVector(100)
-	Global.AddScalar(23)
+	Global.Add(100)
+	Global.Add(23)
 	sp.Stop()
-	Global.AddScalar(500) // after the span: not attributed
+	Global.Add(500) // after the span: not attributed
 	if got := p.Flops(); got != 123 {
 		t.Fatalf("exclusive span attributed %d flops, want 123", got)
 	}

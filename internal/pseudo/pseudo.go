@@ -135,7 +135,7 @@ func (p *Projectors) ApplyBandByBand(psi, out []complex128) {
 			out[gi] += p.B.At(gi, j) * c
 		}
 	}
-	perf.Global.AddScalar(16 * int64(np) * int64(p.NumProjectors()))
+	perf.Global.Add(16 * int64(np) * int64(p.NumProjectors()))
 }
 
 // ApplyAllBand computes out += V_nl Ψ for all bands at once using BLAS3

@@ -12,7 +12,8 @@ import (
 	"ldcdft/internal/serve/lease"
 )
 
-// Handler returns the daemon's HTTP API — one route table in every mode.
+// Handler returns the daemon's HTTP API — one route table in every mode;
+// Client is its Go client.
 // The client-facing half:
 //
 //	POST   /v1/jobs             submit a JobSpec  → 201 JobState
@@ -103,7 +104,7 @@ func errorCode(err error) int {
 }
 
 func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, err := decodeSpec(r.Body)
+	spec, err := DecodeSpec(r.Body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid job spec: %w", err))
 		return
@@ -206,6 +207,11 @@ type acquireRequest struct {
 // parked indefinitely by a client.
 const maxAcquireWait = 60 * time.Second
 
+// renewRequest is the body of POST /v1/lease/{id}/renew.
+type renewRequest struct {
+	Epoch int64 `json:"epoch"`
+}
+
 // renewResponse is the body of a successful renew.
 type renewResponse struct {
 	TTLSeconds float64 `json:"ttl_seconds"`
@@ -259,9 +265,7 @@ func leaseEpoch(r *http.Request) (int64, error) {
 }
 
 func (m *Manager) handleLeaseRenew(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Epoch int64 `json:"epoch"`
-	}
+	var req renewRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid renew request: %w", err))
 		return

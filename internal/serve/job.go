@@ -4,8 +4,8 @@
 // cooperative cancellation, durable per-job state
 // (specs and results as JSON next to qio checkpoints, so a killed
 // daemon recovers its queue and resumes in-flight work), and a
-// stdlib-only HTTP API with an SSE step stream and Prometheus metrics.
-// cmd/qmdd is the daemon wrapping it.
+// stdlib-only HTTP API with an SSE step stream and Prometheus metrics,
+// and the one Go client of that API. cmd/qmdd is the daemon wrapping it.
 package serve
 
 import (
@@ -127,11 +127,12 @@ func (s *JobSpec) EngineKind() string {
 	return s.Engine
 }
 
-// decodeSpec is the one JobSpec decoder, for submissions and for the
-// spec.json a restarted daemon recovers: an unknown field is an error,
+// DecodeSpec is the one JobSpec decoder, for submissions (the daemon's
+// and qmdctl's) and for the spec.json a restarted daemon recovers: an
+// unknown field is an error,
 // never silently dropped, so a job cannot resume as a different
 // computation from the one submitted.
-func decodeSpec(r io.Reader) (JobSpec, error) {
+func DecodeSpec(r io.Reader) (JobSpec, error) {
 	var spec JobSpec
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()

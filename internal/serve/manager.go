@@ -204,7 +204,7 @@ func (m *Manager) recover() error {
 		}
 		f, err := os.Open(filepath.Join(dir, qio.JobSpecFile))
 		if err == nil {
-			j.spec, err = decodeSpec(f)
+			j.spec, err = DecodeSpec(f)
 			f.Close()
 		}
 		if err != nil {

@@ -1,13 +1,9 @@
 package serve
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"sync"
@@ -23,6 +19,13 @@ import (
 // correct move is to abandon it silently. The coordinator's copy of the
 // last uploaded checkpoint carries the trajectory forward.
 var errLeaseLost = errors.New("serve: lease lost")
+
+// Deadlines of the worker's calls to the coordinator: a small JSON
+// exchange, and a checkpoint transfer.
+const (
+	callTimeout       = 15 * time.Second
+	checkpointTimeout = 30 * time.Second
+)
 
 // WorkerConfig configures a worker node.
 type WorkerConfig struct {
@@ -57,7 +60,7 @@ type WorkerConfig struct {
 // job immediately instead of waiting out the TTL.
 type Worker struct {
 	cfg    WorkerConfig
-	client *http.Client
+	client *Client
 	runner Runner
 }
 
@@ -88,8 +91,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	} else if err := os.MkdirAll(cfg.WorkDir, 0o755); err != nil {
 		return nil, err
 	}
-	// No global client timeout: per-call deadlines are set individually.
-	w := &Worker{cfg: cfg, client: &http.Client{}, runner: cfg.Runner}
+	w := &Worker{cfg: cfg, client: NewClient(cfg.Coordinator), runner: cfg.Runner}
 	if w.runner == nil {
 		w.runner = QMDRunner{Cache: cfg.Cache}
 	}
@@ -144,34 +146,9 @@ func (w *Worker) slotLoop(ctx context.Context, slot int) {
 // acquire long-polls the coordinator for a lease; (nil, nil) means no
 // work was available within the poll window.
 func (w *Worker) acquire(ctx context.Context) (*LeaseGrant, error) {
-	body, _ := json.Marshal(acquireRequest{
-		Worker:      w.cfg.Name,
-		WaitSeconds: w.cfg.PollWait.Seconds(),
-	})
-	cctx, cancel := context.WithTimeout(ctx, w.cfg.PollWait+15*time.Second)
+	cctx, cancel := context.WithTimeout(ctx, w.cfg.PollWait+callTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(cctx, http.MethodPost, w.cfg.Coordinator+"/v1/lease", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := w.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		var g LeaseGrant
-		if err := json.NewDecoder(resp.Body).Decode(&g); err != nil {
-			return nil, err
-		}
-		return &g, nil
-	case http.StatusNoContent:
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("acquire: coordinator answered %s", resp.Status)
-	}
+	return w.client.Acquire(cctx, w.cfg.Name, w.cfg.PollWait)
 }
 
 // runLease executes one granted job end to end.
@@ -205,14 +182,14 @@ func (w *Worker) runLease(ctx context.Context, g *LeaseGrant) {
 	w.cfg.Logf("worker %s: running %s (epoch %d, resume at step %d)",
 		w.cfg.Name, g.JobID, g.Epoch, g.StepsDone)
 	rep, runErr := w.runner.Run(jctx, g.Spec, ckPath, func(step int, energyHa, tempK float64) {
-		w.postStep(g, step, energyHa, tempK)
+		w.postStep(jctx, g, step, energyHa, tempK)
 		// The trajectory driver checkpoints *after* invoking this hook,
 		// so at step k the file on disk holds step k-1's state: upload
 		// it when k-1 was a checkpoint boundary. The lag costs at most
 		// one step of progress on a crash and nothing in correctness —
 		// resume from any boundary is bit-for-bit.
 		if step > 1 && (step-1)%every == 0 {
-			w.uploadCheckpoint(g, ckPath, cancel)
+			w.uploadCheckpoint(jctx, g, ckPath, cancel)
 		}
 	})
 	cancel(nil)
@@ -230,7 +207,7 @@ func (w *Worker) runLease(ctx context.Context, g *LeaseGrant) {
 		// Worker drain: hand the trajectory back. The runner wrote a
 		// final checkpoint of the last completed step on cancellation;
 		// upload it so the requeued job resumes from exactly there.
-		w.uploadCheckpoint(g, ckPath, nil)
+		w.uploadCheckpoint(context.Background(), g, ckPath, nil)
 		w.complete(g, CompleteRequest{Worker: w.cfg.Name, Epoch: g.Epoch, Status: "released", Report: rep})
 		w.cfg.Logf("worker %s: %s: released at step %d for drain", w.cfg.Name, g.JobID, rep.Steps)
 	default:
@@ -259,7 +236,7 @@ func (w *Worker) renewLoop(ctx context.Context, cancel context.CancelCauseFunc, 
 			switch err := w.renew(ctx, g); {
 			case err == nil:
 				lastOK = time.Now()
-			case errors.Is(err, errLeaseLost):
+			case fenced(err):
 				cancel(errLeaseLost)
 				return
 			case time.Since(lastOK) > g.TTL:
@@ -275,93 +252,66 @@ func (w *Worker) renewLoop(ctx context.Context, cancel context.CancelCauseFunc, 
 	}
 }
 
-// renew performs one heartbeat. errLeaseLost means fenced (409/404);
+// fenced reports whether the coordinator refused a lease call because
+// the lease is gone (409) or the job is (404): the trajectory must be
+// abandoned.
+func fenced(err error) bool {
+	return errors.Is(err, ErrFenced) || errors.Is(err, ErrNotFound)
+}
+
+// renew performs one heartbeat; fenced errors mean the lease is gone,
 // other errors are transient.
 func (w *Worker) renew(ctx context.Context, g *LeaseGrant) error {
-	body, _ := json.Marshal(struct {
-		Epoch int64 `json:"epoch"`
-	}{g.Epoch})
-	resp, err := w.post(ctx, fmt.Sprintf("/v1/lease/%s/renew", g.JobID), "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return nil
-	case http.StatusConflict, http.StatusNotFound:
-		return errLeaseLost
-	default:
-		return fmt.Errorf("renew: coordinator answered %s", resp.Status)
-	}
+	cctx, cancel := context.WithTimeout(ctx, callTimeout)
+	defer cancel()
+	_, err := w.client.Renew(cctx, g.JobID, g.Epoch)
+	return err
 }
 
-// postStep reports a completed MD step (best effort: a dropped report
-// only costs live-stream granularity, never correctness).
-func (w *Worker) postStep(g *LeaseGrant, step int, energyHa, tempK float64) {
-	body, _ := json.Marshal(stepRequest{Epoch: g.Epoch, Step: step, EnergyHa: energyHa, TempK: tempK})
-	resp, err := w.post(context.Background(), fmt.Sprintf("/v1/lease/%s/steps", g.JobID), "application/json", bytes.NewReader(body))
-	if err != nil {
-		return
-	}
-	resp.Body.Close()
+// postStep reports a completed MD step under the job context (best
+// effort: a dropped report only costs live-stream granularity, never
+// correctness). A lost lease ends the report at once.
+func (w *Worker) postStep(ctx context.Context, g *LeaseGrant, step int, energyHa, tempK float64) {
+	cctx, cancel := context.WithTimeout(ctx, callTimeout)
+	defer cancel()
+	w.client.Step(cctx, g.JobID, g.Epoch, step, energyHa, tempK)
 }
 
-// uploadCheckpoint ships the local checkpoint file to the coordinator.
-// Missing file (no step completed yet) is a no-op; a fencing rejection
-// cancels the trajectory via cancel when non-nil. Upload failures are
-// otherwise tolerated — the coordinator keeps its previous (older but
-// equally resumable) checkpoint.
-func (w *Worker) uploadCheckpoint(g *LeaseGrant, ckPath string, cancel context.CancelCauseFunc) {
+// uploadCheckpoint ships the local checkpoint file to the coordinator
+// under ctx. Missing file (no step completed yet) is a no-op; a fencing
+// rejection cancels the trajectory via cancel when non-nil. Upload
+// failures are otherwise tolerated — the coordinator keeps its previous
+// (older but equally resumable) checkpoint.
+func (w *Worker) uploadCheckpoint(ctx context.Context, g *LeaseGrant, ckPath string, cancel context.CancelCauseFunc) {
 	f, err := os.Open(ckPath)
 	if err != nil {
 		return
 	}
 	defer f.Close()
-	cctx, cancelReq := context.WithTimeout(context.Background(), 30*time.Second)
+	cctx, cancelReq := context.WithTimeout(ctx, checkpointTimeout)
 	defer cancelReq()
-	req, err := http.NewRequestWithContext(cctx, http.MethodPut,
-		fmt.Sprintf("%s/v1/lease/%s/checkpoint?epoch=%d", w.cfg.Coordinator, g.JobID, g.Epoch), f)
-	if err != nil {
-		return
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := w.client.Do(req)
-	if err != nil {
-		w.cfg.Logf("worker %s: %s: checkpoint upload: %v", w.cfg.Name, g.JobID, err)
-		return
-	}
-	defer resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusNoContent:
-	case resp.StatusCode == http.StatusConflict || resp.StatusCode == http.StatusNotFound:
+	switch err := w.client.PutCheckpoint(cctx, g.JobID, g.Epoch, f); {
+	case err == nil, ctx.Err() != nil: // uploaded, or the job already ended here
+	case fenced(err):
 		if cancel != nil {
 			cancel(errLeaseLost)
 		}
 	default:
-		w.cfg.Logf("worker %s: %s: checkpoint upload rejected: %s", w.cfg.Name, g.JobID, resp.Status)
+		w.cfg.Logf("worker %s: %s: checkpoint upload: %v", w.cfg.Name, g.JobID, err)
 	}
 }
 
 // downloadCheckpoint fetches the coordinator's stored checkpoint to the
 // local resume path (atomically, so a torn download is never resumed).
 func (w *Worker) downloadCheckpoint(ctx context.Context, g *LeaseGrant, ckPath string) error {
-	cctx, cancel := context.WithTimeout(ctx, 30*time.Second)
+	cctx, cancel := context.WithTimeout(ctx, checkpointTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(cctx, http.MethodGet,
-		fmt.Sprintf("%s/v1/lease/%s/checkpoint?epoch=%d", w.cfg.Coordinator, g.JobID, g.Epoch), nil)
+	body, err := w.client.GetCheckpoint(cctx, g.JobID, g.Epoch)
 	if err != nil {
 		return err
 	}
-	resp, err := w.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("download: coordinator answered %s", resp.Status)
-	}
-	_, err = qio.WriteFileAtomic(ckPath, resp.Body)
+	defer body.Close()
+	_, err = qio.WriteFileAtomic(ckPath, body)
 	return err
 }
 
@@ -369,53 +319,14 @@ func (w *Worker) downloadCheckpoint(ctx context.Context, g *LeaseGrant, ckPath s
 // failures briefly (a lost completion is not fatal — the lease expires
 // and the job requeues — but it wastes a TTL).
 func (w *Worker) complete(g *LeaseGrant, req CompleteRequest) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return
-	}
 	for attempt := 0; attempt < 3; attempt++ {
-		resp, err := w.post(context.Background(), fmt.Sprintf("/v1/lease/%s/complete", g.JobID),
-			"application/json", bytes.NewReader(body))
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusConflict ||
-				resp.StatusCode == http.StatusNotFound {
-				return
-			}
+		ctx, cancel := context.WithTimeout(context.Background(), callTimeout)
+		_, err := w.client.Complete(ctx, g.JobID, req)
+		cancel()
+		if err == nil || fenced(err) {
+			return
 		}
 		time.Sleep(time.Duration(attempt+1) * 200 * time.Millisecond)
 	}
 	w.cfg.Logf("worker %s: %s: completion report lost; lease will expire", w.cfg.Name, g.JobID)
-}
-
-// post issues a POST against the coordinator with a 15s deadline.
-func (w *Worker) post(ctx context.Context, path, contentType string, body io.Reader) (*http.Response, error) {
-	cctx, cancel := context.WithTimeout(ctx, 15*time.Second)
-	req, err := http.NewRequestWithContext(cctx, http.MethodPost, w.cfg.Coordinator+path, body)
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-	req.Header.Set("Content-Type", contentType)
-	resp, err := w.client.Do(req)
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-	// The deadline covers reading the (small) body too; callers close
-	// resp.Body promptly.
-	resp.Body = &cancelOnClose{ReadCloser: resp.Body, cancel: cancel}
-	return resp, nil
-}
-
-// cancelOnClose releases a request's context when its body is closed.
-type cancelOnClose struct {
-	io.ReadCloser
-	cancel context.CancelFunc
-}
-
-func (c *cancelOnClose) Close() error {
-	err := c.ReadCloser.Close()
-	c.cancel()
-	return err
 }
