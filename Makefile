@@ -71,7 +71,10 @@ race: vet
 # seed corpus (the golden fixtures) already runs under plain `go test`.
 # FuzzDecodeSpec does the same for the JSON job spec the daemon accepts
 # (decode → Validate → BuildSystem): no panic, a valid spec builds, and
-# the decoded spec survives a JSON round trip unchanged.
+# the decoded spec survives a JSON round trip unchanged. FuzzLeaseBodies
+# covers the four lease request bodies (acquire, renew, step, complete)
+# through the strict decoder their handlers share: no panic, and a body
+# that decodes re-encodes to a value that decodes to the same encoding.
 # Two workers and a short minimisation budget keep the run small and
 # spend it mutating. A failure writes its input under the package's
 # testdata/fuzz/, to be committed with the fix. CI runs this on every PR.
@@ -82,6 +85,7 @@ fuzz-smoke:
 	$(FUZZ) -fuzz '^FuzzDecompressField$$' ./internal/qio/
 	$(FUZZ) -fuzz '^FuzzDecodeEntry$$' ./internal/cache/
 	$(FUZZ) -fuzz '^FuzzDecodeSpec$$' ./internal/serve/
+	$(FUZZ) -fuzz '^FuzzLeaseBodies$$' ./internal/serve/
 
 # loc prints the non-test Go line count ROADMAP aim 2 tracks: every *.go
 # that is not a *_test.go and not under bench/ (a module of its own), for

@@ -26,6 +26,7 @@ var callerAllowlist = map[string]string{
 	"internal/fft.Plan3.InverseRawMulRealBatch": "bitwise pin: TestSupportBitwiseEqualsDense and pw's TestPrunedPathsMatchDense hold the pruned batch to it",
 	"internal/pw.Hamiltonian.Apply":             "test reference: TestApplyAllMatchesApply and TestFusedApplyEquivalence hold ApplyAll to this single-band path",
 	"internal/pw.Hamiltonian.NewWorkspace":      "test reference: the scratch Hamiltonian.Apply runs in",
+	"internal/pw.Hamiltonian.LocalPotential":    "test reference: scf's TestEffectivePotentialFrom holds the installed potential to Vps + V_H + v_xc pointwise",
 	"internal/waitfor":                          "test-support package: the polling helper concurrent tests wait with",
 }
 

@@ -63,7 +63,7 @@ func (e *Engine) Forces() ([]geom.Vec3, error) {
 			}
 		}
 		fLoc := pw.LocalForces(b, local.Data, st.da.Species, st.da.Local)
-		fNl := pw.NonlocalForces(b, ws.eng.Ham.Proj, ws.eng.Psi, st.occ, len(st.da.Species))
+		fNl := pw.NonlocalForces(b, ws.eng.Ham.Projectors(), ws.eng.Psi, st.occ, len(st.da.Species))
 		for k, gi := range st.da.Index {
 			if !st.da.InCore[k] {
 				continue

@@ -46,6 +46,13 @@ type Basis struct {
 	axisG  []float64
 	g2Half []float64
 
+	// vdiff is set on a basis small enough for the dense HΨ (see
+	// NewBasis): for every pair (i, j) of plane waves, row-major, the
+	// half-spectrum index of (m_i − m_j) mod N, or −1 − the index of its
+	// mirror −(m_i − m_j) mod N where that difference lies past the packed
+	// z half (iz > N/2), whose coefficient is the conjugate of the mirror's.
+	vdiff []int32
+
 	halfPool  sync.Pool // *[]complex128, one N²·(N/2+1) half-spectrum grid each
 	batchPool sync.Pool // *[]complex128, grown to the largest batch seen
 }
@@ -113,11 +120,43 @@ func NewBasis(g grid.Grid, ecut float64) (*Basis, error) {
 		return nil, fmt.Errorf("pw: empty basis for cutoff %g", ecut)
 	}
 	b.sphere = fft.Cached3(n, n, n).NewSupport(b.FFTi)
+	if np := int64(b.Np()); 8*np*np < b.fftBandFlops() {
+		b.vdiff = differenceTable(b.FFTi, n)
+	}
 	b.halfPool.New = func() any {
 		s := make([]complex128, b.rplan.HSize())
 		return &s
 	}
 	return b, nil
+}
+
+// fftBandFlops is the modelled cost of the local potential on one band
+// by the FFT path: the two sphere-pruned transforms, the ×V_loc multiply
+// and the kinetic scale. A dense np×np operator costs 8·np² per band;
+// NewBasis picks it wherever that is less.
+func (b *Basis) fftBandFlops() int64 {
+	return b.sphere.InverseFlops() + b.sphere.ForwardFlops() + 8*int64(b.Grid.Size()) + 8*int64(b.Np())
+}
+
+// differenceTable builds Basis.vdiff for the plane waves at the FFT-grid
+// indices fftI of an n³ grid.
+func differenceTable(fftI []int, n int) []int32 {
+	hz := n/2 + 1
+	np := len(fftI)
+	tab := make([]int32, np*np)
+	for i, fi := range fftI {
+		for j, fj := range fftI {
+			kx := (fi/(n*n) - fj/(n*n) + n) % n
+			ky := (fi/n%n - fj/n%n + n) % n
+			kz := (fi%n - fj%n + n) % n
+			if kz < hz {
+				tab[i*np+j] = int32((kx*n+ky)*hz + kz)
+				continue
+			}
+			tab[i*np+j] = int32(-1 - (((n-kx)%n*n+(n-ky)%n)*hz + n - kz))
+		}
+	}
+	return tab
 }
 
 // fold maps FFT index to signed frequency: 0..N/2 → 0..N/2, rest negative.

@@ -24,7 +24,7 @@ func benchSetup(b *testing.B, nb int) (*Hamiltonian, *linalg.CMatrix) {
 	pos := []geom.Vec3{{X: 3, Y: 3, Z: 3}, {X: 9, Y: 3, Z: 3}, {X: 3, Y: 9, Z: 9}, {X: 9, Y: 9, Z: 9}}
 	proj := pseudo.BuildProjectors(basis.G, basis.G2, basis.Volume(), species, pos)
 	h := NewHamiltonian(basis, proj)
-	copy(h.Vloc, BuildLocalPseudo(basis, species, pos))
+	h.SetLocalPotential(BuildLocalPseudo(basis, species, pos))
 	psi, err := RandomOrbitals(basis, nb, rand.New(rand.NewSource(1)))
 	if err != nil {
 		b.Fatal(err)
@@ -49,7 +49,7 @@ func BenchmarkNonlocal(b *testing.B) {
 			for n := 0; n < psi.Cols; n++ {
 				psi.Col(n, col)
 				out.Col(n, res)
-				h.Proj.ApplyBandByBand(col, res)
+				h.proj.ApplyBandByBand(col, res)
 				out.SetCol(n, res)
 			}
 		}
@@ -57,32 +57,59 @@ func BenchmarkNonlocal(b *testing.B) {
 	b.Run("BLAS3", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			h.Proj.ApplyAllBand(psi, out)
+			h.proj.ApplyAllBand(psi, out)
 		}
 	})
 }
 
-// BenchmarkApplyAll measures the steady-state all-band HΨ with the
-// output matrix preallocated — the eigensolver's inner loop. Allocation
-// counts are reported; the batched FFT path should keep them near zero.
+// BenchmarkApplyAll is the HΨ crossover: the steady-state all-band apply
+// by the dense operator and by the FFT path at each basis of
+// crossoverHΨ, whichever path NewBasis would pick there — the dense
+// operator is forced onto the three large bases, and the FFT path
+// called directly on the four small ones. Run it at GOMAXPROCS=1 for
+// the single-core table of DESIGN.md.
 func BenchmarkApplyAll(b *testing.B) {
-	h, psi := benchSetup(b, 16)
-	out := linalg.NewCMatrix(psi.Rows, psi.Cols)
-	h.ApplyAllInto(psi, out) // warm the basis pools
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.ApplyAllInto(psi, out)
+	for _, c := range crossoverHΨ {
+		for _, dense := range []bool{true, false} {
+			name := c.shape.name + "/fft"
+			if dense {
+				name = c.shape.name + "/dense"
+			}
+			b.Run(name, func(b *testing.B) {
+				basis := c.shape.basis(b)
+				if dense && basis.vdiff == nil {
+					basis.vdiff = differenceTable(basis.FFTi, basis.Grid.N)
+				}
+				h := c.shape.hamiltonianOn(basis)
+				h.SetLocalPotential(randomPotential(basis, rand.New(rand.NewSource(1))))
+				psi, err := RandomOrbitals(basis, c.nb, rand.New(rand.NewSource(1)))
+				if err != nil {
+					b.Fatal(err)
+				}
+				out := linalg.NewCMatrix(psi.Rows, psi.Cols)
+				apply := func() { h.applyFFT(psi, out) }
+				if dense {
+					apply = func() { h.ApplyAllInto(psi, out) }
+				}
+				apply() // warm the basis pools
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					apply()
+				}
+			})
+		}
 	}
 }
 
 // BenchmarkApplyAllPruned vs BenchmarkApplyAllDense is the sphere-pruning
-// win on the whole HΨ at the two LDC domain shapes of the end-to-end
-// benchmark (a qmd-sic8 domain: 12³ points, 57 waves; a qmd-27dom one:
-// 10³, 33 waves; 14 bands each). Pruned is the production ApplyAllInto;
-// Dense is the retained full-grid reference of pruned_test.go. The ratio
-// is the share of line transforms and zero-fill skipped, and does not
-// depend on the machine.
+// win on the whole HΨ by transforms at the two LDC domain shapes of the
+// end-to-end benchmark (a qmd-sic8 domain: 12³ points, 57 waves; a
+// qmd-27dom one: 10³, 33 waves; 14 bands each). Pruned is the
+// production FFT path (applyFFT — ApplyAllInto itself takes the dense
+// operator at these sizes); Dense is the retained full-grid reference of
+// pruned_test.go. The ratio is the share of line transforms and
+// zero-fill skipped, and does not depend on the machine.
 func BenchmarkApplyAllPruned(b *testing.B) { benchApplyAllDomain(b, true) }
 func BenchmarkApplyAllDense(b *testing.B)  { benchApplyAllDomain(b, false) }
 
@@ -100,7 +127,7 @@ func benchApplyAllDomain(b *testing.B, pruned bool) {
 			batch := make([]complex128, nb*basis.Grid.Size())
 			apply := func() { denseApplyAllInto(h, psi, out, batch) }
 			if pruned {
-				apply = func() { h.ApplyAllInto(psi, out) }
+				apply = func() { h.applyFFT(psi, out) }
 			}
 			apply() // warm the basis and arena pools
 			b.ReportAllocs()
@@ -112,19 +139,29 @@ func benchApplyAllDomain(b *testing.B, pruned bool) {
 	}
 }
 
-// BenchmarkApplyAllSeparate is BenchmarkApplyAll with the fused ×V_loc
-// path disabled: separate inverse FFT, N³ rescale, and V_loc multiply
-// passes. The delta against BenchmarkApplyAll is the fusion win.
-func BenchmarkApplyAllSeparate(b *testing.B) {
+// BenchmarkFusedVloc is the fusion win on the FFT path, over the
+// 437-wave basis of benchSetup (which takes that path): fused runs the
+// ×V_loc multiply inside the inverse transform's x-pass, separate runs
+// the inverse FFT, the N³ rescale and the V_loc multiply as their own
+// passes.
+func BenchmarkFusedVloc(b *testing.B) {
 	defer func(prev bool) { fuseVloc = prev }(fuseVloc)
-	fuseVloc = false
 	h, psi := benchSetup(b, 16)
 	out := linalg.NewCMatrix(psi.Rows, psi.Cols)
-	h.ApplyAllInto(psi, out)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.ApplyAllInto(psi, out)
+	for _, fused := range []bool{true, false} {
+		name := "separate"
+		if fused {
+			name = "fused"
+		}
+		b.Run(name, func(b *testing.B) {
+			fuseVloc = fused
+			h.applyFFT(psi, out)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.applyFFT(psi, out)
+			}
+		})
 	}
 }
 

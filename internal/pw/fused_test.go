@@ -15,6 +15,9 @@ import (
 // sic8 builds an 8-atom SiC Hamiltonian (zincblende-like positions in a
 // cubic cell) with the full local + nonlocal parts — the acceptance cell
 // for the fused real-space HΨ path.
+//
+// Its 147-wave basis takes the dense HΨ, so the tests below that are
+// about the FFT path call it directly (applyFFTAll).
 func sic8(t *testing.T) *Hamiltonian {
 	t.Helper()
 	b, err := NewBasis(grid.New(16, 8.6), 3.0)
@@ -34,13 +37,13 @@ func sic8(t *testing.T) *Hamiltonian {
 	}
 	proj := pseudo.BuildProjectors(b.G, b.G2, b.Volume(), species, pos)
 	h := NewHamiltonian(b, proj)
-	copy(h.Vloc, BuildLocalPseudo(b, species, pos))
+	h.SetLocalPotential(BuildLocalPseudo(b, species, pos))
 	return h
 }
 
 // TestFusedApplyEquivalence pins the fused ×V_loc path (multiply inside
 // the inverse transform's x-pass) against the separate-pass path on the
-// 8-atom SiC cell, for both the single-band Apply and the batched
+// 8-atom SiC cell, for both the single-band Apply and the FFT path of
 // ApplyAllInto. The paths differ only in normalization rounding, so the
 // bound is 1e-14 relative on every coefficient.
 func TestFusedApplyEquivalence(t *testing.T) {
@@ -55,7 +58,7 @@ func TestFusedApplyEquivalence(t *testing.T) {
 	}
 
 	fuseVloc = false
-	sepAll := h.ApplyAll(psi)
+	sepAll := applyFFTAll(h, psi)
 	sepOne := make([]complex128, np)
 	col := make([]complex128, np)
 	ws := h.NewWorkspace()
@@ -63,7 +66,7 @@ func TestFusedApplyEquivalence(t *testing.T) {
 	h.Apply(col, sepOne, ws)
 
 	fuseVloc = true
-	fusedAll := h.ApplyAll(psi)
+	fusedAll := applyFFTAll(h, psi)
 	fusedOne := make([]complex128, np)
 	h.Apply(col, fusedOne, ws)
 
@@ -91,4 +94,11 @@ func TestFusedApplyEquivalence(t *testing.T) {
 			t.Fatalf("fused Apply diverges at %d: |d|=%g (tol %g)", i, d, tol)
 		}
 	}
+}
+
+// applyFFTAll is ApplyAll by the FFT path, whichever path the basis takes.
+func applyFFTAll(h *Hamiltonian, psi *linalg.CMatrix) *linalg.CMatrix {
+	out := linalg.NewCMatrix(psi.Rows, psi.Cols)
+	h.applyFFT(psi, out)
+	return out
 }

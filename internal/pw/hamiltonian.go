@@ -2,11 +2,13 @@ package pw
 
 import (
 	"math"
+	"math/cmplx"
 
 	"ldcdft/internal/atoms"
 	"ldcdft/internal/geom"
 	"ldcdft/internal/linalg"
 	"ldcdft/internal/par"
+	"ldcdft/internal/perf"
 	"ldcdft/internal/pseudo"
 )
 
@@ -14,15 +16,112 @@ import (
 // H = −½∇² + V_local(r) + V_nl, with V_local collecting the local
 // pseudopotential, Hartree, exchange-correlation, and (for LDC domains)
 // the density-adaptive boundary potential v_bc.
+//
+// On a small basis (Basis.vdiff set) H is also held as the dense np×np
+// matrix op = ½|G|²δ + V̂[(G_i − G_j) mod N]/N³ + B·D·B†, and HΨ is one
+// GEMM. V̂ is the unnormalized DFT of V_local, so op's local part is
+// exactly the cyclic convolution that scatter → inverse ×V_local →
+// forward → gather computes: the two paths differ by round-off only.
+// The projectors and the local potential reach the Hamiltonian only
+// through SetProjectors and SetLocalPotential, which rebuild op, so it
+// never lags what was installed.
 type Hamiltonian struct {
 	Basis *Basis
-	Vloc  []float64 // effective local potential on the FFT grid (N³)
-	Proj  *pseudo.Projectors
+	proj  *pseudo.Projectors
+	vloc  []float64 // effective local potential on the FFT grid (N³)
+
+	// Dense-path state, nil on the FFT path: vhat is V̂ on the packed
+	// half spectrum, fixed = ½|G|²δ + B·D·B†, op = fixed + V̂/N³.
+	vhat      []complex128
+	fixed, op *linalg.CMatrix
 }
 
 // NewHamiltonian allocates a Hamiltonian with a zero local potential.
 func NewHamiltonian(b *Basis, proj *pseudo.Projectors) *Hamiltonian {
-	return &Hamiltonian{Basis: b, Vloc: make([]float64, b.Grid.Size()), Proj: proj}
+	h := &Hamiltonian{Basis: b, vloc: make([]float64, b.Grid.Size())}
+	if b.vdiff != nil {
+		np := b.Np()
+		h.vhat = make([]complex128, b.rplan.HSize())
+		h.fixed = linalg.NewCMatrix(np, np)
+		h.op = linalg.NewCMatrix(np, np)
+	}
+	h.SetProjectors(proj)
+	return h
+}
+
+// Projectors returns the installed nonlocal projectors (nil for none).
+func (h *Hamiltonian) Projectors() *pseudo.Projectors { return h.proj }
+
+// SetProjectors installs the nonlocal projectors (nil for none) and, on
+// the dense path, rebuilds the kinetic + nonlocal part of the operator.
+func (h *Hamiltonian) SetProjectors(proj *pseudo.Projectors) {
+	h.proj = proj
+	if h.op == nil {
+		return
+	}
+	b := h.Basis
+	np := b.Np()
+	clear(h.fixed.Data)
+	if h.hasProjectors() {
+		// (B·D·B†)_ij = Σ_p B_ip D_p conj(B_jp), Hermitian: the lower
+		// triangle is summed, the upper one mirrored.
+		for i := 0; i < np; i++ {
+			bi := proj.B.Row(i)
+			for j := 0; j <= i; j++ {
+				var s complex128
+				for p, bj := range proj.B.Row(j) {
+					s += bi[p] * complex(proj.D[p]*real(bj), -proj.D[p]*imag(bj))
+				}
+				h.fixed.Data[i*np+j] = s
+				h.fixed.Data[j*np+i] = cmplx.Conj(s)
+			}
+		}
+		perf.Global.Add(5 * int64(np) * int64(np+1) * int64(proj.NumProjectors()))
+	}
+	for i, g2 := range b.G2 {
+		h.fixed.Data[i*np+i] += complex(g2/2, 0)
+	}
+	h.assemble()
+}
+
+// LocalPotential returns a copy of the installed local potential (len
+// N³); writing to it does not reach the operator.
+func (h *Hamiltonian) LocalPotential() []float64 { return append([]float64(nil), h.vloc...) }
+
+// SetLocalPotential installs the effective local potential v (len N³)
+// and, on the dense path, rebuilds the operator from one real-to-complex
+// transform of it.
+func (h *Hamiltonian) SetLocalPotential(v []float64) {
+	if len(v) != len(h.vloc) {
+		panic("pw: local potential size mismatch")
+	}
+	copy(h.vloc, v)
+	if h.op == nil {
+		return
+	}
+	h.Basis.rplan.Forward(h.vloc, h.vhat)
+	h.assemble()
+}
+
+// assemble sets op = fixed + V̂[(G_i − G_j) mod N]/N³, gathering V̂
+// through the basis's difference table (conjugating mirrored entries).
+func (h *Hamiltonian) assemble() {
+	inv := 1 / float64(h.Basis.Grid.Size())
+	for k, d := range h.Basis.vdiff {
+		var v complex128
+		if d >= 0 {
+			v = h.vhat[d]
+		} else {
+			v = cmplx.Conj(h.vhat[-1-d])
+		}
+		h.op.Data[k] = h.fixed.Data[k] + complex(real(v)*inv, imag(v)*inv)
+	}
+	perf.Global.Add(4 * int64(len(h.op.Data)))
+}
+
+// hasProjectors reports whether a nonlocal part is installed.
+func (h *Hamiltonian) hasProjectors() bool {
+	return h.proj != nil && h.proj.NumProjectors() > 0
 }
 
 // fuseVloc selects the fused real-space path: the ×V_loc multiply (and
@@ -53,7 +152,9 @@ func (h *Hamiltonian) NewWorkspace() *ApplyWorkspace {
 }
 
 // Apply computes out = H ψ for a single coefficient vector, using the
-// caller's reusable workspace.
+// caller's reusable workspace. It always runs by transforms, whichever
+// path ApplyAllInto takes: it is the single-band reference tests hold
+// both paths to.
 func (h *Hamiltonian) Apply(psi, out []complex128, ws *ApplyWorkspace) {
 	defer phApplyH.Start().StopFlops(h.applyAllFlops(1))
 	b := h.Basis
@@ -64,10 +165,10 @@ func (h *Hamiltonian) Apply(psi, out []complex128, ws *ApplyWorkspace) {
 	// Local potential part via FFT.
 	if fuseVloc {
 		b.Scatter(psi, ws.grid)
-		b.sphere.InverseRawMulReal(ws.grid, h.Vloc)
+		b.sphere.InverseRawMulReal(ws.grid, h.vloc)
 	} else {
 		b.ToRealSpace(psi, ws.grid)
-		for i, v := range h.Vloc {
+		for i, v := range h.vloc {
 			ws.grid[i] *= complex(v, 0)
 		}
 	}
@@ -76,8 +177,8 @@ func (h *Hamiltonian) Apply(psi, out []complex128, ws *ApplyWorkspace) {
 		out[i] += ws.tmp[i]
 	}
 	// Nonlocal part.
-	if h.Proj != nil && h.Proj.NumProjectors() > 0 {
-		h.Proj.ApplyBandByBand(psi, out)
+	if h.hasProjectors() {
+		h.proj.ApplyBandByBand(psi, out)
 	}
 }
 
@@ -89,13 +190,24 @@ func (h *Hamiltonian) ApplyAll(psi *linalg.CMatrix) *linalg.CMatrix {
 	return out
 }
 
-// ApplyAllInto computes HΨ into out (same shape as psi). The local part
-// runs as two batched 3-D FFTs over all bands, one grid per internal/par
-// chunk, and the nonlocal part uses the BLAS3 all-band form of Eq. (5)
-// (§3.4). All scratch comes from
-// the basis pools; steady-state calls allocate nothing beyond the
-// caller's out and the closures handed to par.For.
+// ApplyAllInto computes HΨ into out (same shape as psi). On the dense
+// path that is the one GEMM op·Ψ (§3.4's BLAS3 form taken to the whole
+// operator); otherwise applyFFT.
 func (h *Hamiltonian) ApplyAllInto(psi, out *linalg.CMatrix) {
+	if h.op == nil {
+		h.applyFFT(psi, out)
+		return
+	}
+	defer phApplyH.Start().StopFlops(h.applyAllFlops(psi.Cols))
+	linalg.CGemm(h.op, psi, out)
+}
+
+// applyFFT is HΨ by transforms. The local part runs as two batched 3-D
+// FFTs over all bands, one grid per internal/par chunk, and the
+// nonlocal part uses the BLAS3 all-band form of Eq. (5) (§3.4). All
+// scratch comes from the basis pools; steady-state calls allocate
+// nothing beyond the caller's out and the closures handed to par.For.
+func (h *Hamiltonian) applyFFT(psi, out *linalg.CMatrix) {
 	b := h.Basis
 	nb := psi.Cols
 	defer phApplyH.Start().StopFlops(h.applyAllFlops(nb))
@@ -109,12 +221,12 @@ func (h *Hamiltonian) ApplyAllInto(psi, out *linalg.CMatrix) {
 		for n := 0; n < nb; n++ {
 			b.scatterColumn(psi, n, batch[n*size:(n+1)*size])
 		}
-		b.sphere.InverseRawMulRealBatch(batch[:nb*size], nb, h.Vloc)
+		b.sphere.InverseRawMulRealBatch(batch[:nb*size], nb, h.vloc)
 	} else {
 		b.ToRealSpaceBatch(psi, batch)
 		par.For(nb, 1, func(n, _ int) {
 			g := batch[n*size : (n+1)*size]
-			for i, v := range h.Vloc {
+			for i, v := range h.vloc {
 				g[i] *= complex(v, 0)
 			}
 		})
@@ -136,8 +248,8 @@ func (h *Hamiltonian) ApplyAllInto(psi, out *linalg.CMatrix) {
 	})
 	b.PutBatch(batch)
 	// Nonlocal part.
-	if h.Proj != nil && h.Proj.NumProjectors() > 0 {
-		h.Proj.ApplyAllBand(psi, out)
+	if h.hasProjectors() {
+		h.proj.ApplyAllBand(psi, out)
 	}
 }
 

@@ -12,14 +12,19 @@ var (
 	phOrtho  = perf.GetPhase("pw/orthonormalize")
 )
 
-// applyAllFlops models HΨ over nb bands: the lines the two sphere-pruned
+// applyAllFlops models HΨ over nb bands. On the dense path that is the
+// one GEMM, 8·np² per band. Otherwise: the lines the two sphere-pruned
 // 3-D FFTs run, the Vloc multiply and kinetic scale per band, plus the
 // nonlocal projector GEMMs.
 func (h *Hamiltonian) applyAllFlops(nb int) int64 {
 	b := h.Basis
-	fl := int64(nb) * (b.sphere.InverseFlops() + b.sphere.ForwardFlops() + 8*int64(b.Grid.Size()) + 8*int64(b.Np()))
-	if h.Proj != nil && h.Proj.NumProjectors() > 0 {
-		fl += 16 * int64(b.Np()) * int64(h.Proj.NumProjectors()) * int64(nb)
+	np := int64(b.Np())
+	if h.op != nil {
+		return 8 * np * np * int64(nb)
+	}
+	fl := int64(nb) * b.fftBandFlops()
+	if h.hasProjectors() {
+		fl += 16 * np * int64(h.proj.NumProjectors()) * int64(nb)
 	}
 	return fl
 }

@@ -48,7 +48,7 @@ func denseApplyAll(h *Hamiltonian, psi *linalg.CMatrix) *linalg.CMatrix {
 }
 
 // denseApplyAllInto takes its batch buffer from the caller so that
-// BenchmarkApplyAllDense allocates as little as ApplyAllInto does.
+// BenchmarkApplyAllDense allocates as little as applyFFT does.
 func denseApplyAllInto(h *Hamiltonian, psi, out *linalg.CMatrix, batch []complex128) {
 	b := h.Basis
 	size := b.Grid.Size()
@@ -56,7 +56,7 @@ func denseApplyAllInto(h *Hamiltonian, psi, out *linalg.CMatrix, batch []complex
 	for n := 0; n < nb; n++ {
 		denseScatterColumn(b, psi, n, batch[n*size:(n+1)*size])
 	}
-	densePlan(b).InverseRawMulRealBatch(batch, nb, h.Vloc)
+	densePlan(b).InverseRawMulRealBatch(batch, nb, h.vloc)
 	densePlan(b).ForwardBatch(batch, nb)
 	invN3 := complex(1/float64(size), 0)
 	for gi := 0; gi < psi.Rows; gi++ {
@@ -65,7 +65,7 @@ func denseApplyAllInto(h *Hamiltonian, psi, out *linalg.CMatrix, batch []complex
 			out.Set(gi, n, kin*psi.At(gi, n)+invN3*batch[n*size+b.FFTi[gi]])
 		}
 	}
-	h.Proj.ApplyAllBand(psi, out)
+	h.proj.ApplyAllBand(psi, out)
 }
 
 func denseApply(h *Hamiltonian, psi []complex128) []complex128 {
@@ -75,7 +75,7 @@ func denseApply(h *Hamiltonian, psi []complex128) []complex128 {
 	for i, fi := range b.FFTi {
 		work[fi] = psi[i]
 	}
-	densePlan(b).InverseRawMulReal(work, h.Vloc)
+	densePlan(b).InverseRawMulReal(work, h.vloc)
 	densePlan(b).Forward(work)
 	out := make([]complex128, len(psi))
 	inv := complex(1/float64(size), 0)
@@ -83,7 +83,7 @@ func denseApply(h *Hamiltonian, psi []complex128) []complex128 {
 		out[i] = complex(b.G2[i]/2, 0) * psi[i]
 		out[i] += work[fi] * inv
 	}
-	h.Proj.ApplyBandByBand(psi, out)
+	h.proj.ApplyBandByBand(psi, out)
 	return out
 }
 
@@ -126,6 +126,12 @@ var (
 // local potential and projectors on it.
 func (c domainShape) hamiltonian(tb testing.TB) *Hamiltonian {
 	tb.Helper()
+	return c.hamiltonianOn(c.basis(tb))
+}
+
+// basis builds the shape's basis and checks its plane-wave count.
+func (c domainShape) basis(tb testing.TB) *Basis {
+	tb.Helper()
 	b, err := NewBasis(grid.New(c.n, c.l), c.ecut)
 	if err != nil {
 		tb.Fatal(err)
@@ -133,17 +139,24 @@ func (c domainShape) hamiltonian(tb testing.TB) *Hamiltonian {
 	if b.Np() != c.np {
 		tb.Fatalf("%s: %d plane waves, want %d", c.name, b.Np(), c.np)
 	}
+	return b
+}
+
+// hamiltonianOn is hamiltonian on a basis the caller built.
+func (c domainShape) hamiltonianOn(b *Basis) *Hamiltonian {
 	species := []*atoms.Species{atoms.Silicon, atoms.Carbon}
 	pos := []geom.Vec3{{X: 0.2 * c.l, Y: 0.3 * c.l, Z: 0.25 * c.l}, {X: 0.7 * c.l, Y: 0.6 * c.l, Z: 0.8 * c.l}}
 	h := NewHamiltonian(b, pseudo.BuildProjectors(b.G, b.G2, b.Volume(), species, pos))
-	copy(h.Vloc, BuildLocalPseudo(b, species, pos))
+	h.SetLocalPotential(BuildLocalPseudo(b, species, pos))
 	return h
 }
 
 // sameBits compares with ==, under which ±0 are equal and NaN is not.
 func sameBits(a, b complex128) bool { return real(a) == real(b) && imag(a) == imag(b) }
 
-// TestPrunedPathsMatchDense pins ApplyAllInto, Apply, Density and
+// TestPrunedPathsMatchDense pins applyFFT (ApplyAllInto's FFT path —
+// called directly, since these small bases take the dense one), Apply,
+// Density and
 // ToRealSpaceBatch to the dense reference at a qmd-sic8 domain (12³, 57
 // waves), a qmd-27dom domain (10³, 33 waves) and the fullest sphere
 // NewBasis admits (|m| up to N/2−1, so only the Nyquist planes are left
@@ -171,7 +184,7 @@ func TestPrunedPathsMatchDense(t *testing.T) {
 
 		poison()
 		got := linalg.NewCMatrix(b.Np(), nb)
-		h.ApplyAllInto(psi, got)
+		h.applyFFT(psi, got)
 		want := denseApplyAll(h, psi)
 		for i := range want.Data {
 			if !sameBits(got.Data[i], want.Data[i]) {

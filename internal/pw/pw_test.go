@@ -141,7 +141,7 @@ func testHamiltonianOn(b *Basis, withNl bool) (*Hamiltonian, []*atoms.Species, [
 		proj = pseudo.BuildProjectors(b.G, b.G2, b.Volume(), species, positions)
 	}
 	h := NewHamiltonian(b, proj)
-	copy(h.Vloc, BuildLocalPseudo(b, species, positions))
+	h.SetLocalPotential(BuildLocalPseudo(b, species, positions))
 	return h, species, positions
 }
 

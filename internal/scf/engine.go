@@ -75,10 +75,7 @@ func NewEngine(cellL float64, gridN int, ecut float64, nb int,
 // (ionic + Hartree + XC + optional boundary potential) for the next
 // diagonalization.
 func (e *Engine) SetEffectivePotential(v []float64) {
-	if len(v) != len(e.Ham.Vloc) {
-		panic("scf: effective potential size mismatch")
-	}
-	copy(e.Ham.Vloc, v)
+	e.Ham.SetLocalPotential(v)
 }
 
 // EffectivePotentialFrom builds Veff = Vps + V_H[ρ] + v_xc[ρ] with the
@@ -119,8 +116,8 @@ func (e *Engine) BandKineticNonlocal(occ []float64) float64 {
 		}
 		e.Psi.Col(n, col)
 		sum += f * e.Ham.KineticExpectation(col)
-		if e.Ham.Proj != nil {
-			sum += f * e.Ham.Proj.Expectation(col)
+		if p := e.Ham.Projectors(); p != nil {
+			sum += f * p.Expectation(col)
 		}
 	}
 	return sum

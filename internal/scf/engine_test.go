@@ -2,6 +2,7 @@ package scf
 
 import (
 	"math"
+	"math/cmplx"
 	"testing"
 
 	"ldcdft/internal/atoms"
@@ -39,10 +40,22 @@ func TestEffectivePotentialFrom(t *testing.T) {
 	eng.EffectivePotentialFrom(rho)
 	// The installed potential must equal Vps + V_H + v_xc pointwise.
 	vh := pw.HartreeFFT(eng.Basis, rho)
+	want := make([]float64, len(rho))
+	vloc := eng.Ham.LocalPotential()
 	for i := range rho {
-		want := eng.Vps[i] + vh[i] + xc.Potential(rho[i])
-		if math.Abs(eng.Ham.Vloc[i]-want) > 1e-12 {
+		want[i] = eng.Vps[i] + vh[i] + xc.Potential(rho[i])
+		if math.Abs(vloc[i]-want[i]) > 1e-12 {
 			t.Fatalf("potential mismatch at %d", i)
+		}
+	}
+	// And HΨ must follow it: H applied to the wave functions equals a
+	// Hamiltonian given that sum directly.
+	ref := pw.NewHamiltonian(eng.Basis, eng.Ham.Projectors())
+	ref.SetLocalPotential(want)
+	got, exp := eng.Ham.ApplyAll(eng.Psi), ref.ApplyAll(eng.Psi)
+	for i := range exp.Data {
+		if cmplx.Abs(got.Data[i]-exp.Data[i]) > 1e-12 {
+			t.Fatalf("HΨ mismatch at %d: the installed potential is not Vps + V_H + v_xc", i)
 		}
 	}
 }

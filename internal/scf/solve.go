@@ -185,7 +185,7 @@ func assembleEnergy(eng *Engine, sys *atoms.System, rho, occ []float64) EnergyPa
 // pseudopotential + nonlocal projector + ion-ion contributions.
 func ComputeForces(eng *Engine, sys *atoms.System, rho, occ []float64) []geom.Vec3 {
 	fLoc := pw.LocalForces(eng.Basis, rho, eng.Species, eng.Positions)
-	fNl := pw.NonlocalForces(eng.Basis, eng.Ham.Proj, eng.Psi, occ, len(eng.Species))
+	fNl := pw.NonlocalForces(eng.Basis, eng.Ham.Projectors(), eng.Psi, occ, len(eng.Species))
 	_, fII := pw.IonIon(sys.Cell, eng.Species, eng.Positions)
 	out := make([]geom.Vec3, len(fLoc))
 	for i := range out {

@@ -83,7 +83,7 @@ func (e *Engine) Retarget(species []*atoms.Species, positions []geom.Vec3, nb in
 	}
 	e.Species = species
 	e.Positions = positions
-	e.Ham.Proj = pseudo.BuildProjectors(e.Basis.G, e.Basis.G2, e.Basis.Volume(), species, positions)
+	e.Ham.SetProjectors(pseudo.BuildProjectors(e.Basis.G, e.Basis.G2, e.Basis.Volume(), species, positions))
 	e.Vps = pw.BuildLocalPseudo(e.Basis, species, positions)
 	return nil
 }

@@ -262,3 +262,54 @@ func FuzzDecodeSpec(f *testing.F) {
 		}
 	})
 }
+
+// FuzzLeaseBodies mutates the four lease request bodies — acquire, renew,
+// step and complete — through the decoder their handlers share. The
+// properties: no panic, and a body that decodes re-encodes to a value
+// that decodes again to the same encoding. (Equal as encodings, not as
+// Go values: omitempty turns a decoded empty slice into an absent one.)
+func FuzzLeaseBodies(f *testing.F) {
+	bodies := []any{
+		acquireRequest{Worker: "w", WaitSeconds: 2.5},
+		renewRequest{Epoch: 3},
+		stepRequest{Epoch: 3, Step: 7, EnergyHa: -7.25, TempK: 301},
+		CompleteRequest{Worker: "w", Epoch: 3, Status: "completed", Report: RunReport{
+			Steps: 2, SCFIterations: 9, EnergiesHa: []float64{-1, -2}, TemperaturesK: []float64{300, 310},
+			Results: &Results{Engine: "ldc", Steps: 2, FinalEnergyHa: -2}}},
+	}
+	for kind, b := range bodies {
+		raw, err := json.Marshal(b)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(kind), raw)
+	}
+	for _, s := range []string{`{"epoch":1,"extra":0}`, `{"epoch":1}{}`, `not json`, `{"report":{"energies_ha":[]}}`} {
+		for kind := range bodies {
+			f.Add(uint8(kind), []byte(s))
+		}
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, raw []byte) {
+		fresh := []func() any{
+			func() any { return new(acquireRequest) },
+			func() any { return new(renewRequest) },
+			func() any { return new(stepRequest) },
+			func() any { return new(CompleteRequest) },
+		}[int(kind)%len(bodies)]
+		v := fresh()
+		if decodeStrict(bytes.NewReader(raw), v) != nil {
+			return
+		}
+		again, err := json.Marshal(v)
+		if err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		back := fresh()
+		if err := decodeStrict(bytes.NewReader(again), back); err != nil {
+			t.Fatalf("re-encoded body %s does not decode: %v", again, err)
+		}
+		if third, _ := json.Marshal(back); !bytes.Equal(third, again) {
+			t.Fatalf("round trip changed the body:\n%s\n%s", again, third)
+		}
+	})
+}

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -859,5 +860,47 @@ func TestWorkerCrashResumeFromUploadedCheckpoint(t *testing.T) {
 	// checkpoint, 3 freshly computed.
 	if len(fin.EnergiesHa) != 6 || fin.EnergiesHa[0] != -1 || fin.EnergiesHa[5] != -6 {
 		t.Fatalf("resumed energy series %v", fin.EnergiesHa)
+	}
+}
+
+// The lease bodies are decoded as strictly as a job spec: an unknown
+// field or trailing data is a 400 on every route, before the lease is
+// looked at, while the same body without them reaches the lease table.
+func TestLeaseBodiesAreStrict(t *testing.T) {
+	m := newCoordinator(t, t.TempDir(), time.Minute)
+	defer shutdown(t, m)
+	srv := httptest.NewServer(m.Handler())
+	defer srv.Close()
+	st := mustSubmit(t, m, validSpec("a", 3))
+	g := mustAcquire(t, m, "w")
+	epoch := strconv.FormatInt(g.Epoch, 10)
+
+	post := func(path, body string) int {
+		t.Helper()
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		io.Copy(io.Discard, resp.Body)
+		return resp.StatusCode
+	}
+	for _, c := range []struct {
+		path, body string // body is a JSON object without its closing brace
+		want       int
+	}{
+		{"/v1/lease", `{"worker":"w","wait_seconds":0`, http.StatusNoContent},
+		{"/v1/lease/" + st.ID + "/renew", `{"epoch":` + epoch, http.StatusOK},
+		{"/v1/lease/" + st.ID + "/steps", `{"epoch":` + epoch + `,"step":1,"energy_ha":-1`, http.StatusNoContent},
+		{"/v1/lease/" + st.ID + "/complete", `{"worker":"w","epoch":` + epoch + `,"status":"completed","report":{"steps":3}`, http.StatusOK},
+	} {
+		for _, bad := range []string{c.body + `,"extra":1}`, c.body + `}{}`, c.body + `} x`} {
+			if code := post(c.path, bad); code != http.StatusBadRequest {
+				t.Errorf("%s %s: status %d, want 400", c.path, bad, code)
+			}
+		}
+		if code := post(c.path, c.body+"}\n"); code != c.want {
+			t.Errorf("%s %s}: status %d, want %d", c.path, c.body, code, c.want)
+		}
 	}
 }

@@ -227,7 +227,7 @@ type stepRequest struct {
 
 func (m *Manager) handleLeaseAcquire(w http.ResponseWriter, r *http.Request) {
 	var req acquireRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeStrict(r.Body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid acquire request: %w", err))
 		return
 	}
@@ -266,7 +266,7 @@ func leaseEpoch(r *http.Request) (int64, error) {
 
 func (m *Manager) handleLeaseRenew(w http.ResponseWriter, r *http.Request) {
 	var req renewRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeStrict(r.Body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid renew request: %w", err))
 		return
 	}
@@ -280,7 +280,7 @@ func (m *Manager) handleLeaseRenew(w http.ResponseWriter, r *http.Request) {
 
 func (m *Manager) handleLeaseStep(w http.ResponseWriter, r *http.Request) {
 	var req stepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeStrict(r.Body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid step report: %w", err))
 		return
 	}
@@ -323,7 +323,7 @@ func (m *Manager) handleLeaseCheckpointGet(w http.ResponseWriter, r *http.Reques
 
 func (m *Manager) handleLeaseComplete(w http.ResponseWriter, r *http.Request) {
 	var req CompleteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeStrict(r.Body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid completion report: %w", err))
 		return
 	}

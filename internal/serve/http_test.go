@@ -104,7 +104,7 @@ func TestHTTPLifecycle(t *testing.T) {
 	}
 
 	// Invalid specs are 400.
-	for _, body := range []string{`{"steps": -1}`, `not json`, `{"unknown_field": 1}`, `{"config":{"pulay":true}}`} {
+	for _, body := range []string{`{"steps": -1}`, `not json`, `{"unknown_field": 1}`, `{"config":{"pulay":true}}`, `{"steps": 1} {}`} {
 		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

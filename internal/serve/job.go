@@ -10,6 +10,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -134,10 +135,23 @@ func (s *JobSpec) EngineKind() string {
 // computation from the one submitted.
 func DecodeSpec(r io.Reader) (JobSpec, error) {
 	var spec JobSpec
+	err := decodeStrict(r, &spec)
+	return spec, err
+}
+
+// decodeStrict decodes the one JSON value r holds into v — the job spec
+// and every lease request body: an unknown field or anything but white
+// space after the value is an error.
+func decodeStrict(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	err := dec.Decode(&spec)
-	return spec, err
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("data after the JSON value")
+	}
+	return nil
 }
 
 // Validate rejects specs the engine cannot run, with messages meant for
