@@ -115,6 +115,26 @@ func TestLDCSolveConverges(t *testing.T) {
 	}
 }
 
+// TestSolveHistoryReportsResidual: every SCF step records the largest
+// eigensolver residual over its domains, which a converging 2×2×2 solve
+// never drives to exactly zero at three expansions per step.
+func TestSolveHistoryReportsResidual(t *testing.T) {
+	e, err := NewEngine(atoms.BuildSiC(1), goldenConfig(16, 2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	res, err := e.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, step := range res.History {
+		if !(step.MaxResidual > 0) || math.IsInf(step.MaxResidual, 0) {
+			t.Errorf("step %d: MaxResidual = %g, want finite and > 0", i+1, step.MaxResidual)
+		}
+	}
+}
+
 func TestDCModeSolves(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full SCF solve is expensive")

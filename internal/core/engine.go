@@ -139,6 +139,7 @@ type domainState struct {
 
 	// Results of the last SCF iteration.
 	eig    []float64 // eigenvalues
+	maxRes float64   // largest eigensolver residual ‖Hψ_n − ε_nψ_n‖
 	coreW  []float64 // per-band core weights w_nα = ∫_Ω0α |ψ_n|²
 	occ    []float64 // occupations at the last global μ
 	eBC    float64   // ∫_core v_bc ρα of the last assembly (LDC double counting)

@@ -30,7 +30,7 @@ type StepResult struct {
 	MaxDrho     float64 // max |ρ_out − ρ_in|
 	MGCycles    int     // multigrid V-cycles for the global Hartree solve
 	BandCount   int     // total Kohn–Sham states across domains
-	MaxResidual float64
+	MaxResidual float64 // largest eigensolver residual over all domains
 }
 
 // SolveResult is the outcome of a full SCF solve.
@@ -93,7 +93,8 @@ func (e *Engine) SCFStep() (*grid.Field, StepResult, error) {
 
 	// (3) Global chemical potential from all domain eigenvalues with
 	// core weights. States are visited in domain-index order so the
-	// Newton–Raphson sums are independent of the streaming schedule.
+	// Newton–Raphson sums (and the residual maximum) are independent of
+	// the streaming schedule.
 	spM := phMu.StartExclusive()
 	var eig, w []float64
 	for _, di := range e.active {
@@ -101,6 +102,7 @@ func (e *Engine) SCFStep() (*grid.Field, StepResult, error) {
 		eig = append(eig, st.eig...)
 		w = append(w, st.coreW...)
 		res.BandCount += len(st.eig)
+		res.MaxResidual = max(res.MaxResidual, st.maxRes)
 	}
 	mu, err := WeightedChemicalPotential(eig, w, e.Sys.TotalValence(), e.Cfg.KT)
 	spM.Stop()
@@ -171,6 +173,7 @@ func (e *Engine) solveDomain(ws *workspace, st *domainState, vh *grid.Field) err
 		return fmt.Errorf("core: domain solve: %w", err)
 	}
 	st.eig = eig.Eigenvalues
+	st.maxRes = eig.MaxResidual
 
 	// Core weights w_nα = ∫_core |ψ_n|² dV, via one batched transform of
 	// all bands to real space (the batch buffer is pooled on the basis,

@@ -219,9 +219,10 @@ func CholeskyHermitian(a *CMatrix) (*CMatrix, error) {
 func InvLowerC(l *CMatrix) *CMatrix {
 	n := l.Rows
 	inv := NewCMatrix(n, n)
+	x := make([]complex128, n)
 	for j := 0; j < n; j++ {
 		// Solve L x = e_j by forward substitution.
-		x := make([]complex128, n)
+		clear(x[j:])
 		x[j] = 1
 		for i := j; i < n; i++ {
 			s := x[i]

@@ -274,6 +274,44 @@ func TestInvLowerC(t *testing.T) {
 	}
 }
 
+// TestInvLowerCReusesColumn: one forward-substitution vector serves every
+// column, so the allocation count does not grow with n, and the result is
+// bit for bit the one a fresh zeroed vector per column gives.
+func TestInvLowerCReusesColumn(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	var allocs []float64
+	for _, n := range []int{4, 16, 48} {
+		m := randCMatrix(rng, n+3, n)
+		a := CGemmCT(m, m)
+		for i := 0; i < n; i++ {
+			a.Set(i, i, a.At(i, i)+complex(float64(n), 0))
+		}
+		l, err := CholeskyHermitian(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inv := InvLowerC(l)
+		for j := 0; j < n; j++ {
+			x := make([]complex128, n)
+			x[j] = 1
+			for i := j; i < n; i++ {
+				s := x[i]
+				for k := j; k < i; k++ {
+					s -= l.At(i, k) * x[k]
+				}
+				x[i] = s / l.At(i, i)
+				if got := inv.At(i, j); real(got) != real(x[i]) || imag(got) != imag(x[i]) {
+					t.Fatalf("n=%d: L⁻¹[%d][%d] = %v, fresh-vector substitution gives %v", n, i, j, got, x[i])
+				}
+			}
+		}
+		allocs = append(allocs, testing.AllocsPerRun(10, func() { InvLowerC(l) }))
+	}
+	if allocs[0] != allocs[1] || allocs[1] != allocs[2] {
+		t.Errorf("allocations grow with n: %v at n = 4, 16, 48", allocs)
+	}
+}
+
 func TestHermitianEigen(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	for _, n := range []int{1, 2, 3, 10, 24} {

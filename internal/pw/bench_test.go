@@ -188,6 +188,35 @@ func BenchmarkDensity(b *testing.B) {
 	}
 }
 
+// BenchmarkSolveAllBand is one domain diagonalization as the SCF loop
+// runs it (three expansions, production band counts) at the two LDC
+// domain bases of the end-to-end benchmark: g10 (qmd-27dom, 33 waves,
+// 10 bands) and g12 (qmd-sic8, 57 waves, 14 bands). Every run starts
+// from the same random orbitals.
+func BenchmarkSolveAllBand(b *testing.B) {
+	for _, c := range []struct {
+		shape domainShape
+		nb    int
+	}{{domainG10, 10}, {domainG12, 14}} {
+		b.Run(c.shape.name, func(b *testing.B) {
+			h := c.shape.hamiltonian(b)
+			start, err := RandomOrbitals(h.Basis, c.nb, rand.New(rand.NewSource(1)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			psi := start.Clone()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(psi.Data, start.Data)
+				if _, err := SolveAllBand(h, psi, 3); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkSolveAllBandIteration(b *testing.B) {
 	h, psi := benchSetup(b, 16)
 	b.ResetTimer()

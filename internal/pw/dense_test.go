@@ -11,6 +11,10 @@ import (
 	"ldcdft/internal/perf"
 )
 
+// domainG12Ecut6 is a qmd-sic8 domain at twice the cutoff: the smallest
+// crossover basis that takes the FFT path.
+var domainG12Ecut6 = domainShape{"g12-ecut6", 12, atoms.SiCLatticeConstant * 12 / 16, 6, 171}
+
 // The bases of the HΨ crossover (DESIGN.md, "Dense HΨ"), smallest first
 // within each side: the LDC domains of qmd-27dom and qmd-sic8, the whole
 // SiC(1) cell at the conventional-solve probe's and at qmd-27dom's
@@ -30,7 +34,7 @@ var (
 		{domainG12, 14, true},
 		{wholeSiC1, 24, true},
 		{domainShape{"sic1-g18", 18, sicA, 4, 203}, 24, true},
-		{domainShape{"g12-ecut6", 12, sicA * 12 / 16, 6, 171}, 14, false},
+		{domainG12Ecut6, 14, false},
 		{domainShape{"stream64", 10, 2 * sicA * 10 / 24, 6, 251}, 14, false},
 		{domainShape{"sic2-g24", 24, 2 * sicA, 3, 1141}, 100, false},
 	}

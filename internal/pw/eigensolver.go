@@ -2,7 +2,6 @@ package pw
 
 import (
 	"fmt"
-	"math"
 	"math/cmplx"
 	"math/rand"
 	"slices"
@@ -57,7 +56,7 @@ func RandomOrbitals(b *Basis, nb int, rng *rand.Rand) (*linalg.CMatrix, error) {
 type EigenResult struct {
 	Eigenvalues []float64
 	Iterations  int
-	MaxResidual float64
+	MaxResidual float64 // largest ‖Hψ_n − ε_nψ_n‖ of the returned pairs
 	// Flops is the modelled operation count of this diagonalization,
 	// accumulated from the kernels it invoked (Hamiltonian applies,
 	// subspace GEMMs, orthonormalizations). Callers attribute it to their
@@ -79,12 +78,6 @@ func teterPrecondition(b *Basis, r []complex128, ke float64) {
 	}
 }
 
-// expandFullApply forces the pre-optimization expansion path that
-// re-applies H to the full expanded block [Ψ, R] instead of reusing HΨ
-// for the retained columns. Kept (unexported) so tests can verify the
-// reuse path reproduces the seed path's eigenvalues.
-var expandFullApply = false
-
 // eigenFlops models linalg.HermitianEigen on an n×n matrix in real
 // operations: Householder tridiagonalisation 16n³/3 (a Hermitian
 // matrix-vector product and a rank-2 update per reflector), accumulating
@@ -95,57 +88,76 @@ func eigenFlops(n int) int64 {
 }
 
 // SolveAllBand diagonalizes H for the nb lowest states using the blocked
-// (all-band) algorithm of §3.4: every iteration applies H to the whole
-// packed Ψ matrix, performs a Rayleigh–Ritz rotation, and expands the
-// subspace with preconditioned residuals — all expressed as BLAS3 matrix
-// products. psi is the starting guess (orthonormal columns) and is
-// updated in place; iters is the number of expansion steps (the paper's
-// "CG iterations per SCF", §5.1 uses 3).
+// (all-band) algorithm of §3.4, every step a BLAS3 matrix product: one
+// Rayleigh–Ritz rotation of the starting span, then per iteration the
+// preconditioned residual block, the expansion [Ψ, R] and a Rayleigh–Ritz
+// in the expanded space that keeps the lowest nb Ritz pairs. Those pairs
+// are already rotated — Ψ†HΨ = diag(ε) — so the next iteration takes its
+// residuals from them directly. psi is the starting guess and is updated
+// in place; iters is the number of expansion steps (the paper's "CG
+// iterations per SCF", §5.1 uses 3).
+//
+// Ψ must stay orthonormal for the expansion to reuse HΨ. That is checked
+// once here: a starting Ψ whose overlap is off the identity by more than
+// 1e-10 is orthonormalized first. From then on each new Ψ is an
+// orthonormal V times orthonormal Ritz vectors.
 func SolveAllBand(h *Hamiltonian, psi *linalg.CMatrix, iters int) (EigenResult, error) {
 	nb := psi.Cols
 	np := psi.Rows
 	var res EigenResult
-	hpsi := h.ApplyAll(psi)
-	res.Flops += h.applyAllFlops(nb)
-	for it := 0; it < iters; it++ {
-		// Rayleigh–Ritz in the current span.
-		hsub := linalg.CGemmCT(psi, hpsi)
-		w, u, err := linalg.HermitianEigen(hsub)
-		if err != nil {
+	res.Flops += 8 * int64(np) * int64(nb) * int64(nb)
+	if orthonormalityDefect(psi) > 1e-10 {
+		if err := Orthonormalize(psi); err != nil {
 			return res, err
 		}
-		rot := linalg.NewCMatrix(np, nb)
-		linalg.CGemm(psi, u, rot)
-		copy(psi.Data, rot.Data)
-		linalg.CGemm(hpsi, u, rot)
-		copy(hpsi.Data, rot.Data)
-		res.Flops += 24*int64(np)*int64(nb)*int64(nb) + eigenFlops(nb)
-		res.Eigenvalues = w
+		res.Flops += orthoFlops(np, nb)
+	}
+	hpsi := h.ApplyAll(psi)
+	res.Flops += h.applyAllFlops(nb)
 
+	// Rayleigh–Ritz in the starting span.
+	hsub := linalg.CGemmCT(psi, hpsi)
+	w, u, err := linalg.HermitianEigen(hsub)
+	if err != nil {
+		return res, err
+	}
+	rot := linalg.NewCMatrix(np, nb)
+	linalg.CGemm(psi, u, rot)
+	copy(psi.Data, rot.Data)
+	linalg.CGemm(hpsi, u, rot)
+	copy(hpsi.Data, rot.Data)
+	res.Flops += 24*int64(np)*int64(nb)*int64(nb) + eigenFlops(nb)
+	res.Eigenvalues = w
+
+	col := make([]complex128, np)
+	hcol := make([]complex128, np)
+	// residual leaves ψ_n in col and r_n = Hψ_n − ε_n ψ_n in hcol and
+	// returns ‖r_n‖.
+	residual := func(n int) float64 {
+		psi.Col(n, col)
+		hpsi.Col(n, hcol)
+		for i := range hcol {
+			hcol[i] -= complex(w[n], 0) * col[i]
+		}
+		return linalg.CNorm2(hcol)
+	}
+	expanded := false
+	for it := 0; it < iters; it++ {
 		// Preconditioned residual block R = K(HΨ − Ψ diag(w)). Columns
 		// whose residual has effectively vanished (converged bands) are
 		// dropped from the expansion set: keeping them would make the
 		// expanded overlap matrix numerically singular.
 		var keep [][]complex128
 		var keepNorm []float64
-		col := make([]complex128, np)
-		hcol := make([]complex128, np)
 		res.MaxResidual = 0
+		expanded = false
 		for n := 0; n < nb; n++ {
-			psi.Col(n, col)
-			hpsi.Col(n, hcol)
-			ke := h.KineticExpectation(col)
-			for i := range hcol {
-				hcol[i] -= complex(w[n], 0) * col[i]
-			}
-			rn := linalg.CNorm2(hcol)
-			if rn > res.MaxResidual {
-				res.MaxResidual = rn
-			}
+			rn := residual(n)
+			res.MaxResidual = max(res.MaxResidual, rn)
 			if rn < 1e-9 {
 				continue
 			}
-			teterPrecondition(h.Basis, hcol, ke)
+			teterPrecondition(h.Basis, hcol, h.KineticExpectation(col))
 			if pn := linalg.CNorm2(hcol); pn > 0 {
 				linalg.CScale(complex(1/pn, 0), hcol)
 			}
@@ -172,9 +184,9 @@ func SolveAllBand(h *Hamiltonian, psi *linalg.CMatrix, iters int) (EigenResult, 
 			break
 		}
 
-		// Expand: V = [Ψ, R_kept], orthonormalize, Rayleigh–Ritz in the
+		// Expand: V = [Ψ, R_kept] orthonormal, Rayleigh–Ritz in the
 		// expanded space, keep the lowest nb states.
-		v, hv, applyFl, err := expandSubspace(h, psi, hpsi, keep)
+		v, hv, expandFl, err := expandSubspace(h, psi, hpsi, keep)
 		if err != nil {
 			return res, err
 		}
@@ -191,66 +203,84 @@ func SolveAllBand(h *Hamiltonian, psi *linalg.CMatrix, iters int) (EigenResult, 
 		}
 		linalg.CGemm(v, usel, psi)
 		linalg.CGemm(hv, usel, hpsi)
-		res.Flops += orthoFlops(np, nv) + applyFl +
-			8*int64(np)*int64(nv)*int64(nv) + eigenFlops(nv) +
+		res.Flops += expandFl + 8*int64(np)*int64(nv)*int64(nv) + eigenFlops(nv) +
 			16*int64(np)*int64(nv)*int64(nb)
-		res.Eigenvalues = w2[:nb]
+		w = w2[:nb]
+		res.Eigenvalues = w
+		expanded = true
+	}
+	// After an expansion the residuals above belong to the previous Ψ:
+	// report those of the pairs returned.
+	if expanded {
+		res.MaxResidual = 0
+		for n := 0; n < nb; n++ {
+			res.MaxResidual = max(res.MaxResidual, residual(n))
+		}
 	}
 	return res, nil
 }
 
-// expandSubspace returns an orthonormal basis V of span[Ψ, R] (R the
-// columns in keep), HV, and the modelled flops of the Hamiltonian applies.
+// orthonormalityDefect returns max|Ψ†Ψ − I|.
+func orthonormalityDefect(psi *linalg.CMatrix) float64 {
+	s := linalg.CGemmCT(psi, psi)
+	var d float64
+	for i := 0; i < s.Rows; i++ {
+		for j, v := range s.Row(i) {
+			if i == j {
+				v--
+			}
+			d = max(d, cmplx.Abs(v))
+		}
+	}
+	return d
+}
+
+// expandSubspace returns an orthonormal basis V = [Ψ, Q] of span[Ψ, R]
+// (R the columns in keep, Ψ orthonormal), HV, and the modelled flops of
+// the orthonormalization and the Hamiltonian applies.
 //
-// HΨ reuse: while Ψ's columns are orthonormal, the Cholesky factor of the
-// expanded overlap has an identity leading block and Ψ L^{-†} leaves the
-// first nb columns unchanged — HV for those columns IS the hpsi block
-// already in hand. H is then applied only to the orthonormalized residual
-// columns, roughly halving the Hamiltonian work of every expansion step.
-// That is checked, not assumed: once Ψ has lost orthonormality the leading
-// block moves, pairing it with hpsi would hand the Rayleigh–Ritz step a
-// matrix that is not Hermitian, and the full block is re-applied instead —
-// as it is when the Cholesky route fails (residuals nearly dependent on Ψ)
-// and the Gram–Schmidt fallback rebuilds all columns.
-func expandSubspace(h *Hamiltonian, psi, hpsi *linalg.CMatrix, keep [][]complex128) (v, hv *linalg.CMatrix, applyFlops int64, err error) {
-	np, nb := psi.Rows, psi.Cols
-	nv := nb + len(keep)
+// R is orthogonalized against Ψ, R ← R − Ψ(Ψ†R), and only its nk columns
+// are Cholesky-orthonormalized — the same factorization as Cholesky-QR of
+// all of [Ψ, R], whose leading block is the identity while Ψ is
+// orthonormal (L₂₁ = R†Ψ, L₂₂ = chol(R†R − R†ΨΨ†R)). The leading block
+// of V is then Ψ itself, so HV = [HΨ, HQ] and H is applied to the new
+// columns alone. When the projected residuals are numerically dependent
+// on Ψ, [Ψ, R] is orthonormalized as a whole instead (Gram–Schmidt if
+// Cholesky fails there too) and H is applied to all of V.
+func expandSubspace(h *Hamiltonian, psi, hpsi *linalg.CMatrix, keep [][]complex128) (v, hv *linalg.CMatrix, flops int64, err error) {
+	np, nb, nk := psi.Rows, psi.Cols, len(keep)
+	nv := nb + nk
 	v = linalg.NewCMatrix(np, nv)
+	r := linalg.NewCMatrix(np, nk)
 	for i := 0; i < np; i++ {
 		copy(v.Row(i)[:nb], psi.Row(i))
 		for k, rcol := range keep {
 			v.Row(i)[nb+k] = rcol[i]
+			r.Row(i)[k] = rcol[i]
 		}
 	}
-	reuse := !expandFullApply
-	if err := Orthonormalize(v); err != nil {
-		if err := gramSchmidt(v); err != nil {
-			return nil, nil, 0, err
-		}
-		reuse = false
+	proj := linalg.NewCMatrix(np, nk)
+	linalg.CGemm(psi, linalg.CGemmCT(psi, r), proj)
+	for i, p := range proj.Data {
+		r.Data[i] -= p
 	}
-	for i := 0; reuse && i < np; i++ {
-		for j, p := range psi.Row(i) {
-			if d := v.Row(i)[j] - p; math.Abs(real(d)) > 1e-10 || math.Abs(imag(d)) > 1e-10 {
-				reuse = false
-				break
+	flops = 16*int64(np)*int64(nb)*int64(nk) + orthoFlops(np, nk)
+	if err := Orthonormalize(r); err != nil {
+		if err := Orthonormalize(v); err != nil {
+			if err := gramSchmidt(v); err != nil {
+				return nil, nil, 0, err
 			}
 		}
-	}
-	if !reuse {
-		return v, h.ApplyAll(v), h.applyAllFlops(nv), nil
-	}
-	r := linalg.NewCMatrix(np, len(keep))
-	for i := 0; i < np; i++ {
-		copy(r.Row(i), v.Row(i)[nb:])
+		return v, h.ApplyAll(v), flops + orthoFlops(np, nv) + h.applyAllFlops(nv), nil
 	}
 	hr := h.ApplyAll(r)
 	hv = linalg.NewCMatrix(np, nv)
 	for i := 0; i < np; i++ {
+		copy(v.Row(i)[nb:], r.Row(i))
 		copy(hv.Row(i)[:nb], hpsi.Row(i))
 		copy(hv.Row(i)[nb:], hr.Row(i))
 	}
-	return v, hv, h.applyAllFlops(len(keep)), nil
+	return v, hv, flops + h.applyAllFlops(nk), nil
 }
 
 // gramSchmidt is the fallback orthonormalization: modified Gram–Schmidt

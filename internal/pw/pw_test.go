@@ -269,37 +269,6 @@ func TestSolveAllBandMatchesDense(t *testing.T) {
 	}
 }
 
-// TestSolveAllBandHPsiReuse checks the expansion-step optimization that
-// reuses the retained columns' HΨ (ROADMAP item 3): eigenvalues from the
-// reuse path must match the full re-apply path to far below the solver
-// tolerance.
-func TestSolveAllBandHPsiReuse(t *testing.T) {
-	h, _, _ := testHamiltonian(t, true)
-	nb := 6
-	rng := rand.New(rand.NewSource(11))
-	psiA, err := RandomOrbitals(h.Basis, nb, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	psiB := psiA.Clone()
-	resA, err := SolveAllBand(h, psiA, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	expandFullApply = true
-	defer func() { expandFullApply = false }()
-	resB, err := SolveAllBand(h, psiB, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for n := 0; n < nb; n++ {
-		if d := math.Abs(resA.Eigenvalues[n] - resB.Eigenvalues[n]); d > 1e-8 {
-			t.Fatalf("band %d: HΨ-reuse %g vs full-apply %g (Δ=%g)",
-				n, resA.Eigenvalues[n], resB.Eigenvalues[n], d)
-		}
-	}
-}
-
 func TestOrthonormalize(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	psi := linalg.NewCMatrix(50, 6)
@@ -550,19 +519,6 @@ func TestNonlocalForcesFiniteDifference(t *testing.T) {
 	}
 }
 
-// orthonormalityDefect returns max |Ψ†Ψ − I|.
-func orthonormalityDefect(psi *linalg.CMatrix) float64 {
-	s := linalg.CGemmCT(psi, psi)
-	var d float64
-	for i := 0; i < s.Rows; i++ {
-		s.Set(i, i, s.At(i, i)-1)
-	}
-	for _, v := range s.Data {
-		d = math.Max(d, cmplx.Abs(v))
-	}
-	return d
-}
-
 // TestSolveAllBandSmallBasis: with fewer than 2·nb plane waves — the
 // 10³-point domains at Ecut 3: 27 waves, 14 bands — the expansion block
 // [Ψ, R] may not outgrow the space. Capped at np columns it spans all of
@@ -596,11 +552,12 @@ func TestSolveAllBandSmallBasis(t *testing.T) {
 	}
 }
 
-// TestExpandSubspaceChecksLeadingBlock: the HΨ-reuse path is only valid
-// while orthonormalising [Ψ, R] leaves Ψ where it was. Handed a Ψ that is
-// slightly off orthonormal it must be refused: HV has to be H·V, and V†HV
-// Hermitian, whatever Ψ was.
-func TestExpandSubspaceChecksLeadingBlock(t *testing.T) {
+// TestExpandSubspaceReusesHPsi: with Ψ orthonormal the residual block
+// is orthogonalized against Ψ alone, so V's leading block is Ψ and its HV
+// block is the HΨ handed in — which must still make HV = H·V, V
+// orthonormal and V†HV Hermitian. Residuals that lie in span Ψ take the
+// fallback, which orthonormalizes all of [Ψ, R] and applies H to V.
+func TestExpandSubspaceReusesHPsi(t *testing.T) {
 	h, _, _ := testHamiltonian(t, true)
 	nb := 6
 	rng := rand.New(rand.NewSource(13))
@@ -608,26 +565,46 @@ func TestExpandSubspaceChecksLeadingBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var keep [][]complex128
-	for k := 0; k < 4; k++ {
-		r := make([]complex128, psi.Rows)
-		for i := range r {
-			r[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+	np := psi.Rows
+	randomCols := func(n int) [][]complex128 {
+		var keep [][]complex128
+		for k := 0; k < n; k++ {
+			r := make([]complex128, np)
+			for i := range r {
+				r[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+			}
+			keep = append(keep, r)
 		}
-		keep = append(keep, r)
+		return keep
 	}
-	check := func(name string, psi *linalg.CMatrix, wantFlops int64) {
-		v, hv, flops, err := expandSubspace(h, psi, h.ApplyAll(psi), keep)
+	check := func(name string, keep [][]complex128, reuse bool) {
+		nk := len(keep)
+		hpsi := h.ApplyAll(psi)
+		v, hv, flops, err := expandSubspace(h, psi, hpsi, keep)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if flops != wantFlops {
-			t.Errorf("%s: modelled %d apply flops, want %d", name, flops, wantFlops)
+		want := 16*int64(np*nb*nk) + orthoFlops(np, nk) + h.applyAllFlops(nk)
+		if !reuse {
+			want += orthoFlops(np, nb+nk) + h.applyAllFlops(nb)
 		}
-		want := h.ApplyAll(v)
-		for i := range want.Data {
-			if cmplx.Abs(hv.Data[i]-want.Data[i]) > 1e-10 {
-				t.Fatalf("%s: HV is not H·V (Δ = %.3g)", name, cmplx.Abs(hv.Data[i]-want.Data[i]))
+		if flops != want {
+			t.Errorf("%s: modelled %d flops, want %d", name, flops, want)
+		}
+		if d := orthonormalityDefect(v); d > 1e-12 {
+			t.Errorf("%s: ‖V†V − I‖ = %.3g", name, d)
+		}
+		for i := 0; reuse && i < np; i++ {
+			for j := 0; j < nb; j++ {
+				if !sameBits(v.At(i, j), psi.At(i, j)) || !sameBits(hv.At(i, j), hpsi.At(i, j)) {
+					t.Fatalf("%s: the leading block of V, HV is not Ψ, HΨ", name)
+				}
+			}
+		}
+		want2 := h.ApplyAll(v)
+		for i := range want2.Data {
+			if cmplx.Abs(hv.Data[i]-want2.Data[i]) > 1e-10 {
+				t.Fatalf("%s: HV is not H·V (Δ = %.3g)", name, cmplx.Abs(hv.Data[i]-want2.Data[i]))
 			}
 		}
 		hsub := linalg.CGemmCT(v, hv)
@@ -639,14 +616,16 @@ func TestExpandSubspaceChecksLeadingBlock(t *testing.T) {
 			}
 		}
 	}
-	check("orthonormal Ψ reuses HΨ", psi, h.applyAllFlops(len(keep)))
+	check("random residuals reuse HΨ", randomCols(4), true)
+	inSpan := randomCols(2)
+	psi.Col(0, inSpan[0])
+	check("a residual in span Ψ falls back", inSpan, false)
+
+	// And end to end: SolveAllBand started from a skewed Ψ recovers.
 	skew := psi.Clone()
 	for i := 0; i < skew.Rows; i++ {
 		skew.Set(i, 0, skew.At(i, 0)+1e-3*skew.At(i, 1))
 	}
-	check("skewed Ψ re-applies H", skew, h.applyAllFlops(nb+len(keep)))
-
-	// And end to end: SolveAllBand started from the skewed Ψ recovers.
 	res, err := SolveAllBand(h, skew, 60)
 	if err != nil {
 		t.Fatal(err)
@@ -661,6 +640,78 @@ func TestExpandSubspaceChecksLeadingBlock(t *testing.T) {
 	for n := 0; n < nb; n++ {
 		if math.Abs(res.Eigenvalues[n]-wDense[n]) > 1e-5 {
 			t.Errorf("band %d: %g vs dense %g", n, res.Eigenvalues[n], wDense[n])
+		}
+	}
+}
+
+// TestSolveAllBandReturnsRitzPairs pins the contract that lets the solver
+// run one Rayleigh–Ritz per iteration instead of two, on both HΨ
+// paths at production iteration counts: the returned Ψ is orthonormal,
+// Ψ†HΨ is diagonal with the returned eigenvalues on its diagonal, and
+// MaxResidual is max‖Hψ_n − ε_nψ_n‖ of exactly those pairs. A start
+// skewed off orthonormal by 1e-3 must come out the same way.
+func TestSolveAllBandReturnsRitzPairs(t *testing.T) {
+	for _, c := range []struct {
+		shape domainShape
+		nb    int
+		dense bool
+	}{{domainG10, 10, true}, {domainG12Ecut6, 14, false}} {
+		for _, skewed := range []bool{false, true} {
+			name := c.shape.name
+			if skewed {
+				name += "/skewed"
+			}
+			t.Run(name, func(t *testing.T) {
+				h := c.shape.hamiltonian(t)
+				if (h.op != nil) != c.dense {
+					t.Fatalf("took the wrong HΨ path (dense = %v)", h.op != nil)
+				}
+				psi, err := RandomOrbitals(h.Basis, c.nb, rand.New(rand.NewSource(17)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if skewed {
+					for i := 0; i < psi.Rows; i++ {
+						psi.Set(i, 0, psi.At(i, 0)+1e-3*psi.At(i, 1))
+					}
+				}
+				res, err := SolveAllBand(h, psi, 3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := orthonormalityDefect(psi); d > 1e-12 {
+					t.Errorf("‖Ψ†Ψ − I‖ = %.3g", d)
+				}
+				var hmax float64
+				for _, v := range buildDenseH(h).Data {
+					hmax = math.Max(hmax, cmplx.Abs(v))
+				}
+				hpsi := h.ApplyAll(psi)
+				hsub := linalg.CGemmCT(psi, hpsi)
+				for i := 0; i < c.nb; i++ {
+					for j := 0; j < c.nb; j++ {
+						want := complex128(0)
+						if i == j {
+							want = complex(res.Eigenvalues[i], 0)
+						}
+						if d := cmplx.Abs(hsub.At(i, j) - want); d > 1e-10*hmax {
+							t.Errorf("(Ψ†HΨ)[%d][%d] = %v, want %v (Δ = %.3g)", i, j, hsub.At(i, j), want, d)
+						}
+					}
+				}
+				var maxRes float64
+				col := make([]complex128, psi.Rows)
+				hcol := make([]complex128, psi.Rows)
+				for n := 0; n < c.nb; n++ {
+					psi.Col(n, col)
+					hpsi.Col(n, hcol)
+					linalg.CAxpy(complex(-res.Eigenvalues[n], 0), col, hcol)
+					maxRes = math.Max(maxRes, linalg.CNorm2(hcol))
+				}
+				if maxRes == 0 || math.Abs(res.MaxResidual-maxRes) > 1e-9*maxRes {
+					t.Errorf("MaxResidual %.12g, the returned pairs' residual is %.12g", res.MaxResidual, maxRes)
+				}
+			})
 		}
 	}
 }
