@@ -7,7 +7,45 @@ import (
 	"ldcdft/internal/atoms"
 	"ldcdft/internal/geom"
 	"ldcdft/internal/grid"
+	"ldcdft/internal/perf"
+	"ldcdft/internal/pw"
 )
+
+// TestDomainDensityAndCoreWeightsAllocateNothing: on a warmed engine
+// whose domains take the dense path, a domain's density and core weights
+// run no complex transform and allocate nothing — the workspace owns the
+// scratch and the core operator.
+func TestDomainDensityAndCoreWeightsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates")
+	}
+	for _, c := range []struct{ gridN, nd int }{{16, 2}, {18, 3}} { // 57- and 27-wave domains
+		e, err := NewEngine(atoms.BuildSiC(1), goldenConfig(c.gridN, c.nd, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := e.SCFStep(); err != nil {
+			t.Fatal(err)
+		}
+		ws, st := e.ws[0], e.states[e.active[0]]
+		if err := ws.retarget(st, e.store, false); err != nil {
+			t.Fatal(err)
+		}
+		fft3d := perf.GetPhase("fft/3d")
+		before := fft3d.Calls()
+		allocs := testing.AllocsPerRun(20, func() {
+			pw.DensityInto(ws.eng.Basis, ws.eng.Psi, st.occ, ws.rhoLocal.Data, &ws.scratch)
+			ws.core.Weights(ws.eng.Psi, st.coreW, &ws.scratch)
+		})
+		if n := fft3d.Calls() - before; n != 0 {
+			t.Errorf("grid %d: %d complex transforms: the domains took the FFT path", c.gridN, n)
+		}
+		if allocs != 0 {
+			t.Errorf("grid %d: domain density and core weights allocate %v objects per visit, want 0", c.gridN, allocs)
+		}
+		e.Close()
+	}
+}
 
 func TestSetDensity(t *testing.T) {
 	sys := atoms.BuildSiC(1)

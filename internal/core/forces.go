@@ -43,25 +43,8 @@ func (e *Engine) Forces() ([]geom.Vec3, error) {
 			return err
 		}
 		b := ws.eng.Basis
-		gsz := b.Grid.Size()
-		batch := b.GetBatch(st.nb * gsz)
-		defer b.PutBatch(batch)
-		b.ToRealSpaceBatch(ws.eng.Psi, batch)
-		invVol := 1 / b.Volume()
 		local := ws.rhoLocal
-		for i := range local.Data {
-			local.Data[i] = 0
-		}
-		for n, f := range st.occ {
-			if f == 0 {
-				continue
-			}
-			bv := batch[n*gsz : (n+1)*gsz]
-			for i, v := range bv {
-				band := (real(v)*real(v) + imag(v)*imag(v)) * invVol
-				local.Data[i] += f * band
-			}
-		}
+		pw.DensityInto(b, ws.eng.Psi, st.occ, local.Data, &ws.scratch)
 		fLoc := pw.LocalForces(b, local.Data, st.da.Species, st.da.Local)
 		fNl := pw.NonlocalForces(b, ws.eng.Ham.Projectors(), ws.eng.Psi, st.occ, len(st.da.Species))
 		for k, gi := range st.da.Index {

@@ -83,7 +83,9 @@ func TestSCFStepReusesLocalDensityBuffers(t *testing.T) {
 
 // TestSCFStepRecordsPhases: one SCF step must record a span (and for the
 // FLOP-bearing stages, a nonzero operation count) on every stage phase of
-// the Fig. 2 loop.
+// the Fig. 2 loop. Its domains take the dense path, where HΨ, the density
+// and the core weights run in the plane-wave basis: the only transforms
+// are real ones, and no complex fft/3d runs at all.
 func TestSCFStepRecordsPhases(t *testing.T) {
 	perf.Global.Reset()
 	perf.Default.Reset()
@@ -105,7 +107,7 @@ func TestSCFStepRecordsPhases(t *testing.T) {
 		"scf/eigensolver",
 		"pw/apply-hamiltonian",
 		"pw/orthonormalize",
-		"fft/3d",
+		"fft/3d-real",
 		"multigrid/poisson",
 	} {
 		p := perf.GetPhase(name)
@@ -118,11 +120,14 @@ func TestSCFStepRecordsPhases(t *testing.T) {
 	}
 	for _, name := range []string{
 		"scf/hartree-multigrid", "scf/domain-solves", "scf/density-assembly",
-		"scf/eigensolver", "pw/apply-hamiltonian", "fft/3d", "multigrid/poisson",
+		"scf/eigensolver", "pw/apply-hamiltonian", "fft/3d-real", "multigrid/poisson",
 	} {
 		if p := perf.GetPhase(name); p.Flops() <= 0 {
 			t.Errorf("phase %s attributed no flops", name)
 		}
+	}
+	if n := perf.GetPhase("fft/3d").Calls(); n != 0 {
+		t.Errorf("a dense-path SCF step ran %d complex 3-D transforms, want 0", n)
 	}
 	snap := perf.Default.Snapshot()
 	if len(snap) < 9 {

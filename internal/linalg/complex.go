@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/cmplx"
+	"sync"
 
 	"ldcdft/internal/par"
 	"ldcdft/internal/perf"
@@ -99,16 +100,34 @@ func CScale(a complex128, x []complex128) {
 // CGemm computes C = A*B for complex matrices in row panels of at least
 // 32³ multiply-adds on the internal/par pool, so a small product runs
 // inline and every row is summed in order at any processor count. It is
-// the ZGEMM analog used by the all-band (BLAS3) code path of §3.4.
+// the ZGEMM analog used by the all-band (BLAS3) code path of §3.4. The
+// panels run through a pooled job's bound method, so a product allocates
+// nothing.
 func CGemm(a, b, c *CMatrix) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
 		panic(ErrDimension)
 	}
 	clear(c.Data)
-	par.For(a.Rows, rowGrain(32*32*32, a.Cols, b.Cols), func(r0, r1 int) {
-		cgemmRange(a, b, c, r0, r1)
-	})
+	j := gemmJobs.Get().(*gemmJob)
+	j.a, j.b, j.c = a, b, c
+	par.For(a.Rows, rowGrain(32*32*32, a.Cols, b.Cols), j.body)
+	j.a, j.b, j.c = nil, nil, nil
+	gemmJobs.Put(j)
 }
+
+// gemmJob is one CGemm's operands; body is its run, bound once.
+type gemmJob struct {
+	a, b, c *CMatrix
+	body    func(r0, r1 int)
+}
+
+var gemmJobs = sync.Pool{New: func() any {
+	j := new(gemmJob)
+	j.body = j.run
+	return j
+}}
+
+func (j *gemmJob) run(r0, r1 int) { cgemmRange(j.a, j.b, j.c, r0, r1) }
 
 func cgemmRange(a, b, c *CMatrix, r0, r1 int) {
 	n, p := a.Cols, b.Cols

@@ -13,12 +13,14 @@ package pw
 import (
 	"fmt"
 	"math"
+	"math/cmplx"
 	"sync"
 
 	"ldcdft/internal/fft"
 	"ldcdft/internal/geom"
 	"ldcdft/internal/grid"
 	"ldcdft/internal/linalg"
+	"ldcdft/internal/perf"
 )
 
 // Basis is the plane-wave basis of one periodic cell.
@@ -157,6 +159,30 @@ func differenceTable(fftI []int, n int) []int32 {
 		}
 	}
 	return tab
+}
+
+// gatherConvolution sets dst = base + F̂[(m_i − m_j) mod N]/N³ (row-major
+// np×np; base nil reads as zero) for the real field F whose packed half
+// spectrum is fhat, gathered through vdiff with mirrored entries
+// conjugated. dst is then the matrix of multiplication by F on the
+// basis: the cyclic convolution that scatter → inverse ×F → forward →
+// gather computes by transforms.
+func (b *Basis) gatherConvolution(fhat, base, dst []complex128) {
+	inv := 1 / float64(b.Grid.Size())
+	for k, d := range b.vdiff {
+		var v complex128
+		if d >= 0 {
+			v = fhat[d]
+		} else {
+			v = cmplx.Conj(fhat[-1-d])
+		}
+		v = complex(real(v)*inv, imag(v)*inv)
+		if base != nil {
+			v += base[k]
+		}
+		dst[k] = v
+	}
+	perf.Global.Add(4 * int64(len(dst)))
 }
 
 // fold maps FFT index to signed frequency: 0..N/2 → 0..N/2, rest negative.

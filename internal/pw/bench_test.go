@@ -176,15 +176,46 @@ func BenchmarkOrthonormalize(b *testing.B) {
 	}
 }
 
+// BenchmarkDensity is the density's side of the crossover: ρ from nb
+// occupied bands by the density matrix (dense) and by band transforms
+// (fft) at each basis of crossoverHΨ, the dense path forced onto the
+// three large bases and the FFT path called directly on the four small
+// ones, as BenchmarkApplyAll does. Run it at GOMAXPROCS=1 for the
+// density column of DESIGN.md's crossover table.
 func BenchmarkDensity(b *testing.B) {
-	h, psi := benchSetup(b, 16)
-	occ := make([]float64, 16)
-	for i := range occ {
-		occ[i] = 2
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Density(h.Basis, psi, occ)
+	for _, c := range crossoverHΨ {
+		for _, dense := range []bool{true, false} {
+			name := c.shape.name + "/fft"
+			if dense {
+				name = c.shape.name + "/dense"
+			}
+			b.Run(name, func(b *testing.B) {
+				basis := c.shape.basis(b)
+				if dense && basis.vdiff == nil {
+					basis.vdiff = differenceTable(basis.FFTi, basis.Grid.N)
+				}
+				psi, err := RandomOrbitals(basis, c.nb, rand.New(rand.NewSource(1)))
+				if err != nil {
+					b.Fatal(err)
+				}
+				occ := make([]float64, c.nb)
+				for n := range occ {
+					occ[n] = 2 / float64(1+n/8) // fractional, none zero
+				}
+				rho := make([]float64, basis.Grid.Size())
+				var s Scratch
+				density := func() { densityFFT(basis, psi, occ, rho) }
+				if dense {
+					density = func() { DensityInto(basis, psi, occ, rho, &s) }
+				}
+				density() // warm the scratch and the basis pools
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					density()
+				}
+			})
+		}
 	}
 }
 

@@ -158,3 +158,110 @@ func TestDenseFlopsMatchGlobal(t *testing.T) {
 		t.Errorf("dense apply counted %d flops, model %d, want 8·np²·nb = %d", got, want, 8*np*np*5)
 	}
 }
+
+// normalizedBlock is randomBlock with every column scaled to Σ|c|² = 1,
+// so a band integrates to one electron per unit occupation.
+func normalizedBlock(np, nb int, rng *rand.Rand) *linalg.CMatrix {
+	psi := randomBlock(np, nb, rng)
+	for n := 0; n < nb; n++ {
+		var s float64
+		for i := 0; i < np; i++ {
+			v := psi.At(i, n)
+			s += real(v)*real(v) + imag(v)*imag(v)
+		}
+		inv := complex(1/math.Sqrt(s), 0)
+		for i := 0; i < np; i++ {
+			psi.Set(i, n, psi.At(i, n)*inv)
+		}
+	}
+	return psi
+}
+
+// maxRelDiffReal is max|got − want| / max|want|.
+func maxRelDiffReal(got, want []float64) float64 {
+	var d, scale float64
+	for i, w := range want {
+		d = math.Max(d, math.Abs(got[i]-w))
+		scale = math.Max(scale, math.Abs(w))
+	}
+	return d / scale
+}
+
+// TestDenseDensityMatchesFFT: the density from the density matrix is the
+// cyclic convolution the band-by-band transforms compute, so on every
+// dense basis of TestDenseOperatorMatchesFFT the two agree to round-off
+// with random orbitals and occupations that include zeros, and ρ
+// integrates to Σ f_n. A scatter that also adds the pairs past the packed
+// half, or that drops one member of a pair on the kz = 0 plane, is off by
+// O(1).
+func TestDenseDensityMatchesFFT(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	occ := []float64{2, 0, 1.25, 2, 0, 0.375, 1e-3}
+	var want float64
+	for _, f := range occ {
+		want += f
+	}
+	for _, c := range []domainShape{domainG10, domainG12, wholeSiC1, oddNoNyq} {
+		b := c.basis(t)
+		if b.vdiff == nil {
+			t.Fatalf("%s: took the FFT path", c.name)
+		}
+		psi := normalizedBlock(b.Np(), len(occ), rng)
+		size := b.Grid.Size()
+		ref := make([]float64, size)
+		densityFFT(b, psi, occ, ref)
+		var s Scratch
+		got := make([]float64, size)
+		for round := 0; round < 2; round++ { // the second reuses the scratch
+			DensityInto(b, psi, occ, got, &s)
+			if d := maxRelDiffReal(got, ref); d > 1e-13 {
+				t.Errorf("%s round %d: dense density differs from the FFT path by %.3g relative", c.name, round, d)
+			}
+		}
+		var total float64
+		for _, r := range got {
+			total += r
+		}
+		if total *= b.Grid.DV(); math.Abs(total-want) > 1e-12*want {
+			t.Errorf("%s: ∫ρ = %.15g, want Σf = %.15g", c.name, total, want)
+		}
+	}
+}
+
+// TestDenseCoreWeightsMatchFFT: w_n = Re⟨ψ_n|C|ψ_n⟩ with the dense
+// indicator operator equals ∫_box |ψ_n|² summed on the grid, for a cube
+// off the origin (so every phase of χ̂ counts) on every dense basis; and
+// the whole grid as the box gives each normalized band weight 1.
+func TestDenseCoreWeightsMatchFFT(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	for _, c := range []domainShape{domainG10, domainG12, wholeSiC1, oddNoNyq} {
+		b := c.basis(t)
+		n := b.Grid.N
+		box := NewBox(b, n/5, n/2)
+		if box.op == nil {
+			t.Fatalf("%s: the box took the FFT path", c.name)
+		}
+		fftBox := *box
+		fftBox.op = nil
+		const nb = 6
+		psi := normalizedBlock(b.Np(), nb, rng)
+		var s Scratch
+		got, ref := make([]float64, nb), make([]float64, nb)
+		box.Weights(psi, got, &s)
+		fftBox.Weights(psi, ref, &s)
+		if d := maxRelDiffReal(got, ref); d > 1e-13 {
+			t.Errorf("%s: dense core weights differ from the FFT path by %.3g relative: %v vs %v", c.name, d, got, ref)
+		}
+		for k, w := range got {
+			if w <= 0 || w >= 1 {
+				t.Errorf("%s: band %d has weight %v in a proper sub-box", c.name, k, w)
+			}
+		}
+		NewBox(b, 0, n).Weights(psi, got, &s)
+		for k, w := range got {
+			if math.Abs(w-1) > 1e-13 {
+				t.Errorf("%s: band %d weighs %.15g on the whole grid, want 1", c.name, k, w)
+			}
+		}
+	}
+}

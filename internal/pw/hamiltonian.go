@@ -103,20 +103,9 @@ func (h *Hamiltonian) SetLocalPotential(v []float64) {
 	h.assemble()
 }
 
-// assemble sets op = fixed + V̂[(G_i − G_j) mod N]/N³, gathering V̂
-// through the basis's difference table (conjugating mirrored entries).
+// assemble sets op = fixed + V̂[(G_i − G_j) mod N]/N³.
 func (h *Hamiltonian) assemble() {
-	inv := 1 / float64(h.Basis.Grid.Size())
-	for k, d := range h.Basis.vdiff {
-		var v complex128
-		if d >= 0 {
-			v = h.vhat[d]
-		} else {
-			v = cmplx.Conj(h.vhat[-1-d])
-		}
-		h.op.Data[k] = h.fixed.Data[k] + complex(real(v)*inv, imag(v)*inv)
-	}
-	perf.Global.Add(4 * int64(len(h.op.Data)))
+	h.Basis.gatherConvolution(h.vhat, h.fixed.Data, h.op.Data)
 }
 
 // hasProjectors reports whether a nonlocal part is installed.

@@ -154,14 +154,14 @@ func (c domainShape) hamiltonianOn(b *Basis) *Hamiltonian {
 // sameBits compares with ==, under which ±0 are equal and NaN is not.
 func sameBits(a, b complex128) bool { return real(a) == real(b) && imag(a) == imag(b) }
 
-// TestPrunedPathsMatchDense pins applyFFT (ApplyAllInto's FFT path —
-// called directly, since these small bases take the dense one), Apply,
-// Density and
-// ToRealSpaceBatch to the dense reference at a qmd-sic8 domain (12³, 57
-// waves), a qmd-27dom domain (10³, 33 waves) and the fullest sphere
-// NewBasis admits (|m| up to N/2−1, so only the Nyquist planes are left
-// to skip). The batch buffer is poisoned with NaN first: the pruned
-// scatter clears sticks only, and nothing else may leak into a result.
+// TestPrunedPathsMatchDense pins applyFFT and densityFFT (the FFT paths
+// of ApplyAllInto and DensityInto — called directly, since these small
+// bases take the dense ones), Apply and ToRealSpaceBatch to the dense
+// reference at a qmd-sic8 domain (12³, 57 waves), a qmd-27dom domain
+// (10³, 33 waves) and the fullest sphere NewBasis admits (|m| up to
+// N/2−1, so only the Nyquist planes are left to skip). The batch buffer
+// and the density grid are poisoned with NaN first: the pruned scatter
+// clears sticks only, and nothing else may leak into a result.
 func TestPrunedPathsMatchDense(t *testing.T) {
 	for _, c := range []domainShape{domainG12, domainG10, {"nyquist", 8, 6, 5, 123}} {
 		h := c.hamiltonian(t)
@@ -208,7 +208,11 @@ func TestPrunedPathsMatchDense(t *testing.T) {
 
 		occ := []float64{2, 2, 0, 1.5, 0, 0.25}
 		poison()
-		rho := Density(b, psi, occ)
+		rho := make([]float64, size)
+		for i := range rho {
+			rho[i] = math.NaN()
+		}
+		densityFFT(b, psi, occ, rho)
 		for i, w := range denseDensity(b, psi, occ) {
 			if rho[i] != w {
 				t.Fatalf("%s: Density differs from dense at %d: %v vs %v", c.name, i, rho[i], w)

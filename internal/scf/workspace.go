@@ -17,7 +17,8 @@ import (
 // plans and pooled scratch, the Hamiltonian's kinetic data — is built
 // once for a cell shape, while the atom-bound parts (nonlocal
 // projectors, ionic local potential, wave functions) are (re)installed
-// per target via Retarget. The LDC-DFT core streams all DC domains
+// per target via Retarget, or RetargetVps when the caller keeps the
+// ionic potential. The LDC-DFT core streams all DC domains
 // through a bounded set of such workspaces: every domain of a uniform
 // decomposition shares the same local cell geometry, so one workspace
 // serves arbitrarily many domains with O(1) memory.
@@ -68,15 +69,28 @@ func (e *Engine) RetargetBands(nb int) error {
 }
 
 // Retarget points the workspace at a new atomic configuration: the
-// nonlocal projectors and the ionic local potential are rebuilt for the
+// nonlocal projectors and the ionic local potential are built for the
 // given atoms, and the wave-function matrix is resliced to nb bands.
-// Positions must be relative to the workspace cell origin. The basis,
-// FFT plans, and scratch pools are untouched — this is the O(atoms)
-// per-visit cost of streaming a domain through the workspace, versus the
-// O(grid × bands) cost of building a resident Engine.
+// Positions must be relative to the workspace cell origin.
 func (e *Engine) Retarget(species []*atoms.Species, positions []geom.Vec3, nb int) error {
 	if len(species) != len(positions) {
 		return fmt.Errorf("scf: %d species vs %d positions", len(species), len(positions))
+	}
+	return e.RetargetVps(species, positions, pw.BuildLocalPseudo(e.Basis, species, positions), nb)
+}
+
+// RetargetVps is Retarget with the ionic local potential of these atoms
+// (pw.BuildLocalPseudo on this workspace's basis) supplied by the
+// caller, who builds it once per configuration and keeps it; it is
+// installed by reference. The basis, FFT plans and scratch pools are
+// untouched, so a visit costs the projectors — O(atoms × plane waves) —
+// versus the O(grid × bands) cost of building a resident Engine.
+func (e *Engine) RetargetVps(species []*atoms.Species, positions []geom.Vec3, vps []float64, nb int) error {
+	if len(species) != len(positions) {
+		return fmt.Errorf("scf: %d species vs %d positions", len(species), len(positions))
+	}
+	if len(vps) != e.Basis.Grid.Size() {
+		return fmt.Errorf("scf: ionic potential of %d points on a %d-point grid", len(vps), e.Basis.Grid.Size())
 	}
 	if err := e.RetargetBands(nb); err != nil {
 		return err
@@ -84,7 +98,7 @@ func (e *Engine) Retarget(species []*atoms.Species, positions []geom.Vec3, nb in
 	e.Species = species
 	e.Positions = positions
 	e.Ham.SetProjectors(pseudo.BuildProjectors(e.Basis.G, e.Basis.G2, e.Basis.Volume(), species, positions))
-	e.Vps = pw.BuildLocalPseudo(e.Basis, species, positions)
+	e.Vps = vps
 	return nil
 }
 
