@@ -59,7 +59,7 @@ type QMDOptions struct {
 // RunQMDOpts is RunQMD with trajectory options: every CheckpointEvery
 // steps the full restartable state — configuration, last forces, the
 // converged SCF density, and the accumulated per-step record — is
-// written through the collective I/O path of internal/qio.
+// written crash-safely through internal/qio.
 func RunQMDOpts(sys *System, cfg LDCConfig, steps int, dtFs float64, opts QMDOptions) (*QMDResult, error) {
 	ff := &DFTForceField{Cfg: cfg, Cache: opts.Cache}
 	return runLDC(sys.Clone(), ff, steps, dtFs, nil, opts, &checkpointWriter{opts: opts, domains: cfg.DomainsPerAxis})
@@ -168,12 +168,12 @@ func runLDC(work *System, ff *DFTForceField, steps int, dtFs float64, resume *qi
 // delta (ignored via its base-CRC binding).
 type checkpointWriter struct {
 	opts      QMDOptions
-	domains   int // DomainsPerAxis: the per-domain rank payloads of a full write
+	domains   int // DomainsPerAxis: the per-domain atom sections of a full write
 	base      *qio.DeltaBase
 	baseBytes int64
 }
 
-// write stores ck through the collective checkpoint path.
+// write stores ck as a delta against the base, or as a full checkpoint.
 func (w *checkpointWriter) write(ck *qio.Checkpoint) error {
 	wopts := qio.CheckpointWriteOptions{DomainsPerAxis: w.domains}
 	if !w.opts.DeltaCheckpoints {

@@ -194,8 +194,8 @@ func (h harmonicFF) Compute(sys *System) (float64, []Vec3, error) {
 
 // TestConcurrentCheckpointsDuringTrajectory drives an MD trajectory with
 // a cheap force field while several goroutines write checkpoints of the
-// evolving state through the collective writer — the `make race`
-// coverage for concurrent collective writes during a trajectory.
+// evolving state — the `make race` coverage for concurrent checkpoint
+// writes during a trajectory.
 func TestConcurrentCheckpointsDuringTrajectory(t *testing.T) {
 	sys := BuildSiC(1)
 	sys.InitVelocities(300, rand.New(rand.NewSource(4)))

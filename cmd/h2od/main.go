@@ -3,7 +3,7 @@
 // reactive surrogate field, reporting the species census timeline, the
 // H₂ production rate, and the pH trend (§6 of the paper). With
 // -checkpoint the final configuration is written as a restartable
-// checkpoint through the collective writer.
+// checkpoint.
 package main
 
 import (

@@ -177,8 +177,10 @@ func (e *Engine) solveDomain(ws *workspace, st *domainState, vh *grid.Field) err
 	invXi := e.invXi()
 	vps := st.vps
 	for i := range ws.veff {
-		ws.vbc[i] = (st.rhoPrev.Data[i] - ws.rhoExt.Data[i]) * invXi
-		ws.veff[i] = vps[i] + ws.vhExt.Data[i] + ws.vxcExt.Data[i] + ws.vbc[i]
+		// v_bc = (ρα_prev − ρ)/ξ; the conversion rounds it before the
+		// sum, so no target fuses the product into the last addition.
+		vbc := float64((st.rhoPrev.Data[i] - ws.rhoExt.Data[i]) * invXi)
+		ws.veff[i] = vps[i] + ws.vhExt.Data[i] + ws.vxcExt.Data[i] + vbc
 	}
 	ws.eng.SetEffectivePotential(ws.veff)
 	eig, err := ws.eng.Diagonalize()

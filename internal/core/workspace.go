@@ -20,7 +20,6 @@ type workspace struct {
 	vxcExt   *grid.Field // extracted global exchange-correlation potential
 	rhoLocal *grid.Field // assembled local density ρα of the current visit
 	veff     []float64   // effective potential scratch
-	vbc      []float64   // boundary potential v_bc = (ρα_prev − ρ)/ξ scratch
 
 	core    *pw.Box    // the domain core on the local grid, the same for every domain
 	scratch pw.Scratch // density and core-weight scratch
@@ -36,7 +35,6 @@ func newWorkspace(d grid.Domain, cfg Config, maxBands int) (*workspace, error) {
 		return nil, err
 	}
 	eng.EigenIters = cfg.EigenIters
-	size := lg.Size()
 	return &workspace{
 		eng:      eng,
 		core:     pw.NewBox(eng.Basis, d.BufN, d.CoreN),
@@ -44,18 +42,17 @@ func newWorkspace(d grid.Domain, cfg Config, maxBands int) (*workspace, error) {
 		vhExt:    grid.NewField(lg),
 		vxcExt:   grid.NewField(lg),
 		rhoLocal: grid.NewField(lg),
-		veff:     make([]float64, size),
-		vbc:      make([]float64, size),
+		veff:     make([]float64, lg.Size()),
 	}, nil
 }
 
 // retarget points the workspace at a domain's atoms and band count and
 // loads its persisted wave functions from the store — or, on the
-// domain's first visit, seeds the deterministic random guess a resident
-// engine would have started from. withProjectors selects the full
-// retarget (needed before diagonalization and nonlocal forces), with the
-// domain's ionic potential, built on its first such visit; passes that
-// only transform stored wave functions skip the projector rebuild.
+// domain's first visit, seeds the deterministic random guess of the
+// domain's seed. withProjectors selects the full retarget (needed before
+// diagonalization and nonlocal forces), with the domain's ionic
+// potential, built on its first such visit; passes that only transform
+// stored wave functions skip the projector rebuild.
 func (ws *workspace) retarget(st *domainState, store psiStore, withProjectors bool) error {
 	var err error
 	if withProjectors {

@@ -26,24 +26,24 @@ func TestPrometheusGolden(t *testing.T) {
 		"# HELP qmd_phase_calls_total Completed spans per instrumented phase.\n" +
 		"# TYPE qmd_phase_calls_total counter\n" +
 		"qmd_phase_calls_total{phase=\"scf/domain-solves\"} 2\n" +
-		"qmd_phase_calls_total{phase=\"qio/collective-write\"} 1\n" +
+		"qmd_phase_calls_total{phase=\"qio/checkpoint-write\"} 1\n" +
 		"qmd_phase_calls_total{phase=\"scf/chemical-potential\"} 1\n" +
 		"# HELP qmd_phase_busy_seconds_total Accumulated span time per phase (CPU-seconds-like for concurrent phases).\n" +
 		"# TYPE qmd_phase_busy_seconds_total counter\n" +
 		"qmd_phase_busy_seconds_total{phase=\"scf/domain-solves\"} 2\n" +
-		"qmd_phase_busy_seconds_total{phase=\"qio/collective-write\"} 0.25\n" +
+		"qmd_phase_busy_seconds_total{phase=\"qio/checkpoint-write\"} 0.25\n" +
 		"qmd_phase_busy_seconds_total{phase=\"scf/chemical-potential\"} 4.23e-05\n" +
 		"# HELP qmd_phase_max_seconds Longest single span per phase since the last reset.\n" +
 		"# TYPE qmd_phase_max_seconds gauge\n" +
 		"qmd_phase_max_seconds{phase=\"scf/domain-solves\"} 1.5\n" +
-		"qmd_phase_max_seconds{phase=\"qio/collective-write\"} 0.25\n" +
+		"qmd_phase_max_seconds{phase=\"qio/checkpoint-write\"} 0.25\n" +
 		"qmd_phase_max_seconds{phase=\"scf/chemical-potential\"} 4.23e-05\n" +
 		"# HELP qmd_phase_flops_total Floating-point operations attributed to the phase.\n" +
 		"# TYPE qmd_phase_flops_total counter\n" +
 		"qmd_phase_flops_total{phase=\"scf/domain-solves\"} 4e+09\n" +
 		"# HELP qmd_phase_bytes_total I/O bytes attributed to the phase.\n" +
 		"# TYPE qmd_phase_bytes_total counter\n" +
-		"qmd_phase_bytes_total{phase=\"qio/collective-write\"} 5e+08\n"
+		"qmd_phase_bytes_total{phase=\"qio/checkpoint-write\"} 5e+08\n"
 	if buf.String() != want {
 		t.Fatalf("prometheus rendering mismatch:\ngot:\n%s\nwant:\n%s", buf.String(), want)
 	}
@@ -61,7 +61,7 @@ func TestPrometheusLiveRegistry(t *testing.T) {
 	for _, frag := range []string{
 		"qmd_perf_wall_seconds ",
 		"qmd_phase_calls_total{phase=\"scf/domain-solves\"} 2\n",
-		"qmd_phase_bytes_total{phase=\"qio/collective-write\"} 5e+08\n",
+		"qmd_phase_bytes_total{phase=\"qio/checkpoint-write\"} 5e+08\n",
 	} {
 		if !strings.Contains(out, frag) {
 			t.Fatalf("live rendering missing %q:\n%s", frag, out)

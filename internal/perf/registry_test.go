@@ -120,7 +120,7 @@ func goldenRegistry() *Registry {
 	p.record(1_500_000_000)
 	p.record(500_000_000)
 	p.flops.Add(4_000_000_000)
-	q := r.Phase("qio/collective-write")
+	q := r.Phase("qio/checkpoint-write")
 	q.record(250_000_000)
 	q.bytes.Add(500_000_000)
 	s := r.Phase("scf/chemical-potential")
@@ -136,7 +136,7 @@ func TestReportTextGolden(t *testing.T) {
 	want := "" +
 		"phase                          calls      total       mean        max     GFLOP   GFLOP/s      MB/s\n" +
 		"scf/domain-solves                  2     2.000s     1.000s     1.500s     4.000      2.00         -\n" +
-		"qio/collective-write               1   250.00ms   250.00ms   250.00ms         -         -    2000.0\n" +
+		"qio/checkpoint-write               1   250.00ms   250.00ms   250.00ms         -         -    2000.0\n" +
 		"scf/chemical-potential             1    42.30µs    42.30µs    42.30µs         -         -         -\n"
 	if buf.String() != want {
 		t.Fatalf("text report mismatch:\ngot:\n%s\nwant:\n%s", buf.String(), want)

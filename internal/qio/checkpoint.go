@@ -1,8 +1,8 @@
 package qio
 
 import (
+	"bytes"
 	"fmt"
-	"io"
 
 	"ldcdft/internal/atoms"
 	"ldcdft/internal/geom"
@@ -150,13 +150,10 @@ func (ck *Checkpoint) RestoreSystem() (*atoms.System, error) {
 	return sys, nil
 }
 
-// CheckpointWriteOptions tunes the collective write path.
+// CheckpointWriteOptions shapes the layout of a full checkpoint.
 type CheckpointWriteOptions struct {
-	// GroupSize is the collective-I/O aggregation group size
-	// (default 192, the paper's optimum).
-	GroupSize int
-	// DomainsPerAxis partitions atoms into per-domain rank payloads
-	// (default 1: a single payload).
+	// DomainsPerAxis partitions atoms into per-domain atom sections
+	// (default 1: a single section).
 	DomainsPerAxis int
 }
 
@@ -285,13 +282,11 @@ func (ck *Checkpoint) getAtoms(s *Decoder, what string, forces bool) int {
 	return n
 }
 
-// encode serializes the checkpoint and cuts the file into the collective
-// rank payloads: payload 0 is the preamble + header section, payloads
-// 1..n are the per-domain atom sections, and the last payload is the
-// density section, the history section if any, and the CRC trailer. The
-// file CRC is returned too — the identity a delta checkpoint binds to
-// (see delta.go).
-func (ck *Checkpoint) encode(domainsPerAxis int) ([][]byte, uint32, error) {
+// encode serializes the checkpoint: the preamble and header section,
+// one atom section per spatial domain, the density section, the history
+// section if any, and the CRC trailer. The file CRC is returned too — the
+// identity a delta checkpoint binds to (see delta.go).
+func (ck *Checkpoint) encode(domainsPerAxis int) ([]byte, uint32, error) {
 	if err := ck.checkShape(checkpointFormat); err != nil {
 		return nil, 0, err
 	}
@@ -301,7 +296,7 @@ func (ck *Checkpoint) encode(domainsPerAxis int) ([][]byte, uint32, error) {
 	hasForces, hasDensity := ck.Force != nil, ck.GridN > 0
 	nd := max(domainsPerAxis, 1)
 
-	// Partition atoms into per-domain rank payloads by position.
+	// Partition atoms into the per-domain sections by position.
 	domainOf := func(p geom.Vec3) int {
 		clamp := func(x float64) int { return min(max(int(x/ck.CellL*float64(nd)), 0), nd-1) }
 		w := geom.Cell{L: ck.CellL}.Wrap(p)
@@ -348,10 +343,8 @@ func (ck *Checkpoint) encode(domainsPerAxis int) ([][]byte, uint32, error) {
 	e := checkpointFormat.Begin()
 	e.Grow(h.Len() + 84*len(ck.Pos) + 20*len(members) + len(density) + 32) // every record and length at its widest
 	e.Section(&h)
-	cuts := make([]int, 1, len(members)+3) // payload boundaries in the file
 	var s Encoder
 	for _, m := range members {
-		cuts = append(cuts, e.Len())
 		s.Reset()
 		s.Uvarint(uint64(len(m)))
 		for _, i := range m {
@@ -359,7 +352,6 @@ func (ck *Checkpoint) encode(domainsPerAxis int) ([][]byte, uint32, error) {
 		}
 		e.Section(&s)
 	}
-	cuts = append(cuts, e.Len())
 	e.Bytes(density)
 	if len(ck.Hist) > 0 {
 		if err := ck.putHistories(e, nil); err != nil {
@@ -367,19 +359,13 @@ func (ck *Checkpoint) encode(domainsPerAxis int) ([][]byte, uint32, error) {
 		}
 	}
 	raw, crc := e.Seal()
-	cuts = append(cuts, len(raw))
-	payloads := make([][]byte, len(cuts)-1)
-	for i := range payloads {
-		payloads[i] = raw[cuts[i]:cuts[i+1]]
-	}
-	return payloads, crc, nil
+	return raw, crc, nil
 }
 
-// WriteCheckpoint serializes ck and writes it crash-safely: the rank
-// payloads are aggregated through a CollectiveWriter into an AtomicFile
-// (DESIGN.md "Files on disk"), so a crash mid-write never leaves a
-// truncated checkpoint under the final name. It returns the file size in
-// bytes.
+// WriteCheckpoint serializes ck and writes it crash-safely through an
+// AtomicFile (DESIGN.md "Files on disk"), so a crash mid-write never
+// leaves a truncated checkpoint under the final name. It returns the file
+// size in bytes.
 func WriteCheckpoint(path string, ck *Checkpoint, opts CheckpointWriteOptions) (int64, error) {
 	_, n, err := WriteCheckpointBase(path, ck, opts)
 	return n, err
@@ -391,22 +377,11 @@ func WriteCheckpoint(path string, ck *Checkpoint, opts CheckpointWriteOptions) (
 func WriteCheckpointBase(path string, ck *Checkpoint, opts CheckpointWriteOptions) (base *DeltaBase, n int64, err error) {
 	sp := phCheckpointWrite.Start()
 	defer func() { sp.StopBytes(n) }()
-	payloads, crc, err := ck.encode(opts.DomainsPerAxis)
+	raw, crc, err := ck.encode(opts.DomainsPerAxis)
 	if err != nil {
 		return nil, 0, err
 	}
-	groupSize := opts.GroupSize
-	if groupSize == 0 {
-		groupSize = 192
-	}
-	err = WriteAtomic(path, func(w io.Writer) error {
-		cw, err := NewCollectiveWriter(w, groupSize)
-		if err == nil {
-			n, err = cw.WriteAll(payloads)
-		}
-		return err
-	})
-	if err != nil {
+	if n, err = WriteFileAtomic(path, bytes.NewReader(raw)); err != nil {
 		return nil, n, err
 	}
 	return &DeltaBase{Ck: ck, CRC: crc}, n, nil

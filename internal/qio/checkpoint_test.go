@@ -272,7 +272,7 @@ func TestFieldCodecCompressesSmoothFields(t *testing.T) {
 	}
 }
 
-// TestCheckpointConcurrentWrites hammers the collective checkpoint path
+// TestCheckpointConcurrentWrites hammers the checkpoint write path
 // from many goroutines (distinct paths, shared perf phases and Hilbert
 // order caches) — the race-detector coverage for checkpoint writes
 // during a trajectory.

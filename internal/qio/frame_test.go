@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // reseal rewrites the CRC trailer of a copy of raw, so a deliberately
@@ -121,43 +122,49 @@ func tempsIn(t *testing.T, dir string) []string {
 // error, leave what was at the target before (a decodable previous file,
 // or the directory squatting on the name) untouched, and leave no temp.
 func TestAtomicWriteFailures(t *testing.T) {
-	good, bad := testCheckpoint(t), testCheckpoint(t)
-	bad.Step = 99
+	good := testCheckpoint(t)
 	errBoom := errors.New("boom")
+	writeHalves := func(path string, fail bool) error {
+		return WriteAtomic(path, func(w io.Writer) error {
+			if _, err := w.Write([]byte("half of the new ")); err != nil || fail {
+				return errors.Join(err, errBoom)
+			}
+			_, err := w.Write([]byte("content"))
+			return err
+		})
+	}
+	hasContent := func(path string) error {
+		if raw, err := os.ReadFile(path); err != nil || string(raw) != "half of the new content" {
+			return errors.Join(err, errors.New("previous content gone: "+string(raw)))
+		}
+		return nil
+	}
 	writers := []struct {
 		name  string
-		write func(path string, fail bool) error // fail: make the write itself go wrong
-		check func(path string) error            // the previous file is intact
+		write func(path string) error // a write that succeeds where it can
+		fail  func(path string) error // a write that goes wrong once its temp exists (nil: none can)
+		check func(path string) error // the previous file is intact
 	}{
 		{"WriteAtomic",
-			func(path string, fail bool) error {
-				return WriteAtomic(path, func(w io.Writer) error {
-					if _, err := w.Write([]byte("half of the new ")); err != nil || fail {
-						return errors.Join(err, errBoom)
-					}
-					_, err := w.Write([]byte("content"))
-					return err
-				})
-			},
+			func(path string) error { return writeHalves(path, false) },
+			func(path string) error { return writeHalves(path, true) },
+			hasContent},
+		{"WriteFileAtomic",
 			func(path string) error {
-				if raw, err := os.ReadFile(path); err != nil || string(raw) != "half of the new content" {
-					return errors.Join(err, errors.New("previous content gone: "+string(raw)))
-				}
-				return nil
-			}},
-		{"WriteCheckpoint",
-			func(path string, fail bool) error {
-				opts := CheckpointWriteOptions{DomainsPerAxis: 2}
-				if fail {
-					opts.GroupSize = -1 // the collective writer refuses it, after the temp exists
-				}
-				ck := bad
-				if !fail {
-					ck = good
-				}
-				_, err := WriteCheckpoint(path, ck, opts)
+				_, err := WriteFileAtomic(path, strings.NewReader("half of the new content"))
 				return err
 			},
+			func(path string) error {
+				_, err := WriteFileAtomic(path, io.MultiReader(strings.NewReader("half of the new "), iotest.ErrReader(errBoom)))
+				return err
+			},
+			hasContent},
+		{"WriteCheckpoint",
+			func(path string) error {
+				_, err := WriteCheckpoint(path, good, CheckpointWriteOptions{DomainsPerAxis: 2})
+				return err
+			},
+			nil, // its bytes reach the disk through WriteFileAtomic
 			func(path string) error {
 				ck, err := ReadCheckpoint(path)
 				if err == nil && ck.Step != good.Step {
@@ -166,12 +173,8 @@ func TestAtomicWriteFailures(t *testing.T) {
 				return err
 			}},
 		{"WriteJSONFile",
-			func(path string, fail bool) error {
-				if fail {
-					return WriteJSONFile(path, failsOnceTempExists{t, filepath.Dir(path)})
-				}
-				return WriteJSONFile(path, map[string]int{"v": 1})
-			},
+			func(path string) error { return WriteJSONFile(path, map[string]int{"v": 1}) },
+			func(path string) error { return WriteJSONFile(path, failsOnceTempExists{t, filepath.Dir(path)}) },
 			func(path string) error {
 				var got map[string]int
 				if err := ReadJSONFile(path, &got); err != nil || got["v"] != 1 {
@@ -181,25 +184,27 @@ func TestAtomicWriteFailures(t *testing.T) {
 			}},
 	}
 	for _, w := range writers {
-		t.Run(w.name+"/write fails midway", func(t *testing.T) {
-			dir := t.TempDir()
-			path := filepath.Join(dir, "target")
-			if err := w.write(path, false); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.write(path, true); err == nil {
-				t.Fatal("failing write reported success")
-			}
-			if err := w.check(path); err != nil {
-				t.Fatal(err)
-			}
-			if left := tempsIn(t, dir); left != nil {
-				t.Fatalf("temp files left: %v", left)
-			}
-		})
+		if w.fail != nil {
+			t.Run(w.name+"/write fails midway", func(t *testing.T) {
+				dir := t.TempDir()
+				path := filepath.Join(dir, "target")
+				if err := w.write(path); err != nil {
+					t.Fatal(err)
+				}
+				if err := w.fail(path); err == nil {
+					t.Fatal("failing write reported success")
+				}
+				if err := w.check(path); err != nil {
+					t.Fatal(err)
+				}
+				if left := tempsIn(t, dir); left != nil {
+					t.Fatalf("temp files left: %v", left)
+				}
+			})
+		}
 		t.Run(w.name+"/parent directory missing", func(t *testing.T) {
 			dir := t.TempDir()
-			if err := w.write(filepath.Join(dir, "absent", "target"), false); err == nil {
+			if err := w.write(filepath.Join(dir, "absent", "target")); err == nil {
 				t.Fatal("write into a missing directory reported success")
 			}
 			if ents, _ := os.ReadDir(dir); len(ents) != 0 {
@@ -213,10 +218,10 @@ func TestAtomicWriteFailures(t *testing.T) {
 			if err := os.Mkdir(path, 0o755); err != nil {
 				t.Fatal(err)
 			}
-			if err := w.write(keep, false); err != nil {
+			if err := w.write(keep); err != nil {
 				t.Fatal(err)
 			}
-			if err := w.write(path, false); err == nil {
+			if err := w.write(path); err == nil {
 				t.Fatal("rename over a non-empty directory reported success")
 			}
 			if err := w.check(keep); err != nil {

@@ -70,11 +70,11 @@ func bothSealings(raw []byte) [][]byte {
 // encodeFull returns ck's full encoding at DomainsPerAxis 2, or nil when ck
 // cannot be written.
 func encodeFull(ck *Checkpoint) []byte {
-	payloads, _, err := ck.encode(2)
+	raw, _, err := ck.encode(2)
 	if err != nil {
 		return nil // e.g. a non-positive cell: decodable, not writable
 	}
-	return bytes.Join(payloads, nil)
+	return raw
 }
 
 func FuzzDecodeCheckpoint(f *testing.F) {

@@ -17,12 +17,11 @@ import (
 // encoders that alters one byte of any fixture is a format change and
 // needs a version bump, not a re-pin.
 const (
-	goldenFullD1  = "full_d1.ck"       // DomainsPerAxis 1, GroupSize 2
-	goldenFullD2  = "full_d2.ck"       // DomainsPerAxis 2, GroupSize 2 (10 payloads, 5 groups)
+	goldenFullD1  = "full_d1.ck"       // DomainsPerAxis 1
+	goldenFullD2  = "full_d2.ck"       // DomainsPerAxis 2 (8 atom sections)
 	goldenDeltaD1 = "delta_d1.ckd"     // goldenPerturbed against full_d1.ck
 	goldenDeltaD2 = "delta_d2.ckd"     // goldenPerturbed against full_d2.ck
 	goldenBare    = "bare.ck"          // no forces, no density, default options
-	goldenGroup   = 2                  // collective group size of the full fixtures
 	goldenGridN   = 4                  // density grid edge
 	goldenCellL   = 10.0               // cell edge (Bohr)
 	goldenAtoms   = 5                  // atom count
@@ -117,7 +116,7 @@ func bytesWritten(t *testing.T, write func(path string) error) []byte {
 }
 
 func goldenOpts(domainsPerAxis int) CheckpointWriteOptions {
-	return CheckpointWriteOptions{GroupSize: goldenGroup, DomainsPerAxis: domainsPerAxis}
+	return CheckpointWriteOptions{DomainsPerAxis: domainsPerAxis}
 }
 
 // TestGoldenFullCheckpoints: each full fixture decodes to the

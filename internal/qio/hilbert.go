@@ -1,7 +1,8 @@
 // Package qio implements the I/O layer of the paper's production runs:
-// collective (aggregated) file I/O with an optimal group size (§4.2
-// "Collective File I/O") and the space-filling-curve-based compression of
-// atomic coordinates (ref. [65]).
+// crash-safe restartable checkpoints, the cost model of collective
+// (aggregated) file I/O with its optimal group size (§4.2 "Collective
+// File I/O"), and the space-filling-curve-based compression of atomic
+// coordinates (ref. [65]).
 package qio
 
 // hilbert3D converts between a 3-D lattice coordinate (x, y, z), each in

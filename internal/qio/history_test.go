@@ -51,11 +51,10 @@ func perturbedHistories() *Checkpoint {
 func TestCheckpointHistoriesRoundTrip(t *testing.T) {
 	for _, nd := range []int{1, 2} {
 		ck := withHistories(goldenCheckpoint())
-		payloads, _, err := ck.encode(nd)
+		raw, _, err := ck.encode(nd)
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw := bytes.Join(payloads, nil)
 		if flags := raw[8+4+1]; flags != ckFlagForces|ckFlagDensity|ckFlagHistory {
 			t.Fatalf("d%d: header flags %#x", nd, flags)
 		}
@@ -83,11 +82,11 @@ func TestCheckpointHistoriesRoundTrip(t *testing.T) {
 // it applies back to the exact histories.
 func TestDeltaHistories(t *testing.T) {
 	fullBase := func(ck *Checkpoint) *DeltaBase {
-		payloads, crc, err := ck.encode(2)
+		raw, crc, err := ck.encode(2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := decodeCheckpoint(bytes.Join(payloads, nil))
+		got, _, err := decodeCheckpoint(raw)
 		if err != nil {
 			t.Fatal(err)
 		}

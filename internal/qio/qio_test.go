@@ -1,7 +1,6 @@
 package qio
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -254,33 +253,6 @@ func TestCompressProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCollectiveWriter(t *testing.T) {
-	var buf bytes.Buffer
-	cw, err := NewCollectiveWriter(&buf, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payloads := [][]byte{
-		[]byte("a"), []byte("bb"), []byte("ccc"),
-		[]byte("d"), []byte("ee"), []byte("fff"),
-		[]byte("g"),
-	}
-	n, err := cw.WriteAll(payloads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := "abbcccdeefffg"
-	if buf.String() != want {
-		t.Fatalf("wrote %q, want %q", buf.String(), want)
-	}
-	if n != int64(len(want)) {
-		t.Fatalf("n = %d", n)
-	}
-	if _, err := NewCollectiveWriter(&buf, 0); err == nil {
-		t.Fatal("group size 0 must fail")
 	}
 }
 

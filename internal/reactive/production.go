@@ -53,8 +53,8 @@ type ProductionConfig struct {
 	Seed            int64
 
 	// CheckpointEvery writes a restartable checkpoint to CheckpointPath
-	// after every N completed steps (0 = never), through the collective
-	// I/O path at the paper's group size, 192.
+	// after every N completed steps (0 = never), crash-safely through
+	// qio.WriteCheckpoint.
 	CheckpointEvery int
 	CheckpointPath  string
 	// Resume continues a trajectory from a previously read checkpoint:

@@ -1,15 +1,10 @@
 package scf
 
 import (
-	"fmt"
-	"math/rand"
-
 	"ldcdft/internal/atoms"
 	"ldcdft/internal/geom"
-	"ldcdft/internal/grid"
 	"ldcdft/internal/linalg"
 	"ldcdft/internal/perf"
-	"ldcdft/internal/pseudo"
 	"ldcdft/internal/pw"
 	"ldcdft/internal/xc"
 )
@@ -35,36 +30,25 @@ type Engine struct {
 	// (the paper's weak-scaling runs use 3, §5.1).
 	EigenIters int
 
-	// psiBuf is the reusable wave-function backing store of a workspace
-	// engine (see NewWorkspaceEngine); nil for resident engines.
+	// psiBuf is the reusable wave-function backing store Psi is sliced
+	// from (see RetargetBands).
 	psiBuf []complex128
 }
 
 // NewEngine builds an Engine for nb bands over a cell of side cellL with
-// an FFT grid of gridN³ points and cutoff ecut. Positions must already be
-// relative to the cell origin.
+// an FFT grid of gridN³ points and cutoff ecut, targeted at the given
+// atoms and seeded with the random guess of seed: a workspace
+// (NewWorkspaceEngine) after Retarget and SeedRandom. Positions must
+// already be relative to the cell origin.
 func NewEngine(cellL float64, gridN int, ecut float64, nb int,
 	species []*atoms.Species, positions []geom.Vec3, seed int64) (*Engine, error) {
-	if len(species) != len(positions) {
-		return nil, fmt.Errorf("scf: %d species vs %d positions", len(species), len(positions))
+	e, err := NewWorkspaceEngine(cellL, gridN, ecut, nb)
+	if err == nil {
+		err = e.Retarget(species, positions, nb)
 	}
-	b, err := pw.NewBasis(grid.New(gridN, cellL), ecut)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		err = e.SeedRandom(seed)
 	}
-	if nb < 1 {
-		return nil, fmt.Errorf("scf: need at least one band, got %d", nb)
-	}
-	proj := pseudo.BuildProjectors(b.G, b.G2, b.Volume(), species, positions)
-	e := &Engine{
-		Basis:      b,
-		Ham:        pw.NewHamiltonian(b, proj),
-		Species:    species,
-		Positions:  positions,
-		Vps:        pw.BuildLocalPseudo(b, species, positions),
-		EigenIters: 3,
-	}
-	e.Psi, err = pw.RandomOrbitals(b, nb, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		return nil, err
 	}

@@ -84,7 +84,7 @@ func (e *Engine) Retarget(species []*atoms.Species, positions []geom.Vec3, nb in
 // caller, who builds it once per configuration and keeps it; it is
 // installed by reference. The basis, FFT plans and scratch pools are
 // untouched, so a visit costs the projectors — O(atoms × plane waves) —
-// versus the O(grid × bands) cost of building a resident Engine.
+// versus the O(grid × bands) cost of building a new Engine.
 func (e *Engine) RetargetVps(species []*atoms.Species, positions []geom.Vec3, vps []float64, nb int) error {
 	if len(species) != len(positions) {
 		return fmt.Errorf("scf: %d species vs %d positions", len(species), len(positions))
@@ -103,9 +103,9 @@ func (e *Engine) RetargetVps(species []*atoms.Species, positions []geom.Vec3, vp
 }
 
 // SeedRandom fills the current wave-function matrix with the
-// deterministic orthonormalized random guess for the given seed —
-// bit-for-bit the Psi a resident NewEngine(seed) would start from, so a
-// streamed solve reproduces a resident solve exactly.
+// deterministic orthonormalized random guess for the given seed — the
+// Psi NewEngine(seed) starts from, so a streamed solve reproduces a
+// single-engine solve exactly.
 func (e *Engine) SeedRandom(seed int64) error {
 	psi, err := pw.RandomOrbitals(e.Basis, e.Psi.Cols, rand.New(rand.NewSource(seed)))
 	if err != nil {
