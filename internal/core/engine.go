@@ -77,7 +77,7 @@ type Config struct {
 	MaxSCF     int     // default 60
 	EnergyTol  float64 // default 1e-6 Ha
 	DensityTol float64 // default 1e-5
-	EigenIters int     // eigensolver iterations per SCF cycle; default 3
+	EigenIters int     // at most this many eigensolver iterations per SCF cycle; default 3
 	Seed       int64
 
 	// Workers caps the number of concurrent domain solves (0 = GOMAXPROCS)
@@ -139,12 +139,13 @@ type domainState struct {
 	vps     []float64   // ionic local potential, built on the first solve visit
 
 	// Results of the last SCF iteration.
-	eig    []float64 // eigenvalues
-	maxRes float64   // largest eigensolver residual ‖Hψ_n − ε_nψ_n‖
-	coreW  []float64 // per-band core weights w_nα = ∫_Ω0α |ψ_n|²
-	occ    []float64 // occupations at the last global μ
-	eBC    float64   // ∫_core v_bc ρα of the last assembly (LDC double counting)
-	hasPsi bool      // wave functions present in the store
+	eig        []float64 // eigenvalues
+	maxRes     float64   // largest eigensolver residual ‖Hψ_n − ε_nψ_n‖
+	expansions int       // eigensolver expansions the solve ran
+	coreW      []float64 // per-band core weights w_nα = ∫_Ω0α |ψ_n|²
+	occ        []float64 // occupations at the last global μ
+	eBC        float64   // ∫_core v_bc ρα of the last assembly (LDC double counting)
+	hasPsi     bool      // wave functions present in the store
 }
 
 // Engine is a complete LDC-DFT calculation on one atomic configuration.

@@ -134,3 +134,46 @@ func TestSCFStepRecordsPhases(t *testing.T) {
 		t.Fatalf("snapshot has %d phases, want >= 9", len(snap))
 	}
 }
+
+// TestSolveHistoryReportsExpansions: StepResult.EigenExpansions counts
+// the expansions the domain eigensolves ran. The first SCF step refines
+// every domain to round-off, so it runs the EigenIters cap in each; later
+// steps stop at a residual set by the density change, and some run fewer.
+// Each
+// domain solve applies H once to Ψ and once per expansion, so the
+// pw/apply-hamiltonian calls of the solve are the count's witness.
+func TestSolveHistoryReportsExpansions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full SCF solve")
+	}
+	cfg := goldenConfig(16, 2, 2)
+	e, err := NewEngine(atoms.BuildSiC(1), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	apply := perf.GetPhase("pw/apply-hamiltonian")
+	before := apply.Calls()
+	res, err := e.Solve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	applies := apply.Calls() - before
+	occ := e.OccupiedDomains()
+	first := res.History[0].EigenExpansions
+	if want := cfg.EigenIters * occ; first != want {
+		t.Errorf("first SCF step reports %d expansions, want EigenIters × occupied domains = %d", first, want)
+	}
+	fewest := first
+	var want int64
+	for _, step := range res.History {
+		fewest = min(fewest, step.EigenExpansions)
+		want += int64(occ + step.EigenExpansions)
+	}
+	if fewest >= first {
+		t.Errorf("no later SCF step reports fewer expansions than the first's %d", first)
+	}
+	if applies != want {
+		t.Errorf("%d HΨ applies in %d SCF steps, the history's expansions account for %d", applies, res.Iterations, want)
+	}
+}

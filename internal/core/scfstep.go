@@ -27,13 +27,20 @@ var (
 // StepResult carries the diagnostics of one SCF iteration (one pass of
 // the global-local loop in Fig. 2).
 type StepResult struct {
-	Energy      float64
-	Mu          float64
-	MaxDrho     float64 // max |ρ_out − ρ_in|
-	MGCycles    int     // multigrid V-cycles for the global Hartree solve
-	BandCount   int     // total Kohn–Sham states across domains
-	MaxResidual float64 // largest eigensolver residual over all domains
+	Energy          float64
+	Mu              float64
+	MaxDrho         float64 // max |ρ_out − ρ_in|
+	MGCycles        int     // multigrid V-cycles for the global Hartree solve
+	BandCount       int     // total Kohn–Sham states across domains
+	MaxResidual     float64 // largest eigensolver residual over all domains
+	EigenExpansions int     // eigensolver expansions summed over the domains
 }
+
+// residualPerDrho sets how far Solve's domain eigensolves refine: to a
+// residual of residualPerDrho × MaxDrho of the previous SCF iteration.
+// States sharper than the density they are computed from buy nothing
+// (DESIGN.md §4(d) has the sweep that chose it).
+const residualPerDrho = 0.01
 
 // SolveResult is the outcome of a full SCF solve.
 type SolveResult struct {
@@ -68,9 +75,16 @@ var ErrNotConverged = errors.New("core: SCF not converged")
 // Vacuum domains (no atoms in the extended region) never enter either
 // pass: they hold no Kohn–Sham states and contribute zero density.
 //
-// The returned density is NOT yet mixed into the engine state; Solve
-// handles mixing and convergence control.
+// The eigensolver refines every domain's states to round-off (within
+// Config.EigenIters). The returned density is NOT yet mixed into the
+// engine state; Solve handles mixing and convergence control.
 func (e *Engine) SCFStep() (*grid.Field, StepResult, error) {
+	return e.scfStep(0)
+}
+
+// scfStep is SCFStep with the domain eigensolves stopping at residual
+// tol (pw.SolveAllBand).
+func (e *Engine) scfStep(tol float64) (*grid.Field, StepResult, error) {
 	var res StepResult
 
 	// (1) Global potentials from the current global density.
@@ -89,7 +103,7 @@ func (e *Engine) SCFStep() (*grid.Field, StepResult, error) {
 	// (2) Domain solves, streamed through the bounded workspace pool.
 	spD := phDomains.StartExclusive()
 	err = e.streamDomains(func(ws *workspace, st *domainState) error {
-		return e.solveDomain(ws, st, vh)
+		return e.solveDomain(ws, st, vh, tol)
 	})
 	spD.Stop()
 	if err != nil {
@@ -108,6 +122,7 @@ func (e *Engine) SCFStep() (*grid.Field, StepResult, error) {
 		w = append(w, st.coreW...)
 		res.BandCount += len(st.eig)
 		res.MaxResidual = max(res.MaxResidual, st.maxRes)
+		res.EigenExpansions += st.expansions
 	}
 	mu, err := WeightedChemicalPotential(eig, w, e.Sys.TotalValence(), e.Cfg.KT)
 	spM.Stop()
@@ -166,7 +181,7 @@ func (e *Engine) invXi() float64 {
 // global fields inside a borrowed workspace, leaving the refined wave
 // functions in the store and the eigenvalues + core weights in the
 // domain's compact state.
-func (e *Engine) solveDomain(ws *workspace, st *domainState, vh *grid.Field) error {
+func (e *Engine) solveDomain(ws *workspace, st *domainState, vh *grid.Field, tol float64) error {
 	d := st.da.Domain
 	d.ExtractInto(e.Rho, ws.rhoExt)
 	d.ExtractInto(vh, ws.vhExt)
@@ -183,12 +198,13 @@ func (e *Engine) solveDomain(ws *workspace, st *domainState, vh *grid.Field) err
 		ws.veff[i] = vps[i] + ws.vhExt.Data[i] + ws.vxcExt.Data[i] + vbc
 	}
 	ws.eng.SetEffectivePotential(ws.veff)
-	eig, err := ws.eng.Diagonalize()
+	eig, err := ws.eng.DiagonalizeTo(tol)
 	if err != nil {
 		return fmt.Errorf("core: domain solve: %w", err)
 	}
 	st.eig = eig.Eigenvalues
 	st.maxRes = eig.MaxResidual
+	st.expansions = eig.Iterations
 
 	// Core weights w_nα = ∫_core |ψ_n|² dV. On a dense basis they come
 	// from Ψ in the plane-wave basis through the core operator and the
@@ -291,8 +307,11 @@ func (e *Engine) assembleEnergy(rho *grid.Field, vh *grid.Field) float64 {
 	return eBand - eH + eXC - eBC + eII
 }
 
-// Solve iterates SCFStep with density mixing until the energy and
-// density tolerances are met.
+// Solve iterates SCF steps with density mixing until the energy and
+// density tolerances are met. The first step refines the domain states
+// to round-off, as SCFStep does; each later one only to
+// residualPerDrho × the MaxDrho of the step before. The tolerance starts
+// over with every solve, so no state crosses an MD step or a resume.
 func (e *Engine) Solve() (*SolveResult, error) {
 	return e.SolveCtx(context.Background())
 }
@@ -305,12 +324,13 @@ func (e *Engine) Solve() (*SolveResult, error) {
 func (e *Engine) SolveCtx(ctx context.Context) (*SolveResult, error) {
 	out := &SolveResult{}
 	prevE := math.Inf(1)
+	var tol float64
 	e.mixer.Reset()
 	for iter := 1; iter <= e.Cfg.MaxSCF; iter++ {
 		if err := ctx.Err(); err != nil {
 			return out, fmt.Errorf("core: SCF cancelled after %d iterations: %w", out.Iterations, context.Cause(ctx))
 		}
-		rhoOut, step, err := e.SCFStep()
+		rhoOut, step, err := e.scfStep(tol)
 		if err != nil {
 			return out, err
 		}
@@ -324,6 +344,7 @@ func (e *Engine) SolveCtx(ctx context.Context) (*SolveResult, error) {
 			return out, nil
 		}
 		prevE = step.Energy
+		tol = residualPerDrho * step.MaxDrho
 		mixed := e.mixer.Mix(e.Rho.Data, rhoOut.Data)
 		copy(e.Rho.Data, mixed)
 	}

@@ -240,7 +240,7 @@ func BenchmarkSolveAllBand(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				copy(psi.Data, start.Data)
-				if _, err := SolveAllBand(h, psi, 3); err != nil {
+				if _, err := SolveAllBand(h, psi, 3, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -252,7 +252,7 @@ func BenchmarkSolveAllBandIteration(b *testing.B) {
 	h, psi := benchSetup(b, 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolveAllBand(h, psi, 1); err != nil {
+		if _, err := SolveAllBand(h, psi, 1, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

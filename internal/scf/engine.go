@@ -26,8 +26,8 @@ type Engine struct {
 	Positions []geom.Vec3 // relative to this cell's origin
 	Vps       []float64   // ionic local potential on the FFT grid
 
-	// EigenIters is the number of eigensolver iterations per SCF cycle
-	// (the paper's weak-scaling runs use 3, §5.1).
+	// EigenIters is the most eigensolver iterations per SCF cycle (the
+	// paper's weak-scaling runs use 3, §5.1).
 	EigenIters int
 
 	// psiBuf is the reusable wave-function backing store Psi is sliced
@@ -75,10 +75,17 @@ func (e *Engine) EffectivePotentialFrom(rho []float64) {
 }
 
 // Diagonalize refines the wave functions toward the lowest eigenstates
-// of the current Hamiltonian and returns the eigenvalues.
+// of the current Hamiltonian, to round-off within EigenIters iterations,
+// and returns the eigenvalues.
 func (e *Engine) Diagonalize() (pw.EigenResult, error) {
+	return e.DiagonalizeTo(0)
+}
+
+// DiagonalizeTo is Diagonalize that stops refining a band once its
+// residual is below tol (pw.SolveAllBand).
+func (e *Engine) DiagonalizeTo(tol float64) (pw.EigenResult, error) {
 	sp := phEigensolver.Start()
-	res, err := pw.SolveAllBand(e.Ham, e.Psi, e.EigenIters)
+	res, err := pw.SolveAllBand(e.Ham, e.Psi, e.EigenIters, tol)
 	sp.StopFlops(res.Flops)
 	return res, err
 }

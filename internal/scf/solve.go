@@ -26,7 +26,7 @@ type Config struct {
 	MaxIter    int     // default 60
 	EnergyTol  float64 // total-energy convergence (Hartree); default 1e-6
 	DensityTol float64 // max |Δρ| convergence; default 1e-5
-	EigenIters int     // eigensolver iterations per SCF cycle; default 3
+	EigenIters int     // at most this many eigensolver iterations per SCF cycle; default 3
 	Seed       int64
 }
 

@@ -3,6 +3,7 @@ package qmd
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -111,5 +112,35 @@ func TestRunQMDFewPlaneWavesPerDomain(t *testing.T) {
 	}
 	if len(res.Energies) != 1 || math.IsNaN(res.Energies[0]) {
 		t.Fatalf("energies %v", res.Energies)
+	}
+}
+
+// TestRunQMDEcut3Seeds runs the Ecut-3 trajectory of
+// TestRunQMDFewPlaneWavesPerDomain — 27 domains of 10³ points, 27 plane
+// waves for up to 14 bands, so the eigensolver's expansion block fills
+// the whole space — for four MD steps at each of the velocity seeds
+// 1–10. Every seed must finish with finite energies; the SCF counts are
+// logged for comparison between eigensolver changes.
+func TestRunQMDEcut3Seeds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("ten QMD trajectories")
+	}
+	cfg := LDCConfig{
+		GridN: 18, DomainsPerAxis: 3, BufN: 2, Ecut: 3, Mode: ModeLDC,
+		KT: 0.05, MixAlpha: 0.3, Anderson: true, MaxSCF: 100,
+		EigenIters: 4, Seed: 1,
+	}
+	for seed := int64(1); seed <= 10; seed++ {
+		sys := BuildSiC(1)
+		sys.InitVelocities(300, rand.New(rand.NewSource(seed)))
+		res, err := RunQMD(sys, cfg, 4, 0)
+		if err != nil {
+			t.Errorf("velocity seed %d: %v", seed, err)
+			continue
+		}
+		if len(res.Energies) != 4 || slices.ContainsFunc(res.Energies, func(e float64) bool { return math.IsNaN(e) || math.IsInf(e, 0) }) {
+			t.Errorf("velocity seed %d: energies %v", seed, res.Energies)
+		}
+		t.Logf("velocity seed %d: %d SCF iterations over %d steps", seed, res.SCFIterations, res.Steps)
 	}
 }
