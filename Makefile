@@ -40,28 +40,29 @@ bce:
 	if [ -n "$$out" ]; then echo "bounds checks survive in pinned kernel files:"; echo "$$out"; exit 1; fi; \
 	echo "bce: stencil.go and stockham.go are bounds-check free"
 
-# Race-check the concurrency-heavy packages (internal/par — the one
-# parallel loop every fan-out runs on: nesting, panics, pool resizing —
-# and its callers: CGemm's row panels, FFT passes and pooled
-# scratch arenas, bsd's domain workers, the collective I/O gather; the
-# per-domain scf engines, parallel SCF assembly, atomic perf counters,
-# pooled pw/pseudo scratch, checkpoint writes:
-# concurrent collective checkpoint I/O during a trajectory and a reader
-# racing 200 atomic replacements of one checkpoint, in both
-# internal/qio and the root package, plus the job manager's lease
-# table / in-process slots / queue / SSE fan-out and interleaved
-# checkpoint uploads in internal/serve, the reactive Field's reused
-# list and accumulator scratch — two serve slots run two Fields at once —
-# and the experiment harness's host-kernel measurement, which shares the
-# process-wide FLOP counter with running jobs).
+# Race-check the concurrency-heavy packages: internal/par — the one
+# parallel loop every fan-out runs on (nesting, panics, pool resizing) —
+# and its callers (CGemm's row panels, FFT passes and pooled scratch
+# arenas, bsd's domain workers, the per-domain scf engines, parallel
+# SCF assembly, pooled pw/pseudo scratch); atomic perf counters and the
+# phase registry; checkpoint writes from several goroutines during a
+# trajectory, and readers racing atomic replacements of one
+# checkpoint, in both internal/qio and the root package; the job
+# manager's job records (which are its leases: grant, renewal, expiry
+# scan, fence), in-process slots, queue, SSE fan-out and interleaved
+# checkpoint uploads in internal/serve; the reactive Field's reused
+# list and accumulator scratch — two serve slots run two Fields at
+# once; the warm-start cache; and the experiment harness's host-kernel
+# measurement, which shares the process-wide FLOP counter with running
+# jobs.
 # -short skips the full SCF-convergence solves and the long reactive
 # production runs (minutes each under the race detector) while
 # keeping every concurrency path: pool error/panic ordering, parallel
-# SCFStep, collective and checkpoint writes, registry hammering,
-# concurrent Cached3 lookups, job submission/cancellation races, and the
-# warm-start cache's concurrent get/put path.
+# SCFStep, checkpoint writes, registry hammering, concurrent Cached3
+# lookups, job submission/cancellation and lease renewal/expiry races,
+# and the warm-start cache's concurrent get/put path.
 race: vet
-	$(GO) test -race -short . ./internal/linalg/... ./internal/scf/... ./internal/fft/... ./internal/pw/... ./internal/pseudo/... ./internal/bsd/... ./internal/par/... ./internal/qio/... ./internal/core/... ./internal/perf/... ./internal/md/... ./internal/atoms/... ./internal/reactive/... ./internal/serve/... ./internal/serve/lease/... ./internal/waitfor/... ./internal/cache/... ./internal/expmatrix/...
+	$(GO) test -race -short . ./internal/linalg/... ./internal/scf/... ./internal/fft/... ./internal/pw/... ./internal/pseudo/... ./internal/bsd/... ./internal/par/... ./internal/qio/... ./internal/core/... ./internal/perf/... ./internal/md/... ./internal/atoms/... ./internal/reactive/... ./internal/serve/... ./internal/waitfor/... ./internal/cache/... ./internal/expmatrix/...
 
 # fuzz-smoke mutates the inputs of the four binary decoders that share
 # internal/qio/frame.go for a few seconds each (`go test -fuzz` takes one

@@ -4,7 +4,7 @@
 //   - standalone (default): the internal/serve HTTP API (submit,
 //     status, cancel, SSE event streams, health, Prometheus metrics)
 //     over a durable job store with admission control, every job run
-//     under a lease from the daemon's own lease table by one of
+//     under a lease from the daemon's own job manager by one of
 //     -workers in-process slots. The /v1/lease API is served too, so
 //     worker nodes may attach and share the queue.
 //   - coordinator: the same daemon with no in-process slots — only

@@ -266,23 +266,10 @@ func (b *Basis) scatterColumn(psi *linalg.CMatrix, n int, dst []complex128) {
 	}
 }
 
-// ToRealSpace converts coefficients c to wave-function values ψ̃(r_j) =
-// Σ_G c_G e^{iG·r_j} on the FFT grid (the Ω^{-1/2} normalization is NOT
-// included). The work buffer must have length N³ and is overwritten.
-func (b *Basis) ToRealSpace(c []complex128, work []complex128) {
-	b.Scatter(c, work)
-	// Inverse DFT includes 1/N³; our target is Σ c e^{+2πi m·j/N}, which
-	// is N³ × Inverse. Rescale in place.
-	b.sphere.Inverse(work)
-	n3 := complex(float64(b.Grid.Size()), 0)
-	for i := range work {
-		work[i] *= n3
-	}
-}
-
-// ToRealSpaceBatch converts every column of psi to real-space values in
-// one batched 3-D transform: band n's ψ̃(r) fills
-// batch[n*N³:(n+1)*N³]. batch must have length ≥ Cols·N³.
+// ToRealSpaceBatch converts every column of psi to wave-function values
+// ψ̃(r_j) = Σ_G c_G e^{iG·r_j} on the FFT grid (the Ω^{-1/2}
+// normalization is NOT included) in one batched 3-D transform: band n's
+// ψ̃(r) fills batch[n*N³:(n+1)*N³]. batch must have length ≥ Cols·N³.
 func (b *Basis) ToRealSpaceBatch(psi *linalg.CMatrix, batch []complex128) {
 	size := b.Grid.Size()
 	nb := psi.Cols
@@ -293,6 +280,7 @@ func (b *Basis) ToRealSpaceBatch(psi *linalg.CMatrix, batch []complex128) {
 	for n := 0; n < nb; n++ {
 		b.scatterColumn(psi, n, batch[n*size:(n+1)*size])
 	}
+	// The inverse DFT includes 1/N³; Σ c e^{+2πi m·j/N} is N³ × Inverse.
 	b.sphere.InverseBatch(batch, nb)
 	n3 := complex(float64(size), 0)
 	for i := range batch {

@@ -139,32 +139,6 @@ func benchApplyAllDomain(b *testing.B, pruned bool) {
 	}
 }
 
-// BenchmarkFusedVloc is the fusion win on the FFT path, over the
-// 437-wave basis of benchSetup (which takes that path): fused runs the
-// ×V_loc multiply inside the inverse transform's x-pass, separate runs
-// the inverse FFT, the N³ rescale and the V_loc multiply as their own
-// passes.
-func BenchmarkFusedVloc(b *testing.B) {
-	defer func(prev bool) { fuseVloc = prev }(fuseVloc)
-	h, psi := benchSetup(b, 16)
-	out := linalg.NewCMatrix(psi.Rows, psi.Cols)
-	for _, fused := range []bool{true, false} {
-		name := "separate"
-		if fused {
-			name = "fused"
-		}
-		b.Run(name, func(b *testing.B) {
-			fuseVloc = fused
-			h.applyFFT(psi, out)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				h.applyFFT(psi, out)
-			}
-		})
-	}
-}
-
 func BenchmarkOrthonormalize(b *testing.B) {
 	_, psi := benchSetup(b, 16)
 	b.ResetTimer()

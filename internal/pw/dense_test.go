@@ -89,6 +89,13 @@ func maxRelDiff(got, want *linalg.CMatrix) float64 {
 	return worst
 }
 
+// applyFFTAll is ApplyAll by the FFT path, whichever path the basis takes.
+func applyFFTAll(h *Hamiltonian, psi *linalg.CMatrix) *linalg.CMatrix {
+	out := linalg.NewCMatrix(psi.Rows, psi.Cols)
+	h.applyFFT(psi, out)
+	return out
+}
+
 // TestDenseOperatorMatchesFFT: the dense operator is the cyclic
 // convolution the FFT path computes, so on every dense basis — the two
 // domain shapes, the whole SiC(1) cell, and an odd grid with no Nyquist

@@ -102,7 +102,7 @@ func LocalForces(b *Basis, rho []float64, species []*atoms.Species, positions []
 				cr := real(rhoG)
 				ci := imag(rhoG)
 				for ai, sp := range species {
-					v := LocalGCached(sp, g2)
+					v := pseudo.LocalG(sp, g2)
 					if v == 0 {
 						continue
 					}
@@ -131,13 +131,6 @@ func LocalForces(b *Basis, rho []float64, species []*atoms.Species, positions []
 		}
 	}
 	return forces
-}
-
-// LocalGCached is LocalG (kept separate so the force loop reads clearly;
-// the compiler inlines it).
-func LocalGCached(sp *atoms.Species, g2 float64) float64 {
-	return -4 * math.Pi * sp.Valence * math.Exp(-g2*sp.PsSigma*sp.PsSigma/2) /
-		(g2 + sp.PsKappa*sp.PsKappa)
 }
 
 // NonlocalForces returns the Hellmann–Feynman forces from the separable

@@ -113,15 +113,6 @@ func (h *Hamiltonian) hasProjectors() bool {
 	return h.proj != nil && h.proj.NumProjectors() > 0
 }
 
-// fuseVloc selects the fused real-space path: the ×V_loc multiply (and
-// the N³ plane-wave rescale) happen inside the inverse transform's final
-// x-pass (fft.InverseRawMulReal) instead of as separate grid traversals.
-// The fused and separate paths agree to ~1e-14 relative — not bitwise,
-// because the raw inverse folds the three per-axis normalizations into
-// nothing rather than rounding each — which TestFusedApplyEquivalence
-// pins. Kept as a toggle for that test and the ablation benchmark.
-var fuseVloc = true
-
 // ApplyWorkspace holds the reusable scratch of single-band Hamiltonian
 // applications: the N³ FFT grid buffer and the Np coefficient buffer
 // that Apply previously allocated on every call. One workspace serves
@@ -151,16 +142,10 @@ func (h *Hamiltonian) Apply(psi, out []complex128, ws *ApplyWorkspace) {
 	for i, g2 := range b.G2 {
 		out[i] = complex(g2/2, 0) * psi[i]
 	}
-	// Local potential part via FFT.
-	if fuseVloc {
-		b.Scatter(psi, ws.grid)
-		b.sphere.InverseRawMulReal(ws.grid, h.vloc)
-	} else {
-		b.ToRealSpace(psi, ws.grid)
-		for i, v := range h.vloc {
-			ws.grid[i] *= complex(v, 0)
-		}
-	}
+	// Local potential part via FFT, the ×V_loc multiply (and the N³
+	// plane-wave rescale) fused into the inverse transform's x-pass.
+	b.Scatter(psi, ws.grid)
+	b.sphere.InverseRawMulReal(ws.grid, h.vloc)
 	b.FromRealSpace(ws.grid, ws.tmp)
 	for i := range out {
 		out[i] += ws.tmp[i]
@@ -206,20 +191,10 @@ func (h *Hamiltonian) applyFFT(psi, out *linalg.CMatrix) {
 	// the transform's x-pass; the raw inverse is exactly the N³-scaled
 	// plane-wave convention) → batched forward FFT → gather (fused with
 	// the kinetic term below).
-	if fuseVloc {
-		for n := 0; n < nb; n++ {
-			b.scatterColumn(psi, n, batch[n*size:(n+1)*size])
-		}
-		b.sphere.InverseRawMulRealBatch(batch[:nb*size], nb, h.vloc)
-	} else {
-		b.ToRealSpaceBatch(psi, batch)
-		par.For(nb, 1, func(n, _ int) {
-			g := batch[n*size : (n+1)*size]
-			for i, v := range h.vloc {
-				g[i] *= complex(v, 0)
-			}
-		})
+	for n := 0; n < nb; n++ {
+		b.scatterColumn(psi, n, batch[n*size:(n+1)*size])
 	}
+	b.sphere.InverseRawMulRealBatch(batch[:nb*size], nb, h.vloc)
 	b.sphere.ForwardBatch(batch[:nb*size], nb)
 	// out(G,n) = ½G² ψ(G,n) + (1/N³)·(VlocψR)(G,n), assembled row-wise so
 	// the matrix accesses stay contiguous.

@@ -72,7 +72,7 @@ func TestRealSpaceRoundTrip(t *testing.T) {
 		c[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
 	work := make([]complex128, b.Grid.Size())
-	b.ToRealSpace(c, work)
+	b.ToRealSpaceBatch(&linalg.CMatrix{Rows: b.Np(), Cols: 1, Data: c}, work)
 	got := make([]complex128, b.Np())
 	b.FromRealSpace(work, got)
 	for i := range c {
@@ -89,7 +89,7 @@ func TestToRealSpaceIsPlaneWaveSum(t *testing.T) {
 	pick := b.Np() / 2
 	c[pick] = 1
 	work := make([]complex128, b.Grid.Size())
-	b.ToRealSpace(c, work)
+	b.ToRealSpaceBatch(&linalg.CMatrix{Rows: b.Np(), Cols: 1, Data: c}, work)
 	g := b.G[pick]
 	for ix := 0; ix < b.Grid.N; ix++ {
 		for iy := 0; iy < b.Grid.N; iy++ {

@@ -129,7 +129,7 @@ func localForcesComplex(b *Basis, rho []float64, species []*atoms.Species, posit
 				cr := real(rhoG)
 				ci := imag(rhoG)
 				for ai, sp := range species {
-					v := LocalGCached(sp, g2)
+					v := pseudo.LocalG(sp, g2)
 					if v == 0 {
 						continue
 					}

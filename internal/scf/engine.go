@@ -1,6 +1,8 @@
 package scf
 
 import (
+	"math"
+
 	"ldcdft/internal/atoms"
 	"ldcdft/internal/geom"
 	"ldcdft/internal/linalg"
@@ -151,20 +153,20 @@ func (e *Engine) InitialDensity() []float64 {
 				var sre, sim float64
 				for ai, sp := range e.Species {
 					sigma := 1.5 * sp.PsSigma
-					amp := sp.Valence * expNeg(g2*sigma*sigma/2) * invVol
+					amp := sp.Valence * math.Exp(-g2*sigma*sigma/2) * invVol
 					r := e.Positions[ai]
 					ph := -(gx*r.X + gy*r.Y + gz*r.Z)
 					if mx == gx && my == gy && mz == gz {
-						sre += amp * cosf(ph)
-						sim += amp * sinf(ph)
+						sre += amp * math.Cos(ph)
+						sim += amp * math.Sin(ph)
 						continue
 					}
 					// Nyquist-plane bin: Hermitian-symmetrize against the
 					// mirror frequency, matching the real part the previous
 					// full-grid complex inverse kept.
 					ph2 := -(mx*r.X + my*r.Y + mz*r.Z)
-					sre += amp * (cosf(ph) + cosf(ph2)) / 2
-					sim += amp * (sinf(ph) + sinf(ph2)) / 2
+					sre += amp * (math.Cos(ph) + math.Cos(ph2)) / 2
+					sim += amp * (math.Sin(ph) + math.Sin(ph2)) / 2
 				}
 				work[(ix*n+iy)*hz+iz] = complex(sre, sim)
 			}

@@ -11,11 +11,6 @@ import (
 	"ldcdft/internal/xc"
 )
 
-// Small math helpers keep the hot loops readable.
-func expNeg(x float64) float64 { return math.Exp(-x) }
-func cosf(x float64) float64   { return math.Cos(x) }
-func sinf(x float64) float64   { return math.Sin(x) }
-
 // Config controls a conventional (single-cell, O(N³)) SCF calculation.
 type Config struct {
 	GridN      int     // FFT grid points per axis

@@ -13,8 +13,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"ldcdft/internal/serve/lease"
 )
 
 // Every Client request carries the caller's context: against a daemon
@@ -109,7 +107,7 @@ func TestClientStatusSentinels(t *testing.T) {
 			_, err := c.Job(ctx, "j404")
 			return err
 		}},
-		{http.StatusConflict, ErrFenced, lease.ErrStale.Error(), func() error {
+		{http.StatusConflict, ErrFenced, ErrStale.Error(), func() error {
 			_, err := c.Renew(ctx, g.JobID, g.Epoch+1)
 			return err
 		}},
@@ -165,7 +163,7 @@ func TestStepReportDoesNotStallLostLease(t *testing.T) {
 		}
 	}
 	fence := func(w http.ResponseWriter, _ *http.Request) {
-		writeError(w, http.StatusConflict, lease.ErrNotLeased)
+		writeError(w, http.StatusConflict, ErrNotLeased)
 	}
 	spec := validSpec("a", 3)
 	spec.CheckpointEvery = 1

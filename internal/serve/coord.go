@@ -11,6 +11,26 @@ import (
 	"ldcdft/internal/qio"
 )
 
+// A job's lease epoch is its fencing token: every grant increments it,
+// and every mutation a holder attempts (renew, step report, checkpoint
+// upload, completion) must present the epoch it was granted. A zombie
+// worker — one whose lease expired during a GC pause, a partition, or a
+// SIGKILL it somehow survived — still holds the old epoch, so once the
+// job has been requeued and re-leased each of its calls is rejected
+// instead of clobbering the new holder's progress. The epoch is
+// persisted in state.json, so the fence survives coordinator restarts.
+//
+// Both fencing errors map to HTTP 409: the worker's claim on the job is
+// gone and it must abandon the trajectory.
+var (
+	// ErrNotLeased rejects an operation on a job that is not running
+	// (expired and not yet re-granted, completed, or cancelled).
+	ErrNotLeased = errors.New("lease: job is not leased")
+	// ErrStale rejects an operation presenting an epoch other than the
+	// running job's — the zombie-worker fence.
+	ErrStale = errors.New("lease: stale epoch")
+)
+
 // errEpochNotPersisted refuses a grant (503 over HTTP) whose epoch could
 // not be written to state.json: after a restart the store would hand
 // the same epoch out again and a pre-crash zombie would pass the fence.
@@ -113,11 +133,7 @@ func (m *Manager) grantLocked(j *job, worker string, cancel context.CancelCauseF
 		return nil, fmt.Errorf("%w: job %s: %v", errEpochNotPersisted, j.id, err)
 	}
 	j.cancel = cancel
-	if cancel != nil {
-		m.leases.Hold(j.id, worker, j.state.LeaseEpoch)
-	} else {
-		m.leases.Grant(j.id, worker, j.state.LeaseEpoch, time.Now())
-	}
+	j.expires = time.Now().Add(m.cfg.LeaseTTL) // ignored while a slot holds it
 	m.leasesGranted++
 	m.broadcast(j, Event{Type: "status", Status: StatusRunning, Step: j.state.StepsDone})
 	_, ckErr := os.Stat(m.root.CheckpointPath(j.id))
@@ -127,22 +143,25 @@ func (m *Manager) grantLocked(j *job, worker string, cancel context.CancelCauseF
 		JobID:         j.id,
 		Spec:          j.spec,
 		Epoch:         j.state.LeaseEpoch,
-		TTL:           m.leases.TTL(),
+		TTL:           m.cfg.LeaseTTL,
 		StepsDone:     j.state.StepsDone,
 		HasCheckpoint: ckErr == nil,
 	}, nil
 }
 
-// leasedLocked resolves id to its job iff it is actively leased under
-// exactly epoch, counting fencing rejections. Callers hold the lock.
+// leasedLocked resolves id to its job iff it is running under exactly
+// epoch, counting fencing rejections. Callers hold the lock.
 func (m *Manager) leasedLocked(id string, epoch int64) (*job, error) {
 	j := m.jobs[id]
-	if j == nil {
+	switch {
+	case j == nil:
 		return nil, ErrNotFound
-	}
-	if err := m.leases.Check(id, epoch); err != nil {
+	case j.state.Status != StatusRunning:
 		m.staleRejected++
-		return nil, err
+		return nil, ErrNotLeased
+	case j.state.LeaseEpoch != epoch:
+		m.staleRejected++
+		return nil, ErrStale
 	}
 	return j, nil
 }
@@ -154,14 +173,12 @@ func (m *Manager) leasedLocked(id string, epoch int64) (*job, error) {
 func (m *Manager) RenewLease(id string, epoch int64) (time.Duration, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, err := m.leasedLocked(id, epoch); err != nil {
+	j, err := m.leasedLocked(id, epoch)
+	if err != nil {
 		return 0, err
 	}
-	if _, err := m.leases.Renew(id, epoch, time.Now()); err != nil {
-		m.staleRejected++
-		return 0, err
-	}
-	return m.leases.TTL(), nil
+	j.expires = time.Now().Add(m.cfg.LeaseTTL)
+	return m.cfg.LeaseTTL, nil
 }
 
 // LeaseProgress records a completed MD step reported by the lease
@@ -245,7 +262,6 @@ func (m *Manager) CompleteLease(id string, req CompleteRequest) (*JobState, erro
 	if err != nil {
 		return nil, err
 	}
-	m.leases.Drop(j.id)
 	j.cancel = nil
 	// The report is authoritative: on resumed runs it includes the
 	// checkpoint-restored prefix the in-memory record may lack.

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"ldcdft/internal/qio"
-	"ldcdft/internal/serve/lease"
 	"ldcdft/internal/waitfor"
 )
 
@@ -152,7 +151,7 @@ func TestLeaseExpiryRequeuesAndFencesZombie(t *testing.T) {
 	}) {
 		t.Fatal("expired lease was not requeued")
 	}
-	if c := m.Stats(); c.LeasesExpired != 1 || c.LeasesActive != 0 || c.Running != 0 {
+	if c := m.Stats(); c.LeasesExpired != 1 || c.Running != 0 {
 		t.Fatalf("post-expiry counters %+v", c)
 	}
 
@@ -161,16 +160,16 @@ func TestLeaseExpiryRequeuesAndFencesZombie(t *testing.T) {
 		t.Fatalf("re-grant epoch %d, want %d", g2.Epoch, g1.Epoch+1)
 	}
 	// Keep the new lease alive while poking it with the zombie's epoch.
-	if _, err := m.RenewLease(st.ID, g1.Epoch); !errors.Is(err, lease.ErrStale) {
+	if _, err := m.RenewLease(st.ID, g1.Epoch); !errors.Is(err, ErrStale) {
 		t.Fatalf("zombie renew: want ErrStale, got %v", err)
 	}
-	if err := m.PutLeaseCheckpoint(st.ID, g1.Epoch, strings.NewReader("zombie bytes")); !errors.Is(err, lease.ErrStale) {
+	if err := m.PutLeaseCheckpoint(st.ID, g1.Epoch, strings.NewReader("zombie bytes")); !errors.Is(err, ErrStale) {
 		t.Fatalf("zombie checkpoint upload: want ErrStale, got %v", err)
 	}
-	if err := m.LeaseProgress(st.ID, g1.Epoch, 99, 0, 0); !errors.Is(err, lease.ErrStale) {
+	if err := m.LeaseProgress(st.ID, g1.Epoch, 99, 0, 0); !errors.Is(err, ErrStale) {
 		t.Fatalf("zombie step report: want ErrStale, got %v", err)
 	}
-	if _, err := m.CompleteLease(st.ID, CompleteRequest{Worker: "doomed", Epoch: g1.Epoch, Status: "completed"}); !errors.Is(err, lease.ErrStale) {
+	if _, err := m.CompleteLease(st.ID, CompleteRequest{Worker: "doomed", Epoch: g1.Epoch, Status: "completed"}); !errors.Is(err, ErrStale) {
 		t.Fatalf("zombie complete: want ErrStale, got %v", err)
 	}
 	if c := m.Stats(); c.StaleRejected < 4 {
@@ -324,7 +323,7 @@ func TestInterleavedUploadsDoNotShareATemp(t *testing.T) {
 	if err := finishNew(); err != nil {
 		t.Fatalf("live upload: %v", err)
 	}
-	if err := finishOld(); !errors.Is(err, lease.ErrStale) {
+	if err := finishOld(); !errors.Is(err, ErrStale) {
 		t.Fatalf("zombie upload: got %v, want ErrStale", err)
 	}
 	rc, err := m.OpenLeaseCheckpoint(st.ID, g2.Epoch)
@@ -397,10 +396,10 @@ func TestCancelLeasedJob(t *testing.T) {
 	if cs.Status != StatusCancelled {
 		t.Fatalf("cancelled state %+v", cs)
 	}
-	if _, err := m.RenewLease(st.ID, g.Epoch); !errors.Is(err, lease.ErrNotLeased) {
+	if _, err := m.RenewLease(st.ID, g.Epoch); !errors.Is(err, ErrNotLeased) {
 		t.Fatalf("renew after cancel: want ErrNotLeased, got %v", err)
 	}
-	if c := m.Stats(); c.Cancelled != 1 || c.Running != 0 || c.LeasesActive != 0 {
+	if c := m.Stats(); c.Cancelled != 1 || c.Running != 0 {
 		t.Fatalf("counters %+v", c)
 	}
 }
@@ -416,7 +415,7 @@ func TestStandaloneJobRunsUnderLease(t *testing.T) {
 		t.Fatalf("standalone job finished with epoch %d, worker %q; want epoch 1 and a slot name",
 			fin.LeaseEpoch, fin.Worker)
 	}
-	if c := m.Stats(); c.LeasesGranted != 1 || c.LeasesExpired != 0 || c.LeasesActive != 0 {
+	if c := m.Stats(); c.LeasesGranted != 1 || c.LeasesExpired != 0 || c.Running != 0 {
 		t.Fatalf("counters %+v, want one lease granted, none expired or active", c)
 	}
 	var buf bytes.Buffer
@@ -457,6 +456,51 @@ func TestInProcessLeaseDoesNotExpire(t *testing.T) {
 	case name := <-fr.started:
 		t.Fatalf("job %q was started a second time", name)
 	default:
+	}
+}
+
+// A worker node that renews every TTL/3 keeps its lease for as long as
+// it renews; once it stops, the expiry scan requeues the job after its
+// deadline — no sooner than one TTL past the last renewal, and within
+// about two.
+func TestRenewalsKeepWorkerLease(t *testing.T) {
+	const ttl = 60 * time.Millisecond
+	m := newCoordinator(t, t.TempDir(), ttl)
+	defer shutdown(t, m)
+	st := mustSubmit(t, m, validSpec("a", 3))
+	g := mustAcquire(t, m, "w1")
+
+	var lastRenew time.Time
+	for start := time.Now(); time.Since(start) < 5*ttl; time.Sleep(ttl / 3) {
+		lastRenew = time.Now() // at or before the renewal sets the deadline
+		got, err := m.RenewLease(st.ID, g.Epoch)
+		if err != nil || got != ttl {
+			t.Fatalf("renew: (%v, %v), want (%v, nil)", got, err, ttl)
+		}
+	}
+	if s, _ := m.Get(st.ID); s.Status != StatusRunning || s.LeaseEpoch != 1 || s.Worker != "w1" {
+		t.Fatalf("after 5 TTLs of renewals the job is %s at epoch %d on %q, want running at epoch 1 on w1",
+			s.Status, s.LeaseEpoch, s.Worker)
+	}
+	if c := m.Stats(); c.LeasesExpired != 0 || c.Running != 1 {
+		t.Fatalf("counters %+v, want no expiry and one running job", c)
+	}
+
+	// Renewals stop: the scan requeues the job once the deadline passes.
+	for {
+		if s, _ := m.Get(st.ID); s.Status == StatusQueued {
+			break
+		}
+		if time.Since(lastRenew) > 5*time.Second {
+			t.Fatal("job was not requeued after renewals stopped")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if since := time.Since(lastRenew); since < ttl || since > 2*ttl {
+		t.Fatalf("requeued %v after the last renewal, want between 1 and 2 TTLs (%v)", since, ttl)
+	}
+	if c := m.Stats(); c.LeasesExpired != 1 || c.Running != 0 || c.QueueDepth != 1 {
+		t.Fatalf("post-expiry counters %+v", c)
 	}
 }
 
@@ -544,7 +588,7 @@ func TestLateCompleteAfterCancelIsFenced(t *testing.T) {
 	}
 	_, err := m.CompleteLease(st.ID, CompleteRequest{Worker: "late", Epoch: g.Epoch, Status: "completed",
 		Report: RunReport{Steps: 3, EnergiesHa: []float64{-1, -2, -3}, TemperaturesK: []float64{1, 1, 1}}})
-	if !errors.Is(err, lease.ErrNotLeased) {
+	if !errors.Is(err, ErrNotLeased) {
 		t.Fatalf("late complete: want ErrNotLeased, got %v", err)
 	}
 	after, _ := m.Get(st.ID)
@@ -607,7 +651,7 @@ func TestGrantRefusedWhenEpochNotPersisted(t *testing.T) {
 	if s.Status != StatusQueued || s.LeaseEpoch != 0 || s.Worker != "" || !s.StartedAt.IsZero() {
 		t.Fatalf("refused grant left state %+v, want the queued job untouched", s)
 	}
-	if c := m.Stats(); c.QueueDepth != 1 || c.LeasesGranted != 0 || c.LeasesActive != 0 {
+	if c := m.Stats(); c.QueueDepth != 1 || c.LeasesGranted != 0 || c.Running != 0 {
 		t.Fatalf("counters %+v", c)
 	}
 
@@ -670,7 +714,7 @@ func TestEpochFencingSurvivesCoordinatorRestart(t *testing.T) {
 	if g2.Epoch <= g1.Epoch {
 		t.Fatalf("post-restart epoch %d not past pre-crash epoch %d", g2.Epoch, g1.Epoch)
 	}
-	if _, err := m2.RenewLease(st.ID, g1.Epoch); !errors.Is(err, lease.ErrStale) {
+	if _, err := m2.RenewLease(st.ID, g1.Epoch); !errors.Is(err, ErrStale) {
 		t.Fatalf("pre-crash zombie renew: want ErrStale, got %v", err)
 	}
 }
@@ -718,7 +762,7 @@ func TestWorkerNodeEndToEnd(t *testing.T) {
 			t.Fatalf("job %s attributed to worker %q", id, fin.Worker)
 		}
 	}
-	if c := m.Stats(); c.Completed != 3 || c.LeasesGranted != 3 || c.LeasesActive != 0 {
+	if c := m.Stats(); c.Completed != 3 || c.LeasesGranted != 3 || c.Running != 0 {
 		t.Fatalf("counters %+v", c)
 	}
 }
@@ -865,7 +909,7 @@ func TestWorkerCrashResumeFromUploadedCheckpoint(t *testing.T) {
 
 // The lease bodies are decoded as strictly as a job spec: an unknown
 // field or trailing data is a 400 on every route, before the lease is
-// looked at, while the same body without them reaches the lease table.
+// looked at, while the same body without them reaches the epoch fence.
 func TestLeaseBodiesAreStrict(t *testing.T) {
 	m := newCoordinator(t, t.TempDir(), time.Minute)
 	defer shutdown(t, m)

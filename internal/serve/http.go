@@ -8,8 +8,6 @@ import (
 	"net/http"
 	"strconv"
 	"time"
-
-	"ldcdft/internal/serve/lease"
 )
 
 // Handler returns the daemon's HTTP API — one route table in every mode;
@@ -94,7 +92,7 @@ func errorCode(err error) int {
 		return http.StatusNotFound
 	case errors.Is(err, ErrAlreadyFinished):
 		return http.StatusConflict
-	case errors.Is(err, lease.ErrNotLeased), errors.Is(err, lease.ErrStale):
+	case errors.Is(err, ErrNotLeased), errors.Is(err, ErrStale):
 		// Expired, released, or superseded lease: the worker's claim is
 		// gone and it must abandon the trajectory.
 		return http.StatusConflict

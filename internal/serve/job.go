@@ -1,7 +1,7 @@
 // Package serve is the job-serving layer of the LDC-DFT engine: a
-// bounded priority queue with admission control, a lease table under
-// which in-process slots and worker nodes run QMD trajectories with
-// cooperative cancellation, durable per-job state
+// bounded priority queue with admission control, leases (kept in each
+// job's own record) under which in-process slots and worker nodes run
+// QMD trajectories with cooperative cancellation, durable per-job state
 // (specs and results as JSON next to qio checkpoints, so a killed
 // daemon recovers its queue and resumes in-flight work), and a
 // stdlib-only HTTP API with an SSE step stream and Prometheus metrics,

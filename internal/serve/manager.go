@@ -14,7 +14,6 @@ import (
 
 	"ldcdft/internal/cache"
 	"ldcdft/internal/qio"
-	"ldcdft/internal/serve/lease"
 )
 
 // Sentinel errors of the admission/lifecycle API. The HTTP layer maps
@@ -85,6 +84,10 @@ type Config struct {
 
 // job is the manager-internal record: persisted state plus scheduling
 // bookkeeping. All fields are guarded by the manager lock.
+//
+// It is also the lease: a job is leased exactly while state.Status is
+// StatusRunning, under state.LeaseEpoch, held by state.Worker (see
+// coord.go for the fence).
 type job struct {
 	id       string
 	seq      int64
@@ -93,23 +96,21 @@ type job struct {
 	state    JobState
 	queueIdx int                     // heap index; -1 when not queued
 	cancel   context.CancelCauseFunc // non-nil while an in-process slot runs it
+	expires  time.Time               // a worker node's lease deadline; slots have none
 	subs     map[chan Event]struct{}
 }
 
-// Manager owns the job store, the bounded priority queue, and the lease
-// table every job runs under. It is created over a (possibly non-empty)
-// data directory: jobs found on disk are reloaded, and non-terminal
-// ones are requeued so interrupted trajectories resume from their
-// checkpoints.
+// Manager owns the job store and the bounded priority queue, and leases
+// every job it runs. It is created over a (possibly non-empty) data
+// directory: jobs found on disk are reloaded, and non-terminal ones are
+// requeued so interrupted trajectories resume from their checkpoints.
 type Manager struct {
 	cfg  Config
 	root *qio.JobRoot
 
-	// leases records who runs what; its epochs fence zombie workers off
-	// reassigned jobs. stop is closed when draining is set: it ends the
-	// expiry scan and cuts short a slot's retry back-off.
-	leases *lease.Table
-	stop   chan struct{}
+	// stop is closed when draining is set: it ends the expiry scan and
+	// cuts short a slot's retry back-off.
+	stop chan struct{}
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -155,12 +156,11 @@ func NewManager(cfg Config) (*Manager, error) {
 		cfg.LeaseTTL = 15 * time.Second
 	}
 	m := &Manager{
-		cfg:    cfg,
-		root:   root,
-		jobs:   make(map[string]*job),
-		ended:  make(map[Status]int64),
-		leases: lease.NewTable(cfg.LeaseTTL),
-		stop:   make(chan struct{}),
+		cfg:   cfg,
+		root:  root,
+		jobs:  make(map[string]*job),
+		ended: make(map[Status]int64),
+		stop:  make(chan struct{}),
 	}
 	m.cond = sync.NewCond(&m.mu)
 	if err := m.recover(); err != nil {
@@ -341,7 +341,6 @@ func (m *Manager) Cancel(id string) (*JobState, error) {
 		j.cancel(ErrCancelledByClient)
 		return j.state.clone(), nil
 	default:
-		m.leases.Drop(j.id)
 		return m.endLocked(j, StatusCancelled, ErrCancelledByClient.Error())
 	}
 }
@@ -419,7 +418,7 @@ func (m *Manager) finishBroadcast(j *job) {
 // slot is one in-process lease holder: a worker node minus everything
 // a process boundary forces on one. It shares the manager's store, so
 // the trajectory checkpoints straight into the job directory; it cannot
-// be partitioned from the table it leases from, so its lease has no
+// be partitioned from the manager it leases from, so its lease has no
 // expiry and needs no heartbeat (a process crash is covered by
 // recover()); and its context is within the manager's reach, so Cancel
 // and Shutdown interrupt it cooperatively.
@@ -469,8 +468,9 @@ func (m *Manager) slot(name string) {
 
 // endLocked makes j terminal — recorded, persisted, subscriptions closed
 // with the done event, retention run — and returns the snapshot taken
-// before retention could prune the job, with the persist error. Callers
-// hold the manager lock and have taken j off the queue or lease table.
+// before retention could prune the job, with the persist error; leaving
+// StatusRunning ends its lease. Callers hold the manager lock and have
+// taken j off the queue if it was queued.
 func (m *Manager) endLocked(j *job, status Status, errText string) (*JobState, error) {
 	j.state.Status = status
 	j.state.Error = errText
@@ -495,8 +495,7 @@ func (m *Manager) persistState(j *job) error {
 // (worker or daemon drain). The job keeps its StepsDone and its
 // persisted LeaseEpoch (so the next grant's epoch fences the old
 // holder) and is resumed from its last checkpoint by whoever leases it
-// next. Callers hold the manager lock and have already removed the
-// lease from the table.
+// next. Callers hold the manager lock.
 func (m *Manager) requeueLocked(j *job, why string) {
 	j.state.Status = StatusQueued
 	j.state.Worker = ""
@@ -509,11 +508,11 @@ func (m *Manager) requeueLocked(j *job, why string) {
 	m.cfg.Logf("serve: job %s requeued (%s, %d steps done)", j.id, why, j.state.StepsDone)
 }
 
-// expireLoop is the lease-expiry scan: any lease whose worker node has
-// missed renewals for LeaseTTL is revoked and its job requeued (leases
-// held by in-process slots never expire). Scan cadence is a quarter of
-// the TTL so a dead worker's job is back in the queue at most ~1.25 TTLs
-// after its last heartbeat.
+// expireLoop is the lease-expiry scan: a running job whose worker node
+// has missed renewals for LeaseTTL is requeued (jobs held by in-process
+// slots have no deadline). Scan cadence is a quarter of the TTL so a
+// dead worker's job is back in the queue at most ~1.25 TTLs after its
+// last heartbeat.
 func (m *Manager) expireLoop() {
 	defer m.wg.Done()
 	period := m.cfg.LeaseTTL / 4
@@ -527,18 +526,14 @@ func (m *Manager) expireLoop() {
 		case <-m.stop:
 			return
 		case now := <-ticker.C:
-			for _, l := range m.leases.Expired(now) {
-				m.mu.Lock()
-				j := m.jobs[l.JobID]
-				// Requeue only if the expired lease is still the job's
-				// current one — completion or cancellation may have
-				// raced the scan.
-				if j != nil && j.state.Status == StatusRunning && j.state.LeaseEpoch == l.Epoch {
+			m.mu.Lock()
+			for _, j := range m.jobs {
+				if j.state.Status == StatusRunning && j.cancel == nil && !j.expires.After(now) {
 					m.leasesExpired++
-					m.requeueLocked(j, fmt.Sprintf("lease expired on worker %s", l.Worker))
+					m.requeueLocked(j, fmt.Sprintf("lease expired on worker %s", j.state.Worker))
 				}
-				m.mu.Unlock()
 			}
+			m.mu.Unlock()
 		}
 	}
 }
@@ -555,9 +550,8 @@ type Counters struct {
 	Rejected   int64
 	Pruned     int64
 
-	// Lease counters. Running and LeasesActive are the same number:
-	// a job runs exactly while it is leased.
-	LeasesActive  int
+	// Lease counters. The active leases are Running: a job runs
+	// exactly while it is leased.
 	LeasesGranted int64
 	LeasesExpired int64
 	StaleRejected int64
@@ -567,9 +561,15 @@ type Counters struct {
 func (m *Manager) Stats() Counters {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	running := 0
+	for _, j := range m.jobs {
+		if j.state.Status == StatusRunning {
+			running++
+		}
+	}
 	return Counters{
 		QueueDepth: m.queue.Len(),
-		Running:    m.leases.Len(),
+		Running:    running,
 		Submitted:  m.submitted,
 		Completed:  m.ended[StatusCompleted],
 		Failed:     m.ended[StatusFailed],
@@ -577,7 +577,6 @@ func (m *Manager) Stats() Counters {
 		Rejected:   m.rejected,
 		Pruned:     m.pruned,
 
-		LeasesActive:  m.leases.Len(),
 		LeasesGranted: m.leasesGranted,
 		LeasesExpired: m.leasesExpired,
 		StaleRejected: m.staleRejected,

@@ -26,7 +26,7 @@ func (m *Manager) WriteMetrics(w io.Writer) error {
 		{"qmdd_jobs_cancelled_total", "Jobs cancelled by clients.", "counter", float64(c.Cancelled)},
 		{"qmdd_jobs_rejected_total", "Submissions rejected by admission control (429).", "counter", float64(c.Rejected)},
 		{"qmdd_jobs_pruned_total", "Terminal jobs removed from the store by retention bounds.", "counter", float64(c.Pruned)},
-		{"qmdd_leases_active", "Jobs currently leased to in-process slots or worker nodes.", "gauge", float64(c.LeasesActive)},
+		{"qmdd_leases_active", "Jobs currently leased to in-process slots or worker nodes.", "gauge", float64(c.Running)},
 		{"qmdd_leases_granted_total", "Leases granted to in-process slots or worker nodes.", "counter", float64(c.LeasesGranted)},
 		{"qmdd_leases_expired_total", "Leases revoked after missed renewals (job requeued).", "counter", float64(c.LeasesExpired)},
 		{"qmdd_lease_stale_rejected_total", "Lease calls rejected by the epoch fence (zombie workers).", "counter", float64(c.StaleRejected)},
