@@ -504,6 +504,134 @@ func TestRenewalsKeepWorkerLease(t *testing.T) {
 	}
 }
 
+// An in-process slot's lease is fenced like a worker node's but
+// outlives any TTL, also after a renew, while a worker node's lease
+// beside it expires on schedule. Ending the slot's job ends its lease.
+func TestHoldNeverExpires(t *testing.T) {
+	const ttl = 50 * time.Millisecond
+	gate := make(chan struct{})
+	fr := &fakeRunner{started: make(chan string, 4), gate: map[string]chan struct{}{"local": gate}}
+	m, err := NewManager(Config{DataDir: t.TempDir(), Workers: 1, QueueCap: 4, Runner: fr, LeaseTTL: ttl, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(t, m)
+	local := mustSubmit(t, m, validSpec("local", 2))
+	<-fr.started // the only slot holds "local": "remote" is leased by hand
+	remote := mustSubmit(t, m, validSpec("remote", 2))
+	mustAcquire(t, m, "w1")
+	if _, err := m.RenewLease(local.ID, 1); err != nil {
+		t.Fatalf("renew of the slot's lease: %v", err)
+	}
+
+	if !waitfor.Until(5*time.Second, func() bool {
+		s, _ := m.Get(remote.ID)
+		return s.Status == StatusQueued
+	}) {
+		t.Fatal("the worker node's lease did not expire")
+	}
+	time.Sleep(4 * ttl) // several more scans
+	if s, _ := m.Get(local.ID); s.Status != StatusRunning || s.LeaseEpoch != 1 {
+		t.Fatalf("after the scans the slot's job is %s at epoch %d, want running at epoch 1", s.Status, s.LeaseEpoch)
+	}
+	if c := m.Stats(); c.LeasesExpired != 1 {
+		t.Fatalf("counters %+v, want only the worker node's lease expired", c)
+	}
+	if _, err := m.RenewLease(local.ID, 2); !errors.Is(err, ErrStale) {
+		t.Fatalf("stale renew of the slot's lease: %v, want ErrStale", err)
+	}
+
+	close(gate)
+	waitStatus(t, m, local.ID, StatusCompleted)
+	if _, err := m.RenewLease(local.ID, 1); !errors.Is(err, ErrNotLeased) {
+		t.Fatalf("renew after the slot's job ended: %v, want ErrNotLeased", err)
+	}
+	// The freed slot takes the requeued job under the next epoch.
+	if fin := waitStatus(t, m, remote.ID, StatusCompleted); fin.LeaseEpoch != 2 {
+		t.Fatalf("requeued job finished at epoch %d, want 2", fin.LeaseEpoch)
+	}
+}
+
+// The zombie-worker scenario step by step: worker A's lease expires no
+// sooner than one TTL after the grant; between expiry and re-grant A's
+// epoch is ErrNotLeased, and once worker B holds the job under the next
+// epoch it is ErrStale, while B's epoch works.
+func TestExpiryFencesOldEpoch(t *testing.T) {
+	const ttl = 60 * time.Millisecond
+	m := newCoordinator(t, t.TempDir(), ttl)
+	defer shutdown(t, m)
+	st := mustSubmit(t, m, validSpec("a", 3))
+	granted := time.Now() // at or before the grant sets the deadline
+	g1 := mustAcquire(t, m, "wA")
+
+	if !waitfor.Until(5*time.Second, func() bool {
+		s, _ := m.Get(st.ID)
+		return s.Status == StatusQueued
+	}) {
+		t.Fatal("expired lease was not requeued")
+	}
+	if since := time.Since(granted); since < ttl {
+		t.Fatalf("lease expired %v after the grant, before its TTL %v", since, ttl)
+	}
+	if s, _ := m.Get(st.ID); s.Worker != "" || s.LeaseEpoch != g1.Epoch {
+		t.Fatalf("requeued state has worker %q at epoch %d, want no worker at epoch %d", s.Worker, s.LeaseEpoch, g1.Epoch)
+	}
+	if c := m.Stats(); c.LeasesExpired != 1 || c.Running != 0 {
+		t.Fatalf("post-expiry counters %+v", c)
+	}
+	if _, err := m.RenewLease(st.ID, g1.Epoch); !errors.Is(err, ErrNotLeased) {
+		t.Fatalf("post-expiry renew: %v, want ErrNotLeased", err)
+	}
+
+	g2 := mustAcquire(t, m, "wB")
+	if g2.Epoch != g1.Epoch+1 {
+		t.Fatalf("re-grant epoch %d, want %d", g2.Epoch, g1.Epoch+1)
+	}
+	if _, err := m.RenewLease(st.ID, g1.Epoch); !errors.Is(err, ErrStale) {
+		t.Fatalf("zombie renew: %v, want ErrStale", err)
+	}
+	if _, err := m.RenewLease(st.ID, g2.Epoch); err != nil {
+		t.Fatalf("new holder rejected: %v", err)
+	}
+	if s, _ := m.Get(st.ID); s.Status != StatusRunning || s.Worker != "wB" {
+		t.Fatalf("re-granted state %+v", s)
+	}
+}
+
+// Cancelling a leased job ends its lease whatever the holder's epoch,
+// and a second cancel changes nothing: every lease call the holder
+// makes afterwards is ErrNotLeased.
+func TestDropIsUnconditional(t *testing.T) {
+	m := newCoordinator(t, t.TempDir(), time.Minute)
+	defer shutdown(t, m)
+	st := mustSubmit(t, m, validSpec("a", 3))
+	g := mustAcquire(t, m, "w1")
+	if _, err := m.Cancel(st.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Cancel(st.ID); !errors.Is(err, ErrAlreadyFinished) {
+		t.Fatalf("second cancel: %v, want ErrAlreadyFinished", err)
+	}
+	if _, err := m.RenewLease(st.ID, g.Epoch); !errors.Is(err, ErrNotLeased) {
+		t.Fatalf("renew after cancel: %v, want ErrNotLeased", err)
+	}
+	if err := m.LeaseProgress(st.ID, g.Epoch, 1, 0, 0); !errors.Is(err, ErrNotLeased) {
+		t.Fatalf("step report after cancel: %v, want ErrNotLeased", err)
+	}
+	if err := m.PutLeaseCheckpoint(st.ID, g.Epoch, strings.NewReader("late bytes")); !errors.Is(err, ErrNotLeased) {
+		t.Fatalf("checkpoint upload after cancel: %v, want ErrNotLeased", err)
+	}
+	if _, err := m.CompleteLease(st.ID, CompleteRequest{Worker: "w1", Epoch: g.Epoch, Status: "completed"}); !errors.Is(err, ErrNotLeased) {
+		t.Fatalf("complete after cancel: %v, want ErrNotLeased", err)
+	}
+	if s, _ := m.Get(st.ID); s.Status != StatusCancelled {
+		t.Fatalf("state after the late calls %+v", s)
+	}
+	if c := m.Stats(); c.Cancelled != 1 || c.Running != 0 || c.StaleRejected != 4 {
+		t.Fatalf("counters %+v, want one cancel, nothing running, four fenced calls", c)
+	}
+}
+
 // holderRunner records which holder ran which job and makes each
 // holder's first job wait until both holders have one, so neither can
 // drain the queue alone.
