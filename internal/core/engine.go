@@ -118,13 +118,6 @@ func (c *Config) setDefaults() {
 	}
 }
 
-// bandsFor returns the Kohn–Sham band count for a domain holding the
-// given valence charge: enough for nelec/2 doubly-occupied states plus
-// 20% + 4 partially-occupied headroom for the Fermi smearing.
-func bandsFor(valence float64) int {
-	return int(math.Ceil(valence/2*1.2)) + 4
-}
-
 // domainState is the compact persistent state of one DC domain — the
 // ONLY state that scales with the domain count. The heavy solver
 // machinery lives in the bounded workspace pool; wave functions live in
@@ -211,7 +204,7 @@ func NewEngine(sys *atoms.System, cfg Config) (*Engine, error) {
 	for di, da := range domAtoms {
 		st := &domainState{da: da, di: di, seed: cfg.Seed + int64(di)*7919 + 1}
 		if len(da.Species) > 0 {
-			st.nb = bandsFor(da.Valence())
+			st.nb = scf.Bands(da.Valence())
 			e.active = append(e.active, di)
 			if st.nb > maxNb {
 				maxNb = st.nb

@@ -14,37 +14,19 @@ func benchVec(n int) []complex128 {
 	return x
 }
 
-// The §4.2 FFT ablation: tuned transform paths vs the naive reference
-// (the role FFTW-unvectorized vs Spiral played on Blue Gene/Q).
-func BenchmarkForwardPow2(b *testing.B) {
-	p := NewPlan(64)
-	x := benchVec(64)
+// The §4.2 FFT ablation: the tuned engine vs the naive reference (the
+// role FFTW-unvectorized vs Spiral played on Blue Gene/Q).
+func BenchmarkForwardPow2(b *testing.B)       { benchForward(b, 64) }
+func BenchmarkForwardMixedRadix(b *testing.B) { benchForward(b, 60) } // 2²·3·5
+
+func benchForward(b *testing.B, n int) {
+	p := NewPlan(n)
+	x, scratch := benchVec(n), make([]complex128, n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Forward(x)
+		p.forwardS(x, scratch, 1)
 	}
 }
-
-func BenchmarkForwardMixedRadix(b *testing.B) {
-	p := NewPlan(60) // 2²·3·5
-	x := benchVec(60)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Forward(x)
-	}
-}
-
-func BenchmarkForwardBluestein(b *testing.B) {
-	p := NewPlan(macroPrime)
-	x := benchVec(macroPrime)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Forward(x)
-	}
-}
-
-// macroPrime is a prime above both the dense and smooth limits.
-const macroPrime = 101
 
 func BenchmarkSlowDFTReference(b *testing.B) {
 	x := benchVec(64)

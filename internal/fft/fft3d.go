@@ -36,11 +36,10 @@ type Plan3 struct {
 // arena3 is one chunk's reusable scratch: a tile of up to tileB lines in
 // [element][line] layout — element j of line t at tile[j*w+t], which is a
 // row of w adjacent grid offsets per element in the y- and x-passes — and
-// the line plans' scratch for a tile that wide (the engine's other
-// ping-pong half; Bluestein's padded buffers).
+// the engine's other ping-pong half for a tile that wide.
 type arena3 struct {
 	tile []complex128 // tileB × max(Nx, Ny, Nz)
-	work []complex128 // tileB × the largest scratchLen of the three axes
+	work []complex128 // the same length: forwardS's scratch
 }
 
 // NewPlan3 prepares a 3-D transform of the given shape. Most callers
@@ -64,11 +63,10 @@ func NewPlan3(nx, ny, nz int) *Plan3 {
 	all := p.newSchedule(filled(nx*ny), filled(nx), filled(nz), filled(ny*nz))
 	p.full = Support3{p: p, inv: all, fwd: all}
 	tileLen := tileB * max(nx, ny, nz)
-	workLen := tileB * max(p.px.scratchLen(), p.py.scratchLen(), p.pz.scratchLen())
 	p.arenas.New = func() any {
 		return &arena3{
 			tile: make([]complex128, tileLen),
-			work: make([]complex128, workLen),
+			work: make([]complex128, tileLen),
 		}
 	}
 	return p

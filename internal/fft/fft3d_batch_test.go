@@ -103,7 +103,7 @@ func TestCached3(t *testing.T) {
 
 // allocShapes are the grids the zero-allocation guards run: the reference
 // grid, the global and both domain grids of the benchmark, one with a
-// generic-butterfly axis (34 = 2·17) and one with a Bluestein axis (67,
+// generic-butterfly axis (34 = 2·17) and one with a long prime axis (67,
 // and 134 = 2·67 for the real plan's half length) — the engine is out of
 // place, so every length draws its scratch from the arenas.
 var allocShapes = [][3]int{{16, 16, 16}, {18, 18, 18}, {10, 10, 10}, {12, 12, 12}, {10, 10, 34}, {4, 6, 67}, {4, 6, 134}}

@@ -10,8 +10,15 @@ import (
 	"ldcdft/internal/perf"
 )
 
-// The direct-summation DFTs and the 1-D inverse below are the oracles the
-// engine is checked against; no program path runs them.
+// The direct-summation DFTs and the 1-D transforms below are the oracles
+// and entry points the engine is checked through; no program path runs
+// them.
+
+// Forward computes the in-place forward DFT of one line:
+// X[k] = Σ x[j] e^{-2πi jk/n}.
+func (p *Plan) Forward(x []complex128) {
+	p.forwardS(x, make([]complex128, p.n), 1)
+}
 
 // Inverse computes the in-place inverse DFT, including the 1/n factor:
 // x[j] = (1/n) Σ X[k] e^{+2πi jk/n}.
@@ -86,7 +93,8 @@ func norm2(x []complex128) float64 {
 }
 
 // oracleLengths is every length 1…128 — each radix, every mix of them,
-// the generic butterfly's primes, Bluestein's — and three long ones.
+// the generic butterfly's primes — and three long ones, the last a
+// 1009-point generic stage.
 func oracleLengths() []int {
 	lengths := []int{360, 1000, 1009}
 	for n := 1; n <= 128; n++ {
@@ -112,7 +120,7 @@ func TestForwardMatchesSlowDFT(t *testing.T) {
 // forward transform read at (n−j) mod n.
 func rawInverse(p *Plan, x []complex128) []complex128 {
 	y := append([]complex128(nil), x...)
-	p.forwardS(y, make([]complex128, p.scratchLen()), 1)
+	p.Forward(y)
 	out := make([]complex128, p.n)
 	for j := range out {
 		out[j] = y[rev(j, p.n, true)]

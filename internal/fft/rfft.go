@@ -15,8 +15,7 @@ import (
 // packed into an n/2-point complex vector z[j] = x[2j] + i·x[2j+1], one
 // complex FFT of length n/2 is taken, and the even/odd sub-spectra are
 // untangled with one twiddle pass. Odd lengths fall back to the full
-// complex plan (dense or Bluestein under the hood) and keep only the
-// independent half of the output.
+// complex plan and keep only the independent half of the output.
 //
 // Conventions match Plan: the forward transform (forwardS) is
 // unnormalized, X[k] = Σ_j x[j] e^{−2πijk/n} for k = 0..n/2; the inverse
@@ -62,13 +61,13 @@ func twiddle(k, n int) complex128 {
 func (p *RPlan) HLen() int { return p.n/2 + 1 }
 
 // scratchLen is the complex scratch forwardS/inverseS need per line: the
-// half-length packed vector plus the sub-plan's own scratch (even), or
-// the widened full-length vector plus the full plan's scratch (odd).
+// packed vector plus the engine's ping-pong half of the same length —
+// n/2 each (even) or n each (odd).
 func (p *RPlan) scratchLen() int {
 	if p.even {
-		return p.h + p.half.scratchLen()
+		return 2 * p.h
 	}
-	return p.n + p.full.scratchLen()
+	return 2 * p.n
 }
 
 // rflops models the operation count of one real transform: the

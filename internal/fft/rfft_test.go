@@ -39,7 +39,7 @@ func maxDiffReal(a, b []float64) float64 {
 
 // TestRPlanMatchesComplexPlan checks the 1-D r2c forward against the
 // complex plan on the same real data, and the c2r inverse as an exact
-// round trip, across the pow2, mixed-radix, dense, and Bluestein
+// round trip, across the pow2, mixed-radix, and generic-prime
 // paths of both the half-size trick (even n) and the odd fallback.
 func TestRPlanMatchesComplexPlan(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -67,8 +67,8 @@ func TestRPlanMatchesComplexPlan(t *testing.T) {
 
 // TestRPlan3MatchesPlan3 checks the 3-D r2c forward against the complex
 // Plan3 restricted to the packed half spectrum, and the c2r inverse as
-// a round trip, across pow2, mixed-radix, odd, and Bluestein-length
-// shapes (134 = 2·67 puts a Bluestein plan at the half length 67).
+// a round trip, across pow2, mixed-radix, odd, and long-prime shapes
+// (134 = 2·67 puts a 67-point generic stage at the half length).
 func TestRPlan3MatchesPlan3(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	shapes := [][3]int{
@@ -78,7 +78,7 @@ func TestRPlan3MatchesPlan3(t *testing.T) {
 		{8, 4, 2},    // tiny pow2, lines shorter than a tile
 		{3, 5, 7},    // all-odd: z falls back to the full-length path
 		{4, 6, 34},   // even z with a dense-DFT half plan (17)
-		{4, 6, 134},  // even z with a Bluestein half plan (67)
+		{4, 6, 134},  // even z with a long-prime half plan (67)
 	}
 	for _, sh := range shapes {
 		nx, ny, nz := sh[0], sh[1], sh[2]

@@ -1,5 +1,7 @@
 // The one 1-D engine (§4.2): an iterative Stockham autosort transform
-// over a per-length factor schedule. Every kernel computes the forward
+// over a per-length factor schedule, for every length — a prime factor
+// above 5 goes through the generic butterfly at O(p) per output and p²
+// roots per plan. Every kernel computes the forward
 // n-point DFT of s interleaved lines — element j of line t sits at
 // x[j*s+t] — so a tile of w lines in [element][line] layout is the same
 // transform started at stride s = w, and a lone line is the tile of
@@ -27,24 +29,6 @@ type stage struct {
 	r, m  int          // radix, and the length left after this stage
 	tw    []complex128 // ω_{rm}^{pk} at [(p−1)(r−1) + k−1], p = 1…m−1, k = 1…r−1
 	roots []complex128 // generic radix only: the r×r matrix ω_r^{jk} at [k*r+j]
-}
-
-// maxMixedFactor is the largest prime the schedule takes at any length;
-// lengths up to denseSizeLimit take any prime (one r×r product per
-// butterfly beats Bluestein's padded convolution there).
-const (
-	maxMixedFactor = 13
-	denseSizeLimit = 64
-)
-
-// smoothLength reports whether all prime factors of n are ≤ maxMixedFactor.
-func smoothLength(n int) bool {
-	for f := 2; f <= maxMixedFactor && n > 1; f++ {
-		for n%f == 0 {
-			n /= f
-		}
-	}
-	return n == 1
 }
 
 // root returns e^{−2πik/n}.
@@ -86,13 +70,18 @@ func newStage(r, m int) stage {
 	return st
 }
 
-// stockham transforms the s interleaved lines of x[:n·s] in place, using
-// y (len ≥ n·s) as the other half of the ping-pong. The last stage has
+// forwardS computes the forward DFT X[k] = Σ x[j] e^{−2πi jk/n} of the
+// s interleaved lines of x[:n·s] in place, using caller-owned scratch y
+// (len ≥ n·s) as the other half of the ping-pong. The last stage has
 // m = 1, so it maps every position to itself: the hard-coded butterflies
 // run it in place or straight back into x, whichever side the data is
 // on, and no trailing copy is needed; only a schedule ending in a
-// generic stage on the wrong parity pays one.
-func (p *Plan) stockham(x, y []complex128, s int) {
+// generic stage on the wrong parity pays one. There is no inverse
+// kernel: the raw inverse Σ X[k] e^{+2πi jk/n} is the forward transform
+// read at index (n−j) mod n, a reversal every caller folds into the pass
+// that writes its result out. No perf counters are touched; batch
+// drivers attribute modelled FLOPs once per pass instead of per line.
+func (p *Plan) forwardS(x, y []complex128, s int) {
 	x, y = x[:p.n*s], y[:p.n*s]
 	inX := true
 	stages := p.stages
@@ -192,29 +181,6 @@ func (st *stage) radix3(x, y []complex128, s int) {
 
 func (st *stage) radix4(x, y []complex128, s int) {
 	m, tw := st.m, st.tw
-	if s == 1 && m > 1 {
-		// A lone line's first stage has one butterfly per twiddle triple,
-		// so the loop runs over p instead of over a row of one: this is
-		// what keeps a lone power-of-two line — Bluestein's sub-plan, the
-		// 1-D API — at the cost of the in-place kernel it replaced. Same
-		// expressions, same bits as the tile loop below.
-		a0, a1, a2, a3 := row(x, 0, m), row(x, 1, m), row(x, 2, m), row(x, 3, m)
-		for p, u := range a0 {
-			if len(y) < 4 {
-				return // never, as in radix2
-			}
-			t0, t1 := u+a2[p], u-a2[p]
-			t2, t3 := a1[p]+a3[p], mulNegI(a1[p]-a3[p])
-			if p == 0 {
-				y[0], y[1], y[2], y[3] = t0+t2, t1+t3, t0-t2, t1-t3
-			} else if len(tw) >= 3 {
-				y[0], y[1], y[2], y[3] = t0+t2, (t1+t3)*tw[0], (t0-t2)*tw[1], (t1-t3)*tw[2]
-				tw = tw[3:]
-			}
-			y = y[4:]
-		}
-		return
-	}
 	for p := 0; p < m; p++ {
 		a0, a1, a2, a3 := row(x, p, s), row(x, p+m, s), row(x, p+2*m, s), row(x, p+3*m, s)
 		b0, b1, b2, b3 := row(y, 4*p, s), row(y, 4*p+1, s), row(y, 4*p+2, s), row(y, 4*p+3, s)

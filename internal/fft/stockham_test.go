@@ -40,7 +40,7 @@ func TestTileInvariant(t *testing.T) {
 					tile[j*w+l] = v
 				}
 			}
-			p.forwardS(tile, make([]complex128, w*p.scratchLen()), w)
+			p.forwardS(tile, make([]complex128, w*n), w)
 			for l, x := range lines {
 				raw := rawInverse(p, x)
 				fwd := append([]complex128(nil), x...)
@@ -112,6 +112,7 @@ func TestSchedules(t *testing.T) {
 	for n, want := range map[int][]int{
 		1: nil, 2: {2}, 8: {4, 2}, 10: {5, 2}, 12: {4, 3}, 16: {4, 4}, 18: {3, 3, 2},
 		20: {4, 5}, 60: {4, 5, 3}, 34: {2, 17}, 49: {7, 7}, 1001: {7, 11, 13},
+		67: {67}, 134: {2, 67}, 1009: {1009},
 	} {
 		var got []int
 		for _, st := range NewPlan(n).stages {
@@ -120,9 +121,6 @@ func TestSchedules(t *testing.T) {
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Errorf("n=%d: schedule %v, want %v", n, got, want)
 		}
-	}
-	if p := NewPlan(67); p.blu == nil || p.stages != nil {
-		t.Error("n=67: want Bluestein")
 	}
 }
 
@@ -141,7 +139,7 @@ func BenchmarkForwardLine(b *testing.B) {
 				p := NewPlan(n)
 				orig := benchVec(n * w)
 				x := append([]complex128(nil), orig...)
-				scratch := make([]complex128, w*p.scratchLen())
+				scratch := make([]complex128, w*n)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					p.forwardS(x, scratch, w)

@@ -110,7 +110,8 @@ func TestPoissonChargedCellCompensated(t *testing.T) {
 	// A constant (charged) source is neutralized by the uniform
 	// background; the solution is then zero — also through the exact
 	// coarsest-level solve of single-level grids (odd sizes, n < 4, the
-	// Bluestein length 17) and of a two-level one (18 → 9³).
+	// prime 17 through the generic butterfly) and of a two-level one
+	// (18 → 9³).
 	for _, n := range []int{16, 2, 3, 9, 17, 18, 27} {
 		g := grid.New(n, 5)
 		s, _ := NewSolver(g, Options{})
@@ -210,7 +211,7 @@ func randomRho(g grid.Grid, seed int64) *grid.Field {
 // sweeps per V-cycle would model ≈ 1 800 operations per point at N = 9,
 // 309 at N = 18 and 5 400 at N = 27, against ≈ 90–105 for powers of
 // two. The count is the machine-independent model flopsPerCycle; 17
-// takes the Bluestein transform.
+// takes the FFT's generic-prime butterfly.
 func TestCostPerPointBoundedForEverySize(t *testing.T) {
 	for n := 8; n <= 64; n++ {
 		s, err := NewSolver(grid.New(n, 10), Options{})

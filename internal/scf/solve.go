@@ -79,6 +79,14 @@ type Result struct {
 // meeting the convergence criteria.
 var ErrSCFDiverged = errors.New("scf: self-consistency not reached")
 
+// Bands returns the Kohn–Sham band count for the given valence charge,
+// the one rule of both SCF drivers (Solve's cell, each LDC domain):
+// enough for nelec/2 doubly-occupied states plus 20% + 4 partially
+// occupied headroom for the Fermi smearing.
+func Bands(nelec float64) int {
+	return int(math.Ceil(nelec/2*1.2)) + 4
+}
+
 // Solve runs a conventional O(N³) plane-wave DFT calculation on the full
 // cell: the baseline code path of §5.2 (crossover study) and §5.5
 // (verification of the LDC-DFT results).
@@ -94,8 +102,7 @@ func Solve(sys *atoms.System, cfg Config) (*Result, error) {
 		species[i] = a.Species
 		positions[i] = sys.Cell.Wrap(a.Position)
 	}
-	nb := int(math.Ceil(nelec/2*1.2)) + 4 // occupied bands + 20 % + 4, as core.bandsFor
-	eng, err := NewEngine(sys.Cell.L, cfg.GridN, cfg.Ecut, nb, species, positions, cfg.Seed+1)
+	eng, err := NewEngine(sys.Cell.L, cfg.GridN, cfg.Ecut, Bands(nelec), species, positions, cfg.Seed+1)
 	if err != nil {
 		return nil, err
 	}

@@ -116,8 +116,18 @@ type JobSpec struct {
 	DtFs  float64 `json:"dt_fs,omitempty"` // 0 = paper default (0.242 fs)
 
 	// CheckpointEvery is the checkpoint cadence in MD steps (0 = every
-	// step — the durable default that makes daemon restarts cheap).
+	// step — the durable default that makes daemon restarts cheap); read
+	// it through CheckpointCadence.
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
+}
+
+// CheckpointCadence resolves CheckpointEvery's default: the runner
+// checkpoints, and a worker node uploads, at this one cadence.
+func (s *JobSpec) CheckpointCadence() int {
+	if s.CheckpointEvery == 0 {
+		return 1
+	}
+	return s.CheckpointEvery
 }
 
 // EngineKind resolves the engine name, defaulting to EngineLDC.

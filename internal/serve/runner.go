@@ -54,10 +54,7 @@ type QMDRunner struct {
 // exists (a crash, a requeue, a lease taken over), else build from the spec.
 func (r QMDRunner) Run(ctx context.Context, spec JobSpec, ckPath string,
 	onStep func(step int, energyHa, tempK float64)) (RunReport, error) {
-	every := spec.CheckpointEvery
-	if every == 0 {
-		every = 1
-	}
+	every := spec.CheckpointCadence()
 	var sys *qmd.System // stays nil to resume from ckPath
 	var err error
 	if _, statErr := os.Stat(ckPath); statErr != nil {

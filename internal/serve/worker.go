@@ -175,10 +175,7 @@ func (w *Worker) runLease(ctx context.Context, g *LeaseGrant) {
 	renewDone := make(chan struct{})
 	go w.renewLoop(jctx, cancel, g, renewDone)
 
-	every := g.Spec.CheckpointEvery
-	if every == 0 {
-		every = 1
-	}
+	every := g.Spec.CheckpointCadence()
 	w.cfg.Logf("worker %s: running %s (epoch %d, resume at step %d)",
 		w.cfg.Name, g.JobID, g.Epoch, g.StepsDone)
 	rep, runErr := w.runner.Run(jctx, g.Spec, ckPath, func(step int, energyHa, tempK float64) {

@@ -3,6 +3,7 @@ package qmd
 import (
 	"math"
 	"math/rand"
+	"path/filepath"
 	"slices"
 	"testing"
 )
@@ -142,5 +143,20 @@ func TestRunQMDEcut3Seeds(t *testing.T) {
 			t.Errorf("velocity seed %d: energies %v", seed, res.Energies)
 		}
 		t.Logf("velocity seed %d: %d SCF iterations over %d steps", seed, res.SCFIterations, res.Steps)
+	}
+}
+
+// TestRunQMDLeavesNoSpill runs a spilling trajectory to its end: every
+// force evaluation's engine must close once its forces are taken, so no
+// ldcpsi-* wave-function directory survives the run.
+func TestRunQMDLeavesNoSpill(t *testing.T) {
+	sys, cfg := tinyH2(4)
+	cfg.SpillDir = t.TempDir()
+	if _, err := RunQMDOpts(sys, cfg, 2, 0, QMDOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	left, err := filepath.Glob(filepath.Join(cfg.SpillDir, "ldcpsi-*"))
+	if err != nil || len(left) > 0 {
+		t.Fatalf("spill directories left behind: %v (err=%v)", left, err)
 	}
 }
