@@ -40,17 +40,13 @@ func main() {
 
 		cacheDir   = flag.String("cache-dir", "", "SCF warm-start cache directory (empty = no cache)")
 		cacheBytes = flag.Int64("cache-bytes", 256<<20, "warm-start cache byte budget")
-		cacheTol   = flag.Float64("cache-tol", 0.25, "near-hit tolerance: max per-atom displacement (Bohr)")
 	)
 	ctx, finish := run.Start()
 	defer finish()
 	// Cache tuning without a cache directory would be silently ignored too.
-	trajcli.RequireWith("cache-dir", *cacheDir != "", "cache-bytes", "cache-tol")
+	trajcli.RequireWith("cache-dir", *cacheDir != "", "cache-bytes")
 	if *cacheBytes < 0 {
 		log.Fatalf("-cache-bytes must be non-negative, got %d", *cacheBytes)
-	}
-	if *cacheTol < 0 {
-		log.Fatalf("-cache-tol must be non-negative, got %g", *cacheTol)
 	}
 
 	sys := qmd.BuildSiC(*cells)
@@ -78,7 +74,7 @@ func main() {
 		Ctx:             ctx,
 	}
 	if *cacheDir != "" {
-		wsc, err := cache.Open(cache.Options{Dir: *cacheDir, MaxBytes: *cacheBytes, NearTol: *cacheTol})
+		wsc, err := cache.Open(cache.Options{Dir: *cacheDir, MaxBytes: *cacheBytes})
 		if err != nil {
 			log.Fatalf("%v", err)
 		}
@@ -115,7 +111,7 @@ func main() {
 		res.SCFIterations, float64(res.SCFIterations)/float64(res.Steps))
 	if opts.Cache != nil {
 		st := opts.Cache.Stats()
-		fmt.Printf("warm-start cache: %d exact hits, %d near hits, %d misses, %d SCF iterations saved (%d entries, %d bytes)\n",
-			st.Hits, st.NearHits, st.Misses, st.SCFIterationsSaved, st.Entries, st.Bytes)
+		fmt.Printf("warm-start cache: %d exact hits, %d misses, %d SCF iterations saved (%d entries, %d bytes)\n",
+			st.Hits, st.Misses, st.SCFIterationsSaved, st.Entries, st.Bytes)
 	}
 }

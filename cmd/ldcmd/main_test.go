@@ -39,9 +39,7 @@ func TestFlagValidation(t *testing.T) {
 		{"resume-missing-file", []string{"-resume", filepath.Join(t.TempDir(), "nope.ck")}, "-resume"},
 		{"checkpoint-every-without-checkpoint", []string{"-checkpoint-every", "5"}, "-checkpoint-every"},
 		{"cache-bytes-without-cache-dir", []string{"-cache-bytes", "1048576"}, "-cache-bytes"},
-		{"cache-tol-without-cache-dir", []string{"-cache-tol", "0.5"}, "-cache-tol"},
 		{"negative-cache-bytes", []string{"-cache-dir", t.TempDir(), "-cache-bytes", "-1"}, "-cache-bytes"},
-		{"negative-cache-tol", []string{"-cache-dir", t.TempDir(), "-cache-tol", "-0.1"}, "-cache-tol"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

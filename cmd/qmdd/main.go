@@ -63,7 +63,6 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "graceful-shutdown budget for checkpointing running jobs")
 	cacheDir := flag.String("cache-dir", "", "SCF warm-start cache directory (default <data>/cache)")
 	cacheBytes := flag.Int64("cache-bytes", 256<<20, "warm-start cache byte budget (0 disables the cache)")
-	cacheTol := flag.Float64("cache-tol", 0.25, "near-hit tolerance: max per-atom displacement (Bohr) at which a cached density seeds SCF")
 	coordinator := flag.String("coordinator", "http://127.0.0.1:8432", "coordinator base URL (worker mode)")
 	name := flag.String("name", "", "worker node name (worker mode; default host:pid)")
 	slots := flag.Int("slots", 2, "concurrent leased trajectories (worker mode)")
@@ -79,9 +78,6 @@ func main() {
 	if *cacheBytes < 0 {
 		log.Fatalf("-cache-bytes must be non-negative, got %d", *cacheBytes)
 	}
-	if *cacheTol < 0 {
-		log.Fatalf("-cache-tol must be non-negative, got %g", *cacheTol)
-	}
 	if *retainAge < 0 || *retainMax < 0 {
 		log.Fatalf("-retain-age and -retain-max-jobs must be non-negative")
 	}
@@ -89,10 +85,10 @@ func main() {
 	switch *mode {
 	case "standalone", "coordinator":
 		err = runServe(*mode == "coordinator", *addr, *data, *workers, *queueCap,
-			*drainTimeout, *leaseTTL, *cacheDir, *cacheBytes, *cacheTol,
+			*drainTimeout, *leaseTTL, *cacheDir, *cacheBytes,
 			*retainAge, *retainMax)
 	case "worker":
-		err = runWorker(*coordinator, *name, *data, *slots, *cacheDir, *cacheBytes, *cacheTol)
+		err = runWorker(*coordinator, *name, *data, *slots, *cacheDir, *cacheBytes)
 	default:
 		err = fmt.Errorf("unknown -mode %q (want standalone, coordinator, or worker)", *mode)
 	}
@@ -103,7 +99,7 @@ func main() {
 
 // openCache opens the warm-start cache per the -cache-* flags; nil (and
 // no error) when disabled.
-func openCache(data, cacheDir string, cacheBytes int64, cacheTol float64) (*cache.Cache, error) {
+func openCache(data, cacheDir string, cacheBytes int64) (*cache.Cache, error) {
 	if cacheBytes <= 0 {
 		log.Printf("warm-start cache disabled")
 		return nil, nil
@@ -111,21 +107,21 @@ func openCache(data, cacheDir string, cacheBytes int64, cacheTol float64) (*cach
 	if cacheDir == "" {
 		cacheDir = filepath.Join(data, "cache")
 	}
-	wsc, err := cache.Open(cache.Options{Dir: cacheDir, MaxBytes: cacheBytes, NearTol: cacheTol})
+	wsc, err := cache.Open(cache.Options{Dir: cacheDir, MaxBytes: cacheBytes})
 	if err != nil {
 		return nil, err
 	}
 	st := wsc.Stats()
-	log.Printf("warm-start cache at %s (budget %d bytes, near tolerance %g Bohr, %d entries recovered)",
-		cacheDir, cacheBytes, cacheTol, st.Entries)
+	log.Printf("warm-start cache at %s (budget %d bytes, %d entries recovered)",
+		cacheDir, cacheBytes, st.Entries)
 	return wsc, nil
 }
 
 // runServe hosts the HTTP API in standalone or coordinator mode.
 func runServe(distributed bool, addr, data string, workers, queueCap int,
-	drainTimeout, leaseTTL time.Duration, cacheDir string, cacheBytes int64, cacheTol float64,
+	drainTimeout, leaseTTL time.Duration, cacheDir string, cacheBytes int64,
 	retainAge time.Duration, retainMax int) error {
-	wsc, err := openCache(data, cacheDir, cacheBytes, cacheTol)
+	wsc, err := openCache(data, cacheDir, cacheBytes)
 	if err != nil {
 		return err
 	}
@@ -192,7 +188,7 @@ func runServe(distributed bool, addr, data string, workers, queueCap int,
 // checkpoint and releases its lease so the coordinator requeues it
 // immediately.
 func runWorker(coordinator, name, data string, slots int,
-	cacheDir string, cacheBytes int64, cacheTol float64) error {
+	cacheDir string, cacheBytes int64) error {
 	if name == "" {
 		host, err := os.Hostname()
 		if err != nil {
@@ -200,7 +196,7 @@ func runWorker(coordinator, name, data string, slots int,
 		}
 		name = fmt.Sprintf("%s:%d", host, os.Getpid())
 	}
-	wsc, err := openCache(data, cacheDir, cacheBytes, cacheTol)
+	wsc, err := openCache(data, cacheDir, cacheBytes)
 	if err != nil {
 		return err
 	}

@@ -169,7 +169,6 @@ func TestQMDDSmoke(t *testing.T) {
 	for _, frag := range []string{
 		"qmdd_cache_hits_total 3",
 		"qmdd_cache_misses_total 3",
-		"qmdd_cache_near_hits_total 0",
 	} {
 		if !strings.Contains(metrics, frag) {
 			t.Fatalf("cache metrics missing %q:\n%s", frag, metrics)

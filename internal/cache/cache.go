@@ -1,14 +1,16 @@
 // Package cache is a content-addressed SCF warm-start cache. Entries are
 // keyed by a canonical structure hash — configuration tag, lattice, and
 // atomic positions quantized to a tolerance — so the daemon turns its
-// repeated and near-duplicate workload (resubmissions, perturbed
-// structures, parameter sweeps) into accelerated solves:
+// repeated workload (resubmissions, replayed trajectories) into skipped
+// solves:
 //
 //   - An exact hit returns the stored energy, forces, and density without
 //     entering the SCF loop at all.
 //   - A near miss (same config/cell/species, every atom within NearTol of
 //     a cached structure under minimum-image) returns the nearest cached
-//     density as an SCF seed, cutting iterations versus a cold start.
+//     density as an SCF seed. The LDC force field does not ask for it:
+//     without the per-domain ρα histories, which entries do not hold, the
+//     seed saves no SCF iterations.
 //
 // Entries live one-per-file under a directory, written crash-safely and
 // CRC-checked on read; total size is bounded by an LRU byte budget.
@@ -91,8 +93,7 @@ type Stats struct {
 	Evictions int64
 	Corrupt   int64 // entries rejected by CRC/decode and removed
 	// SCFIterationsSaved accumulates iterations not run: the full stored
-	// cost on an exact hit, and (seed cost − actual cost) after a
-	// near-miss-seeded solve reported via AddIterationsSaved.
+	// cost of every exact hit.
 	SCFIterationsSaved int64
 
 	Entries int
@@ -296,9 +297,8 @@ func maxDisplacement(cell geom.Cell, sys *atoms.System, pos []geom.Vec3) float64
 // On TierExact the full stored Result is returned and the SCF solve can
 // be skipped. When nearOK is true and no exact entry exists, the nearest
 // same-family entry within NearTol is decoded and its density returned
-// as a TierNear seed. Callers that already hold a better seed (the
-// previous MD step's density) pass nearOK=false so mid-trajectory steps
-// count as plain misses. On TierMiss the result is nil.
+// as a TierNear seed; with nearOK false such a lookup counts as a plain
+// miss. On TierMiss the result is nil.
 //
 // A stored entry that fails to decode is treated as corrupt: it is
 // removed from index and disk and the lookup continues as if it were
@@ -426,18 +426,6 @@ func (c *Cache) Put(sys *atoms.System, cfgTag string, res *Result) error {
 	c.insert(e)
 	c.evictLocked()
 	return nil
-}
-
-// AddIterationsSaved credits n saved SCF iterations (the caller's
-// measured seed-cost minus actual-cost after a near-miss warm start).
-// Non-positive n is ignored — a seed that did not help saved nothing.
-func (c *Cache) AddIterationsSaved(n int64) {
-	if n <= 0 {
-		return
-	}
-	c.mu.Lock()
-	c.stats.SCFIterationsSaved += n
-	c.mu.Unlock()
 }
 
 // Stats returns a snapshot of the counters.

@@ -340,16 +340,6 @@ func TestOpenRebuildsIndexAndDropsJunk(t *testing.T) {
 	}
 }
 
-func TestAddIterationsSavedClampsNonPositive(t *testing.T) {
-	c := openTest(t, Options{})
-	c.AddIterationsSaved(-3)
-	c.AddIterationsSaved(0)
-	c.AddIterationsSaved(4)
-	if s := c.Stats().SCFIterationsSaved; s != 4 {
-		t.Fatalf("saved %d, want 4", s)
-	}
-}
-
 func TestPutRejectsOversizeAndEmpty(t *testing.T) {
 	c := openTest(t, Options{MaxBytes: 128})
 	sys := testSystem(8)
@@ -382,7 +372,6 @@ func TestConcurrentGetPut(t *testing.T) {
 						t.Error("hit without result")
 						return
 					}
-					c.AddIterationsSaved(1)
 				}
 				c.Stats()
 			}

@@ -21,8 +21,7 @@ func BenchmarkSCFStep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		mixed := e.mixer.Mix(e.Rho.Data, rhoOut.Data)
-		copy(e.Rho.Data, mixed)
+		e.mixer.Mix([][]float64{e.Rho.Data}, [][]float64{rhoOut.Data})
 	}
 }
 
@@ -41,8 +40,7 @@ func BenchmarkSCFStepDC(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		mixed := e.mixer.Mix(e.Rho.Data, rhoOut.Data)
-		copy(e.Rho.Data, mixed)
+		e.mixer.Mix([][]float64{e.Rho.Data}, [][]float64{rhoOut.Data})
 	}
 }
 
@@ -60,7 +58,6 @@ func BenchmarkSCFStepThickBuffer(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		mixed := e.mixer.Mix(e.Rho.Data, rhoOut.Data)
-		copy(e.Rho.Data, mixed)
+		e.mixer.Mix([][]float64{e.Rho.Data}, [][]float64{rhoOut.Data})
 	}
 }

@@ -72,7 +72,7 @@ type Config struct {
 	Mode           Mode
 
 	KT         float64 // electronic temperature (Hartree); default 0.02
-	MixAlpha   float64 // density mixing; default 0.35
+	MixAlpha   float64 // mixing of ρ and (LDC) the ρα histories; default 0.35
 	Anderson   bool    // Anderson two-point acceleration
 	MaxSCF     int     // default 60
 	EnergyTol  float64 // default 1e-6 Ha
@@ -128,7 +128,7 @@ type domainState struct {
 	nb   int   // Kohn–Sham bands; 0 = vacuum fast path (no solver at all)
 	seed int64 // per-domain eigensolver seed
 
-	rhoPrev *grid.Field // damped ρα history driving the LDC boundary potential
+	rhoPrev *grid.Field // mixed ρα history driving the LDC boundary potential
 	vps     []float64   // ionic local potential, built on the first solve visit
 
 	// Results of the last SCF iteration.
@@ -288,7 +288,7 @@ func (e *Engine) ExportDensity() *grid.Field {
 	return e.Rho.Clone()
 }
 
-// ExportHistories returns a copy of every domain's damped ρα history —
+// ExportHistories returns a copy of every domain's mixed ρα history —
 // the state behind the boundary potential v_bc = (ρα − ρ)/ξ — indexed by
 // domain index, each on the domain's local grid; a vacuum domain's entry
 // is nil. Handed to the next MD step's engine (SetHistories), it spares

@@ -27,8 +27,7 @@ func TestSCFStepWorkerInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			mixed := e.mixer.Mix(e.Rho.Data, rhoOut.Data)
-			copy(e.Rho.Data, mixed)
+			e.mixer.Mix([][]float64{e.Rho.Data}, [][]float64{rhoOut.Data})
 			out = rhoOut.Data
 		}
 		return out

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"ldcdft/internal/grid"
 	"ldcdft/internal/par"
@@ -70,14 +71,16 @@ var ErrNotConverged = errors.New("core: SCF not converged")
 //  4. Local → global (second streamed pass): occupations at μ, local
 //     densities rebuilt from the stored wave functions, and incremental
 //     assembly through the partition of unity into the new global
-//     density as each domain completes.
+//     density as each domain completes. Each local density also
+//     replaces its domain's ρα history.
 //
 // Vacuum domains (no atoms in the extended region) never enter either
 // pass: they hold no Kohn–Sham states and contribute zero density.
 //
 // The eigensolver refines every domain's states to round-off (within
 // Config.EigenIters). The returned density is NOT yet mixed into the
-// engine state; Solve handles mixing and convergence control.
+// engine state, and the histories are the unmixed ρα; Solve handles
+// mixing and convergence control.
 func (e *Engine) SCFStep() (*grid.Field, StepResult, error) {
 	return e.scfStep(0)
 }
@@ -224,7 +227,8 @@ func (e *Engine) solveDomain(ws *workspace, st *domainState, vh *grid.Field, tol
 
 // assembleDomain rebuilds one domain's local density ρα from its stored
 // wave functions and fresh occupations, records the boundary-potential
-// double-counting term, damps the ρα history, and scatters the core
+// double-counting term, keeps the fresh ρα as the domain's history (Solve
+// mixes it with the history the step consumed), and scatters the core
 // region into the global density — the per-domain unit of the
 // incremental assembly pass.
 func (e *Engine) assembleDomain(ws *workspace, st *domainState, rhoOut *grid.Field) error {
@@ -237,7 +241,7 @@ func (e *Engine) assembleDomain(ws *workspace, st *domainState, rhoOut *grid.Fie
 
 	// Boundary-potential double counting ∫_core v_bc ρα (LDC only),
 	// evaluated with the v_bc this iteration's solve applied — i.e.
-	// against the ρα history BEFORE the damping below.
+	// against the ρα history BEFORE the fresh ρα replaces it below.
 	st.eBC = 0
 	if e.Cfg.Mode == ModeLDC {
 		d.ExtractInto(e.Rho, ws.rhoExt)
@@ -256,15 +260,7 @@ func (e *Engine) assembleDomain(ws *workspace, st *domainState, rhoOut *grid.Fie
 		}
 	}
 
-	// Damp the ρα history driving v_bc with the same mixing factor
-	// applied to the global density, so the v_bc = (ρα − ρ)/ξ difference
-	// compares quantities of the same SCF generation; the raw one-step
-	// lag produces a period-2 charge-sloshing oscillation.
-	alpha := e.Cfg.MixAlpha
-	for i, v := range local.Data {
-		st.rhoPrev.Data[i] = (1-alpha)*st.rhoPrev.Data[i] + alpha*v
-	}
-	perf.Global.Add(3 * int64(len(local.Data)))
+	copy(st.rhoPrev.Data, local.Data)
 	d.AccumulateCore(local, rhoOut)
 	return nil
 }
@@ -307,11 +303,16 @@ func (e *Engine) assembleEnergy(rho *grid.Field, vh *grid.Field) float64 {
 	return eBand - eH + eXC - eBC + eII
 }
 
-// Solve iterates SCF steps with density mixing until the energy and
-// density tolerances are met. The first step refines the domain states
-// to round-off, as SCFStep does; each later one only to
-// residualPerDrho × the MaxDrho of the step before. The tolerance starts
-// over with every solve, so no state crosses an MD step or a resume.
+// Solve iterates SCF steps with mixing until the energy and density
+// tolerances are met. The fixed-point vector is (ρ, ρα₁ … ρα_M): the
+// global density and, in LDC mode, every occupied domain's ρα history
+// behind v_bc, and one mixer step moves all of it. The converged
+// iteration mixes like every other, so the histories carried on are
+// mixed ones, but ρ is then ρ_out. The first step refines the domain
+// states to round-off, as SCFStep does; each later one only to
+// residualPerDrho × the MaxDrho of the step before. The tolerance and
+// the mixer's history start over with every solve, so no state crosses
+// an MD step or a resume beyond ρ and the ρα histories.
 func (e *Engine) Solve() (*SolveResult, error) {
 	return e.SolveCtx(context.Background())
 }
@@ -325,7 +326,9 @@ func (e *Engine) SolveCtx(ctx context.Context) (*SolveResult, error) {
 	out := &SolveResult{}
 	prevE := math.Inf(1)
 	var tol float64
+	in, mixOut := e.mixSegments()
 	e.mixer.Reset()
+	defer e.mixer.Reset() // the mixer's history lives only while the solve runs
 	for iter := 1; iter <= e.Cfg.MaxSCF; iter++ {
 		if err := ctx.Err(); err != nil {
 			return out, fmt.Errorf("core: SCF cancelled after %d iterations: %w", out.Iterations, context.Cause(ctx))
@@ -338,6 +341,14 @@ func (e *Engine) SolveCtx(ctx context.Context) (*SolveResult, error) {
 		out.Energy = step.Energy
 		out.Mu = step.Mu
 		out.Iterations = iter
+		// The step left each domain's fresh ρα in its history; the mixer
+		// writes the next input over ρ and over the histories it consumed,
+		// which then go back in place of the fresh ones.
+		mixOut[0] = rhoOut.Data
+		e.mixer.Mix(in, mixOut)
+		for k, h := range mixOut[1:] {
+			copy(h, in[k+1])
+		}
 		if math.Abs(step.Energy-prevE) < e.Cfg.EnergyTol && step.MaxDrho < e.Cfg.DensityTol {
 			out.Converged = true
 			e.Rho = rhoOut
@@ -345,10 +356,25 @@ func (e *Engine) SolveCtx(ctx context.Context) (*SolveResult, error) {
 		}
 		prevE = step.Energy
 		tol = residualPerDrho * step.MaxDrho
-		mixed := e.mixer.Mix(e.Rho.Data, rhoOut.Data)
-		copy(e.Rho.Data, mixed)
 	}
 	return out, ErrNotConverged
+}
+
+// mixSegments lays out the SCF fixed-point vector for the mixer. in holds
+// the inputs: the global density and, in LDC mode, a copy of every
+// occupied domain's ρα history, which scfStep overwrites with the fresh
+// ρα. out holds the outputs: slot 0 is for ρ_out, and the rest are the
+// histories themselves. The copies live only as long as the solve.
+func (e *Engine) mixSegments() (in, out [][]float64) {
+	in, out = [][]float64{e.Rho.Data}, [][]float64{nil}
+	if e.Cfg.Mode == ModeLDC {
+		for _, di := range e.active {
+			h := e.states[di].rhoPrev.Data
+			in = append(in, slices.Clone(h))
+			out = append(out, h)
+		}
+	}
+	return in, out
 }
 
 // WeightedChemicalPotential solves Σ_i f(ε_i, μ)·w_i = nelec — the DC

@@ -77,10 +77,12 @@ func TestSetEffectivePotentialPanics(t *testing.T) {
 
 func TestAndersonMixerReset(t *testing.T) {
 	m := &AndersonMixer{Alpha: 0.5}
-	a := m.Mix([]float64{1}, []float64{2})
-	_ = m.Mix([]float64{2}, []float64{3})
+	a := []float64{1}
+	m.Mix([][]float64{a}, [][]float64{{2}})
+	m.Mix([][]float64{{2}}, [][]float64{{3}})
 	m.Reset()
-	b := m.Mix([]float64{1}, []float64{2})
+	b := []float64{1}
+	m.Mix([][]float64{b}, [][]float64{{2}})
 	if math.Abs(a[0]-b[0]) > 1e-14 {
 		t.Fatal("Reset should restore first-iteration behaviour")
 	}

@@ -3,6 +3,7 @@ package scf
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -92,7 +93,8 @@ func TestChemicalPotentialProperty(t *testing.T) {
 
 func TestLinearMixer(t *testing.T) {
 	m := &LinearMixer{Alpha: 0.25}
-	got := m.Mix([]float64{1, 2}, []float64{5, 6})
+	got := []float64{1, 2}
+	m.Mix([][]float64{got}, [][]float64{{5, 6}})
 	if math.Abs(got[0]-2) > 1e-14 || math.Abs(got[1]-3) > 1e-14 {
 		t.Fatalf("linear mix got %v", got)
 	}
@@ -119,7 +121,7 @@ func TestAndersonMixerFixedPoint(t *testing.T) {
 			if res < 1e-10 {
 				return i
 			}
-			x = m.Mix(x, out)
+			m.Mix([][]float64{x}, [][]float64{out})
 		}
 		return 200
 	}
@@ -223,5 +225,48 @@ func TestInitialDensityNormalized(t *testing.T) {
 	total *= eng.Basis.Grid.DV()
 	if math.Abs(total-8) > 1e-9 {
 		t.Fatalf("initial density integrates to %g, want 8", total)
+	}
+}
+
+// TestMixersAllocateNothing: a steady-state Mix writes into the caller's
+// segments and the mixer's own history, and allocates nothing.
+func TestMixersAllocateNothing(t *testing.T) {
+	in := [][]float64{make([]float64, 64), make([]float64, 27)}
+	out := [][]float64{make([]float64, 64), make([]float64, 27)}
+	for k := range out {
+		for i := range out[k] {
+			out[k][i] = float64(i + k)
+		}
+	}
+	for _, m := range []Mixer{&LinearMixer{Alpha: 0.3}, &AndersonMixer{Alpha: 0.3}} {
+		m.Mix(in, out) // the first step sizes the Anderson history
+		if n := testing.AllocsPerRun(20, func() { m.Mix(in, out) }); n != 0 {
+			t.Errorf("%T: %v allocations per Mix", m, n)
+		}
+	}
+}
+
+// TestAndersonSegmentsMixAsOneVector: mixing a vector in segments gives
+// the bits of mixing it whole — one θ over every segment, in place.
+func TestAndersonSegmentsMixAsOneVector(t *testing.T) {
+	g := func(x []float64) []float64 { // a coupled affine map
+		out := make([]float64, len(x))
+		for i := range x {
+			out[i] = 1 + 0.6*x[i] - 0.2*x[(i+1)%len(x)]
+		}
+		return out
+	}
+	whole, parts := &AndersonMixer{Alpha: 0.3}, &AndersonMixer{Alpha: 0.3}
+	x := []float64{0, 1, 2, 3, 4}
+	y := slices.Clone(x)
+	for it := 0; it < 6; it++ {
+		gx, gy := g(x), g(y)
+		whole.Mix([][]float64{x}, [][]float64{gx})
+		parts.Mix([][]float64{y[:2], y[2:3], y[3:]}, [][]float64{gy[:2], gy[2:3], gy[3:]})
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				t.Fatalf("iteration %d, x[%d]: whole %v, segments %v", it, i, x[i], y[i])
+			}
+		}
 	}
 }

@@ -153,7 +153,7 @@ func Solve(sys *atoms.System, cfg Config) (*Result, error) {
 			break
 		}
 		prevE = e
-		rho = mixer.Mix(rho, rhoOut)
+		mixer.Mix([][]float64{rho}, [][]float64{rhoOut})
 	}
 	if !res.Converged {
 		res.Rho = rho

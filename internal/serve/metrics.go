@@ -35,11 +35,10 @@ func (m *Manager) WriteMetrics(w io.Writer) error {
 		s := m.cfg.Cache.Stats()
 		rows = append(rows, []row{
 			{"qmdd_cache_hits_total", "Warm-start cache exact hits (SCF solve skipped).", "counter", float64(s.Hits)},
-			{"qmdd_cache_near_hits_total", "Warm-start cache near misses that seeded an SCF solve.", "counter", float64(s.NearHits)},
 			{"qmdd_cache_misses_total", "Warm-start cache misses.", "counter", float64(s.Misses)},
 			{"qmdd_cache_evictions_total", "Warm-start cache entries evicted by the byte budget.", "counter", float64(s.Evictions)},
 			{"qmdd_cache_corrupt_total", "Warm-start cache entries rejected by CRC/decode and removed.", "counter", float64(s.Corrupt)},
-			{"qmdd_cache_scf_iterations_saved_total", "SCF iterations avoided via exact hits and near-miss seeding.", "counter", float64(s.SCFIterationsSaved)},
+			{"qmdd_cache_scf_iterations_saved_total", "SCF iterations avoided via exact hits.", "counter", float64(s.SCFIterationsSaved)},
 			{"qmdd_cache_entries", "Warm-start cache entries currently stored.", "gauge", float64(s.Entries)},
 			{"qmdd_cache_bytes", "Bytes of warm-start cache entries currently stored.", "gauge", float64(s.Bytes)},
 		}...)

@@ -120,69 +120,6 @@ func TestCacheExactHitServesWithoutSCF(t *testing.T) {
 	}
 }
 
-// A perturbed structure within the near tolerance starts SCF from the
-// nearest cached density and must converge in fewer iterations than a
-// cold start. This is the measured-savings reference: the 8-atom SiC
-// cell perturbed by 0.01 Bohr at production tolerances (the seed's
-// value shows once density convergence, not the per-cycle eigensolver,
-// is the bottleneck — loose tolerances converge before the density
-// guess matters).
-func TestCacheNearMissReducesSCFIterations(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full SCF solves")
-	}
-	c, err := cache.Open(cache.Options{Dir: t.TempDir(), NearTol: 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := LDCConfig{
-		GridN: 24, DomainsPerAxis: 2, BufN: 3, Ecut: 4.0,
-		KT: 0.05, MixAlpha: 0.3, Anderson: true, MaxSCF: 200,
-		EigenIters: 4, Seed: 1, EnergyTol: 1e-6, DensityTol: 1e-5,
-	}
-	seedFF := &DFTForceField{Cfg: cfg, Cache: c}
-	if _, _, err := seedFF.Compute(BuildSiC(1)); err != nil {
-		t.Fatal(err)
-	}
-	if seedFF.LastCacheTier != cache.TierMiss {
-		t.Fatalf("first solve tier %v, want miss", seedFF.LastCacheTier)
-	}
-
-	perturbed := func() *System {
-		sys := BuildSiC(1)
-		for i := range sys.Atoms {
-			sys.Atoms[i].Position.X += 0.01
-		}
-		return sys
-	}
-
-	cold := &DFTForceField{Cfg: cfg}
-	if _, _, err := cold.Compute(perturbed()); err != nil {
-		t.Fatal(err)
-	}
-	warm := &DFTForceField{Cfg: cfg, Cache: c}
-	if _, _, err := warm.Compute(perturbed()); err != nil {
-		t.Fatal(err)
-	}
-	if warm.LastCacheTier != cache.TierNear {
-		t.Fatalf("perturbed solve tier %v, want near", warm.LastCacheTier)
-	}
-	if warm.LastSCFIters >= cold.LastSCFIters {
-		t.Fatalf("near-miss warm start took %d SCF iterations, cold start %d — no savings",
-			warm.LastSCFIters, cold.LastSCFIters)
-	}
-	t.Logf("near-miss warm start: %d SCF iterations vs %d cold (%.0f%% saved)",
-		warm.LastSCFIters, cold.LastSCFIters,
-		100*float64(cold.LastSCFIters-warm.LastSCFIters)/float64(cold.LastSCFIters))
-
-	if st := c.Stats(); st.NearHits != 1 {
-		t.Fatalf("stats %+v, want 1 near hit", st)
-	}
-	if saved := c.Stats().SCFIterationsSaved; saved <= 0 {
-		t.Fatalf("iterations-saved counter %d after a helpful seed", saved)
-	}
-}
-
 // An exact cache hit in the middle of a trajectory drops the carried ρα
 // histories, so the next miss seeds them from the cached density alone:
 // the checkpoint written right after the hit holds the cached density and
