@@ -15,10 +15,10 @@ vet:
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# check is the pre-commit gate: formatting, static analysis, full tests,
-# the bounds-check pin on the hot kernels, and the benchmark module's own
-# vet + smoke test.
-check: fmt vet test bce bench-check
+# check is the pre-commit gate: formatting, static analysis, the line
+# budget, full tests, the bounds-check pin on the hot kernels, and the
+# benchmark module's own vet + smoke test.
+check: fmt vet loc test bce bench-check
 
 # bench-check reaches the module the root gate cannot: bench/ has its own
 # go.mod, so `./...` stops at its door. The smoke test runs all five
@@ -88,12 +88,16 @@ fuzz-smoke:
 	$(FUZZ) -fuzz '^FuzzDecodeSpec$$' ./internal/serve/
 	$(FUZZ) -fuzz '^FuzzLeaseBodies$$' ./internal/serve/
 
-# loc prints the non-test Go line count ROADMAP aim 2 tracks: every *.go
-# that is not a *_test.go and not under bench/ (a module of its own), for
-# the root module, per internal/ package and per cmd/ directory.
+# loc prints the non-test Go line count ROADMAP aim 2 tracks — every *.go
+# that is not a *_test.go and not under bench/ (a module of its own) —
+# per internal/ package and per cmd/ directory, and last the root
+# module's total. It fails when that total is above 18 936, the line
+# budget ROADMAP sets: a count of source lines, the same on any machine.
 loc:
-	@printf '%6d  root module, non-test\n' "$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)"
 	@for d in internal/*/ cmd/*/; do printf '%6d  %s\n' "$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)" "$$d"; done
+	@n="$$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l)"; \
+	printf '%6d  root module, non-test (budget 18936)\n' "$$n"; \
+	if [ "$$n" -gt 18936 ]; then echo "loc: $$n non-test lines exceed the 18936-line budget"; exit 1; fi
 
 # serve-smoke drives the built qmdd daemon end to end over HTTP: start
 # on a random port, submit a tiny 2-atom job and poll it to completion,

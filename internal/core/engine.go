@@ -36,6 +36,7 @@ import (
 	"ldcdft/internal/geom"
 	"ldcdft/internal/grid"
 	"ldcdft/internal/multigrid"
+	"ldcdft/internal/pw"
 	"ldcdft/internal/scf"
 )
 
@@ -157,6 +158,11 @@ type Engine struct {
 	mg    *multigrid.Solver
 	mixer scf.Mixer
 
+	// Ion-ion energy and forces of the configuration, which an engine
+	// never moves.
+	eII float64
+	fII []geom.Vec3
+
 	Rho *grid.Field // current global density
 	vxc *grid.Field // v_xc[Rho] of the current SCF step
 
@@ -195,6 +201,12 @@ func NewEngine(sys *atoms.System, cfg Config) (*Engine, error) {
 	}
 	e := &Engine{Cfg: cfg, Sys: sys, Global: g, Domains: doms, mg: mg,
 		pool: bsd.Pool{Workers: cfg.Workers}, vxc: grid.NewField(g)}
+	sp := make([]*atoms.Species, len(sys.Atoms))
+	pos := make([]geom.Vec3, len(sys.Atoms))
+	for i, a := range sys.Atoms {
+		sp[i], pos[i] = a.Species, sys.Cell.Wrap(a.Position)
+	}
+	e.eII, e.fII = pw.IonIon(sys.Cell, sp, pos)
 	if cfg.Anderson {
 		e.mixer = &scf.AndersonMixer{Alpha: cfg.MixAlpha}
 	} else {
@@ -226,7 +238,7 @@ func NewEngine(sys *atoms.System, cfg Config) (*Engine, error) {
 			e.Close()
 			return nil, fmt.Errorf("core: %d bands exceed the %d-plane-wave domain basis (raise Ecut or the domain size)", maxNb, np)
 		}
-		e.store, err = newPsiStore(cfg.SpillDir)
+		e.store, err = newPsiStore(cfg.SpillDir, len(doms))
 		if err != nil {
 			return nil, err
 		}

@@ -27,43 +27,32 @@ type psiStore interface {
 	close() error
 }
 
-// newPsiStore picks the wave-function store: in-memory by default, or
-// disk spill rooted at spillDir when set.
-func newPsiStore(spillDir string) (psiStore, error) {
+// newPsiStore picks the wave-function store for an engine of the given
+// domain count: in-memory by default, or disk spill rooted at spillDir
+// when set.
+func newPsiStore(spillDir string, domains int) (psiStore, error) {
 	if spillDir == "" {
-		return &memStore{}, nil
+		return make(memStore, domains), nil
 	}
 	return newDiskStore(spillDir)
 }
 
-// memStore keeps one coefficient slice per domain. Entries are created
-// under a lock on first save; steady-state saves reuse the slice, so
-// concurrent save/load on distinct indices never touch shared state.
-type memStore struct {
-	mu   sync.Mutex
-	data map[int][]complex128
-}
+// memStore keeps one coefficient slice per domain, indexed by domain.
+// Saves and loads on distinct indices touch distinct entries, so it
+// needs no lock; steady-state saves reuse the entry's slice.
+type memStore [][]complex128
 
-func (m *memStore) save(di int, src []complex128) error {
-	m.mu.Lock()
-	if m.data == nil {
-		m.data = make(map[int][]complex128)
+func (m memStore) save(di int, src []complex128) error {
+	if len(m[di]) != len(src) {
+		m[di] = make([]complex128, len(src))
 	}
-	dst, ok := m.data[di]
-	if !ok || len(dst) != len(src) {
-		dst = make([]complex128, len(src))
-		m.data[di] = dst
-	}
-	m.mu.Unlock()
-	copy(dst, src)
+	copy(m[di], src)
 	return nil
 }
 
-func (m *memStore) load(di int, dst []complex128) error {
-	m.mu.Lock()
-	src, ok := m.data[di]
-	m.mu.Unlock()
-	if !ok {
+func (m memStore) load(di int, dst []complex128) error {
+	src := m[di]
+	if src == nil {
 		return fmt.Errorf("core: no stored wave functions for domain %d", di)
 	}
 	if len(src) != len(dst) {
@@ -73,10 +62,8 @@ func (m *memStore) load(di int, dst []complex128) error {
 	return nil
 }
 
-func (m *memStore) close() error {
-	m.mu.Lock()
-	m.data = nil
-	m.mu.Unlock()
+func (m memStore) close() error {
+	clear(m)
 	return nil
 }
 

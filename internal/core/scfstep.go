@@ -127,7 +127,7 @@ func (e *Engine) scfStep(tol float64) (*grid.Field, StepResult, error) {
 		res.MaxResidual = max(res.MaxResidual, st.maxRes)
 		res.EigenExpansions += st.expansions
 	}
-	mu, err := WeightedChemicalPotential(eig, w, e.Sys.TotalValence(), e.Cfg.KT)
+	mu, err := scf.ChemicalPotential(eig, w, e.Sys.TotalValence(), e.Cfg.KT)
 	spM.Stop()
 	if err != nil {
 		return nil, res, fmt.Errorf("core: chemical potential: %w", err)
@@ -299,8 +299,7 @@ func (e *Engine) assembleEnergy(rho *grid.Field, vh *grid.Field) float64 {
 			eBC += e.states[di].eBC
 		}
 	}
-	eII := e.ionIonEnergy()
-	return eBand - eH + eXC - eBC + eII
+	return eBand - eH + eXC - eBC + e.eII
 }
 
 // Solve iterates SCF steps with mixing until the energy and density
@@ -375,65 +374,4 @@ func (e *Engine) mixSegments() (in, out [][]float64) {
 		}
 	}
 	return in, out
-}
-
-// WeightedChemicalPotential solves Σ_i f(ε_i, μ)·w_i = nelec — the DC
-// electron-count equation where each Kohn–Sham state contributes its
-// core weight w_i (Fig. 2 Eq. (c) with the partition of unity applied).
-func WeightedChemicalPotential(eps, w []float64, nelec, kT float64) (float64, error) {
-	if len(eps) == 0 || len(eps) != len(w) {
-		return 0, scf.ErrChemicalPotential
-	}
-	var capacity float64
-	lo, hi := eps[0], eps[0]
-	for i, e := range eps {
-		capacity += 2 * w[i]
-		if e < lo {
-			lo = e
-		}
-		if e > hi {
-			hi = e
-		}
-	}
-	if nelec < 0 || nelec > capacity+1e-9 {
-		return 0, scf.ErrChemicalPotential
-	}
-	pad := 10*kT + 1
-	lo -= pad
-	hi += pad
-	count := func(mu float64) (n, dn float64) {
-		for i, e := range eps {
-			f := scf.FermiOccupation(e, mu, kT)
-			n += f * w[i]
-			if kT > 0 {
-				dn += w[i] * f * (2 - f) / (2 * kT)
-			}
-		}
-		perf.Global.Add(int64(8 * len(eps)))
-		return
-	}
-	mu := 0.5 * (lo + hi)
-	for iter := 0; iter < 200; iter++ {
-		n, dn := count(mu)
-		diff := n - nelec
-		if math.Abs(diff) < 1e-10*(1+nelec) {
-			return mu, nil
-		}
-		if diff > 0 {
-			hi = mu
-		} else {
-			lo = mu
-		}
-		if dn > 1e-14 {
-			if step := mu - diff/dn; step > lo && step < hi {
-				mu = step
-				continue
-			}
-		}
-		mu = 0.5 * (lo + hi)
-	}
-	if hi-lo < 1e-12 {
-		return 0.5 * (lo + hi), nil
-	}
-	return 0, scf.ErrChemicalPotential
 }

@@ -40,11 +40,11 @@ type Basis struct {
 	// equal to the dense plan (fft.Support3).
 	sphere *fft.Support3
 
-	// Folded reciprocal-space lookups shared by every grid-space kernel
-	// (Hartree 4π/G², pseudopotential form factors, forces): axisG[i] =
-	// fold(i)·2π/L per FFT index, g2Half = |G|² per point of the
-	// Hermitian-packed half spectrum (iz ≤ N/2) the real-field transforms
-	// produce.
+	// Folded reciprocal-space lookups behind every grid-space kernel
+	// (Hartree 4π/G², and through EachHalf the pseudopotential form
+	// factors, forces and density guess): axisG[i] = fold(i)·2π/L per FFT
+	// index, g2Half = |G|² per point of the Hermitian-packed half spectrum
+	// (iz ≤ N/2) the real-field transforms produce.
 	axisG  []float64
 	g2Half []float64
 
@@ -200,15 +200,40 @@ func (b *Basis) Np() int { return len(b.G) }
 // Volume returns the cell volume Ω.
 func (b *Basis) Volume() float64 { return b.Grid.L * b.Grid.L * b.Grid.L }
 
-// AxisG returns the folded reciprocal frequency fold(i)·2π/L for each
-// FFT index along one axis (all axes are equal on the cubic grid).
-func (b *Basis) AxisG() []float64 { return b.axisG }
-
-// G2Half returns |G|² at every point of the Hermitian-packed half
-// spectrum (grid order, iz = 0..N/2) — the lookup the real-field
-// kernels (Hartree, local pseudopotential, forces, density guess) use
-// alongside the r2c transforms. Callers must not modify it.
-func (b *Basis) G2Half() []float64 { return b.g2Half }
+// EachHalf calls f once for every point of the Hermitian-packed half
+// spectrum (iz ≤ N/2) a real field's r2c transform produces, in grid
+// order: i is the point's index in the packed array, g its folded wave
+// vector and g2 = |G|². m is g with its Nyquist components negated: on
+// a Nyquist plane (2·i = N along an axis) the folded frequency keeps its
+// sign under G → −G, so a bin there stands for both ±N/2, and a kernel
+// that builds or reads a real field's coefficient through e^{−iG·r}
+// must symmetrize against m. Everywhere else m == g. This is the one
+// place that knows the mirror rule.
+func (b *Basis) EachHalf(f func(i int, g, m geom.Vec3, g2 float64)) {
+	n := b.Grid.N
+	hz := n/2 + 1
+	ax := b.axisG
+	i := 0
+	for ix := 0; ix < n; ix++ {
+		for iy := 0; iy < n; iy++ {
+			for iz := 0; iz < hz; iz++ {
+				g := geom.Vec3{X: ax[ix], Y: ax[iy], Z: ax[iz]}
+				m := g
+				if 2*ix == n {
+					m.X = -g.X
+				}
+				if 2*iy == n {
+					m.Y = -g.Y
+				}
+				if 2*iz == n {
+					m.Z = -g.Z
+				}
+				f(i, g, m, b.g2Half[i])
+				i++
+			}
+		}
+	}
+}
 
 // GetHalfGrid returns a pooled N²·(N/2+1) complex half-spectrum buffer.
 // Contents are unspecified; release with PutHalfGrid when done.

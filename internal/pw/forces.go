@@ -59,77 +59,58 @@ func IonIon(cell geom.Cell, species []*atoms.Species, positions []geom.Vec3) (fl
 // weight 1; for the rest the partner's contribution equals this bin's,
 // so weight 2 — except on the x/y Nyquist planes, where the folded
 // frequency keeps its sign under m → −m and the partner term must be
-// added explicitly (same mirror-frequency rule as BuildLocalPseudo) to
-// stay the exact gradient of the assembled energy.
+// added explicitly (the mirror frequency m of Basis.EachHalf) to stay
+// the exact gradient of the assembled energy.
 func LocalForces(b *Basis, rho []float64, species []*atoms.Species, positions []geom.Vec3) []geom.Vec3 {
-	n := b.Grid.N
-	hz := n/2 + 1
-	size := b.Grid.Size()
 	work := b.GetHalfGrid()
 	defer b.PutHalfGrid(work)
 	b.rplan.Forward(rho, work)
 	// work[m] = Σ_j ρ_j e^{−iG·r_j} = N³ ρ_G Ω/(h³N³)… combine: ρ_G =
 	// (h³/Ω)·work[m] = work[m]/N³.
-	invN3 := 1 / float64(size)
-	ax := b.axisG
-	g2h := b.g2Half
+	invN3 := 1 / float64(b.Grid.Size())
 	forces := make([]geom.Vec3, len(positions))
-	for ix := 0; ix < n; ix++ {
-		gx := ax[ix]
-		mx := gx
-		if 2*ix == n {
-			mx = -gx
+	b.EachHalf(func(i int, g, m geom.Vec3, g2 float64) {
+		if g2 == 0 {
+			return
 		}
-		for iy := 0; iy < n; iy++ {
-			gy := ax[iy]
-			my := gy
-			if 2*iy == n {
-				my = -gy
-			}
-			for iz := 0; iz < hz; iz++ {
-				gz := ax[iz]
-				g2 := g2h[(ix*n+iy)*hz+iz]
-				if g2 == 0 {
-					continue
-				}
-				selfConj := iz == 0 || 2*iz == n
-				mirror := !selfConj && (mx != gx || my != gy)
-				weight := invN3
-				if !selfConj && !mirror {
-					weight = 2 * invN3
-				}
-				rhoG := work[(ix*n+iy)*hz+iz] * complex(weight, 0)
-				cr := real(rhoG)
-				ci := imag(rhoG)
-				for ai, sp := range species {
-					v := pseudo.LocalG(sp, g2)
-					if v == 0 {
-						continue
-					}
-					r := positions[ai]
-					ph := -(gx*r.X + gy*r.Y + gz*r.Z)
-					// iG v e^{iph} ρ*_G; real part accumulates.
-					// e^{iph} = (cp, sp); ρ*_G = (cr, −ci).
-					cp := math.Cos(ph)
-					s := math.Sin(ph)
-					// (i)(cp + i s)(cr − i ci) = i[(cp·cr + s·ci) + i(s·cr − cp·ci)]
-					// real part = −(s·cr − cp·ci) = cp·ci − s·cr.
-					re := (cp*ci - s*cr) * v
-					f := geom.Vec3{X: gx * re, Y: gy * re, Z: gz * re}
-					if mirror {
-						// Missing partner at G' = (−mx, −my, −gz) with
-						// ρ*_{G'} = ρ_G: real part of iG'v e^{−iG'·R}ρ_G.
-						ph2 := mx*r.X + my*r.Y + gz*r.Z
-						cp2 := math.Cos(ph2)
-						s2 := math.Sin(ph2)
-						re2 := (cp2*ci + s2*cr) * v
-						f = f.Add(geom.Vec3{X: mx * re2, Y: my * re2, Z: gz * re2})
-					}
-					forces[ai] = forces[ai].Add(f)
-				}
-			}
+		// iz = 0 (gz = 0) and the z Nyquist plane (mz ≠ gz) are
+		// self-conjugate.
+		selfConj := g.Z == 0 || m.Z != g.Z
+		mirror := !selfConj && (m.X != g.X || m.Y != g.Y)
+		weight := invN3
+		if !selfConj && !mirror {
+			weight = 2 * invN3
 		}
-	}
+		rhoG := work[i] * complex(weight, 0)
+		cr := real(rhoG)
+		ci := imag(rhoG)
+		for ai, sp := range species {
+			v := pseudo.LocalG(sp, g2)
+			if v == 0 {
+				continue
+			}
+			r := positions[ai]
+			ph := -(g.X*r.X + g.Y*r.Y + g.Z*r.Z)
+			// iG v e^{iph} ρ*_G; real part accumulates.
+			// e^{iph} = (cp, sp); ρ*_G = (cr, −ci).
+			cp := math.Cos(ph)
+			s := math.Sin(ph)
+			// (i)(cp + i s)(cr − i ci) = i[(cp·cr + s·ci) + i(s·cr − cp·ci)]
+			// real part = −(s·cr − cp·ci) = cp·ci − s·cr.
+			re := (cp*ci - s*cr) * v
+			f := geom.Vec3{X: g.X * re, Y: g.Y * re, Z: g.Z * re}
+			if mirror {
+				// Missing partner at G' = (−mx, −my, −gz) with
+				// ρ*_{G'} = ρ_G: real part of iG'v e^{−iG'·R}ρ_G.
+				ph2 := m.X*r.X + m.Y*r.Y + g.Z*r.Z
+				cp2 := math.Cos(ph2)
+				s2 := math.Sin(ph2)
+				re2 := (cp2*ci + s2*cr) * v
+				f = f.Add(geom.Vec3{X: m.X * re2, Y: m.Y * re2, Z: g.Z * re2})
+			}
+			forces[ai] = forces[ai].Add(f)
+		}
+	})
 	return forces
 }
 

@@ -3,6 +3,7 @@ package pw
 import (
 	"math"
 	"math/cmplx"
+	"slices"
 
 	"ldcdft/internal/atoms"
 	"ldcdft/internal/geom"
@@ -234,80 +235,57 @@ func (h *Hamiltonian) KineticExpectation(psi []complex128) float64 {
 // spectrum (iz ≤ N/2) is assembled — halving the structure-factor trig,
 // the dominant cost — and one real-plan inverse reconstructs the grid.
 //
-// One wrinkle: at a Nyquist index (axis index N/2, even N) the folded
-// frequency keeps its sign under m → −m, so the raw assembly is not
-// Hermitian there. The previous full-grid path implicitly symmetrized
-// those bins by dropping the imaginary part after the complex inverse;
-// the half-spectrum assembly reproduces that exactly by averaging each
-// Nyquist-plane bin with its conjugate mirror (the same G with the
-// Nyquist components sign-flipped).
+// On the Nyquist planes the raw assembly is not Hermitian, so each bin
+// there is averaged with its mirror M (Basis.EachHalf) — the real part a
+// full-grid complex inverse keeps.
 func BuildLocalPseudo(b *Basis, species []*atoms.Species, positions []geom.Vec3) []float64 {
-	n := b.Grid.N
-	hz := n/2 + 1
 	size := b.Grid.Size()
 	vg := b.GetHalfGrid()
 	defer b.PutHalfGrid(vg)
-	for i := range vg {
-		vg[i] = 0
-	}
-	ax := b.axisG
-	g2h := b.g2Half
 	// Group atoms by species so the form factor is computed once per
-	// (species, G); the folded frequencies and |G|² come from the basis
-	// lookups shared with the kinetic and Hartree kernels.
-	bySpecies := map[*atoms.Species][]geom.Vec3{}
+	// (species, G). Each bin sums its species in first-appearance order:
+	// three or more terms do not commute in floating point, so a map's
+	// random order would change the bits from call to call.
+	var kinds []*atoms.Species
+	var pos [][]geom.Vec3
 	for ai, sp := range species {
-		bySpecies[sp] = append(bySpecies[sp], positions[ai])
+		k := slices.Index(kinds, sp)
+		if k < 0 {
+			k = len(kinds)
+			kinds = append(kinds, sp)
+			pos = append(pos, nil)
+		}
+		pos[k] = append(pos[k], positions[ai])
 	}
 	invVol := 1 / b.Volume()
-	for sp, pos := range bySpecies {
-		idx := 0
-		for ix := 0; ix < n; ix++ {
-			gx := ax[ix]
-			mx := gx
-			if 2*ix == n {
-				mx = -gx
+	b.EachHalf(func(i int, g, m geom.Vec3, g2 float64) {
+		var v complex128
+		for k, sp := range kinds {
+			ff := pseudo.LocalG(sp, g2) * invVol
+			if ff == 0 {
+				continue
 			}
-			for iy := 0; iy < n; iy++ {
-				gy := ax[iy]
-				my := gy
-				if 2*iy == n {
-					my = -gy
+			// Structure factor Σ_I e^{−iG·R_I}, Hermitian-symmetrized
+			// on the Nyquist planes.
+			var sre, sim float64
+			if m == g {
+				for _, r := range pos[k] {
+					ph := -(g.X*r.X + g.Y*r.Y + g.Z*r.Z)
+					sre += math.Cos(ph)
+					sim += math.Sin(ph)
 				}
-				for iz := 0; iz < hz; iz++ {
-					gz := ax[iz]
-					mz := gz
-					if 2*iz == n {
-						mz = -gz
-					}
-					ff := pseudo.LocalG(sp, g2h[idx]) * invVol
-					if ff == 0 {
-						idx++
-						continue
-					}
-					// Structure factor Σ_I e^{−iG·R_I}, Hermitian-symmetrized
-					// on the Nyquist planes.
-					var sre, sim float64
-					if mx == gx && my == gy && mz == gz {
-						for _, r := range pos {
-							ph := -(gx*r.X + gy*r.Y + gz*r.Z)
-							sre += math.Cos(ph)
-							sim += math.Sin(ph)
-						}
-					} else {
-						for _, r := range pos {
-							ph := -(gx*r.X + gy*r.Y + gz*r.Z)
-							ph2 := -(mx*r.X + my*r.Y + mz*r.Z)
-							sre += (math.Cos(ph) + math.Cos(ph2)) / 2
-							sim += (math.Sin(ph) + math.Sin(ph2)) / 2
-						}
-					}
-					vg[idx] += complex(ff*sre, ff*sim)
-					idx++
+			} else {
+				for _, r := range pos[k] {
+					ph := -(g.X*r.X + g.Y*r.Y + g.Z*r.Z)
+					ph2 := -(m.X*r.X + m.Y*r.Y + m.Z*r.Z)
+					sre += (math.Cos(ph) + math.Cos(ph2)) / 2
+					sim += (math.Sin(ph) + math.Sin(ph2)) / 2
 				}
 			}
+			v += complex(ff*sre, ff*sim)
 		}
-	}
+		vg[i] = v
+	})
 	// V(r_j) = Σ_m V_m e^{+2πi mj/N} = N³ · Inverse.
 	out := make([]float64, size)
 	b.rplan.Inverse(vg, out)

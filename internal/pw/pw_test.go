@@ -818,3 +818,28 @@ func TestSolveAllBandStopsAtTolerance(t *testing.T) {
 		})
 	}
 }
+
+// A bin of the ionic potential sums one term per species, and three or
+// more terms do not commute in floating point: BuildLocalPseudo must add
+// them in one fixed order, so fifty calls on a four-species cell give
+// the same bits.
+func TestBuildLocalPseudoDeterministic(t *testing.T) {
+	b := testBasis(t, 16, 10, 4)
+	species := []*atoms.Species{atoms.Lithium, atoms.Aluminum, atoms.Oxygen, atoms.Hydrogen, atoms.Hydrogen}
+	pos := []geom.Vec3{
+		{X: 2.137, Y: 3.011, Z: 4.219},
+		{X: 5.023, Y: 4.411, Z: 3.137},
+		{X: 1.618, Y: 6.283, Z: 2.718},
+		{X: 7.389, Y: 1.414, Z: 8.660},
+		{X: 3.142, Y: 8.314, Z: 6.022},
+	}
+	want := BuildLocalPseudo(b, species, pos)
+	for call := 1; call < 50; call++ {
+		got := BuildLocalPseudo(b, species, pos)
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("call %d: V_ps at point %d is %v, first call %v", call, i, got[i], want[i])
+			}
+		}
+	}
+}

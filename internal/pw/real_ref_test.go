@@ -23,7 +23,7 @@ func densePlan(b *Basis) *fft.Plan3 { return fft.Cached3(b.Grid.N, b.Grid.N, b.G
 // g2Grid returns |G|² at every FFT grid point in grid order, summed as
 // NewBasis sums it.
 func g2Grid(b *Basis) []float64 {
-	ax := b.AxisG()
+	ax := b.axisG
 	out := make([]float64, 0, b.Grid.Size())
 	for _, gx := range ax {
 		for _, gy := range ax {
@@ -62,7 +62,7 @@ func buildLocalPseudoComplex(b *Basis, species []*atoms.Species, positions []geo
 	n := b.Grid.N
 	size := b.Grid.Size()
 	vg := make([]complex128, b.Grid.Size())
-	ax := b.AxisG()
+	ax := b.axisG
 	g2g := g2Grid(b)
 	bySpecies := map[*atoms.Species][]geom.Vec3{}
 	for ai, sp := range species {
@@ -112,7 +112,7 @@ func localForcesComplex(b *Basis, rho []float64, species []*atoms.Species, posit
 	}
 	densePlan(b).Forward(work)
 	invN3 := 1 / float64(size)
-	ax := b.AxisG()
+	ax := b.axisG
 	g2g := g2Grid(b)
 	forces := make([]geom.Vec3, len(positions))
 	for ix := 0; ix < n; ix++ {

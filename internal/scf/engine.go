@@ -126,52 +126,28 @@ func (e *Engine) InitialDensity() []float64 {
 	size := b.Grid.Size()
 	work := b.GetHalfGrid()
 	defer b.PutHalfGrid(work)
-	n := b.Grid.N
-	hz := n/2 + 1
-	ax := b.AxisG()
-	g2h := b.G2Half()
 	invVol := 1 / b.Volume()
-	for ix := 0; ix < n; ix++ {
-		gx := ax[ix]
-		mx := gx
-		if 2*ix == n {
-			mx = -gx
-		}
-		for iy := 0; iy < n; iy++ {
-			gy := ax[iy]
-			my := gy
-			if 2*iy == n {
-				my = -gy
+	b.EachHalf(func(i int, g, m geom.Vec3, g2 float64) {
+		var sre, sim float64
+		for ai, sp := range e.Species {
+			sigma := 1.5 * sp.PsSigma
+			amp := sp.Valence * math.Exp(-g2*sigma*sigma/2) * invVol
+			r := e.Positions[ai]
+			ph := -(g.X*r.X + g.Y*r.Y + g.Z*r.Z)
+			if m == g {
+				sre += amp * math.Cos(ph)
+				sim += amp * math.Sin(ph)
+				continue
 			}
-			for iz := 0; iz < hz; iz++ {
-				gz := ax[iz]
-				mz := gz
-				if 2*iz == n {
-					mz = -gz
-				}
-				g2 := g2h[(ix*n+iy)*hz+iz]
-				var sre, sim float64
-				for ai, sp := range e.Species {
-					sigma := 1.5 * sp.PsSigma
-					amp := sp.Valence * math.Exp(-g2*sigma*sigma/2) * invVol
-					r := e.Positions[ai]
-					ph := -(gx*r.X + gy*r.Y + gz*r.Z)
-					if mx == gx && my == gy && mz == gz {
-						sre += amp * math.Cos(ph)
-						sim += amp * math.Sin(ph)
-						continue
-					}
-					// Nyquist-plane bin: Hermitian-symmetrize against the
-					// mirror frequency, matching the real part the previous
-					// full-grid complex inverse kept.
-					ph2 := -(mx*r.X + my*r.Y + mz*r.Z)
-					sre += amp * (math.Cos(ph) + math.Cos(ph2)) / 2
-					sim += amp * (math.Sin(ph) + math.Sin(ph2)) / 2
-				}
-				work[(ix*n+iy)*hz+iz] = complex(sre, sim)
-			}
+			// Nyquist-plane bin: Hermitian-symmetrize against the
+			// mirror frequency, matching the real part the previous
+			// full-grid complex inverse kept.
+			ph2 := -(m.X*r.X + m.Y*r.Y + m.Z*r.Z)
+			sre += amp * (math.Cos(ph) + math.Cos(ph2)) / 2
+			sim += amp * (math.Sin(ph) + math.Sin(ph2)) / 2
 		}
-	}
+		work[i] = complex(sre, sim)
+	})
 	rho := make([]float64, size)
 	b.RealInverse(work, rho)
 	scale := float64(size)

@@ -7,6 +7,8 @@ package scf
 import (
 	"errors"
 	"math"
+
+	"ldcdft/internal/perf"
 )
 
 // FermiOccupation returns the spin-degenerate occupation 2/(1+e^{(ε−μ)/kT}).
@@ -34,19 +36,28 @@ func FermiOccupation(eps, mu, kT float64) float64 {
 // no solution in the searched bracket.
 var ErrChemicalPotential = errors.New("scf: chemical potential search failed")
 
-// ChemicalPotential finds μ with Σ_n f(ε_n, μ) = nelec using the paper's
-// Newton–Raphson iteration (Fig. 2), safeguarded by bisection. eps may
-// gather eigenvalues from ALL domains — μ is a global quantity that
-// couples the local Kohn–Sham problems.
-func ChemicalPotential(eps []float64, nelec, kT float64) (float64, error) {
-	if len(eps) == 0 {
+// ChemicalPotential finds μ with Σ_i f(ε_i, μ)·w_i = nelec using the
+// paper's Newton–Raphson iteration (Fig. 2, Eq. (c)), safeguarded by
+// bisection, to |ΔN| < 1e-10·(1+nelec). It is the one Fermi-level
+// search of both drivers: eps may gather eigenvalues from ALL domains —
+// μ is a global quantity that couples the local Kohn–Sham problems — and
+// w_i is then each state's core weight (the partition of unity applied
+// to the electron count). Nil weights count every state whole, as the
+// O(N³) cell does.
+func ChemicalPotential(eps, w []float64, nelec, kT float64) (float64, error) {
+	if w == nil {
+		w = make([]float64, len(eps))
+		for i := range w {
+			w[i] = 1
+		}
+	}
+	if len(eps) == 0 || len(eps) != len(w) {
 		return 0, ErrChemicalPotential
 	}
-	if nelec < 0 || nelec > 2*float64(len(eps)) {
-		return 0, ErrChemicalPotential
-	}
+	var capacity float64
 	lo, hi := eps[0], eps[0]
-	for _, e := range eps {
+	for i, e := range eps {
+		capacity += 2 * w[i]
 		if e < lo {
 			lo = e
 		}
@@ -54,25 +65,29 @@ func ChemicalPotential(eps []float64, nelec, kT float64) (float64, error) {
 			hi = e
 		}
 	}
+	if nelec < 0 || nelec > capacity+1e-9 {
+		return 0, ErrChemicalPotential
+	}
 	pad := 10*kT + 1
 	lo -= pad
 	hi += pad
 	count := func(mu float64) (n, dn float64) {
-		for _, e := range eps {
+		for i, e := range eps {
 			f := FermiOccupation(e, mu, kT)
-			n += f
+			n += f * w[i]
 			if kT > 0 {
 				// df/dμ = f(2−f)/(2kT) for the factor-2 Fermi function.
-				dn += f * (2 - f) / (2 * kT)
+				dn += w[i] * f * (2 - f) / (2 * kT)
 			}
 		}
+		perf.Global.Add(int64(8 * len(eps)))
 		return
 	}
 	mu := 0.5 * (lo + hi)
 	for iter := 0; iter < 200; iter++ {
 		n, dn := count(mu)
 		diff := n - nelec
-		if math.Abs(diff) < 1e-12*(1+nelec) {
+		if math.Abs(diff) < 1e-10*(1+nelec) {
 			return mu, nil
 		}
 		// Maintain the bisection bracket.
@@ -83,8 +98,7 @@ func ChemicalPotential(eps []float64, nelec, kT float64) (float64, error) {
 		}
 		// Newton step if usable, else bisect.
 		if dn > 1e-14 {
-			step := mu - diff/dn
-			if step > lo && step < hi {
+			if step := mu - diff/dn; step > lo && step < hi {
 				mu = step
 				continue
 			}

@@ -29,17 +29,38 @@ func TestFermiOccupation(t *testing.T) {
 
 func TestChemicalPotentialExact(t *testing.T) {
 	eps := []float64{-1, -0.5, 0, 0.5, 1}
-	for _, nelec := range []float64{1, 2, 4, 5, 7.5, 9} {
-		mu, err := ChemicalPotential(eps, nelec, 0.05)
-		if err != nil {
-			t.Fatalf("nelec=%g: %v", nelec, err)
-		}
-		var n float64
-		for _, e := range eps {
-			n += FermiOccupation(e, mu, 0.05)
-		}
-		if math.Abs(n-nelec) > 1e-9 {
-			t.Fatalf("nelec=%g: got %g at μ=%g", nelec, n, mu)
+	for _, tc := range []struct {
+		w      []float64
+		nelecs []float64
+	}{
+		{nil, []float64{1, 2, 4, 5, 7.5, 9}},
+		// Core weights, as in LDC: state i holds w_i of its two electrons.
+		{[]float64{0.5, 0.5, 0.5, 0.5, 0.5}, []float64{1, 2, 2.5, 4}},
+	} {
+		for _, nelec := range tc.nelecs {
+			mu, err := ChemicalPotential(eps, tc.w, nelec, 0.05)
+			if err != nil {
+				t.Fatalf("w=%v nelec=%g: %v", tc.w, nelec, err)
+			}
+			var n float64
+			for i, e := range eps {
+				f := FermiOccupation(e, mu, 0.05)
+				if tc.w != nil {
+					f *= tc.w[i]
+				}
+				n += f
+			}
+			if math.Abs(n-nelec) > 1e-9 {
+				t.Fatalf("w=%v nelec=%g: got %g at μ=%g", tc.w, nelec, n, mu)
+			}
+			if tc.w != nil {
+				continue
+			}
+			// Nil weights are unit weights, to the bit.
+			one, err := ChemicalPotential(eps, []float64{1, 1, 1, 1, 1}, nelec, 0.05)
+			if err != nil || math.Float64bits(one) != math.Float64bits(mu) {
+				t.Fatalf("nelec=%g: unit weights give μ=%v (%v), nil weights %v", nelec, one, err, mu)
+			}
 		}
 	}
 }
@@ -47,7 +68,7 @@ func TestChemicalPotentialExact(t *testing.T) {
 func TestChemicalPotentialMidGap(t *testing.T) {
 	// Two levels, two electrons, tiny kT: μ must sit between them.
 	eps := []float64{-1, 1}
-	mu, err := ChemicalPotential(eps, 2, 0.01)
+	mu, err := ChemicalPotential(eps, nil, 2, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,11 +78,19 @@ func TestChemicalPotentialMidGap(t *testing.T) {
 }
 
 func TestChemicalPotentialErrors(t *testing.T) {
-	if _, err := ChemicalPotential(nil, 1, 0.1); err == nil {
+	if _, err := ChemicalPotential(nil, nil, 1, 0.1); err == nil {
 		t.Fatal("empty eigenvalues should error")
 	}
-	if _, err := ChemicalPotential([]float64{0}, 5, 0.1); err == nil {
+	if _, err := ChemicalPotential([]float64{0}, nil, 5, 0.1); err == nil {
 		t.Fatal("overfilled system should error")
+	}
+	eps := []float64{-1, -0.5, 0, 0.5}
+	w := []float64{0.5, 0.5, 0.5, 0.5}
+	if _, err := ChemicalPotential(eps, w[:2], 1, 0.05); err == nil {
+		t.Fatal("length mismatch must fail")
+	}
+	if _, err := ChemicalPotential(eps, w, 4.5, 0.05); err == nil {
+		t.Fatal("over-capacity must fail")
 	}
 }
 
@@ -76,7 +105,7 @@ func TestChemicalPotentialProperty(t *testing.T) {
 		}
 		kT := 0.01 + rng.Float64()*0.2
 		nelec := rng.Float64() * 2 * float64(n)
-		mu, err := ChemicalPotential(eps, nelec, kT)
+		mu, err := ChemicalPotential(eps, nil, nelec, kT)
 		if err != nil {
 			return false
 		}

@@ -124,7 +124,7 @@ func Solve(sys *atoms.System, cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("scf: iteration %d: %w", iter, err)
 		}
-		mu, err := ChemicalPotential(eig.Eigenvalues, nelec, cfg.KT)
+		mu, err := ChemicalPotential(eig.Eigenvalues, nil, nelec, cfg.KT)
 		if err != nil {
 			return nil, fmt.Errorf("scf: iteration %d: %w", iter, err)
 		}
