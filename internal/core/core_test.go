@@ -194,6 +194,33 @@ func TestLDCBufferConvergence(t *testing.T) {
 	}
 }
 
+// The SCF step finds μ from the domain eigenvalues weighted by their core
+// fractions (scfstep.go); the weighted electron count must come out exact
+// and bad weights must fail.
+func TestWeightedChemicalPotential(t *testing.T) {
+	eps := []float64{-1, -0.5, 0, 0.5}
+	w := []float64{0.5, 0.5, 0.5, 0.5}
+	// Capacity = 4 electrons; ask for 2.
+	mu, err := scf.ChemicalPotential(eps, w, 2, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n float64
+	for i, e := range eps {
+		n += scf.FermiOccupation(e, mu, 0.05) * w[i]
+	}
+	if math.Abs(n-2) > 1e-8 {
+		t.Fatalf("weighted count %g, want 2", n)
+	}
+	// Errors.
+	if _, err := scf.ChemicalPotential(eps, w[:2], 1, 0.05); err == nil {
+		t.Fatal("length mismatch must fail")
+	}
+	if _, err := scf.ChemicalPotential(eps, w, 100, 0.05); err == nil {
+		t.Fatal("over-capacity must fail")
+	}
+}
+
 func TestSingleDomainMatchesConventionalTrend(t *testing.T) {
 	// A 1-domain LDC engine and the conventional O(N³) scf.Solve run the
 	// same physics with different drivers; their total energies must
