@@ -10,7 +10,9 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -75,6 +77,169 @@ func TestEveryDeclarationHasACaller(t *testing.T) {
 	}
 }
 
+// fieldAllowlist names the struct fields that non-test code assigns and
+// never reads that stay anyway, each with its reason. A key is
+// "pkg.Type.field".
+var fieldAllowlist = map[string]string{}
+
+// TestEveryFieldIsRead fails on each struct field of the module that the
+// non-test code of the module and of bench/ assigns but never reads:
+// state written for nobody. Exempt are a field with a json tag (wire
+// format, which encoding/json reads), one a _test.go file names, and the
+// allowlist. A read is any use of the field but as the target of an
+// assignment, an increment or a composite-literal element; comparing
+// structs, or keying a map by one, reads every field.
+func TestEveryFieldIsRead(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the module and the standard library it imports (~5 s)")
+	}
+	s, err := scanModule(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := s.fields()
+	for key, reason := range fieldAllowlist {
+		var found, read bool
+		for _, f := range fields {
+			if f.key == key {
+				found, read = true, read || f.read
+			}
+		}
+		switch {
+		case reason == "":
+			t.Errorf("field allowlist %s: give the reason", key)
+		case !found:
+			t.Errorf("field allowlist %s: no such field", key)
+		case read:
+			t.Errorf("field allowlist %s: program code reads it; remove the entry", key)
+		}
+	}
+	var unread []string
+	for _, f := range fields {
+		if f.written && !f.read && !f.exempt && fieldAllowlist[f.key] == "" {
+			unread = append(unread, fmt.Sprintf("%s %s", f.pos, f.key))
+		}
+	}
+	if len(unread) > 0 {
+		sort.Strings(unread)
+		t.Errorf("%d fields are assigned and never read; delete them, or allowlist one with its reason:\n%s",
+			len(unread), strings.Join(unread, "\n"))
+	}
+}
+
+// field is one named struct field of the module and what non-test code
+// does with it.
+type field struct {
+	key, pos      string // "pkg.Type.field", file:line
+	exempt        bool   // json-tagged, or named by a _test.go file
+	written, read bool
+}
+
+// fields lists every named, non-embedded struct field the module's
+// packages declare and marks each write and read of it in the non-test
+// code of the module and of bench/. A struct type that is not the whole
+// of a type declaration is named "struct".
+func (s *scan) fields() []*field {
+	info := s.l.info
+	byVar := map[types.Object]*field{}
+	var out []*field
+	for _, p := range s.paths {
+		rel, bench := relPath(p)
+		if bench {
+			continue
+		}
+		dir := s.l.dirs[p]
+		for _, f := range s.l.files[p] {
+			names := map[*ast.StructType]string{}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					if st, ok := n.Type.(*ast.StructType); ok {
+						names[st] = n.Name.Name
+					}
+				case *ast.StructType:
+					typ := names[n]
+					if typ == "" {
+						typ = "struct"
+					}
+					for _, fl := range n.Fields.List {
+						var tagged bool
+						if fl.Tag != nil {
+							tag, _ := strconv.Unquote(fl.Tag.Value)
+							_, tagged = reflect.StructTag(tag).Lookup("json")
+						}
+						for _, id := range fl.Names {
+							if id.Name == "_" {
+								continue
+							}
+							named := s.testFields[dir+" "+id.Name] || (id.IsExported() && s.testFields[id.Name])
+							fd := &field{key: rel + "." + typ + "." + id.Name, pos: s.pos(info.Defs[id]), exempt: tagged || named}
+							byVar[info.Defs[id]] = fd
+							out = append(out, fd)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	readAll := func(t types.Type) {
+		if st, ok := t.Underlying().(*types.Struct); ok {
+			for i := range st.NumFields() {
+				if fd := byVar[origin(st.Field(i))]; fd != nil {
+					fd.read = true
+				}
+			}
+		}
+	}
+	for _, p := range s.paths {
+		for _, f := range s.l.files[p] {
+			writes := map[ast.Expr]bool{}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, x := range n.Lhs {
+						writes[ast.Unparen(x)] = true
+					}
+				case *ast.IncDecStmt:
+					writes[ast.Unparen(n.X)] = true
+				case *ast.CompositeLit:
+					st, ok := info.Types[n].Type.Underlying().(*types.Struct)
+					for i, e := range n.Elts {
+						if kv, keyed := e.(*ast.KeyValueExpr); keyed {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								if fd := byVar[origin(info.Uses[id])]; fd != nil {
+									fd.written = true
+								}
+							}
+						} else if ok {
+							if fd := byVar[origin(st.Field(i))]; fd != nil {
+								fd.written = true
+							}
+						}
+					}
+				case *ast.MapType:
+					readAll(info.Types[n.Key].Type)
+				case *ast.BinaryExpr:
+					if n.Op == token.EQL || n.Op == token.NEQ {
+						readAll(info.Types[n.X].Type)
+					}
+				case *ast.SelectorExpr:
+					if fd := byVar[origin(info.Uses[n.Sel])]; fd != nil {
+						if writes[n] {
+							fd.written = true
+						} else {
+							fd.read = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	return out
+}
+
 // decl is one package-level declaration: a func, method, type, const or var.
 type decl struct {
 	key  string // "pkg.Name" or "pkg.Type.Method"
@@ -85,10 +250,14 @@ type decl struct {
 }
 
 type scan struct {
+	root       string
+	l          *loader
+	paths      []string // import paths of the packages that type-checked
 	decls      []*decl
 	byObj      map[types.Object]*decl
 	methods    map[*types.TypeName][]types.Object // methods whose name an interface declares
 	testIdents map[string]bool                    // identifiers and import paths in _test.go files
+	testFields map[string]bool                    // each selector or literal key in a _test.go file, as "name" and "dir name"
 }
 
 // scanModule type-checks the non-test files of every package under root,
@@ -107,7 +276,8 @@ func scanModule(root string) (*scan, error) {
 			Types: map[ast.Expr]types.TypeAndValue{},
 		},
 	}
-	s := &scan{byObj: map[types.Object]*decl{}, methods: map[*types.TypeName][]types.Object{}, testIdents: map[string]bool{}}
+	s := &scan{root: root, l: l, byObj: map[types.Object]*decl{}, methods: map[*types.TypeName][]types.Object{},
+		testIdents: map[string]bool{}, testFields: map[string]bool{}}
 	err := filepath.WalkDir(root, func(path string, e os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -131,6 +301,14 @@ func scanModule(root string) (*scan, error) {
 					s.testIdents[n.Name] = true
 				case *ast.ImportSpec:
 					s.testIdents[strings.Trim(n.Path.Value, `"`)] = true
+				case *ast.SelectorExpr:
+					s.testFields[n.Sel.Name] = true
+					s.testFields[filepath.Dir(path)+" "+n.Sel.Name] = true
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						s.testFields[id.Name] = true
+						s.testFields[filepath.Dir(path)+" "+id.Name] = true
+					}
 				}
 				return true
 			})
@@ -140,7 +318,7 @@ func scanModule(root string) (*scan, error) {
 	if err != nil {
 		return nil, err
 	}
-	var dirs, paths []string
+	var dirs []string
 	for p := range l.dirs {
 		dirs = append(dirs, p)
 	}
@@ -151,7 +329,7 @@ func scanModule(root string) (*scan, error) {
 			return nil, err
 		}
 		if pkg != nil {
-			paths = append(paths, p)
+			s.paths = append(s.paths, p)
 		}
 	}
 
@@ -169,7 +347,7 @@ func scanModule(root string) (*scan, error) {
 			})
 		}
 	}
-	for _, p := range paths {
+	for _, p := range s.paths {
 		for _, imp := range l.pkgs[p].Imports() {
 			if _, own := l.dirs[imp.Path()]; own {
 				continue
@@ -182,22 +360,14 @@ func scanModule(root string) (*scan, error) {
 		}
 	}
 
-	for _, p := range paths {
-		rel := strings.TrimPrefix(strings.TrimPrefix(p, "ldcdft"), "/")
-		if rel == "" {
-			rel = "ldcdft"
-		}
-		bench := rel == "bench" || strings.HasPrefix(rel, "bench/")
+	for _, p := range s.paths {
+		rel, bench := relPath(p)
 		for _, f := range l.files[p] {
 			add := func(obj types.Object, node ast.Node, key string, entry bool) {
 				if obj == nil || obj.Name() == "_" {
 					return
 				}
-				d := &decl{key: rel + "." + key, pkg: rel, root: entry || bench}
-				pos := fset.Position(obj.Pos())
-				if r, err := filepath.Rel(root, pos.Filename); err == nil {
-					d.pos = fmt.Sprintf("%s:%d", filepath.ToSlash(r), pos.Line)
-				}
+				d := &decl{key: rel + "." + key, pkg: rel, pos: s.pos(obj), root: entry || bench}
 				ast.Inspect(node, func(n ast.Node) bool {
 					if id, ok := n.(*ast.Ident); ok {
 						if o := l.info.Uses[id]; o != nil {
@@ -240,6 +410,25 @@ func scanModule(root string) (*scan, error) {
 		}
 	}
 	return s, nil
+}
+
+// relPath is an import path relative to the module root ("ldcdft" for
+// the root package), and whether it is part of bench/.
+func relPath(p string) (rel string, bench bool) {
+	rel = strings.TrimPrefix(strings.TrimPrefix(p, "ldcdft"), "/")
+	if rel == "" {
+		rel = "ldcdft"
+	}
+	return rel, rel == "bench" || strings.HasPrefix(rel, "bench/")
+}
+
+// pos is obj's file:line relative to the module root.
+func (s *scan) pos(obj types.Object) string {
+	p := s.l.fset.Position(obj.Pos())
+	if r, err := filepath.Rel(s.root, p.Filename); err == nil {
+		return fmt.Sprintf("%s:%d", filepath.ToSlash(r), p.Line)
+	}
+	return ""
 }
 
 // reach returns the declarations reachable from the entry points and,

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	qmd "ldcdft"
 	"ldcdft/internal/serve"
 )
 
@@ -167,7 +168,7 @@ func TestWatchStreamsEvents(t *testing.T) {
 	st, err := m.Submit(serve.JobSpec{
 		Name: "w", CellL: 8,
 		Atoms:  []serve.AtomSpec{{Species: "H", Position: [3]float64{4, 4, 4}}},
-		Config: serve.ConfigSpec{GridN: 8, DomainsPerAxis: 1, Ecut: 2},
+		Config: qmd.LDCConfig{GridN: 8, DomainsPerAxis: 1, Ecut: 2},
 		Steps:  2,
 	})
 	if err != nil {

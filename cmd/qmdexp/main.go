@@ -21,8 +21,8 @@
 package main
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -99,9 +99,7 @@ func loadSpec(arg string) (*expmatrix.Spec, error) {
 		return nil, err
 	}
 	var s expmatrix.Spec
-	dec := json.NewDecoder(strings.NewReader(string(raw)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
+	if err := serve.DecodeStrict(bytes.NewReader(raw), &s); err != nil {
 		return nil, fmt.Errorf("invalid experiment spec %s: %w", arg, err)
 	}
 	return &s, nil

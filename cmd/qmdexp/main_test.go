@@ -227,3 +227,40 @@ func (b *syncBuffer) String() string {
 	defer b.mu.Unlock()
 	return b.buf.String()
 }
+
+// An experiment spec file holds exactly one JSON value: a second spec or
+// anything else after the first is an error, never silently dropped.
+func TestLoadSpecRefusesTrailingData(t *testing.T) {
+	s, ok := expmatrix.Builtin("sec52-crossover")
+	if !ok {
+		t.Fatal("builtin sec52-crossover missing")
+	}
+	one, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name, body string
+		ok         bool
+	}{
+		{"one.json", string(one) + "\n", true},
+		{"two.json", string(one) + "\n" + `{"name":"second"}`, false},
+		{"garbage.json", string(one) + " trailing", false},
+		{"unknown.json", `{"name":"x","scenario":"crossover","pulay":true}`, false},
+	} {
+		path := filepath.Join(dir, c.name)
+		if err := os.WriteFile(path, []byte(c.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := loadSpec(path)
+		switch {
+		case c.ok && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.ok && got.Name != s.Name:
+			t.Errorf("%s: loaded %q, want %q", c.name, got.Name, s.Name)
+		case !c.ok && err == nil:
+			t.Errorf("%s: accepted", c.name)
+		}
+	}
+}

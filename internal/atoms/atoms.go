@@ -30,9 +30,6 @@ type Species struct {
 	// width PsNlSigma (Bohr).
 	PsNlE     []float64
 	PsNlSigma float64
-
-	// CovRadius is a covalent radius (Bohr) used for bond detection.
-	CovRadius float64
 }
 
 // Mass returns the mass in atomic units (electron masses).
@@ -44,21 +41,21 @@ func (s *Species) Mass() float64 { return s.MassAMU * units.ElectronMassPerAMU }
 // DESIGN.md substitution table).
 var (
 	Hydrogen = &Species{Symbol: "H", Valence: 1, MassAMU: 1.008,
-		PsSigma: 0.45, PsKappa: 0.8, PsNlE: nil, PsNlSigma: 0.6, CovRadius: 0.60}
+		PsSigma: 0.45, PsKappa: 0.8, PsNlE: nil, PsNlSigma: 0.6}
 	Oxygen = &Species{Symbol: "O", Valence: 6, MassAMU: 15.999,
-		PsSigma: 0.50, PsKappa: 1.1, PsNlE: []float64{0.9}, PsNlSigma: 0.7, CovRadius: 1.25}
+		PsSigma: 0.50, PsKappa: 1.1, PsNlE: []float64{0.9}, PsNlSigma: 0.7}
 	Lithium = &Species{Symbol: "Li", Valence: 1, MassAMU: 6.94,
-		PsSigma: 0.80, PsKappa: 0.7, PsNlE: []float64{0.4}, PsNlSigma: 1.0, CovRadius: 2.40}
+		PsSigma: 0.80, PsKappa: 0.7, PsNlE: []float64{0.4}, PsNlSigma: 1.0}
 	Aluminum = &Species{Symbol: "Al", Valence: 3, MassAMU: 26.982,
-		PsSigma: 0.85, PsKappa: 0.8, PsNlE: []float64{0.6, 0.3}, PsNlSigma: 1.1, CovRadius: 2.30}
+		PsSigma: 0.85, PsKappa: 0.8, PsNlE: []float64{0.6, 0.3}, PsNlSigma: 1.1}
 	Silicon = &Species{Symbol: "Si", Valence: 4, MassAMU: 28.085,
-		PsSigma: 0.80, PsKappa: 0.9, PsNlE: []float64{0.7, 0.35}, PsNlSigma: 1.0, CovRadius: 2.10}
+		PsSigma: 0.80, PsKappa: 0.9, PsNlE: []float64{0.7, 0.35}, PsNlSigma: 1.0}
 	Carbon = &Species{Symbol: "C", Valence: 4, MassAMU: 12.011,
-		PsSigma: 0.55, PsKappa: 1.0, PsNlE: []float64{0.8}, PsNlSigma: 0.7, CovRadius: 1.45}
+		PsSigma: 0.55, PsKappa: 1.0, PsNlE: []float64{0.8}, PsNlSigma: 0.7}
 	Cadmium = &Species{Symbol: "Cd", Valence: 2, MassAMU: 112.414,
-		PsSigma: 0.95, PsKappa: 0.8, PsNlE: []float64{0.5}, PsNlSigma: 1.2, CovRadius: 2.70}
+		PsSigma: 0.95, PsKappa: 0.8, PsNlE: []float64{0.5}, PsNlSigma: 1.2}
 	Selenium = &Species{Symbol: "Se", Valence: 6, MassAMU: 78.971,
-		PsSigma: 0.75, PsKappa: 1.0, PsNlE: []float64{0.7}, PsNlSigma: 0.9, CovRadius: 2.25}
+		PsSigma: 0.75, PsKappa: 1.0, PsNlE: []float64{0.7}, PsNlSigma: 0.9}
 )
 
 // SpeciesBySymbol resolves a chemical symbol to its predefined Species

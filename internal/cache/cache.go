@@ -106,11 +106,9 @@ type entry struct {
 	family string // hash without positions, for near-neighbor search
 	size   int64
 
-	// Geometry needed for near-miss distance checks without touching
-	// disk. cellL and natoms are redundant with family but kept for the
-	// displacement computation.
-	cellL float64
-	pos   []geom.Vec3
+	// Positions needed for near-miss distance checks without touching
+	// disk.
+	pos []geom.Vec3
 
 	prev, next *entry // LRU list; head = most recent
 }
@@ -191,11 +189,7 @@ func (c *Cache) scan() error {
 		if err != nil {
 			continue
 		}
-		e := &entry{
-			size:  info.Size(),
-			cellL: d.CellL,
-			pos:   d.Pos,
-		}
+		e := &entry{size: info.Size(), pos: d.Pos}
 		syms := make([]string, len(d.Spec))
 		for i, sp := range d.Spec {
 			syms[i] = d.Symbols[sp]
@@ -420,7 +414,6 @@ func (c *Cache) Put(sys *atoms.System, cfgTag string, res *Result) error {
 		key:    key,
 		family: family,
 		size:   int64(len(raw)),
-		cellL:  sys.Cell.L,
 		pos:    append([]geom.Vec3(nil), d.Pos...),
 	}
 	c.insert(e)

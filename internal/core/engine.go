@@ -64,29 +64,31 @@ func (m Mode) String() string {
 // and adopted by the paper; every LDC run uses it.
 const DefaultXi = 0.333
 
-// Config controls an LDC-DFT calculation.
+// Config controls an LDC-DFT calculation. Its JSON form is the "config" of
+// a qmdd job spec; Mode and SpillDir stay off the wire, so a job cannot
+// choose the DC baseline or a directory on the daemon's disk.
 type Config struct {
-	GridN          int     // global real-space grid points per axis
-	DomainsPerAxis int     // DC domains per axis (total domains = cube)
-	BufN           int     // buffer thickness in grid points
-	Ecut           float64 // plane-wave cutoff for domain solves (Hartree)
-	Mode           Mode
+	GridN          int     `json:"grid_n"`           // global real-space grid points per axis
+	DomainsPerAxis int     `json:"domains_per_axis"` // DC domains per axis (total domains = cube)
+	BufN           int     `json:"buf_n"`            // buffer thickness in grid points
+	Ecut           float64 `json:"ecut"`             // plane-wave cutoff for domain solves (Hartree)
+	Mode           Mode    `json:"-"`
 
-	KT         float64 // electronic temperature (Hartree); default 0.02
-	MixAlpha   float64 // mixing of ρ and (LDC) the ρα histories; default 0.35
-	Anderson   bool    // Anderson two-point acceleration
-	MaxSCF     int     // default 60
-	EnergyTol  float64 // default 1e-6 Ha
-	DensityTol float64 // default 1e-5
-	EigenIters int     // at most this many eigensolver iterations per SCF cycle; default 3
-	Seed       int64
+	KT         float64 `json:"kt,omitempty"`          // electronic temperature (Hartree); default 0.02
+	MixAlpha   float64 `json:"mix_alpha,omitempty"`   // mixing of ρ and (LDC) the ρα histories; default 0.35
+	Anderson   bool    `json:"anderson,omitempty"`    // Anderson two-point acceleration
+	MaxSCF     int     `json:"max_scf,omitempty"`     // default 60
+	EnergyTol  float64 `json:"energy_tol,omitempty"`  // default 1e-6 Ha
+	DensityTol float64 `json:"density_tol,omitempty"` // default 1e-5
+	EigenIters int     `json:"eigen_iters,omitempty"` // at most this many eigensolver iterations per SCF cycle; default 3
+	Seed       int64   `json:"seed,omitempty"`
 
 	// Workers caps the number of concurrent domain solves (0 = GOMAXPROCS)
 	// — and thereby the number of resident solver workspaces: all domains
 	// stream through min(Workers, occupied domains) workspaces. On the
 	// real machine each domain owns an MPI communicator (§3.3); here each
 	// domain visit is one task on the bounded worker pool.
-	Workers int
+	Workers int `json:"workers,omitempty"`
 
 	// SpillDir, when non-empty, spills per-domain wave functions to files
 	// under this directory between SCF iterations instead of holding them
@@ -95,7 +97,7 @@ type Config struct {
 	// reproduces an in-memory run bitwise. Call Engine.Close to remove
 	// the spill files. Empty = keep wave functions in memory (one compact
 	// coefficient slice per occupied domain).
-	SpillDir string
+	SpillDir string `json:"-"`
 }
 
 func (c *Config) setDefaults() {
@@ -169,8 +171,6 @@ type Engine struct {
 	// Diagnostics of the last SCF step.
 	LastEnergy float64
 	LastMu     float64
-	SCFIters   int // cumulative SCF iterations (the paper counts these)
-	lastVH     *grid.Field
 }
 
 // NewEngine validates the configuration, decomposes the cell, assigns

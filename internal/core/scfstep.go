@@ -97,7 +97,6 @@ func (e *Engine) scfStep(tol float64) (*grid.Field, StepResult, error) {
 		spH.Stop()
 		return nil, res, fmt.Errorf("core: global Hartree: %w", err)
 	}
-	e.lastVH = vh
 	res.MGCycles = mgres.Cycles
 	// v_xc[ρ] once per global point; the domains extract it, as they do V_H.
 	par.For(len(e.Rho.Data), 4096, e.evalVxc)
@@ -154,7 +153,6 @@ func (e *Engine) scfStep(tol float64) (*grid.Field, StepResult, error) {
 
 	res.Energy = e.assembleEnergy(rhoOut, vh)
 	e.LastEnergy = res.Energy
-	e.SCFIters++
 
 	for i := range rhoOut.Data {
 		if d := math.Abs(rhoOut.Data[i] - e.Rho.Data[i]); d > res.MaxDrho {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"ldcdft/internal/atoms"
+	"ldcdft/internal/core"
 	"ldcdft/internal/serve"
 )
 
@@ -79,38 +80,25 @@ func lialWaterScenario(base Base, cell Cell) (serve.JobSpec, error) {
 // study's mechanism at smoke scale). Cell axes: "buf_n" (LDC buffer
 // layer count), "domains" (domains per axis).
 func ldcH2Scenario(base Base, cell Cell) (serve.JobSpec, error) {
-	gridN := base.GridN
-	if gridN == 0 {
-		gridN = 12
+	if base.GridN == 0 {
+		base.GridN = 12
 	}
 	domains := int(cell.Get("domains", float64(base.DomainsPerAxis)))
 	if domains == 0 {
 		domains = 1
 	}
-	ecut := base.Ecut
-	if ecut == 0 {
-		ecut = 4
+	if base.Ecut == 0 {
+		base.Ecut = 4
 	}
+	cfg := ldcConfig(base, core.ModeLDC, domains, int(cell.Get("buf_n", float64(base.BufN))))
+	cfg.MaxSCF, cfg.EnergyTol, cfg.DensityTol = 80, 1e-7, 1e-6
 	return serve.JobSpec{
 		CellL: 8,
 		Atoms: []serve.AtomSpec{
 			{Species: "H", Position: [3]float64{3.3, 4, 4}},
 			{Species: "H", Position: [3]float64{4.7, 4, 4}},
 		},
-		Config: serve.ConfigSpec{
-			GridN:          gridN,
-			DomainsPerAxis: domains,
-			BufN:           int(cell.Get("buf_n", float64(base.BufN))),
-			Ecut:           ecut,
-			KT:             0.05,
-			MixAlpha:       0.3,
-			Anderson:       true,
-			MaxSCF:         80,
-			EigenIters:     4,
-			EnergyTol:      1e-7,
-			DensityTol:     1e-6,
-			Seed:           base.Seed,
-		},
+		Config:          cfg,
 		Steps:           base.Steps,
 		DtFs:            base.DtFs,
 		CheckpointEvery: base.CheckpointEvery,

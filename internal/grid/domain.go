@@ -98,13 +98,10 @@ func (d Domain) AccumulateCore(local, global *Field) {
 // N/nd points per axis and the given buffer point count. N must be
 // divisible by nd.
 func Decompose(g Grid, nd, bufN int) ([]Domain, error) {
-	if nd < 1 || g.N%nd != 0 {
-		return nil, fmt.Errorf("grid: %d points not divisible into %d domains per axis", g.N, nd)
+	if err := CheckDecompose(g.N, nd, bufN); err != nil {
+		return nil, err
 	}
 	coreN := g.N / nd
-	if bufN < 0 {
-		return nil, fmt.Errorf("grid: negative buffer %d", bufN)
-	}
 	doms := make([]Domain, 0, nd*nd*nd)
 	for ix := 0; ix < nd; ix++ {
 		for iy := 0; iy < nd; iy++ {
@@ -118,4 +115,16 @@ func Decompose(g Grid, nd, bufN int) ([]Domain, error) {
 		}
 	}
 	return doms, nil
+}
+
+// CheckDecompose returns the error Decompose gives for n points per axis, nd
+// domains per axis and bufN buffer points, without building the domains.
+func CheckDecompose(n, nd, bufN int) error {
+	if nd < 1 || n%nd != 0 {
+		return fmt.Errorf("grid: %d points not divisible into %d domains per axis", n, nd)
+	}
+	if bufN < 0 {
+		return fmt.Errorf("grid: negative buffer %d", bufN)
+	}
+	return nil
 }

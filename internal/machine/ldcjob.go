@@ -69,14 +69,13 @@ func (j LDCJob) DomainSolveGFlops() float64 {
 
 // StepTime itemizes one modelled QMD step.
 type StepTime struct {
-	Compute     float64 // per-domain solves
-	GlobalComm  float64 // density/potential tree reductions + μ iterations
-	Halo        float64 // nearest-neighbour ρα exchange
-	AllToAll    float64 // intra-domain band↔space transposes
-	Imbalance   float64 // calibrated load-imbalance growth
-	Total       float64
-	CoresPerDom float64
-	GFlops      float64 // useful flops for the whole step
+	Compute    float64 // per-domain solves
+	GlobalComm float64 // density/potential tree reductions + μ iterations
+	Halo       float64 // nearest-neighbour ρα exchange
+	AllToAll   float64 // intra-domain band↔space transposes
+	Imbalance  float64 // calibrated load-imbalance growth
+	Total      float64
+	GFlops     float64 // useful flops for the whole step
 }
 
 // Calibration collects the model's free constants. DefaultCalibration's
@@ -114,7 +113,6 @@ func SimulateQMDStep(m *Machine, p int, j LDCJob, cal Calibration) StepTime {
 	if coresPerDom < 1 {
 		coresPerDom = 1
 	}
-	st.CoresPerDom = coresPerDom
 	domGF := j.DomainSolveGFlops()
 	st.GFlops = domGF * float64(j.Domains)
 

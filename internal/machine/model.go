@@ -58,38 +58,24 @@ func Table1Model(m *Machine, totalRanks int, nodes []int, threads []int) ([]Tabl
 // TimeToSolutionRow is one row of the §2 comparison: a code's speed in
 // atom·SCF-iterations per second.
 type TimeToSolutionRow struct {
-	Code     string
-	Platform string
-	Atoms    int64
-	Speed    float64 // atom·iteration/s
+	Atoms int64
+	Speed float64 // atom·iteration/s
 }
 
 // PriorStateOfTheArt returns the two baselines quoted in §2.
 func PriorStateOfTheArt() []TimeToSolutionRow {
 	return []TimeToSolutionRow{
-		{
-			Code:     "Hasegawa et al. O(N³) real-space DFT (2011 Gordon Bell)",
-			Platform: "K computer",
-			Atoms:    107292,
-			Speed:    19.7, // 5,456 s per SCF iteration
-		},
-		{
-			Code:     "Osei-Kuffuor & Fattebert O(N) DFT",
-			Platform: "23,328 Blue Gene/Q cores",
-			Atoms:    101952,
-			Speed:    1850, // ~275 s/QMD step at 5 SCF/step
-		},
+		// Hasegawa et al., O(N³) real-space DFT (2011 Gordon Bell), K computer.
+		{Atoms: 107292, Speed: 19.7}, // 5,456 s per SCF iteration
+		// Osei-Kuffuor & Fattebert, O(N) DFT, 23,328 Blue Gene/Q cores.
+		{Atoms: 101952, Speed: 1850}, // ~275 s/QMD step at 5 SCF/step
 	}
 }
 
-// LDCTimeToSolution returns this work's row from the machine model.
+// LDCTimeToSolution returns this work's row from the machine model: LDC-DFT
+// on 786,432 Blue Gene/Q cores.
 func LDCTimeToSolution(m *Machine, cal Calibration) TimeToSolutionRow {
 	job := JobForAtoms(50331648, 64)
 	st := SimulateQMDStep(m, 786432, job, cal)
-	return TimeToSolutionRow{
-		Code:     "LDC-DFT (this work)",
-		Platform: "786,432 Blue Gene/Q cores",
-		Atoms:    job.Atoms,
-		Speed:    st.Speed(job),
-	}
+	return TimeToSolutionRow{Atoms: job.Atoms, Speed: st.Speed(job)}
 }

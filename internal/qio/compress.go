@@ -36,10 +36,9 @@ func Compress(sys *atoms.System, bits uint) (*CompressedSnapshot, error) {
 	defer phCompress.Start().StopBytes(int64(n) * 24)
 	scale := float64(uint64(1)<<bits) / sys.Cell.L
 	type rec struct {
-		d       uint64
-		x, y, z uint32
-		orig    int
-		spec    uint8
+		d    uint64
+		orig int
+		spec uint8
 	}
 	// Species table.
 	specID := map[*atoms.Species]uint8{}
@@ -60,7 +59,7 @@ func Compress(sys *atoms.System, bits uint) (*CompressedSnapshot, error) {
 			specID[a.Species] = id
 			specList = append(specList, a.Species)
 		}
-		recs[i] = rec{d: hilbertIndex(bits, x, y, z), x: x, y: y, z: z, orig: i, spec: id}
+		recs[i] = rec{d: hilbertIndex(bits, x, y, z), orig: i, spec: id}
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].d < recs[j].d })
 

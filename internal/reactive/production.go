@@ -23,7 +23,6 @@ type ProductionSample struct {
 type ProductionResult struct {
 	TempK        float64
 	Steps        int // completed steps, counting resumed-over ones
-	TimeFs       float64
 	Samples      []ProductionSample
 	Final        Census
 	SurfaceAtoms int // N_surf at the start of the run
@@ -132,7 +131,6 @@ func RunProduction(sys *atoms.System, cfg ProductionConfig) (*ProductionResult, 
 		return res, err
 	}
 	res.Final = TakeCensus(sys)
-	res.TimeFs = float64(res.Steps) * dtFs
 	produced := res.Final.H2 - start.H2
 	if produced < 0 {
 		produced = 0

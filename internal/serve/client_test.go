@@ -295,7 +295,7 @@ func FuzzLeaseBodies(f *testing.F) {
 			func() any { return new(CompleteRequest) },
 		}[int(kind)%len(bodies)]
 		v := fresh()
-		if decodeStrict(bytes.NewReader(raw), v) != nil {
+		if DecodeStrict(bytes.NewReader(raw), v) != nil {
 			return
 		}
 		again, err := json.Marshal(v)
@@ -303,7 +303,7 @@ func FuzzLeaseBodies(f *testing.F) {
 			t.Fatalf("re-encode: %v", err)
 		}
 		back := fresh()
-		if err := decodeStrict(bytes.NewReader(again), back); err != nil {
+		if err := DecodeStrict(bytes.NewReader(again), back); err != nil {
 			t.Fatalf("re-encoded body %s does not decode: %v", again, err)
 		}
 		if third, _ := json.Marshal(back); !bytes.Equal(third, again) {

@@ -25,7 +25,7 @@ func tinyH2Spec(name string, steps int) JobSpec {
 			{Species: "H", Position: [3]float64{3.3, 4, 4}},
 			{Species: "H", Position: [3]float64{4.7, 4, 4}},
 		},
-		Config: ConfigSpec{
+		Config: qmd.LDCConfig{
 			GridN: 12, DomainsPerAxis: 1, BufN: 0, Ecut: 4.0,
 			KT: 0.05, MixAlpha: 0.3, Anderson: true, MaxSCF: 80,
 			EigenIters: 4, Seed: 1, EnergyTol: 1e-7, DensityTol: 1e-6,
@@ -58,7 +58,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refShort, err := qmd.RunQMD(refSys, refSpec.Config.LDC(), shortSteps, 0)
+	refShort, err := qmd.RunQMD(refSys, refSpec.Config, shortSteps, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refLong, err := qmd.RunQMD(refSys2, refSpec.Config.LDC(), longSteps, 0)
+	refLong, err := qmd.RunQMD(refSys2, refSpec.Config, longSteps, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if c := m2.Stats(); c.QueueDepth != 0 || c.Running != 0 {
 		t.Fatalf("restart requeued terminal jobs: %+v", c)
 	}
-	resumed, err := qmd.ResumeQMD(ckPath, tinyH2Spec("d", longSteps).Config.LDC(), longSteps, 0, qmd.QMDOptions{})
+	resumed, err := qmd.ResumeQMD(ckPath, tinyH2Spec("d", longSteps).Config, longSteps, 0, qmd.QMDOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

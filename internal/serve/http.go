@@ -225,7 +225,7 @@ type stepRequest struct {
 
 func (m *Manager) handleLeaseAcquire(w http.ResponseWriter, r *http.Request) {
 	var req acquireRequest
-	if err := decodeStrict(r.Body, &req); err != nil {
+	if err := DecodeStrict(r.Body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid acquire request: %w", err))
 		return
 	}
@@ -264,7 +264,7 @@ func leaseEpoch(r *http.Request) (int64, error) {
 
 func (m *Manager) handleLeaseRenew(w http.ResponseWriter, r *http.Request) {
 	var req renewRequest
-	if err := decodeStrict(r.Body, &req); err != nil {
+	if err := DecodeStrict(r.Body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid renew request: %w", err))
 		return
 	}
@@ -278,7 +278,7 @@ func (m *Manager) handleLeaseRenew(w http.ResponseWriter, r *http.Request) {
 
 func (m *Manager) handleLeaseStep(w http.ResponseWriter, r *http.Request) {
 	var req stepRequest
-	if err := decodeStrict(r.Body, &req); err != nil {
+	if err := DecodeStrict(r.Body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid step report: %w", err))
 		return
 	}
@@ -321,7 +321,7 @@ func (m *Manager) handleLeaseCheckpointGet(w http.ResponseWriter, r *http.Reques
 
 func (m *Manager) handleLeaseComplete(w http.ResponseWriter, r *http.Request) {
 	var req CompleteRequest
-	if err := decodeStrict(r.Body, &req); err != nil {
+	if err := DecodeStrict(r.Body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("invalid completion report: %w", err))
 		return
 	}

@@ -103,8 +103,16 @@ func TestHTTPLifecycle(t *testing.T) {
 		t.Fatalf("over-capacity submit: %d, want 429", resp3.StatusCode)
 	}
 
-	// Invalid specs are 400.
-	for _, body := range []string{`{"steps": -1}`, `not json`, `{"unknown_field": 1}`, `{"config":{"pulay":true}}`, `{"steps": 1} {}`} {
+	// Invalid specs are 400, among them configs the domain decomposition
+	// cannot build.
+	undecomposable := func(config string) string {
+		return `{"cell_l":8,"atoms":[{"species":"H","position":[4,4,4]}],"steps":1,"config":` + config + `}`
+	}
+	for _, body := range []string{`{"steps": -1}`, `not json`, `{"unknown_field": 1}`, `{"config":{"pulay":true}}`, `{"steps": 1} {}`,
+		undecomposable(`{"grid_n":10,"domains_per_axis":3,"ecut":2}`),
+		undecomposable(`{"grid_n":8,"domains_per_axis":1,"buf_n":-1,"ecut":2}`),
+		undecomposable(`{"grid_n":12,"domains_per_axis":2,"buf_n":4,"ecut":2}`),
+	} {
 		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

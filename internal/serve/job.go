@@ -18,6 +18,7 @@ import (
 	qmd "ldcdft"
 	"ldcdft/internal/atoms"
 	"ldcdft/internal/geom"
+	"ldcdft/internal/grid"
 )
 
 // AtomSpec is one atom of a submitted system: a predefined species
@@ -27,44 +28,6 @@ type AtomSpec struct {
 	Species  string     `json:"species"`
 	Position [3]float64 `json:"position"`
 	Velocity [3]float64 `json:"velocity,omitempty"`
-}
-
-// ConfigSpec is the wire form of the LDC-DFT physics configuration
-// (core.Config) — the subset a job may set, with JSON names. Zero
-// values fall through to the engine defaults.
-type ConfigSpec struct {
-	GridN          int     `json:"grid_n"`
-	DomainsPerAxis int     `json:"domains_per_axis"`
-	BufN           int     `json:"buf_n"`
-	Ecut           float64 `json:"ecut"`
-	KT             float64 `json:"kt,omitempty"`
-	MixAlpha       float64 `json:"mix_alpha,omitempty"`
-	Anderson       bool    `json:"anderson,omitempty"`
-	MaxSCF         int     `json:"max_scf,omitempty"`
-	EnergyTol      float64 `json:"energy_tol,omitempty"`
-	DensityTol     float64 `json:"density_tol,omitempty"`
-	EigenIters     int     `json:"eigen_iters,omitempty"`
-	Seed           int64   `json:"seed,omitempty"`
-	Workers        int     `json:"workers,omitempty"`
-}
-
-// LDC converts the spec to the engine configuration.
-func (c ConfigSpec) LDC() qmd.LDCConfig {
-	return qmd.LDCConfig{
-		GridN:          c.GridN,
-		DomainsPerAxis: c.DomainsPerAxis,
-		BufN:           c.BufN,
-		Ecut:           c.Ecut,
-		KT:             c.KT,
-		MixAlpha:       c.MixAlpha,
-		Anderson:       c.Anderson,
-		MaxSCF:         c.MaxSCF,
-		EnergyTol:      c.EnergyTol,
-		DensityTol:     c.DensityTol,
-		EigenIters:     c.EigenIters,
-		Seed:           c.Seed,
-		Workers:        c.Workers,
-	}
 }
 
 // Engine names of JobSpec.Engine.
@@ -78,7 +41,7 @@ const (
 )
 
 // ReactiveSpec configures a reactive-engine job (Engine ==
-// EngineReactive). The LDC ConfigSpec is ignored for these jobs.
+// EngineReactive). The LDC Config is ignored for these jobs.
 type ReactiveSpec struct {
 	// TempK is the thermostat target temperature (required, > 0).
 	TempK float64 `json:"temp_k"`
@@ -109,7 +72,9 @@ type JobSpec struct {
 	CellL float64    `json:"cell_l"`
 	Atoms []AtomSpec `json:"atoms"`
 
-	Config   ConfigSpec    `json:"config,omitzero"`
+	// Config is the LDC engine's own configuration; its json tags make
+	// the wire form, zero values fall through to the engine defaults.
+	Config   qmd.LDCConfig `json:"config,omitzero"`
 	Reactive *ReactiveSpec `json:"reactive,omitempty"`
 
 	Steps int     `json:"steps"`
@@ -145,14 +110,14 @@ func (s *JobSpec) EngineKind() string {
 // computation from the one submitted.
 func DecodeSpec(r io.Reader) (JobSpec, error) {
 	var spec JobSpec
-	err := decodeStrict(r, &spec)
+	err := DecodeStrict(r, &spec)
 	return spec, err
 }
 
-// decodeStrict decodes the one JSON value r holds into v — the job spec
-// and every lease request body: an unknown field or anything but white
-// space after the value is an error.
-func decodeStrict(r io.Reader, v any) error {
+// DecodeStrict decodes the one JSON value r holds into v — the job spec,
+// every lease request body and qmdexp's experiment spec files: an unknown
+// field or anything but white space after the value is an error.
+func DecodeStrict(r io.Reader, v any) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
@@ -188,6 +153,15 @@ func (s *JobSpec) Validate() error {
 			return fmt.Errorf("config.domains_per_axis must be positive, got %d", s.Config.DomainsPerAxis)
 		case s.Config.Ecut <= 0:
 			return fmt.Errorf("config.ecut must be positive, got %g", s.Config.Ecut)
+		}
+		// The engine's own rules: grid.Decompose's, and dc's that the
+		// extended domain fits in the cell. The check builds no domains.
+		c := s.Config
+		if err := grid.CheckDecompose(c.GridN, c.DomainsPerAxis, c.BufN); err != nil {
+			return fmt.Errorf("config: %w", err)
+		}
+		if edge := c.GridN/c.DomainsPerAxis + 2*c.BufN; edge > c.GridN {
+			return fmt.Errorf("config: the extended domain edge, %d points, exceeds grid_n %d; reduce buf_n", edge, c.GridN)
 		}
 	case EngineReactive:
 		switch {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	qmd "ldcdft"
 	"ldcdft/internal/waitfor"
 )
 
@@ -51,7 +52,7 @@ func validSpec(name string, steps int) JobSpec {
 		Name:  name,
 		CellL: 8,
 		Atoms: []AtomSpec{{Species: "H", Position: [3]float64{4, 4, 4}}},
-		Config: ConfigSpec{
+		Config: qmd.LDCConfig{
 			GridN: 8, DomainsPerAxis: 1, Ecut: 2,
 		},
 		Steps: steps,
@@ -363,6 +364,24 @@ func TestSubmitValidation(t *testing.T) {
 	bad = validSpec("a", 0)
 	if _, err := m.Submit(bad); err == nil {
 		t.Fatal("zero steps accepted")
+	}
+	// Configs the domain decomposition cannot build: refused at
+	// admission, not failed by the engine after a lease.
+	for _, c := range []qmd.LDCConfig{
+		{GridN: 10, DomainsPerAxis: 3, Ecut: 2},          // 10 points do not tile into 3 domains
+		{GridN: 8, DomainsPerAxis: 1, BufN: -1, Ecut: 2}, // negative buffer
+		{GridN: 12, DomainsPerAxis: 2, BufN: 4, Ecut: 2}, // extended edge 6+2·4 = 14 > 12
+	} {
+		bad = validSpec("a", 1)
+		bad.Config = c
+		if _, err := m.Submit(bad); err == nil {
+			t.Fatalf("config %+v accepted", c)
+		}
+	}
+	ok := validSpec("a", 1)
+	ok.Config = qmd.LDCConfig{GridN: 12, DomainsPerAxis: 2, BufN: 3, Ecut: 2} // edge 12 fits
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("an extended domain as wide as the cell refused: %v", err)
 	}
 	if c := m.Stats(); c.Submitted != 0 {
 		t.Fatalf("invalid specs counted as submitted: %+v", c)

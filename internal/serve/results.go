@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 
+	qmd "ldcdft"
 	"ldcdft/internal/atoms"
 	"ldcdft/internal/qio"
 	"ldcdft/internal/reactive"
@@ -38,7 +39,7 @@ func SnapshotSystem(sys *atoms.System) *SystemSnapshot {
 // BuildSystem materializes the snapshot back into an atomic system.
 func (s *SystemSnapshot) BuildSystem() (*atoms.System, error) {
 	js := JobSpec{CellL: s.CellL, Atoms: s.Atoms, Steps: 1,
-		Config: ConfigSpec{GridN: 1, DomainsPerAxis: 1, Ecut: 1}}
+		Config: qmd.LDCConfig{GridN: 1, DomainsPerAxis: 1, Ecut: 1}}
 	return js.BuildSystem()
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	qmd "ldcdft"
 	"ldcdft/internal/qio"
 	"ldcdft/internal/reactive"
 )
@@ -198,7 +199,7 @@ func TestJobSpecEngineValidation(t *testing.T) {
 		t.Fatal("non-positive temp_k accepted")
 	}
 	r.Reactive.TempK = 300
-	r.Config = ConfigSpec{} // reactive jobs need no LDC config
+	r.Config = qmd.LDCConfig{} // reactive jobs need no LDC config
 	if err := r.Validate(); err != nil {
 		t.Fatalf("valid reactive spec rejected: %v", err)
 	}

@@ -74,9 +74,9 @@ func (r QMDRunner) Run(ctx context.Context, spec JobSpec, ckPath string,
 	}
 	var res *qmd.QMDResult
 	if sys == nil {
-		res, err = qmd.ResumeQMD(ckPath, spec.Config.LDC(), spec.Steps, spec.DtFs, opts)
+		res, err = qmd.ResumeQMD(ckPath, spec.Config, spec.Steps, spec.DtFs, opts)
 	} else {
-		res, err = qmd.RunQMDOpts(sys, spec.Config.LDC(), spec.Steps, spec.DtFs, opts)
+		res, err = qmd.RunQMDOpts(sys, spec.Config, spec.Steps, spec.DtFs, opts)
 	}
 	if res == nil {
 		return RunReport{}, err
