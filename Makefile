@@ -101,8 +101,9 @@ loc:
 
 # serve-smoke drives the built qmdd daemon end to end over HTTP: start
 # on a random port, submit a tiny 2-atom job and poll it to completion,
-# resubmit it and assert the warm-start cache hit in /metrics (no SCF
-# re-entry), cancel a third job mid-flight, assert the /metrics
+# resubmit it and assert it resumed from the first job's final
+# checkpoint (no SCF re-entry, bitwise-equal energies,
+# qmdd_jobs_reused_total 1), cancel a third job mid-flight, assert the /metrics
 # counters, then SIGTERM and check the graceful drain. CI runs this on
 # every PR.
 serve-smoke:

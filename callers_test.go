@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -85,10 +86,11 @@ var fieldAllowlist = map[string]string{}
 // TestEveryFieldIsRead fails on each struct field of the module that the
 // non-test code of the module and of bench/ assigns but never reads:
 // state written for nobody. Exempt are a field with a json tag (wire
-// format, which encoding/json reads), one a _test.go file names, and the
-// allowlist. A read is any use of the field but as the target of an
-// assignment, an increment or a composite-literal element; comparing
-// structs, or keying a map by one, reads every field.
+// format, which encoding/json reads), one a _test.go file selects or
+// keys (resolved by type, so a same-named field of another type exempts
+// nothing), and the allowlist. A read is any use of the field but as the
+// target of an assignment, an increment or a composite-literal element;
+// comparing structs, or keying a map by one, reads every field.
 func TestEveryFieldIsRead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the module and the standard library it imports (~5 s)")
@@ -131,7 +133,7 @@ func TestEveryFieldIsRead(t *testing.T) {
 // does with it.
 type field struct {
 	key, pos      string // "pkg.Type.field", file:line
-	exempt        bool   // json-tagged, or named by a _test.go file
+	exempt        bool   // json-tagged, or selected or keyed by a _test.go file
 	written, read bool
 }
 
@@ -148,7 +150,6 @@ func (s *scan) fields() []*field {
 		if bench {
 			continue
 		}
-		dir := s.l.dirs[p]
 		for _, f := range s.l.files[p] {
 			names := map[*ast.StructType]string{}
 			ast.Inspect(f, func(n ast.Node) bool {
@@ -172,8 +173,8 @@ func (s *scan) fields() []*field {
 							if id.Name == "_" {
 								continue
 							}
-							named := s.testFields[dir+" "+id.Name] || (id.IsExported() && s.testFields[id.Name])
-							fd := &field{key: rel + "." + typ + "." + id.Name, pos: s.pos(info.Defs[id]), exempt: tagged || named}
+							fd := &field{key: rel + "." + typ + "." + id.Name, pos: s.pos(info.Defs[id]),
+								exempt: tagged || s.testFields[id.Pos()]}
 							byVar[info.Defs[id]] = fd
 							out = append(out, fd)
 						}
@@ -257,7 +258,8 @@ type scan struct {
 	byObj      map[types.Object]*decl
 	methods    map[*types.TypeName][]types.Object // methods whose name an interface declares
 	testIdents map[string]bool                    // identifiers and import paths in _test.go files
-	testFields map[string]bool                    // each selector or literal key in a _test.go file, as "name" and "dir name"
+	testFiles  map[string][]*ast.File             // import path -> its _test.go files
+	testFields map[token.Pos]bool                 // declaration of each field a _test.go file selects or keys
 }
 
 // scanModule type-checks the non-test files of every package under root,
@@ -277,7 +279,7 @@ func scanModule(root string) (*scan, error) {
 		},
 	}
 	s := &scan{root: root, l: l, byObj: map[types.Object]*decl{}, methods: map[*types.TypeName][]types.Object{},
-		testIdents: map[string]bool{}, testFields: map[string]bool{}}
+		testIdents: map[string]bool{}, testFiles: map[string][]*ast.File{}, testFields: map[token.Pos]bool{}}
 	err := filepath.WalkDir(root, func(path string, e os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -295,20 +297,14 @@ func scanModule(root string) (*scan, error) {
 			if err != nil {
 				return err
 			}
+			pkg := filepath.ToSlash(filepath.Join("ldcdft", filepath.Dir(path)))
+			s.testFiles[pkg] = append(s.testFiles[pkg], f)
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.Ident:
 					s.testIdents[n.Name] = true
 				case *ast.ImportSpec:
 					s.testIdents[strings.Trim(n.Path.Value, `"`)] = true
-				case *ast.SelectorExpr:
-					s.testFields[n.Sel.Name] = true
-					s.testFields[filepath.Dir(path)+" "+n.Sel.Name] = true
-				case *ast.KeyValueExpr:
-					if id, ok := n.Key.(*ast.Ident); ok {
-						s.testFields[id.Name] = true
-						s.testFields[filepath.Dir(path)+" "+id.Name] = true
-					}
 				}
 				return true
 			})
@@ -331,6 +327,9 @@ func scanModule(root string) (*scan, error) {
 		if pkg != nil {
 			s.paths = append(s.paths, p)
 		}
+	}
+	for _, p := range dirs {
+		s.checkTests(p)
 	}
 
 	// The interfaces a method can be called through: the module's own,
@@ -410,6 +409,42 @@ func scanModule(root string) (*scan, error) {
 		}
 	}
 	return s, nil
+}
+
+// checkTests type-checks the _test.go files of package path: the
+// in-package ones with the package's own files, the external ones against
+// that test build. It records the declaration of every field they select
+// or key. A type error is ignored: it leaves a selector unresolved, which
+// exempts no field.
+func (s *scan) checkTests(path string) {
+	l := s.l
+	var in, ext []*ast.File
+	for _, f := range s.testFiles[path] {
+		if strings.HasSuffix(f.Name.Name, "_test") {
+			ext = append(ext, f)
+		} else {
+			in = append(in, f)
+		}
+	}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	conf := types.Config{Importer: l, Error: func(error) {}}
+	pkg := l.pkgs[path]
+	if len(in) > 0 {
+		// The package's own files again, as the test build compiles them:
+		// fresh objects, but declared at the same positions.
+		pkg, _ = conf.Check(path, l.fset, append(slices.Clone(l.files[path]), in...), info)
+	}
+	if len(ext) > 0 {
+		saved := l.pkgs[path]
+		l.pkgs[path] = pkg
+		conf.Check(path+"_test", l.fset, ext, info)
+		l.pkgs[path] = saved
+	}
+	for id, o := range info.Uses {
+		if v, ok := o.(*types.Var); ok && v.IsField() && strings.HasSuffix(l.fset.File(id.Pos()).Name(), "_test.go") {
+			s.testFields[v.Origin().Pos()] = true
+		}
+	}
 }
 
 // relPath is an import path relative to the module root ("ldcdft" for

@@ -10,7 +10,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"slices"
 	"syscall"
 
 	"ldcdft/internal/perf"
@@ -41,7 +40,11 @@ func Register(every int) *Flags {
 // finish, deferred, ends the profile and prints the perf reports.
 func (f *Flags) Start() (ctx context.Context, finish func()) {
 	flag.Parse()
-	RequireWith("checkpoint", f.Checkpoint != "", "checkpoint-every")
+	flag.Visit(func(fl *flag.Flag) {
+		if fl.Name == "checkpoint-every" && f.Checkpoint == "" {
+			log.Fatalf("-checkpoint-every has no effect without -checkpoint")
+		}
+	})
 	if f.Resume != "" {
 		if _, err := os.Stat(f.Resume); err != nil {
 			log.Fatalf("-resume: cannot read checkpoint: %v", err)
@@ -59,16 +62,6 @@ func (f *Flags) Start() (ctx context.Context, finish func()) {
 			log.Fatalf("%v", err)
 		}
 	}
-}
-
-// RequireWith exits with a diagnostic if the user set one of the tuning
-// flags without the flag they tune.
-func RequireWith(main string, set bool, tuning ...string) {
-	flag.Visit(func(fl *flag.Flag) {
-		if !set && slices.Contains(tuning, fl.Name) {
-			log.Fatalf("-%s has no effect without -%s", fl.Name, main)
-		}
-	})
 }
 
 // Exit ends a command whose trajectory returned err: 130 for an interrupted

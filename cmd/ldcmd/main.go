@@ -17,7 +17,6 @@ import (
 
 	qmd "ldcdft"
 	"ldcdft/cmd/internal/trajcli"
-	"ldcdft/internal/cache"
 	"ldcdft/internal/qio"
 )
 
@@ -37,17 +36,9 @@ func main() {
 		seed    = flag.Int64("seed", 1, "random seed")
 		xyzPath = flag.String("xyz", "", "write the trajectory to this XYZ file")
 		run     = trajcli.Register(1)
-
-		cacheDir   = flag.String("cache-dir", "", "SCF warm-start cache directory (empty = no cache)")
-		cacheBytes = flag.Int64("cache-bytes", 256<<20, "warm-start cache byte budget")
 	)
 	ctx, finish := run.Start()
 	defer finish()
-	// Cache tuning without a cache directory would be silently ignored too.
-	trajcli.RequireWith("cache-dir", *cacheDir != "", "cache-bytes")
-	if *cacheBytes < 0 {
-		log.Fatalf("-cache-bytes must be non-negative, got %d", *cacheBytes)
-	}
 
 	sys := qmd.BuildSiC(*cells)
 	sys.InitVelocities(*tempK, rand.New(rand.NewSource(*seed)))
@@ -72,13 +63,6 @@ func main() {
 		CheckpointEvery: run.Every,
 		CheckpointPath:  run.Checkpoint,
 		Ctx:             ctx,
-	}
-	if *cacheDir != "" {
-		wsc, err := cache.Open(cache.Options{Dir: *cacheDir, MaxBytes: *cacheBytes})
-		if err != nil {
-			log.Fatalf("%v", err)
-		}
-		opts.Cache = wsc
 	}
 
 	var res *qmd.QMDResult
@@ -109,9 +93,4 @@ func main() {
 	}
 	fmt.Printf("total SCF iterations: %d (%.1f per MD step)\n",
 		res.SCFIterations, float64(res.SCFIterations)/float64(res.Steps))
-	if opts.Cache != nil {
-		st := opts.Cache.Stats()
-		fmt.Printf("warm-start cache: %d exact hits, %d misses, %d SCF iterations saved (%d entries, %d bytes)\n",
-			st.Hits, st.Misses, st.SCFIterationsSaved, st.Entries, st.Bytes)
-	}
 }

@@ -42,11 +42,9 @@ func TestClusterSmoke(t *testing.T) {
 		t.Fatalf("build qmdctl: %v\n%s", err, out)
 	}
 
-	// The SCF warm-start cache is off everywhere so every energy in the
-	// comparison comes from a real solve.
 	coordLogs := &syncBuffer{}
 	coord := exec.Command(qmdd, "-mode", "coordinator", "-addr", "127.0.0.1:0",
-		"-data", filepath.Join(dir, "coord"), "-lease-ttl", "2s", "-cache-bytes", "0")
+		"-data", filepath.Join(dir, "coord"), "-lease-ttl", "2s")
 	coord.Stderr = coordLogs
 	if err := coord.Start(); err != nil {
 		t.Fatal(err)
@@ -74,7 +72,7 @@ func TestClusterSmoke(t *testing.T) {
 		t.Helper()
 		logs := &syncBuffer{}
 		cmd := exec.Command(qmdd, "-mode", "worker", "-coordinator", base, "-name", name,
-			"-slots", "1", "-data", filepath.Join(dir, name), "-cache-bytes", "0")
+			"-slots", "1", "-data", filepath.Join(dir, name))
 		cmd.Env = append(os.Environ(), fmt.Sprintf("GOMAXPROCS=%d", procs))
 		cmd.Stderr = logs
 		if err := cmd.Start(); err != nil {
@@ -197,6 +195,12 @@ func TestClusterSmoke(t *testing.T) {
 	if m := expiredRe.FindStringSubmatch(metrics); m == nil || m[1] == "0" {
 		t.Fatalf("no expired lease recorded after SIGKILL:\n%s", metrics)
 	}
+	// The three jobs share one spec up to name and steps, but were
+	// submitted together: none found a completed source, so every
+	// energy below, and both fillers', comes from a real solve.
+	if !strings.Contains(metrics, "\nqmdd_jobs_reused_total 0\n") {
+		t.Fatalf("a job of the array was admitted from another's checkpoint:\n%s", metrics)
+	}
 
 	// Zombie fence: a renew presenting the dead node's epoch must get 409.
 	body := strings.NewReader(fmt.Sprintf(`{"epoch":%d}`, victimEpoch))
@@ -215,7 +219,7 @@ func TestClusterSmoke(t *testing.T) {
 	}
 
 	// Ground truth: the same victim spec, uninterrupted, in a standalone
-	// in-process manager (same engine, no cache). The requeued,
+	// in-process manager (same engine). The requeued,
 	// checkpoint-resumed trajectory must match it bit for bit — float64
 	// survives the JSON round trip exactly, so == on the decoded values
 	// is a bitwise comparison.

@@ -20,10 +20,11 @@
 //
 // All modes drain gracefully on SIGTERM/SIGINT.
 //
-// Jobs share a content-addressed SCF warm-start cache (qmdd_cache_*
-// on /metrics): resubmitting an identical structure skips its SCF
-// solves entirely, and near-duplicate structures start from the nearest
-// cached density. Disable with -cache-bytes 0.
+// An LDC job that resubmits a completed job's spec — the same up to
+// name, priority, steps and checkpoint cadence, and no shorter — starts
+// from that job's final checkpoint (qmdd_jobs_reused_total on /metrics):
+// an identical resubmission runs no SCF, and a longer one continues
+// where the first stopped.
 //
 // Usage:
 //
@@ -50,7 +51,6 @@ import (
 	"syscall"
 	"time"
 
-	"ldcdft/internal/cache"
 	"ldcdft/internal/serve"
 )
 
@@ -61,8 +61,6 @@ func main() {
 	workers := flag.Int("workers", 2, "in-process trajectory slots (standalone mode)")
 	queueCap := flag.Int("queue-cap", 16, "pending-queue capacity (excess submissions get 429)")
 	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "graceful-shutdown budget for checkpointing running jobs")
-	cacheDir := flag.String("cache-dir", "", "SCF warm-start cache directory (default <data>/cache)")
-	cacheBytes := flag.Int64("cache-bytes", 256<<20, "warm-start cache byte budget (0 disables the cache)")
 	coordinator := flag.String("coordinator", "http://127.0.0.1:8432", "coordinator base URL (worker mode)")
 	name := flag.String("name", "", "worker node name (worker mode; default host:pid)")
 	slots := flag.Int("slots", 2, "concurrent leased trajectories (worker mode)")
@@ -75,9 +73,6 @@ func main() {
 	if flag.NArg() != 0 {
 		log.Fatalf("unexpected arguments: %v", flag.Args())
 	}
-	if *cacheBytes < 0 {
-		log.Fatalf("-cache-bytes must be non-negative, got %d", *cacheBytes)
-	}
 	if *retainAge < 0 || *retainMax < 0 {
 		log.Fatalf("-retain-age and -retain-max-jobs must be non-negative")
 	}
@@ -85,10 +80,9 @@ func main() {
 	switch *mode {
 	case "standalone", "coordinator":
 		err = runServe(*mode == "coordinator", *addr, *data, *workers, *queueCap,
-			*drainTimeout, *leaseTTL, *cacheDir, *cacheBytes,
-			*retainAge, *retainMax)
+			*drainTimeout, *leaseTTL, *retainAge, *retainMax)
 	case "worker":
-		err = runWorker(*coordinator, *name, *data, *slots, *cacheDir, *cacheBytes)
+		err = runWorker(*coordinator, *name, *data, *slots)
 	default:
 		err = fmt.Errorf("unknown -mode %q (want standalone, coordinator, or worker)", *mode)
 	}
@@ -97,39 +91,13 @@ func main() {
 	}
 }
 
-// openCache opens the warm-start cache per the -cache-* flags; nil (and
-// no error) when disabled.
-func openCache(data, cacheDir string, cacheBytes int64) (*cache.Cache, error) {
-	if cacheBytes <= 0 {
-		log.Printf("warm-start cache disabled")
-		return nil, nil
-	}
-	if cacheDir == "" {
-		cacheDir = filepath.Join(data, "cache")
-	}
-	wsc, err := cache.Open(cache.Options{Dir: cacheDir, MaxBytes: cacheBytes})
-	if err != nil {
-		return nil, err
-	}
-	st := wsc.Stats()
-	log.Printf("warm-start cache at %s (budget %d bytes, %d entries recovered)",
-		cacheDir, cacheBytes, st.Entries)
-	return wsc, nil
-}
-
 // runServe hosts the HTTP API in standalone or coordinator mode.
 func runServe(distributed bool, addr, data string, workers, queueCap int,
-	drainTimeout, leaseTTL time.Duration, cacheDir string, cacheBytes int64,
-	retainAge time.Duration, retainMax int) error {
-	wsc, err := openCache(data, cacheDir, cacheBytes)
-	if err != nil {
-		return err
-	}
+	drainTimeout, leaseTTL, retainAge time.Duration, retainMax int) error {
 	mgr, err := serve.NewManager(serve.Config{
 		DataDir:     data,
 		Workers:     workers,
 		QueueCap:    queueCap,
-		Cache:       wsc,
 		Logf:        log.Printf,
 		Distributed: distributed,
 		LeaseTTL:    leaseTTL,
@@ -187,8 +155,7 @@ func runServe(distributed bool, addr, data string, workers, queueCap int,
 // SIGTERM/SIGINT, then drains: each in-flight job uploads a final
 // checkpoint and releases its lease so the coordinator requeues it
 // immediately.
-func runWorker(coordinator, name, data string, slots int,
-	cacheDir string, cacheBytes int64) error {
+func runWorker(coordinator, name, data string, slots int) error {
 	if name == "" {
 		host, err := os.Hostname()
 		if err != nil {
@@ -196,16 +163,11 @@ func runWorker(coordinator, name, data string, slots int,
 		}
 		name = fmt.Sprintf("%s:%d", host, os.Getpid())
 	}
-	wsc, err := openCache(data, cacheDir, cacheBytes)
-	if err != nil {
-		return err
-	}
 	w, err := serve.NewWorker(serve.WorkerConfig{
 		Coordinator: coordinator,
 		Name:        name,
 		Slots:       slots,
 		WorkDir:     filepath.Join(data, "scratch"),
-		Cache:       wsc,
 		Logf:        log.Printf,
 	})
 	if err != nil {

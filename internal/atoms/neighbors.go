@@ -6,11 +6,10 @@ import (
 	"ldcdft/internal/geom"
 )
 
-// Neighbor is one entry of a neighbour list: atom index J at minimum-image
-// displacement D (from atom I to J) and distance R.
+// Neighbor is one entry of a neighbour list: atom index J at
+// minimum-image distance R.
 type Neighbor struct {
 	J int
-	D geom.Vec3
 	R float64
 }
 
@@ -19,20 +18,19 @@ type Neighbor struct {
 // data-locality structure that underlies the paper's range-limited MD
 // machinery (refs. [26, 79]).
 type NeighborList struct {
-	Cutoff float64
-	Lists  [][]Neighbor
+	Lists [][]Neighbor
 }
 
 // BuildNeighborList constructs the list for all atoms within cutoff rc.
 func BuildNeighborList(s *System, rc float64) *NeighborList {
-	nl := &NeighborList{Cutoff: rc, Lists: make([][]Neighbor, len(s.Atoms))}
+	nl := &NeighborList{Lists: make([][]Neighbor, len(s.Atoms))}
 	// A row starts at the size a uniform density would fill.
 	mean := int(float64(len(s.Atoms))*4*math.Pi/3*rc*rc*rc/s.Cell.Volume()) + 1
-	VisitPairs(s, rc, func(i, j int, d geom.Vec3, r2 float64) {
+	VisitPairs(s, rc, func(i, j int, _ geom.Vec3, r2 float64) {
 		if nl.Lists[i] == nil {
 			nl.Lists[i] = make([]Neighbor, 0, mean)
 		}
-		nl.Lists[i] = append(nl.Lists[i], Neighbor{J: j, D: d, R: math.Sqrt(r2)})
+		nl.Lists[i] = append(nl.Lists[i], Neighbor{J: j, R: math.Sqrt(r2)})
 	})
 	return nl
 }

@@ -100,25 +100,13 @@ type Config struct {
 	SpillDir string `json:"-"`
 }
 
+// setDefaults fills the zero SCF controls with scf.Config's defaults.
 func (c *Config) setDefaults() {
-	if c.KT == 0 {
-		c.KT = 0.02
-	}
-	if c.MixAlpha == 0 {
-		c.MixAlpha = 0.35
-	}
-	if c.MaxSCF == 0 {
-		c.MaxSCF = 60
-	}
-	if c.EnergyTol == 0 {
-		c.EnergyTol = 1e-6
-	}
-	if c.DensityTol == 0 {
-		c.DensityTol = 1e-5
-	}
-	if c.EigenIters == 0 {
-		c.EigenIters = 3
-	}
+	s := scf.Config{KT: c.KT, MixAlpha: c.MixAlpha, MaxIter: c.MaxSCF,
+		EnergyTol: c.EnergyTol, DensityTol: c.DensityTol, EigenIters: c.EigenIters}
+	s.SetDefaults()
+	c.KT, c.MixAlpha, c.MaxSCF = s.KT, s.MixAlpha, s.MaxIter
+	c.EnergyTol, c.DensityTol, c.EigenIters = s.EnergyTol, s.DensityTol, s.EigenIters
 }
 
 // domainState is the compact persistent state of one DC domain — the
@@ -146,10 +134,9 @@ type domainState struct {
 
 // Engine is a complete LDC-DFT calculation on one atomic configuration.
 type Engine struct {
-	Cfg     Config
-	Sys     *atoms.System
-	Global  grid.Grid
-	Domains []grid.Domain
+	Cfg    Config
+	Sys    *atoms.System
+	Global grid.Grid
 
 	states []*domainState
 	active []int        // indices of occupied (non-vacuum) domains, ascending
@@ -199,7 +186,7 @@ func NewEngine(sys *atoms.System, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{Cfg: cfg, Sys: sys, Global: g, Domains: doms, mg: mg,
+	e := &Engine{Cfg: cfg, Sys: sys, Global: g, mg: mg,
 		pool: bsd.Pool{Workers: cfg.Workers}, vxc: grid.NewField(g)}
 	sp := make([]*atoms.Species, len(sys.Atoms))
 	pos := make([]geom.Vec3, len(sys.Atoms))
@@ -207,11 +194,7 @@ func NewEngine(sys *atoms.System, cfg Config) (*Engine, error) {
 		sp[i], pos[i] = a.Species, sys.Cell.Wrap(a.Position)
 	}
 	e.eII, e.fII = pw.IonIon(sys.Cell, sp, pos)
-	if cfg.Anderson {
-		e.mixer = &scf.AndersonMixer{Alpha: cfg.MixAlpha}
-	} else {
-		e.mixer = &scf.LinearMixer{Alpha: cfg.MixAlpha}
-	}
+	e.mixer = scf.NewMixer(cfg.Anderson, cfg.MixAlpha)
 	maxNb := 0
 	for di, da := range domAtoms {
 		st := &domainState{da: da, di: di, seed: cfg.Seed + int64(di)*7919 + 1}

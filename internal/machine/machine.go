@@ -14,7 +14,6 @@ import "math"
 
 // Machine describes one platform.
 type Machine struct {
-	Name           string
 	CoresPerNode   int
 	ThreadsPerCore int
 	NodePeakGF     float64 // peak GFLOP/s per node
@@ -47,7 +46,6 @@ func (m *Machine) PeakGF(cores int) float64 { return m.CorePeakGF() * float64(co
 // torus.
 func BlueGeneQ() *Machine {
 	return &Machine{
-		Name:           "IBM Blue Gene/Q (Mira)",
 		CoresPerNode:   16,
 		ThreadsPerCore: 4,
 		NodePeakGF:     204.8,
@@ -68,7 +66,6 @@ func BlueGeneQ() *Machine {
 // Bridge-EP, 8 cores + HT per socket, turbo-boosted peak 198 GF per chip).
 func XeonE5() *Machine {
 	return &Machine{
-		Name:           "dual Intel Xeon E5-2665",
 		CoresPerNode:   16,
 		ThreadsPerCore: 2,
 		NodePeakGF:     396,

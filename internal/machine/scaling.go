@@ -2,11 +2,8 @@ package machine
 
 // ScalingPoint is one row of a scaling experiment (Figs. 5–6).
 type ScalingPoint struct {
-	Cores      int
 	Atoms      int64
-	Step       StepTime
 	WallClock  float64 // seconds per QMD step
-	Speed      float64 // atoms × QMD steps / second (isogranular speed, §5.1)
 	Efficiency float64 // vs the first point
 }
 
@@ -21,7 +18,7 @@ func WeakScaling(m *Machine, atomsPerCore int, cores []int, cal Calibration) []S
 		job := JobForAtoms(atoms, float64(atomsPerCore))
 		st := SimulateQMDStep(m, p, job, cal)
 		speed := float64(atoms) / st.Total // atoms·steps/s
-		pt := ScalingPoint{Cores: p, Atoms: atoms, Step: st, WallClock: st.Total, Speed: speed}
+		pt := ScalingPoint{Atoms: atoms, WallClock: st.Total}
 		if baseSpeed == 0 {
 			baseSpeed = speed / float64(p)
 			pt.Efficiency = 1
@@ -42,8 +39,7 @@ func StrongScaling(m *Machine, atoms int64, atomsPerDomain float64, cores []int,
 	var baseCores int
 	for _, p := range cores {
 		st := SimulateQMDStep(m, p, job, cal)
-		pt := ScalingPoint{Cores: p, Atoms: atoms, Step: st, WallClock: st.Total,
-			Speed: float64(atoms) / st.Total}
+		pt := ScalingPoint{Atoms: atoms, WallClock: st.Total}
 		if baseTime == 0 {
 			baseTime = st.Total
 			baseCores = p

@@ -13,15 +13,12 @@ import (
 
 // ProductionSample is one time point of a hydrogen-production trajectory.
 type ProductionSample struct {
-	Step   int
 	TimeFs float64
 	Census Census
-	TempK  float64
 }
 
 // ProductionResult summarizes a hydrogen-on-demand MD run.
 type ProductionResult struct {
-	TempK        float64
 	Steps        int // completed steps, counting resumed-over ones
 	Samples      []ProductionSample
 	Final        Census
@@ -101,11 +98,10 @@ func RunProduction(sys *atoms.System, cfg ProductionConfig) (*ProductionResult, 
 
 	start := TakeCensus(sys)
 	res := &ProductionResult{
-		TempK:        cfg.TempK,
 		SurfaceAtoms: start.SurfaceMetal,
 		PairCount:    sys.CountSpecies(atoms.Lithium),
 	}
-	res.Samples = append(res.Samples, ProductionSample{Step: startStep, Census: start, TempK: sys.Temperature()})
+	res.Samples = append(res.Samples, ProductionSample{Census: start})
 	dtFs := in.DtAU * units.FsPerAtomicTime
 	traj := md.Trajectory{
 		In: in, Steps: cfg.Steps, Resume: cfg.Resume, Ctx: cfg.Ctx, OnStep: cfg.OnStep,
@@ -113,10 +109,8 @@ func RunProduction(sys *atoms.System, cfg ProductionConfig) (*ProductionResult, 
 		Observe: func(step int) {
 			if step%cfg.SampleEvery == 0 {
 				res.Samples = append(res.Samples, ProductionSample{
-					Step:   step,
 					TimeFs: float64(step) * dtFs,
 					Census: TakeCensus(sys),
-					TempK:  sys.Temperature(),
 				})
 			}
 		},

@@ -15,6 +15,15 @@ type Mixer interface {
 	Reset()
 }
 
+// NewMixer returns the mixer both SCF drivers use: Anderson acceleration
+// when anderson is set, else linear mixing, with mixing parameter alpha.
+func NewMixer(anderson bool, alpha float64) Mixer {
+	if anderson {
+		return &AndersonMixer{Alpha: alpha}
+	}
+	return &LinearMixer{Alpha: alpha}
+}
+
 // LinearMixer is simple damped mixing: x ← (1−α)x_in + α x_out, point by
 // point, so mixing segments together or apart gives the same bits.
 type LinearMixer struct{ Alpha float64 }

@@ -25,7 +25,10 @@ type Config struct {
 	Seed       int64
 }
 
-func (c *Config) setDefaults() {
+// SetDefaults fills the zero SCF controls with their defaults. It is the
+// one source of them: core.Config, whose fields of the same meaning the LDC
+// driver reads, takes its defaults from here too.
+func (c *Config) SetDefaults() {
 	if c.KT == 0 {
 		c.KT = 0.02
 	}
@@ -66,7 +69,6 @@ type Result struct {
 	Parts       EnergyParts
 	Eigenvalues []float64
 	Occupations []float64
-	Mu          float64
 	Rho         []float64
 	Iterations  int
 	SCFHistory  []float64 // total energy after each iteration
@@ -95,7 +97,7 @@ func Solve(sys *atoms.System, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	nelec := sys.TotalValence()
-	cfg.setDefaults()
+	cfg.SetDefaults()
 	species := make([]*atoms.Species, len(sys.Atoms))
 	positions := make([]geom.Vec3, len(sys.Atoms))
 	for i, a := range sys.Atoms {
@@ -107,13 +109,9 @@ func Solve(sys *atoms.System, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	eng.EigenIters = cfg.EigenIters
-
-	var mixer Mixer
-	if cfg.Anderson {
-		mixer = &AndersonMixer{Alpha: cfg.MixAlpha}
-	} else {
-		mixer = &LinearMixer{Alpha: cfg.MixAlpha}
-	}
+	mixer := NewMixer(cfg.Anderson, cfg.MixAlpha)
+	// The ions do not move during a solve.
+	eII, fII := pw.IonIon(sys.Cell, species, positions)
 
 	rho := eng.InitialDensity()
 	res := &Result{Engine: eng}
@@ -131,13 +129,12 @@ func Solve(sys *atoms.System, cfg Config) (*Result, error) {
 		occ := Occupations(eig.Eigenvalues, mu, cfg.KT)
 		rhoOut := eng.Density(occ)
 
-		parts := assembleEnergy(eng, sys, rhoOut, occ)
+		parts := assembleEnergy(eng, rhoOut, occ, eII)
 		e := parts.Total()
 		res.SCFHistory = append(res.SCFHistory, e)
 		res.Iterations = iter
 		res.Eigenvalues = eig.Eigenvalues
 		res.Occupations = occ
-		res.Mu = mu
 		res.Parts = parts
 		res.Energy = e
 
@@ -159,13 +156,13 @@ func Solve(sys *atoms.System, cfg Config) (*Result, error) {
 		res.Rho = rho
 		return res, ErrSCFDiverged
 	}
-	res.Forces = ComputeForces(eng, sys, res.Rho, res.Occupations)
+	res.Forces = computeForces(eng, res.Rho, res.Occupations, fII)
 	return res, nil
 }
 
 // assembleEnergy itemizes the total energy for the current density and
-// occupations.
-func assembleEnergy(eng *Engine, sys *atoms.System, rho, occ []float64) EnergyParts {
+// occupations, with the ion-ion energy eII.
+func assembleEnergy(eng *Engine, rho, occ []float64, eII float64) EnergyParts {
 	dv := eng.Basis.Grid.DV()
 	var parts EnergyParts
 	parts.BandKinNl = eng.BandKineticNonlocal(occ)
@@ -178,17 +175,15 @@ func assembleEnergy(eng *Engine, sys *atoms.System, rho, occ []float64) EnergyPa
 	parts.LocalPs *= dv
 	parts.Hartree *= dv
 	parts.XC *= dv
-	eII, _ := pw.IonIon(sys.Cell, eng.Species, eng.Positions)
 	parts.IonIon = eII
 	return parts
 }
 
-// ComputeForces assembles the total Hellmann–Feynman forces: local
-// pseudopotential + nonlocal projector + ion-ion contributions.
-func ComputeForces(eng *Engine, sys *atoms.System, rho, occ []float64) []geom.Vec3 {
+// computeForces assembles the total Hellmann–Feynman forces: local
+// pseudopotential + nonlocal projector + the ion-ion forces fII.
+func computeForces(eng *Engine, rho, occ []float64, fII []geom.Vec3) []geom.Vec3 {
 	fLoc := pw.LocalForces(eng.Basis, rho, eng.Species, eng.Positions)
 	fNl := pw.NonlocalForces(eng.Basis, eng.Ham.Projectors(), eng.Psi, occ, len(eng.Species))
-	_, fII := pw.IonIon(sys.Cell, eng.Species, eng.Positions)
 	out := make([]geom.Vec3, len(fLoc))
 	for i := range out {
 		out[i] = fLoc[i].Add(fNl[i]).Add(fII[i])

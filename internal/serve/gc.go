@@ -63,6 +63,9 @@ func (m *Manager) pruneLocked(j *job) {
 		return
 	}
 	delete(m.jobs, j.id)
+	if key := reuseKey(j.spec); m.finished[key] == j {
+		delete(m.finished, key)
+	}
 	m.pruned++
 	m.cfg.Logf("serve: pruned job %s (%s, finished %s)", j.id, j.state.Status,
 		j.state.FinishedAt.Format(time.RFC3339))

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -12,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"ldcdft/internal/cache"
 	"ldcdft/internal/qio"
 )
 
@@ -50,11 +50,6 @@ type Config struct {
 	Workers int
 	// Runner executes trajectories; nil = QMDRunner (the real engine).
 	Runner Runner
-	// Cache, when non-nil, is the SCF warm-start cache shared by every
-	// job the default QMDRunner executes; its counters are exported as
-	// qmdd_cache_* on /metrics. Ignored by custom Runners (pass the
-	// cache to them directly).
-	Cache *cache.Cache
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 
@@ -119,7 +114,13 @@ type Manager struct {
 	seq      int64
 	draining bool
 
+	// finished maps a reuseKey to the newest completed LDC job with
+	// that key: the source whose final checkpoint a resubmission
+	// starts from (see Submit).
+	finished map[string]*job
+
 	submitted int64
+	reused    int64
 	ended     map[Status]int64 // terminal transitions, by final status
 	rejected  int64
 	pruned    int64
@@ -143,7 +144,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		cfg.Workers = 2
 	}
 	if cfg.Runner == nil {
-		cfg.Runner = QMDRunner{Cache: cfg.Cache}
+		cfg.Runner = QMDRunner{}
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -156,11 +157,12 @@ func NewManager(cfg Config) (*Manager, error) {
 		cfg.LeaseTTL = 15 * time.Second
 	}
 	m := &Manager{
-		cfg:   cfg,
-		root:  root,
-		jobs:  make(map[string]*job),
-		ended: make(map[Status]int64),
-		stop:  make(chan struct{}),
+		cfg:      cfg,
+		root:     root,
+		jobs:     make(map[string]*job),
+		finished: make(map[string]*job),
+		ended:    make(map[Status]int64),
+		stop:     make(chan struct{}),
 	}
 	m.cond = sync.NewCond(&m.mu)
 	if err := m.recover(); err != nil {
@@ -217,6 +219,7 @@ func (m *Manager) recover() error {
 				Priority: j.spec.Priority, Steps: j.spec.Steps}
 		}
 		m.jobs[id] = j
+		m.rememberLocked(j)
 		if !j.state.Status.Terminal() {
 			if j.state.Status != StatusQueued {
 				m.cfg.Logf("serve: requeueing interrupted job %s (was %s, %d steps done)",
@@ -251,6 +254,14 @@ func seqOfID(id string) (int64, bool) {
 
 // Submit validates, persists, and enqueues a job, returning its initial
 // state. ErrQueueFull and ErrShuttingDown signal admission rejection.
+//
+// An LDC job whose spec differs from a completed job's only in name,
+// priority, steps and checkpoint cadence, and asks for no fewer steps,
+// starts from a copy of that job's final checkpoint: StepsDone is the
+// checkpoint's step, and the runner resumes there with the density and
+// the ρα histories, so the job ends bitwise equal to a cold run of
+// itself. An identical resubmission runs no SCF at all. A missing or
+// unreadable source checkpoint means a cold start.
 func (m *Manager) Submit(spec JobSpec) (*JobState, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: invalid job spec: %w", err)
@@ -281,6 +292,18 @@ func (m *Manager) Submit(spec JobSpec) (*JobState, error) {
 	if err := qio.WriteJSONFile(filepath.Join(dir, qio.JobSpecFile), &j.spec); err != nil {
 		return nil, err
 	}
+	if spec.EngineKind() == EngineLDC {
+		if src := m.finished[reuseKey(spec)]; src != nil && src.spec.Steps <= spec.Steps {
+			step, err := copyCheckpoint(m.root.CheckpointPath(src.id), m.root.CheckpointPath(id))
+			if err == nil {
+				j.state.StepsDone = step
+				m.reused++
+				m.cfg.Logf("serve: job %s starts at step %d from job %s's checkpoint", id, step, src.id)
+			} else {
+				m.cfg.Logf("serve: job %s starts cold: checkpoint of job %s: %v", id, src.id, err)
+			}
+		}
+	}
 	if err := m.persistState(j); err != nil {
 		return nil, err
 	}
@@ -289,6 +312,45 @@ func (m *Manager) Submit(spec JobSpec) (*JobState, error) {
 	m.submitted++
 	m.cond.Signal()
 	return j.state.clone(), nil
+}
+
+// reuseKey is spec with its name, priority, steps and checkpoint cadence
+// cleared: two LDC specs with one key run the same trajectory, step for
+// step and bit for bit, for as long as both run.
+func reuseKey(spec JobSpec) string {
+	spec.Name, spec.Priority, spec.Steps, spec.CheckpointEvery = "", 0, 0, 0
+	key, _ := json.Marshal(spec) // a JobSpec always encodes
+	return string(key)
+}
+
+// rememberLocked makes j the source for its reuseKey if it is a
+// completed LDC job that finished no earlier than the current one.
+// Callers hold the manager lock.
+func (m *Manager) rememberLocked(j *job) {
+	if j.state.Status != StatusCompleted || j.spec.EngineKind() != EngineLDC {
+		return
+	}
+	key := reuseKey(j.spec)
+	if old := m.finished[key]; old == nil || !j.state.FinishedAt.Before(old.state.FinishedAt) {
+		m.finished[key] = j
+	}
+}
+
+// copyCheckpoint copies the checkpoint at src to dst crash-safely and
+// returns its step. An src that is missing or does not decode is an
+// error, and dst is then left as it was.
+func copyCheckpoint(src, dst string) (int, error) {
+	ck, err := qio.ReadCheckpoint(src)
+	if err != nil {
+		return 0, err
+	}
+	f, err := os.Open(src)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	_, err = qio.WriteFileAtomic(dst, f)
+	return ck.Step, err
 }
 
 // Get returns a snapshot of the job's state.
@@ -477,6 +539,7 @@ func (m *Manager) endLocked(j *job, status Status, errText string) (*JobState, e
 	j.state.FinishedAt = time.Now().UTC()
 	m.ended[status]++
 	err := m.persistState(j)
+	m.rememberLocked(j)
 	m.cfg.Logf("serve: job %s %s after %d steps (worker %q)",
 		j.id, j.state.Status, j.state.StepsDone, j.state.Worker)
 	m.finishBroadcast(j)
@@ -549,6 +612,8 @@ type Counters struct {
 	Cancelled  int64
 	Rejected   int64
 	Pruned     int64
+	// Reused counts jobs admitted with a completed job's checkpoint.
+	Reused int64
 
 	// Lease counters. The active leases are Running: a job runs
 	// exactly while it is leased.
@@ -576,6 +641,7 @@ func (m *Manager) Stats() Counters {
 		Cancelled:  m.ended[StatusCancelled],
 		Rejected:   m.rejected,
 		Pruned:     m.pruned,
+		Reused:     m.reused,
 
 		LeasesGranted: m.leasesGranted,
 		LeasesExpired: m.leasesExpired,

@@ -5,7 +5,6 @@ import (
 	"os"
 
 	qmd "ldcdft"
-	"ldcdft/internal/cache"
 	"ldcdft/internal/qio"
 	"ldcdft/internal/reactive"
 )
@@ -43,11 +42,7 @@ type Runner interface {
 // QMDRunner runs jobs through the two engines under the md.Trajectory
 // driver: LDC-DFT QMD (qmd.RunQMDOpts / qmd.ResumeQMD) for LDC jobs, the
 // reactive surrogate-field MD (reactive.RunProduction) for reactive jobs.
-type QMDRunner struct {
-	// Cache, when non-nil, is the shared SCF warm-start cache handed to
-	// every LDC trajectory (see qmd.QMDOptions.Cache).
-	Cache *cache.Cache
-}
+type QMDRunner struct{}
 
 // Run implements Runner, with one discipline for both engines: checkpoint
 // at the spec'd cadence (default every step), resume from ckPath when it
@@ -70,7 +65,6 @@ func (r QMDRunner) Run(ctx context.Context, spec JobSpec, ckPath string,
 		CheckpointEvery: every,
 		Ctx:             ctx,
 		OnStep:          onStep,
-		Cache:           r.Cache,
 	}
 	var res *qmd.QMDResult
 	if sys == nil {

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"ldcdft/internal/cache"
 	"ldcdft/internal/qio"
 )
 
@@ -40,9 +39,6 @@ type WorkerConfig struct {
 	WorkDir string
 	// Runner executes trajectories; nil = QMDRunner (the real engine).
 	Runner Runner
-	// Cache, when non-nil, is this node's SCF warm-start cache, handed
-	// to the default QMDRunner.
-	Cache *cache.Cache
 	// PollWait is the acquire long-poll duration. 0 = 30s.
 	PollWait time.Duration
 	// Logf, when non-nil, receives operational log lines.
@@ -93,7 +89,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	}
 	w := &Worker{cfg: cfg, client: NewClient(cfg.Coordinator), runner: cfg.Runner}
 	if w.runner == nil {
-		w.runner = QMDRunner{Cache: cfg.Cache}
+		w.runner = QMDRunner{}
 	}
 	return w, nil
 }
