@@ -131,18 +131,22 @@ func historyShape(cfg LDCConfig) (domains, edge int) {
 // runLDC is the LDC-DFT engine under the md.Trajectory driver: ff supplies
 // the forces, the per-step hook tallies SCF iterations, and the sink adds
 // the tally, the converged density and the ρα histories before cw stores
-// the checkpoint.
+// the checkpoint. The tally is every solve ff ran — on a fresh run the
+// integrator's priming evaluation too; a resume restores the forces and
+// runs none — on top of the checkpoint's.
 func runLDC(work *System, ff *DFTForceField, steps int, dtFs float64, resume *qio.Checkpoint,
 	opts QMDOptions, cw *checkpointWriter) (*QMDResult, error) {
 	out := &QMDResult{}
+	base := 0
 	if resume != nil {
-		out.SCFIterations = resume.SCFIterations
+		base = resume.SCFIterations
+		out.SCFIterations = base
 	}
 	traj := md.Trajectory{
 		In: md.NewIntegrator(ff, dtFs), Steps: steps, Resume: resume,
 		Ctx: opts.Ctx, OnStep: opts.OnStep,
 		CheckpointEvery: opts.CheckpointEvery, CheckpointPath: opts.CheckpointPath,
-		Observe: func(int) { out.SCFIterations += ff.LastSCFIters },
+		Observe: func(int) { out.SCFIterations = base + ff.SCFIters },
 		Write: func(ck *qio.Checkpoint) error {
 			ck.SCFIterations = out.SCFIterations
 			if rho := ff.Density(); rho != nil {

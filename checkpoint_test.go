@@ -99,6 +99,42 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 	})
 }
 
+// The SCF-iteration record counts every solve a trajectory ran — on a
+// fresh run the integrator's priming evaluation too, on a resume none
+// before the first step, since the checkpoint restores the forces — so
+// it moves with the scf/domain-solves phase calls, one per iteration.
+func TestSCFIterationsCountEverySolve(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full SCF solves")
+	}
+	solves := perf.GetPhase("scf/domain-solves")
+	path := filepath.Join(t.TempDir(), "ck.qmd")
+	calls := solves.Calls()
+	cold, err := RunQMDOpts(h2System(), h2Config(), 2, 0, QMDOptions{CheckpointEvery: 1, CheckpointPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := solves.Calls() - calls; int64(cold.SCFIterations) != got {
+		t.Fatalf("cold run records %d SCF iterations, domain-solves counted %d", cold.SCFIterations, got)
+	}
+	ck, err := qio.ReadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.SCFIterations != cold.SCFIterations {
+		t.Fatalf("checkpoint records %d SCF iterations, the run %d", ck.SCFIterations, cold.SCFIterations)
+	}
+	calls = solves.Calls()
+	res, err := ResumeQMD(path, h2Config(), 3, 0, QMDOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := solves.Calls() - calls; int64(res.SCFIterations-cold.SCFIterations) != got {
+		t.Fatalf("resume adds %d SCF iterations to the record, domain-solves counted %d",
+			res.SCFIterations-cold.SCFIterations, got)
+	}
+}
+
 // TestResumeGridMismatchAndPastEnd: a checkpoint whose density grid or
 // ρα history shape differs from the configuration is refused, naming
 // both; resuming a checkpoint already at the requested step count

@@ -100,8 +100,8 @@ func splitSpecs(raw []byte) ([]json.RawMessage, error) {
 	return []json.RawMessage{raw}, nil
 }
 
-// printJSON writes v as the daemon writes its answers, so status and
-// results print the bytes the API served.
+// printJSON writes v indented, for people: the daemon's answers and
+// its store are compact JSON, for programs.
 func printJSON(v any) error {
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")

@@ -50,13 +50,27 @@ func VisitPairs(s *System, rc float64, visit func(i, j int, d geom.Vec3, r2 floa
 	// Number of linked cells per axis: cells no smaller than the cutoff.
 	nc := int(L / rc)
 	if nc <= 3 {
-		// A 27-cell stencil would see a cell twice: all pairs instead.
+		// A 27-cell stencil would see a cell twice: all pairs instead,
+		// rejected axis by axis. A rounded sum of non-negative terms is
+		// never below a term, so a pair whose x (or y) term alone reaches
+		// rc² fails the full test too, and the pairs visited and their d
+		// and r2 bits are MinImage's and Norm2's.
 		for i := range s.Atoms {
+			pi := s.Atoms[i].Position
 			for j := range s.Atoms {
 				if i == j {
 					continue
 				}
-				d := s.Cell.MinImage(s.Atoms[i].Position, s.Atoms[j].Position)
+				pj := s.Atoms[j].Position
+				dx := geom.MinImage1(pj.X-pi.X, L)
+				if dx*dx >= rc2 {
+					continue
+				}
+				dy := geom.MinImage1(pj.Y-pi.Y, L)
+				if dy*dy >= rc2 {
+					continue
+				}
+				d := geom.Vec3{X: dx, Y: dy, Z: geom.MinImage1(pj.Z-pi.Z, L)}
 				if r2 := d.Norm2(); r2 < rc2 {
 					visit(i, j, d, r2)
 				}

@@ -44,13 +44,15 @@ func wrap1(x, l float64) float64 {
 // MinImage returns the minimum-image displacement from a to b.
 func (c Cell) MinImage(a, b Vec3) Vec3 {
 	d := b.Sub(a)
-	d.X = minImage1(d.X, c.L)
-	d.Y = minImage1(d.Y, c.L)
-	d.Z = minImage1(d.Z, c.L)
+	d.X = MinImage1(d.X, c.L)
+	d.Y = MinImage1(d.Y, c.L)
+	d.Z = MinImage1(d.Z, c.L)
 	return d
 }
 
-func minImage1(d, l float64) float64 {
+// MinImage1 is one axis of MinImage: the component d of a displacement
+// brought into [-l/2, l/2].
+func MinImage1(d, l float64) float64 {
 	// Branchy wrap: for displacements within a few cells (the common
 	// case — positions are kept wrapped) this is much cheaper than
 	// math.Round.

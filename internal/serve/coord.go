@@ -254,8 +254,17 @@ func (m *Manager) OpenLeaseCheckpoint(id string, epoch int64) (io.ReadCloser, er
 // "completed", "failed" and "cancelled" end the job, "released" (drain)
 // requeues it for the next holder to resume from the last checkpoint.
 // The epoch fence applies here too — a zombie cannot complete a job
-// that has been reassigned, nor one the client cancelled under it.
+// that has been reassigned, nor one the client cancelled under it. A
+// completion's results.json is encoded and staged before the manager
+// lock is taken and committed under it after the fence, the way
+// PutLeaseCheckpoint commits an upload.
 func (m *Manager) CompleteLease(id string, req CompleteRequest) (*JobState, error) {
+	var results *qio.AtomicFile
+	if req.Status == "completed" {
+		if results = m.stageResults(id, req.Report.Results); results != nil {
+			defer results.Abort()
+		}
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	j, err := m.leasedLocked(id, req.Epoch)
@@ -274,7 +283,11 @@ func (m *Manager) CompleteLease(id string, req CompleteRequest) (*JobState, erro
 	status, errText := StatusCompleted, ""
 	switch req.Status {
 	case "completed":
-		m.persistResults(j, req.Report.Results)
+		if results != nil {
+			if err := results.Commit(); err != nil {
+				m.cfg.Logf("serve: persist results %s: %v", j.id, err)
+			}
+		}
 	case "failed":
 		status, errText = StatusFailed, req.Error
 	case "cancelled":

@@ -65,12 +65,11 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
+// writeJSON answers with v as compact, newline-terminated JSON.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {
@@ -133,13 +132,18 @@ func (m *Manager) handleGet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
+// handleResults streams results.json as stored: it was encoded once, by
+// the completion that committed it.
 func (m *Manager) handleResults(w http.ResponseWriter, r *http.Request) {
-	res, err := m.Results(r.PathValue("id"))
+	f, err := m.OpenResults(r.PathValue("id"))
 	if err != nil {
 		writeError(w, errorCode(err), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	defer f.Close()
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	io.Copy(w, f)
 }
 
 func (m *Manager) handleCancel(w http.ResponseWriter, r *http.Request) {

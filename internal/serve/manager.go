@@ -113,6 +113,9 @@ type Manager struct {
 	queue    jobQueue
 	seq      int64
 	draining bool
+	// admitting counts Submits between taking their ID and enqueueing
+	// the job; each holds a queue slot meanwhile.
+	admitting int
 
 	// finished maps a reuseKey to the newest completed LDC job with
 	// that key: the source whose final checkpoint a resubmission
@@ -255,6 +258,13 @@ func seqOfID(id string) (int64, bool) {
 // Submit validates, persists, and enqueues a job, returning its initial
 // state. ErrQueueFull and ErrShuttingDown signal admission rejection.
 //
+// The manager lock is held only to admit and to publish: admission
+// checks draining, reserves a queue slot and takes the ID; spec.json
+// (and a reused checkpoint, below) are written without the lock; then
+// state.json is persisted and the job enqueued under it. A drain that
+// began meanwhile wins: the job's directory is removed and the call
+// returns ErrShuttingDown.
+//
 // An LDC job whose spec differs from a completed job's only in name,
 // priority, steps and checkpoint cadence, and asks for no fewer steps,
 // starts from a copy of that job's final checkpoint: StepsDone is the
@@ -266,52 +276,86 @@ func (m *Manager) Submit(spec JobSpec) (*JobState, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: invalid job spec: %w", err)
 	}
+	var key string
+	if spec.EngineKind() == EngineLDC {
+		key = reuseKey(spec)
+	}
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.draining {
+		m.mu.Unlock()
 		return nil, ErrShuttingDown
 	}
-	if m.queue.Len() >= m.cfg.QueueCap {
+	if m.queue.Len()+m.admitting >= m.cfg.QueueCap {
 		m.rejected++
+		m.mu.Unlock()
 		return nil, ErrQueueFull
 	}
+	m.admitting++
 	m.seq++
 	id := fmt.Sprintf("j%08d", m.seq)
-	dir, err := m.root.JobDir(id)
-	if err != nil {
-		return nil, err
-	}
 	j := &job{
-		id: id, seq: m.seq, spec: spec, dir: dir, queueIdx: -1,
+		id: id, seq: m.seq, spec: spec, queueIdx: -1,
 		subs: make(map[chan Event]struct{}),
 		state: JobState{
 			ID: id, Name: spec.Name, Status: StatusQueued, Priority: spec.Priority,
 			SubmittedAt: time.Now().UTC(), Steps: spec.Steps,
 		},
 	}
-	if err := qio.WriteJSONFile(filepath.Join(dir, qio.JobSpecFile), &j.spec); err != nil {
-		return nil, err
+	src := m.finished[key] // only LDC jobs have a key
+	if src != nil && src.spec.Steps > spec.Steps {
+		src = nil
 	}
-	if spec.EngineKind() == EngineLDC {
-		if src := m.finished[reuseKey(spec)]; src != nil && src.spec.Steps <= spec.Steps {
-			step, err := copyCheckpoint(m.root.CheckpointPath(src.id), m.root.CheckpointPath(id))
-			if err == nil {
-				j.state.StepsDone = step
-				m.reused++
-				m.cfg.Logf("serve: job %s starts at step %d from job %s's checkpoint", id, step, src.id)
-			} else {
-				m.cfg.Logf("serve: job %s starts cold: checkpoint of job %s: %v", id, src.id, err)
-			}
+	m.mu.Unlock()
+
+	reused, err := m.writeJob(j, src)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.admitting--
+	if err == nil && m.draining {
+		err = ErrShuttingDown
+	}
+	if err == nil {
+		err = m.persistState(j)
+	}
+	if err != nil {
+		if j.dir != "" {
+			os.RemoveAll(j.dir)
 		}
-	}
-	if err := m.persistState(j); err != nil {
 		return nil, err
 	}
-	m.jobs[id] = j
+	if reused {
+		m.reused++
+	}
+	m.jobs[j.id] = j
 	m.queue.push(j)
 	m.submitted++
 	m.cond.Signal()
 	return j.state.clone(), nil
+}
+
+// writeJob creates j's directory and writes its spec.json and, from
+// src when it is non-nil, its starting checkpoint — the part of Submit
+// done without the manager lock; it reports whether the checkpoint was
+// reused. Only Submit knows j yet, and src's final checkpoint is no
+// longer written; a src pruned meanwhile means a cold start.
+func (m *Manager) writeJob(j *job, src *job) (reused bool, err error) {
+	if j.dir, err = m.root.JobDir(j.id); err != nil {
+		return false, err
+	}
+	if err := qio.WriteJSONFile(filepath.Join(j.dir, qio.JobSpecFile), &j.spec); err != nil {
+		return false, err
+	}
+	if src == nil {
+		return false, nil
+	}
+	step, err := copyCheckpoint(m.root.CheckpointPath(src.id), m.root.CheckpointPath(j.id))
+	if err != nil {
+		m.cfg.Logf("serve: job %s starts cold: checkpoint of job %s: %v", j.id, src.id, err)
+		return false, nil
+	}
+	j.state.StepsDone = step
+	m.cfg.Logf("serve: job %s starts at step %d from job %s's checkpoint", j.id, step, src.id)
+	return true, nil
 }
 
 // reuseKey is spec with its name, priority, steps and checkpoint cadence

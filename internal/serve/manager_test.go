@@ -145,6 +145,93 @@ func TestAdmissionControlRejectsWhenFull(t *testing.T) {
 	}
 }
 
+// Admission reserves its queue slot before it writes the spec without
+// the lock: n concurrent submits to a manager with no slots and
+// QueueCap c admit exactly c, reject n − c, and leave c directories.
+func TestConcurrentSubmitsAdmitExactlyQueueCap(t *testing.T) {
+	const n, c = 24, 5
+	dir := t.TempDir()
+	m, err := NewManager(Config{DataDir: dir, QueueCap: c, Distributed: true, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(t, m)
+	start := make(chan struct{})
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			<-start
+			_, err := m.Submit(validSpec(fmt.Sprintf("s%d", i), 1))
+			errs <- err
+		}()
+	}
+	close(start)
+	admitted := 0
+	for i := 0; i < n; i++ {
+		switch err := <-errs; {
+		case err == nil:
+			admitted++
+		case !errors.Is(err, ErrQueueFull):
+			t.Fatalf("submit: %v", err)
+		}
+	}
+	st := m.Stats()
+	if admitted != c || st.Submitted != c || st.Rejected != n-c || st.QueueDepth != c {
+		t.Fatalf("%d admitted, counters %+v; want %d admitted and %d rejected", admitted, st, c, n-c)
+	}
+	if ents, err := os.ReadDir(filepath.Join(dir, "jobs")); err != nil || len(ents) != c {
+		t.Fatalf("%d job directories (%v), want %d", len(ents), err, c)
+	}
+}
+
+// A submit racing Shutdown ends one of two ways: ErrShuttingDown with no
+// job directory left, or admitted durably, so the next manager over the
+// store recovers the job as queued.
+func TestSubmitRacingShutdown(t *testing.T) {
+	outcomes := map[bool]int{}
+	for trial := 0; trial < 16; trial++ {
+		dir := t.TempDir()
+		m, err := NewManager(Config{DataDir: dir, QueueCap: 4, Distributed: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		type result struct {
+			st  *JobState
+			err error
+		}
+		start, done := make(chan struct{}), make(chan result)
+		go func() {
+			<-start
+			st, err := m.Submit(validSpec("racer", 1))
+			done <- result{st, err}
+		}()
+		close(start)
+		time.Sleep(time.Duration(trial) * 20 * time.Microsecond) // spread the race over the admission
+		shutdown(t, m)
+		r := <-done
+		switch {
+		case errors.Is(r.err, ErrShuttingDown):
+			if ents, err := os.ReadDir(filepath.Join(dir, "jobs")); err != nil || len(ents) != 0 {
+				t.Fatalf("trial %d: refused submit left %d job directories (%v)", trial, len(ents), err)
+			}
+		case r.err == nil:
+			m2, err := NewManager(Config{DataDir: dir, QueueCap: 4, Distributed: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := m2.Get(r.st.ID)
+			if err != nil || st.Status != StatusQueued {
+				t.Fatalf("trial %d: admitted job %s recovered as %+v (%v), want queued", trial, r.st.ID, st, err)
+			}
+			shutdown(t, m2)
+		default:
+			t.Fatalf("trial %d: submit: %v", trial, r.err)
+		}
+		outcomes[r.err == nil]++
+	}
+	t.Logf("%d admitted, %d refused", outcomes[true], outcomes[false])
+}
+
 func TestPriorityOrderFIFOWithinLevel(t *testing.T) {
 	gate := make(chan struct{})
 	fr := &fakeRunner{started: make(chan string, 8), gate: map[string]chan struct{}{"blocker": gate}}

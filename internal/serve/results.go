@@ -70,34 +70,39 @@ type Results struct {
 	FinalSystem *SystemSnapshot `json:"final_system,omitempty"`
 }
 
-// Results returns the durable results record of a completed job.
-// ErrNotFound marks an unknown ID; ErrNoResults a job that has not
-// produced results (yet).
-func (m *Manager) Results(id string) (*Results, error) {
+// OpenResults opens the results.json of a completed job, to be served
+// as stored. ErrNotFound marks an unknown ID; ErrNoResults a job that has
+// not produced results (yet).
+func (m *Manager) OpenResults(id string) (*os.File, error) {
 	m.mu.Lock()
 	j := m.jobs[id]
 	m.mu.Unlock()
 	if j == nil {
 		return nil, ErrNotFound
 	}
-	var res Results
-	err := qio.ReadJSONFile(filepath.Join(j.dir, qio.JobResultsFile), &res)
+	f, err := os.Open(filepath.Join(j.dir, qio.JobResultsFile))
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, ErrNoResults
 	}
-	if err != nil {
-		return nil, err
-	}
-	return &res, nil
+	return f, err
 }
 
-// persistResults writes the job's results.json crash-safely. Callers
-// hold the manager lock (the write itself touches only the job dir).
-func (m *Manager) persistResults(j *job, res *Results) {
-	if res == nil {
-		return
+// stageResults writes res as job id's results.json into a staged
+// qio.AtomicFile, without the manager lock. CompleteLease commits it
+// only after its lease check under the lock, so a zombie's results are
+// never published: they are staged, then aborted. nil means nothing to
+// commit — no results, an unknown job (the lease check answers), or a
+// write that failed (logged; the job completes without results).
+func (m *Manager) stageResults(id string, res *Results) *qio.AtomicFile {
+	m.mu.Lock()
+	j := m.jobs[id]
+	m.mu.Unlock()
+	if j == nil || res == nil {
+		return nil
 	}
-	if err := qio.WriteJSONFile(filepath.Join(j.dir, qio.JobResultsFile), res); err != nil {
-		m.cfg.Logf("serve: persist results %s: %v", j.id, err)
+	af, err := qio.StageJSONFile(filepath.Join(j.dir, qio.JobResultsFile), res)
+	if err != nil {
+		m.cfg.Logf("serve: persist results %s: %v", id, err)
 	}
+	return af
 }

@@ -1,12 +1,17 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"math"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,7 +20,7 @@ import (
 	"ldcdft/internal/reactive"
 )
 
-// resultsRunner completes instantly with a canned Results payload.
+// resultsRunner completes instantly with cannedResults.
 type resultsRunner struct{}
 
 func (resultsRunner) Run(ctx context.Context, spec JobSpec, ckPath string,
@@ -23,20 +28,77 @@ func (resultsRunner) Run(ctx context.Context, spec JobSpec, ckPath string,
 	for i := 1; i <= spec.Steps; i++ {
 		onStep(i, -1, 300)
 	}
-	return RunReport{
-		Steps: spec.Steps,
-		Results: &Results{
-			Engine:            EngineReactive,
-			Steps:             spec.Steps,
-			FinalEnergyHa:     -1.25,
-			Census:            &reactive.Census{H2: 4, Water: 10},
-			RatePerPairPerSec: 2e11,
-			PairCount:         3,
-		},
-	}, nil
+	return RunReport{Steps: spec.Steps, Results: cannedResults(spec.Steps)}, nil
 }
 
-// Completed jobs persist results.json; Manager.Results and the HTTP
+// cannedResults is a Results payload whose floats need all 17 digits —
+// any re-encoding that loses one shows in their bits.
+func cannedResults(steps int) *Results {
+	res := &Results{
+		Engine:            EngineReactive,
+		Steps:             steps,
+		FinalEnergyHa:     -1.25,
+		Census:            &reactive.Census{H2: 4, Water: 10},
+		RatePerPairPerSec: 2e11,
+		PairCount:         3,
+		FinalSystem:       &SystemSnapshot{CellL: 20},
+	}
+	for i := 1; i <= steps; i++ {
+		res.EnergiesHa = append(res.EnergiesHa, -1.25-1/float64(3*i))
+		res.TemperaturesK = append(res.TemperaturesK, 300+math.Pi/float64(i))
+		res.FinalSystem.Atoms = append(res.FinalSystem.Atoms, AtomSpec{Species: "H",
+			Position: [3]float64{math.Sqrt(float64(i)), 1 / float64(7*i), math.Nextafter(10, 11)},
+			Velocity: [3]float64{1e-300 * float64(i), -math.E, 0}})
+	}
+	return res
+}
+
+// storedResults reads job id's results over the byte path: the file
+// OpenResults serves, and what it decodes to.
+func storedResults(t *testing.T, m *Manager, id string) ([]byte, *Results) {
+	t.Helper()
+	f, err := m.OpenResults(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	raw, err := io.ReadAll(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res Results
+	if err := json.Unmarshal(raw, &res); err != nil {
+		t.Fatal(err)
+	}
+	return raw, &res
+}
+
+// sameResultBits fails unless got carries want's energies and final
+// positions bit for bit.
+func sameResultBits(t *testing.T, got, want *Results) {
+	t.Helper()
+	bits := func(what string, a, b []float64) {
+		t.Helper()
+		if len(a) != len(b) {
+			t.Fatalf("%s: %d values, want %d", what, len(a), len(b))
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				t.Fatalf("%s[%d] = %v, want %v", what, i, a[i], b[i])
+			}
+		}
+	}
+	bits("final energy", []float64{got.FinalEnergyHa}, []float64{want.FinalEnergyHa})
+	bits("energies", got.EnergiesHa, want.EnergiesHa)
+	if got.FinalSystem == nil || len(got.FinalSystem.Atoms) != len(want.FinalSystem.Atoms) {
+		t.Fatalf("final system %+v, want %d atoms", got.FinalSystem, len(want.FinalSystem.Atoms))
+	}
+	for i, a := range got.FinalSystem.Atoms {
+		bits("final position", a.Position[:], want.FinalSystem.Atoms[i].Position[:])
+	}
+}
+
+// Completed jobs persist results.json; OpenResults and the HTTP
 // endpoint serve it, and jobs without results answer ErrNoResults/404.
 func TestResultsPersistAndServe(t *testing.T) {
 	dir := t.TempDir()
@@ -49,10 +111,7 @@ func TestResultsPersistAndServe(t *testing.T) {
 	}
 	waitStatus(t, m, st.ID, StatusCompleted)
 
-	res, err := m.Results(st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := storedResults(t, m, st.ID)
 	if res.Engine != EngineReactive || res.Census == nil || res.Census.H2 != 4 {
 		t.Fatalf("results round-trip mangled: %+v", res)
 	}
@@ -60,7 +119,7 @@ func TestResultsPersistAndServe(t *testing.T) {
 		t.Fatalf("results.json not persisted: %v", err)
 	}
 
-	if _, err := m.Results("j99999999"); !errors.Is(err, ErrNotFound) {
+	if _, err := m.OpenResults("j99999999"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("unknown id: got %v, want ErrNotFound", err)
 	}
 
@@ -101,9 +160,116 @@ func TestResultsAbsent(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitStatus(t, m, st.ID, StatusCompleted)
-	if _, err := m.Results(st.ID); !errors.Is(err, ErrNoResults) {
+	if _, err := m.OpenResults(st.ID); !errors.Is(err, ErrNoResults) {
 		t.Fatalf("got %v, want ErrNoResults", err)
 	}
+	srv := httptest.NewServer(m.Handler())
+	defer srv.Close()
+	resp, err := srv.Client().Get(srv.URL + "/v1/jobs/" + st.ID + "/results")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("job without results over HTTP: %d, want 404", resp.StatusCode)
+	}
+}
+
+// GET /v1/jobs/{id}/results answers with the bytes of results.json as
+// stored, which decode to the runner's Results bit for bit — whether an
+// in-process slot or a worker node (over the lease API) completed it.
+func TestResultsServedAsStored(t *testing.T) {
+	check := func(t *testing.T, dir, url, id string) {
+		t.Helper()
+		resp, err := http.Get(url + "/v1/jobs/" + id + "/results")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
+			t.Fatalf("GET results: %d %q", resp.StatusCode, resp.Header.Get("Content-Type"))
+		}
+		stored, err := os.ReadFile(filepath.Join(dir, "jobs", id, qio.JobResultsFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(body, stored) {
+			t.Fatalf("body (%d bytes) differs from results.json (%d bytes)", len(body), len(stored))
+		}
+		if bytes.Count(stored, []byte("\n")) != 1 || !bytes.HasSuffix(stored, []byte("\n")) {
+			t.Fatalf("results.json is not one compact line")
+		}
+		var got Results
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatal(err)
+		}
+		sameResultBits(t, &got, cannedResults(3))
+	}
+	t.Run("slot", func(t *testing.T) {
+		dir := t.TempDir()
+		m := newTestManager(t, dir, 1, 4, resultsRunner{})
+		defer shutdown(t, m)
+		srv := httptest.NewServer(m.Handler())
+		defer srv.Close()
+		st := runToEnd(t, m, validSpec("slot", 3))
+		check(t, dir, srv.URL, st.ID)
+	})
+	t.Run("worker", func(t *testing.T) {
+		dir := t.TempDir()
+		m := newCoordinator(t, dir, time.Minute)
+		defer shutdown(t, m)
+		srv := httptest.NewServer(m.Handler())
+		defer srv.Close()
+		_, cancel, done := startWorker(t, srv.URL, "node", 1, resultsRunner{})
+		defer func() { cancel(); <-done }()
+		st := runToEnd(t, m, validSpec("node", 3))
+		check(t, dir, srv.URL, st.ID)
+	})
+}
+
+// A completion under a stale epoch carries results that are staged
+// before the lease check and must be dropped after it: no results.json,
+// no temp. The live holder's completion then publishes its own.
+func TestStaleCompletionPublishesNoResults(t *testing.T) {
+	dir := t.TempDir()
+	m := newCoordinator(t, dir, time.Minute)
+	defer shutdown(t, m)
+	st := mustSubmit(t, m, validSpec("zombie", 2))
+	old := mustAcquire(t, m, "old")
+	if _, err := m.CompleteLease(st.ID, CompleteRequest{Worker: "old", Epoch: old.Epoch, Status: "released"}); err != nil {
+		t.Fatal(err)
+	}
+	live := mustAcquire(t, m, "live")
+	jobDir := filepath.Join(dir, "jobs", st.ID)
+	_, err := m.CompleteLease(st.ID, CompleteRequest{Worker: "old", Epoch: old.Epoch, Status: "completed",
+		Report: RunReport{Steps: 2, Results: cannedResults(2)}})
+	if !errors.Is(err, ErrStale) {
+		t.Fatalf("stale completion: %v, want ErrStale", err)
+	}
+	ents, err := os.ReadDir(jobDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if e.Name() == qio.JobResultsFile || strings.HasSuffix(e.Name(), ".tmp") {
+			t.Fatalf("stale completion left %s in the job directory", e.Name())
+		}
+	}
+	if _, err := m.OpenResults(st.ID); !errors.Is(err, ErrNoResults) {
+		t.Fatalf("results after a stale completion: %v, want ErrNoResults", err)
+	}
+	want := cannedResults(2)
+	want.FinalEnergyHa = -2
+	if _, err := m.CompleteLease(st.ID, CompleteRequest{Worker: "live", Epoch: live.Epoch, Status: "completed",
+		Report: RunReport{Steps: 2, Results: want}}); err != nil {
+		t.Fatal(err)
+	}
+	_, got := storedResults(t, m, st.ID)
+	sameResultBits(t, got, want)
 }
 
 // A real reactive-engine job runs through QMDRunner end to end: engine
@@ -135,10 +301,7 @@ func TestReactiveEngineJob(t *testing.T) {
 	if fin.StepsDone != 30 {
 		t.Fatalf("steps done %d, want 30", fin.StepsDone)
 	}
-	res, err := m.Results(st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, res := storedResults(t, m, st.ID)
 	if res.Engine != EngineReactive || res.Census == nil || res.FinalSystem == nil {
 		t.Fatalf("reactive results incomplete: %+v", res)
 	}

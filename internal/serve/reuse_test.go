@@ -187,17 +187,11 @@ func TestLongerResubmissionResumesBitwise(t *testing.T) {
 		t.Fatalf("longer resubmission admitted at step %d, want 2", st.StepsDone)
 	}
 	waitStatus(t, m, st.ID, StatusCompleted)
-	got, err := m.Results(st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, got := storedResults(t, m, st.ID)
 
 	cold := newTestManager(t, t.TempDir(), 1, 4, nil)
 	defer shutdown(t, cold)
-	want, err := cold.Results(runToEnd(t, cold, tinyH2Spec("cold", 4)).ID)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, want := storedResults(t, cold, runToEnd(t, cold, tinyH2Spec("cold", 4)).ID)
 	sameBits := func(what string, a, b []float64) {
 		t.Helper()
 		if len(a) != len(b) {
